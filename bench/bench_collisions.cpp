@@ -24,15 +24,15 @@ int main() {
   for (const usize n : {usize{4096}, usize{16384}, usize{65536}}) {
     for (const usize m : {usize{2}, usize{4}, usize{8}}) {
       if (3 * m * m + m >= n) continue;
-      for (const auto& factory : sim::standard_adversaries()) {
+      for (const char* adversary_name : sim::standard_adversaries()) {
         exp::run_spec s;
         s.algo = exp::algo_family::kk;
         s.n = n;
         s.m = m;
         s.beta = 3 * m * m;
-        s.adversary = {factory.label, 1717};
+        s.adversary = {adversary_name, 1717};
         cells.push_back(std::move(s));
-        adv_labels.push_back(factory.label);
+        adv_labels.push_back(adversary_name);
       }
     }
   }

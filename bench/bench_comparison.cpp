@@ -13,11 +13,9 @@
 #include <memory>
 
 #include "analysis/bounds.hpp"
-#include "baselines/kkns_style.hpp"
 #include "baselines/tas_executor.hpp"
 #include "bench_common.hpp"
 #include "exp/engine.hpp"
-#include "sim/harness.hpp"
 
 namespace {
 
@@ -27,10 +25,14 @@ using namespace amo;
 /// crashy random schedules (m = 2 only).
 usize measure_ao2_worst(usize n) {
   usize worst = ~usize{0};
+  exp::run_spec s;
+  s.algo = exp::algo_family::ao2;
+  s.n = n;
+  s.m = 2;
+  s.crash_budget = 1;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    sim::random_adversary adv(seed, 1, 100);
-    const auto r = baseline::run_ao2(n, 1, adv);
-    worst = std::min(worst, r.effectiveness);
+    s.adversary = {"random+crash:1/100", seed};
+    worst = std::min(worst, exp::run(s).effectiveness);
   }
   return worst;
 }

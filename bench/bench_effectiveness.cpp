@@ -77,10 +77,10 @@ void table_crash_free() {
   for (const usize n : {usize{4096}, usize{65536}}) {
     for (const usize m : {usize{2}, usize{8}, usize{32}}) {
       group g{n, m, {}};
-      for (const auto& factory : sim::standard_adversaries()) {
+      for (const char* adversary_name : sim::standard_adversaries()) {
         for (const std::uint64_t seed : {1ull, 2ull}) {
           g.cell_indices.push_back(cells.size());
-          cells.push_back(kk_cell(n, m, 0, 0, factory.label, seed));
+          cells.push_back(kk_cell(n, m, 0, 0, adversary_name, seed));
         }
       }
       groups.push_back(std::move(g));

@@ -15,13 +15,14 @@
 
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "exp/engine.hpp"
 #include "sets/bitset_rank_set.hpp"
 #include "sets/fenwick_rank_set.hpp"
 #include "sets/ostree.hpp"
 #include "sets/rank_select.hpp"
-#include "sim/harness.hpp"
 #include "util/prng.hpp"
 
 #if __has_include("sets/word_ops.hpp")
@@ -158,15 +159,23 @@ void BM_EraseSelect(benchmark::State& state) {
 }
 
 template <class S>
+constexpr exp::free_set_kind free_set_of() {
+  if constexpr (std::is_same_v<S, ostree>) return exp::free_set_kind::ostree;
+  if constexpr (std::is_same_v<S, fenwick_rank_set>) {
+    return exp::free_set_kind::fenwick;
+  }
+  return exp::free_set_kind::bitset;
+}
+
+template <class S>
 void BM_EndToEndKk(benchmark::State& state) {
-  const usize n = static_cast<usize>(state.range(0));
-  const usize m = 8;
+  exp::run_spec spec;
+  spec.free_set = free_set_of<S>();
+  spec.n = static_cast<usize>(state.range(0));
+  spec.m = 8;
+  const usize n = spec.n;
   for (auto _ : state) {
-    sim::kk_sim_options opt;
-    opt.n = n;
-    opt.m = m;
-    sim::round_robin_adversary adv;
-    const auto r = sim::run_kk<S>(opt, adv);
+    const exp::run_report r = exp::run(spec);
     if (!r.at_most_once) state.SkipWithError("duplicate");
     benchmark::DoNotOptimize(r.effectiveness);
   }

@@ -12,13 +12,11 @@
 //              report R ways. Cost is ~1 unit for R, i.e. ~R x. This grid
 //              gates the >= 3x floor at R >= 8.
 //   seeded/xR  n=256 m=3  — seed-dependent adversaries (random,
-//              random+crash, block64): every replica runs its own lane,
-//              so the win is per-step only — the inlined lane driver
-//              replaces the scalar scheduler's virtual decide/step
-//              dispatch and per-step view assembly (~18 ns/step) with a
-//              register-resident decision loop (~8 ns/step). The
-//              automaton itself (~30 ns/step) is shared cost, which caps
-//              this grid near 1.5x; the floor is >= 1.1x at R >= 8.
+//              random+crash, block64): every replica runs its own lane
+//              through the scalar engine's own scheduler loop and
+//              adversary, so the only difference is the FREE set — the
+//              shared SoA arena, initialized in one sweep, with O(1)
+//              updates. The floor is >= 1.1x at R >= 8.
 //   mix/xR     n=256 m=3  — all six classes, reported for context: the
 //              composition of a real grid decides where between the two
 //              bounds it lands.

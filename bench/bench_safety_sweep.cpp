@@ -21,7 +21,7 @@ using namespace amo;
 
 std::vector<exp::run_spec> build_grid() {
   std::vector<exp::run_spec> cells;
-  for (const auto& factory : sim::standard_adversaries()) {
+  for (const char* adversary_name : sim::standard_adversaries()) {
     for (const usize n : {usize{256}, usize{1024}, usize{3000}}) {
       for (const usize m : {usize{2}, usize{5}, usize{12}}) {
         for (const usize beta : {m, 2 * m, 3 * m * m}) {
@@ -29,13 +29,13 @@ std::vector<exp::run_spec> build_grid() {
           for (std::uint64_t seed = 1; seed <= 12; ++seed) {
             for (const usize f : {usize{0}, m - 1}) {
               exp::run_spec s;
-              s.label = factory.label;
+              s.label = adversary_name;
               s.algo = exp::algo_family::kk;
               s.n = n;
               s.m = m;
               s.beta = beta;
               s.crash_budget = f;
-              s.adversary = {factory.label, seed * 7919};
+              s.adversary = {adversary_name, seed * 7919};
               cells.push_back(std::move(s));
             }
           }

@@ -21,15 +21,15 @@ int main() {
   std::vector<const char*> adv_labels;
   for (const usize n : {usize{1024}, usize{16384}, usize{65536}}) {
     for (const usize m : {usize{2}, usize{8}, usize{24}}) {
-      for (const auto& factory : sim::standard_adversaries()) {
+      for (const char* adversary_name : sim::standard_adversaries()) {
         exp::run_spec s;
         s.algo = exp::algo_family::kk;
         s.n = n;
         s.m = m;
         s.crash_budget = m - 1;
-        s.adversary = {factory.label, 4242};
+        s.adversary = {adversary_name, 4242};
         cells.push_back(std::move(s));
-        adv_labels.push_back(factory.label);
+        adv_labels.push_back(adversary_name);
       }
     }
   }

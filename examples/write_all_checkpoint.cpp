@@ -7,8 +7,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "rt/at_most_once.hpp"
-#include "rt/thread_executor.hpp"
+#include "exp/engine.hpp"
 
 int main() {
   constexpr amo::usize kSlots = 40000;
@@ -17,20 +16,23 @@ int main() {
   std::vector<std::atomic<std::uint8_t>> table(kSlots + 1);
   for (auto& s : table) s.store(0xff, std::memory_order_relaxed);  // dirty
 
-  amo::rt::iter_thread_options opt;
-  opt.n = kSlots;
-  opt.m = kThreads;
-  opt.eps_inv = 2;
-  opt.write_all = true;
+  amo::exp::run_spec spec;
+  spec.algo = amo::exp::algo_family::wa_iterative;
+  spec.driver = amo::exp::driver_kind::os_threads;
+  spec.n = kSlots;
+  spec.m = kThreads;
+  spec.eps_inv = 2;
   // Kill two recovery threads mid-flight; coverage must not suffer.
-  opt.crashes = amo::rt::crash_plan::after_actions({4000, 0, 9000, 0, 0, 0});
+  spec.crashes.what = amo::exp::crash_spec::kind::after_actions;
+  spec.crashes.per_thread = {4000, 0, 9000, 0, 0, 0};
 
   std::atomic<amo::usize> clears{0};
-  const auto report = amo::rt::run_iterative_threads(
-      opt, [&table, &clears](amo::process_id, amo::job_id slot) {
-        table[slot].store(0, std::memory_order_relaxed);  // clear
-        clears.fetch_add(1, std::memory_order_relaxed);
-      });
+  amo::exp::run_hooks hooks;
+  hooks.on_perform = [&table, &clears](amo::process_id, amo::job_id slot) {
+    table[slot].store(0, std::memory_order_relaxed);  // clear
+    clears.fetch_add(1, std::memory_order_relaxed);
+  };
+  const amo::exp::run_report report = amo::exp::run(spec, hooks);
 
   amo::usize dirty = 0;
   for (amo::usize s = 1; s <= kSlots; ++s) {
@@ -38,7 +40,7 @@ int main() {
   }
 
   std::printf("checkpoint slots : %zu\n", kSlots);
-  std::printf("threads          : %zu (%zu crashed)\n", kThreads, report.crashed);
+  std::printf("threads          : %zu (%zu crashed)\n", kThreads, report.crashes);
   std::printf("slots cleared    : %zu\n", kSlots - dirty);
   std::printf("slots still dirty: %zu  <-- must be 0\n", dirty);
   std::printf("callback calls   : %zu (duplicates are allowed here)\n",

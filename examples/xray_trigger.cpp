@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "analysis/bounds.hpp"
-#include "rt/thread_executor.hpp"
+#include "exp/engine.hpp"
 
 namespace {
 
@@ -41,22 +41,27 @@ int main() {
 
   xray_machine machine(kPulses);
 
-  amo::rt::thread_run_options opt;
-  opt.n = kPulses;
-  opt.m = kControllers;
+  amo::exp::run_spec spec;
+  spec.driver = amo::exp::driver_kind::os_threads;
+  spec.n = kPulses;
+  spec.m = kControllers;
   // Crash 5 of 6 controllers immediately after their first announcement —
   // each leaves one announced-but-unfired pulse stuck forever.
-  opt.crashes = amo::rt::crash_plan::after_first_announce(kControllers - 1);
+  spec.crashes.what = amo::exp::crash_spec::kind::after_first_announce;
+  spec.crashes.count = kControllers - 1;
 
-  const auto report = amo::rt::run_kk_threads(
-      opt, [&machine](amo::process_id, amo::job_id j) { machine.fire(j); });
+  amo::exp::run_hooks hooks;
+  hooks.on_perform = [&machine](amo::process_id, amo::job_id j) {
+    machine.fire(j);
+  };
+  const amo::exp::run_report report = amo::exp::run(spec, hooks);
 
   const amo::usize floor =
       amo::bounds::kk_effectiveness(kPulses, kControllers, kControllers);
 
   std::printf("pulses scheduled   : %zu\n", kPulses);
   std::printf("controllers        : %zu (%zu crashed mid-run)\n", kControllers,
-              report.crashed);
+              report.crashes);
   std::printf("pulses delivered   : %zu (guaranteed floor: %zu)\n",
               report.effectiveness, floor);
   std::printf("pulses stranded    : %zu\n", kPulses - report.effectiveness);

@@ -4,9 +4,9 @@
 //
 // The algorithm is iterative_process in write-all mode (each level returns
 // FREE rather than FREE \ TRY, and the residual FREE set after the size-1
-// level is performed unconditionally). This header adds the Write-All array
-// itself plus a convenience verifier; baselines to compare against live in
-// baselines/write_all_baselines.hpp.
+// level is performed unconditionally); exp::run builds it for the
+// wa_iterative family. This header adds the Write-All array itself;
+// baselines to compare against live in baselines/write_all_baselines.hpp.
 #pragma once
 
 #include <atomic>
@@ -60,12 +60,5 @@ class write_all_array {
   usize n_;
   std::unique_ptr<std::atomic<std::uint8_t>[]> cells_;
 };
-
-/// Alias making call sites self-documenting: a WA process is an iterative
-/// process constructed with write_all = true whose perform function writes
-/// the array.
-template <class M, rank_set FS = bitset_rank_set>
-  requires kk_memory<M>
-using wa_iterative_process = iterative_process<M, FS>;
 
 }  // namespace amo

@@ -2,17 +2,14 @@
 //
 // A sweep cell is run_spec × R deterministic replicas; the scalar path runs
 // R independent engine passes that differ only in the adversary seed. This
-// engine advances a whole block of replicas of one cell in a single pass:
-// the spec is decoded once, every replica lane gets its own PRNG stream,
-// op_counters, checker and ledger, and the FREE bitmaps of all lanes live
-// in one lane-major SoA arena (sets/lane_free_set.hpp) allocated and
-// initialized in one sweep. Per-replica reports — including every charged
-// op count — are bit-identical to running replica_spec(cell, r) through
-// exp::run, which is what tests/test_batch_parity.cpp pins down.
-// docs/batched_kernel.md walks through the layout, the charge accounting
-// and the determinism argument.
+// engine runs a whole block of replicas of one cell as one pool task. Per-
+// replica reports — including every charged op count — are bit-identical
+// to running replica_spec(cell, r) through exp::run, which is what
+// tests/test_batch_parity.cpp pins down. docs/batched_kernel.md walks
+// through the layout, the charge accounting and the determinism argument.
 //
-// Two execution strategies, chosen from the adversary's seed dependence:
+// Two execution strategies, chosen from the adversary's seed dependence
+// (sim::seeded on the parsed name):
 //
 //  - replicate: schedules that ignore their seed (round_robin, stale_view,
 //    announce_crash, scripted:/replay:) make every replica of a cell the
@@ -20,10 +17,10 @@
 //    seed. The engine runs one scalar pass and replicates the report,
 //    patching rep.seed per replica. Provably identical, R× cheaper.
 //  - lanes: seeded schedules (random, random+crash[:n/d], block4/64,
-//    block:q) interleave R independent lane simulations in one pass,
-//    reproducing the scheduler loop and the adversary's exact
-//    draw-consumption order per lane (util/fastdiv.hpp keeps the modulo
-//    stream bit-identical without per-step hardware division).
+//    block:q) run each replica lane through the scalar engine's own code —
+//    the same templated scheduler loop and adversary — with the FREE sets
+//    of every lane in one lane-major SoA arena (sets/lane_free_set.hpp)
+//    allocated and initialized in one sweep.
 //
 // Anything else — unknown adversary names, trace recording, non-sim memory,
 // non-bitset free sets, the iterative/baseline families — is not batchable;
@@ -58,9 +55,9 @@ enum class batch_class : std::uint8_t {
 };
 
 /// Classifies a cell for the batched engine. Conservative by construction:
-/// only specs whose execution the lane kernel reproduces exactly (kk/ao2 ×
-/// scheduled × sim × bitset, no trace recording, known adversary grammar)
-/// are batchable; everything else falls back to the scalar engine.
+/// only kk/ao2 × scheduled × sim × bitset specs with no trace recording and
+/// a name sim::parse_adversary accepts are batchable; everything else falls
+/// back to the scalar engine.
 [[nodiscard]] batch_class classify_batch(const run_spec& cell);
 
 [[nodiscard]] inline bool batchable(const run_spec& cell) {

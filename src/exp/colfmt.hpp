@@ -58,7 +58,7 @@ inline constexpr std::uint16_t colfmt_version = 1;
 struct colfmt_header {
   std::uint64_t grid_fp = 0;      ///< grid fingerprint; 0 = records carry none
   std::uint64_t cells_total = 0;  ///< echo of the records' cells_total (0 = none)
-  std::uint64_t units_total = 0;  ///< per-unit files; 0 = aggregate/legacy
+  std::uint64_t units_total = 0;  ///< per-unit files; 0 = aggregate
   std::uint64_t replicas = 0;     ///< echo of the records' replicas (0 = none)
   std::uint64_t record_count = 0;
   std::uint64_t chunk_count = 0;

@@ -1,8 +1,12 @@
 #include "exp/engine.hpp"
 
+#include <cassert>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "analysis/amo_checker.hpp"
@@ -11,17 +15,15 @@
 #include "baselines/write_all_baselines.hpp"
 #include "core/iterative_kk.hpp"
 #include "core/wa_iterative_kk.hpp"
-#include "exp/harvest.hpp"
+#include "exp/batch.hpp"
 #include "mem/atomic_memory.hpp"
 #include "mem/sim_memory.hpp"
 #include "model/dpor.hpp"
-#include "model/explorer.hpp"
-#include "rt/crash_injection.hpp"
 #include "sets/fenwick_rank_set.hpp"
+#include "sets/lane_free_set.hpp"
 #include "sets/ostree.hpp"
 #include "sim/scheduler.hpp"
 #include "util/math.hpp"
-#include "util/parse.hpp"
 #include "util/stopwatch.hpp"
 
 namespace amo::exp {
@@ -32,8 +34,41 @@ namespace {
   throw std::invalid_argument("exp::run: " + why);
 }
 
-// echo_spec / harvest_checker / harvest_kk live in exp/harvest.hpp, shared
-// with the batched replica engine (exp/batch.cpp).
+void echo_spec(run_report& rep, const run_spec& s) {
+  rep.label = s.label;
+  rep.algo = s.algo;
+  rep.driver = s.driver;
+  rep.memory = s.memory;
+  rep.free_set = s.free_set;
+  rep.n = s.n;
+  rep.m = s.m;
+  rep.beta = s.beta == 0 ? s.m : s.beta;
+  rep.eps_inv = s.eps_inv;
+  rep.crash_budget = s.crash_budget;
+}
+
+void harvest_checker(run_report& rep, const amo_checker& checker) {
+  rep.effectiveness = checker.distinct();
+  rep.perform_events = checker.total_events();
+  rep.at_most_once = checker.ok();
+  rep.duplicate = checker.first_duplicate();
+}
+
+/// Aggregates KK_beta per-process tallies; shared by every memory backend,
+/// free set and driver.
+template <class Proc>
+void harvest_kk(run_report& rep, const std::vector<std::unique_ptr<Proc>>& procs) {
+  usize stopped = 0;
+  for (const auto& p : procs) {
+    rep.per_process.push_back(p->stats());
+    rep.total_work += p->stats().work;
+    rep.total_collisions +=
+        p->stats().collisions_try + p->stats().collisions_done;
+    if (p->status() == kk_status::end) ++rep.terminated;
+    if (p->status() == kk_status::stop) ++stopped;
+  }
+  rep.crashes = stopped;
+}
 
 template <class Proc>
 void harvest_iter(run_report& rep, const std::vector<std::unique_ptr<Proc>>& procs) {
@@ -47,22 +82,11 @@ void harvest_iter(run_report& rep, const std::vector<std::unique_ptr<Proc>>& pro
   rep.crashes = stopped;
 }
 
-rt::crash_plan to_crash_plan(const crash_spec& c) {
-  switch (c.what) {
-    case crash_spec::kind::none: return {};
-    case crash_spec::kind::after_actions:
-      return rt::crash_plan::after_actions(c.per_thread);
-    case crash_spec::kind::after_first_announce:
-      return rt::crash_plan::after_first_announce(c.count);
-  }
-  return {};
-}
-
 /// The one OS-thread loop: each thread drives its automaton to completion,
 /// checking the crash plan at every action boundary.
 template <class Proc>
 void drive_threads(std::vector<std::unique_ptr<Proc>>& procs,
-                   const rt::crash_plan& plan) {
+                   const crash_spec& plan) {
   std::vector<std::jthread> threads;
   threads.reserve(procs.size());
   for (process_id pid = 1; pid <= procs.size(); ++pid) {
@@ -79,17 +103,21 @@ void drive_threads(std::vector<std::unique_ptr<Proc>>& procs,
   }  // jthreads join on scope exit
 }
 
-/// Runs a vector of automata under the scheduled driver and records the
-/// liveness outcome.
-void drive_scheduled(run_report& rep, std::vector<automaton*> handles,
-                     sim::adversary& adv, usize crash_budget, usize limit) {
-  sim::scheduler sched(std::move(handles));
-  const sim::run_result res = sched.run(adv, crash_budget, limit);
-  rep.total_steps = res.total_steps;
-  rep.quiescent = res.quiescent;
-  // rep.crashes is recomputed from process status by the harvest helpers
-  // (identical to res.crashes; kept in one place).
-}
+/// The adversary of a scheduled run: a name parsed by the grammar, held by
+/// its concrete type so the scheduler loop inlines its decide(), or a
+/// caller-owned (or recording) adversary behind the virtual interface.
+struct sched_adversary {
+  std::optional<sim::any_adversary> parsed;
+  sim::adversary* dynamic = nullptr;
+};
+
+/// Where a batched replica lane keeps its FREE sets: process pid of lane
+/// `lane` uses arena lane lane*m + pid-1, so one bitmap row interleaves all
+/// FREE sets of the block (sets/lane_free_set.hpp).
+struct lane_slot {
+  lane_free_arena* arena = nullptr;
+  usize lane = 0;
+};
 
 /// Drives `procs` to completion under the spec's driver: the adversary-
 /// scheduled simulator, or OS threads honoring the spec's crash plan. The
@@ -98,17 +126,27 @@ void drive_scheduled(run_report& rep, std::vector<automaton*> handles,
 /// times `limit_scale` for algorithms that run multiple levels.
 template <class Proc>
 void drive_spec(run_report& rep, std::vector<std::unique_ptr<Proc>>& procs,
-                const run_spec& s, sim::adversary* adv, usize limit_scale = 1) {
+                const run_spec& s, sched_adversary* adv, usize limit_scale = 1) {
   if (s.driver == driver_kind::scheduled) {
-    std::vector<automaton*> handles;
-    handles.reserve(procs.size());
-    for (const auto& p : procs) handles.push_back(p.get());
+    std::vector<Proc*> ptrs;
+    ptrs.reserve(procs.size());
+    for (const auto& p : procs) ptrs.push_back(p.get());
+    sim::scheduler<Proc> sched(std::move(ptrs));
     const usize limit = s.max_steps != 0
                             ? s.max_steps
                             : sim::default_step_limit(s.n, s.m) * limit_scale;
-    drive_scheduled(rep, std::move(handles), *adv, s.crash_budget, limit);
+    const auto drive = [&](auto& a) {
+      return sched.run(a, s.crash_budget, limit);
+    };
+    const sim::run_result res = adv->dynamic != nullptr
+                                    ? drive(*adv->dynamic)
+                                    : std::visit(drive, *adv->parsed);
+    rep.total_steps = res.total_steps;
+    rep.quiescent = res.quiescent;
+    // rep.crashes is recomputed from process status by the harvest helpers
+    // (identical to res.crashes; kept in one place).
   } else {
-    drive_threads(procs, to_crash_plan(s.crashes));
+    drive_threads(procs, s.crashes);
   }
 }
 
@@ -129,7 +167,7 @@ void harvest_automata(run_report& rep,
 template <class M, rank_set FS>
 std::vector<std::unique_ptr<kk_process<M, FS>>> build_kk_procs(
     M& mem, const run_spec& s, amo_checker& checker, collision_ledger* ledger,
-    const run_hooks* hooks) {
+    const run_hooks* hooks, const lane_slot* lane) {
   std::vector<std::unique_ptr<kk_process<M, FS>>> procs;
   procs.reserve(s.m);
   for (process_id pid = 1; pid <= s.m; ++pid) {
@@ -150,23 +188,30 @@ std::vector<std::unique_ptr<kk_process<M, FS>>> build_kk_procs(
         ledger->record(p, j, announcer, via_done, checker);
       };
     }
-    procs.push_back(
-        std::make_unique<kk_process<M, FS>>(mem, cfg, nullptr, std::move(kh)));
+    if constexpr (std::is_same_v<FS, lane_free_set>) {
+      procs.push_back(std::make_unique<kk_process<M, FS>>(
+          mem, cfg, lane->arena->view(lane->lane * s.m + (pid - 1)), nullptr,
+          std::move(kh)));
+    } else {
+      procs.push_back(std::make_unique<kk_process<M, FS>>(mem, cfg, nullptr,
+                                                          std::move(kh)));
+    }
   }
   return procs;
 }
 
 template <class M, rank_set FS>
-void run_kk_impl(const run_spec& s, sim::adversary* adv, const run_hooks* hooks,
-                 run_report& rep) {
+void run_kk_impl(const run_spec& s, sched_adversary* adv,
+                 const run_hooks* hooks, run_report& rep,
+                 const lane_slot* lane = nullptr) {
   M mem(s.m, s.n);
   amo_checker checker(s.n);
   // The collision ledger is scheduled-driver only: it is not thread-safe,
   // and under real threads the interleaving is not reproducible anyway.
   const bool want_ledger = s.driver == driver_kind::scheduled;
   collision_ledger ledger(want_ledger ? s.m : 1, want_ledger ? s.n : 1);
-  auto procs = build_kk_procs<M, FS>(mem, s, checker,
-                                     want_ledger ? &ledger : nullptr, hooks);
+  auto procs = build_kk_procs<M, FS>(
+      mem, s, checker, want_ledger ? &ledger : nullptr, hooks, lane);
 
   stopwatch clock;
   drive_spec(rep, procs, s, adv);
@@ -181,7 +226,7 @@ void run_kk_impl(const run_spec& s, sim::adversary* adv, const run_hooks* hooks,
 }
 
 template <class M>
-void run_iter_impl(const run_spec& s, sim::adversary* adv,
+void run_iter_impl(const run_spec& s, sched_adversary* adv,
                    const run_hooks* hooks, run_report& rep) {
   const bool write_all = s.algo == algo_family::wa_iterative;
   iterative_shared<M> shared(make_iterative_plan(s.n, s.m, s.eps_inv));
@@ -231,8 +276,8 @@ void run_iter_impl(const run_spec& s, sim::adversary* adv,
   }
 }
 
-void run_tas_impl(const run_spec& s, sim::adversary* adv, const run_hooks* hooks,
-                  run_report& rep) {
+void run_tas_impl(const run_spec& s, sched_adversary* adv,
+                  const run_hooks* hooks, run_report& rep) {
   baseline::tas_board board(s.n);
   amo_checker checker(s.n);
   std::vector<std::unique_ptr<baseline::tas_process>> procs;
@@ -260,7 +305,7 @@ void run_tas_impl(const run_spec& s, sim::adversary* adv, const run_hooks* hooks
 /// shared array directly (no per-perform callback exists), so
 /// run_hooks.on_perform is not observable here.
 template <class Proc>
-void run_wa_baseline_impl(const run_spec& s, sim::adversary* adv,
+void run_wa_baseline_impl(const run_spec& s, sched_adversary* adv,
                           run_report& rep) {
   write_all_array wa(s.n);
   std::unique_ptr<baseline::wa_count_tree> tree;
@@ -294,18 +339,17 @@ void run_wa_baseline_impl(const run_spec& s, sim::adversary* adv,
   for (const auto& p : procs) rep.perform_events += p->perform_count();
 }
 
-/// Exhaustive (or partial-order-reduced) exploration mapped onto the
-/// run_report vocabulary: total_steps = transitions, total_work.local_ops =
-/// states visited, terminated = quiescent states, effectiveness = the
-/// minimum job count over all quiescent states (the exhaustively-proven
-/// worst case), quiescent = "fully explored and acyclic", at_most_once =
-/// "no duplicate anywhere". For model_explore_por, `pool` (may be null)
-/// drives the exploration frontier; the report is bit-identical at any
-/// pool size.
+/// Partial-order-reduced exploration mapped onto the run_report
+/// vocabulary: total_steps = transitions, total_work.local_ops = states
+/// visited, terminated = quiescent states, effectiveness = the minimum job
+/// count over all quiescent states (the exhaustively-proven worst case),
+/// quiescent = "fully explored and acyclic", at_most_once = "no duplicate
+/// anywhere". `pool` (may be null) drives the exploration frontier; the
+/// report is bit-identical at any pool size.
 void run_model_impl(const run_spec& s, run_report& rep,
                     svc::worker_pool* pool) {
   if (s.n > model::max_jobs || s.m > model::max_procs) {
-    bad_spec("model_explore handles n <= " + std::to_string(model::max_jobs) +
+    bad_spec("model_explore_por handles n <= " + std::to_string(model::max_jobs) +
              ", m <= " + std::to_string(model::max_procs) + " only");
   }
   model::model_config cfg;
@@ -316,20 +360,12 @@ void run_model_impl(const run_spec& s, run_report& rep,
   cfg.mode = kk_mode::plain;
   cfg.crash_budget = s.crash_budget;
 
+  model::por_options opt;
+  opt.cfg = cfg;
+  if (s.max_steps != 0) opt.max_states = s.max_steps;
+  opt.pool = pool;
   stopwatch clock;
-  model::explore_result res;
-  if (s.algo == algo_family::model_explore_por) {
-    model::por_options opt;
-    opt.cfg = cfg;
-    if (s.max_steps != 0) opt.max_states = s.max_steps;
-    opt.pool = pool;
-    res = model::explore_por(opt);
-  } else {
-    model::explore_options opt;
-    opt.cfg = cfg;
-    if (s.max_steps != 0) opt.max_states = s.max_steps;
-    res = model::explore(opt);
-  }
+  const model::explore_result res = model::explore_por(opt);
   rep.wall_seconds = clock.seconds();
 
   rep.adversary = "exhaustive";
@@ -344,7 +380,8 @@ void run_model_impl(const run_spec& s, run_report& rep,
 }
 
 run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
-                    svc::worker_pool* por_pool = nullptr) {
+                    svc::worker_pool* por_pool = nullptr,
+                    const lane_slot* lane = nullptr) {
   // Family validation runs before the degenerate-universe shortcut: an
   // invalid spec must throw, not return a vacuously passing report.
   if (s.algo == algo_family::ao2) {
@@ -357,16 +394,15 @@ run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
   const bool wa_baseline = s.algo == algo_family::wa_trivial ||
                            s.algo == algo_family::wa_split_scan ||
                            s.algo == algo_family::wa_progress_tree;
-  const bool model_family = s.algo == algo_family::model_explore ||
-                            s.algo == algo_family::model_explore_por;
+  const bool model_family = s.algo == algo_family::model_explore_por;
   if ((wa_baseline || model_family) && s.driver != driver_kind::scheduled) {
-    bad_spec("write-all baselines and model_explore run under the scheduled "
-             "driver only");
+    bad_spec("write-all baselines and model_explore_por run under the "
+             "scheduled driver only");
   }
 
   if (s.n == 0 || s.m == 0) {
-    // Degenerate universes run to (vacuous) quiescence immediately; the
-    // legacy entry points accepted them, so the engine does too.
+    // Degenerate universes are valid specs: no job or no process means
+    // the run is quiescent before its first step, so report that vacuously.
     run_report rep;
     echo_spec(rep, s);
     rep.adversary = s.adversary.name;
@@ -394,74 +430,78 @@ run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
   }
 
   // Scheduled driver: resolve the adversary, optionally wrapped to record.
-  std::unique_ptr<sim::adversary> owned;
-  std::unique_ptr<sim::recording_adversary> recorder;
+  sched_adversary sched_adv;
+  std::optional<sim::recording_adversary> recorder;
   sim::trace recorded;
   if (s.driver == driver_kind::scheduled) {
     if (adv == nullptr) {
-      owned = make_adversary(s.adversary);
-      if (!owned) bad_spec("unknown adversary '" + s.adversary.name + "'");
-      adv = owned.get();
+      sched_adv.parsed = sim::parse_adversary(s.adversary.name, s.adversary.seed);
+      if (!sched_adv.parsed) bad_spec("unknown adversary '" + s.adversary.name + "'");
       // For scripted:/replay: specs echo only the prefix — the embedded
       // trace can run to megabytes and is reproducible from the spec.
       // Parameterized names (block:16, ...) are echoed verbatim: the
       // parameters ARE the identity.
-      if (std::string_view(s.adversary.name).starts_with("scripted:") ||
-          std::string_view(s.adversary.name).starts_with("replay:")) {
-        rep.adversary = s.adversary.name.substr(0, s.adversary.name.find(':'));
-      } else {
-        rep.adversary = s.adversary.name;
-      }
+      rep.adversary =
+          std::holds_alternative<sim::scripted_adversary>(*sched_adv.parsed)
+              ? s.adversary.name.substr(0, s.adversary.name.find(':'))
+              : s.adversary.name;
       rep.seed = s.adversary.seed;
     } else {
       rep.adversary = adv->name();
+      sched_adv.dynamic = adv;
     }
     if (s.record_trace) {
-      recorder = std::make_unique<sim::recording_adversary>(*adv, recorded);
-      adv = recorder.get();
+      sim::adversary& inner =
+          adv != nullptr ? *adv
+                         : std::visit([](auto& a) -> sim::adversary& { return a; },
+                                      *sched_adv.parsed);
+      recorder.emplace(inner, recorded);
+      sched_adv.dynamic = &*recorder;
     }
   }
 
   switch (s.algo) {
     case algo_family::kk:
     case algo_family::ao2:
-      if (s.memory == memory_kind::sim) {
+      if (lane != nullptr) {
+        run_kk_impl<sim_memory, lane_free_set>(s, &sched_adv, hooks, rep, lane);
+      } else if (s.memory == memory_kind::sim) {
         switch (s.free_set) {
           case free_set_kind::bitset:
-            run_kk_impl<sim_memory, bitset_rank_set>(s, adv, hooks, rep);
+            run_kk_impl<sim_memory, bitset_rank_set>(s, &sched_adv, hooks, rep);
             break;
           case free_set_kind::fenwick:
-            run_kk_impl<sim_memory, fenwick_rank_set>(s, adv, hooks, rep);
+            run_kk_impl<sim_memory, fenwick_rank_set>(s, &sched_adv, hooks, rep);
             break;
           case free_set_kind::ostree:
-            run_kk_impl<sim_memory, ostree>(s, adv, hooks, rep);
+            run_kk_impl<sim_memory, ostree>(s, &sched_adv, hooks, rep);
             break;
         }
       } else {
-        run_kk_impl<atomic_memory, bitset_rank_set>(s, adv, hooks, rep);
+        run_kk_impl<atomic_memory, bitset_rank_set>(s, &sched_adv, hooks, rep);
       }
       break;
     case algo_family::iterative:
     case algo_family::wa_iterative:
       if (s.memory == memory_kind::sim) {
-        run_iter_impl<sim_memory>(s, adv, hooks, rep);
+        run_iter_impl<sim_memory>(s, &sched_adv, hooks, rep);
       } else {
-        run_iter_impl<atomic_memory>(s, adv, hooks, rep);
+        run_iter_impl<atomic_memory>(s, &sched_adv, hooks, rep);
       }
       break;
     case algo_family::tas:
-      run_tas_impl(s, adv, hooks, rep);
+      run_tas_impl(s, &sched_adv, hooks, rep);
       break;
     case algo_family::wa_trivial:
-      run_wa_baseline_impl<baseline::wa_trivial_process>(s, adv, rep);
+      run_wa_baseline_impl<baseline::wa_trivial_process>(s, &sched_adv, rep);
       break;
     case algo_family::wa_split_scan:
-      run_wa_baseline_impl<baseline::wa_split_scan_process>(s, adv, rep);
+      run_wa_baseline_impl<baseline::wa_split_scan_process>(s, &sched_adv, rep);
       break;
     case algo_family::wa_progress_tree:
-      run_wa_baseline_impl<baseline::wa_progress_tree_process>(s, adv, rep);
+      run_wa_baseline_impl<baseline::wa_progress_tree_process>(s, &sched_adv,
+                                                               rep);
       break;
-    case algo_family::model_explore:
     case algo_family::model_explore_por:
       break;  // handled before adversary resolution
   }
@@ -471,62 +511,6 @@ run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
 }
 
 }  // namespace
-
-std::unique_ptr<sim::adversary> make_adversary(const adversary_spec& spec) {
-  const std::string& name = spec.name;
-  if (name == "announce_crash") {
-    return std::make_unique<sim::announce_crash_adversary>();
-  }
-  // Parameterized families: random+crash:<num>/<den>, block:<quantum>,
-  // stale_view:<leader_actions>.
-  const std::string_view sv = name;
-  if (sv.starts_with("random+crash:")) {
-    const std::string_view rest = sv.substr(13);
-    const usize slash = rest.find('/');
-    std::uint64_t num = 0;
-    std::uint64_t den = 0;
-    if (slash == std::string_view::npos || !parse_u64(rest.substr(0, slash), num) ||
-        !parse_u64(rest.substr(slash + 1), den) || den == 0) {
-      return nullptr;
-    }
-    return std::make_unique<sim::random_adversary>(spec.seed, num, den);
-  }
-  if (sv.starts_with("block:")) {
-    std::uint64_t quantum = 0;
-    if (!parse_u64(sv.substr(6), quantum)) return nullptr;
-    return std::make_unique<sim::block_adversary>(spec.seed, quantum);
-  }
-  if (sv.starts_with("stale_view:")) {
-    std::uint64_t leader = 0;
-    if (!parse_u64(sv.substr(11), leader)) return nullptr;
-    return std::make_unique<sim::stale_view_adversary>(leader);
-  }
-  constexpr std::string_view kScripted = "scripted:";
-  constexpr std::string_view kReplay = "replay:";
-  if (name.starts_with(kScripted)) {
-    sim::trace t;
-    if (!sim::trace::parse(std::string_view(name).substr(kScripted.size()), t)) {
-      return nullptr;
-    }
-    std::vector<sim::scripted_adversary::entry> script;
-    script.reserve(t.size());
-    for (const sim::trace_event& e : t.events()) {
-      script.push_back({e.pid, e.what == sim::decision::kind::crash});
-    }
-    return std::make_unique<sim::scripted_adversary>(std::move(script));
-  }
-  if (name.starts_with(kReplay)) {
-    sim::trace t;
-    if (!sim::trace::parse(std::string_view(name).substr(kReplay.size()), t)) {
-      return nullptr;
-    }
-    return std::make_unique<sim::replay_adversary>(std::move(t));
-  }
-  for (const sim::adversary_factory& f : sim::standard_adversaries()) {
-    if (name == f.label) return f.make(spec.seed);
-  }
-  return nullptr;
-}
 
 run_report run(const run_spec& spec) { return run_impl(spec, nullptr, nullptr); }
 
@@ -545,7 +529,7 @@ run_report run(const run_spec& spec, sim::adversary& adv, const run_hooks& hooks
 run_report replay(const run_spec& spec, const sim::trace& t) {
   run_spec s = spec;
   s.record_trace = true;
-  sim::replay_adversary adv(t);
+  sim::scripted_adversary adv(t.events());
   return run(s, adv);
 }
 
@@ -555,6 +539,54 @@ run_report run_por(const run_spec& spec, svc::worker_pool& pool) {
         "run_por drives model_explore_por only; use run() for everything else");
   }
   return run_impl(spec, nullptr, nullptr, &pool);
+}
+
+batch_class classify_batch(const run_spec& cell) {
+  if (cell.driver != driver_kind::scheduled) return batch_class::not_batchable;
+  if (cell.memory != memory_kind::sim) return batch_class::not_batchable;
+  if (cell.free_set != free_set_kind::bitset) return batch_class::not_batchable;
+  if (cell.record_trace) return batch_class::not_batchable;
+  if (cell.n == 0 || cell.m == 0) return batch_class::not_batchable;
+  if (cell.algo == algo_family::ao2) {
+    if (cell.m != 2) return batch_class::not_batchable;
+  } else if (cell.algo != algo_family::kk) {
+    return batch_class::not_batchable;
+  }
+  // Names the grammar rejects fall back to the scalar engine, which throws.
+  const std::optional<sim::any_adversary> adv =
+      sim::parse_adversary(cell.adversary.name, cell.adversary.seed);
+  if (!adv) return batch_class::not_batchable;
+  return sim::seeded(*adv) ? batch_class::lanes : batch_class::replicate;
+}
+
+std::vector<run_report> run_replica_block(const run_spec& cell,
+                                          std::span<const usize> replicas) {
+  assert(!replicas.empty());
+  const batch_class cls = classify_batch(cell);
+  assert(cls != batch_class::not_batchable);
+  std::vector<run_report> out;
+  out.reserve(replicas.size());
+  if (cls == batch_class::replicate) {
+    // One scalar pass; replicas of a seed-independent schedule are the same
+    // execution, differing only in the echoed seed.
+    const run_report base = run(replica_spec(cell, replicas.front()));
+    for (const usize r : replicas) {
+      out.push_back(base);
+      out.back().seed = replica_seed(cell.adversary.seed, r);
+    }
+    return out;
+  }
+  // Each lane is the scalar run of its replica with its FREE sets in the
+  // shared arena, driven to completion before the next lane starts: lanes
+  // share no mutable state, and one lane at a time keeps its registers,
+  // TRY/DONE shadows and arena rows cache-hot.
+  lane_free_arena arena(static_cast<job_id>(cell.n), replicas.size() * cell.m);
+  for (usize l = 0; l < replicas.size(); ++l) {
+    const lane_slot lane{&arena, l};
+    out.push_back(run_impl(replica_spec(cell, replicas[l]), nullptr, nullptr,
+                           nullptr, &lane));
+  }
+  return out;
 }
 
 }  // namespace amo::exp

@@ -3,10 +3,10 @@
 // Every way this repository executes the paper's algorithms goes through
 // here: plain KK_beta / IterativeKK(eps) / WA_IterativeKK(eps), over
 // sim_memory or atomic_memory, driven by the Section 2.1 adversary-scheduled
-// simulator or by real OS threads. The four legacy entry points
-// (sim::run_kk, sim::run_iterative, rt::run_kk_threads,
-// rt::run_iterative_threads) are thin wrappers over this function, so the
-// checker / collision-ledger / stats aggregation exists exactly once.
+// simulator or by real OS threads, and the batched replica engine's lanes
+// (exp/batch.hpp): the checker / collision-ledger / stats aggregation exists
+// exactly once. A spec's adversary name is parsed by sim::parse_adversary
+// and run by its concrete type through the one templated scheduler loop.
 //
 // Scheduled runs are deterministic functions of their spec (all randomness
 // is seeded); setting spec.record_trace additionally captures the decision
@@ -15,7 +15,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 
 #include "exp/spec.hpp"
 #include "sim/adversary.hpp"
@@ -34,12 +33,6 @@ struct run_hooks {
   /// for duplicate executions too (by design).
   std::function<void(process_id, job_id)> on_perform;
 };
-
-/// Constructs the adversary `spec` names (see adversary_spec for the
-/// recognized names); returns nullptr for an unknown name or a malformed
-/// scripted:/replay: trace.
-[[nodiscard]] std::unique_ptr<sim::adversary> make_adversary(
-    const adversary_spec& spec);
 
 /// Runs one execution. Throws std::invalid_argument when the spec names an
 /// unknown adversary or combines os_threads with sim memory knobs that make

@@ -121,56 +121,13 @@ class file_source final : public record_source {
 /// The grid agreement state every pulled record is checked against,
 /// anchored by the first record seen.
 struct merge_ctx {
-  bool unit_schema = false;
   bool first_seen = false;
   std::string grid;
   usize units_total = 0;
   usize cells_total = 0;
 };
 
-/// Validates one legacy per-cell record, yielding its cell index.
-bool check_cell_record(const record& rec, usize si, merge_ctx& ctx,
-                       usize& idx, std::string& error) {
-  usize cell = 0;
-  usize total = 0;
-  if (!read_index(rec, "cell", cell) ||
-      !read_index(rec, "cells_total", total)) {
-    error = shard_tag(si) +
-            ": record without integer cell/cells_total fields "
-            "(not a sharded sweep output?)";
-    return false;
-  }
-  const std::string this_grid = grid_of(rec);
-  if (!ctx.first_seen) {
-    ctx.cells_total = total;
-    ctx.grid = this_grid;
-    ctx.first_seen = true;
-  }
-  if (total != ctx.cells_total) {
-    error = shard_tag(si) + ": cells_total " + std::to_string(total) +
-            " disagrees with " + std::to_string(ctx.cells_total) +
-            " (shards of different grids?)";
-    return false;
-  }
-  // Equal cell counts are not grid agreement: the fingerprint covers
-  // every spec of the full grid, so shards of a *different* sweep of
-  // the same size are refused too.
-  if (this_grid != ctx.grid) {
-    error = shard_tag(si) + ": grid fingerprint '" + this_grid +
-            "' disagrees with '" + ctx.grid +
-            "' (shards of different sweeps)";
-    return false;
-  }
-  if (cell >= total) {
-    error = shard_tag(si) + ": cell index " + std::to_string(cell) +
-            " out of range [0, " + std::to_string(total) + ")";
-    return false;
-  }
-  idx = cell;
-  return true;
-}
-
-/// Validates one replica-aware unit record, yielding its unit index.
+/// Validates one unit record, yielding its unit index.
 bool check_unit_record(const record& rec, usize si, merge_ctx& ctx,
                        usize& idx, std::string& error) {
   usize unit = 0;
@@ -186,9 +143,8 @@ bool check_unit_record(const record& rec, usize si, merge_ctx& ctx,
       !read_index(rec, "replica", replica) ||
       !read_index(rec, "replicas", replicas)) {
     error = shard_tag(si) +
-            ": record mixes replica-aware and legacy schemas "
-            "(unit/units_total/cell/cells_total/replica/replicas "
-            "must all be integers)";
+            ": record without integer unit/units_total/cell/cells_total/"
+            "replica/replicas fields (not a sharded sweep output?)";
     return false;
   }
   const std::string this_grid = grid_of(rec);
@@ -385,14 +341,13 @@ std::unique_ptr<record_source> make_file_source(std::string path) {
 }
 
 merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
-                          const record_sink& sink, merge_schema schema) {
+                          const record_sink& sink) {
   merge_result out;
   const usize k = sources.size();
   obs::span msp("merge", "merge_stream");
   msp.arg("sources", static_cast<std::uint64_t>(k));
 
   merge_ctx ctx;
-  ctx.unit_schema = schema == merge_schema::units;
 
   /// One head record per source — the whole residency of the k-way merge.
   struct head {
@@ -421,16 +376,8 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
     if ((seen & 1023) == 0) {
       obs::counter("merge", "records_in", static_cast<double>(seen));
     }
-    if (!ctx.first_seen && schema == merge_schema::sniff) {
-      // The first record anywhere decides the schema: a unit record
-      // always carries "unit".
-      ctx.unit_schema = rec.find("unit") != nullptr;
-    }
     usize idx = 0;
-    const bool ok = ctx.unit_schema
-                        ? check_unit_record(rec, si, ctx, idx, out.error)
-                        : check_cell_record(rec, si, ctx, idx, out.error);
-    if (!ok) return false;
+    if (!check_unit_record(rec, si, ctx, idx, out.error)) return false;
     if (h.any && idx < h.prev_idx) {
       out.error = shard_tag(si) + ": records out of order (index " +
                   std::to_string(idx) + " after " +
@@ -449,10 +396,6 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
   for (usize si = 0; si < k; ++si) {
     if (!pull(si)) return out;
   }
-
-  const auto what = [&ctx]() -> const char* {
-    return ctx.unit_schema ? "unit" : "cell";
-  };
 
   usize emitted = 0;  ///< merged records handed to the sink
   auto emit = [&](record&& rec) -> bool {
@@ -498,8 +441,7 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
     if (best == k) break;  // every source drained
 
     if (have_prev && heads[best].idx == prev_idx) {
-      out.error = std::string("duplicate ") + what() + " " +
-                  std::to_string(prev_idx) + " (shards " +
+      out.error = "duplicate unit " + std::to_string(prev_idx) + " (shards " +
                   std::to_string(prev_shard) + " and " +
                   std::to_string(best) + " both ran it)";
       return out;
@@ -515,11 +457,6 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
     record rec = std::move(heads[best].rec);
     if (!pull(best)) return out;
     if (gap) continue;  // keep validating, stop folding/emitting
-
-    if (!ctx.unit_schema) {
-      if (!emit(std::move(rec))) return out;
-      continue;
-    }
 
     // Unit coverage is contiguous so far; the records must additionally
     // tile the grid cell-major — cells 0..cells_total-1 in order, each
@@ -568,49 +505,31 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
 
   out.cells_total = ctx.cells_total;
   out.units_total = ctx.units_total;
-  const usize total = ctx.unit_schema ? ctx.units_total : ctx.cells_total;
-  if (gap || expect != total) {
-    out.error = std::string("coverage gap: ") + what() + " " +
-                std::to_string(gap ? gap_at : expect) + " missing (" +
-                std::to_string(seen) + " of " + std::to_string(total) + " " +
-                what() + "s present)";
+  if (gap || expect != ctx.units_total) {
+    out.error = "coverage gap: unit " + std::to_string(gap ? gap_at : expect) +
+                " missing (" + std::to_string(seen) + " of " +
+                std::to_string(ctx.units_total) + " units present)";
     out.records.clear();
     return out;
   }
-  if (ctx.unit_schema) {
-    if (!cell_units.empty()) {
-      out.error = "cell " + std::to_string(expect_cell) + ": replica " +
-                  std::to_string(cell_units.size()) + " of " +
-                  std::to_string(cell_replicas) + " missing or inconsistent";
-      out.records.clear();
-      return out;
-    }
-    if (expect_cell != ctx.cells_total) {
-      out.error = "coverage gap: cell " + std::to_string(expect_cell) +
-                  " missing (" + std::to_string(expect_cell) + " of " +
-                  std::to_string(ctx.cells_total) + " cells present)";
-      out.records.clear();
-      return out;
-    }
+  if (!cell_units.empty()) {
+    out.error = "cell " + std::to_string(expect_cell) + ": replica " +
+                std::to_string(cell_units.size()) + " of " +
+                std::to_string(cell_replicas) + " missing or inconsistent";
+    out.records.clear();
+    return out;
+  }
+  if (expect_cell != ctx.cells_total) {
+    out.error = "coverage gap: cell " + std::to_string(expect_cell) +
+                " missing (" + std::to_string(expect_cell) + " of " +
+                std::to_string(ctx.cells_total) + " cells present)";
+    out.records.clear();
+    return out;
   }
   return out;
 }
 
 merge_result merge_shards(const std::vector<std::vector<record>>& shards) {
-  // Schema sniff: the first record decides (a unit record always carries
-  // "unit"); mixing schemas across shards is caught by the chosen path's
-  // field validation.
-  merge_schema schema = merge_schema::sniff;
-  const char* key = "cell";
-  for (const std::vector<record>& shard : shards) {
-    if (shard.empty()) continue;
-    const bool units = shard[0].find("unit") != nullptr;
-    schema = units ? merge_schema::units : merge_schema::cells;
-    key = units ? "unit" : "cell";
-    break;
-  }
-  if (schema == merge_schema::sniff) return {};  // no records: empty success
-
   // The in-memory contract accepts records in any order; the streaming
   // fold needs them ascending — pre-sort each shard (stably, so a
   // same-index duplicate inside one shard keeps its record order).
@@ -619,16 +538,16 @@ merge_result merge_shards(const std::vector<std::vector<record>>& shards) {
   for (const std::vector<record>& shard : shards) {
     std::vector<record> sorted = shard;
     std::stable_sort(sorted.begin(), sorted.end(),
-                     [key](const record& a, const record& b) {
+                     [](const record& a, const record& b) {
                        usize ia = 0;
                        usize ib = 0;
-                       read_index(a, key, ia);
-                       read_index(b, key, ib);
+                       read_index(a, "unit", ia);
+                       read_index(b, "unit", ib);
                        return ia < ib;
                      });
     sources.push_back(make_memory_source(std::move(sorted)));
   }
-  return merge_stream(std::move(sources), {}, schema);
+  return merge_stream(std::move(sources));
 }
 
 bool verify_shard_records(const std::vector<record>& records,
@@ -640,9 +559,6 @@ bool verify_shard_records(const std::vector<record>& records,
   }
   if (records.empty()) return true;  // a shard can legitimately own nothing
 
-  const bool unit_schema = records[0].find("unit") != nullptr;
-  const char* what = unit_schema ? "unit" : "cell";
-  const char* total_key = unit_schema ? "units_total" : "cells_total";
   const std::string tag = "shard " + to_string(s);
 
   usize total = 0;
@@ -652,11 +568,11 @@ bool verify_shard_records(const std::vector<record>& records,
     const record& rec = records[i];
     usize idx = 0;
     usize this_total = 0;
-    if (!read_index(rec, what, idx) ||
-        !read_index(rec, total_key, this_total)) {
-      error = tag + ": record " + std::to_string(i) + " lacks integer " +
-              what + "/" + total_key +
-              " fields (torn or foreign shard file?)";
+    if (!read_index(rec, "unit", idx) ||
+        !read_index(rec, "units_total", this_total)) {
+      error = tag + ": record " + std::to_string(i) +
+              " lacks integer unit/units_total fields (torn or foreign shard "
+              "file?)";
       return false;
     }
     const std::string this_grid = grid_of(rec);
@@ -665,19 +581,18 @@ bool verify_shard_records(const std::vector<record>& records,
       grid = this_grid;
     } else if (this_total != total || this_grid != grid) {
       error = tag + ": record " + std::to_string(i) +
-              " disagrees with the file's own " + total_key +
-              "/grid (corrupted shard file?)";
+              " disagrees with the file's own units_total/grid (corrupted "
+              "shard file?)";
       return false;
     }
     if (idx >= total) {
-      error = tag + ": " + what + " index " + std::to_string(idx) +
+      error = tag + ": unit index " + std::to_string(idx) +
               " out of range [0, " + std::to_string(total) + ")";
       return false;
     }
     if (idx != expect) {
-      error = tag + ": record " + std::to_string(i) + " holds " + what + " " +
-              std::to_string(idx) + " where " + what + " " +
-              std::to_string(expect) +
+      error = tag + ": record " + std::to_string(i) + " holds unit " +
+              std::to_string(idx) + " where unit " + std::to_string(expect) +
               " was owed (torn, truncated, or reordered shard file?)";
       return false;
     }
@@ -686,7 +601,7 @@ bool verify_shard_records(const std::vector<record>& records,
   const usize owed = total > s.index ? (total - s.index - 1) / s.count + 1 : 0;
   if (records.size() != owed) {
     error = tag + ": holds " + std::to_string(records.size()) + " of " +
-            std::to_string(owed) + " owed " + what + "s (" + total_key + " " +
+            std::to_string(owed) + " owed units (units_total " +
             std::to_string(total) + ") — truncated shard file?";
     return false;
   }

@@ -1,14 +1,12 @@
 // Recombines sharded sweep outputs into the byte-identical equivalent of
 // the unsharded sweep — as a STREAMING fold.
 //
-// Replica-aware shards (since the replica refactor) emit one record per
-// (cell, replica) UNIT, keyed by "unit"/"units_total"; the merge re-groups
-// the units by cell, re-folds each cell's replicas through exp::stats, and
-// renders the same aggregate records add_cell_records would have — byte
-// identical, because json_writer::num is round-trip-exact and the fold is
-// a deterministic function of the replica values in replica order. Legacy
-// per-cell records (no "unit" field — old artifacts, BENCH files) merge as
-// before: k-way merge by "cell", raw tokens pass through.
+// Shards emit one record per (cell, replica) UNIT, keyed by
+// "unit"/"units_total"; the merge re-groups the units by cell, re-folds
+// each cell's replicas through exp::stats, and renders the same aggregate
+// records add_cell_records would have — byte identical, because
+// json_writer::num is round-trip-exact and the fold is a deterministic
+// function of the replica values in replica order.
 //
 // merge_stream consumes record_sources — in-memory arrays, JSON files, or
 // streaming .amoc readers (exp::colfmt_reader) — through a k-way merge
@@ -19,7 +17,7 @@
 // contract); file sources must already be index-ascending, which every
 // writer in this repo guarantees.
 //
-// The contract is strict in both modes: the shards must agree on the grid
+// The contract is strict: the shards must agree on the grid
 // (fingerprint + sizes), and the union must cover the whole index space
 // with no duplicate and no gap — anything else (a shard run twice, a shard
 // missing, shards from different grids, a cell missing a replica) is an
@@ -39,7 +37,7 @@ namespace amo::exp {
 struct merge_result {
   std::vector<record> records;  ///< sorted by cell index; empty on error
   usize cells_total = 0;        ///< the grid size the shards agreed on
-  usize units_total = 0;        ///< replica-aware shards: units recombined
+  usize units_total = 0;        ///< units recombined
   std::string error;            ///< empty on success
 
   [[nodiscard]] bool ok() const { return error.empty(); }
@@ -72,18 +70,13 @@ class record_source {
 /// with `error`.
 using record_sink = std::function<bool(record&&, std::string& error)>;
 
-/// Which record schema the fold expects; `sniff` lets the first record
-/// pulled decide (a unit record always carries "unit").
-enum class merge_schema : std::uint8_t { sniff, cells, units };
-
-/// The streaming fold: k-way-merges the sources by unit (or legacy cell)
-/// index, validates the grid/coverage contract, folds each complete cell's
-/// replicas, and emits aggregates — to `sink` when given (records is left
-/// empty), else into merge_result.records. Bounded memory: one head
-/// record per source + one cell's replicas, independent of sweep size.
+/// The streaming fold: k-way-merges the sources by unit index, validates
+/// the grid/coverage contract, folds each complete cell's replicas, and
+/// emits aggregates — to `sink` when given (records is left empty), else
+/// into merge_result.records. Bounded memory: one head record per source
+/// + one cell's replicas, independent of sweep size.
 merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
-                          const record_sink& sink = {},
-                          merge_schema schema = merge_schema::sniff);
+                          const record_sink& sink = {});
 
 /// Merges the records of several shard files (each element = one file's
 /// parsed records, any order). In-memory front end of merge_stream.
@@ -100,8 +93,8 @@ bool fold_unit_cell(const std::vector<record>& units, record& agg,
 
 /// Integrity check for ONE shard file against the slice it owes: the
 /// records must be internally consistent (every record carries the same
-/// units_total/cells_total/grid) and their unit (or legacy cell) indices
-/// must be exactly the strided partition {s.index, s.index + s.count, ...}
+/// units_total/cells_total/grid) and their unit indices must be exactly
+/// the strided partition {s.index, s.index + s.count, ...}
 /// below the declared total, in order — the record-layer completeness
 /// contract that lets a supervisor reject a torn, truncated, or corrupted
 /// shard artifact with a precise diagnostic *before* feeding it to a

@@ -52,8 +52,8 @@ std::vector<scenario> build_registry() {
   std::vector<scenario> reg;
 
   // One scenario per standard adversary family.
-  for (const sim::adversary_factory& f : sim::standard_adversaries()) {
-    reg.push_back(adversary_scenario(f.label));
+  for (const char* name : sim::standard_adversaries()) {
+    reg.push_back(adversary_scenario(name));
   }
 
   // The Theorem 4.4 worst case, with its required crash budget f = m-1:
@@ -179,41 +179,10 @@ std::vector<scenario> build_registry() {
     });
   }
 
-  // Exhaustive model checking as sweep cells: sizes clamp to the model's
-  // tiny universe, and the cells are deterministic (the explorer IS every
-  // adversary at once, so p.seeds does not multiply them).
-  reg.push_back({
-      "model/explore",
-      "exhaustive exploration of small KK instances (Lemma 4.1 / Thm 4.4)",
-      [](const scenario_params& p) {
-        std::vector<run_spec> cells;
-        run_spec worst;
-        worst.label = "model/explore";
-        worst.algo = algo_family::model_explore;
-        worst.n = std::min<usize>(p.n, 5);
-        worst.m = 2;
-        worst.beta = 2;
-        worst.crash_budget = 1;  // f = m-1: Theorem 4.4's tight setting
-        cells.push_back(worst);
-        run_spec crash_free = worst;
-        crash_free.crash_budget = 0;
-        cells.push_back(crash_free);
-        if (p.m >= 3) {
-          run_spec three = worst;
-          three.n = std::min<usize>(p.n, 4);
-          three.m = 3;
-          three.beta = 3;
-          three.crash_budget = 0;
-          cells.push_back(three);
-        }
-        return cells;
-      },
-  });
-
-  // Partial-order-reduced checking: same verdicts as model/explore over a
-  // pruned state graph, so the cells clamp one size class larger — sizes
-  // the brute-force cells could not afford. Deterministic like
-  // model/explore (seeds do not multiply).
+  // Partial-order-reduced model checking as sweep cells: sizes clamp to
+  // the packed model's tiny universe, and the cells are deterministic (the
+  // explorer IS every adversary at once, so p.seeds does not multiply
+  // them).
   reg.push_back({
       "model/explore_por",
       "partial-order-reduced exploration of KK instances (dpor)",

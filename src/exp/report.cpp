@@ -140,24 +140,6 @@ void append_moved(std::vector<std::pair<std::string, std::string>>& dst,
 
 }  // namespace
 
-void add_sweep_records(json_writer& out, const std::vector<run_report>& reports,
-                       const std::vector<usize>& cell_indices,
-                       usize cells_total, std::uint64_t grid,
-                       bool include_timing) {
-  const std::string fp = grid_hex(grid);
-  for (usize i = 0; i < reports.size(); ++i) {
-    std::vector<std::pair<std::string, std::string>> fields;
-    fields.reserve(35);
-    fields.emplace_back("cell",
-                        json_writer::num(std::uint64_t{cell_indices[i]}));
-    fields.emplace_back("cells_total",
-                        json_writer::num(std::uint64_t{cells_total}));
-    fields.emplace_back("grid", json_writer::str(fp));
-    append_moved(fields, report_fields(reports[i], include_timing));
-    out.add(fields);
-  }
-}
-
 void add_cell_records(json_writer& out, const sweep_result& swept,
                       std::uint64_t grid, bool include_timing,
                       const extra_fields& extra) {

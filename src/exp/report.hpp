@@ -64,17 +64,6 @@ class json_writer {
 void add_reports(json_writer& out, const std::vector<run_report>& reports,
                  bool include_timing = true);
 
-/// Legacy sweep-grid records (pre-replica schema): report_fields prefixed
-/// with the record's global grid position {"cell": cell_indices[i],
-/// "cells_total": cells_total} and the grid's fingerprint {"grid": hex of
-/// exp::grid_fingerprint(full grid)}. Kept for non-replicated record
-/// producers and the merge pass-through path; replica-aware sweeps emit
-/// add_cell_records / add_unit_records below.
-void add_sweep_records(json_writer& out, const std::vector<run_report>& reports,
-                       const std::vector<usize>& cell_indices,
-                       usize cells_total, std::uint64_t grid,
-                       bool include_timing = true);
-
 /// Extra caller-supplied fields appended verbatim at the end of each
 /// record (e.g. the serve layer's per-job timing fields).
 using extra_fields = std::vector<std::pair<std::string, std::string>>;

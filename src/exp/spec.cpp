@@ -13,6 +13,21 @@ std::uint64_t replica_seed(std::uint64_t base, usize replica) {
   return splitmix64(state);
 }
 
+bool crash_spec::should_crash(process_id pid, const automaton& a) const {
+  switch (what) {
+    case kind::none:
+      return false;
+    case kind::after_actions: {
+      if (pid > per_thread.size()) return false;
+      const usize at = per_thread[pid - 1];
+      return at != 0 && a.step_count() >= at;
+    }
+    case kind::after_first_announce:
+      return pid <= count && a.announce_count() >= 1;
+  }
+  return false;
+}
+
 run_spec replica_spec(const run_spec& cell, usize replica) {
   run_spec s = cell;
   s.adversary.seed = replica_seed(cell.adversary.seed, replica);
@@ -30,7 +45,6 @@ const char* to_string(algo_family f) {
     case algo_family::wa_trivial: return "wa_trivial";
     case algo_family::wa_split_scan: return "wa_split_scan";
     case algo_family::wa_progress_tree: return "wa_progress_tree";
-    case algo_family::model_explore: return "model_explore";
     case algo_family::model_explore_por: return "model_explore_por";
   }
   return "?";
@@ -66,7 +80,7 @@ bool from_string(std::string_view name, algo_family& out) {
        {algo_family::kk, algo_family::iterative, algo_family::wa_iterative,
         algo_family::ao2, algo_family::tas, algo_family::wa_trivial,
         algo_family::wa_split_scan, algo_family::wa_progress_tree,
-        algo_family::model_explore, algo_family::model_explore_por}) {
+        algo_family::model_explore_por}) {
     if (name == to_string(f)) {
       out = f;
       return true;

@@ -2,9 +2,8 @@
 // execution the repository knows how to produce — algorithm family (KK_beta,
 // IterativeKK, WA_IterativeKK) × memory backend (simulated registers vs
 // std::atomic) × driver (adversary-scheduled single thread vs real OS
-// threads) — and one `run_report` subsumes what the four legacy report
-// structs (`kk_sim_report`, `iter_sim_report`, `thread_run_report`,
-// `iter_thread_report`) used to carry separately.
+// threads) — and one `run_report` carries the outcome of every family and
+// driver.
 //
 // A spec is a plain value: copyable, comparable-by-field, and sufficient to
 // reproduce the execution bit-for-bit when the driver is `scheduled` (all
@@ -35,19 +34,22 @@ enum class algo_family : std::uint8_t {
 
   // --- baselines (src/baselines/) ---
   ao2,               ///< [26]-style two-process building block: kk with
-                     ///< selection_rule::two_ends, beta = 1, m = 2 enforced
+                     ///< selection_rule::two_ends, beta = 1, m = 2 enforced.
+                     ///< [26]'s m-process tournament composition is not
+                     ///< specified in the reproduced paper, so for m > 2
+                     ///< benches plot bounds::kkns_effectiveness instead.
   tas,               ///< test-and-set executor (RMW, outside the model)
   wa_trivial,        ///< Write-All: everyone writes everything (m*n work)
   wa_split_scan,     ///< Write-All: own block, then help-scan the rest
   wa_progress_tree,  ///< Write-All: W-style advisory count tree
 
   // --- model checking (src/model/) ---
-  model_explore,  ///< exhaustive exploration of EVERY schedule and crash
-                  ///< placement (n <= 10, m <= 3); scheduled driver only,
-                  ///< the adversary spec is ignored ("exhaustive")
-  model_explore_por,  ///< partial-order-reduced exploration (model/dpor):
-                      ///< same verdicts as model_explore over a pruned
-                      ///< state graph; scheduled driver only
+  /// Partial-order-reduced exploration (model/dpor) of EVERY schedule and
+  /// crash placement (n <= 10, m <= 3); verdicts bit-identical to the
+  /// brute-force model::explore, which tests and benches keep as the
+  /// oracle. Scheduled driver only; the adversary spec is ignored
+  /// ("exhaustive"). The value is pinned: grid fingerprints hash it.
+  model_explore_por = 9,
 };
 
 /// What supplies the interleaving.
@@ -76,13 +78,8 @@ enum class free_set_kind : std::uint8_t { bitset, fenwick, ostree };
 [[nodiscard]] bool from_string(std::string_view name, algo_family& out);
 [[nodiscard]] bool from_string(std::string_view name, free_set_kind& out);
 
-/// Names an adversary the engine can construct on demand (scheduled driver).
-/// Recognized names: every standard_adversaries() label (round_robin,
-/// random, random+crash, block4, block64, stale_view), announce_crash, the
-/// parameterized forms "random+crash:<num>/<den>", "block:<quantum>" and
-/// "stale_view:<leader_actions>", and the prefixed forms
-/// "scripted:<trace>" / "replay:<trace>" where <trace> is the sim::trace
-/// serialization ("s3 s1 c2 ...").
+/// Names an adversary the engine can construct on demand (scheduled driver),
+/// in the grammar of sim::parse_adversary (sim/adversary.hpp).
 struct adversary_spec {
   std::string name = "round_robin";
   std::uint64_t seed = 1;
@@ -90,13 +87,19 @@ struct adversary_spec {
   friend bool operator==(const adversary_spec&, const adversary_spec&) = default;
 };
 
-/// Deterministic crash points for the os_threads driver (mirrors
-/// rt::crash_plan, as a plain value so specs stay copyable/comparable).
+/// Deterministic crash points for the os_threads driver, evaluated at
+/// action boundaries — what the simulation adversary does between
+/// transitions. A crashed thread simply stops taking actions: the paper's
+/// crash model (no recovery, state frozen, its announced job stays stuck in
+/// next_p).
 struct crash_spec {
   enum class kind : std::uint8_t { none, after_actions, after_first_announce };
   kind what = kind::none;
   std::vector<usize> per_thread;  ///< after_actions: 0 = never crash
   usize count = 0;                ///< after_first_announce: threads 1..count
+
+  /// True if thread `pid` should crash now given its observable progress.
+  [[nodiscard]] bool should_crash(process_id pid, const automaton& a) const;
 
   friend bool operator==(const crash_spec&, const crash_spec&) = default;
 };
@@ -119,7 +122,7 @@ struct run_spec {
   selection_rule rule = selection_rule::paper_rank;
   usize crash_budget = 0;  ///< scheduled driver: the paper's f
   usize max_steps = 0;     ///< scheduled driver: 0 = default_step_limit
-                           ///< (model_explore: explorer state cap, 0 = default)
+                           ///< (model_explore_por: state cap, 0 = default)
 
   /// Deterministic replicas of this cell: the sweep layer runs the spec
   /// `replicas` times (0 is treated as 1), replica r under the seed

@@ -23,8 +23,9 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
-#include "rt/thread_executor.hpp"
+#include "util/types.hpp"
 
 namespace amo {
 

@@ -64,19 +64,4 @@ decision recording_adversary::decide(const sched_view& v) {
   return d;
 }
 
-decision replay_adversary::decide(const sched_view& v) {
-  while (cursor_ < trace_.events().size()) {
-    const trace_event& e = trace_.events()[cursor_];
-    ++cursor_;
-    for (const process_id r : v.runnable) {
-      if (r == e.pid) return {e.what, e.pid};
-    }
-    // Recorded process not runnable: the trace does not belong to this
-    // configuration. Mark and fall through to the next event.
-    faithful_ = false;
-  }
-  const process_id pid = v.runnable[fallback_cursor_++ % v.runnable.size()];
-  return {decision::kind::step, pid};
-}
-
 }  // namespace amo::sim

@@ -17,13 +17,7 @@
 
 namespace amo::sim {
 
-struct trace_event {
-  decision::kind what = decision::kind::step;
-  process_id pid = 1;
-
-  friend bool operator==(const trace_event&, const trace_event&) = default;
-};
-
+/// A decision sequence; scripted_adversary(t.events()) replays it.
 class trace {
  public:
   void append(trace_event e) { events_.push_back(e); }
@@ -58,26 +52,6 @@ class recording_adversary final : public adversary {
  private:
   adversary& inner_;
   trace& out_;
-};
-
-/// Replays a trace; once exhausted (or if the recorded pid is no longer
-/// runnable, which cannot happen for a faithful trace) falls back to
-/// round-robin so the run still terminates. Owns its copy of the trace so
-/// callers may pass temporaries (e.g. trace.prefix(k)).
-class replay_adversary final : public adversary {
- public:
-  explicit replay_adversary(trace t) : trace_(std::move(t)) {}
-  decision decide(const sched_view& v) override;
-  [[nodiscard]] const char* name() const override { return "replay"; }
-
-  /// True iff every decision so far came from the trace.
-  [[nodiscard]] bool faithful() const { return faithful_; }
-
- private:
-  trace trace_;
-  usize cursor_ = 0;
-  usize fallback_cursor_ = 0;
-  bool faithful_ = true;
 };
 
 }  // namespace amo::sim

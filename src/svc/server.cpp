@@ -165,9 +165,11 @@ job_result execute_job(const job& j, worker_pool& pool) {
   r.cells_total = all.size();
   r.units_total = exp::unit_count(all);
   r.grid = exp::grid_fingerprint(all);
-  // shard = 0/1 owns the whole grid, so it takes the aggregate path and
-  // stays byte-identical to the unsharded job (the pre-replica behaviour).
-  r.sharded = j.have_shard && j.shard.count > 1;
+  // Every --shard job writes unit records, 0/1 (the whole grid) included,
+  // so a shard file always has the one schema merge and the dispatcher's
+  // verification read; merging a lone 0/1 shard re-folds it into the
+  // unsharded job's bytes.
+  r.sharded = j.have_shard;
 
   obs::span jsp("svc", "job");
   jsp.arg("cells", static_cast<std::uint64_t>(r.cells_total));

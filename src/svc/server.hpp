@@ -36,7 +36,7 @@ class worker_pool;
 /// Everything one finished job produced.
 struct job_result {
   job j;                     ///< the job as executed
-  bool sharded = false;      ///< the job owned a strict unit slice
+  bool sharded = false;      ///< the job ran a --shard unit slice
 
   /// Unsharded path: the full sweep — flattened per-replica reports plus
   /// per-cell aggregates (exp::sweep_result), rendered as aggregate cell

@@ -5,7 +5,7 @@
 // The adversary decision loop computes `draw % runnable_count` once per
 // scheduled action, and the rejection threshold `(0 - bound) % bound` once
 // per bound. The bound only changes when a process terminates or crashes, so
-// the batched replica kernel caches {bound, threshold, reciprocal} and turns
+// the seeded adversaries cache {bound, threshold, reciprocal} and turn
 // the per-step hardware divide into two multiplies — while producing bit-for-
 // bit the same remainders, so the adversary's decision stream is unchanged.
 //

@@ -8,8 +8,8 @@
 //
 // The generator bodies are header-inline: adversary decide() loops draw once
 // per scheduled action, and a cross-TU call per draw was measurable on the
-// engine hot path. The batched replica kernel (exp/batch.cpp) additionally
-// relies on inlining these bodies next to its lane loop.
+// engine hot path; sim::scheduler keeps a concrete adversary's generator in
+// registers only because these bodies inline into its loop.
 #pragma once
 
 #include <array>

@@ -330,10 +330,7 @@ TEST(Colfmt, SinkStreamsTheSameAggregates) {
   const exp::parse_result parsed = exp::parse_records(whole.render_json());
   ASSERT_TRUE(parsed.ok()) << parsed.error;
 
-  j.have_shard = true;
-  j.shard = {0, 1};
-  // shard 0/1 takes the aggregate path, so feed real unit records instead:
-  // two shards of the same job.
+  // Two shards of the same job, streamed through the sink.
   std::vector<std::unique_ptr<exp::record_source>> sources;
   for (usize i = 0; i < 2; ++i) {
     svc::job s = small_job(2);

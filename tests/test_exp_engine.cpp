@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "analysis/bounds.hpp"
-#include "baselines/kkns_style.hpp"
 #include "exp/engine.hpp"
 #include "exp/registry.hpp"
 #include "exp/report.hpp"
@@ -36,8 +35,8 @@ TEST(ExpEngine, SameSpecSameReport) {
 }
 
 TEST(ExpEngine, DegenerateUniverseRunsVacuously) {
-  // The legacy entry points accepted n == 0 / m == 0; the engine returns a
-  // trivially quiescent report instead of throwing.
+  // n == 0 / m == 0 are valid specs; the engine returns a trivially
+  // quiescent report instead of throwing.
   for (const auto [n, m] : {std::pair<usize, usize>{0, 3}, {300, 0}}) {
     exp::run_spec s = small_kk("round_robin");
     s.n = n;
@@ -56,14 +55,34 @@ TEST(ExpEngine, UnknownAdversaryThrows) {
 }
 
 TEST(ExpEngine, ParameterizedAdversaryNames) {
-  EXPECT_NE(exp::make_adversary({"block:7", 1}), nullptr);
-  EXPECT_NE(exp::make_adversary({"stale_view:1000", 1}), nullptr);
-  EXPECT_NE(exp::make_adversary({"random+crash:1/100", 1}), nullptr);
-  EXPECT_EQ(exp::make_adversary({"block:", 1}), nullptr);
-  EXPECT_EQ(exp::make_adversary({"block:99999999999999999999", 1}), nullptr);
-  EXPECT_EQ(exp::make_adversary({"random+crash:1/", 1}), nullptr);
-  EXPECT_EQ(exp::make_adversary({"random+crash:1/0", 1}), nullptr);
-  EXPECT_EQ(exp::make_adversary({"replay:junk here", 1}), nullptr);
+  EXPECT_TRUE(sim::parse_adversary("block:7", 1).has_value());
+  EXPECT_TRUE(sim::parse_adversary("stale_view:1000", 1).has_value());
+  EXPECT_TRUE(sim::parse_adversary("random+crash:1/100", 1).has_value());
+  EXPECT_TRUE(sim::parse_adversary("replay:s1 c2", 1).has_value());
+  EXPECT_FALSE(sim::parse_adversary("block:", 1).has_value());
+  EXPECT_FALSE(sim::parse_adversary("block:99999999999999999999", 1).has_value());
+  EXPECT_FALSE(sim::parse_adversary("random+crash:1/", 1).has_value());
+  EXPECT_FALSE(sim::parse_adversary("random+crash:1/0", 1).has_value());
+  EXPECT_FALSE(sim::parse_adversary("replay:junk here", 1).has_value());
+}
+
+TEST(ExpEngine, AdversaryGrammarClassifiesSeedDependence) {
+  for (const char* name : {"random", "random+crash", "random+crash:3/7",
+                           "block4", "block64", "block:9"}) {
+    const auto adv = sim::parse_adversary(name, 1);
+    ASSERT_TRUE(adv.has_value()) << name;
+    EXPECT_TRUE(sim::seeded(*adv)) << name;
+  }
+  for (const char* name : {"round_robin", "stale_view", "stale_view:3",
+                           "announce_crash", "scripted:s1", "replay:s2"}) {
+    const auto adv = sim::parse_adversary(name, 1);
+    ASSERT_TRUE(adv.has_value()) << name;
+    EXPECT_FALSE(sim::seeded(*adv)) << name;
+  }
+  // Every standard name is in the grammar.
+  for (const char* name : sim::standard_adversaries()) {
+    EXPECT_TRUE(sim::parse_adversary(name, 7).has_value()) << name;
+  }
 }
 
 TEST(ExpEngine, AtomicBackendMatchesSimUnderSameSchedule) {
@@ -235,9 +254,9 @@ TEST(ExpRegistry, AnnounceCrashScenarioIsTight) {
 
 // --- baseline and model families ---
 
-TEST(ExpEngine, Ao2MatchesTheLegacyBaselineRunner) {
-  // algo_family::ao2 must reproduce baseline::run_ao2 exactly: same
-  // adversary, same seed, same effectiveness and charged work.
+TEST(ExpEngine, Ao2IsTwoEndsKkAtBetaOne) {
+  // algo_family::ao2 is KK_beta with the two-ends rule at beta = 1, m = 2:
+  // same adversary, same seed, same effectiveness and charged work.
   for (const std::uint64_t seed : {1ull, 5ull}) {
     exp::run_spec s;
     s.algo = exp::algo_family::ao2;
@@ -247,10 +266,13 @@ TEST(ExpEngine, Ao2MatchesTheLegacyBaselineRunner) {
     s.adversary = {"random+crash:1/100", seed};
     const exp::run_report r = exp::run(s);
 
-    sim::random_adversary adv(seed, 1, 100);
-    const sim::kk_sim_report legacy = baseline::run_ao2(s.n, 1, adv);
-    EXPECT_EQ(r.effectiveness, legacy.effectiveness) << "seed " << seed;
-    EXPECT_EQ(r.total_work.total(), legacy.total_work.total());
+    exp::run_spec kk = s;
+    kk.algo = exp::algo_family::kk;
+    kk.beta = 1;
+    kk.rule = selection_rule::two_ends;
+    const exp::run_report two_ends = exp::run(kk);
+    EXPECT_EQ(r.effectiveness, two_ends.effectiveness) << "seed " << seed;
+    EXPECT_EQ(r.total_work.total(), two_ends.total_work.total());
     EXPECT_TRUE(r.at_most_once);
     EXPECT_EQ(r.beta, 1u);  // the engine resolves ao2's required beta
   }
@@ -295,14 +317,35 @@ TEST(ExpEngine, TasBaselineRunsOnOsThreads) {
   EXPECT_EQ(r.total_steps, r.total_work.actions);
 
   // Crashing all but one thread after its first claim loses at most one
-  // claimed-but-unperformed job per crashed thread.
+  // claimed-but-unperformed job per crashed thread. A thread that starts
+  // after the others have claimed every job never claims, so it terminates
+  // instead of crashing: the crash count is timing-dependent.
   exp::run_spec crashy = s;
   crashy.crashes.what = exp::crash_spec::kind::after_first_announce;
   crashy.crashes.count = s.m - 1;
   const exp::run_report c = exp::run(crashy);
   EXPECT_TRUE(c.at_most_once);
+  EXPECT_LE(c.crashes, s.m - 1);
+  EXPECT_EQ(c.crashes + c.terminated, s.m);
+  EXPECT_GE(c.effectiveness, crashy.n - c.crashes);
+}
+
+TEST(ExpEngine, TasCrashAfterFirstClaimIsExactUnderScheduledDriver) {
+  // The after_first_announce pattern as a fixed schedule: processes
+  // 1..m-1 each win one claim (their first step) and crash before
+  // performing it, so exactly m-1 crashes lose exactly m-1 jobs.
+  exp::run_spec s;
+  s.algo = exp::algo_family::tas;
+  s.n = 1000;
+  s.m = 4;
+  s.crash_budget = s.m - 1;
+  s.adversary = {"scripted:s1 c1 s2 c2 s3 c3", 1};
+  const exp::run_report c = exp::run(s);
+  EXPECT_TRUE(c.at_most_once);
   EXPECT_EQ(c.crashes, s.m - 1);
-  EXPECT_GE(c.effectiveness, crashy.n - (s.m - 1));
+  EXPECT_EQ(c.terminated, 1u);
+  EXPECT_EQ(c.effectiveness, s.n - (s.m - 1));
+  EXPECT_TRUE(c.quiescent);
 }
 
 TEST(ExpEngine, WriteAllBaselinesCompleteCrashFree) {
@@ -350,7 +393,7 @@ TEST(ExpEngine, WriteAllSplitScanSurvivesCrashes) {
 
 TEST(ExpEngine, ModelExploreProvesTheorem44OnTinyInstances) {
   exp::run_spec s;
-  s.algo = exp::algo_family::model_explore;
+  s.algo = exp::algo_family::model_explore_por;
   s.n = 5;
   s.m = 2;
   s.beta = 2;

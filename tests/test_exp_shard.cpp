@@ -11,6 +11,7 @@
 #include "exp/report.hpp"
 #include "exp/shard.hpp"
 #include "exp/sweep.hpp"
+#include "svc/worker_pool.hpp"
 
 namespace amo {
 namespace {
@@ -113,39 +114,41 @@ std::vector<exp::run_spec> small_grid() {
   return cells;
 }
 
-/// Emits the sweep of `cells` restricted to `indices`, in the exact format
-/// `amo_lab sweep --shard --no-timing --out` writes.
-std::string sharded_sweep_json(const std::vector<exp::run_spec>& all,
-                               const std::vector<usize>& indices) {
-  std::vector<exp::run_spec> cells;
-  cells.reserve(indices.size());
-  for (const usize i : indices) cells.push_back(all[i]);
+/// The unsharded reference: the aggregate cell records `amo_lab sweep
+/// --no-timing --out` writes for the whole grid.
+std::string aggregate_json(const std::vector<exp::run_spec>& grid) {
   exp::sweep_options opt;
   opt.pool_size = 1;
-  const exp::sweep_result result = exp::sweep(cells, opt);
+  const exp::sweep_result swept = exp::sweep(grid, opt);
   exp::json_writer json;
-  exp::add_sweep_records(json, result.reports, indices, all.size(),
-                         exp::grid_fingerprint(all),
-                         /*include_timing=*/false);
+  exp::add_cell_records(json, swept, exp::grid_fingerprint(grid),
+                        /*include_timing=*/false);
   return json.dump();
 }
 
-std::vector<usize> iota_indices(usize total) {
-  std::vector<usize> all(total);
-  for (usize i = 0; i < total; ++i) all[i] = i;
-  return all;
+/// Shard `ref` of the grid, in the exact format `amo_lab sweep --shard
+/// --no-timing --out` writes: one unit record per owned (cell, replica).
+std::string shard_json(const std::vector<exp::run_spec>& grid,
+                       exp::shard_ref ref) {
+  svc::worker_pool pool(1);
+  const std::vector<exp::unit_ref> units = exp::shard_units(grid, ref);
+  const exp::unit_run_result ur =
+      exp::run_units(grid, units, pool, exp::batch_options{});
+  exp::json_writer json;
+  exp::add_unit_records(json, ur.reports, units, exp::unit_count(grid),
+                        grid.size(), exp::grid_fingerprint(grid),
+                        /*include_timing=*/false);
+  return json.dump();
 }
 
 TEST(Merge, ShardsRecombineByteIdentical) {
   const std::vector<exp::run_spec> grid = small_grid();
-  const std::string reference =
-      sharded_sweep_json(grid, iota_indices(grid.size()));
+  const std::string reference = aggregate_json(grid);
 
   for (const usize k : {usize{2}, usize{3}, usize{5}, usize{16}}) {
     std::vector<std::vector<exp::record>> shards;
     for (usize i = 0; i < k; ++i) {
-      const std::string doc = sharded_sweep_json(
-          grid, exp::shard_indices(grid.size(), exp::shard_ref{i, k}));
+      const std::string doc = shard_json(grid, exp::shard_ref{i, k});
       exp::parse_result parsed = exp::parse_records(doc);
       ASSERT_TRUE(parsed.ok()) << parsed.error;
       shards.push_back(std::move(parsed.records));
@@ -158,12 +161,11 @@ TEST(Merge, ShardsRecombineByteIdentical) {
 
 TEST(Merge, ShardOrderDoesNotMatter) {
   const std::vector<exp::run_spec> grid = small_grid();
-  const std::string reference =
-      sharded_sweep_json(grid, iota_indices(grid.size()));
+  const std::string reference = aggregate_json(grid);
   std::vector<std::vector<exp::record>> shards;
   for (const usize i : {usize{2}, usize{0}, usize{1}}) {  // shuffled
-    exp::parse_result parsed = exp::parse_records(sharded_sweep_json(
-        grid, exp::shard_indices(grid.size(), exp::shard_ref{i, 3})));
+    exp::parse_result parsed =
+        exp::parse_records(shard_json(grid, exp::shard_ref{i, 3}));
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     shards.push_back(std::move(parsed.records));
   }
@@ -178,27 +180,27 @@ std::vector<std::vector<exp::record>> parsed_shards(
     const std::vector<exp::run_spec>& grid, usize k) {
   std::vector<std::vector<exp::record>> shards;
   for (usize i = 0; i < k; ++i) {
-    exp::parse_result parsed = exp::parse_records(sharded_sweep_json(
-        grid, exp::shard_indices(grid.size(), exp::shard_ref{i, k})));
+    exp::parse_result parsed =
+        exp::parse_records(shard_json(grid, exp::shard_ref{i, k}));
     shards.push_back(std::move(parsed.records));
   }
   return shards;
 }
 
-TEST(Merge, DetectsDuplicateCell) {
+TEST(Merge, DetectsDuplicateUnit) {
   const std::vector<exp::run_spec> grid = small_grid();
   std::vector<std::vector<exp::record>> shards = parsed_shards(grid, 3);
-  shards.push_back({shards[0][0]});  // one cell delivered twice
+  shards.push_back({shards[0][0]});  // one unit delivered twice
   const exp::merge_result merged = exp::merge_shards(shards);
   EXPECT_FALSE(merged.ok());
-  EXPECT_NE(merged.error.find("duplicate cell"), std::string::npos)
+  EXPECT_NE(merged.error.find("duplicate unit"), std::string::npos)
       << merged.error;
 }
 
 TEST(Merge, DetectsCoverageGap) {
   const std::vector<exp::run_spec> grid = small_grid();
   std::vector<std::vector<exp::record>> shards = parsed_shards(grid, 3);
-  shards[1].erase(shards[1].begin());  // lose one cell
+  shards[1].erase(shards[1].begin());  // lose one unit
   const exp::merge_result merged = exp::merge_shards(shards);
   EXPECT_FALSE(merged.ok());
   EXPECT_NE(merged.error.find("coverage gap"), std::string::npos)
@@ -210,8 +212,8 @@ TEST(Merge, DetectsMixedGrids) {
   std::vector<std::vector<exp::record>> shards = parsed_shards(grid, 2);
   // A shard of a differently-sized grid: cells_total disagrees.
   const std::vector<exp::run_spec> other(grid.begin(), grid.begin() + 3);
-  exp::parse_result parsed = exp::parse_records(
-      sharded_sweep_json(other, iota_indices(other.size())));
+  exp::parse_result parsed =
+      exp::parse_records(shard_json(other, exp::shard_ref{0, 1}));
   shards.push_back(std::move(parsed.records));
   const exp::merge_result merged = exp::merge_shards(shards);
   EXPECT_FALSE(merged.ok());
@@ -228,8 +230,8 @@ TEST(Merge, DetectsDifferentGridsOfEqualSize) {
   ASSERT_NE(exp::grid_fingerprint(grid), exp::grid_fingerprint(other));
 
   std::vector<std::vector<exp::record>> shards = parsed_shards(grid, 2);
-  exp::parse_result foreign = exp::parse_records(sharded_sweep_json(
-      other, exp::shard_indices(other.size(), exp::shard_ref{1, 2})));
+  exp::parse_result foreign =
+      exp::parse_records(shard_json(other, exp::shard_ref{1, 2}));
   ASSERT_TRUE(foreign.ok()) << foreign.error;
   shards[1] = std::move(foreign.records);
 

@@ -19,15 +19,15 @@ namespace {
 
 std::vector<exp::run_spec> mixed_grid() {
   std::vector<exp::run_spec> cells;
-  for (const auto& factory : sim::standard_adversaries()) {
+  for (const char* adversary_name : sim::standard_adversaries()) {
     for (const std::uint64_t seed : {1ull, 2ull}) {
       exp::run_spec s;
-      s.label = std::string("grid/") + factory.label;
+      s.label = std::string("grid/") + adversary_name;
       s.algo = exp::algo_family::kk;
       s.n = 257;
       s.m = 3;
       s.crash_budget = 2;
-      s.adversary = {factory.label, seed};
+      s.adversary = {adversary_name, seed};
       cells.push_back(std::move(s));
     }
   }

@@ -34,8 +34,7 @@ exp::run_spec draw(xoshiro256& rng) {
                             : selection_rule::paper_rank;
   d.crash_budget = static_cast<usize>(rng.below(d.m));
   d.adversary.name =
-      sim::standard_adversaries()[rng.below(sim::standard_adversaries().size())]
-          .label;
+      sim::standard_adversaries()[rng.below(sim::standard_adversaries().size())];
   d.adversary.seed = rng();
   // Bounded run: beta < m (or two_ends with m > 2) may legitimately not
   // terminate; safety must hold on the prefix regardless.
@@ -114,7 +113,7 @@ TEST_P(IterativeFuzz, InvariantsHoldOnRandomConfigurations) {
     opt.algo = rng.chance(1, 2) ? exp::algo_family::wa_iterative
                                 : exp::algo_family::iterative;
     opt.crash_budget = static_cast<usize>(rng.below(opt.m));
-    opt.adversary.name = sim::standard_adversaries()[rng.below(6)].label;
+    opt.adversary.name = sim::standard_adversaries()[rng.below(6)];
     opt.adversary.seed = rng();
     cells.push_back(std::move(opt));
   }

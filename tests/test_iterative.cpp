@@ -39,7 +39,7 @@ class IterativeSweep
 TEST_P(IterativeSweep, AtMostOnceAndEffectiveness) {
   const auto [n, m, eps_inv, adversary_index, seed] = GetParam();
   const exp::run_report report = exp::run(iter_spec(
-      n, m, eps_inv, sim::standard_adversaries()[adversary_index].label, seed));
+      n, m, eps_inv, sim::standard_adversaries()[adversary_index], seed));
   ASSERT_TRUE(report.quiescent) << report.adversary;
   EXPECT_TRUE(report.at_most_once)
       << "duplicate real job " << report.duplicate << " under "

@@ -10,26 +10,32 @@
 #include <tuple>
 
 #include "analysis/bounds.hpp"
-#include "sim/harness.hpp"
+#include "exp/engine.hpp"
 
 namespace amo {
 namespace {
+
+exp::run_spec kk_spec(usize n, usize m, usize beta, usize crash_budget,
+                      const char* adversary, std::uint64_t seed = 1) {
+  exp::run_spec spec;
+  spec.n = n;
+  spec.m = m;
+  spec.beta = beta;
+  spec.crash_budget = crash_budget;
+  spec.adversary = {adversary, seed};
+  return spec;
+}
 
 class EffectivenessExact
     : public ::testing::TestWithParam<std::tuple<usize, usize, usize>> {};
 
 TEST_P(EffectivenessExact, AnnounceCrashAdversaryIsTight) {
   const auto [n, m, beta] = GetParam();
-  sim::kk_sim_options opt;
-  opt.n = n;
-  opt.m = m;
-  opt.beta = beta;
-  opt.crash_budget = m - 1;
-  sim::announce_crash_adversary adv;
-  const auto report = sim::run_kk<>(opt, adv);
+  const exp::run_report report =
+      exp::run(kk_spec(n, m, beta, m - 1, "announce_crash"));
   ASSERT_TRUE(report.at_most_once);
-  ASSERT_TRUE(report.sched.quiescent);
-  EXPECT_EQ(report.sched.crashes, m - 1);
+  ASSERT_TRUE(report.quiescent);
+  EXPECT_EQ(report.crashes, m - 1);
   const usize expected = bounds::kk_effectiveness(n, m, beta == 0 ? m : beta);
   EXPECT_EQ(report.effectiveness, expected)
       << "n=" << n << " m=" << m << " beta=" << beta;
@@ -49,15 +55,11 @@ class EffectivenessLowerBound
 
 TEST_P(EffectivenessLowerBound, QuiescentRunsMeetTheBound) {
   const auto [n, m, adversary_index, seed] = GetParam();
-  sim::kk_sim_options opt;
-  opt.n = n;
-  opt.m = m;
-  opt.crash_budget = m - 1;
-  auto adv = sim::standard_adversaries()[adversary_index].make(seed);
-  const auto report = sim::run_kk<>(opt, *adv);
-  ASSERT_TRUE(report.sched.quiescent);
+  const exp::run_report report = exp::run(kk_spec(
+      n, m, 0, m - 1, sim::standard_adversaries()[adversary_index], seed));
+  ASSERT_TRUE(report.quiescent);
   EXPECT_GE(report.effectiveness, bounds::kk_effectiveness(n, m, m))
-      << "under " << adv->name();
+      << "under " << report.adversary;
   EXPECT_LE(report.effectiveness, n);
 }
 
@@ -72,12 +74,8 @@ TEST(EffectivenessCeiling, StuckJobsEnforceNMinusF) {
   // Under the announce-crash strategy each of the f crashed processes pins a
   // distinct job forever, so Do(alpha) <= n - f — the Theorem 2.1 scenario.
   for (const usize m : {usize{2}, usize{4}, usize{8}, usize{16}}) {
-    sim::kk_sim_options opt;
-    opt.n = 500;
-    opt.m = m;
-    opt.crash_budget = m - 1;
-    sim::announce_crash_adversary adv;
-    const auto report = sim::run_kk<>(opt, adv);
+    const exp::run_report report =
+        exp::run(kk_spec(500, m, 0, m - 1, "announce_crash"));
     EXPECT_LE(report.effectiveness, bounds::effectiveness_upper(500, m - 1));
   }
 }
@@ -86,12 +84,9 @@ TEST(EffectivenessNoCrash, FullSpeedRunsLoseAtMostTheBound) {
   // Even without crashes the algorithm may terminate up to beta + m - 2
   // short (termination is triggered by |FREE \ TRY| < beta).
   for (const usize m : {usize{2}, usize{4}, usize{8}}) {
-    sim::kk_sim_options opt;
-    opt.n = 512;
-    opt.m = m;
-    sim::round_robin_adversary adv;
-    const auto report = sim::run_kk<>(opt, adv);
-    ASSERT_TRUE(report.sched.quiescent);
+    const exp::run_report report =
+        exp::run(kk_spec(512, m, 0, 0, "round_robin"));
+    ASSERT_TRUE(report.quiescent);
     EXPECT_EQ(report.terminated, m);
     EXPECT_GE(report.effectiveness, 512u - (2 * m - 2));
   }
@@ -101,13 +96,8 @@ TEST(EffectivenessMonotonicity, LargerBetaLosesMoreJobs) {
   // Theorem 4.4: loss grows linearly in beta under the tight adversary.
   usize prev = ~usize{0};
   for (const usize beta : {usize{4}, usize{8}, usize{16}, usize{32}}) {
-    sim::kk_sim_options opt;
-    opt.n = 600;
-    opt.m = 4;
-    opt.beta = beta;
-    opt.crash_budget = 3;
-    sim::announce_crash_adversary adv;
-    const auto report = sim::run_kk<>(opt, adv);
+    const exp::run_report report =
+        exp::run(kk_spec(600, 4, beta, 3, "announce_crash"));
     EXPECT_LT(report.effectiveness, prev);
     prev = report.effectiveness;
   }
@@ -118,12 +108,8 @@ TEST(EffectivenessDominance, BeatsTrivialSplitUnderWorstCase) {
   // trivial split keeps only n/m jobs; KK_m keeps n - 2m + 2.
   const usize n = 4096;
   const usize m = 16;
-  sim::kk_sim_options opt;
-  opt.n = n;
-  opt.m = m;
-  opt.crash_budget = m - 1;
-  sim::announce_crash_adversary adv;
-  const auto report = sim::run_kk<>(opt, adv);
+  const exp::run_report report =
+      exp::run(kk_spec(n, m, 0, m - 1, "announce_crash"));
   EXPECT_GT(report.effectiveness, bounds::trivial_effectiveness(n, m, m - 1) * 10);
 }
 

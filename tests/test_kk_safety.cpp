@@ -8,9 +8,7 @@
 #include <string>
 #include <tuple>
 
-#include "sets/fenwick_rank_set.hpp"
-#include "sets/ostree.hpp"
-#include "sim/harness.hpp"
+#include "exp/engine.hpp"
 
 namespace amo {
 namespace {
@@ -28,20 +26,20 @@ class KkSafetySweep : public ::testing::TestWithParam<sweep_param> {};
 
 TEST_P(KkSafetySweep, NoJobPerformedTwice) {
   const sweep_param p = GetParam();
-  sim::kk_sim_options opt;
-  opt.n = p.n;
-  opt.m = p.m;
-  opt.beta = p.beta;
-  opt.crash_budget = p.crash_budget;
-  auto adv = sim::standard_adversaries()[p.adversary_index].make(p.seed);
-  const auto report = sim::run_kk<>(opt, *adv);
+  exp::run_spec spec;
+  spec.n = p.n;
+  spec.m = p.m;
+  spec.beta = p.beta;
+  spec.crash_budget = p.crash_budget;
+  spec.adversary = {sim::standard_adversaries()[p.adversary_index], p.seed};
+  const exp::run_report report = exp::run(spec);
   EXPECT_TRUE(report.at_most_once)
       << "duplicate job " << report.duplicate << " under "
-      << adv->name() << " seed " << p.seed;
+      << report.adversary << " seed " << p.seed;
   EXPECT_EQ(report.perform_events, report.effectiveness);
   // With beta >= m the run must reach quiescence (wait-freedom).
   if (p.beta == 0 || p.beta >= p.m) {
-    EXPECT_TRUE(report.sched.quiescent) << "possible livelock";
+    EXPECT_TRUE(report.quiescent) << "possible livelock";
   }
 }
 
@@ -73,13 +71,13 @@ class KkSmallBetaSweep
 
 TEST_P(KkSmallBetaSweep, SafeEvenWithoutTerminationGuarantee) {
   const auto [m, seed] = GetParam();
-  sim::kk_sim_options opt;
-  opt.n = 400;
-  opt.m = m;
-  opt.beta = 1;                  // << m
-  opt.max_steps = 400 * m * 64;  // bounded run; termination not required
-  sim::random_adversary adv(seed);
-  const auto report = sim::run_kk<>(opt, adv);
+  exp::run_spec spec;
+  spec.n = 400;
+  spec.m = m;
+  spec.beta = 1;                  // << m
+  spec.max_steps = 400 * m * 64;  // bounded run; termination not required
+  spec.adversary = {"random", seed};
+  const exp::run_report report = exp::run(spec);
   EXPECT_TRUE(report.at_most_once) << "duplicate job " << report.duplicate;
 }
 
@@ -91,15 +89,14 @@ INSTANTIATE_TEST_SUITE_P(
 // --- alternative FREE-set representations must behave identically ---
 
 TEST(KkSafetyRepresentations, OstreeBackedRunIsSafeAndEquivalent) {
-  sim::kk_sim_options opt;
-  opt.n = 500;
-  opt.m = 4;
-  sim::round_robin_adversary adv1;
-  sim::round_robin_adversary adv2;
-  sim::round_robin_adversary adv3;
-  const auto a = sim::run_kk<bitset_rank_set>(opt, adv1);
-  const auto b = sim::run_kk<ostree>(opt, adv2);
-  const auto c = sim::run_kk<fenwick_rank_set>(opt, adv3);
+  exp::run_spec spec;
+  spec.n = 500;
+  spec.m = 4;
+  const exp::run_report a = exp::run(spec);
+  spec.free_set = exp::free_set_kind::ostree;
+  const exp::run_report b = exp::run(spec);
+  spec.free_set = exp::free_set_kind::fenwick;
+  const exp::run_report c = exp::run(spec);
   EXPECT_TRUE(a.at_most_once);
   EXPECT_TRUE(b.at_most_once);
   EXPECT_TRUE(c.at_most_once);
@@ -107,21 +104,21 @@ TEST(KkSafetyRepresentations, OstreeBackedRunIsSafeAndEquivalent) {
   // regardless of the set structure backing FREE.
   EXPECT_EQ(a.effectiveness, b.effectiveness);
   EXPECT_EQ(a.effectiveness, c.effectiveness);
-  EXPECT_EQ(a.sched.total_steps, b.sched.total_steps);
-  EXPECT_EQ(a.sched.total_steps, c.sched.total_steps);
+  EXPECT_EQ(a.total_steps, b.total_steps);
+  EXPECT_EQ(a.total_steps, c.total_steps);
 }
 
 TEST(KkSafetyRepresentations, TwoEndsRuleSafeUnderCrashes) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    sim::kk_sim_options opt;
-    opt.n = 300;
-    opt.m = 4;
-    opt.beta = 1;
-    opt.rule = selection_rule::two_ends;
-    opt.crash_budget = 3;
-    opt.max_steps = 300 * 4 * 64;
-    sim::random_adversary adv(seed, 1, 300);
-    const auto report = sim::run_kk<>(opt, adv);
+    exp::run_spec spec;
+    spec.n = 300;
+    spec.m = 4;
+    spec.beta = 1;
+    spec.rule = selection_rule::two_ends;
+    spec.crash_budget = 3;
+    spec.max_steps = 300 * 4 * 64;
+    spec.adversary = {"random+crash:1/300", seed};
+    const exp::run_report report = exp::run(spec);
     EXPECT_TRUE(report.at_most_once) << "duplicate " << report.duplicate;
   }
 }

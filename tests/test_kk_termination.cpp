@@ -27,7 +27,7 @@ TEST_P(Termination, QuiescesWithinBudget) {
   spec.algo = exp::algo_family::kk;
   spec.n = n;
   spec.m = m;
-  spec.adversary = {sim::standard_adversaries()[adversary_index].label, seed};
+  spec.adversary = {sim::standard_adversaries()[adversary_index], seed};
   const exp::run_report report = exp::run(spec);
   ASSERT_TRUE(report.quiescent) << report.adversary << " livelocked";
   EXPECT_EQ(report.terminated + report.crashes, m);

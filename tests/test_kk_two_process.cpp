@@ -1,14 +1,15 @@
 // The two-process regime: KK_2 (paper rank rule) and the AO2 baseline
-// ([26]-style two-ends rule, via baselines/kkns_style.hpp). Exercises the
+// ([26]-style two-ends rule, exp::algo_family::ao2). Exercises the
 // collision paths of Lemma 4.1's proof with hand-crafted schedules.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "baselines/kkns_style.hpp"
+#include "analysis/amo_checker.hpp"
 #include "core/kk_process.hpp"
+#include "exp/engine.hpp"
 #include "mem/sim_memory.hpp"
-#include "sim/harness.hpp"
+#include "sim/scheduler.hpp"
 
 namespace amo {
 namespace {
@@ -16,6 +17,17 @@ namespace {
 using sim_kk = kk_process<sim_memory>;
 
 using sim::scripted_adversary;
+
+exp::run_report run_ao2(usize n, usize crash_budget, const char* adversary,
+                        std::uint64_t seed) {
+  exp::run_spec spec;
+  spec.algo = exp::algo_family::ao2;
+  spec.n = n;
+  spec.m = 2;
+  spec.crash_budget = crash_budget;
+  spec.adversary = {adversary, seed};
+  return exp::run(spec);
+}
 
 TEST(KkTwoProcess, SimultaneousAnnouncementOfSameJobIsResolved) {
   // Force both processes to announce before either gathers: with n small
@@ -112,9 +124,8 @@ TEST(KkTwoProcess, DoneCollisionDetectedThroughLog) {
 TEST(KkTwoProcess, Ao2EffectivenessIsNearOptimal) {
   // [26]'s two-process algorithm: effectiveness n-1 (only the meeting job).
   for (const std::uint64_t seed : {1ull, 9ull, 42ull}) {
-    sim::random_adversary adv(seed);
-    const auto report = baseline::run_ao2(501, 0, adv);
-    ASSERT_TRUE(report.sched.quiescent);
+    const auto report = run_ao2(501, 0, "random", seed);
+    ASSERT_TRUE(report.quiescent);
     EXPECT_TRUE(report.at_most_once);
     EXPECT_GE(report.effectiveness, 500u);
     EXPECT_LE(report.effectiveness, 501u);
@@ -123,9 +134,8 @@ TEST(KkTwoProcess, Ao2EffectivenessIsNearOptimal) {
 
 TEST(KkTwoProcess, Ao2SafeUnderOneCrash) {
   for (const std::uint64_t seed : {3ull, 13ull, 23ull}) {
-    sim::random_adversary adv(seed, 1, 200);
-    const auto report = baseline::run_ao2(400, 1, adv);
-    ASSERT_TRUE(report.sched.quiescent);
+    const auto report = run_ao2(400, 1, "random+crash:1/200", seed);
+    ASSERT_TRUE(report.quiescent);
     EXPECT_TRUE(report.at_most_once);
     // One crash can strand one announced job; one more may be sacrificed at
     // the meeting point.
@@ -170,13 +180,11 @@ TEST(KkTwoProcess, KkBeatsKknsFormulaAtScale) {
   // Headline C11 at m = 2... the formula collapses to n-1 there, equal to
   // AO2; the real gap appears at larger m and is covered by
   // bench_comparison. Here: KK_2's n-2 is within one job of AO2's n-1.
-  sim::kk_sim_options opt;
-  opt.n = 300;
-  opt.m = 2;
-  sim::round_robin_adversary adv;
-  const auto kk = sim::run_kk<>(opt, adv);
-  sim::random_adversary adv2(4);
-  const auto ao2 = baseline::run_ao2(300, 0, adv2);
+  exp::run_spec spec;
+  spec.n = 300;
+  spec.m = 2;
+  const auto kk = exp::run(spec);
+  const auto ao2 = run_ao2(300, 0, "random", 4);
   EXPECT_GE(kk.effectiveness + 1, ao2.effectiveness);
 }
 

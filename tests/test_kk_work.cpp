@@ -35,7 +35,7 @@ TEST_P(WorkSweep, CollisionBoundsHoldForBigBeta) {
   const usize beta = 3 * m * m;  // the Section 5 regime
   if (beta + m >= n) GTEST_SKIP() << "degenerate: beta too close to n";
   const exp::run_report report = exp::run(
-      kk_spec(n, m, beta, sim::standard_adversaries()[adversary_index].label, seed));
+      kk_spec(n, m, beta, sim::standard_adversaries()[adversary_index], seed));
   ASSERT_TRUE(report.quiescent);
   ASSERT_TRUE(report.at_most_once);
   // Lemma 5.5 per-pair bound (worst ratio over all pairs <= 1).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "core/automaton.hpp"
@@ -157,7 +158,9 @@ TEST(Adversary, ScriptedCrashEntriesHonored) {
     procs.push_back(std::make_unique<countdown>(p, 100));
   }
   sim::scheduler sched(handles(procs));
-  sim::scripted_adversary adv({{1, false}, {2, true}, {1, false}});
+  sim::scripted_adversary adv({{sim::decision::kind::step, 1},
+                               {sim::decision::kind::crash, 2},
+                               {sim::decision::kind::step, 1}});
   const auto result = sched.run(adv, 1, 10);
   EXPECT_EQ(result.crashes, 1u);
   EXPECT_TRUE(procs[1]->crashed_);
@@ -178,13 +181,45 @@ TEST(Adversary, ScriptedSkipsFinishedProcesses) {
   EXPECT_EQ(procs[1]->steps_, 5u);
 }
 
-TEST(Adversary, StandardFactoryProducesAll) {
-  const auto factories = sim::standard_adversaries();
-  EXPECT_EQ(factories.size(), 6u);
-  for (const auto& f : factories) {
-    auto adv = f.make(42);
-    ASSERT_NE(adv, nullptr);
-    EXPECT_STRNE(adv->name(), "");
+TEST(Adversary, StandardNamesAllParse) {
+  const auto names = sim::standard_adversaries();
+  EXPECT_EQ(names.size(), 6u);
+  for (const char* name : names) {
+    auto adv = sim::parse_adversary(name, 42);
+    ASSERT_TRUE(adv.has_value()) << name;
+    EXPECT_STRNE(std::visit([](auto& a) { return a.name(); }, *adv), "");
+  }
+}
+
+TEST(Adversary, ConcreteAndVirtualLoopsAgree) {
+  // The scheduler template runs a concrete adversary with decide() inlined
+  // and a caller's adversary through the virtual interface; both must make
+  // the same decisions.
+  for (const char* name : {"random+crash:1/3", "block:3"}) {
+    std::vector<std::unique_ptr<countdown>> a;
+    std::vector<std::unique_ptr<countdown>> b;
+    for (process_id p = 1; p <= 4; ++p) {
+      a.push_back(std::make_unique<countdown>(p, 40 + 7 * p));
+      b.push_back(std::make_unique<countdown>(p, 40 + 7 * p));
+    }
+    auto concrete = sim::parse_adversary(name, 5);
+    auto dynamic = sim::parse_adversary(name, 5);
+    ASSERT_TRUE(concrete.has_value() && dynamic.has_value());
+    std::vector<countdown*> typed;
+    for (auto& p : a) typed.push_back(p.get());
+    sim::scheduler<countdown> sched_a(typed);
+    sim::scheduler sched_b(handles(b));
+    const auto ra = std::visit(
+        [&](auto& adv) { return sched_a.run(adv, 2, 1000); }, *concrete);
+    sim::adversary& virt =
+        std::visit([](auto& adv) -> sim::adversary& { return adv; }, *dynamic);
+    const auto rb = sched_b.run(virt, 2, 1000);
+    EXPECT_EQ(ra.total_steps, rb.total_steps) << name;
+    EXPECT_EQ(ra.crashes, rb.crashes) << name;
+    for (usize i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i]->steps_, b[i]->steps_) << name;
+      EXPECT_EQ(a[i]->crashed_, b[i]->crashed_) << name;
+    }
   }
 }
 

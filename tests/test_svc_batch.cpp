@@ -93,7 +93,7 @@ std::string standalone_json(const svc::job& j) {
     });
   }
   exp::json_writer json;
-  if (j.have_shard && j.shard.count > 1) {
+  if (j.have_shard) {
     const std::vector<exp::unit_ref> units = exp::shard_units(all, j.shard);
     std::vector<exp::run_report> reports;
     reports.reserve(units.size());

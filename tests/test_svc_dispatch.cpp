@@ -28,6 +28,19 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
+/// The printf command, for a single-quoted sh -c script, that writes a
+/// one-unit shard file: unit and cell %s of a grid of `units` one-replica
+/// cells, with every field the merge fold reads. Takes the index twice.
+std::string unit_printf(const std::string& units,
+                        const std::string& at_most_once) {
+  return R"(printf '\''[\n  {"unit": %s, "units_total": )" + units +
+         R"(, "cell": %s, "cells_total": )" + units +
+         R"(, "replica": 0, "replicas": 1, "grid": "g", "effectiveness": 1, )"
+         R"("work": 1, "collisions": 0, "steps": 1, "at_most_once": )" +
+         at_most_once +
+         R"(, "quiescent": true, "wa_complete": false}\n]\n'\'')";
+}
+
 bool have_amo_lab() {
   std::FILE* f = std::fopen("./amo_lab", "rb");
   if (f == nullptr) return false;
@@ -82,9 +95,8 @@ TEST(SvcDispatch, RetriesRelaunchOnlyTheFailedShard) {
   opt.retries = 1;
   opt.command =
       "sh -c 's={shard}; i=${s%%/*}; f=" + marker + "_$i; "
-      "if [ ! -e \"$f\" ]; then : > \"$f\"; exit 7; fi; "
-      "printf '\\''[\\n  {\"cell\": %s, \"cells_total\": 2, "
-      "\"grid\": \"g\", \"effectiveness\": 1}\\n]\\n'\\'' \"$i\" > {out}'";
+      "if [ ! -e \"$f\" ]; then : > \"$f\"; exit 7; fi; " +
+      unit_printf("2", "true") + " \"$i\" \"$i\" > {out}'";
 
   const svc::dispatch_result r = svc::dispatch("", opt);
   ASSERT_TRUE(r.ok()) << r.error;
@@ -125,8 +137,7 @@ TEST(SvcDispatch, SafetyViolationExitIsNeverRetried) {
   opt.quiet = true;
   opt.retries = 5;
   opt.command =
-      "sh -c 'printf '\\''[\\n  {\"cell\": 0, \"cells_total\": 1, "
-      "\"grid\": \"g\", \"at_most_once\": false}\\n]\\n'\\'' > {out}; exit 1'";
+      "sh -c '" + unit_printf("1", "false") + " 0 0 > {out}; exit 1'";
   const svc::dispatch_result r = svc::dispatch("", opt);
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.exit_code, 1);
@@ -208,9 +219,8 @@ TEST(SvcDispatch, ResumeAdoptsValidatedShardsFromTheManifest) {
   opt.command =
       "sh -c 's={shard}; i=${s%%/*}; f=" + marker + "_$i; "
       "if [ \"$i\" = 0 ] && [ -e \"$f\" ]; then exit 7; fi; : > \"$f\"; "
-      "if [ \"$i\" = 1 ] && [ ! -e " + go + " ]; then exit 9; fi; "
-      "printf '\\''[\\n  {\"cell\": %s, \"cells_total\": 2, "
-      "\"grid\": \"g\", \"effectiveness\": 1}\\n]\\n'\\'' \"$i\" > {out}'";
+      "if [ \"$i\" = 1 ] && [ ! -e " + go + " ]; then exit 9; fi; " +
+      unit_printf("2", "true") + " \"$i\" \"$i\" > {out}'";
 
   const svc::dispatch_result first = svc::dispatch("", opt);
   ASSERT_FALSE(first.ok());
@@ -253,15 +263,15 @@ TEST(SvcDispatch, CapturesSubprocessOutput) {
   EXPECT_NE(r.shards[0].output.find("shard 0/1 speaking"), std::string::npos);
 }
 
-TEST(SvcDispatch, EndToEndMatchesTheOneShotSweepByteForByte) {
-  if (!have_amo_lab()) {
-    GTEST_SKIP() << "no ./amo_lab in the working directory";
-  }
+/// Dispatches a replicated sweep over `shards` real ./amo_lab children and
+/// checks the merged output against the one-shot sweep byte for byte.
+void expect_dispatch_matches_one_shot(usize shards) {
   const std::string dir = ::testing::TempDir();
-  const std::string merged_path = dir + "/dispatch_merged.json";
+  const std::string merged_path =
+      dir + "/dispatch_merged_" + std::to_string(shards) + ".json";
 
   svc::dispatch_options opt;
-  opt.shards = 3;
+  opt.shards = shards;
   opt.self = "./amo_lab";
   opt.dir = dir;
   opt.out = merged_path;
@@ -301,6 +311,22 @@ TEST(SvcDispatch, EndToEndMatchesTheOneShotSweepByteForByte) {
     EXPECT_EQ(f, nullptr) << run.file << " should have been removed";
     if (f != nullptr) std::fclose(f);
   }
+}
+
+TEST(SvcDispatch, EndToEndMatchesTheOneShotSweepByteForByte) {
+  if (!have_amo_lab()) {
+    GTEST_SKIP() << "no ./amo_lab in the working directory";
+  }
+  expect_dispatch_matches_one_shot(3);
+}
+
+TEST(SvcDispatch, OneShardDispatchMatchesTheOneShotSweep) {
+  // A lone 0/1 shard owns the whole grid; it still writes unit records,
+  // which the dispatcher verifies and the merge re-folds.
+  if (!have_amo_lab()) {
+    GTEST_SKIP() << "no ./amo_lab in the working directory";
+  }
+  expect_dispatch_matches_one_shot(1);
 }
 
 }  // namespace

@@ -20,14 +20,14 @@ namespace {
 
 std::vector<exp::run_spec> small_grid(std::uint64_t salt) {
   std::vector<exp::run_spec> cells;
-  for (const auto& factory : sim::standard_adversaries()) {
+  for (const char* adversary_name : sim::standard_adversaries()) {
     exp::run_spec s;
-    s.label = std::string("pool/") + factory.label;
+    s.label = std::string("pool/") + adversary_name;
     s.algo = exp::algo_family::kk;
     s.n = 129;
     s.m = 3;
     s.crash_budget = 2;
-    s.adversary = {factory.label, salt};
+    s.adversary = {adversary_name, salt};
     cells.push_back(std::move(s));
   }
   return cells;

@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "analysis/bounds.hpp"
-#include "rt/thread_executor.hpp"
+#include "exp/engine.hpp"
 
 namespace amo {
 namespace {
@@ -18,13 +18,20 @@ usize hw_threads() {
   return hc == 0 ? 4 : hc;
 }
 
+exp::run_spec threads_spec(exp::algo_family algo, usize n, usize m) {
+  exp::run_spec spec;
+  spec.algo = algo;
+  spec.driver = exp::driver_kind::os_threads;
+  spec.n = n;
+  spec.m = m;
+  return spec;
+}
+
 TEST(Threads, AtMostOnceAcrossRepeatedRuns) {
   const usize m = std::min<usize>(hw_threads(), 8);
   for (int round = 0; round < 8; ++round) {
-    rt::thread_run_options opt;
-    opt.n = 20000;
-    opt.m = m;
-    const auto report = rt::run_kk_threads(opt, nullptr);
+    exp::run_spec opt = threads_spec(exp::algo_family::kk, 20000, m);
+    const auto report = exp::run(opt);
     ASSERT_TRUE(report.at_most_once)
         << "duplicate job " << report.duplicate << " in round " << round;
     EXPECT_EQ(report.terminated, m);
@@ -37,12 +44,12 @@ TEST(Threads, JobFunctionSeesEachJobOnce) {
   const usize n = 8000;
   const usize m = std::min<usize>(hw_threads(), 6);
   std::vector<std::atomic<std::uint32_t>> hits(n + 1);
-  rt::thread_run_options opt;
-  opt.n = n;
-  opt.m = m;
-  const auto report = rt::run_kk_threads(opt, [&hits](process_id, job_id j) {
+  exp::run_spec opt = threads_spec(exp::algo_family::kk, n, m);
+  exp::run_hooks hooks;
+  hooks.on_perform = [&hits](process_id, job_id j) {
     hits[j].fetch_add(1, std::memory_order_relaxed);
-  });
+  };
+  const auto report = exp::run(opt, hooks);
   ASSERT_TRUE(report.at_most_once);
   usize performed = 0;
   for (job_id j = 1; j <= n; ++j) {
@@ -60,13 +67,12 @@ TEST(Threads, CrashInjectionAfterAnnounce) {
   // it land above the simulated tight value, never below).
   const usize n = 5000;
   const usize m = 4;
-  rt::thread_run_options opt;
-  opt.n = n;
-  opt.m = m;
-  opt.crashes = rt::crash_plan::after_first_announce(m - 1);
-  const auto report = rt::run_kk_threads(opt, nullptr);
+  exp::run_spec opt = threads_spec(exp::algo_family::kk, n, m);
+  opt.crashes.what = exp::crash_spec::kind::after_first_announce;
+  opt.crashes.count = m - 1;
+  const auto report = exp::run(opt);
   ASSERT_TRUE(report.at_most_once);
-  EXPECT_EQ(report.crashed, m - 1);
+  EXPECT_EQ(report.crashes, m - 1);
   EXPECT_EQ(report.terminated, 1u);
   EXPECT_GE(report.effectiveness, bounds::kk_effectiveness(n, m, m));
   EXPECT_LE(report.effectiveness, bounds::effectiveness_upper(n, 0));
@@ -77,22 +83,19 @@ TEST(Threads, CrashInjectionMidRun) {
   const usize m = std::min<usize>(hw_threads(), 6);
   std::vector<usize> at(m, 0);
   for (usize i = 0; i + 1 < m; ++i) at[i] = 500 * (i + 1);  // survivor: last
-  rt::thread_run_options opt;
-  opt.n = n;
-  opt.m = m;
-  opt.crashes = rt::crash_plan::after_actions(at);
-  const auto report = rt::run_kk_threads(opt, nullptr);
+  exp::run_spec opt = threads_spec(exp::algo_family::kk, n, m);
+  opt.crashes.what = exp::crash_spec::kind::after_actions;
+  opt.crashes.per_thread = at;
+  const auto report = exp::run(opt);
   ASSERT_TRUE(report.at_most_once) << "duplicate " << report.duplicate;
   EXPECT_GE(report.terminated, 1u);
   EXPECT_GE(report.effectiveness, bounds::kk_effectiveness(n, m, m));
 }
 
 TEST(Threads, SingleThreadDegeneratesToSequential) {
-  rt::thread_run_options opt;
-  opt.n = 3000;
-  opt.m = 1;
+  exp::run_spec opt = threads_spec(exp::algo_family::kk, 3000, 1);
   opt.beta = 1;
-  const auto report = rt::run_kk_threads(opt, nullptr);
+  const auto report = exp::run(opt);
   EXPECT_TRUE(report.at_most_once);
   EXPECT_EQ(report.effectiveness, 3000u);
 }
@@ -100,11 +103,10 @@ TEST(Threads, SingleThreadDegeneratesToSequential) {
 TEST(Threads, IterativeAtMostOnce) {
   const usize m = std::min<usize>(hw_threads(), 6);
   for (int round = 0; round < 4; ++round) {
-    rt::iter_thread_options opt;
-    opt.n = 30000;
-    opt.m = m;
+    exp::run_spec opt =
+        threads_spec(exp::algo_family::iterative, 30000, m);
     opt.eps_inv = 2;
-    const auto report = rt::run_iterative_threads(opt, nullptr);
+    const auto report = exp::run(opt);
     ASSERT_TRUE(report.at_most_once)
         << "duplicate real job " << report.duplicate << " round " << round;
     EXPECT_EQ(report.terminated, m);
@@ -117,12 +119,11 @@ TEST(Threads, IterativeAtMostOnce) {
 TEST(Threads, WriteAllCompletesUnderConcurrency) {
   const usize m = std::min<usize>(hw_threads(), 6);
   for (int round = 0; round < 4; ++round) {
-    rt::iter_thread_options opt;
-    opt.n = 20000;
-    opt.m = m;
+    exp::run_spec opt =
+        threads_spec(exp::algo_family::iterative, 20000, m);
     opt.eps_inv = 1;
-    opt.write_all = true;
-    const auto report = rt::run_iterative_threads(opt, nullptr);
+    opt.algo = exp::algo_family::wa_iterative;
+    const auto report = exp::run(opt);
     EXPECT_TRUE(report.wa_complete)
         << report.wa_written << "/20000 in round " << round;
   }
@@ -130,24 +131,54 @@ TEST(Threads, WriteAllCompletesUnderConcurrency) {
 
 TEST(Threads, WriteAllWithCrashes) {
   const usize m = 5;
-  rt::iter_thread_options opt;
-  opt.n = 10000;
-  opt.m = m;
+  exp::run_spec opt =
+      threads_spec(exp::algo_family::iterative, 10000, m);
   opt.eps_inv = 1;
-  opt.write_all = true;
-  opt.crashes = rt::crash_plan::after_actions({2000, 4000, 0, 6000, 0});
-  const auto report = rt::run_iterative_threads(opt, nullptr);
+  opt.algo = exp::algo_family::wa_iterative;
+  opt.crashes.what = exp::crash_spec::kind::after_actions;
+  opt.crashes.per_thread = {2000, 4000, 0, 6000, 0};
+  const auto report = exp::run(opt);
   EXPECT_TRUE(report.wa_complete);
   EXPECT_EQ(report.wa_written, 10000u);
 }
 
-TEST(CrashPlan, PredicatesBehave) {
-  const auto by_actions = rt::crash_plan::after_actions({5, 0, 7});
-  EXPECT_EQ(by_actions.planned_crashes(), 2u);
-  const auto by_announce = rt::crash_plan::after_first_announce(3);
-  EXPECT_EQ(by_announce.planned_crashes(), 3u);
-  const rt::crash_plan none;
-  EXPECT_EQ(none.planned_crashes(), 0u);
+/// Reports fixed progress probes; only what crash_spec reads matters.
+struct probe final : automaton {
+  usize steps = 0;
+  usize announces = 0;
+  void step() override {}
+  [[nodiscard]] bool runnable() const override { return true; }
+  void crash() override {}
+  [[nodiscard]] process_id id() const override { return 1; }
+  [[nodiscard]] action_kind next_action() const override {
+    return action_kind::local_compute;
+  }
+  [[nodiscard]] usize announce_count() const override { return announces; }
+  [[nodiscard]] usize perform_count() const override { return 0; }
+  [[nodiscard]] usize step_count() const override { return steps; }
+};
+
+TEST(CrashSpec, PredicatesBehave) {
+  probe p;
+  exp::crash_spec by_actions;
+  by_actions.what = exp::crash_spec::kind::after_actions;
+  by_actions.per_thread = {5, 0, 7};
+  p.steps = 4;
+  EXPECT_FALSE(by_actions.should_crash(1, p));
+  p.steps = 5;
+  EXPECT_TRUE(by_actions.should_crash(1, p));
+  EXPECT_FALSE(by_actions.should_crash(2, p));  // 0 = never
+  EXPECT_FALSE(by_actions.should_crash(4, p));  // beyond the schedule
+
+  exp::crash_spec by_announce;
+  by_announce.what = exp::crash_spec::kind::after_first_announce;
+  by_announce.count = 3;
+  EXPECT_FALSE(by_announce.should_crash(3, p));
+  p.announces = 1;
+  EXPECT_TRUE(by_announce.should_crash(3, p));
+  EXPECT_FALSE(by_announce.should_crash(4, p));
+
+  EXPECT_FALSE(exp::crash_spec{}.should_crash(1, p));
 }
 
 }  // namespace
