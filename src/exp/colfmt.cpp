@@ -111,6 +111,8 @@ struct cursor {
     pos += n;
     return p;
   }
+
+  void skip(usize n) { pos += n; }
 };
 
 // --- schema metadata ------------------------------------------------------
@@ -370,7 +372,7 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
     switch (tag) {
       case kTagU64: {
         if (!cur.need(16 + usize{rows} * 8, "a u64 column block")) break;
-        cur.take(16);  // min/max: advisory statistics, not re-validated
+        cur.skip(16);  // min/max: advisory statistics, not re-validated
         for (usize r = 0; r < rows; ++r) {
           const std::uint64_t v = get_u64(cur.take(8));
           record_field& f = out[start + r].fields[c];
@@ -383,7 +385,7 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
       }
       case kTagF64: {
         if (!cur.need(16 + usize{rows} * 8, "an f64 column block")) break;
-        cur.take(16);
+        cur.skip(16);
         for (usize r = 0; r < rows; ++r) {
           const double v = get_f64(cur.take(8));
           record_field& f = out[start + r].fields[c];

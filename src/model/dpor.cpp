@@ -1,8 +1,11 @@
 #include "model/dpor.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <functional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -227,6 +230,166 @@ usize choose_expansion(const sys_state& s, const model_config& cfg,
   }
   return k;
 }
+// ---------------------------------------------------------------------------
+// Sharded visited table
+//
+// The visited set is split into kShards open-addressing tables by the top
+// bits of fingerprint::a. A fingerprint lives in exactly one shard, so the
+// shards are disjoint and each can be merged by its own pool task. The
+// shard count is a constant, independent of the pool size: which arrivals
+// a shard sees, and in what order, never depends on the worker count.
+// ---------------------------------------------------------------------------
+
+constexpr unsigned kShardBits = 6;
+constexpr usize kShards = usize{1} << kShardBits;
+/// A node key is (shard << kLocalBits) | local id, local ids dense per shard.
+constexpr unsigned kLocalBits = 32 - kShardBits;
+constexpr std::uint32_t kLocalMask = (std::uint32_t{1} << kLocalBits) - 1;
+constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+/// The largest max_states explore_por accepts: one shard's local id space.
+/// A capped layer may overshoot the cap before the cut is known, so the
+/// shard tables still check their own bound (see shard_table::admit).
+constexpr usize kMaxStates = usize{1} << kLocalBits;
+
+constexpr usize shard_of(const fingerprint& fp) {
+  return static_cast<usize>(fp.a >> (64 - kShardBits));
+}
+
+/// What admitting one arrival did to its target node.
+enum class outcome : std::uint8_t {
+  seen,          ///< known node, nothing new to explore (or tightened in place)
+  created,       ///< new node, queued for the next layer
+  created_leaf,  ///< new quiescent node: counted, never expanded
+  resumed,       ///< known node whose sleep set shrank: queued again
+};
+
+constexpr bool queues(outcome o) {
+  return o == outcome::created || o == outcome::resumed;
+}
+
+/// Verdict and count contributions of a set of admissions. Every field is
+/// an order-blind sum, min, max or OR, so per-shard tallies apply to the
+/// result in any order.
+struct tally {
+  usize states = 0;
+  usize quiescent_states = 0;
+  usize resumed_states = 0;
+  usize min_effectiveness = ~usize{0};
+  usize max_effectiveness = 0;
+  bool duplicate_found = false;
+  bool lemma62_violated = false;
+
+  void add_state(const sys_state& st, bool terminal, const model_config& cfg) {
+    ++states;
+    if (st.duplicate) duplicate_found = true;
+    if (!lemma62_holds(st, cfg)) lemma62_violated = true;
+    if (terminal) {
+      ++quiescent_states;
+      const usize e = jobs_performed(st);
+      if (e < min_effectiveness) min_effectiveness = e;
+      if (e > max_effectiveness) max_effectiveness = e;
+    }
+  }
+
+  void apply(explore_result& r, por_stats& s) const {
+    r.states += states;
+    r.quiescent_states += quiescent_states;
+    s.resumed_states += resumed_states;
+    r.min_effectiveness = std::min(r.min_effectiveness, min_effectiveness);
+    r.max_effectiveness = std::max(r.max_effectiveness, max_effectiveness);
+    r.duplicate_found = r.duplicate_found || duplicate_found;
+    r.lemma62_violated = r.lemma62_violated || lemma62_violated;
+  }
+};
+
+/// One shard of the visited set: fingerprint -> local id (linear probing,
+/// power-of-two capacity, at most 3/4 full), plus per-node state by id.
+class shard_table {
+ public:
+  struct node {
+    /// The smallest sleep set the state has been explored with. A revisit
+    /// with a smaller set re-expands the state (the newly awake actions
+    /// were not covered), AND-merging masks so the exploration is the
+    /// union of what every arrival requires.
+    amask sleep = 0;
+    /// The layer whose merge last queued the node: a later arrival in the
+    /// same layer tightens the queued item in place instead of queuing it
+    /// twice (the item reads `sleep` when the next layer is built).
+    std::uint32_t queued_layer = 0;
+  };
+
+  explicit shard_table(std::uint32_t shard)
+      : base_(shard << kLocalBits), slots_(256) {}
+
+  /// Admits one arrival in `layer`: dedup, AND-merge, verdicts for a new
+  /// node. Writes the target node's key.
+  outcome admit(const fingerprint& fp, const sys_state& st, amask sleep,
+                std::uint32_t layer, const model_config& cfg,
+                std::uint32_t& key) {
+    if ((nodes_.size() + 1) * 4 > slots_.size() * 3) grow();
+    slot& sl = find(fp);
+    if (sl.local == kEmpty) {
+      if (nodes_.size() > kLocalMask) {
+        throw std::length_error(
+            "explore_por: a visited-table shard exceeded its 2^" +
+            std::to_string(kLocalBits) + " node ids");
+      }
+      sl.fp = fp;
+      sl.local = static_cast<std::uint32_t>(nodes_.size());
+      key = base_ | sl.local;
+      // Terminal states store an empty mask: nothing to expand, so no
+      // later arrival can ever re-queue them.
+      const bool terminal = quiescent(st, cfg);
+      nodes_.push_back({terminal ? amask{0} : sleep, layer});
+      layer_tally.add_state(st, terminal, cfg);
+      return terminal ? outcome::created_leaf : outcome::created;
+    }
+    key = base_ | sl.local;
+    node& nd = nodes_[sl.local];
+    const amask merged = static_cast<amask>(nd.sleep & sleep);
+    if (merged == nd.sleep) return outcome::seen;  // explored this much
+    nd.sleep = merged;
+    if (nd.queued_layer == layer) return outcome::seen;  // tightened in place
+    nd.queued_layer = layer;
+    ++layer_tally.resumed_states;
+    return outcome::resumed;
+  }
+
+  [[nodiscard]] amask sleep_of(std::uint32_t key) const {
+    return nodes_[key & kLocalMask].sleep;
+  }
+  [[nodiscard]] usize size() const { return nodes_.size(); }
+
+  /// Contributions of the admissions since the last reset.
+  tally layer_tally;
+
+ private:
+  struct slot {
+    fingerprint fp;
+    std::uint32_t local = kEmpty;
+  };
+
+  slot& find(const fingerprint& fp) {
+    const usize mask = slots_.size() - 1;
+    for (usize i = static_cast<usize>(fp.b) & mask;; i = (i + 1) & mask) {
+      slot& sl = slots_[i];
+      if (sl.local == kEmpty || sl.fp == fp) return sl;
+    }
+  }
+
+  void grow() {
+    std::vector<slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const slot& sl : old) {
+      if (sl.local != kEmpty) find(sl.fp) = sl;
+    }
+  }
+
+  std::uint32_t base_;
+  std::vector<slot> slots_;
+  std::vector<node> nodes_;
+};
 
 // ---------------------------------------------------------------------------
 // Layered frontier
@@ -235,21 +398,32 @@ usize choose_expansion(const sys_state& s, const model_config& cfg,
 /// One state awaiting expansion.
 struct work_item {
   sys_state st;
-  std::uint32_t idx = 0;  ///< node id (first-arrival order)
+  std::uint32_t key = 0;  ///< node key in the sharded visited table
   amask sleep = 0;        ///< actions proven covered by sibling branches
 };
 
-/// One emitted edge: the successor state plus the sleep set it inherits.
+/// One emitted edge: the successor state plus the sleep set it inherits,
+/// and — once its shard has merged it — the node it reached.
 struct arrival {
   fingerprint fp;
   sys_state st;
   std::uint32_t from = 0;
+  std::uint32_t target = 0;
   amask sleep = 0;
+  outcome result = outcome::seen;
 };
 
-/// Per-block expansion output, merged in block order for determinism.
+/// Per-block expansion output. Global arrival order is (block, position).
 struct block_out {
   std::vector<arrival> arrivals;
+  /// Arrival positions grouped by shard, in position order within each
+  /// shard: shard s owns order[shard_begin[s] .. shard_begin[s + 1]).
+  std::vector<std::uint32_t> order;
+  std::array<std::uint32_t, kShards + 1> shard_begin{};
+  /// Arrivals of each shard that queue a node for the next layer.
+  std::array<std::uint32_t, kShards> queued{};
+  usize next_base = 0;  ///< this block's first slot in the next layer
+  usize edge_base = 0;  ///< this block's first slot in the edge list
   usize sleep_pruned = 0;
   usize singleton_states = 0;
   usize full_states = 0;
@@ -295,10 +469,50 @@ void expand(const work_item& item, const model_config& cfg, block_out& out) {
     arrival arr;
     arr.fp = fingerprint_of(succ, cfg);
     arr.st = std::move(succ);
-    arr.from = item.idx;
+    arr.from = item.key;
     arr.sleep = child_sleep;
     out.arrivals.push_back(std::move(arr));
     earlier = static_cast<amask>(earlier | bit_of(a));
+  }
+}
+
+/// Expands one block of the layer and buckets its arrivals by shard.
+void expand_block(const work_item* first, const work_item* last,
+                  const model_config& cfg, block_out& out) {
+  out.arrivals.clear();
+  out.sleep_pruned = 0;
+  out.singleton_states = 0;
+  out.full_states = 0;
+  for (const work_item* it = first; it != last; ++it) expand(*it, cfg, out);
+
+  out.shard_begin.fill(0);
+  for (const arrival& arr : out.arrivals) ++out.shard_begin[shard_of(arr.fp) + 1];
+  for (usize s = 0; s < kShards; ++s) {
+    out.shard_begin[s + 1] += out.shard_begin[s];
+  }
+  std::array<std::uint32_t, kShards> fill{};
+  std::copy_n(out.shard_begin.begin(), kShards, fill.begin());
+  out.order.resize(out.arrivals.size());
+  for (usize i = 0; i < out.arrivals.size(); ++i) {
+    out.order[fill[shard_of(out.arrivals[i].fp)]++] =
+        static_cast<std::uint32_t>(i);
+  }
+}
+
+void count_expansions(const block_out& out, por_stats& s) {
+  s.sleep_pruned += out.sleep_pruned;
+  s.singleton_states += out.singleton_states;
+  s.full_states += out.full_states;
+}
+
+/// Runs fn(0..count-1) on the pool, or inline without one: the serial run
+/// is the same tasks in index order.
+void for_each_task(svc::worker_pool* pool, usize count,
+                   const std::function<void(usize)>& fn) {
+  if (pool != nullptr && pool->size() > 1 && count > 1) {
+    pool->run_indexed(count, fn);
+  } else {
+    for (usize i = 0; i < count; ++i) fn(i);
   }
 }
 
@@ -345,85 +559,46 @@ bool has_cycle(std::uint32_t nodes,
 
 explore_result explore_por(const por_options& opt, por_stats& stats) {
   const model_config& cfg = opt.cfg;
-  assert(opt.max_states < ~std::uint32_t{0} && "node ids are 32-bit");
+  if (opt.max_states > kMaxStates) {
+    throw std::invalid_argument(
+        "explore_por: max_states = " + std::to_string(opt.max_states) +
+        " exceeds the limit of " + std::to_string(kMaxStates) +
+        " states (2^" + std::to_string(kLocalBits) +
+        " node ids per visited-table shard)");
+  }
   explore_result result;
   stats = por_stats{};
 
   obs::span sp("model", "explore_por");
   stopwatch clock;
 
-  // visited: fingerprint -> node id + the smallest sleep set the state has
-  // been explored with. A revisit with a smaller set re-expands the state
-  // (the newly awake actions were not covered), AND-merging masks so the
-  // exploration is the union of what every arrival requires.
-  struct node {
-    std::uint32_t idx = 0;
-    amask sleep = 0;
-  };
-  std::unordered_map<fingerprint, node, fingerprint_hash> visited;
+  std::vector<shard_table> shards;
+  shards.reserve(kShards);
+  for (usize s = 0; s < kShards; ++s) {
+    shards.emplace_back(static_cast<std::uint32_t>(s));
+  }
+  // Edges between node keys, in global arrival order.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  std::uint32_t node_count = 0;
-  bool capped = false;
-
   std::vector<work_item> layer;
   std::vector<work_item> next;
-  // Same-layer AND-merge: fingerprint -> position in `next`.
-  std::unordered_map<fingerprint, usize, fingerprint_hash> queued;
-
-  // Admits one state (the root, or an arrival): dedup, verdicts, queueing.
-  auto admit = [&](const fingerprint& fp, const sys_state& st, amask sleep,
-                   const std::uint32_t* from) {
-    auto it = visited.find(fp);
-    if (it == visited.end()) {
-      const std::uint32_t idx = node_count++;
-      // Terminal states store an empty mask: nothing to expand, so no
-      // later arrival can ever re-queue them.
-      const bool terminal = quiescent(st, cfg);
-      visited.emplace(fp, node{idx, terminal ? amask{0} : sleep});
-      if (from != nullptr) edges.emplace_back(*from, idx);
-      ++result.states;
-      if (st.duplicate) result.duplicate_found = true;
-      if (!lemma62_holds(st, cfg)) result.lemma62_violated = true;
-      if (terminal) {
-        ++result.quiescent_states;
-        const usize e = jobs_performed(st);
-        if (e < result.min_effectiveness) result.min_effectiveness = e;
-        if (e > result.max_effectiveness) result.max_effectiveness = e;
-      } else {
-        queued.emplace(fp, next.size());
-        next.push_back({st, idx, sleep});
-      }
-      if (result.states >= opt.max_states) capped = true;
-      return;
-    }
-    node& nd = it->second;
-    if (from != nullptr) edges.emplace_back(*from, nd.idx);
-    const amask merged = static_cast<amask>(nd.sleep & sleep);
-    if (merged == nd.sleep) return;  // explored at least this much already
-    nd.sleep = merged;
-    const auto qit = queued.find(fp);
-    if (qit != queued.end()) {
-      next[qit->second].sleep = merged;  // not expanded yet: tighten in place
-    } else {
-      ++stats.resumed_states;
-      queued.emplace(fp, next.size());
-      next.push_back({st, nd.idx, merged});
-    }
-  };
 
   {
     sys_state root = initial_state(cfg);
     const fingerprint fp = fingerprint_of(root, cfg);
-    admit(fp, root, 0, nullptr);
-    layer.swap(next);
-    queued.clear();
+    shard_table& home = shards[shard_of(fp)];
+    std::uint32_t key = 0;
+    if (queues(home.admit(fp, root, 0, 0, cfg, key))) {
+      layer.push_back({std::move(root), key, 0});
+    }
+    home.layer_tally.apply(result, stats);
   }
+  bool capped = result.states >= opt.max_states;
 
   constexpr usize kBlock = 128;
   std::vector<block_out> outs;
 
   while (!layer.empty() && !capped) {
-    ++stats.layers;
+    const auto layer_no = static_cast<std::uint32_t>(++stats.layers);
     if (layer.size() > stats.peak_frontier) stats.peak_frontier = layer.size();
     if (obs::enabled()) {
       obs::counter("model", "frontier", static_cast<double>(layer.size()));
@@ -436,41 +611,114 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
       }
     }
 
+    // 1. Expand the layer in fixed-size blocks.
     const usize blocks = (layer.size() + kBlock - 1) / kBlock;
-    outs.clear();
     outs.resize(blocks);
-    auto run_block = [&](usize b) {
-      block_out& out = outs[b];
+    for_each_task(opt.pool, blocks, [&](usize b) {
       const usize lo = b * kBlock;
       const usize hi = lo + kBlock < layer.size() ? lo + kBlock : layer.size();
-      for (usize i = lo; i < hi; ++i) expand(layer[i], cfg, out);
-    };
-    if (opt.pool != nullptr && opt.pool->size() > 1 && blocks > 1) {
-      opt.pool->run_indexed(blocks, run_block);
-    } else {
-      for (usize b = 0; b < blocks; ++b) run_block(b);
-    }
+      expand_block(layer.data() + lo, layer.data() + hi, cfg, outs[b]);
+    });
 
-    // Serial merge in block order: arrival order — hence node ids, counts
-    // and verdict attribution — is a pure function of the layer contents,
-    // not of worker scheduling.
-    next.clear();
-    queued.clear();
-    for (block_out& out : outs) {
-      stats.sleep_pruned += out.sleep_pruned;
-      stats.singleton_states += out.singleton_states;
-      stats.full_states += out.full_states;
-      for (arrival& arr : out.arrivals) {
-        if (capped) break;
-        ++result.transitions;
-        admit(arr.fp, arr.st, arr.sleep, &arr.from);
+    // 2. Merge every shard's arrivals in global (block, position) order.
+    // A fingerprint's arrivals all land in one shard, in the order the
+    // serial scan would admit them, so each node sees the same sequence of
+    // AND-merges at any pool size.
+    for_each_task(opt.pool, kShards, [&](usize s) {
+      shard_table& t = shards[s];
+      t.layer_tally = tally{};
+      for (usize b = 0; b < blocks; ++b) {
+        block_out& out = outs[b];
+        std::uint32_t queued = 0;
+        for (std::uint32_t k = out.shard_begin[s]; k < out.shard_begin[s + 1];
+             ++k) {
+          arrival& arr = out.arrivals[out.order[k]];
+          arr.result = t.admit(arr.fp, arr.st, arr.sleep, layer_no, cfg,
+                               arr.target);
+          if (queues(arr.result)) ++queued;
+        }
+        out.queued[s] = queued;
       }
-      if (capped) break;
+    });
+
+    usize created = 0;
+    for (const shard_table& t : shards) created += t.layer_tally.states;
+    if (result.states + created >= opt.max_states) {
+      // The cap falls inside this layer: cut at the max_states-th new state
+      // in global arrival order, as a serial admission loop would, and
+      // count only what precedes the cut (reduction stats by whole block).
+      capped = true;
+      tally cut;
+      const usize want = opt.max_states - result.states;
+      for (usize b = 0; b < blocks && cut.states < want; ++b) {
+        const block_out& out = outs[b];
+        count_expansions(out, stats);
+        for (const arrival& arr : out.arrivals) {
+          ++result.transitions;
+          edges.emplace_back(arr.from, arr.target);
+          if (arr.result == outcome::resumed) ++cut.resumed_states;
+          if (arr.result == outcome::created ||
+              arr.result == outcome::created_leaf) {
+            cut.add_state(arr.st, arr.result == outcome::created_leaf, cfg);
+            if (cut.states == want) break;
+          }
+        }
+      }
+      cut.apply(result, stats);
+      break;
     }
+    for (const shard_table& t : shards) t.layer_tally.apply(result, stats);
+
+    // 3. Lay out the next layer (queued nodes in global arrival order) and
+    // the edges, then fill both per block.
+    usize queued_total = 0;
+    usize edge_total = edges.size();
+    for (usize b = 0; b < blocks; ++b) {
+      block_out& out = outs[b];
+      count_expansions(out, stats);
+      result.transitions += out.arrivals.size();
+      out.next_base = queued_total;
+      out.edge_base = edge_total;
+      for (const std::uint32_t q : out.queued) queued_total += q;
+      edge_total += out.arrivals.size();
+    }
+    next.clear();
+    next.resize(queued_total);
+    edges.resize(edge_total);
+    for_each_task(opt.pool, blocks, [&](usize b) {
+      block_out& out = outs[b];
+      usize q = out.next_base;
+      usize e = out.edge_base;
+      for (arrival& arr : out.arrivals) {
+        edges[e++] = {arr.from, arr.target};
+        if (queues(arr.result)) {
+          next[q++] = {std::move(arr.st), arr.target,
+                       shards[arr.target >> kLocalBits].sleep_of(arr.target)};
+        }
+      }
+    });
     layer.swap(next);
   }
 
-  result.cycle_found = has_cycle(node_count, edges);
+  // Node keys -> dense ids (shard-major) for the cycle check.
+  std::array<std::uint32_t, kShards> base{};
+  usize node_count = 0;
+  for (usize s = 0; s < kShards; ++s) {
+    base[s] = static_cast<std::uint32_t>(node_count);
+    node_count += shards[s].size();
+  }
+  // Free the tables and the frontier before the cycle check allocates its
+  // CSR arrays, so the two do not add up in peak memory.
+  shards = {};
+  outs = {};
+  layer = {};
+  next = {};
+  for (auto& [from, to] : edges) {
+    from = base[from >> kLocalBits] + (from & kLocalMask);
+    to = base[to >> kLocalBits] + (to & kLocalMask);
+  }
+  result.cycle_found =
+      has_cycle(static_cast<std::uint32_t>(node_count), edges);
   result.complete = !capped;
   result.max_depth = stats.layers;
   if (result.quiescent_states == 0) result.min_effectiveness = 0;

@@ -16,9 +16,11 @@
 // the states. See docs/model_checking.md for the independence relation
 // and the soundness argument.
 //
-// The frontier is explored breadth-first in layers, and each layer fans
-// out over an optional svc::worker_pool in fixed-size blocks whose
-// results are merged in block order — states/transitions counts are
+// The frontier is explored breadth-first in layers, each fanned out over
+// an optional svc::worker_pool: fixed-size blocks expand the states, a
+// fixed number of fingerprint shards of the visited table dedup and merge
+// the arrivals (each shard in global arrival order), and the blocks lay
+// out the next layer. Every count, verdict and por_stats field is
 // bit-identical at any pool size (the house invariant, extended to the
 // checker; asserted in tests/test_model_por.cpp).
 #pragma once
@@ -34,6 +36,8 @@ namespace amo::model {
 struct por_options {
   model_config cfg;
   /// Abort (result.complete = false) after visiting this many states.
+  /// At most 2^26 = 67,108,864 (the visited table's per-shard node id
+  /// space); explore_por throws std::invalid_argument above that.
   usize max_states = 20'000'000;
   /// Frontier parallelism; nullptr (or a 1-worker pool) explores serially.
   /// The pool must not be running another batch on the calling thread

@@ -37,7 +37,7 @@ TEST(ExpEngine, SameSpecSameReport) {
 TEST(ExpEngine, DegenerateUniverseRunsVacuously) {
   // n == 0 / m == 0 are valid specs; the engine returns a trivially
   // quiescent report instead of throwing.
-  for (const auto [n, m] : {std::pair<usize, usize>{0, 3}, {300, 0}}) {
+  for (const auto& [n, m] : {std::pair<usize, usize>{0, 3}, {300, 0}}) {
     exp::run_spec s = small_kk("round_robin");
     s.n = n;
     s.m = m;

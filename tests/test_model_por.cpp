@@ -12,6 +12,8 @@
 // result (counts included) is bit-identical at any worker-pool size.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "model/dpor.hpp"
@@ -144,40 +146,83 @@ TEST(PorDifferential, RandomizedSmallConfigs) {
 }
 
 TEST(PorDeterminism, BitIdenticalAtAnyPoolSize) {
-  const auto cfg =
-      make_cfg(4, 3, 3, 2, selection_rule::paper_rank, kk_mode::plain);
-
-  por_options serial;
-  serial.cfg = cfg;
-  por_stats serial_stats;
-  const explore_result base = explore_por(serial, serial_stats);
-
-  // workers = 0 resolves to hardware_concurrency.
-  for (const usize workers : {usize{1}, usize{2}, usize{0}}) {
-    svc::worker_pool pool(workers);
+  struct input {
+    const char* label;
     por_options opt;
-    opt.cfg = cfg;
-    opt.pool = &pool;
-    por_stats stats;
-    const explore_result r = explore_por(opt, stats);
-    SCOPED_TRACE("workers=" + std::to_string(pool.size()));
-    EXPECT_EQ(base.complete, r.complete);
-    EXPECT_EQ(base.states, r.states);
-    EXPECT_EQ(base.transitions, r.transitions);
-    EXPECT_EQ(base.duplicate_found, r.duplicate_found);
-    EXPECT_EQ(base.cycle_found, r.cycle_found);
-    EXPECT_EQ(base.lemma62_violated, r.lemma62_violated);
-    EXPECT_EQ(base.quiescent_states, r.quiescent_states);
-    EXPECT_EQ(base.min_effectiveness, r.min_effectiveness);
-    EXPECT_EQ(base.max_effectiveness, r.max_effectiveness);
-    EXPECT_EQ(base.max_depth, r.max_depth);
-    // The reduction-side stats are part of the determinism contract too.
-    EXPECT_EQ(serial_stats.singleton_states, stats.singleton_states);
-    EXPECT_EQ(serial_stats.full_states, stats.full_states);
-    EXPECT_EQ(serial_stats.sleep_pruned, stats.sleep_pruned);
-    EXPECT_EQ(serial_stats.resumed_states, stats.resumed_states);
-    EXPECT_EQ(serial_stats.peak_frontier, stats.peak_frontier);
-    EXPECT_EQ(serial_stats.layers, stats.layers);
+    bool cycles = false;   ///< expected cycle_found
+    bool resumes = false;  ///< reaches the sleep-set resumption path
+    const explore_result* pinned = nullptr;  ///< exact serial counts
+  };
+  por_options plain;
+  plain.cfg = make_cfg(4, 3, 3, 2, selection_rule::paper_rank, kk_mode::plain);
+  // Flag raises, Lemma 6.2 outputs and sleep-set resumptions.
+  por_options iter;
+  iter.cfg = make_cfg(5, 2, 2, 1, selection_rule::paper_rank,
+                      kk_mode::iter_step);
+  // The livelock: cycle_found must survive the node-key remap.
+  por_options livelock;
+  livelock.cfg = make_cfg(2, 3, 1, 0, selection_rule::two_ends, kk_mode::plain);
+  // Capped mid-layer: the cut must fall at the max_states-th new state in
+  // global arrival order, so every count is pinned (a cut anywhere else
+  // shifts transitions and quiescent_states).
+  por_options capped;
+  capped.cfg = make_cfg(5, 3, 3, 2, selection_rule::paper_rank, kk_mode::plain);
+  capped.max_states = 100'000;
+  explore_result capped_counts;
+  capped_counts.complete = false;
+  capped_counts.states = 100'000;
+  capped_counts.transitions = 101'369;
+  capped_counts.quiescent_states = 1'360;
+  capped_counts.min_effectiveness = 1;
+  capped_counts.max_effectiveness = 3;
+
+  const input inputs[] = {
+      {"plain n4m3f2", plain, false, false, nullptr},
+      {"iter_step n5m2f1", iter, false, true, nullptr},
+      {"two_ends livelock n2m3b1", livelock, true, true, nullptr},
+      {"capped n5m3f2 at 100k", capped, false, true, &capped_counts}};
+
+  for (const input& in : inputs) {
+    SCOPED_TRACE(in.label);
+    por_stats serial_stats;
+    const explore_result base = explore_por(in.opt, serial_stats);
+    EXPECT_EQ(base.cycle_found, in.cycles);
+    EXPECT_EQ(serial_stats.resumed_states > 0, in.resumes);
+    if (in.pinned != nullptr) {
+      EXPECT_EQ(base.complete, in.pinned->complete);
+      EXPECT_EQ(base.states, in.pinned->states);
+      EXPECT_EQ(base.transitions, in.pinned->transitions);
+      EXPECT_EQ(base.quiescent_states, in.pinned->quiescent_states);
+      EXPECT_EQ(base.min_effectiveness, in.pinned->min_effectiveness);
+      EXPECT_EQ(base.max_effectiveness, in.pinned->max_effectiveness);
+    }
+
+    // workers = 0 resolves to hardware_concurrency.
+    for (const usize workers : {usize{1}, usize{2}, usize{0}}) {
+      svc::worker_pool pool(workers);
+      por_options opt = in.opt;
+      opt.pool = &pool;
+      por_stats stats;
+      const explore_result r = explore_por(opt, stats);
+      SCOPED_TRACE("workers=" + std::to_string(pool.size()));
+      EXPECT_EQ(base.complete, r.complete);
+      EXPECT_EQ(base.states, r.states);
+      EXPECT_EQ(base.transitions, r.transitions);
+      EXPECT_EQ(base.duplicate_found, r.duplicate_found);
+      EXPECT_EQ(base.cycle_found, r.cycle_found);
+      EXPECT_EQ(base.lemma62_violated, r.lemma62_violated);
+      EXPECT_EQ(base.quiescent_states, r.quiescent_states);
+      EXPECT_EQ(base.min_effectiveness, r.min_effectiveness);
+      EXPECT_EQ(base.max_effectiveness, r.max_effectiveness);
+      EXPECT_EQ(base.max_depth, r.max_depth);
+      // The reduction-side stats are part of the determinism contract too.
+      EXPECT_EQ(serial_stats.singleton_states, stats.singleton_states);
+      EXPECT_EQ(serial_stats.full_states, stats.full_states);
+      EXPECT_EQ(serial_stats.sleep_pruned, stats.sleep_pruned);
+      EXPECT_EQ(serial_stats.resumed_states, stats.resumed_states);
+      EXPECT_EQ(serial_stats.peak_frontier, stats.peak_frontier);
+      EXPECT_EQ(serial_stats.layers, stats.layers);
+    }
   }
 }
 
@@ -203,6 +248,36 @@ TEST(PorSentinel, CappedRunReportsZeroMinEffectiveness) {
   EXPECT_FALSE(por.complete);
   EXPECT_EQ(por.quiescent_states, 0u);
   EXPECT_EQ(por.min_effectiveness, 0u);
+
+  // Capped mid-layer after quiescent states were reached: the true
+  // minimum, neither the sentinel nor 0, at any pool size.
+  po.max_states = 100'000;
+  for (const usize workers : {usize{1}, usize{2}, usize{0}}) {
+    svc::worker_pool pool(workers);
+    po.pool = &pool;
+    const explore_result r = explore_por(po);
+    SCOPED_TRACE("workers=" + std::to_string(pool.size()));
+    EXPECT_FALSE(r.complete);
+    EXPECT_EQ(r.quiescent_states, 1'360u);
+    EXPECT_EQ(r.min_effectiveness, 1u);
+  }
+}
+
+TEST(PorLimits, MaxStatesAboveTheNodeKeySpaceThrows) {
+  // Node keys pack a 6-bit shard and a 26-bit local id; the bound is
+  // checked in every build type, not by an assert.
+  por_options opt;
+  opt.cfg = make_cfg(2, 2, 2, 1, selection_rule::paper_rank, kk_mode::plain);
+  opt.max_states = (usize{1} << 26) + 1;
+  try {
+    explore_por(opt);
+    ADD_FAILURE() << "max_states above the limit was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("67108864"), std::string::npos)
+        << e.what();
+  }
+  opt.max_states = usize{1} << 26;
+  EXPECT_TRUE(explore_por(opt).complete);
 }
 
 }  // namespace
