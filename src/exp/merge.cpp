@@ -529,23 +529,25 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
   return out;
 }
 
-merge_result merge_shards(const std::vector<std::vector<record>>& shards) {
+merge_result merge_shards(std::vector<std::vector<record>> shards) {
   // The in-memory contract accepts records in any order; the streaming
-  // fold needs them ascending — pre-sort each shard (stably, so a
-  // same-index duplicate inside one shard keeps its record order).
+  // fold needs them ascending. A verified shard already is (strided and
+  // in order), so only a shard that is not gets sorted — in place and
+  // stably, so a same-index duplicate inside one shard keeps its order.
+  const auto by_unit = [](const record& a, const record& b) {
+    usize ia = 0;
+    usize ib = 0;
+    read_index(a, "unit", ia);
+    read_index(b, "unit", ib);
+    return ia < ib;
+  };
   std::vector<std::unique_ptr<record_source>> sources;
   sources.reserve(shards.size());
-  for (const std::vector<record>& shard : shards) {
-    std::vector<record> sorted = shard;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const record& a, const record& b) {
-                       usize ia = 0;
-                       usize ib = 0;
-                       read_index(a, "unit", ia);
-                       read_index(b, "unit", ib);
-                       return ia < ib;
-                     });
-    sources.push_back(make_memory_source(std::move(sorted)));
+  for (std::vector<record>& shard : shards) {
+    if (!std::is_sorted(shard.begin(), shard.end(), by_unit)) {
+      std::stable_sort(shard.begin(), shard.end(), by_unit);
+    }
+    sources.push_back(make_memory_source(std::move(shard)));
   }
   return merge_stream(std::move(sources));
 }

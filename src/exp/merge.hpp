@@ -13,9 +13,9 @@
 // that holds one head record per source plus at most one cell's replicas,
 // so a merge over million-unit shard files never materializes a
 // full-sweep record vector. merge_shards is the in-memory front end over
-// the same fold (it pre-sorts each shard, preserving the old any-order
-// contract); file sources must already be index-ascending, which every
-// writer in this repo guarantees.
+// the same fold (it sorts any shard that is not already ascending,
+// preserving the old any-order contract); file sources must already be
+// index-ascending, which every writer in this repo guarantees.
 //
 // The contract is strict: the shards must agree on the grid
 // (fingerprint + sizes), and the union must cover the whole index space
@@ -79,8 +79,10 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
                           const record_sink& sink = {});
 
 /// Merges the records of several shard files (each element = one file's
-/// parsed records, any order). In-memory front end of merge_stream.
-merge_result merge_shards(const std::vector<std::vector<record>>& shards);
+/// parsed records, any order). In-memory front end of merge_stream: the
+/// shards are taken by value (move them in) and folded in place; only a
+/// shard that is not already unit-ascending gets sorted.
+merge_result merge_shards(std::vector<std::vector<record>> shards);
 
 /// Folds ONE cell's unit records (complete, replica order) into the
 /// aggregate record add_cell_records would have emitted — raw tokens of

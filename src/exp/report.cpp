@@ -140,17 +140,20 @@ void append_moved(std::vector<std::pair<std::string, std::string>>& dst,
 
 }  // namespace
 
-void add_cell_records(json_writer& out, const sweep_result& swept,
-                      std::uint64_t grid, bool include_timing,
-                      const extra_fields& extra) {
+std::vector<record_row> cell_record_rows(const sweep_result& swept,
+                                         std::uint64_t grid,
+                                         bool include_timing,
+                                         const extra_fields& extra) {
   using W = json_writer;
   const std::string fp = grid_hex(grid);
+  std::vector<record_row> rows;
+  rows.reserve(swept.cells.size());
   for (usize i = 0; i < swept.cells.size(); ++i) {
     const cell_report& cr = swept.cells[i];
     const cell_stats& st = cr.stats;
     const run_report& base = swept.reports[cr.first];
 
-    std::vector<std::pair<std::string, std::string>> fields;
+    record_row& fields = rows.emplace_back();
     fields.reserve(64);
     fields.emplace_back("cell", W::num(std::uint64_t{i}));
     fields.emplace_back("cells_total",
@@ -180,19 +183,23 @@ void add_cell_records(json_writer& out, const sweep_result& swept,
       fields.emplace_back("wall_seconds", W::num(st.wall_seconds));
     }
     fields.insert(fields.end(), extra.begin(), extra.end());
-    out.add(fields);
   }
+  return rows;
 }
 
-void add_unit_records(json_writer& out, const std::vector<run_report>& reports,
-                      const std::vector<unit_ref>& units, usize units_total,
-                      usize cells_total, std::uint64_t grid,
-                      bool include_timing, const extra_fields& extra) {
+std::vector<record_row> unit_record_rows(const std::vector<run_report>& reports,
+                                         const std::vector<unit_ref>& units,
+                                         usize units_total, usize cells_total,
+                                         std::uint64_t grid,
+                                         bool include_timing,
+                                         const extra_fields& extra) {
   using W = json_writer;
   const std::string fp = grid_hex(grid);
+  std::vector<record_row> rows;
+  rows.reserve(reports.size());
   for (usize i = 0; i < reports.size(); ++i) {
     const unit_ref& u = units[i];
-    std::vector<std::pair<std::string, std::string>> fields;
+    record_row& fields = rows.emplace_back();
     fields.reserve(40);
     fields.emplace_back("unit", W::num(std::uint64_t{u.unit}));
     fields.emplace_back("units_total", W::num(std::uint64_t{units_total}));
@@ -203,8 +210,50 @@ void add_unit_records(json_writer& out, const std::vector<run_report>& reports,
     fields.emplace_back("grid", W::str(fp));
     append_moved(fields, report_fields(reports[i], include_timing));
     fields.insert(fields.end(), extra.begin(), extra.end());
-    out.add(fields);
   }
+  return rows;
+}
+
+void add_cell_records(json_writer& out, const sweep_result& swept,
+                      std::uint64_t grid, bool include_timing,
+                      const extra_fields& extra) {
+  for (const record_row& row :
+       cell_record_rows(swept, grid, include_timing, extra)) {
+    out.add(row);
+  }
+}
+
+void add_unit_records(json_writer& out, const std::vector<run_report>& reports,
+                      const std::vector<unit_ref>& units, usize units_total,
+                      usize cells_total, std::uint64_t grid,
+                      bool include_timing, const extra_fields& extra) {
+  for (const record_row& row :
+       unit_record_rows(reports, units, units_total, cells_total, grid,
+                        include_timing, extra)) {
+    out.add(row);
+  }
+}
+
+bool rows_to_records(std::vector<record_row> rows, std::vector<record>& out,
+                     std::string& error) {
+  out.clear();
+  out.reserve(rows.size());
+  for (usize i = 0; i < rows.size(); ++i) {
+    record& rec = out.emplace_back();
+    rec.fields.reserve(rows[i].size());
+    for (auto& [key, token] : rows[i]) {
+      record_field& f = rec.fields.emplace_back();
+      if (!parse_value_token(token, f, error)) {
+        error =
+            "record " + std::to_string(i) + " field '" + key + "': " + error;
+        out.clear();
+        return false;
+      }
+      f.key = std::move(key);
+    }
+    record_row().swap(rows[i]);  // peak = one row + the records, not both
+  }
+  return true;
 }
 
 }  // namespace amo::exp

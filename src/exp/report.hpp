@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "exp/record.hpp"
 #include "exp/shard.hpp"
 #include "exp/spec.hpp"
 #include "exp/sweep.hpp"
@@ -64,11 +65,16 @@ class json_writer {
 void add_reports(json_writer& out, const std::vector<run_report>& reports,
                  bool include_timing = true);
 
+/// One record's fields in schema order, values pre-encoded through
+/// json_writer::num/str/boolean: the single description of an output row
+/// that both json_writer (JSON) and rows_to_records (.amoc) consume.
+using record_row = std::vector<std::pair<std::string, std::string>>;
+
 /// Extra caller-supplied fields appended verbatim at the end of each
 /// record (e.g. the serve layer's per-job timing fields).
-using extra_fields = std::vector<std::pair<std::string, std::string>>;
+using extra_fields = record_row;
 
-/// Aggregate cell records — what an unsharded sweep emits: one record per
+/// Aggregate cell rows — what an unsharded sweep emits: one record per
 /// cell, {"cell", "cells_total", "grid", "replicas"}, then the base
 /// replica's report_fields with the safety fields (at_most_once,
 /// quiescent, wa_complete, duplicate) replaced by their any-replica fold,
@@ -77,19 +83,38 @@ using extra_fields = std::vector<std::pair<std::string, std::string>>;
 /// emit per-unit records instead), so record i's "cell" index is i and
 /// cells_total is swept.cells.size(). exp::merge_shards rebuilds exactly
 /// these bytes from per-unit shard records.
-void add_cell_records(json_writer& out, const sweep_result& swept,
-                      std::uint64_t grid, bool include_timing = true,
-                      const extra_fields& extra = {});
+[[nodiscard]] std::vector<record_row> cell_record_rows(
+    const sweep_result& swept, std::uint64_t grid, bool include_timing = true,
+    const extra_fields& extra = {});
 
-/// Per-replica unit records — what a sharded sweep emits: one record per
+/// Per-replica unit rows — what a sharded sweep emits: one record per
 /// owned (cell, replica) unit, {"unit", "units_total", "cell",
 /// "cells_total", "replica", "replicas", "grid"} then the replica's
 /// report_fields (its "seed" is the exp::replica_seed-derived seed).
 /// Requires units.size() == reports.size().
+[[nodiscard]] std::vector<record_row> unit_record_rows(
+    const std::vector<run_report>& reports, const std::vector<unit_ref>& units,
+    usize units_total, usize cells_total, std::uint64_t grid,
+    bool include_timing = true, const extra_fields& extra = {});
+
+/// json_writer::add of every cell_record_rows row.
+void add_cell_records(json_writer& out, const sweep_result& swept,
+                      std::uint64_t grid, bool include_timing = true,
+                      const extra_fields& extra = {});
+
+/// json_writer::add of every unit_record_rows row.
 void add_unit_records(json_writer& out, const std::vector<run_report>& reports,
                       const std::vector<unit_ref>& units, usize units_total,
                       usize cells_total, std::uint64_t grid,
                       bool include_timing = true,
                       const extra_fields& extra = {});
+
+/// The records parse_records would read back from the JSON document these
+/// rows render to, built without rendering it: each value token goes
+/// through parse_value_token, so every field's type, decoded value and raw
+/// token are the parser's. False with `error` on a malformed token.
+[[nodiscard]] bool rows_to_records(std::vector<record_row> rows,
+                                   std::vector<record>& out,
+                                   std::string& error);
 
 }  // namespace amo::exp

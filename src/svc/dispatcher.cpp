@@ -211,6 +211,36 @@ std::string manifest_path(const dispatch_options& opt) {
                               : opt.manifest;
 }
 
+/// Validates one shard's artifact against the slice it owes: read,
+/// decode (either format), exp::verify_shard_records, content hash. On
+/// success the run is marked validated and keeps the decoded records; on
+/// failure `run.detail` says why. Runs on the attempt's own launcher
+/// thread as soon as its child exits, so the fast shards are verified
+/// while the slowest one still runs; --resume adoption calls it too.
+bool validate_shard(shard_run& run) {
+  obs::span vsp("dispatch", "verify");
+  vsp.arg("shard", std::uint64_t{run.shard.index});
+  std::string content;
+  std::string err;
+  if (!read_file(run.file.c_str(), content, err)) {
+    run.detail = err;
+    return false;
+  }
+  exp::parse_result parsed = exp::decode_records(content);
+  if (!parsed.ok()) {
+    run.detail = run.file + ": " + parsed.error;
+    return false;
+  }
+  if (!exp::verify_shard_records(parsed.records, run.shard, err)) {
+    run.detail = run.file + ": " + err;
+    return false;
+  }
+  run.validated = true;
+  run.content_fnv64 = fnv1a64(content);
+  run.records = std::move(parsed.records);
+  return true;
+}
+
 /// Checkpoints every validated shard (atomic write): enough for a later
 /// `dispatch --resume` to verify and adopt the file without rerunning it.
 void write_manifest(const std::string& path,
@@ -268,36 +298,29 @@ usize load_manifest(const std::string& path, std::vector<shard_run>& runs,
     }
     shard_run& run = runs[index];
     if (run.validated || f_file->text != run.file) continue;
-    std::string content;
-    std::string err;
     const auto skip = [&](const std::string& why) {
       if (!quiet) {
         std::fprintf(stderr, "dispatch: not reusing shard %s: %s\n",
                      exp::to_string(run.shard).c_str(), why.c_str());
       }
     };
-    if (!read_file(run.file.c_str(), content, err)) {
+    std::uint64_t hash = 0;
+    std::string err;
+    if (!fnv64_file(run.file.c_str(), hash, err)) {
       skip(err);
       continue;
     }
-    if (fnv_hex64(fnv1a64(content)) != f_hash->text) {
+    if (fnv_hex64(hash) != f_hash->text) {
       skip(run.file + ": content hash mismatch (file changed since checkpoint)");
       continue;
     }
-    exp::parse_result shard_parsed = exp::decode_records(content);
-    if (!shard_parsed.ok()) {
-      skip(run.file + ": " + shard_parsed.error);
+    if (!validate_shard(run)) {
+      skip(run.detail);
+      run.detail.clear();
       continue;
     }
-    if (!exp::verify_shard_records(shard_parsed.records, run.shard, err)) {
-      skip(run.file + ": " + err);
-      continue;
-    }
-    run.validated = true;
     run.reused = true;
     run.exit_code = exit_code;
-    run.content_fnv64 = fnv1a64(content);
-    run.records = std::move(shard_parsed.records);
     run.status = "reused from manifest (exit " + std::to_string(exit_code) +
                  ")";
     ++adopted;
@@ -394,11 +417,12 @@ dispatch_result dispatch(const std::string& args, const dispatch_options& opt) {
   }
 
   // Wave loop: launch every not-yet-validated shard in parallel (the point
-  // of dispatching is that k partitions run on k processes), then classify
-  // and VALIDATE the survivors' artifacts. A shard counts as done only
-  // once its file parses and covers exactly the slice it owes — a crash, a
-  // timeout, a torn write, and a corrupted byte all land in the same
-  // retry path, with the cause spelled out.
+  // of dispatching is that k partitions run on k processes); each launcher
+  // VALIDATES its survivor's artifact as soon as the child exits, while the
+  // other children still run. A shard counts as done only once its file
+  // parses and covers exactly the slice it owes — a crash, a timeout, a
+  // torn write, and a corrupted byte all land in the same retry path, with
+  // the cause spelled out.
   for (usize wave = 0;; ++wave) {
     std::vector<shard_run*> todo;
     for (shard_run& run : out.shards) {
@@ -437,38 +461,21 @@ dispatch_result dispatch(const std::string& args, const dispatch_options& opt) {
         }
         launchers.emplace_back(
             [run, &opt, env = std::move(env_add)] {
-              obs::span asp("dispatch", "shard_attempt");
-              asp.arg("shard", std::uint64_t{run->shard.index});
-              asp.arg("attempt", static_cast<std::uint64_t>(run->attempts));
-              run_supervised(*run, opt.deadline_s, opt.term_grace_s, env);
-              asp.arg("status", std::string_view(run->status));
+              {
+                obs::span asp("dispatch", "shard_attempt");
+                asp.arg("shard", std::uint64_t{run->shard.index});
+                asp.arg("attempt", static_cast<std::uint64_t>(run->attempts));
+                run_supervised(*run, opt.deadline_s, opt.term_grace_s, env);
+                asp.arg("status", std::string_view(run->status));
+              }
+              // Exit 0/1 left an artifact to check; any other outcome is
+              // already a retryable failure.
+              if (run->exit_code == 0 || run->exit_code == 1) {
+                validate_shard(*run);
+              }
             });
       }
     }  // join
-
-    for (shard_run* run : todo) {
-      if (run->exit_code != 0 && run->exit_code != 1) continue;  // retryable
-      obs::span vsp("dispatch", "verify");
-      vsp.arg("shard", std::uint64_t{run->shard.index});
-      std::string content;
-      std::string err;
-      if (!read_file(run->file.c_str(), content, err)) {
-        run->detail = err;
-        continue;
-      }
-      exp::parse_result parsed = exp::decode_records(content);
-      if (!parsed.ok()) {
-        run->detail = run->file + ": " + parsed.error;
-        continue;
-      }
-      if (!exp::verify_shard_records(parsed.records, run->shard, err)) {
-        run->detail = run->file + ": " + err;
-        continue;
-      }
-      run->validated = true;
-      run->content_fnv64 = fnv1a64(content);
-      run->records = std::move(parsed.records);
-    }
 
     // Checkpoint after every wave: if THIS process dies next, --resume
     // picks up from here.
@@ -531,7 +538,7 @@ dispatch_result dispatch(const std::string& args, const dispatch_options& opt) {
     shard_records.push_back(std::move(run.records));
   }
 
-  exp::merge_result merged = exp::merge_shards(shard_records);
+  exp::merge_result merged = exp::merge_shards(std::move(shard_records));
   if (!merged.ok()) {
     out.error = merged.error;
     out.exit_code = 2;

@@ -151,7 +151,8 @@ std::string to_spec(const fault_action& a) {
     if (a.kind != k.kind) continue;
     std::string out(k.name);
     if (a.param != k.default_param) {
-      out += ":" + std::to_string(a.param);
+      out += ':';
+      out += std::to_string(a.param);
     }
     return out;
   }

@@ -92,46 +92,47 @@ bool claim_out_path(const job& j, std::unordered_set<std::string>& used,
   return false;
 }
 
-}  // namespace
-
-std::string job_result::render_json() const {
-  exp::json_writer json;
+/// The job's output records as field rows, built once for either format.
+std::vector<exp::record_row> output_rows(const job_result& r) {
   // Per-job observability (wall + queue latency): timing fields by the
   // shared schema's rules, so they ride on timing runs only — no-timing
   // output stays byte-reproducible — and exp::report_diff ignores them.
   exp::extra_fields extra;
-  if (!j.no_timing) {
-    extra.emplace_back("job_wall_seconds", exp::json_writer::num(wall_seconds));
+  if (!r.j.no_timing) {
+    extra.emplace_back("job_wall_seconds",
+                       exp::json_writer::num(r.wall_seconds));
     extra.emplace_back("job_queue_seconds",
-                       exp::json_writer::num(queue_seconds));
+                       exp::json_writer::num(r.queue_seconds));
   }
-  if (sharded) {
-    exp::add_unit_records(json, unit_reports, units, units_total, cells_total,
-                          grid, /*include_timing=*/!j.no_timing, extra);
-  } else {
-    exp::add_cell_records(json, swept, grid, /*include_timing=*/!j.no_timing,
-                          extra);
+  if (r.sharded) {
+    return exp::unit_record_rows(r.unit_reports, r.units, r.units_total,
+                                 r.cells_total, r.grid,
+                                 /*include_timing=*/!r.j.no_timing, extra);
   }
+  return exp::cell_record_rows(r.swept, r.grid,
+                               /*include_timing=*/!r.j.no_timing, extra);
+}
+
+}  // namespace
+
+std::string job_result::render_json() const {
+  exp::json_writer json;
+  for (const exp::record_row& row : output_rows(*this)) json.add(row);
   return json.dump();
 }
 
 bool job_result::render_output(exp::record_format format, std::string& out,
                                std::string& error) const {
-  const std::string json = render_json();
   if (format == exp::record_format::json) {
-    out = json;
+    out = render_json();
     return true;
   }
-  // Encode the very document render_json produced: decode(encode(x))
-  // reproduces every raw token, so converting the .amoc artifact back to
-  // JSON yields these exact bytes (the byte-identity invariant across the
-  // format boundary).
-  const exp::parse_result parsed = exp::parse_records(json);
-  if (!parsed.ok()) {
-    error = "cannot encode output: " + parsed.error;
-    return false;
-  }
-  if (!exp::colfmt_encode(parsed.records, out, error)) {
+  // The rows render_json would write, as the records parse_records would
+  // read back from it: decode(encode(x)) reproduces every raw token, so
+  // converting the .amoc artifact back to JSON yields render_json's bytes.
+  std::vector<exp::record> records;
+  if (!exp::rows_to_records(output_rows(*this), records, error) ||
+      !exp::colfmt_encode(records, out, error)) {
     error = "cannot encode output: " + error;
     return false;
   }

@@ -70,10 +70,11 @@ struct job_result {
   [[nodiscard]] std::string render_json() const;
 
   /// The output bytes in `format`: render_json() itself for JSON; for
-  /// colfmt, that same document re-parsed and encoded — going through the
-  /// rendered JSON (rather than a parallel record builder) is what
-  /// guarantees `amo_lab convert` back to JSON reproduces the render_json
-  /// bytes exactly. False with `error` on an encode failure.
+  /// colfmt, the same rows turned straight into records (each value token
+  /// decoded by exp::parse_value_token, exactly as parse_records would
+  /// read it back) and encoded by exp::colfmt_encode, so `amo_lab convert`
+  /// back to JSON reproduces the render_json bytes without the document
+  /// ever being rendered. False with `error` on an encode failure.
   [[nodiscard]] bool render_output(exp::record_format format, std::string& out,
                                    std::string& error) const;
 };

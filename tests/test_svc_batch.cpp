@@ -16,7 +16,9 @@
 #include <sstream>
 #include <string>
 
+#include "exp/colfmt.hpp"
 #include "exp/engine.hpp"
+#include "exp/record.hpp"
 #include "exp/registry.hpp"
 #include "exp/report.hpp"
 #include "exp/shard.hpp"
@@ -231,6 +233,46 @@ TEST(SvcBatch, ExecuteJobReportsExpansionErrors) {
   const svc::job_result r = svc::execute_job(empty, pool);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.error, "no cells to run");
+}
+
+TEST(SvcBatch, ColfmtOutputEqualsTheEncodedJsonDocument) {
+  // render_output(colfmt) builds its records straight from the output
+  // rows; encoding the parsed render_json document is the oracle. Timing
+  // runs add the wall-clock doubles (wall_seconds, job_wall_seconds,
+  // job_queue_seconds) whose tokens must survive the direct route too.
+  svc::worker_pool pool(2);
+  for (const bool sharded : {false, true}) {
+    for (const bool no_timing : {true, false}) {
+      svc::job j;
+      j.scenarios = {"kk/random+crash", "iterative/random+crash",
+                     "baseline/tas"};
+      j.params.n = 64;
+      j.params.m = 3;
+      j.params.seeds = 2;
+      j.params.replicas = 3;
+      j.no_timing = no_timing;
+      j.have_shard = sharded;
+      if (sharded) j.shard = {1, 3};
+      const std::string tag = std::string(sharded ? "shard 1/3" : "aggregate") +
+                              (no_timing ? ", no timing" : ", timing");
+
+      svc::job_result r = svc::execute_job(j, pool);
+      ASSERT_TRUE(r.ok()) << tag << ": " << r.error;
+      r.queue_seconds = 1.0 / 3.0;
+      const exp::parse_result parsed = exp::parse_records(r.render_json());
+      ASSERT_TRUE(parsed.ok()) << tag << ": " << parsed.error;
+      std::string want;
+      std::string error;
+      ASSERT_TRUE(exp::colfmt_encode(parsed.records, want, error))
+          << tag << ": " << error;
+
+      std::string got;
+      ASSERT_TRUE(r.render_output(exp::record_format::colfmt, got, error))
+          << tag << ": " << error;
+      EXPECT_EQ(got, want) << tag;
+      EXPECT_EQ(r.sharded, sharded) << tag;
+    }
+  }
 }
 
 TEST(SvcJobQueue, CloseDrainsBeforeReportingEmpty) {

@@ -12,7 +12,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "exp/colfmt.hpp"
 #include "svc/dispatcher.hpp"
 #include "svc/job.hpp"
 #include "svc/server.hpp"
@@ -264,11 +266,19 @@ TEST(SvcDispatch, CapturesSubprocessOutput) {
 }
 
 /// Dispatches a replicated sweep over `shards` real ./amo_lab children and
-/// checks the merged output against the one-shot sweep byte for byte.
-void expect_dispatch_matches_one_shot(usize shards) {
+/// checks the merged output against the one-shot sweep byte for byte: its
+/// render_json for JSON, its colfmt encoding for .amoc. `inject` and
+/// `retries` pass through to the dispatcher; `attempts` holds the expected
+/// launches per shard (empty = 1 each).
+void expect_dispatch_matches_one_shot(
+    usize shards, exp::record_format format = exp::record_format::json,
+    const std::string& inject = "", usize retries = 0,
+    const std::vector<usize>& attempts = {}) {
+  const bool amoc = format == exp::record_format::colfmt;
   const std::string dir = ::testing::TempDir();
-  const std::string merged_path =
-      dir + "/dispatch_merged_" + std::to_string(shards) + ".json";
+  const std::string merged_path = dir + "/dispatch_merged_" +
+                                  std::to_string(shards) +
+                                  (amoc ? ".amoc" : ".json");
 
   svc::dispatch_options opt;
   opt.shards = shards;
@@ -276,6 +286,9 @@ void expect_dispatch_matches_one_shot(usize shards) {
   opt.dir = dir;
   opt.out = merged_path;
   opt.quiet = true;
+  opt.format = format;
+  opt.inject = inject;
+  opt.retries = retries;
   // --replicas=3: the shards split at (cell, replica) granularity and the
   // merge re-folds the units into the one-shot aggregate records.
   const std::string args =
@@ -285,6 +298,11 @@ void expect_dispatch_matches_one_shot(usize shards) {
   const svc::dispatch_result r = svc::dispatch(args, opt);
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.exit_code, 0);
+  ASSERT_EQ(r.shards.size(), shards);
+  for (usize i = 0; i < shards; ++i) {
+    const usize want = attempts.empty() ? 1 : attempts[i];
+    EXPECT_EQ(r.shards[i].attempts, want) << "shard " << i;
+  }
 
   // The one-shot reference, through the same job structure the CLI uses.
   svc::job j;
@@ -299,10 +317,13 @@ void expect_dispatch_matches_one_shot(usize shards) {
   svc::worker_pool pool(2);
   const svc::job_result one_shot = svc::execute_job(j, pool);
   ASSERT_TRUE(one_shot.ok()) << one_shot.error;
+  std::string want;
+  std::string error;
+  ASSERT_TRUE(one_shot.render_output(format, want, error)) << error;
 
   const std::string merged = slurp(merged_path);
   ASSERT_FALSE(merged.empty());
-  EXPECT_EQ(merged, one_shot.render_json());
+  EXPECT_EQ(merged, want);
   std::remove(merged_path.c_str());
 
   // The per-shard files were cleaned up (keep_shards defaults off).
@@ -327,6 +348,17 @@ TEST(SvcDispatch, OneShardDispatchMatchesTheOneShotSweep) {
     GTEST_SKIP() << "no ./amo_lab in the working directory";
   }
   expect_dispatch_matches_one_shot(1);
+}
+
+TEST(SvcDispatch, AmocDispatchRetriesACorruptShardAndMatchesTheOneShotSweep) {
+  // Shard 1's first artifact has its final byte flipped: its launcher
+  // thread rejects it, the next wave reruns that shard alone, and the
+  // merged .amoc equals the one-shot sweep's encoding.
+  if (!have_amo_lab()) {
+    GTEST_SKIP() << "no ./amo_lab in the working directory";
+  }
+  expect_dispatch_matches_one_shot(3, exp::record_format::colfmt, "corrupt@1",
+                                  /*retries=*/1, /*attempts=*/{1, 2, 1});
 }
 
 }  // namespace
