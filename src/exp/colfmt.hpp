@@ -91,8 +91,9 @@ struct colfmt_header {
                                      record_format format, std::string& out,
                                      std::string& error);
 
-/// write_records_file, format-aware; both formats go through
-/// util::write_file_atomic (tmp + fsync + rename).
+/// Writes render_records_as() to `path` through util::write_file_atomic
+/// (tmp + fsync + rename, so a killed writer never leaves a torn file);
+/// false with `error` carrying the path and errno text.
 [[nodiscard]] bool write_records_file_as(const char* path,
                                          const std::vector<record>& records,
                                          record_format format,

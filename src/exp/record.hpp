@@ -8,19 +8,25 @@
 // raw tokens in json_writer's row format makes parse ∘ render the identity
 // on writer-produced documents, which is what lets exp::merge_shards
 // promise byte-identical output without ever reformatting a number.
+//
+// Lexing is util/json_scan's, shared with the trace reader: the string,
+// \u-surrogate and number rules are one definition, and only the schema
+// (a flat array of flat objects) and the "line N: why" error spelling
+// live here.
 #pragma once
 
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "util/json_scan.hpp"
 #include "util/types.hpp"
 
 namespace amo::exp {
 
 /// One key/value field of a flat record.
 struct record_field {
-  enum class kind : std::uint8_t { string, number, boolean, null };
+  using kind = json::kind;  ///< string, number, boolean, null
 
   std::string key;      ///< decoded key
   kind type = kind::null;
@@ -53,7 +59,8 @@ parse_result parse_records(std::string_view doc);
 /// string, number, true/false/null) into `f`, which keeps the token as its
 /// raw. The whole token must be consumed. This is how the columnar format
 /// decodes verbatim-stored tokens with semantics identical to the document
-/// parser's. False with `error` on a malformed or trailing-content token.
+/// parser's. False with `error` on a malformed or trailing-content token,
+/// in which case `f` holds whatever was read before the failure.
 bool parse_value_token(std::string_view token, record_field& f,
                        std::string& error);
 
@@ -63,15 +70,5 @@ parse_result parse_records_file(const char* path);
 /// Renders records exactly as json_writer would have ("[\n  {...},\n ...]\n"),
 /// re-emitting each value's raw source token verbatim.
 std::string render_records(const std::vector<record>& records);
-
-/// Writes render_records() to `path` atomically (util::write_file_atomic:
-/// tmp + fsync + rename, so a killed writer can never leave a torn record
-/// file); false on I/O failure with `error` carrying the path and errno
-/// text.
-bool write_records_file(const char* path, const std::vector<record>& records,
-                        std::string& error);
-
-/// As above, for callers with nowhere to put the diagnostic.
-bool write_records_file(const char* path, const std::vector<record>& records);
 
 }  // namespace amo::exp

@@ -5,6 +5,7 @@
 
 #include "exp/report.hpp"  // json_writer::str/num — the one escaper/formatter
 #include "util/fileio.hpp"
+#include "util/json_scan.hpp"
 
 namespace amo::obs {
 
@@ -217,10 +218,10 @@ std::uint64_t stitch_child(std::vector<std::string>& lines,
   std::uint64_t child_dropped = 0;
   const usize drop_at = content.find("\"dropped_events\":");
   if (drop_at != std::string::npos) {
-    usize p = drop_at + 17;
-    while (p < content.size() && content[p] >= '0' && content[p] <= '9') {
-      child_dropped = child_dropped * 10 + static_cast<std::uint64_t>(content[p] - '0');
-      ++p;
+    json::scanner sc(std::string_view(content).substr(drop_at + 17));
+    double v = 0;
+    if (sc.number(v) && v >= 0 && v < 0x1p64) {
+      child_dropped = static_cast<std::uint64_t>(v);
     }
   }
   const std::string pid_tag = "\"pid\":" + std::to_string(pid);

@@ -1,11 +1,15 @@
 // Reader for Chrome trace-event JSON documents — the inverse of
 // obs::export_json, used by `amo_lab stats` and the round-trip tests.
 //
-// This is a minimal hand-rolled parser for the trace-event container
-// shape ({"traceEvents":[...], "otherData":{...}}): it understands full
-// JSON syntax (strings with escapes, numbers, nested objects/arrays get
-// skipped generically) but only *captures* the fields the summary fold
-// needs. It parses any conformant producer's file, not just our own.
+// A thin schema over util/json_scan, the lexer the record reader uses too,
+// so strings (escapes, \u surrogate pairs) and numbers (a leading '+',
+// overflow clamping) follow one set of rules. It reads the trace-event
+// container shape ({"traceEvents":[...], "otherData":{...}} or a bare
+// event array) and only *captures* the fields the summary fold needs;
+// any other value, however deeply nested, is skipped without recursion.
+// pid/tid outside [0, INT_MAX] or dropped_events outside [0, 2^64) make
+// the document malformed. It parses any conformant producer's file, not
+// just ours.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +45,7 @@ struct trace_parse_result {
 };
 
 /// Parses a trace-event JSON document. On malformed input, `error`
-/// describes the first offence (with byte offset).
+/// describes the first offence: "malformed trace: why at byte N".
 [[nodiscard]] trace_parse_result parse_trace(std::string_view text);
 
 /// read_file + parse_trace; I/O failures land in `error` ("cannot ...").

@@ -11,10 +11,6 @@ namespace amo::svc {
 
 namespace {
 
-std::string line_error(usize line_no, const std::string& why) {
-  return "line " + std::to_string(line_no) + ": " + why;
-}
-
 /// Applies the key=value tokens of a `spec` or `expect` line.
 bool apply_fields(std::string_view rest, bool is_spec, corpus_entry& e,
                   usize line_no, std::string& error) {

@@ -261,6 +261,46 @@ void write_manifest(const std::string& path,
   json.write(path.c_str());
 }
 
+/// One well-formed manifest entry: every field present, the shard index
+/// inside its partition, an exit code the merge tolerates (0 or 1).
+struct manifest_entry {
+  usize index = 0;
+  usize count = 0;
+  int exit_code = 0;
+  std::string file, hash, args;
+};
+
+std::vector<manifest_entry> manifest_entries(const exp::parse_result& parsed) {
+  std::vector<manifest_entry> out;
+  // A count field must be a whole number a usize holds; anything else
+  // marks a foreign or corrupted entry, not a cast to attempt.
+  const auto count = [](const exp::record_field* f, usize& v) {
+    if (f == nullptr || !(f->number >= 0 && f->number < 0x1p64)) return false;
+    v = static_cast<usize>(f->number);
+    return true;
+  };
+  for (const exp::record& rec : parsed.records) {
+    const exp::record_field* f_file = rec.find("file");
+    const exp::record_field* f_hash = rec.find("fnv64");
+    const exp::record_field* f_args = rec.find("args_fnv64");
+    manifest_entry e;
+    usize exit_code = 2;
+    if (!count(rec.find("shard"), e.index) ||
+        !count(rec.find("shards"), e.count) ||
+        !count(rec.find("exit"), exit_code) || f_file == nullptr ||
+        f_hash == nullptr || f_args == nullptr || e.index >= e.count ||
+        exit_code > 1) {
+      continue;
+    }
+    e.exit_code = static_cast<int>(exit_code);
+    e.file = f_file->text;
+    e.hash = f_hash->text;
+    e.args = f_args->text;
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
 /// Adopts completed shards from a previous dispatch's manifest. Trust
 /// nothing: an entry counts only if its args fingerprint matches this
 /// dispatch, the file's bytes still hash to the recorded value, and the
@@ -278,26 +318,12 @@ usize load_manifest(const std::string& path, std::vector<shard_run>& runs,
   }
   const std::string want_args = fnv_hex64(args_fp);
   usize adopted = 0;
-  for (const exp::record& rec : parsed.records) {
-    const exp::record_field* f_shard = rec.find("shard");
-    const exp::record_field* f_count = rec.find("shards");
-    const exp::record_field* f_file = rec.find("file");
-    const exp::record_field* f_exit = rec.find("exit");
-    const exp::record_field* f_hash = rec.find("fnv64");
-    const exp::record_field* f_args = rec.find("args_fnv64");
-    if (f_shard == nullptr || f_count == nullptr || f_file == nullptr ||
-        f_exit == nullptr || f_hash == nullptr || f_args == nullptr) {
-      continue;
-    }
-    const auto index = static_cast<usize>(f_shard->number);
-    const auto count = static_cast<usize>(f_count->number);
-    const int exit_code = static_cast<int>(f_exit->number);
-    if (count != runs.size() || index >= runs.size() ||
-        (exit_code != 0 && exit_code != 1) || f_args->text != want_args) {
+  for (const manifest_entry& e : manifest_entries(parsed)) {
+    if (e.count != runs.size() || e.args != want_args) {
       continue;  // a different partition or a different job: not ours
     }
-    shard_run& run = runs[index];
-    if (run.validated || f_file->text != run.file) continue;
+    shard_run& run = runs[e.index];
+    if (run.validated || e.file != run.file) continue;
     const auto skip = [&](const std::string& why) {
       if (!quiet) {
         std::fprintf(stderr, "dispatch: not reusing shard %s: %s\n",
@@ -310,7 +336,7 @@ usize load_manifest(const std::string& path, std::vector<shard_run>& runs,
       skip(err);
       continue;
     }
-    if (fnv_hex64(hash) != f_hash->text) {
+    if (fnv_hex64(hash) != e.hash) {
       skip(run.file + ": content hash mismatch (file changed since checkpoint)");
       continue;
     }
@@ -320,9 +346,9 @@ usize load_manifest(const std::string& path, std::vector<shard_run>& runs,
       continue;
     }
     run.reused = true;
-    run.exit_code = exit_code;
-    run.status = "reused from manifest (exit " + std::to_string(exit_code) +
-                 ")";
+    run.exit_code = e.exit_code;
+    run.status = "reused from manifest (exit " +
+                 std::to_string(e.exit_code) + ")";
     ++adopted;
   }
   return adopted;
@@ -622,37 +648,21 @@ exp::merge_result merge_from_manifest(const std::string& manifest_file,
         usize present = 0;
       };
       std::vector<group> groups;
-      for (const exp::record& rec : parsed.records) {
-        const exp::record_field* f_shard = rec.find("shard");
-        const exp::record_field* f_count = rec.find("shards");
-        const exp::record_field* f_file = rec.find("file");
-        const exp::record_field* f_exit = rec.find("exit");
-        const exp::record_field* f_hash = rec.find("fnv64");
-        const exp::record_field* f_args = rec.find("args_fnv64");
-        if (f_shard == nullptr || f_count == nullptr || f_file == nullptr ||
-            f_exit == nullptr || f_hash == nullptr || f_args == nullptr) {
-          continue;
-        }
-        const auto index = static_cast<usize>(f_shard->number);
-        const auto count = static_cast<usize>(f_count->number);
-        const int exit_code = static_cast<int>(f_exit->number);
-        if (count == 0 || index >= count || (exit_code != 0 && exit_code != 1)) {
-          continue;
-        }
+      for (const manifest_entry& m : manifest_entries(parsed)) {
         group* g = nullptr;
         for (group& have : groups) {
-          if (have.shards.size() == count && have.args == f_args->text) {
+          if (have.shards.size() == m.count && have.args == m.args) {
             g = &have;
             break;
           }
         }
         if (g == nullptr) {
-          groups.push_back({f_args->text, std::vector<entry>(count), 0});
+          groups.push_back({m.args, std::vector<entry>(m.count), 0});
           g = &groups.back();
         }
-        entry& e = g->shards[index];
+        entry& e = g->shards[m.index];
         if (!e.present) ++g->present;
-        e = {f_file->text, f_hash->text, true};
+        e = {m.file, m.hash, true};
       }
       usize best_present = 0;
       usize best_count = 0;

@@ -1,33 +1,12 @@
 #include "svc/job.hpp"
 
-#include <cstdio>
-#include <limits>
 #include <unordered_map>
 
+#include "svc/cli.hpp"
 #include "util/fileio.hpp"
 #include "util/parse.hpp"
 
 namespace amo::svc {
-
-namespace {
-
-std::string line_error(usize line_no, const std::string& why) {
-  return "line " + std::to_string(line_no) + ": " + why;
-}
-
-bool parse_count(std::string_view key, std::string_view value, usize& out,
-                 usize line_no, std::string& error) {
-  std::uint64_t v = 0;
-  if (!parse_u64(value, v)) {
-    error = line_error(line_no, "bad " + std::string(key) + "= value '" +
-                                    std::string(value) + "'");
-    return false;
-  }
-  out = static_cast<usize>(v);
-  return true;
-}
-
-}  // namespace
 
 std::string to_line(const job& j) {
   std::string out;
@@ -35,45 +14,33 @@ std::string to_line(const job& j) {
     if (!out.empty()) out += ' ';
     out += name;
   }
-  char buf[192];
-  std::snprintf(buf, sizeof buf,
-                " n=%zu m=%zu beta=%zu eps=%u seed=%llu seeds=%zu replicas=%zu",
-                j.params.n, j.params.m, j.params.beta, j.params.eps_inv,
-                static_cast<unsigned long long>(j.params.seed), j.params.seeds,
-                j.params.replicas);
-  out += buf;
-  if (j.scheduled_only) out += " scheduled-only";
-  if (j.no_timing) out += " no-timing";
-  // batch= is an execution option with no effect on results; the default
-  // (auto) is omitted so canonical lines are unchanged for default jobs.
-  if (j.batch != exp::batch_auto) out += " batch=" + std::to_string(j.batch);
-  if (j.have_shard) out += " shard=" + exp::to_string(j.shard);
-  if (!j.out.empty()) out += " out=" + j.out;
-  // format= only when explicit: an inferred colfmt (out=*.amoc) is already
-  // carried by the path, so canonical lines for existing jobs are unchanged.
-  if (j.have_format) {
-    out += j.format == exp::record_format::colfmt ? " format=colfmt"
-                                                  : " format=json";
+  cli_options opt;
+  opt.knobs = j;
+  std::string value;
+  for (const option_spec& o : option_table()) {
+    if (o.key.empty() || !o.get(opt, o.kind, value)) continue;
+    out += ' ';
+    out += o.key;
+    if (o.kind != value_kind::flag) out += "=" + value;
   }
   return out;
 }
 
 bool parse_job_line(std::string_view text, usize line_no, job& out,
                     bool& has_job, std::string& error) {
-  job j;
+  cli_options opt;
+  job& j = opt.knobs;
   j.line = line_no;
   has_job = false;
   bool any_token = false;
 
   const bool scanned = for_each_token(text, [&](std::string_view tok) {
     any_token = true;
-
     const usize eq = tok.find('=');
     if (eq == std::string_view::npos) {
-      if (tok == "scheduled-only") {
-        j.scheduled_only = true;
-      } else if (tok == "no-timing") {
-        j.no_timing = true;
+      const option_spec* o = find_key(tok);
+      if (o != nullptr && o->kind == value_kind::flag) {
+        o->set(opt, o->kind, "");
       } else if (exp::find_scenario(tok) != nullptr) {
         j.scenarios.emplace_back(tok);
       } else {
@@ -83,91 +50,18 @@ bool parse_job_line(std::string_view text, usize line_no, job& out,
       }
       return true;
     }
-
     const std::string_view key = tok.substr(0, eq);
     const std::string_view value = tok.substr(eq + 1);
-    if (key == "n") {
-      return parse_count(key, value, j.params.n, line_no, error);
+    const option_spec* o = find_key(key);
+    if (o == nullptr || o->kind == value_kind::flag) {
+      error = line_error(line_no, "unknown key '" + std::string(key) + "='");
+      return false;
     }
-    if (key == "m") {
-      return parse_count(key, value, j.params.m, line_no, error);
+    if (!o->set(opt, o->kind, value)) {
+      error = line_error(line_no, bad_value(key, value, o->kind));
+      return false;
     }
-    if (key == "beta") {
-      return parse_count(key, value, j.params.beta, line_no, error);
-    }
-    if (key == "eps") {
-      std::uint64_t v = 0;
-      if (!parse_u64(value, v) || v > std::numeric_limits<unsigned>::max()) {
-        error = line_error(line_no,
-                           "bad eps= value '" + std::string(value) + "'");
-        return false;
-      }
-      j.params.eps_inv = static_cast<unsigned>(v);
-      return true;
-    }
-    if (key == "seed") {
-      std::uint64_t v = 0;
-      if (!parse_u64(value, v)) {
-        error = line_error(line_no,
-                           "bad seed= value '" + std::string(value) + "'");
-        return false;
-      }
-      j.params.seed = v;
-      return true;
-    }
-    if (key == "seeds") {
-      return parse_count(key, value, j.params.seeds, line_no, error);
-    }
-    if (key == "replicas") {
-      return parse_count(key, value, j.params.replicas, line_no, error);
-    }
-    if (key == "batch") {
-      if (value == "auto") {
-        j.batch = exp::batch_auto;
-        return true;
-      }
-      std::uint64_t v = 0;
-      if (!parse_u64(value, v)) {
-        error = line_error(line_no, "bad batch= value '" + std::string(value) +
-                                        "' (want auto, 0, or a width)");
-        return false;
-      }
-      j.batch = static_cast<usize>(v);
-      return true;
-    }
-    if (key == "shard") {
-      if (!exp::parse_shard(value, j.shard)) {
-        error = line_error(line_no, "bad shard= value '" + std::string(value) +
-                                        "' (want i/k with 0 <= i < k)");
-        return false;
-      }
-      j.have_shard = true;
-      return true;
-    }
-    if (key == "out") {
-      if (value.empty()) {
-        error = line_error(line_no, "empty out= path");
-        return false;
-      }
-      j.out = std::string(value);
-      return true;
-    }
-    if (key == "format") {
-      if (value == "json") {
-        j.format = exp::record_format::json;
-      } else if (value == "colfmt") {
-        j.format = exp::record_format::colfmt;
-      } else {
-        error = line_error(line_no, "bad format= value '" +
-                                        std::string(value) +
-                                        "' (want json or colfmt)");
-        return false;
-      }
-      j.have_format = true;
-      return true;
-    }
-    error = line_error(line_no, "unknown key '" + std::string(key) + "='");
-    return false;
+    return true;
   });
   if (!scanned) return false;
 

@@ -10,14 +10,12 @@
 //
 //   <scenario> [<scenario> ...] [key=value ...] [flag ...]   [# comment]
 //
-//   keys:   n= m= beta= eps= seed= seeds= replicas= shard=i/k out=FILE
-//           batch=auto|0|N  (replica-block width; execution option only —
-//           results are bit-identical at every width, so the default "auto"
-//           is omitted from canonical lines)
-//           format=json|colfmt  (output encoding; without it, an out= path
-//           ending in ".amoc" selects colfmt — so canonical lines carry
-//           format= only when it was spelled explicitly)
-//   flags:  scheduled-only  no-timing
+// The keys and flags are the job rows of the amo_lab option table
+// (svc/cli.hpp), so a job line and the CLI take the same knobs with the
+// same value rules; `batch=` is the one key spelled differently on the
+// CLI (`--batch-replicas=`). batch= and format= are execution options:
+// canonical lines omit batch=auto, and carry format= only when it was
+// spelled (an out= ending in ".amoc" already selects colfmt).
 //
 // Blank lines and lines starting with '#' are skipped; a '#' token inside
 // a line comments out its remainder. Values cannot contain whitespace (the

@@ -1,11 +1,13 @@
-// Overflow-checked decimal parsing and line tokenization, shared by the
-// adversary-name parser (engine.cpp), the shard-reference parser
-// (shard.cpp) and the svc job/corpus line parsers — one definition of
-// "what counts as a number (or a token) on a command line".
+// Overflow-checked decimal parsing, line tokenization and the "line N:"
+// error spelling, shared by the adversary-name parser (engine.cpp), the
+// shard-reference parser (shard.cpp), the amo_lab option table
+// (svc/cli.cpp) and the job/corpus/record line parsers — one definition
+// of "what counts as a number (or a token) on a command line".
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace amo {
@@ -23,6 +25,14 @@ namespace amo {
   }
   out = v;
   return true;
+}
+
+/// "line N: why" — the position spelling of every line-numbered parse
+/// error (records, batch jobs, corpus files); amo_lab's exit-code mapping
+/// keys on ": line ".
+[[nodiscard]] inline std::string line_error(std::size_t line_no,
+                                            std::string_view why) {
+  return "line " + std::to_string(line_no) + ": " + std::string(why);
 }
 
 /// Invokes fn(token) for each whitespace-separated token of `line` (the

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
+#include <initializer_list>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "exp/diff.hpp"
+#include "exp/record.hpp"
 #include "exp/timing_keys.hpp"
 #include "obs/stats.hpp"
 #include "obs/telemetry.hpp"
@@ -191,9 +194,11 @@ TEST(ObsExport, StitchesChildTraceShardsIntoOneTimeline) {
   const std::string c1 = temp_path("child1.trace.json");
   const std::string c2 = temp_path("child2.trace.json");
   for (int child = 1; child <= 2; ++child) {
-    obs::session s(64);
+    // Child 1 overflows a 2-event ring by 3: its drops fold into the
+    // stitched total.
+    obs::session s(child == 1 ? 2 : 64);
     ASSERT_TRUE(s.installed());
-    {
+    for (int i = 0; i < (child == 1 ? 5 : 1); ++i) {
       obs::span sp("child", "work");
       sp.arg("shard", static_cast<std::uint64_t>(child));
     }
@@ -231,6 +236,7 @@ TEST(ObsExport, StitchesChildTraceShardsIntoOneTimeline) {
   const obs::trace_summary sum =
       obs::summarize_trace(parsed.events, parsed.dropped);
   EXPECT_EQ(sum.processes, 3u);
+  EXPECT_EQ(parsed.dropped, 3u);
 
   // remove_after_stitch honored per child.
   EXPECT_TRUE(file_exists(c1));
@@ -301,6 +307,145 @@ TEST(ObsTraceRead, RejectsMalformedDocumentsWithAPosition) {
       obs::parse_trace("{\"traceEvents\":[{\"ph\":\"X\",]}");
   EXPECT_FALSE(bad.ok());
   EXPECT_NE(bad.error.find("at byte"), std::string::npos) << bad.error;
+}
+
+bool fails_with_a_position(const obs::trace_parse_result& r) {
+  return !r.ok() && r.error.find("at byte") != std::string::npos;
+}
+
+// The trace reader shares the record lexer: a non-BMP codepoint decodes to
+// the same 4 UTF-8 bytes (not 6 bytes of CESU-8) whether it arrives as a
+// surrogate-pair escape or raw, and a broken pair is an error in both.
+TEST(ObsTraceRead, StringsDecodeLikeRecords) {
+  for (const std::string value :
+       {"\"\\ud83d\\ude00\"", "\"\xF0\x9F\x98\x80\""}) {
+    const obs::trace_parse_result trace =
+        obs::parse_trace("[{\"ph\":\"i\",\"name\":" + value + "}]");
+    const exp::parse_result records =
+        exp::parse_records("[{\"name\":" + value + "}]");
+    ASSERT_TRUE(trace.ok()) << trace.error;
+    ASSERT_TRUE(records.ok()) << records.error;
+    ASSERT_EQ(trace.events.size(), 1u);
+    EXPECT_EQ(trace.events[0].name, "\xF0\x9F\x98\x80");
+    EXPECT_EQ(trace.events[0].name, records.records[0].fields[0].text);
+  }
+  for (const std::string value : {"\"\\ud83d\"", "\"\\ud83dA\""}) {
+    const obs::trace_parse_result r =
+        obs::parse_trace("[{\"ph\":\"i\",\"name\":" + value + "}]");
+    EXPECT_TRUE(fails_with_a_position(r)) << value << ": " << r.error;
+    EXPECT_FALSE(exp::parse_records("[{\"name\":" + value + "}]").ok());
+  }
+  // Numbers too: a leading '+' reads as it does in a record.
+  const obs::trace_parse_result plus =
+      obs::parse_trace("[{\"ph\":\"X\",\"ts\":+1.5,\"dur\":+2}]");
+  ASSERT_TRUE(plus.ok()) << plus.error;
+  EXPECT_EQ(plus.events[0].ts_us, 1.5);
+  EXPECT_EQ(plus.events[0].dur_us, 2.0);
+}
+
+// pid/tid must lie in [0, INT_MAX] and dropped_events in [0, 2^64): a
+// foreign trace carrying anything else is malformed, never a float-to-int
+// cast with undefined behaviour.
+void expect_out_of_range_rejected(const std::string& wrap_open,
+                                  const std::string& wrap_close,
+                                  std::initializer_list<const char*> values) {
+  for (const char* v : values) {
+    const obs::trace_parse_result r =
+        obs::parse_trace(wrap_open + v + wrap_close);
+    EXPECT_TRUE(fails_with_a_position(r)) << v << ": " << r.error;
+    EXPECT_NE(r.error.find("out of range"), std::string::npos) << r.error;
+  }
+}
+
+TEST(ObsTraceRead, RejectsAnOutOfRangePid) {
+  expect_out_of_range_rejected("[{\"ph\":\"i\",\"pid\":", "}]",
+                               {"1e12", "1e30", "-1", "1e999", "-1e999"});
+  EXPECT_EQ(obs::parse_trace("[{\"pid\":2147483647}]").events.at(0).pid,
+            2147483647);
+}
+
+TEST(ObsTraceRead, RejectsAnOutOfRangeTid) {
+  expect_out_of_range_rejected("[{\"ph\":\"i\",\"tid\":", "}]",
+                               {"1e12", "1e30", "-1", "1e999", "-1e999"});
+  EXPECT_FALSE(obs::parse_trace("[{\"tid\":2147483648}]").ok());
+}
+
+TEST(ObsTraceRead, RejectsAnOutOfRangeDroppedCount) {
+  expect_out_of_range_rejected(
+      "{\"traceEvents\":[],\"otherData\":{\"dropped_events\":", "}}",
+      {"2e19", "1e30", "-1", "1e999", "-1e999"});
+  const obs::trace_parse_result big = obs::parse_trace(
+      "{\"traceEvents\":[],\"otherData\":{\"dropped_events\":1e19}}");
+  ASSERT_TRUE(big.ok()) << big.error;
+  EXPECT_EQ(big.dropped, 10000000000000000000u);
+}
+
+// Skipping a value walks containers with an explicit stack, so nesting
+// depth is bounded by memory, not by the call stack.
+TEST(ObsTraceRead, DeepNestingUnderAnUnknownKeyDoesNotCrash) {
+  constexpr usize kDepth = 100000;
+  const std::string open(kDepth, '[');
+  const std::string close(kDepth, ']');
+  const obs::trace_parse_result balanced = obs::parse_trace(
+      "{\"x\":" + open + close + ",\"traceEvents\":[{\"ph\":\"i\"}]}");
+  ASSERT_TRUE(balanced.ok()) << balanced.error;
+  EXPECT_EQ(balanced.events.size(), 1u);
+  EXPECT_TRUE(fails_with_a_position(obs::parse_trace("{\"x\":" + open + "}")));
+  EXPECT_TRUE(
+      fails_with_a_position(obs::parse_trace("{\"args\":{\"a\":" + open)));
+  // The flat record schema still refuses a container outright.
+  const exp::parse_result nested =
+      exp::parse_records("[{\"a\":" + open + close + "}]");
+  EXPECT_FALSE(nested.ok());
+  EXPECT_NE(nested.error.find("nested containers"), std::string::npos)
+      << nested.error;
+}
+
+/// A real exported trace, trailing whitespace trimmed.
+std::string exported_trace() {
+  obs::session s(64);
+  {
+    obs::span sp("fuzz", "outer");
+    sp.arg("text", std::string_view("esc\"aped\\ \xF0\x9F\x98\x80"));
+    sp.arg("n", std::uint64_t{7});
+    obs::counter("fuzz", "gauge", -2.5);
+    obs::instant("fuzz", "mark", {{"k", "v"}});
+  }
+  obs::export_options eopt;
+  eopt.process_name = "fuzz";
+  std::string doc = obs::export_json(s.sink(), eopt);
+  while (!doc.empty() && std::isspace(static_cast<unsigned char>(doc.back()))) {
+    doc.pop_back();
+  }
+  return doc;
+}
+
+TEST(ObsTraceFuzz, EveryProperPrefixFailsWithAPosition) {
+  const std::string doc = exported_trace();
+  ASSERT_TRUE(obs::parse_trace(doc).ok());
+  for (usize len = 0; len < doc.size(); ++len) {
+    const obs::trace_parse_result r = obs::parse_trace(doc.substr(0, len));
+    EXPECT_TRUE(fails_with_a_position(r))
+        << "prefix of " << len << " bytes: " << r.error;
+  }
+}
+
+TEST(ObsTraceFuzz, EverySingleByteFlipReturns) {
+  const std::string doc = exported_trace();
+  usize rejected = 0;
+  for (usize i = 0; i < doc.size(); ++i) {
+    for (const unsigned char mask : {0x01, 0x20, 0x80}) {
+      std::string bad = doc;
+      bad[i] = static_cast<char>(static_cast<unsigned char>(bad[i]) ^ mask);
+      const obs::trace_parse_result r = obs::parse_trace(bad);
+      if (!r.ok()) {
+        ++rejected;
+        EXPECT_NE(r.error.find("at byte"), std::string::npos) << r.error;
+        EXPECT_TRUE(r.events.empty());
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 void expect_cancel_stops_batch(usize workers) {

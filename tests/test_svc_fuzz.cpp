@@ -1,11 +1,13 @@
 // Robustness pass over the text surfaces the service trusts least: the
 // flat-JSON record parser (exp::record) fed truncated and bit-flipped
-// documents, and the batch job parser fed malformed lines. Every input
+// documents, the batch job parser fed malformed lines, and dispatch
+// manifests carrying out-of-range entries. Every input
 // must come back as a clean error (or a clean parse) — no crashes, no
 // ASan/UBSan findings (the CI sanitize job runs this binary), and the
 // severity-keyed exit codes must stay stable.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "exp/merge.hpp"
@@ -14,8 +16,10 @@
 #include "exp/report.hpp"
 #include "exp/shard.hpp"
 #include "exp/sweep.hpp"
+#include "svc/dispatcher.hpp"
 #include "svc/job.hpp"
 #include "svc/server.hpp"
+#include "util/fileio.hpp"
 #include "util/prng.hpp"
 
 namespace amo {
@@ -267,6 +271,35 @@ TEST(BatchFuzz, BlankAndCommentLinesAreSkipped) {
   EXPECT_EQ(r.jobs[0].line, 4u);
   EXPECT_EQ(r.jobs[0].params.n, 64u);
   EXPECT_TRUE(r.jobs[0].out.empty());  // commented out
+}
+
+// A manifest is a record file anyone can edit: entries whose numbers do not
+// fit their field (negative, 2^64 and beyond, infinite) are skipped as
+// foreign, never cast with undefined behaviour.
+TEST(ManifestFuzz, OutOfRangeEntriesAreSkipped) {
+  const std::string path = ::testing::TempDir() + "fuzz_manifest.json";
+  std::string doc = "[\n";
+  for (const char* bad :
+       {"1e30", "-1", "1e999", "-1e999", "18446744073709551616"}) {
+    for (const char* field : {"shard", "shards", "exit"}) {
+      std::string rec = "{\"shard\": 0, \"shards\": 1, \"exit\": 0, "
+                        "\"file\": \"x\", \"fnv64\": \"0\", "
+                        "\"args_fnv64\": \"0\"}";
+      const std::string key = std::string("\"") + field + "\": ";
+      const usize at = rec.find(key) + key.size();
+      rec.replace(at, 1, bad);
+      doc += (doc.size() > 2 ? ",\n" : "") + rec;
+    }
+  }
+  doc += "\n]\n";
+  ASSERT_TRUE(exp::parse_records(doc).ok());
+  std::string error;
+  ASSERT_TRUE(write_file_atomic(path.c_str(), doc, error)) << error;
+  const exp::merge_result r = svc::merge_from_manifest(path, 0, true);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("no usable shard entries"), std::string::npos)
+      << r.error;
+  std::remove(path.c_str());
 }
 
 TEST(SvcExitCodes, SeverityOrderIsStable) {

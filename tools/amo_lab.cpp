@@ -1,158 +1,9 @@
 // amo_lab — the experiment-engine command line.
 //
-//   amo_lab list
-//       List every registered scenario with its description.
-//
-//   amo_lab run <scenario> [options]
-//       Expand one scenario into cells and run them on the sweep pool.
-//
-//   amo_lab sweep [scenario ...] [options]
-//       Run several scenarios (all of them when none are named) as one
-//       sweep. With --shard=i/k, run only the cells whose global index is
-//       congruent to i modulo k; the emitted records carry their global
-//       "cell" index, so `amo_lab merge` can reassemble the k shard files
-//       into the byte-identical equivalent of the unsharded sweep.
-//
-//   amo_lab merge <shard ...> --out=FILE
-//       Recombine shard outputs (JSON or .amoc, sniffed per file) as a
-//       STREAMING fold: .amoc shards are read chunk by chunk, so the merge
-//       holds one head record per shard plus one cell's replicas — never a
-//       full-sweep record vector. Verifies the shards agree on the grid
-//       and cover every unit exactly once (no duplicate, no gap) and
-//       writes the merged array (stdout when --out is absent). With
-//       --manifest=FILE the shard list comes from a dispatch manifest
-//       instead: the merge waits up to --wait-s for a complete
-//       checkpointed set, re-verifies every file's content hash, then
-//       folds the files the manifest names.
-//
-//   amo_lab convert <in> <out>
-//       Rewrite a record file in the other encoding (or the one --format
-//       names). Conversion is lossless both ways: every raw token
-//       round-trips, so converting a .amoc artifact to JSON reproduces
-//       the exact bytes the JSON sweep would have written, and
-//       convert(convert(x)) == x.
-//
-//   amo_lab diff <baseline> <candidate> [--tol=T]
-//       Compare two record files cell by cell (amo_lab sweeps or any
-//       BENCH_*.json; each side may be JSON or .amoc, sniffed) and
-//       classify every change; see exit status below.
-//
-//   amo_lab serve [--jobs=FIFO] [options]
-//       Run as a resident service: one persistent worker pool, job lines
-//       read from --jobs (a FIFO or file) or stdin as they arrive, per-job
-//       sweep JSON written to each job's out= path (stdout otherwise).
-//       On a FIFO the server reopens after each writer session instead of
-//       exiting at EOF (--once restores drain-one-session). See
-//       docs/batch_format.md for the job-line grammar.
-//
-//   amo_lab submit <scenario ...> [options] [--to=FIFO]
-//       Validate a job and append its canonical job line to --to (stdout
-//       when absent) — the producer half of `amo_lab serve`.
-//
-//   amo_lab batch <file> [options]
-//       Parse a whole batch file up front (rejecting malformed lines and
-//       duplicate out= paths), then drain every job onto one persistent
-//       pool. Per-job output is byte-identical to running the equivalent
-//       `amo_lab run`/`sweep` standalone.
-//
-//   amo_lab dispatch --shards=k [scenario ...] [options]
-//       Partition the sweep into k shards, launch each as a subprocess of
-//       this binary (or anything else via --command), wait, merge the
-//       shard files, and write the merged records to --out (colfmt when
-//       --format=colfmt or --out ends in ".amoc"; the shard files then
-//       travel as .amoc too). With --no-timing the result is
-//       byte-identical to the one-shot sweep — in either encoding.
-//
-//   amo_lab stats <trace.json>
-//       Summarise a --trace-out trace: a per-stage table (span counts,
-//       total/mean/p50/p95/max durations) plus counters, and with --out a
-//       machine-readable summary JSON (docs/observability.md).
-//
-//   amo_lab help
-//       This text, on stdout, exit 0 (also --help / -h).
-//
-// Options (run/sweep/serve/submit/batch/dispatch):
-//   --n=N --m=M --beta=B --eps=K     scenario parameters (sizes, 1/eps)
-//   --seed=S --seeds=R               first adversary seed / seed variants
-//   --replicas=R                     deterministic replicas per cell: every
-//                                    cell runs R times under splitmix-derived
-//                                    seeds and reports distribution aggregates
-//                                    (min/mean/max/stddev/p50/p95)
-//   --pool=P                         sweep workers (0 = hardware, 1 = serial)
-//   --shard=i/k                      run shard i of k over the replica-
-//                                    expanded unit space (0 <= i < k)
-//   --scheduled-only                 drop os_threads cells (hardware-timed,
-//                                    so not byte-reproducible across runs)
-//   --out=FILE                       write the unified records to FILE
-//   --format=json|colfmt             output encoding; without it, an --out
-//                                    (or convert destination) ending in
-//                                    ".amoc" selects the columnar binary
-//                                    format (docs/record_format.md)
-//   --no-timing                      omit wall_seconds from JSON (makes
-//                                    identical executions byte-identical)
-//   --trace-out=FILE                 record a Chrome-trace-event timeline
-//                                    (spans + counters across svc/pool/
-//                                    sweep/dispatch/merge, Perfetto-
-//                                    loadable) and write it to FILE on
-//                                    exit; strictly out-of-band — record
-//                                    output stays byte-identical
-//   --check                          additionally run the sweep serially and
-//                                    verify pooled results are bit-identical;
-//                                    prints the speedup
-//   --quiet                          suppress the per-cell table
-// Options (serve/submit):
-//   --jobs=FILE                      serve: read job lines from FILE/FIFO
-//   --once                           serve: exit at the first EOF even on
-//                                    a FIFO (default: stay resident)
-//   --heartbeat-s=T                  serve: log a progress line every T
-//                                    seconds, flagging jobs whose unit
-//                                    counter stopped moving
-//   --stall-s=T                      serve: deadline action — when a job's
-//                                    unit counter has not moved for T
-//                                    seconds, cancel the pool batch and
-//                                    fail the job with the timeout class
-//   --to=FILE                        submit: append the job line to FILE
-// Options (dispatch):
-//   --shards=K                       number of shard subprocesses
-//   --retries=R                      re-launch a hard-failed shard up to R
-//                                    times (the partition is deterministic,
-//                                    so only the failed slice reruns)
-//   --deadline-s=T                   wall-clock deadline per shard attempt;
-//                                    on expiry the shard's process group is
-//                                    SIGTERMed, then SIGKILLed, and the
-//                                    attempt counts as a hard failure
-//   --inject=SPEC                    deterministic fault injection (see
-//                                    docs/robustness.md): resolve SPEC per
-//                                    (shard, attempt) and hand each child
-//                                    its action via AMO_FAULT
-//   --resume                         adopt completed shards from the
-//                                    manifest a failed dispatch left behind
-//                                    (content-hash + slice verified);
-//                                    relaunch only the rest
-//   --command=TEMPLATE               launch template; placeholders {self}
-//                                    {args} {shard} {out} (default
-//                                    "{self} {args} --shard={shard} --out={out}")
-//   --dir=D                          directory for the shard files
-//   --keep-shards                    do not delete the per-shard files
-//                                    (nor the resume manifest)
-// Options (merge):
-//   --manifest=FILE                  merge the shard files a dispatch
-//                                    manifest checkpointed (content-hash
-//                                    verified) instead of naming them
-//   --wait-s=T                       merge --manifest: poll up to T seconds
-//                                    for the manifest to hold a complete
-//                                    shard set (a dispatch may still be
-//                                    writing it)
-// Options (diff):
-//   --tol=T                          relative tolerance for work /
-//                                    effectiveness drift (default 0.05)
-//   --dist-test                      additionally rank-test the per-replica
-//                                    metric distributions of every matched
-//                                    cell (Mann-Whitney + KS, alpha 0.01);
-//                                    a significant shift toward the worse
-//                                    side of a gated metric is a regression
-//                                    even when every per-replica delta is
-//                                    inside --tol
+// `amo_lab help` lists the commands (kCommands below) and every option.
+// Options are declared once, in the table in src/svc/cli.cpp, which also
+// parses batch/serve job lines, so the CLI and a job line accept exactly
+// the same knobs.
 //
 // Every record follows the unified flat schema (see docs/json_schema.md):
 // exp::report_fields prefixed, for run/sweep output, with the global grid
@@ -178,11 +29,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/colfmt.hpp"
@@ -197,6 +48,7 @@
 #include "exp/report.hpp"
 #include "exp/shard.hpp"
 #include "exp/sweep.hpp"
+#include "svc/cli.hpp"
 #include "svc/dispatcher.hpp"
 #include "svc/fault.hpp"
 #include "svc/job.hpp"
@@ -209,232 +61,7 @@ namespace {
 
 using namespace amo;
 
-struct cli_options {
-  exp::scenario_params params;
-  usize pool = 0;
-  usize batch = exp::batch_auto;  ///< replica-block width (0 = scalar)
-  std::string out;
-  bool no_timing = false;
-  bool check = false;
-  bool quiet = false;
-  bool scheduled_only = false;
-  bool have_shard = false;
-  exp::shard_ref shard;
-  double tol = 0.05;
-  bool dist_test = false;  ///< diff: replica-distribution rank tests
-  bool have_format = false;           ///< --format spelled explicitly
-  exp::record_format format = exp::record_format::json;
-  std::string manifest;  ///< dispatch/merge: manifest path override
-  double wait_s = 0;     ///< merge --manifest: poll window for a full set
-  std::string jobs;     ///< serve: input FIFO/file
-  std::string to;       ///< submit: target FIFO/file
-  usize shards = 0;     ///< dispatch: k
-  usize retries = 0;    ///< dispatch: re-launches per hard-failed shard
-  std::string command;  ///< dispatch: launch template override
-  std::string dir = "."; ///< dispatch: shard-file directory
-  bool keep_shards = false;
-  double deadline_s = 0; ///< dispatch: wall-clock deadline per shard attempt
-  std::string inject;    ///< dispatch: fault-injection spec (svc::fault)
-  bool resume = false;   ///< dispatch: adopt completed shards from manifest
-  double heartbeat_s = 0;///< serve: progress watchdog period
-  double stall_s = 0;    ///< serve: watchdog deadline action (cancel batch)
-  std::string trace_out; ///< write a Chrome-trace timeline here on exit
-  bool once = false;     ///< serve: exit at the first EOF even on a FIFO
-  std::vector<std::string> names;  ///< scenario names, or files for merge/diff
-};
-
-bool parse_kv(const char* arg, const char* key, const char** value) {
-  const usize len = std::strlen(key);
-  if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-bool parse_args(int argc, char** argv, int first, cli_options& opt) {
-  for (int i = first; i < argc; ++i) {
-    const char* a = argv[i];
-    const char* v = nullptr;
-    if (parse_kv(a, "--n", &v)) {
-      opt.params.n = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--m", &v)) {
-      opt.params.m = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--beta", &v)) {
-      opt.params.beta = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--eps", &v)) {
-      opt.params.eps_inv = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    } else if (parse_kv(a, "--seed", &v)) {
-      opt.params.seed = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--seeds", &v)) {
-      opt.params.seeds = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--replicas", &v)) {
-      opt.params.replicas = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--retries", &v)) {
-      opt.retries = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--pool", &v)) {
-      opt.pool = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--batch-replicas", &v)) {
-      if (std::strcmp(v, "auto") == 0) {
-        opt.batch = exp::batch_auto;
-      } else {
-        char* end = nullptr;
-        opt.batch = std::strtoull(v, &end, 10);
-        if (end == v || *end != '\0') {
-          std::fprintf(stderr,
-                       "bad batch width '%s' (want auto, 0, or a count)\n", v);
-          return false;
-        }
-      }
-    } else if (parse_kv(a, "--shard", &v)) {
-      if (!exp::parse_shard(v, opt.shard)) {
-        std::fprintf(stderr, "bad shard '%s': want i/k with 0 <= i < k\n", v);
-        return false;
-      }
-      opt.have_shard = true;
-    } else if (parse_kv(a, "--shards", &v)) {
-      opt.shards = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--tol", &v)) {
-      char* end = nullptr;
-      opt.tol = std::strtod(v, &end);
-      if (end == v || *end != '\0' || opt.tol < 0) {
-        std::fprintf(stderr, "bad tolerance '%s'\n", v);
-        return false;
-      }
-    } else if (parse_kv(a, "--deadline-s", &v)) {
-      char* end = nullptr;
-      opt.deadline_s = std::strtod(v, &end);
-      if (end == v || *end != '\0' || opt.deadline_s < 0) {
-        std::fprintf(stderr, "bad deadline '%s' (want seconds >= 0)\n", v);
-        return false;
-      }
-    } else if (parse_kv(a, "--heartbeat-s", &v)) {
-      char* end = nullptr;
-      opt.heartbeat_s = std::strtod(v, &end);
-      if (end == v || *end != '\0' || opt.heartbeat_s < 0) {
-        std::fprintf(stderr, "bad heartbeat '%s' (want seconds >= 0)\n", v);
-        return false;
-      }
-    } else if (parse_kv(a, "--stall-s", &v)) {
-      char* end = nullptr;
-      opt.stall_s = std::strtod(v, &end);
-      if (end == v || *end != '\0' || opt.stall_s < 0) {
-        std::fprintf(stderr, "bad stall '%s' (want seconds >= 0)\n", v);
-        return false;
-      }
-    } else if (parse_kv(a, "--trace-out", &v)) {
-      opt.trace_out = v;
-    } else if (parse_kv(a, "--inject", &v)) {
-      opt.inject = v;
-    } else if (parse_kv(a, "--format", &v)) {
-      if (std::strcmp(v, "json") == 0) {
-        opt.format = exp::record_format::json;
-      } else if (std::strcmp(v, "colfmt") == 0) {
-        opt.format = exp::record_format::colfmt;
-      } else {
-        std::fprintf(stderr, "bad format '%s' (want json or colfmt)\n", v);
-        return false;
-      }
-      opt.have_format = true;
-    } else if (parse_kv(a, "--manifest", &v)) {
-      opt.manifest = v;
-    } else if (parse_kv(a, "--wait-s", &v)) {
-      char* end = nullptr;
-      opt.wait_s = std::strtod(v, &end);
-      if (end == v || *end != '\0' || opt.wait_s < 0) {
-        std::fprintf(stderr, "bad wait '%s' (want seconds >= 0)\n", v);
-        return false;
-      }
-    } else if (std::strcmp(a, "--resume") == 0) {
-      opt.resume = true;
-    } else if (parse_kv(a, "--out", &v)) {
-      opt.out = v;
-    } else if (parse_kv(a, "--jobs", &v)) {
-      opt.jobs = v;
-    } else if (parse_kv(a, "--to", &v)) {
-      opt.to = v;
-    } else if (parse_kv(a, "--command", &v)) {
-      opt.command = v;
-    } else if (parse_kv(a, "--dir", &v)) {
-      opt.dir = v;
-    } else if (std::strcmp(a, "--keep-shards") == 0) {
-      opt.keep_shards = true;
-    } else if (std::strcmp(a, "--dist-test") == 0) {
-      opt.dist_test = true;
-    } else if (std::strcmp(a, "--once") == 0) {
-      opt.once = true;
-    } else if (std::strcmp(a, "--no-timing") == 0) {
-      opt.no_timing = true;
-    } else if (std::strcmp(a, "--scheduled-only") == 0) {
-      opt.scheduled_only = true;
-    } else if (std::strcmp(a, "--check") == 0) {
-      opt.check = true;
-    } else if (std::strcmp(a, "--quiet") == 0) {
-      opt.quiet = true;
-    } else if (a[0] == '-') {
-      std::fprintf(stderr, "unknown option '%s'\n", a);
-      return false;
-    } else {
-      opt.names.emplace_back(a);
-    }
-  }
-  return true;
-}
-
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: amo_lab <command> [args] [options]\n"
-      "\n"
-      "commands:\n"
-      "  list                           registered scenarios + descriptions\n"
-      "  run <scenario ...>             expand + run the named scenarios\n"
-      "  sweep [scenario ...]           run many scenarios (default: all);\n"
-      "                                 --shard=i/k runs slice i of a k-way\n"
-      "                                 partition (cells with index = i mod k)\n"
-      "  merge <shard ...>              recombine shard outputs, JSON or .amoc\n"
-      "                                 (byte-identical to the unsharded sweep;\n"
-      "                                 duplicate/gap detection; streamed cell\n"
-      "                                 by cell in bounded memory); with\n"
-      "                                 --manifest=FILE [--wait-s=T], merge the\n"
-      "                                 hash-verified shard set a dispatch\n"
-      "                                 manifest checkpointed\n"
-      "  convert <in> <out>             rewrite a record file in the other\n"
-      "                                 encoding (lossless both ways; --format\n"
-      "                                 overrides the extension inference)\n"
-      "  diff <base.json> <cand.json>   classify changes cell-by-cell; exits\n"
-      "                                 1 on work/effectiveness regression\n"
-      "                                 beyond --tol, 2 on new duplicates/\n"
-      "                                 livelocks or missing cells; --dist-test\n"
-      "                                 adds per-replica rank tests (MW + KS)\n"
-      "  serve [--jobs=FIFO]            resident service: persistent pool,\n"
-      "                                 job lines in, per-job JSON out\n"
-      "  submit <scenario ...>          append a canonical job line to --to\n"
-      "  batch <file>                   run a batch file of jobs on one\n"
-      "                                 persistent pool (docs/batch_format.md)\n"
-      "  dispatch --shards=k [...]      launch k shard subprocesses, wait,\n"
-      "                                 merge their JSON (--command templates\n"
-      "                                 the launch, e.g. over ssh); with\n"
-      "                                 --trace-out the children's trace\n"
-      "                                 shards are stitched into one timeline\n"
-      "  stats <trace.json>             summarise a --trace-out trace: per-\n"
-      "                                 stage span table + counters; --out\n"
-      "                                 writes a machine-readable summary\n"
-      "  help                           this text\n"
-      "\n"
-      "options: --n=N --m=M --beta=B --eps=K --seed=S --seeds=R\n"
-      "         --replicas=R --pool=P --batch-replicas=auto|0|N\n"
-      "         --shard=i/k --scheduled-only\n"
-      "         --out=FILE --format=json|colfmt --no-timing --check --quiet\n"
-      "         --trace-out=FILE (Perfetto-loadable Chrome-trace timeline;\n"
-      "         out-of-band: record output stays byte-identical)\n"
-      "         --tol=T --dist-test --jobs=FILE\n"
-      "         --once --heartbeat-s=T --stall-s=T (cancel a stalled batch\n"
-      "         and fail the job as a timeout) --to=FILE --shards=K\n"
-      "         --retries=R\n"
-      "         --deadline-s=T --inject=SPEC --resume --command=TEMPLATE\n"
-      "         --dir=D --keep-shards --manifest=FILE --wait-s=T\n",
-      to);
-}
+using svc::cli_options;
 
 int cmd_list(const cli_options& opt) {
   if (!opt.names.empty()) {
@@ -463,28 +90,11 @@ void print_reports(const std::vector<exp::run_report>& reports) {
   std::fputs(t.render().c_str(), stdout);
 }
 
-/// Builds the job a run/sweep/submit/dispatch invocation describes. The
-/// CLI and the batch/serve service execute the identical structure, which
-/// is what makes their outputs byte-identical by construction.
-svc::job job_from_options(const cli_options& opt) {
-  svc::job j;
-  j.scenarios = opt.names;
-  j.params = opt.params;
-  j.scheduled_only = opt.scheduled_only;
-  j.no_timing = opt.no_timing;
-  j.have_shard = opt.have_shard;
-  j.shard = opt.shard;
-  j.batch = opt.batch;
-  j.out = opt.out;
-  j.have_format = opt.have_format;
-  j.format = opt.format;
-  return j;
-}
-
 /// The output encoding a command writes: the explicit --format when
 /// given, else inferred from the destination path (".amoc" = colfmt).
 exp::record_format format_for(const cli_options& opt, const std::string& path) {
-  return opt.have_format ? opt.format : exp::format_for_path(path);
+  return opt.knobs.have_format ? opt.knobs.format
+                               : exp::format_for_path(path);
 }
 
 const char* format_name(exp::record_format f) {
@@ -549,7 +159,12 @@ int run_job(const svc::job& j, const cli_options& opt) {
 }
 
 int cmd_run(const cli_options& opt) {
-  return run_job(job_from_options(opt), opt);
+  if (opt.names.empty()) {
+    std::fprintf(stderr,
+                 "run: name at least one scenario (see amo_lab list)\n");
+    return 2;
+  }
+  return run_job(svc::cli_job(opt), opt);
 }
 
 int cmd_sweep(const cli_options& opt) {
@@ -558,7 +173,7 @@ int cmd_sweep(const cli_options& opt) {
   for (const exp::scenario& s : exp::scenario_registry()) {
     all.names.push_back(s.name);
   }
-  return run_job(job_from_options(all), all);
+  return run_job(svc::cli_job(all), all);
 }
 
 /// The merge exit convention over one streamed error string: read/parse/
@@ -583,8 +198,8 @@ int cmd_merge(const cli_options& opt) {
                          "give one or the other\n");
     return 2;
   }
-  const exp::record_format fmt = format_for(opt, opt.out);
-  if (fmt == exp::record_format::colfmt && opt.out.empty()) {
+  const exp::record_format fmt = format_for(opt, opt.knobs.out);
+  if (fmt == exp::record_format::colfmt && opt.knobs.out.empty()) {
     std::fprintf(stderr,
                  "merge: --format=colfmt needs --out=FILE (stdout is text)\n");
     return 2;
@@ -610,7 +225,7 @@ int cmd_merge(const cli_options& opt) {
     return merge_error_exit(merged.error);
   }
   std::string werr;
-  if (opt.out.empty()) {
+  if (opt.knobs.out.empty()) {
     std::fputs(exp::render_records(merged.records).c_str(), stdout);
   } else {
     std::string content;
@@ -620,16 +235,17 @@ int cmd_merge(const cli_options& opt) {
     }
     // Through the fault-aware atomic artifact path, like every other
     // record writer in the stack (key 0: the merged whole).
-    if (!svc::write_artifact(opt.out.c_str(), content, 0, werr)) {
+    if (!svc::write_artifact(opt.knobs.out.c_str(), content, 0, werr)) {
       std::fprintf(stderr, "amo_lab merge: %s\n", werr.c_str());
       return 3;
     }
     if (!opt.manifest.empty()) {
       std::printf("[%zu cells via %s -> %s (%s)]\n", merged.records.size(),
-                  opt.manifest.c_str(), opt.out.c_str(), format_name(fmt));
+                  opt.manifest.c_str(), opt.knobs.out.c_str(),
+                  format_name(fmt));
     } else {
       std::printf("[%zu cells from %zu shards -> %s (%s)]\n",
-                  merged.records.size(), shard_count, opt.out.c_str(),
+                  merged.records.size(), shard_count, opt.knobs.out.c_str(),
                   format_name(fmt));
     }
   }
@@ -675,11 +291,8 @@ int cmd_diff(const cli_options& opt) {
                  (!base.ok() ? base.error : cand.error).c_str());
     return 3;
   }
-  exp::diff_options dopt;
-  dopt.tolerance = opt.tol;
-  dopt.dist_test = opt.dist_test;
   const exp::diff_report report =
-      exp::report_diff(base.records, cand.records, dopt);
+      exp::report_diff(base.records, cand.records, opt.diff);
   if (!opt.quiet || report.severity != exp::diff_severity::clean) {
     std::fputs(exp::format_diff(report).c_str(), stdout);
   }
@@ -709,10 +322,8 @@ int cmd_serve(const cli_options& opt) {
     resident = ::stat(opt.jobs.c_str(), &st) == 0 && S_ISFIFO(st.st_mode);
   }
   svc::worker_pool pool(opt.pool);
-  svc::server_options sopt;
+  svc::server_options sopt = opt.serve;
   sopt.quiet = opt.quiet;
-  sopt.heartbeat_s = opt.heartbeat_s;
-  sopt.stall_s = opt.stall_s;
   // Tracing implies a machine consumer: heartbeat/stall lines switch to
   // one-line JSON so the log stream is tailable alongside the trace.
   sopt.json_heartbeat = !opt.trace_out.empty();
@@ -763,7 +374,7 @@ int cmd_submit(const cli_options& opt) {
       return 2;
     }
   }
-  const std::string line = svc::to_line(job_from_options(opt));
+  const std::string line = svc::to_line(svc::cli_job(opt));
   // Round-trip through the parser so a job that serve would reject can
   // never be submitted in the first place.
   svc::job parsed;
@@ -816,49 +427,20 @@ int cmd_batch(const cli_options& opt) {
   return sum.exit_code();
 }
 
-int cmd_dispatch(const cli_options& opt, const char* argv0) {
-  if (opt.shards == 0) {
+int cmd_dispatch(const cli_options& opt) {
+  if (opt.dispatch.shards == 0) {
     std::fprintf(stderr, "dispatch: need --shards=k (k >= 1)\n");
     return 2;
   }
-  if (opt.have_shard) {
+  if (opt.knobs.have_shard) {
     std::fprintf(stderr, "dispatch: --shard belongs to the child sweeps; "
                          "use --shards=k\n");
     return 2;
   }
 
-  // The child argument string: a canonical `sweep` invocation carrying
-  // every knob this process was given, so `dispatch --shards=k X` is the
-  // distributed spelling of `sweep X`.
-  std::string args = "sweep";
-  for (const std::string& name : opt.names) args += " " + name;
-  char buf[224];
-  std::snprintf(buf, sizeof buf,
-                " --n=%zu --m=%zu --beta=%zu --eps=%u --seed=%llu --seeds=%zu"
-                " --replicas=%zu --pool=%zu",
-                opt.params.n, opt.params.m, opt.params.beta, opt.params.eps_inv,
-                static_cast<unsigned long long>(opt.params.seed),
-                opt.params.seeds, opt.params.replicas, opt.pool);
-  args += buf;
-  if (opt.scheduled_only) args += " --scheduled-only";
-  if (opt.no_timing) args += " --no-timing";
-  if (opt.batch != exp::batch_auto) {
-    args += " --batch-replicas=" + std::to_string(opt.batch);
-  }
-  args += " --quiet";
-
-  svc::dispatch_options dopt;
-  dopt.shards = opt.shards;
-  dopt.retries = opt.retries;
-  dopt.self = argv0;
-  if (!opt.command.empty()) dopt.command = opt.command;
-  dopt.dir = opt.dir;
-  dopt.out = opt.out;
-  dopt.keep_shards = opt.keep_shards;
+  svc::dispatch_options dopt = opt.dispatch;
+  dopt.out = opt.knobs.out;
   dopt.quiet = opt.quiet;
-  dopt.deadline_s = opt.deadline_s;
-  dopt.inject = opt.inject;
-  dopt.resume = opt.resume;
   // Fan the trace out: every child gets its own --trace-out shard, and the
   // dispatcher attaches them to this process's session so the export is one
   // stitched timeline (child i = pid i+1).
@@ -866,14 +448,14 @@ int cmd_dispatch(const cli_options& opt, const char* argv0) {
   // Shard files and the merged output travel in the same encoding; the
   // children need no extra flag — they infer colfmt from their ".amoc"
   // --out names.
-  dopt.format = format_for(opt, opt.out);
-  if (dopt.format == exp::record_format::colfmt && opt.out.empty()) {
+  dopt.format = format_for(opt, opt.knobs.out);
+  if (dopt.format == exp::record_format::colfmt && opt.knobs.out.empty()) {
     std::fprintf(stderr, "dispatch: --format=colfmt needs --out=FILE "
                          "(stdout is text)\n");
     return 2;
   }
 
-  const svc::dispatch_result result = svc::dispatch(args, dopt);
+  const svc::dispatch_result result = svc::dispatch(svc::child_args(opt), dopt);
   if (!result.ok()) {
     std::fprintf(stderr, "amo_lab dispatch: %s\n", result.error.c_str());
     for (const svc::shard_run& run : result.shards) {
@@ -884,11 +466,11 @@ int cmd_dispatch(const cli_options& opt, const char* argv0) {
     }
     return result.exit_code;
   }
-  if (opt.out.empty()) {
+  if (opt.knobs.out.empty()) {
     std::fputs(exp::render_records(result.merged).c_str(), stdout);
   } else {
     std::printf("[%zu cells from %zu shards -> %s]\n", result.merged.size(),
-                result.shards.size(), opt.out.c_str());
+                result.shards.size(), opt.knobs.out.c_str());
   }
   return result.exit_code;
 }
@@ -908,36 +490,86 @@ int cmd_stats(const cli_options& opt) {
   const obs::trace_summary sum =
       obs::summarize_trace(parsed.events, parsed.dropped);
   if (!opt.quiet) std::fputs(obs::render_summary_table(sum).c_str(), stdout);
-  if (!opt.out.empty()) {
+  if (!opt.knobs.out.empty()) {
     std::string werr;
-    if (!svc::write_artifact(opt.out.c_str(),
+    if (!svc::write_artifact(opt.knobs.out.c_str(),
                              obs::render_summary_json(sum), 0, werr)) {
       std::fprintf(stderr, "amo_lab stats: %s\n", werr.c_str());
       return 3;
     }
     if (!opt.quiet) {
       std::printf("[%zu stages, %zu counters -> %s]\n", sum.stages.size(),
-                  sum.counters.size(), opt.out.c_str());
+                  sum.counters.size(), opt.knobs.out.c_str());
     }
   }
   return 0;
+}
+
+/// One amo_lab command: its `amo_lab help` line and its body.
+struct command {
+  std::string_view name;
+  std::string_view usage;
+  std::string_view help;
+  int (*run)(const cli_options&);
+};
+
+const command kCommands[] = {
+    {"list", "list", "registered scenarios + descriptions", cmd_list},
+    {"run", "run <scenario ...>", "expand + run the named scenarios", cmd_run},
+    {"sweep", "sweep [scenario ...]",
+     "run many scenarios (default: all) as one grid", cmd_sweep},
+    {"merge", "merge <shard ...>",
+     "recombine shard outputs into the sweep's bytes", cmd_merge},
+    {"convert", "convert <in> <out>",
+     "rewrite a record file in the other encoding", cmd_convert},
+    {"diff", "diff <base> <cand>",
+     "classify changes cell by cell (exit 1, 2: worse)", cmd_diff},
+    {"serve", "serve", "resident service: persistent pool, job lines in",
+     cmd_serve},
+    {"submit", "submit <scenario ...>", "append a canonical job line to --to",
+     cmd_submit},
+    {"batch", "batch <file>",
+     "run a batch file on one pool (docs/batch_format.md)", cmd_batch},
+    {"dispatch", "dispatch --shards=K",
+     "launch K shard subprocesses, verify, merge", cmd_dispatch},
+    {"stats", "stats <trace.json>", "summarise a --trace-out trace per stage",
+     cmd_stats},
+};
+
+std::string usage() {
+  std::string out = "usage: amo_lab <command> [args] [options]\n\ncommands:\n";
+  for (const command& c : kCommands) {
+    out += svc::help_row(std::string(c.usage), c.help);
+  }
+  return out + svc::help_row("help", "this text") + svc::options_help();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    usage(stderr);
+    std::fputs(usage().c_str(), stderr);
     return 2;
   }
   const std::string cmd = argv[1];
   if (cmd == "help" || cmd == "--help" || cmd == "-h") {
-    usage(stdout);
+    std::fputs(usage().c_str(), stdout);
     return 0;
   }
+  const command* run = nullptr;
+  for (const command& c : kCommands) {
+    if (c.name == cmd) run = &c;
+  }
+  if (run == nullptr) {
+    std::fprintf(stderr, "amo_lab: unknown command '%s'\n%s", cmd.c_str(),
+                 usage().c_str());
+    return 2;
+  }
   cli_options opt;
-  if (!parse_args(argc, argv, 2, opt)) {
-    usage(stderr);
+  opt.dispatch.self = argv[0];
+  std::string error;
+  if (!svc::parse_cli(argc, argv, 2, opt, error)) {
+    std::fprintf(stderr, "amo_lab: %s\n", error.c_str());
     return 2;
   }
   // A fault plan in the environment must be well-formed before anything
@@ -946,7 +578,6 @@ int main(int argc, char** argv) {
   if (const char* spec = std::getenv("AMO_FAULT");
       spec != nullptr && *spec != '\0') {
     svc::fault_plan plan;
-    std::string error;
     if (!svc::parse_fault_plan(spec, plan, error)) {
       std::fprintf(stderr, "amo_lab: bad AMO_FAULT spec: %s\n", error.c_str());
       return 2;
@@ -963,52 +594,18 @@ int main(int argc, char** argv) {
   }
 
   int rc = 2;
-  bool known = true;
   try {
-    if (cmd == "list") {
-      rc = cmd_list(opt);
-    } else if (cmd == "run") {
-      if (opt.names.empty()) {
-        std::fprintf(stderr, "run: name at least one scenario (see amo_lab list)\n");
-        return 2;
-      }
-      rc = cmd_run(opt);
-    } else if (cmd == "sweep") {
-      rc = cmd_sweep(opt);
-    } else if (cmd == "merge") {
-      rc = cmd_merge(opt);
-    } else if (cmd == "convert") {
-      rc = cmd_convert(opt);
-    } else if (cmd == "diff") {
-      rc = cmd_diff(opt);
-    } else if (cmd == "serve") {
-      rc = cmd_serve(opt);
-    } else if (cmd == "submit") {
-      rc = cmd_submit(opt);
-    } else if (cmd == "batch") {
-      rc = cmd_batch(opt);
-    } else if (cmd == "dispatch") {
-      rc = cmd_dispatch(opt, argv[0]);
-    } else if (cmd == "stats") {
-      rc = cmd_stats(opt);
-    } else {
-      known = false;
-    }
+    rc = run->run(opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "amo_lab: %s\n", e.what());
-    return 2;
-  }
-  if (!known) {
-    std::fprintf(stderr, "amo_lab: unknown command '%s'\n", cmd.c_str());
-    usage(stderr);
     return 2;
   }
 
   if (trace != nullptr && trace->installed()) {
     obs::export_options eopt;
     eopt.process_name = "amo_lab " + cmd;
-    if (opt.have_shard) {
-      eopt.process_name += " shard=" + exp::to_string(opt.shard);
+    if (opt.knobs.have_shard) {
+      eopt.process_name += " shard=" + exp::to_string(opt.knobs.shard);
     }
     std::string werr;
     if (obs::export_file(trace->sink(), opt.trace_out.c_str(), eopt, werr)) {
