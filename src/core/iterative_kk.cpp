@@ -3,13 +3,10 @@
 
 #include "mem/atomic_memory.hpp"
 #include "mem/sim_memory.hpp"
-#include "sets/fenwick_rank_set.hpp"
-#include "sets/ostree.hpp"
 
 namespace amo {
 
-template class iterative_process<sim_memory, bitset_rank_set>;
-template class iterative_process<sim_memory, ostree>;
-template class iterative_process<atomic_memory, bitset_rank_set>;
+template class iterative_process<sim_memory>;
+template class iterative_process<atomic_memory>;
 
 }  // namespace amo

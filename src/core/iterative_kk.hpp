@@ -52,7 +52,7 @@ struct iterative_stats {
   usize levels_completed = 0;
 };
 
-template <class M, rank_set FS = bitset_rank_set>
+template <class M>
   requires kk_memory<M>
 class iterative_process final : public automaton {
  public:
@@ -112,7 +112,7 @@ class iterative_process final : public automaton {
   }
 
  private:
-  using inner_process = kk_process<M, FS>;
+  using inner_process = kk_process<M>;
 
   void start_level();
   void harvest_level();
@@ -142,9 +142,9 @@ class iterative_process final : public automaton {
 
 // ----- implementation -----
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void iterative_process<M, FS>::step() {
+void iterative_process<M>::step() {
   assert(runnable());
   ++steps_;
   if (final_phase_) {
@@ -167,9 +167,9 @@ void iterative_process<M, FS>::step() {
   if (!inner_->runnable()) harvest_level();
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void iterative_process<M, FS>::start_level() {
+void iterative_process<M>::start_level() {
   ++stats_.work.actions;
   const iterative_plan& plan = shared_.plan;
   const super_job_space& space = plan.levels[level_];
@@ -210,9 +210,9 @@ void iterative_process<M, FS>::start_level() {
   }
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void iterative_process<M, FS>::harvest_level() {
+void iterative_process<M>::harvest_level() {
   const kk_stats& ks = inner_->stats();
   stats_.work += ks.work;
   stats_.work += perform_expansion_work_;

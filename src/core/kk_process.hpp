@@ -3,10 +3,11 @@
 // transition (the granularity all the paper's interleaving proofs assume).
 //
 // The class is templated over the shared-memory model M (sim_memory for the
-// adversarial scheduler, atomic_memory for real threads) and the FREE-set
-// representation FS (bitset_rank_set by default; ostree and fenwick_rank_set
-// are drop-in alternatives compared by ablation bench E10). The exact same
-// algorithm code therefore runs under simulation and on hardware.
+// adversarial scheduler, atomic_memory for real threads) and the FREE set FS:
+// bitset_rank_set, or the batched engine's lane view of a shared arena
+// (lane_free_set). Both expose their bitmap words, so FREE \ TRY runs
+// word-parallel and the |FREE \ TRY| cache below is always on. The exact
+// same algorithm code runs under simulation and on hardware.
 //
 // Algorithm recap (Section 3): a process picks a candidate job by splitting
 // its view of the free jobs into m intervals and taking the first element of
@@ -145,12 +146,11 @@ class kk_process final : public automaton {
   process_id q_ = 1;
   bool finalizing_ = false;
 
-  /// |FREE \ TRY| cache (word-parallel FS only). compNext charges the cost
-  /// model's recomputation price but skips the recomputation when the cache
-  /// is valid; the cache is invalidated on exactly the events that can
-  /// change the difference — a fresh TRY insert or a FREE erase observed in
-  /// a gather pass — and revalidated on TRY clear and on the recomputation
-  /// itself. The own-record erase is maintained in place instead: `check`
+  /// |FREE \ TRY| cache. compNext charges the cost model's recomputation
+  /// price but skips the recomputation when the cache is valid; the cache is
+  /// invalidated on exactly the events that can change the difference — a
+  /// fresh TRY insert or a FREE erase observed in a gather pass — and
+  /// revalidated on TRY clear and on the recomputation itself. The own-record erase is maintained in place instead: `check`
   /// just proved NEXT is not in TRY, so the difference shrinks by one.
   /// In quiescent schedules the gather passes observe nothing new and every
   /// compNext after the first is O(1); under churn the recomputation runs
@@ -170,7 +170,7 @@ class kk_process final : public automaton {
 
   void note_try_clear() {
     avail_cache_ = free_.size();
-    avail_cache_valid_ = word_rank_set<FS>;
+    avail_cache_valid_ = true;
   }
 
   perform_fn perform_;
@@ -213,7 +213,7 @@ kk_process<M, FS>::kk_process(M& mem, const kk_config& cfg, FS free_set,
     try_.bind_universe(static_cast<job_id>(universe_));
   }
   avail_cache_ = free_.size();  // TRY starts empty, so FREE \ TRY = FREE
-  avail_cache_valid_ = word_rank_set<FS>;
+  avail_cache_valid_ = true;
 }
 
 template <class M, rank_set FS>
@@ -306,7 +306,7 @@ template <class M, rank_set FS>
 void kk_process<M, FS>::act_comp_next() {
   ++stats_.comp_nexts;
   usize avail;
-  if (word_rank_set<FS> && avail_cache_valid_) {
+  if (avail_cache_valid_) {
     // The cache already holds |FREE \ TRY|; charge the cost model's price
     // for the recomputation (one unit per TRY entry on the operator plus
     // one FREE contains() unit each — what size_excluding charges) and
@@ -314,25 +314,21 @@ void kk_process<M, FS>::act_comp_next() {
     work().local_ops += 2 * try_.size();
     avail = avail_cache_;
 #ifndef NDEBUG
-    if constexpr (word_rank_set<FS>) {
-      usize overlap = 0;
-      for (const auto& e : try_.entries()) {
-        const bool in_free =
-            e.job >= 1 && e.job <= free_.universe() &&
-            ((free_.word((static_cast<usize>(e.job) - 1) / 64) >>
-              ((e.job - 1) % 64)) &
-             1u);
-        if (in_free) ++overlap;
-      }
-      assert(avail == free_.size() - overlap);
+    usize overlap = 0;
+    for (const auto& e : try_.entries()) {
+      const bool in_free =
+          e.job >= 1 && e.job <= free_.universe() &&
+          ((free_.word((static_cast<usize>(e.job) - 1) / 64) >>
+            ((e.job - 1) % 64)) &
+           1u);
+      if (in_free) ++overlap;
     }
+    assert(avail == free_.size() - overlap);
 #endif
   } else {
     avail = size_excluding(free_, try_, &work());
-    if constexpr (word_rank_set<FS>) {
-      avail_cache_ = avail;  // the recomputation revalidates the cache
-      avail_cache_valid_ = true;
-    }
+    avail_cache_ = avail;  // the recomputation revalidates the cache
+    avail_cache_valid_ = true;
   }
   if (avail >= beta_ && avail > 0) {
     const usize idx = choose_rank_index(avail);

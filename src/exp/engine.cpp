@@ -19,9 +19,7 @@
 #include "mem/atomic_memory.hpp"
 #include "mem/sim_memory.hpp"
 #include "model/dpor.hpp"
-#include "sets/fenwick_rank_set.hpp"
 #include "sets/lane_free_set.hpp"
-#include "sets/ostree.hpp"
 #include "sim/scheduler.hpp"
 #include "util/math.hpp"
 #include "util/stopwatch.hpp"
@@ -39,7 +37,6 @@ void echo_spec(run_report& rep, const run_spec& s) {
   rep.algo = s.algo;
   rep.driver = s.driver;
   rep.memory = s.memory;
-  rep.free_set = s.free_set;
   rep.n = s.n;
   rep.m = s.m;
   rep.beta = s.beta == 0 ? s.m : s.beta;
@@ -416,10 +413,6 @@ run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
   if (s.driver == driver_kind::os_threads) {
     s.memory = memory_kind::atomic;  // sim_memory is not thread-safe
   }
-  if (s.free_set != free_set_kind::bitset &&
-      !(s.algo == algo_family::kk && s.memory == memory_kind::sim)) {
-    bad_spec("fenwick/ostree free sets are supported for kk over sim memory only");
-  }
   run_report rep;
   echo_spec(rep, s);
 
@@ -466,17 +459,7 @@ run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
       if (lane != nullptr) {
         run_kk_impl<sim_memory, lane_free_set>(s, &sched_adv, hooks, rep, lane);
       } else if (s.memory == memory_kind::sim) {
-        switch (s.free_set) {
-          case free_set_kind::bitset:
-            run_kk_impl<sim_memory, bitset_rank_set>(s, &sched_adv, hooks, rep);
-            break;
-          case free_set_kind::fenwick:
-            run_kk_impl<sim_memory, fenwick_rank_set>(s, &sched_adv, hooks, rep);
-            break;
-          case free_set_kind::ostree:
-            run_kk_impl<sim_memory, ostree>(s, &sched_adv, hooks, rep);
-            break;
-        }
+        run_kk_impl<sim_memory, bitset_rank_set>(s, &sched_adv, hooks, rep);
       } else {
         run_kk_impl<atomic_memory, bitset_rank_set>(s, &sched_adv, hooks, rep);
       }
@@ -544,7 +527,6 @@ run_report run_por(const run_spec& spec, svc::worker_pool& pool) {
 batch_class classify_batch(const run_spec& cell) {
   if (cell.driver != driver_kind::scheduled) return batch_class::not_batchable;
   if (cell.memory != memory_kind::sim) return batch_class::not_batchable;
-  if (cell.free_set != free_set_kind::bitset) return batch_class::not_batchable;
   if (cell.record_trace) return batch_class::not_batchable;
   if (cell.n == 0 || cell.m == 0) return batch_class::not_batchable;
   if (cell.algo == algo_family::ao2) {

@@ -5,7 +5,8 @@
 // sim_memory or atomic_memory, driven by the Section 2.1 adversary-scheduled
 // simulator or by real OS threads, and the batched replica engine's lanes
 // (exp/batch.hpp): the checker / collision-ledger / stats aggregation exists
-// exactly once. A spec's adversary name is parsed by sim::parse_adversary
+// exactly once. KK keeps FREE in bitset_rank_set, or in a lane view of the
+// block's shared arena; there is no representation knob. A spec's adversary name is parsed by sim::parse_adversary
 // and run by its concrete type through the one templated scheduler loop.
 //
 // Scheduled runs are deterministic functions of their spec (all randomness
@@ -35,8 +36,8 @@ struct run_hooks {
 };
 
 /// Runs one execution. Throws std::invalid_argument when the spec names an
-/// unknown adversary or combines os_threads with sim memory knobs that make
-/// no sense (fenwick/ostree free sets are scheduled×sim only).
+/// unknown adversary or combines knobs that make no sense (ao2 with m != 2,
+/// the write-all baselines or model_explore_por under os_threads).
 run_report run(const run_spec& spec);
 run_report run(const run_spec& spec, const run_hooks& hooks);
 

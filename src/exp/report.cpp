@@ -85,7 +85,7 @@ std::vector<std::pair<std::string, std::string>> report_fields(
   f.emplace_back("algo", W::str(to_string(r.algo)));
   f.emplace_back("driver", W::str(to_string(r.driver)));
   f.emplace_back("memory", W::str(to_string(r.memory)));
-  f.emplace_back("free_set", W::str(to_string(r.free_set)));
+  f.emplace_back("free_set", W::str("bitset"));  // constant identity field
   f.emplace_back("adversary", W::str(r.adversary));
   f.emplace_back("seed", W::num(std::uint64_t{r.seed}));
   f.emplace_back("n", W::num(std::uint64_t{r.n}));

@@ -103,7 +103,8 @@ std::uint64_t grid_fingerprint(const std::vector<run_spec>& cells) {
     f.value(s.algo);
     f.value(s.driver);
     f.value(s.memory);
-    f.value(s.free_set);
+    f.value(std::uint8_t{0});  // the retired free_set knob, kept so older
+                               // manifests still resume
     f.value(s.n);
     f.value(s.m);
     f.value(s.beta);

@@ -66,15 +66,6 @@ const char* to_string(memory_kind m) {
   return "?";
 }
 
-const char* to_string(free_set_kind f) {
-  switch (f) {
-    case free_set_kind::bitset: return "bitset";
-    case free_set_kind::fenwick: return "fenwick";
-    case free_set_kind::ostree: return "ostree";
-  }
-  return "?";
-}
-
 bool from_string(std::string_view name, algo_family& out) {
   for (const algo_family f :
        {algo_family::kk, algo_family::iterative, algo_family::wa_iterative,
@@ -89,24 +80,13 @@ bool from_string(std::string_view name, algo_family& out) {
   return false;
 }
 
-bool from_string(std::string_view name, free_set_kind& out) {
-  for (const free_set_kind f : {free_set_kind::bitset, free_set_kind::fenwick,
-                                free_set_kind::ostree}) {
-    if (name == to_string(f)) {
-      out = f;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool equivalent(const run_report& a, const run_report& b) {
   // Everything deterministic; label/adversary/seed are identity not outcome
   // (a replay reproduces the execution under a different adversary name),
   // and wall_seconds / trace are excluded by contract.
   return a.algo == b.algo && a.driver == b.driver && a.memory == b.memory &&
-         a.free_set == b.free_set && a.n == b.n && a.m == b.m &&
-         a.beta == b.beta && a.eps_inv == b.eps_inv &&
+         a.n == b.n && a.m == b.m && a.beta == b.beta &&
+         a.eps_inv == b.eps_inv &&
          a.crash_budget == b.crash_budget && a.total_steps == b.total_steps &&
          a.crashes == b.crashes && a.quiescent == b.quiescent &&
          a.terminated == b.terminated && a.effectiveness == b.effectiveness &&

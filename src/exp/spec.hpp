@@ -64,19 +64,14 @@ enum class memory_kind : std::uint8_t {
   atomic,  ///< atomic_memory (seq_cst std::atomic registers)
 };
 
-/// FREE-set representation (the E10 ablation axis; kk family only).
-enum class free_set_kind : std::uint8_t { bitset, fenwick, ostree };
-
 [[nodiscard]] const char* to_string(algo_family f);
 [[nodiscard]] const char* to_string(driver_kind d);
 [[nodiscard]] const char* to_string(memory_kind m);
-[[nodiscard]] const char* to_string(free_set_kind f);
 
 /// Inverse of to_string(algo_family) — how text formats (the trace corpus,
 /// job files) name an algorithm. False on an unrecognized name, leaving
 /// `out` untouched.
 [[nodiscard]] bool from_string(std::string_view name, algo_family& out);
-[[nodiscard]] bool from_string(std::string_view name, free_set_kind& out);
 
 /// Names an adversary the engine can construct on demand (scheduled driver),
 /// in the grammar of sim::parse_adversary (sim/adversary.hpp).
@@ -113,7 +108,6 @@ struct run_spec {
   /// Defaulted per driver when left at `sim` with os_threads: the engine
   /// coerces os_threads runs to atomic (sim_memory is not thread-safe).
   memory_kind memory = memory_kind::sim;
-  free_set_kind free_set = free_set_kind::bitset;
 
   usize n = 0;             ///< jobs 1..n
   usize m = 1;             ///< processes/threads
@@ -165,7 +159,6 @@ struct run_report {
   algo_family algo = algo_family::kk;
   driver_kind driver = driver_kind::scheduled;
   memory_kind memory = memory_kind::sim;
-  free_set_kind free_set = free_set_kind::bitset;
   usize n = 0;
   usize m = 0;
   usize beta = 0;

@@ -2,10 +2,13 @@
 // hierarchy of popcount counters (per-word bytes, then 16-word, 256-word
 // and 4096-word directories).
 //
-// This is the default FREE-set representation in libamo: ~0.15 bytes per
-// universe element (vs ~5 for fenwick_rank_set and ~16 for ostree), which
-// matters because every one of the m processes keeps its own FREE view of
-// all n jobs. select/rank run as cache-resident counter scans — the group
+// This is libamo's FREE set (lane_free_set is the batched engine's view of
+// the same layout, one lane per replica). The paper keeps FREE in a balanced
+// tree so rank and select cost O(log n); here the O(log n) lives in the
+// charged cost model below, and the structure is picked for memory and
+// speed instead: ~0.15 bytes per universe element, which matters because
+// every one of the m processes keeps its own FREE view of all n jobs.
+// select/rank run as cache-resident counter scans — the group
 // and superblock directories are a few hundred bytes, the per-word byte
 // counters stream sequentially — followed by a single bitmap load and a
 // branch-free in-word select (PDEP on BMI2 hardware, broadword otherwise;
@@ -15,12 +18,13 @@
 // asymptotically.
 //
 // Charged work follows the paper's cost model, not the instruction count:
-// the structure charges exactly what the reference implementation (a Fenwick
-// tree over 64-bit word popcounts, O(log U) per operation) charged — one
-// unit per descent level plus one per bit a clear-lowest-bit walk would have
-// visited for select, one per Fenwick prefix hop for rank, one per Fenwick
-// update hop for insert/erase — all computed arithmetically. Charged totals
-// are bit-identical to that reference; only the wall-clock differs.
+// every operation charges what a Fenwick tree over 64-bit word popcounts
+// (O(log U) per operation) would — one unit per descent level plus one per
+// bit a clear-lowest-bit walk would have visited for select, one per
+// Fenwick prefix hop for rank, one per Fenwick update hop for insert/erase
+// (bits::build_fenwick_hops) — all computed arithmetically. No Fenwick tree
+// is ever built; only the charge is kept, so the Theorem 5.6 work bound is
+// measured in the paper's units.
 #pragma once
 
 #include <cstdint>
@@ -96,10 +100,9 @@ class bitset_rank_set {
     if (oc_ != nullptr) ++oc_->local_ops;
   }
 
-  /// Hop count of the reference Fenwick-tree update starting at word w —
-  /// the exact per-update charge of the reference implementation, read from
-  /// a table built once at construction (the chain walk is a serial
-  /// dependency too slow for the update hot path).
+  /// Hop count of a Fenwick-tree update starting at word w — the
+  /// per-update charge of the cost model, read from a table built once at
+  /// construction (see bits::build_fenwick_hops).
   [[nodiscard]] usize fenwick_update_hops(usize w) const { return hops_[w]; }
 
   /// Single-pass rebuild of the cumulative counters from bits_; asserts the
@@ -119,7 +122,7 @@ class bitset_rank_set {
   std::vector<std::uint32_t> sbcum_;   // per superblock: cumulative within group
   std::vector<std::uint32_t> gcum_;    // per group: cumulative within supergroup
   std::vector<std::uint64_t> sgcum_;   // per supergroup: global cumulative
-  std::vector<std::uint8_t> hops_;     // reference Fenwick update hop counts
+  std::vector<std::uint8_t> hops_;     // charged Fenwick update hop counts
   op_counter* oc_ = nullptr;
 };
 

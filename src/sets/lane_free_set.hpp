@@ -11,7 +11,7 @@
 // redo.
 //
 // lane_free_set is a non-owning view of one lane satisfying the same
-// word_rank_set concept as bitset_rank_set, so kk_process instantiates over
+// rank_set concept as bitset_rank_set, so kk_process instantiates over
 // it unchanged and every word-parallel FREE \ TRY path in rank_select.hpp
 // engages identically. The view caches raw pointers into the arena planes
 // (no per-access indirection through the arena object). Charged work is the
@@ -56,7 +56,7 @@ class lane_free_arena {
   [[nodiscard]] usize lanes() const { return lanes_; }
   [[nodiscard]] usize num_words() const { return num_words_; }
 
-  /// The word_rank_set view of lane `lane` (0-based).
+  /// The rank_set view of lane `lane` (0-based).
   [[nodiscard]] lane_free_set view(usize lane);
 
  private:
@@ -76,7 +76,7 @@ class lane_free_arena {
 };
 
 /// One lane of a lane_free_arena. Trivially copyable view holding raw
-/// pointers to its lane's rows; satisfies word_rank_set (see
+/// pointers to its lane's rows; satisfies rank_set (see
 /// sets/rank_select.hpp) with bitset_rank_set's exact charge arithmetic.
 class lane_free_set {
  public:
@@ -188,7 +188,7 @@ class lane_free_set {
     return out;
   }
 
-  // ----- word_rank_set surface (uncharged; see bitset_rank_set) ----------
+  // ----- bitmap word surface (uncharged; see bitset_rank_set) -----------
 
   [[nodiscard]] usize num_words() const { return num_words_; }
 

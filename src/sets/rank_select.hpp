@@ -12,13 +12,13 @@
 // against a brute-force oracle). Each step can only grow idx by newly
 // discovered exclusions, so there are at most |SET2|+1 iterations.
 //
-// Word-parallel engine: when SET1 exposes its bitmap words (word_rank_set,
-// i.e. bitset_rank_set) and the try_set carries its shadow bitmap, the
-// c(x) and |SET1 \ SET2| queries run directly over the materialized
-// SET1 ∩ SET2 word view — AND + popcount over the <= |SET2| occupied shadow
-// words — instead of per-entry contains() probes. The charged operation
-// counts are kept bit-identical to the probe path (the cost model is
-// semantic); only the instruction count changes.
+// Word-parallel engine: every rank_set exposes its bitmap words, so once
+// TRY is above word_parallel_threshold and the try_set carries its shadow
+// bitmap, the c(x) and |SET1 \ SET2| queries run directly over the
+// materialized SET1 ∩ SET2 word view — AND + popcount over the <= |SET2|
+// occupied shadow words — instead of per-entry contains() probes. The
+// charged operation counts are kept bit-identical to the probe path (the
+// cost model is semantic); only the instruction count changes.
 #pragma once
 
 #include <bit>
@@ -32,9 +32,12 @@
 
 namespace amo {
 
-/// The shape shared by ostree / fenwick_rank_set / bitset_rank_set.
+/// The shape shared by bitset_rank_set and lane_free_set: an
+/// order-statistic set that also exposes its backing bitmap words, enabling
+/// the word-parallel FREE \ TRY paths below.
 template <class S>
-concept rank_set = requires(S s, const S cs, job_id x, usize k, op_counter* oc) {
+concept rank_set = requires(S s, const S cs, job_id x, usize k, usize i,
+                            op_counter* oc) {
   { cs.contains(x) } -> std::convertible_to<bool>;
   { cs.size() } -> std::convertible_to<usize>;
   { cs.select(k) } -> std::convertible_to<job_id>;
@@ -42,16 +45,10 @@ concept rank_set = requires(S s, const S cs, job_id x, usize k, op_counter* oc) 
   { s.insert(x) } -> std::convertible_to<bool>;
   { s.erase(x) } -> std::convertible_to<bool>;
   { cs.universe() } -> std::convertible_to<job_id>;
-  s.set_counter(oc);
-};
-
-/// A rank_set that additionally exposes its backing bitmap words, enabling
-/// the word-parallel FREE \ TRY paths below.
-template <class S>
-concept word_rank_set = rank_set<S> && requires(const S cs, usize i, usize n) {
   { cs.word(i) } -> std::convertible_to<std::uint64_t>;
   { cs.num_words() } -> std::convertible_to<usize>;
-  cs.charge_units(n);
+  cs.charge_units(k);
+  s.set_counter(oc);
 };
 
 namespace detail {
@@ -67,7 +64,7 @@ namespace detail {
 ///   bits into one mask as it goes — at most one included-word load per
 ///   distinct word and no lookahead, so it never does more work than the
 ///   per-entry probe path.
-template <word_rank_set S>
+template <rank_set S>
 usize overlap_le_words(const S& included, const try_set& excluded, job_id x) {
   if (x == 0) return 0;
   const auto entries = excluded.entries();
@@ -124,16 +121,14 @@ inline constexpr usize word_parallel_threshold = 8;
 template <rank_set S>
 usize excluded_at_or_below(const S& included, const try_set& excluded, job_id x,
                            op_counter* oc) {
-  if constexpr (word_rank_set<S>) {
-    if (excluded.size() > word_parallel_threshold && excluded.has_shadow()) {
-      if (x == 0) return 0;
-      // Charge exactly what the probe path would: one unit here plus one
-      // contains() unit on `included` per excluded entry <= x.
-      const usize probes = excluded.count_le(x);
-      if (oc != nullptr) oc->local_ops += probes;
-      included.charge_units(probes);
-      return detail::overlap_le_words(included, excluded, x);
-    }
+  if (excluded.size() > word_parallel_threshold && excluded.has_shadow()) {
+    if (x == 0) return 0;
+    // Charge exactly what the probe path would: one unit here plus one
+    // contains() unit on `included` per excluded entry <= x.
+    const usize probes = excluded.count_le(x);
+    if (oc != nullptr) oc->local_ops += probes;
+    included.charge_units(probes);
+    return detail::overlap_le_words(included, excluded, x);
   }
   usize c = 0;
   for (const auto& e : excluded.entries()) {
@@ -147,14 +142,11 @@ usize excluded_at_or_below(const S& included, const try_set& excluded, job_id x,
 /// Number of elements in set1 \ set2.
 template <rank_set S>
 usize size_excluding(const S& set1, const try_set& set2, op_counter* oc = nullptr) {
-  if constexpr (word_rank_set<S>) {
-    if (set2.size() > word_parallel_threshold && set2.has_shadow()) {
-      const usize probes = set2.size();
-      if (oc != nullptr) oc->local_ops += probes;
-      set1.charge_units(probes);
-      return set1.size() -
-             detail::overlap_le_words(set1, set2, set1.universe());
-    }
+  if (set2.size() > word_parallel_threshold && set2.has_shadow()) {
+    const usize probes = set2.size();
+    if (oc != nullptr) oc->local_ops += probes;
+    set1.charge_units(probes);
+    return set1.size() - detail::overlap_le_words(set1, set2, set1.universe());
   }
   usize overlap = 0;
   for (const auto& e : set2.entries()) {

@@ -113,11 +113,13 @@ inline unsigned select_in_word(std::uint64_t x, unsigned k) {
 // because the batched kernel must run identically on the AMO_ENABLE_SIMD=OFF
 // build.
 
-/// hops[w] = length of the reference Fenwick update chain from word w:
-/// i = w+1, then i += lowbit(i) while i <= num_words. This is the exact
-/// per-update charge of the reference implementation, tabled because the
-/// chain walk is a serial dependency too slow for the update hot path.
-/// Built back-to-front so each entry is one step plus its successor's count.
+/// hops[w] = length of the Fenwick update chain from word w:
+/// i = w+1, then i += lowbit(i) while i <= num_words. This is the cost
+/// model, not a data structure: no Fenwick tree exists anywhere in libamo.
+/// The table is the per-update charge of the paper's O(log n) FREE set,
+/// tabled because the chain walk is a serial dependency too slow for the
+/// update hot path. Built back-to-front so each entry is one step plus its
+/// successor's count.
 inline std::vector<std::uint8_t> build_fenwick_hops(usize num_words) {
   std::vector<std::uint8_t> hops(num_words, 0);
   for (usize w = num_words; w-- > 0;) {
@@ -131,7 +133,7 @@ inline std::vector<std::uint8_t> build_fenwick_hops(usize num_words) {
 /// Fills every lane's bitmap with the full universe: one all-ones pass over
 /// the whole plane, then each lane's tail word is masked down to the
 /// universe. One contiguous sweep over the arena — the word-parallel bulk
-/// initialization R scalar FS::full calls would each redo.
+/// initialization R scalar bitset_rank_set::full calls would each redo.
 inline void fill_lane_rows_full(std::uint64_t* words, usize num_words,
                                 usize lanes, std::uint64_t tail_mask) {
   if (num_words == 0) return;

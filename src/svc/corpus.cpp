@@ -33,12 +33,11 @@ bool apply_fields(std::string_view rest, bool is_spec, corpus_entry& e,
       return true;
     }
     if (is_spec && key == "free_set") {
-      if (!exp::from_string(value, e.spec.free_set)) {
-        error = line_error(line_no,
-                           "unknown free_set '" + std::string(value) + "'");
-        return false;
-      }
-      return true;
+      // FREE is always bitset_rank_set; the key stays so files keep parsing.
+      if (value == "bitset") return true;
+      error = line_error(line_no,
+                         "unknown free_set '" + std::string(value) + "'");
+      return false;
     }
 
     std::uint64_t v = 0;
@@ -191,10 +190,9 @@ std::string render_corpus(const corpus_entry& e,
   }
   char buf[192];
   std::snprintf(buf, sizeof buf, "spec algo=%s n=%zu m=%zu beta=%zu eps=%u "
-                                 "crash_budget=%zu free_set=%s\n",
+                                 "crash_budget=%zu free_set=bitset\n",
                 exp::to_string(e.spec.algo), e.spec.n, e.spec.m, e.spec.beta,
-                e.spec.eps_inv, e.spec.crash_budget,
-                exp::to_string(e.spec.free_set));
+                e.spec.eps_inv, e.spec.crash_budget);
   out += buf;
   if (e.has_expectations) {
     std::snprintf(buf, sizeof buf,

@@ -16,8 +16,9 @@
 //   trace s1 s2 c3 ...
 //
 // `spec` keys: algo (to_string(algo_family) names), n, m, beta, eps,
-// crash_budget, free_set. `expect` keys: effectiveness, collisions,
-// duplicates (perform_events - effectiveness), steps, quiescent (0/1).
+// crash_budget, free_set (only `bitset`, the one FREE set). `expect` keys:
+// effectiveness, collisions, duplicates (perform_events - effectiveness),
+// steps, quiescent (0/1).
 // Exactly one spec and one trace line per file; expect is optional but
 // every committed file carries it.
 #pragma once

@@ -1,7 +1,6 @@
-// Shared oracle suite for the three order-statistic set implementations.
-// Each checks against std::set as the reference under randomized operation
-// streams; the per-structure test files instantiate these templates and add
-// structure-specific edge cases.
+// Oracle suite for the order-statistic FREE set: every observable is checked
+// against std::set under randomized operation streams. test_bitset_rank_set
+// and test_word_parallel instantiate these templates.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -179,7 +179,7 @@ TEST(BatchClassify, GateMatchesTheEngineContract) {
             batch_class::replicate);
 
   // Fallback triggers: unknown names, malformed parameters, non-sim memory,
-  // trace recording, non-bitset free sets, non-kk families, ao2 with m != 2.
+  // trace recording, non-kk families, ao2 with m != 2.
   EXPECT_EQ(cls(kk_cell("no_such_adversary", 64, 3, 0, 4)),
             batch_class::not_batchable);
   EXPECT_EQ(cls(kk_cell("random+crash:3/0", 64, 3, 0, 4)),
@@ -191,9 +191,6 @@ TEST(BatchClassify, GateMatchesTheEngineContract) {
   exp::run_spec atomic = base;
   atomic.memory = exp::memory_kind::atomic;
   EXPECT_EQ(cls(atomic), batch_class::not_batchable);
-  exp::run_spec fen = base;
-  fen.free_set = exp::free_set_kind::fenwick;
-  EXPECT_EQ(cls(fen), batch_class::not_batchable);
   exp::run_spec iter = base;
   iter.algo = exp::algo_family::iterative;
   EXPECT_EQ(cls(iter), batch_class::not_batchable);

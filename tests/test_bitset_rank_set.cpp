@@ -1,5 +1,5 @@
-// Unit and property tests for the bitmap+Fenwick rank set (the default
-// FREE-set representation), with emphasis on 64-bit word boundaries.
+// Unit and property tests for bitset_rank_set (libamo's FREE set), with
+// emphasis on 64-bit word boundaries.
 #include <gtest/gtest.h>
 
 #include "rank_set_oracle.hpp"
@@ -65,6 +65,32 @@ TEST(BitsetRankSet, UniverseOfOne) {
   EXPECT_EQ(s.select(1), 1u);
   EXPECT_TRUE(s.erase(1));
   EXPECT_TRUE(s.empty());
+}
+
+TEST(BitsetRankSet, NonPowerOfTwoUniverse) {
+  const auto s = bitset_rank_set::full(1000);
+  for (usize k = 1; k <= 1000; k += 97) EXPECT_EQ(s.select(k), k);
+}
+
+TEST(BitsetRankSet, EraseOutOfRangeIsNoop) {
+  bitset_rank_set s(10);
+  s.insert(5);
+  EXPECT_FALSE(s.erase(0));
+  EXPECT_FALSE(s.erase(11));
+  EXPECT_EQ(s.size(), 1u);
+}
+
+TEST(BitsetRankSet, RankLeBeyondUniverseClamps) {
+  const auto s = bitset_rank_set::full(50);
+  EXPECT_EQ(s.rank_le(50), 50u);
+  EXPECT_EQ(s.rank_le(60), 50u);
+}
+
+TEST(BitsetRankSet, AlternatingEraseSelectsOddMembers) {
+  auto s = bitset_rank_set::full(1024);
+  for (job_id x = 2; x <= 1024; x += 2) EXPECT_TRUE(s.erase(x));
+  EXPECT_EQ(s.size(), 512u);
+  for (usize k = 1; k <= 512; ++k) EXPECT_EQ(s.select(k), 2 * k - 1);
 }
 
 TEST(BitsetRankSet, SparseSelectInsideWord) {

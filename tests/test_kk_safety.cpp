@@ -86,29 +86,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<usize>(2, 4, 8),
                        ::testing::Values<std::uint64_t>(3, 7, 31)));
 
-// --- alternative FREE-set representations must behave identically ---
+// --- the two-ends selection rule must stay safe under crashes ---
 
-TEST(KkSafetyRepresentations, OstreeBackedRunIsSafeAndEquivalent) {
-  exp::run_spec spec;
-  spec.n = 500;
-  spec.m = 4;
-  const exp::run_report a = exp::run(spec);
-  spec.free_set = exp::free_set_kind::ostree;
-  const exp::run_report b = exp::run(spec);
-  spec.free_set = exp::free_set_kind::fenwick;
-  const exp::run_report c = exp::run(spec);
-  EXPECT_TRUE(a.at_most_once);
-  EXPECT_TRUE(b.at_most_once);
-  EXPECT_TRUE(c.at_most_once);
-  // Deterministic schedule + deterministic algorithm: identical outcomes
-  // regardless of the set structure backing FREE.
-  EXPECT_EQ(a.effectiveness, b.effectiveness);
-  EXPECT_EQ(a.effectiveness, c.effectiveness);
-  EXPECT_EQ(a.total_steps, b.total_steps);
-  EXPECT_EQ(a.total_steps, c.total_steps);
-}
-
-TEST(KkSafetyRepresentations, TwoEndsRuleSafeUnderCrashes) {
+TEST(KkSafetyRules, TwoEndsRuleSafeUnderCrashes) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     exp::run_spec spec;
     spec.n = 300;

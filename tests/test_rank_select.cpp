@@ -1,14 +1,13 @@
 // Property tests for the paper's rank(SET1, SET2, i) operator
-// (rank_excluding): cross-checked against a brute-force oracle over all
-// three set implementations and randomized TRY overlays.
+// (rank_excluding): cross-checked against a brute-force oracle over
+// bitset_rank_set and randomized TRY overlays. (lane_free_set is checked
+// against bitset_rank_set, charges included, in test_batch_parity.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "sets/bitset_rank_set.hpp"
-#include "sets/fenwick_rank_set.hpp"
-#include "sets/ostree.hpp"
 #include "sets/rank_select.hpp"
 #include "util/prng.hpp"
 
@@ -18,7 +17,7 @@ namespace {
 template <class S>
 class RankSelectTyped : public ::testing::Test {};
 
-using SetTypes = ::testing::Types<ostree, fenwick_rank_set, bitset_rank_set>;
+using SetTypes = ::testing::Types<bitset_rank_set>;
 TYPED_TEST_SUITE(RankSelectTyped, SetTypes);
 
 /// Brute-force: k-th smallest of set1 \ set2.

@@ -102,6 +102,8 @@ TEST(TraceCorpus, LoaderRejectsMalformedFiles) {
       "spec algo=kk n=8 m=2\nspec n=9 m=2\ntrace s1\n",  // duplicate spec
       "spek algo=kk n=8 m=2\ntrace s1\n",           // unknown line kind
       "spec algo=kk n=8 m=2 beta\ntrace s1\n",      // bare token
+      "spec algo=kk n=8 m=2 free_set=fenwick\ntrace s1\n",  // retired set
+      "spec algo=kk n=8 m=2 free_set=ostree\ntrace s1\n",   // retired set
   };
   for (const char* doc : bad) {
     SCOPED_TRACE(doc);

@@ -1,18 +1,19 @@
 // Differential coverage for the word-parallel free-set engine: the PDEP and
 // portable broadword in-word selects against a brute-force bit walk, the
 // bitset_rank_set select/rank paths (both select implementations, forced via
-// the runtime switch) against the std::set oracle and against ostree, and —
+// the runtime switch) against the std::set oracle and a sorted member list,
+// and —
 // critically — charge parity: the shadow-bitmap FREE \ TRY fast paths must
 // charge exactly the same op_counter units as the per-entry probe paths they
 // replace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
 #include "rank_set_oracle.hpp"
 #include "sets/bitset_rank_set.hpp"
-#include "sets/ostree.hpp"
 #include "sets/rank_select.hpp"
 #include "sets/word_ops.hpp"
 #include "util/prng.hpp"
@@ -88,30 +89,33 @@ TEST(PortableSelectOracle, RandomizedStreams) {
 }
 
 /// Multi-level coverage: a universe large enough to exercise all four
-/// counter-directory levels (> 16*16*16 words), cross-checked against
-/// ostree on sampled select/rank queries rather than the full oracle.
-TEST(WordParallel, LargeUniverseAgainstOstree) {
+/// counter-directory levels (> 16*16*16 words), cross-checked against the
+/// sorted final members on sampled select/rank queries rather than the full
+/// oracle: select(k) = v[k-1], rank_le(x) = |{y in v : y <= x}|.
+TEST(WordParallel, LargeUniverseAgainstSortedMembers) {
   const job_id universe = 1u << 21;
   xoshiro256 rng(44);
   bitset_rank_set b(universe);
-  ostree o(universe);
+  std::set<job_id> ref;
   for (int i = 0; i < 20000; ++i) {
     const auto x = static_cast<job_id>(rng.between(1, universe));
-    ASSERT_EQ(b.insert(x), o.insert(x));
+    ASSERT_EQ(b.insert(x), ref.insert(x).second);
   }
   for (int i = 0; i < 5000; ++i) {
     const auto x = static_cast<job_id>(rng.between(1, universe));
-    ASSERT_EQ(b.erase(x), o.erase(x));
+    ASSERT_EQ(b.erase(x), ref.erase(x) == 1);
   }
-  ASSERT_EQ(b.size(), o.size());
+  const std::vector<job_id> v(ref.begin(), ref.end());
+  ASSERT_EQ(b.size(), v.size());
   for (bool portable : {false, true}) {
     portable_guard guard(portable);
     xoshiro256 qrng(55);
     for (int q = 0; q < 20000; ++q) {
       const usize k = qrng.below(b.size()) + 1;
-      ASSERT_EQ(b.select(k), o.select(k)) << "k=" << k;
+      ASSERT_EQ(b.select(k), v[k - 1]) << "k=" << k;
       const auto x = static_cast<job_id>(qrng.between(1, universe));
-      ASSERT_EQ(b.rank_le(x), o.rank_le(x)) << "x=" << x;
+      const auto le = std::upper_bound(v.begin(), v.end(), x) - v.begin();
+      ASSERT_EQ(b.rank_le(x), static_cast<usize>(le)) << "x=" << x;
     }
   }
 }
