@@ -1,7 +1,6 @@
-// Shared helpers for the table-style benches (experiments E1-E8 of
-// DESIGN.md): consistent headers, ratio formatting, and the shared JSON
-// emitter so the perf trajectory can be tracked across PRs alongside the
-// human-readable tables.
+// Shared helpers for the table-style benches: consistent headers, ratio
+// formatting, and the shared JSON emitter so the perf trajectory can be
+// tracked across PRs alongside the human-readable tables.
 //
 // The JSON emitter is exp::json_writer (src/exp/report.hpp) — the single
 // escaping-correct implementation the experiment engine, amo_lab and all

@@ -1,4 +1,4 @@
-// Write-All baselines for experiment E7 (bench_write_all): the comparison
+// Write-All baselines for experiment E7 (bench_paper): the comparison
 // set against WA_IterativeKK(eps).
 //
 //   wa_trivial_process       every process writes every cell: work m*n,

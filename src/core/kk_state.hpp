@@ -16,7 +16,7 @@ namespace amo {
 /// gather_done, check, do -> perform, done -> record, end, stop.
 /// flag_poll / flag_raise / flag_gate only occur in the iterated modes:
 ///  - flag_poll:  read the termination flag before computing a next job
-///                (DESIGN.md deviation #2; guarantees per-level termination),
+///                (a deviation from Fig. 2; guarantees per-level termination),
 ///  - flag_raise: write the flag after deciding to terminate,
 ///  - flag_gate:  the paper's "after a process checks if it is safe to
 ///                perform a job, the process also checks the termination

@@ -5,10 +5,10 @@
 // mapped to the same super-job of a specific size and there is no
 // intersection between the jobs in super-jobs of the same size" (Section 6).
 //
-// Level sizes are rounded down to powers of two (DESIGN.md substitution #1),
-// so consecutive level sizes divide each other and map() is exact: the jobs
-// covered by the output super-jobs are precisely the jobs covered by the
-// input super-jobs. That divisibility is what makes the at-most-once
+// Level sizes are rounded down to powers of two (a substitution for the
+// paper's exact sizes), so consecutive level sizes divide each other and
+// map() is exact: the jobs covered by the output super-jobs are precisely
+// the jobs covered by the input super-jobs. That divisibility is what makes the at-most-once
 // argument across levels (Lemma 6.2 / Theorem 6.3) go through without
 // boundary leakage.
 #pragma once

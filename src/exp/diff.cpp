@@ -64,6 +64,7 @@ constexpr field_rule kRules[] = {
     {"safe", field_class::safety_flag},
     {"complete", field_class::safety_flag},
     {"telemetry_off_noop", field_class::safety_flag},
+    {"claim_holds", field_class::safety_flag},
     // lower is worse — effectiveness family
     {"effectiveness", field_class::lower_worse},
     {"wa_written", field_class::lower_worse},

@@ -8,8 +8,9 @@
 // outcome metrics, each with a severity rule:
 //
 //   hard_fail    duplicates/livelocks increased, a safety boolean
-//                (at_most_once, quiescent, wa_complete, bit_identical)
-//                flipped true -> false, or a baseline cell disappeared.
+//                (at_most_once, quiescent, wa_complete, bit_identical,
+//                claim_holds) flipped true -> false, or a baseline cell
+//                disappeared.
 //   regression   a "lower is worse" metric (effectiveness, wa_written, ...)
 //                dropped, or a "higher is worse" metric (work, do_actions,
 //                steps, ...) grew, beyond the relative tolerance.

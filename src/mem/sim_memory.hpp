@@ -6,10 +6,10 @@
 // linearization, which is precisely the model the paper analyzes (Section
 // 2.1: "all the asynchronous executions are linearizable").
 //
-// `done` rows grow on demand (DESIGN.md substitution #5): semantically
-// identical to the paper's m x n matrix — cells are written once, in order,
-// and read only at indices at or below the writer's high-water mark — but
-// avoids O(m*n) allocation at large n.
+// `done` rows grow on demand (a substitution for the preallocated matrix):
+// semantically identical to the paper's m x n matrix — cells are written
+// once, in order, and read only at indices at or below the writer's
+// high-water mark — but avoids O(m*n) allocation at large n.
 #pragma once
 
 #include <cassert>

@@ -1,5 +1,9 @@
 #include "sim/trace.hpp"
 
+#include <limits>
+
+#include "util/parse.hpp"
+
 namespace amo::sim {
 
 std::string trace::serialize() const {
@@ -29,13 +33,15 @@ bool trace::parse(std::string_view text, trace& out) {
       return false;
     }
     ++i;
-    if (i == n || text[i] < '0' || text[i] > '9') return false;
-    usize pid = 0;
-    while (i < n && text[i] >= '0' && text[i] <= '9') {
-      pid = pid * 10 + static_cast<usize>(text[i] - '0');
-      ++i;
+    const usize digits = i;
+    while (i < n && text[i] >= '0' && text[i] <= '9') ++i;
+    // Traces arrive from outside (replay: names, corpus files): a pid that
+    // does not fit process_id is malformed, not wrapped.
+    std::uint64_t pid = 0;
+    if (!parse_u64(text.substr(digits, i - digits), pid) || pid == 0 ||
+        pid > std::numeric_limits<process_id>::max()) {
+      return false;
     }
-    if (pid == 0) return false;
     e.pid = static_cast<process_id>(pid);
     result.append(e);
   }

@@ -11,80 +11,77 @@ namespace amo::svc {
 
 namespace {
 
-/// Applies the key=value tokens of a `spec` or `expect` line.
-bool apply_fields(std::string_view rest, bool is_spec, corpus_entry& e,
-                  usize line_no, std::string& error) {
-  return for_each_token(rest, [&](std::string_view tok) {
-    const usize eq = tok.find('=');
-    if (eq == std::string_view::npos) {
-      error = line_error(line_no, "expected key=value, got '" +
-                                      std::string(tok) + "'");
-      return false;
-    }
-    const std::string_view key = tok.substr(0, eq);
-    const std::string_view value = tok.substr(eq + 1);
+/// Applies one key=value token of a `spec` or `expect` line.
+bool apply_field(std::string_view tok, bool is_spec, corpus_entry& e,
+                 usize line_no, std::string& error) {
+  const usize eq = tok.find('=');
+  if (eq == std::string_view::npos) {
+    error = line_error(line_no,
+                       "expected key=value, got '" + std::string(tok) + "'");
+    return false;
+  }
+  const std::string_view key = tok.substr(0, eq);
+  const std::string_view value = tok.substr(eq + 1);
 
-    if (is_spec && key == "algo") {
-      if (!exp::from_string(value, e.spec.algo)) {
-        error = line_error(line_no,
-                           "unknown algo '" + std::string(value) + "'");
-        return false;
-      }
-      return true;
-    }
-    if (is_spec && key == "free_set") {
-      // FREE is always bitset_rank_set; the key stays so files keep parsing.
-      if (value == "bitset") return true;
-      error = line_error(line_no,
-                         "unknown free_set '" + std::string(value) + "'");
+  if (is_spec && key == "algo") {
+    if (!exp::from_string(value, e.spec.algo)) {
+      error = line_error(line_no, "unknown algo '" + std::string(value) + "'");
       return false;
-    }
-
-    std::uint64_t v = 0;
-    if (!parse_u64(value, v)) {
-      error = line_error(line_no, "bad " + std::string(key) + "= value '" +
-                                      std::string(value) + "'");
-      return false;
-    }
-    if (is_spec) {
-      if (key == "n") {
-        e.spec.n = static_cast<usize>(v);
-      } else if (key == "m") {
-        e.spec.m = static_cast<usize>(v);
-      } else if (key == "beta") {
-        e.spec.beta = static_cast<usize>(v);
-      } else if (key == "eps") {
-        if (v > std::numeric_limits<unsigned>::max()) {
-          error = line_error(line_no, "eps= out of range");
-          return false;
-        }
-        e.spec.eps_inv = static_cast<unsigned>(v);
-      } else if (key == "crash_budget") {
-        e.spec.crash_budget = static_cast<usize>(v);
-      } else {
-        error = line_error(line_no,
-                           "unknown spec key '" + std::string(key) + "='");
-        return false;
-      }
-    } else {
-      if (key == "effectiveness") {
-        e.expect_effectiveness = static_cast<usize>(v);
-      } else if (key == "collisions") {
-        e.expect_collisions = static_cast<usize>(v);
-      } else if (key == "duplicates") {
-        e.expect_duplicates = static_cast<usize>(v);
-      } else if (key == "steps") {
-        e.expect_steps = static_cast<usize>(v);
-      } else if (key == "quiescent") {
-        e.expect_quiescent = v != 0;
-      } else {
-        error = line_error(line_no,
-                           "unknown expect key '" + std::string(key) + "='");
-        return false;
-      }
     }
     return true;
-  });
+  }
+  if (is_spec && key == "free_set") {
+    // FREE is always bitset_rank_set; the key stays so files keep parsing.
+    if (value == "bitset") return true;
+    error =
+        line_error(line_no, "unknown free_set '" + std::string(value) + "'");
+    return false;
+  }
+
+  std::uint64_t v = 0;
+  if (!parse_u64(value, v)) {
+    error = line_error(line_no, "bad " + std::string(key) + "= value '" +
+                                    std::string(value) + "'");
+    return false;
+  }
+  if (is_spec) {
+    if (key == "n") {
+      e.spec.n = static_cast<usize>(v);
+    } else if (key == "m") {
+      e.spec.m = static_cast<usize>(v);
+    } else if (key == "beta") {
+      e.spec.beta = static_cast<usize>(v);
+    } else if (key == "eps") {
+      if (v > std::numeric_limits<unsigned>::max()) {
+        error = line_error(line_no, "eps= out of range");
+        return false;
+      }
+      e.spec.eps_inv = static_cast<unsigned>(v);
+    } else if (key == "crash_budget") {
+      e.spec.crash_budget = static_cast<usize>(v);
+    } else {
+      error =
+          line_error(line_no, "unknown spec key '" + std::string(key) + "='");
+      return false;
+    }
+  } else {
+    if (key == "effectiveness") {
+      e.expect_effectiveness = static_cast<usize>(v);
+    } else if (key == "collisions") {
+      e.expect_collisions = static_cast<usize>(v);
+    } else if (key == "duplicates") {
+      e.expect_duplicates = static_cast<usize>(v);
+    } else if (key == "steps") {
+      e.expect_steps = static_cast<usize>(v);
+    } else if (key == "quiescent") {
+      e.expect_quiescent = v != 0;
+    } else {
+      error = line_error(line_no,
+                         "unknown expect key '" + std::string(key) + "='");
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -99,60 +96,44 @@ corpus_load_result parse_corpus(std::string_view doc, std::string name) {
 
   bool have_spec = false;
   bool have_trace = false;
-  usize line_no = 0;
-  usize pos = 0;
-  while (pos <= doc.size() && out.ok()) {
-    ++line_no;
-    usize nl = doc.find('\n', pos);
-    if (nl == std::string_view::npos) nl = doc.size();
-    std::string_view line = doc.substr(pos, nl - pos);
-    const bool last = nl == doc.size();
-    pos = nl + 1;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-
-    usize start = 0;
-    while (start < line.size() && (line[start] == ' ' || line[start] == '\t')) {
-      ++start;
-    }
-    line = line.substr(start);
-    if (line.empty() || line.front() == '#') {
-      if (last) break;
-      continue;
-    }
-
-    if (line.rfind("spec", 0) == 0 &&
-        (line.size() == 4 || line[4] == ' ' || line[4] == '\t')) {
-      if (have_spec) {
-        out.error = line_error(line_no, "second spec line");
-        break;
+  // Every line is tokens: the first names the line kind, the rest are
+  // key=value fields (spec, expect) or trace events (trace).
+  for_each_line(doc, [&](usize line_no, std::string_view line) {
+    std::string_view keyword;
+    std::string events;  // the trace line's events, one space apart
+    const bool scanned = for_each_token(line, [&](std::string_view tok) {
+      if (keyword.empty()) {
+        keyword = tok;
+        if (keyword == "spec") {
+          if (have_spec) out.error = line_error(line_no, "second spec line");
+          have_spec = true;
+        } else if (keyword == "expect") {
+          e.has_expectations = true;
+        } else if (keyword == "trace") {
+          if (have_trace) out.error = line_error(line_no, "second trace line");
+          have_trace = true;
+        } else {
+          out.error = line_error(line_no, "expected spec/expect/trace/comment");
+        }
+        return out.ok();
       }
-      have_spec = true;
-      apply_fields(line.substr(4), /*is_spec=*/true, e, line_no, out.error);
-    } else if (line.rfind("expect", 0) == 0 &&
-               (line.size() == 6 || line[6] == ' ' || line[6] == '\t')) {
-      e.has_expectations = true;
-      apply_fields(line.substr(6), /*is_spec=*/false, e, line_no, out.error);
-    } else if (line.rfind("trace", 0) == 0 &&
-               (line.size() == 5 || line[5] == ' ' || line[5] == '\t')) {
-      if (have_trace) {
-        out.error = line_error(line_no, "second trace line");
-        break;
+      if (keyword != "trace") {
+        return apply_field(tok, keyword == "spec", e, line_no, out.error);
       }
-      const std::string_view body =
-          line.size() > 5 ? line.substr(6) : std::string_view{};
-      sim::trace t;
-      if (!sim::trace::parse(body, t)) {
+      sim::trace ignored;
+      if (!sim::trace::parse(tok, ignored)) {
         out.error = line_error(line_no, "malformed trace");
-        break;
+        return false;
       }
-      have_trace = true;
-      e.spec.adversary.name = "replay:" + std::string(body);
-    } else {
-      out.error = line_error(line_no, "expected spec/expect/trace/comment");
-      break;
+      if (!events.empty()) events += ' ';
+      events += tok;
+      return true;
+    });
+    if (scanned && keyword == "trace") {
+      e.spec.adversary.name = "replay:" + events;
     }
-    if (last) break;
-  }
+    return scanned;
+  });
 
   if (out.ok() && !have_spec) out.error = "missing spec line";
   if (out.ok() && !have_trace) out.error = "missing trace line";
@@ -182,12 +163,10 @@ corpus_load_result load_corpus_file(const char* path) {
 std::string render_corpus(const corpus_entry& e,
                           const std::string& provenance) {
   std::string out;
-  for (usize pos = 0; pos < provenance.size();) {
-    usize nl = provenance.find('\n', pos);
-    if (nl == std::string::npos) nl = provenance.size();
-    out += "# " + provenance.substr(pos, nl - pos) + "\n";
-    pos = nl + 1;
-  }
+  for_each_line(provenance, [&out](usize, std::string_view line) {
+    out += "# " + std::string(line) + "\n";
+    return true;
+  });
   char buf[192];
   std::snprintf(buf, sizeof buf, "spec algo=%s n=%zu m=%zu beta=%zu eps=%u "
                                  "crash_budget=%zu free_set=bitset\n",

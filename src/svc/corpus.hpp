@@ -8,7 +8,10 @@
 // corpus exercises the production replay path, not a parallel one.
 // tests/test_trace_corpus.cpp replays every committed file in CI.
 //
-// File format (text, line-oriented, '#' comments):
+// File format (text, line-oriented): every line is whitespace-separated
+// tokens (util/parse's for_each_token: spaces or tabs, and a token starting
+// with '#' comments out the rest of the line). The first token names the
+// line kind.
 //
 //   # provenance...
 //   spec algo=kk n=256 m=4 beta=4 crash_budget=3

@@ -88,34 +88,26 @@ bool parse_job_line(std::string_view text, usize line_no, job& out,
 job_parse_result parse_batch(std::string_view text) {
   job_parse_result out;
   std::unordered_map<std::string, usize> out_paths;  // path -> first line
-  usize line_no = 0;
-  usize pos = 0;
-  while (pos <= text.size()) {
-    ++line_no;
-    usize nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) nl = text.size();
-    const std::string_view line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-
-    job j;
-    bool has_job = false;
-    if (!parse_job_line(line, line_no, j, has_job, out.error)) {
-      out.jobs.clear();
-      return out;
-    }
-    if (!has_job) continue;
-    if (!j.out.empty()) {
-      const auto [it, fresh] = out_paths.emplace(j.out, line_no);
-      if (!fresh) {
-        out.error = line_error(
-            line_no, "duplicate output path '" + j.out + "' (first used on line " +
-                         std::to_string(it->second) + ")");
-        out.jobs.clear();
-        return out;
-      }
-    }
-    out.jobs.push_back(std::move(j));
-  }
+  const bool parsed =
+      for_each_line(text, [&](usize line_no, std::string_view line) {
+        job j;
+        bool has_job = false;
+        if (!parse_job_line(line, line_no, j, has_job, out.error)) return false;
+        if (!has_job) return true;
+        if (!j.out.empty()) {
+          const auto [it, fresh] = out_paths.emplace(j.out, line_no);
+          if (!fresh) {
+            out.error = line_error(
+                line_no, "duplicate output path '" + j.out +
+                             "' (first used on line " +
+                             std::to_string(it->second) + ")");
+            return false;
+          }
+        }
+        out.jobs.push_back(std::move(j));
+        return true;
+      });
+  if (!parsed) out.jobs.clear();
   return out;
 }
 

@@ -1,6 +1,7 @@
 // Small integer-math helpers used throughout libamo: ceiling division,
 // integer logarithms, and the power-of-two rounding the iterated algorithm
-// uses for super-job sizes (DESIGN.md, substitution #1).
+// uses for super-job sizes (a substitution for the paper's level sizes;
+// core/super_job.hpp says why).
 #pragma once
 
 #include <bit>

@@ -1,8 +1,9 @@
-// Overflow-checked decimal parsing, line tokenization and the "line N:"
-// error spelling, shared by the adversary-name parser (engine.cpp), the
-// shard-reference parser (shard.cpp), the amo_lab option table
-// (svc/cli.cpp) and the job/corpus/record line parsers — one definition
-// of "what counts as a number (or a token) on a command line".
+// Overflow-checked decimal parsing, line splitting and tokenization and the
+// "line N:" error spelling, shared by the adversary-name parser
+// (engine.cpp), the trace reader (sim/trace.cpp), the shard-reference
+// parser (shard.cpp), the amo_lab option table (svc/cli.cpp) and the
+// job/corpus/record line parsers — one definition of "what counts as a
+// number (or a token, or a line) on a command line".
 #pragma once
 
 #include <cstddef>
@@ -33,6 +34,23 @@ namespace amo {
 [[nodiscard]] inline std::string line_error(std::size_t line_no,
                                             std::string_view why) {
   return "line " + std::to_string(line_no) + ": " + std::string(why);
+}
+
+/// Invokes fn(line_no, line) for each '\n'-separated line of `text`, with
+/// 1-based line numbers (the line-oriented grammars: batch jobs, corpus
+/// files). A trailing '\r' stays on the line; for_each_token treats it as
+/// whitespace. `fn` returns false to abort the scan; for_each_line returns
+/// false iff it aborted.
+template <class Fn>
+inline bool for_each_line(std::string_view text, Fn&& fn) {
+  std::size_t line_no = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) nl = text.size();
+    if (!fn(++line_no, text.substr(pos, nl - pos))) return false;
+    pos = nl + 1;
+  }
+  return true;
 }
 
 /// Invokes fn(token) for each whitespace-separated token of `line` (the

@@ -1,5 +1,5 @@
-// Minimal aligned-text table renderer used by the benchmark harness to print
-// the paper-style tables (EXPERIMENTS.md records these verbatim).
+// Minimal aligned-text table renderer used by the benches to print their
+// summary tables.
 #pragma once
 
 #include <string>

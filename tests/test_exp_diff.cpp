@@ -102,6 +102,7 @@ TEST(Diff, FieldClassificationCoversTheSchemas) {
   EXPECT_EQ(exp::classify_field("livelocks"), field_class::hard_counter);
   EXPECT_EQ(exp::classify_field("at_most_once"), field_class::safety_flag);
   EXPECT_EQ(exp::classify_field("quiescent"), field_class::safety_flag);
+  EXPECT_EQ(exp::classify_field("claim_holds"), field_class::safety_flag);
   EXPECT_EQ(exp::classify_field("effectiveness"), field_class::lower_worse);
   EXPECT_EQ(exp::classify_field("work"), field_class::higher_worse);
   EXPECT_EQ(exp::classify_field("do_actions"), field_class::higher_worse);

@@ -178,8 +178,9 @@ TEST(KkTwoProcess, Ao2SweepsFromOppositeEnds) {
 
 TEST(KkTwoProcess, KkBeatsKknsFormulaAtScale) {
   // Headline C11 at m = 2... the formula collapses to n-1 there, equal to
-  // AO2; the real gap appears at larger m and is covered by
-  // bench_comparison. Here: KK_2's n-2 is within one job of AO2's n-1.
+  // AO2; the real gap appears at larger m, where bench_paper's E8 rows pin
+  // KK_m at exactly n-(2m-2) while bounds::kkns_effectiveness falls away.
+  // Here: KK_2's n-2 is within one job of AO2's n-1.
   exp::run_spec spec;
   spec.n = 300;
   spec.m = 2;

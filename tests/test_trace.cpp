@@ -27,6 +27,8 @@ TEST(Trace, ParseRejectsMalformed) {
   EXPECT_FALSE(sim::trace::parse("s", out));
   EXPECT_FALSE(sim::trace::parse("s0", out));
   EXPECT_FALSE(sim::trace::parse("3s", out));
+  EXPECT_FALSE(sim::trace::parse("s4294967297", out));
+  EXPECT_FALSE(sim::trace::parse("s18446744073709551617", out));
   EXPECT_TRUE(sim::trace::parse("", out));
   EXPECT_TRUE(out.empty());
   EXPECT_TRUE(sim::trace::parse("  s1   c2  ", out));

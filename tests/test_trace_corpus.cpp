@@ -111,5 +111,20 @@ TEST(TraceCorpus, LoaderRejectsMalformedFiles) {
   }
 }
 
+TEST(TraceCorpus, LoaderAcceptsTabsAndTrailingComments) {
+  // Every line kind shares one token grammar: tabs separate tokens and a
+  // '#' token ends the line, on trace lines as on spec/expect lines.
+  const char* good[] = {
+      "spec algo=kk n=8 m=2\ntrace\ts1\ts2\tc1\n",     // tab-separated
+      "spec algo=kk n=8 m=2\ntrace s1 s2 c1  # note\n",  // trailing comment
+  };
+  for (const char* doc : good) {
+    SCOPED_TRACE(doc);
+    const svc::corpus_load_result loaded = svc::parse_corpus(doc, "good");
+    ASSERT_TRUE(loaded.ok()) << loaded.error;
+    EXPECT_EQ(loaded.entry.spec.adversary.name, "replay:s1 s2 c1");
+  }
+}
+
 }  // namespace
 }  // namespace amo
