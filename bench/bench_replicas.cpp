@@ -1,36 +1,36 @@
-// Batched replica kernel vs the scalar engine — the batching layer's
-// claim: a cell's R deterministic replicas share one spec decode and one
-// SoA lane arena, so advancing them as a block is cheaper than R scalar
-// runs while every charged op count stays bit-identical.
+// Replica blocks vs per-unit exp::run — the replica layer's claim: a
+// cell's R deterministic replicas run as one block, so a seed-independent
+// cell costs one run instead of R, while every charged op count stays
+// bit-identical.
 //
 // The win is schedule-class dependent, so the grids are split by class
-// (scalar-fallback coverage lives in tests/test_batch_parity.cpp):
+// (non-batchable coverage lives in tests/test_batch_parity.cpp):
 //
 //   repl/xR    n=256 m=3  — seed-independent adversaries (round_robin,
 //              stale_view, announce_crash): every replica's schedule is
-//              identical, so the block runs one lane and replicates the
+//              identical, so the block runs once and replicates the
 //              report R ways. Cost is ~1 unit for R, i.e. ~R x. This grid
 //              gates the >= 3x floor at R >= 8.
 //   seeded/xR  n=256 m=3  — seed-dependent adversaries (random,
-//              random+crash, block64): every replica runs its own lane
-//              through the scalar engine's own scheduler loop and
-//              adversary, so the only difference is the FREE set — the
-//              shared SoA arena, initialized in one sweep, with O(1)
-//              updates. The floor is >= 1.1x at R >= 8.
+//              random+crash, block64): the block runs every replica
+//              through exp::run, so both sides do the same work and the
+//              ratio sits near 1x (reported, not gated).
 //   mix/xR     n=256 m=3  — all six classes, reported for context: the
 //              composition of a real grid decides where between the two
-//              bounds it lands.
-//   bigm/xR    n=256 m=33 — wide-word seeded cells; gates the
-//              "batched >= scalar at m >= 32" floor.
+//              it lands.
+//   bigm/xR    n=256 m=33 — wide-word seeded cells (every process's TRY
+//              set past the word-parallel threshold), reported for context.
 //
-// Each row runs the same grid twice through the serial sweep path — once
-// with batching forced off (batch=0), once in auto — and reports both
-// units/second figures, their ratio, and whether the no-timing aggregate
-// JSON is byte-identical between the two (bit_identical gates in CI).
+// Each row times the same grid twice — once as a loop of exp::run over
+// every (cell, replica) unit, once through the serial sweep path — and
+// reports both units/second figures, their ratio, and whether the
+// no-timing aggregate JSON is byte-identical between the two
+// (bit_identical gates in CI).
+#include <span>
 #include <thread>
 
 #include "bench_common.hpp"
-#include "exp/batch.hpp"
+#include "exp/engine.hpp"
 #include "exp/report.hpp"
 #include "exp/shard.hpp"
 #include "exp/sweep.hpp"
@@ -64,7 +64,7 @@ std::vector<exp::run_spec> repl_grid(usize replicas) {
   return cells;
 }
 
-/// Seed-dependent schedule classes: one lane per replica.
+/// Seed-dependent schedule classes: exp::run per replica.
 std::vector<exp::run_spec> seeded_grid(usize replicas) {
   std::vector<exp::run_spec> cells;
   cells.push_back(cell("batch/random", "random", 7919, 3, replicas));
@@ -81,8 +81,8 @@ std::vector<exp::run_spec> mix_grid(usize replicas) {
   return cells;
 }
 
-/// Wide-word cells: m=33 puts every process set past the word-parallel
-/// threshold, the regime the SoA arena targets.
+/// Wide-word cells: m=33 puts every process's TRY set past the
+/// word-parallel threshold.
 std::vector<exp::run_spec> bigm_grid(usize replicas) {
   std::vector<exp::run_spec> cells;
   cells.push_back(cell("batch/bigm_random", "random", 7919, 33, replicas));
@@ -96,15 +96,43 @@ std::string aggregate_json(const exp::sweep_result& swept, std::uint64_t fp) {
   return json.dump();
 }
 
-/// Serial sweep at a fixed batch width, min wall over kReps.
-exp::sweep_result timed_sweep(const std::vector<exp::run_spec>& cells,
-                              usize batch, double& best) {
-  exp::sweep_options serial;
-  serial.pool_size = 1;
+/// The scalar reference: every (cell, replica) unit through exp::run, in
+/// unit order, folded into a sweep_result like exp::sweep folds. Min wall
+/// over kReps; the fold is not timed (nor is the sweep's).
+exp::sweep_result timed_scalar(const std::vector<exp::run_spec>& cells,
+                               double& best) {
   exp::sweep_result out;
   for (int rep = 0; rep < kReps; ++rep) {
-    exp::sweep_result cur =
-        exp::sweep(cells, serial, exp::batch_options{batch});
+    exp::sweep_result cur;
+    stopwatch clock;
+    for (const exp::run_spec& c : cells) {
+      exp::cell_report cr;
+      cr.first = cur.reports.size();
+      cr.replicas = exp::resolved_replicas(c);
+      for (usize r = 0; r < cr.replicas; ++r) {
+        cur.reports.push_back(exp::run(exp::replica_spec(c, r)));
+      }
+      cur.cells.push_back(cr);
+    }
+    cur.wall_seconds = clock.seconds();
+    for (exp::cell_report& cr : cur.cells) {
+      cr.stats = exp::fold_replicas(std::span<const exp::run_report>(
+          cur.reports.data() + cr.first, cr.replicas));
+    }
+    if (rep == 0 || cur.wall_seconds < best) {
+      best = cur.wall_seconds;
+      out = std::move(cur);
+    }
+  }
+  return out;
+}
+
+/// Serial sweep (replica blocks on), min wall over kReps.
+exp::sweep_result timed_sweep(const std::vector<exp::run_spec>& cells,
+                              double& best) {
+  exp::sweep_result out;
+  for (int rep = 0; rep < kReps; ++rep) {
+    exp::sweep_result cur = exp::sweep(cells, exp::sweep_options{1});
     if (rep == 0 || cur.wall_seconds < best) {
       best = cur.wall_seconds;
       out = std::move(cur);
@@ -118,9 +146,9 @@ exp::sweep_result timed_sweep(const std::vector<exp::run_spec>& cells,
 int main() {
   stopwatch total;
   benchx::print_title(
-      "Batched replica kernel  (R lanes of one spec per engine pass)",
-      "claim: replicas of a cell share decode + SoA free words — a batched\n"
-      "pass beats R scalar runs; charged op counts stay bit-identical");
+      "Replica blocks  (R replicas of one cell per pool task)",
+      "claim: a seed-independent cell runs once for its R replicas; every\n"
+      "block's reports stay bit-identical to R exp::run calls");
 
   const unsigned hc = std::thread::hardware_concurrency();
 
@@ -136,9 +164,9 @@ int main() {
     double floor;  ///< min speedup required at R >= 8; 0 = informational
   };
   const grid_def grids[] = {{"repl", &repl_grid, 3.0},
-                            {"seeded", &seeded_grid, 1.1},
+                            {"seeded", &seeded_grid, 0.0},
                             {"mix", &mix_grid, 0.0},
-                            {"bigm", &bigm_grid, 1.0}};
+                            {"bigm", &bigm_grid, 0.0}};
 
   for (const grid_def& g : grids) {
     for (const usize replicas : {usize{1}, usize{2}, usize{8}, usize{32},
@@ -148,10 +176,9 @@ int main() {
       const std::uint64_t fp = exp::grid_fingerprint(cells);
 
       double scalar_wall = 0.0;
-      const exp::sweep_result scalar = timed_sweep(cells, 0, scalar_wall);
+      const exp::sweep_result scalar = timed_scalar(cells, scalar_wall);
       double batched_wall = 0.0;
-      const exp::sweep_result batched =
-          timed_sweep(cells, exp::batch_auto, batched_wall);
+      const exp::sweep_result batched = timed_sweep(cells, batched_wall);
 
       const bool identical =
           aggregate_json(batched, fp) == aggregate_json(scalar, fp);
@@ -163,7 +190,7 @@ int main() {
           batched_wall > 0 ? units / batched_wall : 0.0;
       const double speedup =
           scalar_ups > 0 ? batched_ups / scalar_ups : 0.0;
-      // Floors bind once blocks are wide enough to amortise decode.
+      // The floor binds once blocks are wide enough to amortise the one run.
       if (g.floor > 0.0 && replicas >= 8) {
         floors_ok = floors_ok && speedup >= g.floor;
       }
@@ -187,6 +214,7 @@ int main() {
            {"units", benchx::json_report::num(std::uint64_t{units})},
            {"hardware_concurrency",
             benchx::json_report::num(std::uint64_t{hc})},
+           {"amo_build_type", benchx::json_report::str(AMO_BUILD_TYPE)},
            {"duplicates", benchx::json_report::num(std::uint64_t{duplicates})},
            {"scalar_wall_seconds", benchx::json_report::num(scalar_wall)},
            {"batched_wall_seconds", benchx::json_report::num(batched_wall)},
@@ -198,16 +226,16 @@ int main() {
   }
 
   benchx::print_table(t);
-  std::printf("\nserial sweeps (pool=1): speedup isolates the kernel, not "
+  std::printf("\nserial (pool=1): speedup isolates the replica block, not "
               "thread scheduling.\nrepl = run-once-replicate classes; "
-              "seeded = one lane per replica; mix = all six;\nbigm = m=33 "
+              "seeded = exp::run per replica; mix = all six;\nbigm = m=33 "
               "wide-word cells.\n");
 
   if (json.write("BENCH_replicas.json")) {
     std::printf("[%zu records -> BENCH_replicas.json]\n", json.size());
   }
-  std::printf("\n[bench_replicas done in %.1fs; bit-identical %s, floors "
-              "(R>=8: repl>=3x, seeded>=1.1x, bigm>=1x) %s]\n",
+  std::printf("\n[bench_replicas done in %.1fs; bit-identical %s, floor "
+              "(R>=8: repl>=3x) %s]\n",
               total.seconds(), benchx::yesno(all_identical).c_str(),
               benchx::yesno(floors_ok).c_str());
   return (all_identical && floors_ok) ? 0 : 1;

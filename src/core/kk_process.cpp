@@ -1,8 +1,6 @@
-// Explicit instantiations of the KK_beta automaton for both memory models
-// over the default FREE set, so the template code is compiled and
-// type-checked once here even for a model a given binary does not use. The
-// lane view (sets/lane_free_set.hpp) is instantiated where the batched
-// engine uses it.
+// Explicit instantiations of the KK_beta automaton for both memory models,
+// so the template code is compiled and type-checked once here even for a
+// model a given binary does not use.
 #include "core/kk_process.hpp"
 
 #include "mem/atomic_memory.hpp"
@@ -10,7 +8,7 @@
 
 namespace amo {
 
-template class kk_process<sim_memory, bitset_rank_set>;
-template class kk_process<atomic_memory, bitset_rank_set>;
+template class kk_process<sim_memory>;
+template class kk_process<atomic_memory>;
 
 }  // namespace amo

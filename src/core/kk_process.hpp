@@ -3,11 +3,9 @@
 // transition (the granularity all the paper's interleaving proofs assume).
 //
 // The class is templated over the shared-memory model M (sim_memory for the
-// adversarial scheduler, atomic_memory for real threads) and the FREE set FS:
-// bitset_rank_set, or the batched engine's lane view of a shared arena
-// (lane_free_set). Both expose their bitmap words, so FREE \ TRY runs
-// word-parallel and the |FREE \ TRY| cache below is always on. The exact
-// same algorithm code runs under simulation and on hardware.
+// adversarial scheduler, atomic_memory for real threads); FREE is a
+// bitset_rank_set, whose bitmap words let FREE \ TRY run word-parallel. The
+// exact same algorithm code runs under simulation and on hardware.
 //
 // Algorithm recap (Section 3): a process picks a candidate job by splitting
 // its view of the free jobs into m intervals and taking the first element of
@@ -45,7 +43,7 @@ struct kk_stats {
   friend bool operator==(const kk_stats&, const kk_stats&) = default;
 };
 
-template <class M, rank_set FS = bitset_rank_set>
+template <class M>
   requires kk_memory<M>
 class kk_process final : public automaton {
  public:
@@ -53,7 +51,8 @@ class kk_process final : public automaton {
 
   /// Process over the full job universe [1..mem.num_jobs()].
   kk_process(M& mem, const kk_config& cfg, perform_fn fn, kk_hooks hooks = {})
-      : kk_process(mem, cfg, FS::full(static_cast<job_id>(mem.num_jobs())),
+      : kk_process(mem, cfg,
+                   bitset_rank_set::full(static_cast<job_id>(mem.num_jobs())),
                    std::move(fn), std::move(hooks)) {}
 
   /// Process whose initial FREE set is `input_jobs` (strictly ascending ids
@@ -61,16 +60,9 @@ class kk_process final : public automaton {
   kk_process(M& mem, const kk_config& cfg, std::span<const job_id> input_jobs,
              perform_fn fn, kk_hooks hooks = {})
       : kk_process(mem, cfg,
-                   FS(static_cast<job_id>(mem.num_jobs()), input_jobs),
+                   bitset_rank_set(static_cast<job_id>(mem.num_jobs()),
+                                   input_jobs),
                    std::move(fn), std::move(hooks)) {}
-
-  /// Process adopting a pre-built FREE set over [1..mem.num_jobs()] — this is
-  /// how the batched replica engine hands each process a lane view of a
-  /// shared SoA arena (see sets/lane_free_set.hpp). The set must already
-  /// contain exactly the process's initial FREE jobs; set_counter is rebound
-  /// here, so accumulate no charged work through it beforehand.
-  kk_process(M& mem, const kk_config& cfg, FS free_set, perform_fn fn,
-             kk_hooks hooks = {});
 
   kk_process(const kk_process&) = delete;
   kk_process& operator=(const kk_process&) = delete;
@@ -93,7 +85,7 @@ class kk_process final : public automaton {
   [[nodiscard]] kk_status status() const { return status_; }
   [[nodiscard]] const kk_stats& stats() const { return stats_; }
   [[nodiscard]] job_id current_next() const { return next_; }
-  [[nodiscard]] const FS& free_view() const { return free_; }
+  [[nodiscard]] const bitset_rank_set& free_view() const { return free_; }
   [[nodiscard]] const done_set& done_view() const { return done_; }
   [[nodiscard]] const try_set& try_view() const { return try_; }
   [[nodiscard]] usize free_minus_try_size() const {
@@ -109,6 +101,10 @@ class kk_process final : public automaton {
   }
 
  private:
+  /// The two public constructors' shared body, over the initial FREE set.
+  kk_process(M& mem, const kk_config& cfg, bitset_rank_set initial_free,
+             perform_fn fn, kk_hooks hooks);
+
   [[nodiscard]] op_counter& work() { return stats_.work; }
 
   /// compNext's interval arithmetic (Fig. 2): the 1-based rank inside
@@ -138,7 +134,7 @@ class kk_process final : public automaton {
   const usize universe_;
 
   kk_status status_;
-  FS free_;
+  bitset_rank_set free_;
   done_set done_;
   try_set try_;
   std::vector<usize> pos_;  ///< POS_p (Fig. 1), 1-based, index 1..m
@@ -181,10 +177,11 @@ class kk_process final : public automaton {
 
 // ----- implementation -----
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-kk_process<M, FS>::kk_process(M& mem, const kk_config& cfg, FS free_set,
-                              perform_fn fn, kk_hooks hooks)
+kk_process<M>::kk_process(M& mem, const kk_config& cfg,
+                          bitset_rank_set initial_free, perform_fn fn,
+                          kk_hooks hooks)
     : mem_(mem),
       pid_(cfg.pid),
       m_(cfg.num_processes),
@@ -194,7 +191,7 @@ kk_process<M, FS>::kk_process(M& mem, const kk_config& cfg, FS free_set,
       universe_(mem.num_jobs()),
       status_(cfg.mode == kk_mode::plain ? kk_status::comp_next
                                          : kk_status::flag_poll),
-      free_(std::move(free_set)),
+      free_(std::move(initial_free)),
       done_(static_cast<job_id>(universe_)),
       pos_(m_ + 1, 1),
       perform_(std::move(fn)),
@@ -216,9 +213,9 @@ kk_process<M, FS>::kk_process(M& mem, const kk_config& cfg, FS free_set,
   avail_cache_valid_ = true;
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::step() {
+void kk_process<M>::step() {
   assert(runnable());
   ++stats_.work.actions;
   switch (status_) {
@@ -237,9 +234,9 @@ void kk_process<M, FS>::step() {
   }
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-action_kind kk_process<M, FS>::next_action() const {
+action_kind kk_process<M>::next_action() const {
   switch (status_) {
     case kk_status::comp_next:
     case kk_status::check: return action_kind::local_compute;
@@ -257,9 +254,9 @@ action_kind kk_process<M, FS>::next_action() const {
   return action_kind::local_compute;
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-usize kk_process<M, FS>::choose_rank_index(usize avail) const {
+usize kk_process<M>::choose_rank_index(usize avail) const {
   usize idx;
   if (rule_ == selection_rule::two_ends) {
     // Odd processes count from the low end, even from the high end; with
@@ -291,9 +288,9 @@ usize kk_process<M, FS>::choose_rank_index(usize avail) const {
   return idx;
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::act_flag_poll() {
+void kk_process<M>::act_flag_poll() {
   if (mem_.read_flag(work())) {
     begin_finalize();
   } else {
@@ -301,9 +298,9 @@ void kk_process<M, FS>::act_flag_poll() {
   }
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::act_comp_next() {
+void kk_process<M>::act_comp_next() {
   ++stats_.comp_nexts;
   usize avail;
   if (avail_cache_valid_) {
@@ -344,25 +341,25 @@ void kk_process<M, FS>::act_comp_next() {
   }
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::act_flag_raise() {
+void kk_process<M>::act_flag_raise() {
   mem_.raise_flag(work());
   begin_finalize();
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::act_set_next() {
+void kk_process<M>::act_set_next() {
   mem_.write_next(pid_, next_, work());
   ++stats_.announces;
   if (hooks_.on_announce) hooks_.on_announce(pid_, next_);
   status_ = kk_status::gather_try;
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::act_gather_try() {
+void kk_process<M>::act_gather_try() {
   if (q_ != pid_) {
     const job_id v = mem_.read_next(q_, work());
     if (v > no_job) note_try_insert(try_.insert(v, q_));
@@ -375,9 +372,9 @@ void kk_process<M, FS>::act_gather_try() {
   }
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::act_gather_done() {
+void kk_process<M>::act_gather_done() {
   bool advance = true;
   if (q_ != pid_) {
     const usize pos = pos_[q_];
@@ -406,9 +403,9 @@ void kk_process<M, FS>::act_gather_done() {
   }
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::act_check() {
+void kk_process<M>::act_check() {
   process_id announcer = 0;
   bool via_done = false;
   bool safe = true;
@@ -432,9 +429,9 @@ void kk_process<M, FS>::act_check() {
   }
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::act_flag_gate() {
+void kk_process<M>::act_flag_gate() {
   if (mem_.read_flag(work())) {
     begin_finalize();
   } else {
@@ -442,18 +439,18 @@ void kk_process<M, FS>::act_flag_gate() {
   }
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::act_perform() {
+void kk_process<M>::act_perform() {
   ++stats_.performs;
   if (hooks_.on_perform) hooks_.on_perform(pid_, next_);
   if (perform_) perform_(next_);
   status_ = kk_status::record;
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::act_record() {
+void kk_process<M>::act_record() {
   mem_.write_done(pid_, pos_[pid_], next_, work());
   ++stats_.records;
   done_.insert(next_);
@@ -462,9 +459,9 @@ void kk_process<M, FS>::act_record() {
   status_ = mode_ == kk_mode::plain ? kk_status::comp_next : kk_status::flag_poll;
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::begin_finalize() {
+void kk_process<M>::begin_finalize() {
   // Section 6: the process "computes new sets FREE_p and TRY_p, returns the
   // set FREE_p \ TRY_p and terminates" — i.e. one more full gather pass
   // after setting/observing the flag, then exit.
@@ -475,9 +472,9 @@ void kk_process<M, FS>::begin_finalize() {
   status_ = kk_status::gather_try;
 }
 
-template <class M, rank_set FS>
+template <class M>
   requires kk_memory<M>
-void kk_process<M, FS>::finish_output() {
+void kk_process<M>::finish_output() {
   output_ = free_.to_vector();
   if (mode_ != kk_mode::wa_iter_step) {
     // FREE \ TRY. TRY has < m entries, so one erase-pass is cheap.

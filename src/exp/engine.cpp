@@ -19,7 +19,6 @@
 #include "mem/atomic_memory.hpp"
 #include "mem/sim_memory.hpp"
 #include "model/dpor.hpp"
-#include "sets/lane_free_set.hpp"
 #include "sim/scheduler.hpp"
 #include "util/math.hpp"
 #include "util/stopwatch.hpp"
@@ -51,8 +50,8 @@ void harvest_checker(run_report& rep, const amo_checker& checker) {
   rep.duplicate = checker.first_duplicate();
 }
 
-/// Aggregates KK_beta per-process tallies; shared by every memory backend,
-/// free set and driver.
+/// Aggregates KK_beta per-process tallies; shared by every memory backend
+/// and driver.
 template <class Proc>
 void harvest_kk(run_report& rep, const std::vector<std::unique_ptr<Proc>>& procs) {
   usize stopped = 0;
@@ -108,14 +107,6 @@ struct sched_adversary {
   sim::adversary* dynamic = nullptr;
 };
 
-/// Where a batched replica lane keeps its FREE sets: process pid of lane
-/// `lane` uses arena lane lane*m + pid-1, so one bitmap row interleaves all
-/// FREE sets of the block (sets/lane_free_set.hpp).
-struct lane_slot {
-  lane_free_arena* arena = nullptr;
-  usize lane = 0;
-};
-
 /// Drives `procs` to completion under the spec's driver: the adversary-
 /// scheduled simulator, or OS threads honoring the spec's crash plan. The
 /// one place the driver dichotomy and the step-limit policy exist: an
@@ -161,11 +152,11 @@ void harvest_automata(run_report& rep,
   rep.crashes = crashed;
 }
 
-template <class M, rank_set FS>
-std::vector<std::unique_ptr<kk_process<M, FS>>> build_kk_procs(
+template <class M>
+std::vector<std::unique_ptr<kk_process<M>>> build_kk_procs(
     M& mem, const run_spec& s, amo_checker& checker, collision_ledger* ledger,
-    const run_hooks* hooks, const lane_slot* lane) {
-  std::vector<std::unique_ptr<kk_process<M, FS>>> procs;
+    const run_hooks* hooks) {
+  std::vector<std::unique_ptr<kk_process<M>>> procs;
   procs.reserve(s.m);
   for (process_id pid = 1; pid <= s.m; ++pid) {
     kk_config cfg;
@@ -185,30 +176,23 @@ std::vector<std::unique_ptr<kk_process<M, FS>>> build_kk_procs(
         ledger->record(p, j, announcer, via_done, checker);
       };
     }
-    if constexpr (std::is_same_v<FS, lane_free_set>) {
-      procs.push_back(std::make_unique<kk_process<M, FS>>(
-          mem, cfg, lane->arena->view(lane->lane * s.m + (pid - 1)), nullptr,
-          std::move(kh)));
-    } else {
-      procs.push_back(std::make_unique<kk_process<M, FS>>(mem, cfg, nullptr,
-                                                          std::move(kh)));
-    }
+    procs.push_back(
+        std::make_unique<kk_process<M>>(mem, cfg, nullptr, std::move(kh)));
   }
   return procs;
 }
 
-template <class M, rank_set FS>
+template <class M>
 void run_kk_impl(const run_spec& s, sched_adversary* adv,
-                 const run_hooks* hooks, run_report& rep,
-                 const lane_slot* lane = nullptr) {
+                 const run_hooks* hooks, run_report& rep) {
   M mem(s.m, s.n);
   amo_checker checker(s.n);
   // The collision ledger is scheduled-driver only: it is not thread-safe,
   // and under real threads the interleaving is not reproducible anyway.
   const bool want_ledger = s.driver == driver_kind::scheduled;
   collision_ledger ledger(want_ledger ? s.m : 1, want_ledger ? s.n : 1);
-  auto procs = build_kk_procs<M, FS>(
-      mem, s, checker, want_ledger ? &ledger : nullptr, hooks, lane);
+  auto procs = build_kk_procs<M>(mem, s, checker,
+                                 want_ledger ? &ledger : nullptr, hooks);
 
   stopwatch clock;
   drive_spec(rep, procs, s, adv);
@@ -377,8 +361,7 @@ void run_model_impl(const run_spec& s, run_report& rep,
 }
 
 run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
-                    svc::worker_pool* por_pool = nullptr,
-                    const lane_slot* lane = nullptr) {
+                    svc::worker_pool* por_pool = nullptr) {
   // Family validation runs before the degenerate-universe shortcut: an
   // invalid spec must throw, not return a vacuously passing report.
   if (s.algo == algo_family::ao2) {
@@ -456,12 +439,10 @@ run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
   switch (s.algo) {
     case algo_family::kk:
     case algo_family::ao2:
-      if (lane != nullptr) {
-        run_kk_impl<sim_memory, lane_free_set>(s, &sched_adv, hooks, rep, lane);
-      } else if (s.memory == memory_kind::sim) {
-        run_kk_impl<sim_memory, bitset_rank_set>(s, &sched_adv, hooks, rep);
+      if (s.memory == memory_kind::sim) {
+        run_kk_impl<sim_memory>(s, &sched_adv, hooks, rep);
       } else {
-        run_kk_impl<atomic_memory, bitset_rank_set>(s, &sched_adv, hooks, rep);
+        run_kk_impl<atomic_memory>(s, &sched_adv, hooks, rep);
       }
       break;
     case algo_family::iterative:
@@ -538,7 +519,7 @@ batch_class classify_batch(const run_spec& cell) {
   const std::optional<sim::any_adversary> adv =
       sim::parse_adversary(cell.adversary.name, cell.adversary.seed);
   if (!adv) return batch_class::not_batchable;
-  return sim::seeded(*adv) ? batch_class::lanes : batch_class::replicate;
+  return sim::seeded(*adv) ? batch_class::seeded : batch_class::replicate;
 }
 
 std::vector<run_report> run_replica_block(const run_spec& cell,
@@ -549,7 +530,7 @@ std::vector<run_report> run_replica_block(const run_spec& cell,
   std::vector<run_report> out;
   out.reserve(replicas.size());
   if (cls == batch_class::replicate) {
-    // One scalar pass; replicas of a seed-independent schedule are the same
+    // One pass; replicas of a seed-independent schedule are the same
     // execution, differing only in the echoed seed.
     const run_report base = run(replica_spec(cell, replicas.front()));
     for (const usize r : replicas) {
@@ -558,16 +539,7 @@ std::vector<run_report> run_replica_block(const run_spec& cell,
     }
     return out;
   }
-  // Each lane is the scalar run of its replica with its FREE sets in the
-  // shared arena, driven to completion before the next lane starts: lanes
-  // share no mutable state, and one lane at a time keeps its registers,
-  // TRY/DONE shadows and arena rows cache-hot.
-  lane_free_arena arena(static_cast<job_id>(cell.n), replicas.size() * cell.m);
-  for (usize l = 0; l < replicas.size(); ++l) {
-    const lane_slot lane{&arena, l};
-    out.push_back(run_impl(replica_spec(cell, replicas[l]), nullptr, nullptr,
-                           nullptr, &lane));
-  }
+  for (const usize r : replicas) out.push_back(run(replica_spec(cell, r)));
   return out;
 }
 

@@ -3,11 +3,12 @@
 // Every way this repository executes the paper's algorithms goes through
 // here: plain KK_beta / IterativeKK(eps) / WA_IterativeKK(eps), over
 // sim_memory or atomic_memory, driven by the Section 2.1 adversary-scheduled
-// simulator or by real OS threads, and the batched replica engine's lanes
-// (exp/batch.hpp): the checker / collision-ledger / stats aggregation exists
-// exactly once. KK keeps FREE in bitset_rank_set, or in a lane view of the
-// block's shared arena; there is no representation knob. A spec's adversary name is parsed by sim::parse_adversary
-// and run by its concrete type through the one templated scheduler loop.
+// simulator or by real OS threads, including every replica of a per-cell
+// replica block (exp/batch.hpp): the checker / collision-ledger / stats
+// aggregation exists exactly once. KK keeps FREE in bitset_rank_set; there
+// is no representation knob. A spec's adversary name is parsed by
+// sim::parse_adversary and run by its concrete type through the one
+// templated scheduler loop.
 //
 // Scheduled runs are deterministic functions of their spec (all randomness
 // is seeded); setting spec.record_trace additionally captures the decision

@@ -2,6 +2,7 @@
 
 #include <span>
 
+#include "exp/batch.hpp"
 #include "exp/engine.hpp"
 #include "obs/telemetry.hpp"
 #include "svc/worker_pool.hpp"
@@ -19,24 +20,18 @@ struct unit_task {
 };
 
 /// Groups the unit list into pool tasks: maximal runs of consecutive units
-/// of the same batchable cell become replica blocks (capped at the batch
-/// width), everything else stays a single scalar unit. Grouping is a pure
-/// function of (units, cells, batch), so every shard slices into the same
-/// blocks wherever its units are adjacent.
+/// of the same batchable cell become replica blocks, everything else stays
+/// a single unit. Grouping is a pure function of (units, cells), so every
+/// shard slices into the same blocks wherever its units are adjacent.
 std::vector<unit_task> plan_unit_tasks(const std::vector<run_spec>& cells,
-                                       const std::vector<unit_ref>& units,
-                                       const batch_options& batch) {
+                                       const std::vector<unit_ref>& units) {
   std::vector<unit_task> tasks;
   tasks.reserve(units.size());
-  const usize width = batch.batch_replicas;
   usize i = 0;
   while (i < units.size()) {
     usize j = i + 1;
-    if (width > 1 && batchable(cells[units[i].cell])) {
-      while (j < units.size() && units[j].cell == units[i].cell &&
-             j - i < width) {
-        ++j;
-      }
+    if (batchable(cells[units[i].cell])) {
+      while (j < units.size() && units[j].cell == units[i].cell) ++j;
     }
     tasks.push_back({i, j - i});
     i = j;
@@ -48,7 +43,7 @@ std::vector<unit_task> plan_unit_tasks(const std::vector<run_spec>& cells,
 
 unit_run_result run_units(const std::vector<run_spec>& cells,
                           const std::vector<unit_ref>& units,
-                          svc::worker_pool& pool, const batch_options& batch) {
+                          svc::worker_pool& pool) {
   unit_run_result out;
   out.reports.resize(units.size());
 
@@ -78,7 +73,7 @@ unit_run_result run_units(const std::vector<run_spec>& cells,
     return out;
   }
 
-  const std::vector<unit_task> tasks = plan_unit_tasks(cells, units, batch);
+  const std::vector<unit_task> tasks = plan_unit_tasks(cells, units);
   out.pool_size = pool.run_indexed(tasks.size(), [&](usize t) {
     const unit_task& tk = tasks[t];
     if (tk.count == 1) {
@@ -105,14 +100,7 @@ unit_run_result run_units(const std::vector<run_spec>& cells,
   return out;
 }
 
-unit_run_result run_units(const std::vector<run_spec>& cells,
-                          const std::vector<unit_ref>& units,
-                          svc::worker_pool& pool) {
-  return run_units(cells, units, pool, batch_options{});
-}
-
-sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool,
-                   const batch_options& batch) {
+sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool) {
   sweep_result out;
   out.cells.reserve(cells.size());
 
@@ -130,7 +118,7 @@ sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool,
   }
 
   stopwatch clock;
-  unit_run_result ur = run_units(cells, units, pool, batch);
+  unit_run_result ur = run_units(cells, units, pool);
   out.reports = std::move(ur.reports);
   out.pool_size = ur.pool_size;
   out.wall_seconds = clock.seconds();
@@ -142,18 +130,9 @@ sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool,
   return out;
 }
 
-sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool) {
-  return sweep(cells, pool, batch_options{});
-}
-
-sweep_result sweep(const std::vector<run_spec>& cells, const sweep_options& opt,
-                   const batch_options& batch) {
-  svc::worker_pool pool(opt.pool_size);
-  return sweep(cells, pool, batch);
-}
-
 sweep_result sweep(const std::vector<run_spec>& cells, const sweep_options& opt) {
-  return sweep(cells, opt, batch_options{});
+  svc::worker_pool pool(opt.pool_size);
+  return sweep(cells, pool);
 }
 
 }  // namespace amo::exp

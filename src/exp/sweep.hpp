@@ -2,14 +2,14 @@
 // pool. A cell is run_spec × R deterministic replicas (per-replica seeds
 // derived by exp::replica_seed), and the sweep's work queue is flattened to
 // (cell, replica) granularity: replicas steal across the pool exactly like
-// cells do, so one expensive high-replica cell cannot serialize a sweep.
-// Each unit is a self-contained pure function of its spec + replica index,
+// cells do, except that the replicas of a batchable KK cell run as one
+// replica block (exp/batch.hpp), one pool task per cell. Each unit is a self-contained pure function of its spec + replica index,
 // so per-replica results are bit-identical regardless of pool size or
 // execution order; results come back in cell-major (cell, replica) order
 // with per-cell distribution aggregates folded by exp::stats.
 //
-// Two entry points: the options form spins up a pool for this one sweep
-// (the original PR 2 behaviour), the svc::worker_pool form runs the units
+// Two entry points: the options form spins up a pool for this one sweep,
+// the svc::worker_pool form runs the units
 // on a caller-owned persistent pool — the service path, where one pool
 // outlives thousands of small sweeps and thread startup is paid once
 // (bench_pool measures the difference). Both produce identical reports.
@@ -17,7 +17,6 @@
 
 #include <vector>
 
-#include "exp/batch.hpp"
 #include "exp/shard.hpp"
 #include "exp/stats.hpp"
 
@@ -68,15 +67,6 @@ sweep_result sweep(const std::vector<run_spec>& cells,
 /// here). Byte-identical reports to the options form at any pool size.
 sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool);
 
-/// Batching-control variants. `batch` is an execution option only — reports
-/// are bit-identical at every batch width, including width 0 (scalar); the
-/// parameterless forms above default to batch_options{} (auto, i.e.
-/// batching on wherever a cell is batchable). See exp/batch.hpp.
-sweep_result sweep(const std::vector<run_spec>& cells, const sweep_options& opt,
-                   const batch_options& batch);
-sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool,
-                   const batch_options& batch);
-
 struct unit_run_result {
   std::vector<run_report> reports;  ///< reports[i] corresponds to units[i]
   usize pool_size = 0;              ///< workers actually used
@@ -86,21 +76,14 @@ struct unit_run_result {
 /// the whole grid, or a shard slice — on the pool, reports in unit-list
 /// order. sweep() and svc::execute_job's sharded path both go through
 /// here, so whole-grid and sharded executions cannot drift apart (the
-/// byte-identity the merge layer depends on). Same error contract as
-/// sweep(): all units run, the first exception rethrows after the drain.
+/// byte-identity the merge layer depends on). Consecutive units of the
+/// same batchable cell (adjacent in every shard_units output: slices are
+/// strided ascending over the cell-major unit space) run as one replica
+/// block, one pool task (exp/batch.hpp); every other unit is its own task.
+/// Same error contract as sweep(): all units run, the first exception
+/// rethrows after the drain.
 unit_run_result run_units(const std::vector<run_spec>& cells,
                           const std::vector<unit_ref>& units,
                           svc::worker_pool& pool);
-
-/// Batching-control variant of the unit kernel. Consecutive units of the
-/// same batchable cell (consecutive same-cell units are adjacent in every
-/// shard_units output — slices are strided ascending over the cell-major
-/// unit space) are grouped into replica blocks of at most
-/// batch.batch_replicas lanes and executed by exp::run_replica_block as one
-/// pool task; everything else runs scalar. Reports are bit-identical to the
-/// scalar path at any width, so the sharded merge contract is unaffected.
-unit_run_result run_units(const std::vector<run_spec>& cells,
-                          const std::vector<unit_ref>& units,
-                          svc::worker_pool& pool, const batch_options& batch);
 
 }  // namespace amo::exp

@@ -1,21 +1,20 @@
-// Compact order-statistic set: a bitmap of the universe plus a four-level
-// hierarchy of popcount counters (per-word bytes, then 16-word, 256-word
-// and 4096-word directories).
+// Compact order-statistic set: a bitmap of the universe plus two levels of
+// non-cumulative popcount counters — one u16 per 16-word superblock, one
+// u32 per 16-superblock group.
 //
-// This is libamo's FREE set (lane_free_set is the batched engine's view of
-// the same layout, one lane per replica). The paper keeps FREE in a balanced
-// tree so rank and select cost O(log n); here the O(log n) lives in the
-// charged cost model below, and the structure is picked for memory and
-// speed instead: ~0.15 bytes per universe element, which matters because
-// every one of the m processes keeps its own FREE view of all n jobs.
-// select/rank run as cache-resident counter scans — the group
-// and superblock directories are a few hundred bytes, the per-word byte
-// counters stream sequentially — followed by a single bitmap load and a
-// branch-free in-word select (PDEP on BMI2 hardware, broadword otherwise;
-// see word_ops.hpp). Updates touch one word plus three fixed-width counter
-// windows, plus a top-level cumulative suffix of length U/2^18 — O(1) for
-// any universe the system targets (16 adds at n = 2^22), O(U/262144)
-// asymptotically.
+// This is libamo's FREE set. The paper keeps FREE in a balanced tree so
+// rank and select cost O(log n); here the O(log n) lives in the charged
+// cost model below, and the structure is picked for memory and speed
+// instead: ~0.15 bytes per universe element, which matters because every
+// one of the m processes keeps its own FREE view of all n jobs.
+//
+// An insert or erase flips one bit and bumps two counters: O(1), which is
+// what KK's update-heavy gather passes need. select and rank_le scan the
+// group counters, then one group's superblock counters, then one
+// superblock's words, then finish with a branch-free in-word select (PDEP
+// on BMI2 hardware, broadword otherwise; see word_ops.hpp) or a masked
+// popcount. The scans are O(U/16384 + 32) counter loads; the counters are
+// a few hundred bytes even at U = 2^22, so they stay cache-resident.
 //
 // Charged work follows the paper's cost model, not the instruction count:
 // every operation charges what a Fenwick tree over 64-bit word popcounts
@@ -78,51 +77,23 @@ class bitset_rank_set {
   }
 
  private:
-  // Counter hierarchy geometry: fanout 16 at every level. Each level stores
-  // cumulative popcounts *within its parent window*, so a rank query is four
-  // O(1) lookups and a select descent is four branchless 16-wide
-  // count-of-smaller passes — no data-dependent loop exits anywhere on the
-  // query paths. A superblock is 16 words (1024 bits), a group is 16
-  // superblocks (16384 bits), a supergroup is 16 groups (262144 bits).
-  //
-  // Every level is padded to a full window; padding entries hold
-  // pad_base + (window total), which keeps the uniform masked suffix-update
-  // correct while staying far above any real cumulative value, so padding
-  // is never selected.
-  static constexpr usize fanout = 16;
-  static constexpr usize words_per_sb = fanout;
-  static constexpr usize words_per_group = words_per_sb * fanout;
-  static constexpr usize words_per_super = words_per_group * fanout;
-  static constexpr std::uint16_t pad16 = 0x8000;
-  static constexpr std::uint32_t pad32 = 0x80000000u;
+  /// A superblock is 16 words (1024 bits); a group is 16 superblocks
+  /// (16384 bits).
+  static constexpr usize words_per_sb = 16;
+  static constexpr usize sbs_per_group = 16;
+  static constexpr usize words_per_group = sbs_per_group * words_per_sb;
 
-  void charge() const {
-    if (oc_ != nullptr) ++oc_->local_ops;
-  }
-
-  /// Hop count of a Fenwick-tree update starting at word w — the
-  /// per-update charge of the cost model, read from a table built once at
-  /// construction (see bits::build_fenwick_hops).
-  [[nodiscard]] usize fenwick_update_hops(usize w) const { return hops_[w]; }
-
-  /// Single-pass rebuild of the cumulative counters from bits_; asserts the
-  /// counter total matches count_ in debug builds.
+  /// Recounts both counter levels and count_ from bits_.
   void rebuild_counts();
-
-  /// Applies +1/-1 at word w to all four counter levels (masked fixed-width
-  /// suffix updates within each window).
-  void apply_delta(usize w, bool add);
 
   job_id universe_;
   usize count_ = 0;
   usize num_words_;
-  std::uint32_t log_floor_;            // floor(log2(num_words)), charge model
-  std::vector<std::uint64_t> bits_;    // bit (x-1) set <=> x in set
-  std::vector<std::uint16_t> wcum_;    // per word: cumulative pc within superblock
-  std::vector<std::uint32_t> sbcum_;   // per superblock: cumulative within group
-  std::vector<std::uint32_t> gcum_;    // per group: cumulative within supergroup
-  std::vector<std::uint64_t> sgcum_;   // per supergroup: global cumulative
-  std::vector<std::uint8_t> hops_;     // charged Fenwick update hop counts
+  std::uint32_t log_floor_;              // floor(log2(num_words)), charge model
+  std::vector<std::uint64_t> bits_;      // bit (x-1) set <=> x in set
+  std::vector<std::uint16_t> sb_count_;  // popcount per superblock
+  std::vector<std::uint32_t> group_count_;  // popcount per group
+  std::vector<std::uint8_t> hops_;       // charged Fenwick update hop counts
   op_counter* oc_ = nullptr;
 };
 

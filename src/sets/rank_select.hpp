@@ -1,5 +1,5 @@
 // The paper's rank(SET1, SET2, i) operator (Section 3): "returns the element
-// of set SET1 \ SET2 that has rank i". With SET1 an order-statistic set and
+// of set SET1 \ SET2 that has rank i". With SET1 the FREE set (bitset_rank_set) and
 // SET2 the (< m)-element TRY set, the cost is O(|SET2| log n), exactly as
 // charged in the work analysis.
 //
@@ -12,7 +12,7 @@
 // against a brute-force oracle). Each step can only grow idx by newly
 // discovered exclusions, so there are at most |SET2|+1 iterations.
 //
-// Word-parallel engine: every rank_set exposes its bitmap words, so once
+// Word-parallel engine: bitset_rank_set exposes its bitmap words, so once
 // TRY is above word_parallel_threshold and the try_set carries its shadow
 // bitmap, the c(x) and |SET1 \ SET2| queries run directly over the
 // materialized SET1 ∩ SET2 word view — AND + popcount over the <= |SET2|
@@ -23,33 +23,14 @@
 
 #include <bit>
 #include <cassert>
-#include <concepts>
 #include <cstdint>
 
+#include "sets/bitset_rank_set.hpp"
 #include "sets/try_set.hpp"
 #include "util/op_counter.hpp"
 #include "util/types.hpp"
 
 namespace amo {
-
-/// The shape shared by bitset_rank_set and lane_free_set: an
-/// order-statistic set that also exposes its backing bitmap words, enabling
-/// the word-parallel FREE \ TRY paths below.
-template <class S>
-concept rank_set = requires(S s, const S cs, job_id x, usize k, usize i,
-                            op_counter* oc) {
-  { cs.contains(x) } -> std::convertible_to<bool>;
-  { cs.size() } -> std::convertible_to<usize>;
-  { cs.select(k) } -> std::convertible_to<job_id>;
-  { cs.rank_le(x) } -> std::convertible_to<usize>;
-  { s.insert(x) } -> std::convertible_to<bool>;
-  { s.erase(x) } -> std::convertible_to<bool>;
-  { cs.universe() } -> std::convertible_to<job_id>;
-  { cs.word(i) } -> std::convertible_to<std::uint64_t>;
-  { cs.num_words() } -> std::convertible_to<usize>;
-  cs.charge_units(k);
-  s.set_counter(oc);
-};
 
 namespace detail {
 
@@ -64,8 +45,8 @@ namespace detail {
 ///   bits into one mask as it goes — at most one included-word load per
 ///   distinct word and no lookahead, so it never does more work than the
 ///   per-entry probe path.
-template <rank_set S>
-usize overlap_le_words(const S& included, const try_set& excluded, job_id x) {
+inline usize overlap_le_words(const bitset_rank_set& included,
+                              const try_set& excluded, job_id x) {
   if (x == 0) return 0;
   const auto entries = excluded.entries();
   const auto shadow = excluded.shadow_words();
@@ -111,16 +92,16 @@ usize overlap_le_words(const S& included, const try_set& excluded, job_id x) {
 
 }  // namespace detail
 
-/// |{y in excluded ∩ included : y <= x}|. O(|excluded|).
 /// Below this TRY size the per-entry probe loop beats the word-parallel
 /// kernel (fewer cache lines touched, no run bookkeeping); above it, word
 /// batching wins. Both paths charge identical op_counter units, so the
 /// switch is purely a wall-clock decision.
 inline constexpr usize word_parallel_threshold = 8;
 
-template <rank_set S>
-usize excluded_at_or_below(const S& included, const try_set& excluded, job_id x,
-                           op_counter* oc) {
+/// |{y in excluded ∩ included : y <= x}|. O(|excluded|).
+inline usize excluded_at_or_below(const bitset_rank_set& included,
+                                  const try_set& excluded, job_id x,
+                                  op_counter* oc) {
   if (excluded.size() > word_parallel_threshold && excluded.has_shadow()) {
     if (x == 0) return 0;
     // Charge exactly what the probe path would: one unit here plus one
@@ -140,8 +121,8 @@ usize excluded_at_or_below(const S& included, const try_set& excluded, job_id x,
 }
 
 /// Number of elements in set1 \ set2.
-template <rank_set S>
-usize size_excluding(const S& set1, const try_set& set2, op_counter* oc = nullptr) {
+inline usize size_excluding(const bitset_rank_set& set1, const try_set& set2,
+                            op_counter* oc = nullptr) {
   if (set2.size() > word_parallel_threshold && set2.has_shadow()) {
     const usize probes = set2.size();
     if (oc != nullptr) oc->local_ops += probes;
@@ -158,9 +139,8 @@ usize size_excluding(const S& set1, const try_set& set2, op_counter* oc = nullpt
 
 /// The element of set1 \ set2 with 1-based rank i.
 /// Precondition: 1 <= i <= |set1 \ set2|.
-template <rank_set S>
-job_id rank_excluding(const S& set1, const try_set& set2, usize i,
-                      op_counter* oc = nullptr) {
+inline job_id rank_excluding(const bitset_rank_set& set1, const try_set& set2,
+                             usize i, op_counter* oc = nullptr) {
   assert(i >= 1);
   assert(i <= size_excluding(set1, set2, nullptr));
   usize idx = i;

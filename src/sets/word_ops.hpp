@@ -1,5 +1,6 @@
-// Word-parallel bit kernels for the free-set engine: in-word select via
-// PDEP (BMI2) with a portable broadword fallback.
+// Word-parallel bit kernels for the FREE set (bitset_rank_set): in-word
+// select via PDEP (BMI2) with a portable broadword fallback, and the
+// Fenwick-hops table its updates are charged from.
 //
 // select_in_word(x, k) returns the 0-based position of the k-th (1-based,
 // counting from the LSB) set bit of x. On BMI2 hardware the whole query is
@@ -105,13 +106,7 @@ inline unsigned select_in_word(std::uint64_t x, unsigned k) {
   return select_in_word_portable(x, k);
 }
 
-// ----- charge-model tables and lane-plane (SoA) kernels --------------------
-// Shared by bitset_rank_set (one lane) and lane_free_set (R replica lanes of
-// the batched engine, words laid out lane-major as words[lane * num_words + w]
-// so each lane's bitmap is one contiguous row of the arena plane). Everything
-// here is portable scalar code — no ISA assumption beyond std::popcount —
-// because the batched kernel must run identically on the AMO_ENABLE_SIMD=OFF
-// build.
+// ----- charge-model table ---------------------------------------------------
 
 /// hops[w] = length of the Fenwick update chain from word w:
 /// i = w+1, then i += lowbit(i) while i <= num_words. This is the cost
@@ -128,19 +123,6 @@ inline std::vector<std::uint8_t> build_fenwick_hops(usize num_words) {
         static_cast<std::uint8_t>(1 + (next <= num_words ? hops[next - 1] : 0));
   }
   return hops;
-}
-
-/// Fills every lane's bitmap with the full universe: one all-ones pass over
-/// the whole plane, then each lane's tail word is masked down to the
-/// universe. One contiguous sweep over the arena — the word-parallel bulk
-/// initialization R scalar bitset_rank_set::full calls would each redo.
-inline void fill_lane_rows_full(std::uint64_t* words, usize num_words,
-                                usize lanes, std::uint64_t tail_mask) {
-  if (num_words == 0) return;
-  for (usize i = 0; i < num_words * lanes; ++i) words[i] = ~std::uint64_t{0};
-  for (usize lane = 0; lane < lanes; ++lane) {
-    words[lane * num_words + (num_words - 1)] = tail_mask;
-  }
 }
 
 }  // namespace amo::bits

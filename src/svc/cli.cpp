@@ -21,11 +21,7 @@ bool parse_into(value_kind kind, std::string_view v, T& dst) {
     dst = true;
   } else if constexpr (std::unsigned_integral<T>) {
     std::uint64_t x = 0;
-    if (kind == value_kind::width && v == "auto") {
-      x = exp::batch_auto;
-    } else if (!parse_u64(v, x) || x > std::numeric_limits<T>::max()) {
-      return false;
-    }
+    if (!parse_u64(v, x) || x > std::numeric_limits<T>::max()) return false;
     dst = static_cast<T>(x);
   } else if constexpr (std::is_same_v<T, double>) {
     // The record files' number grammar; 1e999 clamps to inf and is refused.
@@ -64,7 +60,7 @@ bool print_from(value_kind kind, const T& src, std::string& out) {
     return src;
   } else if constexpr (std::unsigned_integral<T>) {
     out = std::to_string(src);
-    return kind != value_kind::width || src != exp::batch_auto;
+    return true;
   } else if constexpr (std::is_same_v<T, double>) {
     char buf[32];
     const auto res = std::to_chars(buf, buf + sizeof buf, src);
@@ -134,9 +130,6 @@ const option_spec kOptions[] = {
     row<[](auto& o) -> auto& { return o.knobs.no_timing; }>(
         "no-timing", "no-timing", K::flag, S::job, true, "",
         "omit wall_seconds, so identical runs are byte-identical"),
-    row<[](auto& o) -> auto& { return o.knobs.batch; }>(
-        "batch-replicas", "batch", K::width, S::job, true, "auto|0|N",
-        "replica-block width (job line: batch=); any width, same bytes"),
     row<[](auto& o) -> auto& { return o.knobs; }>(
         "shard", "shard", K::shard, S::job, false, "i/k",
         "run slice i of k of the replica-expanded unit space"),
@@ -241,7 +234,6 @@ std::string bad_value(std::string_view name, std::string_view value,
       "bad " + std::string(name) + "= value '" + std::string(value) + "'";
   switch (kind) {
     case K::seconds: return why + " (want a finite number >= 0)";
-    case K::width: return why + " (want auto, 0, or a width)";
     case K::shard: return why + " (want i/k with 0 <= i < k)";
     case K::format: return why + " (want json or colfmt)";
     default: return why;

@@ -7,8 +7,8 @@
 // the table, so a knob cannot be spelled, range-checked or rendered two
 // ways:
 //
-//   parse_cli       the command line            --n=1024 --batch-replicas=8
-//   parse_job_line  one batch/serve job line    n=1024 batch=8
+//   parse_cli       the command line            --n=1024 --replicas=8
+//   parse_job_line  one batch/serve job line    n=1024 replicas=8
 //   to_line         the canonical job line (the serve FIFO wire format)
 //   child_args      dispatch's shard-child invocation
 //
@@ -60,7 +60,6 @@ enum class value_kind : std::uint8_t {
   count,    ///< decimal, 0 .. 2^64-1
   u32,      ///< decimal, 0 .. 2^32-1
   seconds,  ///< finite decimal >= 0 (also the diff tolerance)
-  width,    ///< auto, or a count
   shard,    ///< i/k with 0 <= i < k
   format,   ///< json | colfmt
   text,     ///< any non-empty string (paths, specs, templates)
@@ -81,7 +80,7 @@ struct option_spec {
   /// Parses `value` into the option's field; false on a bad value.
   bool (*set)(cli_options&, value_kind, std::string_view value);
   /// The option's value as spelled on a line; false when it is at its
-  /// omitted default (an unset flag, an empty path, batch width auto...).
+  /// omitted default (an unset flag, an empty path...).
   bool (*get)(const cli_options&, value_kind, std::string& value);
 };
 

@@ -12,10 +12,9 @@
 //
 // The keys and flags are the job rows of the amo_lab option table
 // (svc/cli.hpp), so a job line and the CLI take the same knobs with the
-// same value rules; `batch=` is the one key spelled differently on the
-// CLI (`--batch-replicas=`). batch= and format= are execution options:
-// canonical lines omit batch=auto, and carry format= only when it was
-// spelled (an out= ending in ".amoc" already selects colfmt).
+// same value rules. format= is an execution option: canonical lines carry
+// it only when it was spelled (an out= ending in ".amoc" already selects
+// colfmt).
 //
 // Blank lines and lines starting with '#' are skipped; a '#' token inside
 // a line comments out its remainder. Values cannot contain whitespace (the
@@ -30,7 +29,6 @@
 #include <string_view>
 #include <vector>
 
-#include "exp/batch.hpp"
 #include "exp/colfmt.hpp"
 #include "exp/registry.hpp"
 #include "exp/shard.hpp"
@@ -44,7 +42,6 @@ struct job {
   bool no_timing = false;              ///< omit wall_seconds from JSON
   bool have_shard = false;
   exp::shard_ref shard;                ///< slice of the job's own grid
-  usize batch = exp::batch_auto;       ///< replica-block width (0 = scalar)
   std::string out;                     ///< output path; "" = service stream
   bool have_format = false;            ///< format= spelled explicitly
   exp::record_format format = exp::record_format::json;

@@ -184,13 +184,12 @@ job_result execute_job(const job& j, worker_pool& pool) {
       // the re-fold to merge.
       r.units = exp::shard_units(all, j.shard);
       stopwatch clock;
-      exp::unit_run_result ur =
-          exp::run_units(all, r.units, pool, exp::batch_options{j.batch});
+      exp::unit_run_result ur = exp::run_units(all, r.units, pool);
       r.unit_reports = std::move(ur.reports);
       r.pool_used = ur.pool_size;
       r.wall_seconds = clock.seconds();
     } else {
-      r.swept = exp::sweep(all, pool, exp::batch_options{j.batch});
+      r.swept = exp::sweep(all, pool);
       r.pool_used = r.swept.pool_size;
       r.wall_seconds = r.swept.wall_seconds;
     }

@@ -1,16 +1,14 @@
-// Differential parity for the batched replica engine (exp/batch.hpp): every
-// batchable algo family × the adversary zoo × several batch widths must
-// produce per-replica run_reports bit-identical (exp::equivalent, which
-// includes every charged op count) to the scalar engine, for consecutive and
-// strided replica subsets alike; sweep aggregates must stay byte-identical
-// across pool sizes, batch widths, and shard counts with batching on. Also
-// pins the two arithmetic substitutions the lane kernel rides on: exact
-// Lemire modulo (util/fastdiv.hpp) against hardware %, and the SoA lane
-// FREE set (sets/lane_free_set.hpp) against bitset_rank_set including the
-// charge stream.
+// Differential parity for per-cell replica blocks (exp/batch.hpp): every
+// batchable algo family × the adversary zoo must produce per-replica
+// run_reports bit-identical (exp::equivalent, which includes every charged
+// op count) to the scalar engine, for consecutive and strided replica
+// subsets alike; sweep aggregates must stay byte-identical across pool
+// sizes and shard counts. Also pins the exact Lemire modulo
+// (util/fastdiv.hpp) the seeded adversaries draw through against hardware %.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,8 +19,6 @@
 #include "exp/report.hpp"
 #include "exp/shard.hpp"
 #include "exp/sweep.hpp"
-#include "sets/bitset_rank_set.hpp"
-#include "sets/lane_free_set.hpp"
 #include "svc/worker_pool.hpp"
 #include "util/fastdiv.hpp"
 #include "util/prng.hpp"
@@ -103,72 +99,16 @@ TEST(FastMod, BoundedDrawReplicatesBelowStream) {
   ASSERT_EQ(a(), b());  // streams still in lockstep at the end
 }
 
-TEST(LaneFreeSet, MatchesBitsetRankSetIncludingCharges) {
-  // Drive one arena lane and a bitset_rank_set through an identical random
-  // op mix; results and the charged op stream must agree exactly.
-  for (const job_id universe : {job_id{1}, job_id{63}, job_id{64}, job_id{65},
-                               job_id{129}, job_id{1000}, job_id{4096}}) {
-    lane_free_arena arena(universe, 3);
-    lane_free_set lane = arena.view(1);  // middle lane: stride is exercised
-    bitset_rank_set ref = bitset_rank_set::full(universe);
-    op_counter lane_oc;
-    op_counter ref_oc;
-    lane.set_counter(&lane_oc);
-    ref.set_counter(&ref_oc);
-    ASSERT_EQ(lane.size(), ref.size());
-    ASSERT_EQ(lane.universe(), ref.universe());
-
-    xoshiro256 rng(universe * 7 + 1);
-    for (int step = 0; step < 4000; ++step) {
-      const std::uint64_t op = rng.below(5);
-      const job_id x = static_cast<job_id>(rng.below(universe + 2));  // 0..u+1
-      switch (op) {
-        case 0:
-          ASSERT_EQ(lane.contains(x), ref.contains(x));
-          break;
-        case 1:
-          if (x >= 1 && x <= universe) {
-            ASSERT_EQ(lane.insert(x), ref.insert(x));
-          }
-          break;
-        case 2:
-          ASSERT_EQ(lane.erase(x), ref.erase(x));
-          break;
-        case 3:
-          if (ref.size() > 0) {
-            const usize k = static_cast<usize>(rng.below(ref.size())) + 1;
-            ASSERT_EQ(lane.select(k), ref.select(k));
-          }
-          break;
-        case 4:
-          ASSERT_EQ(lane.rank_le(x), ref.rank_le(x));
-          break;
-      }
-      ASSERT_EQ(lane.size(), ref.size());
-      ASSERT_EQ(lane_oc, ref_oc) << "universe " << universe << " step " << step;
-    }
-    EXPECT_EQ(lane.to_vector(), ref.to_vector());
-    // Word surface agrees too (the word-parallel FREE \ TRY paths read it).
-    ASSERT_EQ(lane.num_words(), ref.num_words());
-    for (usize w = 0; w < ref.num_words(); ++w) {
-      ASSERT_EQ(lane.word(w), ref.word(w));
-    }
-    // Neighbor lanes were never touched: still the full universe.
-    EXPECT_EQ(arena.view(0).size(), static_cast<usize>(universe));
-    EXPECT_EQ(arena.view(2).size(), static_cast<usize>(universe));
-  }
-}
-
 TEST(BatchClassify, GateMatchesTheEngineContract) {
   using exp::batch_class;
   const auto cls = [](exp::run_spec s) { return exp::classify_batch(s); };
   exp::run_spec base = kk_cell("random", 64, 3, 0, 4);
-  EXPECT_EQ(cls(base), batch_class::lanes);
-  EXPECT_EQ(cls(kk_cell("random+crash", 64, 3, 2, 4)), batch_class::lanes);
+  EXPECT_EQ(cls(base), batch_class::seeded);
+  EXPECT_EQ(cls(kk_cell("random+crash", 64, 3, 2, 4)), batch_class::seeded);
   EXPECT_EQ(cls(kk_cell("random+crash:3/100", 64, 3, 2, 4)),
-            batch_class::lanes);
-  EXPECT_EQ(cls(kk_cell("block4", 64, 3, 0, 4)), batch_class::lanes);
-  EXPECT_EQ(cls(kk_cell("block:7", 64, 3, 0, 4)), batch_class::lanes);
+            batch_class::seeded);
+  EXPECT_EQ(cls(kk_cell("block4", 64, 3, 0, 4)), batch_class::seeded);
+  EXPECT_EQ(cls(kk_cell("block:7", 64, 3, 0, 4)), batch_class::seeded);
   EXPECT_EQ(cls(kk_cell("round_robin", 64, 3, 0, 4)), batch_class::replicate);
   EXPECT_EQ(cls(kk_cell("stale_view", 64, 3, 0, 4)), batch_class::replicate);
   EXPECT_EQ(cls(kk_cell("stale_view:100", 64, 3, 0, 4)),
@@ -198,7 +138,7 @@ TEST(BatchClassify, GateMatchesTheEngineContract) {
   ao2.algo = exp::algo_family::ao2;
   EXPECT_EQ(cls(ao2), batch_class::not_batchable);  // m == 3
   ao2.m = 2;
-  EXPECT_EQ(cls(ao2), batch_class::lanes);
+  EXPECT_EQ(cls(ao2), batch_class::seeded);
   exp::run_spec threads = base;
   threads.driver = exp::driver_kind::os_threads;
   EXPECT_EQ(cls(threads), batch_class::not_batchable);
@@ -231,7 +171,7 @@ TEST(BatchParity, Ao2AndScriptedAndBigM) {
       kk_cell("scripted:s1 s1 s2 c3 s2 s1", 40, 3, 1, 4, 9);
   expect_block_matches_scalar(scripted, {0, 1, 2, 3});
 
-  // m >= 32 engages the word-parallel TRY paths inside every lane.
+  // m >= 32 engages the word-parallel TRY paths inside every replica.
   const exp::run_spec wide = kk_cell("random", 300, 33, 4, 4, 31);
   expect_block_matches_scalar(wide, {0, 1, 2, 3});
   const exp::run_spec wide_blocks = kk_cell("block64", 300, 33, 0, 3, 31);
@@ -239,8 +179,9 @@ TEST(BatchParity, Ao2AndScriptedAndBigM) {
 }
 
 TEST(BatchParity, StridedReplicaSubsets) {
-  // Shard slices hand the block non-consecutive replica indices; lanes are
-  // independent streams, so any ascending subset must match its scalar runs.
+  // Shard slices hand the block non-consecutive replica indices; replicas
+  // are independent streams, so any ascending subset must match its scalar
+  // runs.
   const exp::run_spec cell = kk_cell("random+crash", 129, 3, 2, 12, 77);
   expect_block_matches_scalar(cell, {0, 3, 6, 9});
   expect_block_matches_scalar(cell, {1, 4, 7, 10});
@@ -272,41 +213,55 @@ std::vector<exp::run_spec> parity_grid() {
   return cells;
 }
 
-std::string aggregate_json(const std::vector<exp::run_spec>& cells,
-                           usize pool_size, const exp::batch_options& batch) {
-  exp::sweep_options opt;
-  opt.pool_size = pool_size;
-  const exp::sweep_result swept = exp::sweep(cells, opt, batch);
+std::string aggregate_json(const exp::sweep_result& swept,
+                           const std::vector<exp::run_spec>& cells) {
   exp::json_writer json;
   exp::add_cell_records(json, swept, exp::grid_fingerprint(cells),
                         /*include_timing=*/false);
   return json.dump();
 }
 
-TEST(BatchSweep, ByteIdenticalAcrossPoolSizesAndWidths) {
-  const std::vector<exp::run_spec> cells = parity_grid();
-  // Scalar serial run is the reference.
-  const std::string ref = aggregate_json(cells, 1, {.batch_replicas = 0});
-  for (const usize pool : {usize{1}, usize{2}, usize{0}}) {
-    for (const usize width :
-         {usize{0}, usize{1}, usize{2}, usize{3}, exp::batch_auto}) {
-      EXPECT_EQ(ref, aggregate_json(cells, pool, {.batch_replicas = width}))
-          << "pool " << pool << " width " << width;
+/// The scalar reference sweep: every unit through exp::run on the caller,
+/// folded exactly as exp::sweep folds.
+std::string scalar_json(const std::vector<exp::run_spec>& cells) {
+  exp::sweep_result swept;
+  for (const exp::run_spec& c : cells) {
+    exp::cell_report cr;
+    cr.first = swept.reports.size();
+    cr.replicas = exp::resolved_replicas(c);
+    for (usize r = 0; r < cr.replicas; ++r) {
+      swept.reports.push_back(exp::run(exp::replica_spec(c, r)));
     }
+    cr.stats = exp::fold_replicas(std::span<const exp::run_report>(
+        swept.reports.data() + cr.first, cr.replicas));
+    swept.cells.push_back(cr);
+  }
+  return aggregate_json(swept, cells);
+}
+
+std::string sweep_json(const std::vector<exp::run_spec>& cells,
+                       usize pool_size) {
+  return aggregate_json(exp::sweep(cells, exp::sweep_options{pool_size}), cells);
+}
+
+TEST(BatchSweep, ByteIdenticalToScalarRunsAcrossPoolSizes) {
+  const std::vector<exp::run_spec> cells = parity_grid();
+  const std::string ref = scalar_json(cells);
+  for (const usize pool : {usize{1}, usize{2}, usize{0}}) {
+    EXPECT_EQ(ref, sweep_json(cells, pool)) << "pool " << pool;
   }
 }
 
-TEST(BatchSweep, ShardedUnitsMergeByteIdenticallyWithBatchingOn) {
+TEST(BatchSweep, ShardedUnitsMergeByteIdentically) {
   const std::vector<exp::run_spec> cells = parity_grid();
-  const std::string reference = aggregate_json(cells, 1, {.batch_replicas = 0});
+  const std::string reference = scalar_json(cells);
   svc::worker_pool pool(2);
   for (const usize k : {usize{2}, usize{3}, usize{5}}) {
     std::vector<std::vector<exp::record>> shards;
     for (usize i = 0; i < k; ++i) {
       const std::vector<exp::unit_ref> units =
           exp::shard_units(cells, {i, k});
-      const exp::unit_run_result ur =
-          exp::run_units(cells, units, pool, exp::batch_options{});
+      const exp::unit_run_result ur = exp::run_units(cells, units, pool);
       exp::json_writer json;
       exp::add_unit_records(json, ur.reports, units, exp::unit_count(cells),
                             cells.size(), exp::grid_fingerprint(cells),

@@ -1,5 +1,6 @@
 // Unit and property tests for bitset_rank_set (libamo's FREE set), with
-// emphasis on 64-bit word boundaries.
+// emphasis on 64-bit word, 16-word superblock and 256-word group
+// boundaries, and on the charge of every operation.
 #include <gtest/gtest.h>
 
 #include "rank_set_oracle.hpp"
@@ -14,6 +15,21 @@ TEST(BitsetRankSet, EmptyBasics) {
   EXPECT_TRUE(s.empty());
   EXPECT_FALSE(s.contains(1));
   EXPECT_EQ(s.rank_le(100), 0u);
+}
+
+TEST(BitsetRankSet, EmptyUniverseRanksEverythingZero) {
+  // rank_le clamps x to the universe; on the empty universe that leaves 0,
+  // which must not be read as a word index.
+  const bitset_rank_set s(0);
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.num_words(), 0u);
+  EXPECT_FALSE(s.contains(1));
+  for (const job_id x : {job_id{0}, job_id{1}, job_id{64}, job_id{1u << 20}}) {
+    EXPECT_EQ(s.rank_le(x), 0u) << x;
+  }
+  EXPECT_EQ(s.popcount_range(1, 100), 0u);
+  EXPECT_TRUE(s.to_vector().empty());
+  EXPECT_TRUE(bitset_rank_set::full(0).empty());
 }
 
 TEST(BitsetRankSet, WordBoundaryElements) {
@@ -114,30 +130,65 @@ TEST(BitsetRankSet, CounterCharges) {
   EXPECT_LE(oc.local_ops, 96u);
 }
 
+TEST(BitsetRankSet, EveryChargeMatchesTheCostModel) {
+  for (const job_id universe :
+       {job_id{1}, job_id{63}, job_id{64}, job_id{65}, job_id{129},
+        job_id{1000}, job_id{4096}, job_id{16385}, job_id{40000}}) {
+    testing::run_charge_stream(universe, 4000, universe * 7 + 1);
+  }
+}
+
 TEST(BitsetOracle, RandomizedSmall) {
-  testing::run_randomized_stream<bitset_rank_set>(40, 2000, 121);
+  testing::run_randomized_stream(40, 2000, 121);
 }
 
 TEST(BitsetOracle, RandomizedMedium) {
-  testing::run_randomized_stream<bitset_rank_set>(500, 6000, 242);
+  testing::run_randomized_stream(500, 6000, 242);
 }
 
 TEST(BitsetOracle, RandomizedWordStraddling) {
-  testing::run_randomized_stream<bitset_rank_set>(129, 4000, 363);
+  testing::run_randomized_stream(129, 4000, 363);
 }
 
 TEST(BitsetOracle, ShrinkOnly) {
-  testing::run_shrink_stream<bitset_rank_set>(300, 383);
+  testing::run_shrink_stream(300, 383);
 }
 
 TEST(BitsetOracle, SubsetConstruction) {
-  testing::run_subset_construction<bitset_rank_set>(400, 484);
+  testing::run_subset_construction(400, 484);
+}
+
+// Universes that end just past a superblock (1025), exactly on a group
+// (16384), just past one (16385), mid-group after two full ones (40000),
+// and past 64 groups (2^20 + 37).
+const job_id kCounterBoundaryUniverses[] = {1025, 16384, 16385, 40000,
+                                            (job_id{1} << 20) + 37};
+
+TEST(BitsetOracle, RandomizedAcrossCounterBoundaries) {
+  for (const job_id universe : kCounterBoundaryUniverses) {
+    SCOPED_TRACE(universe);
+    testing::run_randomized_stream(universe, 20000, universe + 1);
+  }
+}
+
+TEST(BitsetOracle, ShrinkOnlyAcrossCounterBoundaries) {
+  for (const job_id universe : kCounterBoundaryUniverses) {
+    SCOPED_TRACE(universe);
+    testing::run_shrink_stream(universe, universe + 2, universe / 8);
+  }
+}
+
+TEST(BitsetOracle, SubsetConstructionAcrossCounterBoundaries) {
+  for (const job_id universe : kCounterBoundaryUniverses) {
+    SCOPED_TRACE(universe);
+    testing::run_subset_construction(universe, universe + 3);
+  }
 }
 
 class BitsetSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BitsetSweep, RandomizedStreamsAcrossSeeds) {
-  testing::run_randomized_stream<bitset_rank_set>(128, 3000, GetParam());
+  testing::run_randomized_stream(128, 3000, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitsetSweep,

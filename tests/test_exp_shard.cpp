@@ -133,8 +133,7 @@ std::string shard_json(const std::vector<exp::run_spec>& grid,
                        exp::shard_ref ref) {
   svc::worker_pool pool(1);
   const std::vector<exp::unit_ref> units = exp::shard_units(grid, ref);
-  const exp::unit_run_result ur =
-      exp::run_units(grid, units, pool, exp::batch_options{});
+  const exp::unit_run_result ur = exp::run_units(grid, units, pool);
   exp::json_writer json;
   exp::add_unit_records(json, ur.reports, units, exp::unit_count(grid),
                         grid.size(), exp::grid_fingerprint(grid),

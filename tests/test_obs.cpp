@@ -526,9 +526,9 @@ TEST(SvcServe, StallWatchdogCancelsTheBatchAndClassifiesTheTimeout) {
   j.scenarios = {"kk/random"};
   j.params.n = n;
   j.params.m = 3;
-  j.params.seeds = 1;
-  j.params.replicas = 3;  // units 2 and 3 queue behind the stalling first
-  j.batch = 0;            // scalar units: one pool task per replica
+  // Three single-replica cells, so three pool tasks: units 2 and 3 queue
+  // behind the stalling first (one cell's replicas would be one task).
+  j.params.seeds = 3;
   j.no_timing = true;
   j.out = temp_path("stall_out.json");
 

@@ -1,7 +1,6 @@
 // Property tests for the paper's rank(SET1, SET2, i) operator
 // (rank_excluding): cross-checked against a brute-force oracle over
-// bitset_rank_set and randomized TRY overlays. (lane_free_set is checked
-// against bitset_rank_set, charges included, in test_batch_parity.)
+// bitset_rank_set and randomized TRY overlays.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,12 +13,6 @@
 namespace amo {
 namespace {
 
-template <class S>
-class RankSelectTyped : public ::testing::Test {};
-
-using SetTypes = ::testing::Types<bitset_rank_set>;
-TYPED_TEST_SUITE(RankSelectTyped, SetTypes);
-
 /// Brute-force: k-th smallest of set1 \ set2.
 std::vector<job_id> difference(const std::vector<job_id>& members,
                                const try_set& excl) {
@@ -30,16 +23,16 @@ std::vector<job_id> difference(const std::vector<job_id>& members,
   return out;
 }
 
-TYPED_TEST(RankSelectTyped, EmptyExclusionIsPlainSelect) {
-  const TypeParam s = TypeParam::full(100);
+TEST(RankSelect, EmptyExclusionIsPlainSelect) {
+  const bitset_rank_set s = bitset_rank_set::full(100);
   try_set t;
   for (usize k = 1; k <= 100; k += 7) {
     EXPECT_EQ(rank_excluding(s, t, k), k);
   }
 }
 
-TYPED_TEST(RankSelectTyped, ExclusionShiftsRanks) {
-  const TypeParam s = TypeParam::full(10);
+TEST(RankSelect, ExclusionShiftsRanks) {
+  const bitset_rank_set s = bitset_rank_set::full(10);
   try_set t;
   t.insert(1, 2);
   t.insert(2, 2);
@@ -48,8 +41,8 @@ TYPED_TEST(RankSelectTyped, ExclusionShiftsRanks) {
   EXPECT_EQ(rank_excluding(s, t, 8), 10u);
 }
 
-TYPED_TEST(RankSelectTyped, ExclusionInMiddle) {
-  const TypeParam s = TypeParam::full(10);
+TEST(RankSelect, ExclusionInMiddle) {
+  const bitset_rank_set s = bitset_rank_set::full(10);
   try_set t;
   t.insert(5, 2);
   EXPECT_EQ(rank_excluding(s, t, 4), 4u);
@@ -57,8 +50,8 @@ TYPED_TEST(RankSelectTyped, ExclusionInMiddle) {
   EXPECT_EQ(rank_excluding(s, t, 9), 10u);
 }
 
-TYPED_TEST(RankSelectTyped, ExcludedElementsNotInSetAreIgnored) {
-  TypeParam s = TypeParam::full(10);
+TEST(RankSelect, ExcludedElementsNotInSetAreIgnored) {
+  bitset_rank_set s = bitset_rank_set::full(10);
   s.erase(4);
   s.erase(5);
   try_set t;
@@ -70,19 +63,19 @@ TYPED_TEST(RankSelectTyped, ExcludedElementsNotInSetAreIgnored) {
   EXPECT_EQ(rank_excluding(s, t, 7), 10u);
 }
 
-TYPED_TEST(RankSelectTyped, ConsecutiveExclusionsAtFront) {
-  const TypeParam s = TypeParam::full(20);
+TEST(RankSelect, ConsecutiveExclusionsAtFront) {
+  const bitset_rank_set s = bitset_rank_set::full(20);
   try_set t;
   for (job_id x = 1; x <= 7; ++x) t.insert(x, 2);
   EXPECT_EQ(rank_excluding(s, t, 1), 8u);
   EXPECT_EQ(size_excluding(s, t), 13u);
 }
 
-TYPED_TEST(RankSelectTyped, RandomizedAgainstBruteForce) {
+TEST(RankSelect, RandomizedAgainstBruteForce) {
   xoshiro256 rng(987);
   for (int round = 0; round < 60; ++round) {
     const job_id universe = static_cast<job_id>(rng.between(8, 160));
-    TypeParam s(universe);
+    bitset_rank_set s(universe);
     std::vector<job_id> members;
     for (job_id x = 1; x <= universe; ++x) {
       if (rng.chance(2, 3)) {
@@ -105,9 +98,9 @@ TYPED_TEST(RankSelectTyped, RandomizedAgainstBruteForce) {
   }
 }
 
-TYPED_TEST(RankSelectTyped, WorkChargedIsBounded) {
+TEST(RankSelect, WorkChargedIsBounded) {
   op_counter oc;
-  TypeParam s = TypeParam::full(1 << 12);
+  bitset_rank_set s = bitset_rank_set::full(1 << 12);
   s.set_counter(&oc);
   try_set t;
   t.set_counter(&oc);

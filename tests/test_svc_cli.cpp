@@ -64,13 +64,6 @@ TEST(SvcCli, BadNumbersAreRejectedAlikeOnTheCliAndOnAJobLine) {
         << o.cli;
     EXPECT_EQ(error, "bad " + std::string(o.cli) + "= value '7q'");
   }
-  // The one pair whose spellings differ reports each in its own.
-  svc::cli_options opt;
-  std::string error;
-  EXPECT_FALSE(parse_argv({"--batch-replicas=x"}, opt, error));
-  EXPECT_EQ(error, "bad batch-replicas= value 'x' (want auto, 0, or a width)");
-  EXPECT_EQ(line_error("kk/round_robin batch=x"),
-            "line 1: bad batch= value 'x' (want auto, 0, or a width)");
 }
 
 TEST(SvcCli, SecondsAndTolerancesMustBeFiniteAndNonNegative) {
@@ -94,15 +87,15 @@ TEST(SvcCli, SecondsAndTolerancesMustBeFiniteAndNonNegative) {
 
 constexpr const char* kEveryKnobLine =
     "kk/round_robin iterative/round_robin n=1000 m=7 beta=9 eps=3 seed=42 "
-    "seeds=5 replicas=4 scheduled-only no-timing batch=16 shard=1/3 "
+    "seeds=5 replicas=4 scheduled-only no-timing shard=1/3 "
     "out=x.amoc format=colfmt";
 
 const std::vector<std::string> kEveryKnobArgs = {
-    "kk/round_robin", "iterative/round_robin", "--format=colfmt",
-    "--out=x.amoc",   "--shard=1/3",           "--batch-replicas=16",
-    "--no-timing",    "--scheduled-only",      "--replicas=4",
-    "--seeds=5",      "--seed=42",             "--eps=3",
-    "--beta=9",       "--m=7",                 "--n=1000"};
+    "kk/round_robin",   "iterative/round_robin", "--format=colfmt",
+    "--out=x.amoc",     "--shard=1/3",           "--no-timing",
+    "--scheduled-only", "--replicas=4",          "--seeds=5",
+    "--seed=42",        "--eps=3",               "--beta=9",
+    "--m=7",            "--n=1000"};
 
 TEST(SvcCli, CliAndLineSpellingsParseToEqualJobs) {
   svc::cli_options opt;
@@ -118,7 +111,6 @@ TEST(SvcCli, CliAndLineSpellingsParseToEqualJobs) {
   ASSERT_TRUE(has_job);
   EXPECT_EQ(from_cli, from_line);
   EXPECT_EQ(from_line.params.eps_inv, 3u);
-  EXPECT_EQ(from_line.batch, 16u);
   EXPECT_TRUE(from_line.have_shard && from_line.have_format);
 }
 
@@ -135,11 +127,10 @@ TEST(SvcCli, CanonicalLinesAreByteStable) {
   defaults.scenarios = {"kk/random"};
   EXPECT_EQ(svc::to_line(defaults),
             "kk/random n=4096 m=4 beta=0 eps=2 seed=1 seeds=2 replicas=1");
-  defaults.batch = 0;
   defaults.out = "o.json";
   EXPECT_EQ(svc::to_line(defaults),
             "kk/random n=4096 m=4 beta=0 eps=2 seed=1 seeds=2 replicas=1 "
-            "batch=0 out=o.json");
+            "out=o.json");
 }
 
 TEST(SvcCli, DispatchChildArgsAreByteStable) {
@@ -155,7 +146,7 @@ TEST(SvcCli, DispatchChildArgsAreByteStable) {
   EXPECT_EQ(svc::child_args(opt),
             "sweep kk/round_robin iterative/round_robin --n=1000 --m=7 "
             "--beta=9 --eps=3 --seed=42 --seeds=5 --replicas=4 --pool=2 "
-            "--scheduled-only --no-timing --batch-replicas=16 --quiet");
+            "--scheduled-only --no-timing --quiet");
   EXPECT_EQ(svc::child_args(svc::cli_options{}),
             "sweep --n=4096 --m=4 --beta=0 --eps=2 --seed=1 --seeds=2 "
             "--replicas=1 --pool=0 --quiet");
@@ -165,7 +156,7 @@ TEST(SvcCli, TheOptionSetIsPinnedAndHelpListsEveryOption) {
   const std::set<std::string> want = {
       "n",        "m",           "beta",        "eps",        "seed",
       "seeds",    "replicas",    "pool",        "scheduled-only",
-      "no-timing", "batch-replicas", "shard",   "out",        "format",
+      "no-timing", "shard",      "out",         "format",
       "trace-out", "check",      "quiet",       "jobs",       "once",
       "heartbeat-s", "stall-s",  "to",          "shards",     "retries",
       "deadline-s", "inject",    "resume",      "command",    "dir",
@@ -184,16 +175,21 @@ TEST(SvcCli, TheOptionSetIsPinnedAndHelpListsEveryOption) {
   EXPECT_EQ(have, want);
   EXPECT_EQ(have.size(), svc::option_table().size());  // no duplicate rows
 
-  // Job-line keys: the knobs minus CLI-only options, with batch= as the
-  // one spelling that differs from its flag.
+  // Job-line keys: the knobs minus CLI-only options, each spelled like its
+  // flag.
   std::set<std::string> keys;
   for (const svc::option_spec& o : svc::option_table()) {
     if (!o.key.empty()) keys.emplace(o.key);
   }
   EXPECT_EQ(keys, (std::set<std::string>{
                       "n", "m", "beta", "eps", "seed", "seeds", "replicas",
-                      "scheduled-only", "no-timing", "batch", "shard", "out",
+                      "scheduled-only", "no-timing", "shard", "out",
                       "format"}));
+  for (const svc::option_spec& o : svc::option_table()) {
+    if (!o.key.empty()) {
+      EXPECT_EQ(o.key, o.cli);
+    }
+  }
 }
 
 TEST(SvcCli, FlagsTakeNoValueAndValuedOptionsNeedOne) {
@@ -208,6 +204,10 @@ TEST(SvcCli, FlagsTakeNoValueAndValuedOptionsNeedOne) {
                 .find("unknown key 'scheduled-only='"),
             std::string::npos);
   EXPECT_NE(line_error("kk/round_robin pool=2").find("unknown key 'pool='"),
+            std::string::npos);
+  // There is no replica-block width knob: every batchable cell runs as
+  // one block.
+  EXPECT_NE(line_error("kk/round_robin batch=8").find("unknown key 'batch='"),
             std::string::npos);
 }
 

@@ -83,9 +83,9 @@ TEST(WordOps, EdgeWords) {
 /// non-PDEP path gets end-to-end coverage even on BMI2 builds.
 TEST(PortableSelectOracle, RandomizedStreams) {
   portable_guard guard(true);
-  testing::run_randomized_stream<bitset_rank_set>(300, 6000, 11);
-  testing::run_randomized_stream<bitset_rank_set>(129, 4000, 22);
-  testing::run_shrink_stream<bitset_rank_set>(400, 33);
+  testing::run_randomized_stream(300, 6000, 11);
+  testing::run_randomized_stream(129, 4000, 22);
+  testing::run_shrink_stream(400, 33);
 }
 
 /// Multi-level coverage: a universe large enough to exercise all four
