@@ -192,6 +192,61 @@ int main() {
     popt.cfg.m = g.m;
     popt.cfg.beta = g.beta;
     popt.cfg.crash_budget = g.f;
+    char tag[32];
+    std::snprintf(tag, sizeof tag, "n%zum%zuf%zu", g.n, g.m, g.f);
+    const auto por_record = [&](const char* scenario,
+                                const model::explore_result& pr,
+                                double wall) {
+      return std::vector<std::pair<std::string, std::string>>{
+          {"experiment", benchx::json_report::str("E11_frontier")},
+          {"scenario", benchx::json_report::str(std::string(scenario) + tag)},
+          {"n", benchx::json_report::num(std::uint64_t{g.n})},
+          {"m", benchx::json_report::num(std::uint64_t{g.m})},
+          {"crash_budget", benchx::json_report::num(std::uint64_t{g.f})},
+          {"por_states", benchx::json_report::num(std::uint64_t{pr.states})},
+          {"por_transitions",
+           benchx::json_report::num(std::uint64_t{pr.transitions})},
+          {"min_effectiveness",
+           benchx::json_report::num(std::uint64_t{pr.min_effectiveness})},
+          {"at_most_once", benchx::json_report::boolean(!pr.duplicate_found)},
+          {"complete", benchx::json_report::boolean(pr.complete)},
+          {"wall_seconds", benchx::json_report::num(wall)}};
+    };
+    const auto por_row = [&](const char* explorer,
+                             const model::explore_result& pr) {
+      t3.add_row({explorer, fmt_count(g.n), fmt_count(g.m), fmt_count(g.f),
+                  benchx::yesno(pr.complete), fmt_count(pr.states),
+                  fmt_count(pr.transitions), benchx::yesno(!pr.duplicate_found),
+                  pr.quiescent_states > 0 ? fmt_count(pr.min_effectiveness)
+                                          : "-"});
+    };
+
+    // The POR rows run before the brute-force row: after its 20M-state
+    // heap the serial POR row took 14.2 s, against 6.5 s before it.
+    stopwatch pw;
+    const auto pr = model::explore_por(popt);
+    const double por_wall = pw.seconds();
+    por_row("por", pr);
+    frontier_ok = frontier_ok && pr.complete && !pr.duplicate_found;
+    json.add(por_record("por/", pr, por_wall));
+
+    // The same check on a hardware-size pool: every count and verdict
+    // must match the serial row.
+    {
+      svc::worker_pool pool(0);
+      model::por_options pooled = popt;
+      pooled.pool = &pool;
+      stopwatch ppw;
+      const auto pp = model::explore_por(pooled);
+      const double pooled_wall = ppw.seconds();
+      por_row("por, pool", pp);
+      frontier_ok = frontier_ok && verdicts_equal(pr, pp) &&
+                    pp.states == pr.states && pp.transitions == pr.transitions;
+      auto rec = por_record("por_pool/", pp, pooled_wall);
+      rec.emplace_back("workers",
+                       benchx::json_report::num(std::uint64_t{pool.size()}));
+      json.add(rec);
+    }
 
     if (g.run_brute) {
       model::explore_options opt;
@@ -205,9 +260,8 @@ int main() {
       // The cap must actually bite — otherwise this row belongs in E11.
       frontier_ok = frontier_ok && !r.complete;
       json.add({{"experiment", benchx::json_report::str("E11_frontier")},
-                {"scenario", benchx::json_report::str(
-                                 "brute/n" + std::to_string(g.n) + "m" +
-                                 std::to_string(g.m) + "f" + std::to_string(g.f))},
+                {"scenario",
+                 benchx::json_report::str(std::string("brute/") + tag)},
                 {"n", benchx::json_report::num(std::uint64_t{g.n})},
                 {"m", benchx::json_report::num(std::uint64_t{g.m})},
                 {"crash_budget", benchx::json_report::num(std::uint64_t{g.f})},
@@ -215,29 +269,6 @@ int main() {
                 {"capped", benchx::json_report::boolean(!r.complete)},
                 {"wall_seconds", benchx::json_report::num(bw.seconds())}});
     }
-
-    stopwatch pw;
-    const auto pr = model::explore_por(popt);
-    t3.add_row({"por", fmt_count(g.n), fmt_count(g.m), fmt_count(g.f),
-                benchx::yesno(pr.complete), fmt_count(pr.states),
-                fmt_count(pr.transitions), benchx::yesno(!pr.duplicate_found),
-                pr.quiescent_states > 0 ? fmt_count(pr.min_effectiveness) : "-"});
-    frontier_ok = frontier_ok && pr.complete && !pr.duplicate_found;
-    json.add({{"experiment", benchx::json_report::str("E11_frontier")},
-              {"scenario", benchx::json_report::str(
-                               "por/n" + std::to_string(g.n) + "m" +
-                               std::to_string(g.m) + "f" + std::to_string(g.f))},
-              {"n", benchx::json_report::num(std::uint64_t{g.n})},
-              {"m", benchx::json_report::num(std::uint64_t{g.m})},
-              {"crash_budget", benchx::json_report::num(std::uint64_t{g.f})},
-              {"por_states", benchx::json_report::num(std::uint64_t{pr.states})},
-              {"por_transitions",
-               benchx::json_report::num(std::uint64_t{pr.transitions})},
-              {"min_effectiveness",
-               benchx::json_report::num(std::uint64_t{pr.min_effectiveness})},
-              {"at_most_once", benchx::json_report::boolean(!pr.duplicate_found)},
-              {"complete", benchx::json_report::boolean(pr.complete)},
-              {"wall_seconds", benchx::json_report::num(pw.seconds())}});
   }
   benchx::print_table(t3);
   all_safe = all_safe && frontier_ok;

@@ -4,8 +4,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -361,6 +363,20 @@ class shard_table {
   }
   [[nodiscard]] usize size() const { return nodes_.size(); }
 
+  /// Marks the start of a layer's merge. Local ids are handed out in
+  /// admission order, so these marks date every node without per-node
+  /// bytes.
+  void begin_layer() {
+    layer_starts_.push_back(static_cast<std::uint32_t>(nodes_.size()));
+  }
+  /// The layer whose merge created the node (0 for the initial state).
+  [[nodiscard]] std::uint32_t born(std::uint32_t key) const {
+    return static_cast<std::uint32_t>(
+        std::upper_bound(layer_starts_.begin(), layer_starts_.end(),
+                         key & kLocalMask) -
+        layer_starts_.begin());
+  }
+
   /// Contributions of the admissions since the last reset.
   tally layer_tally;
 
@@ -389,6 +405,8 @@ class shard_table {
   std::uint32_t base_;
   std::vector<slot> slots_;
   std::vector<node> nodes_;
+  /// nodes_.size() when each layer's merge began, layer 1 first.
+  std::vector<std::uint32_t> layer_starts_;
 };
 
 // ---------------------------------------------------------------------------
@@ -400,6 +418,39 @@ struct work_item {
   sys_state st;
   std::uint32_t key = 0;  ///< node key in the sharded visited table
   amask sleep = 0;        ///< actions proven covered by sibling branches
+};
+static_assert(std::is_trivially_copyable_v<work_item> &&
+              std::is_trivially_destructible_v<work_item>);
+
+/// Deallocates a frontier's slots; `capacity` is the allocated count.
+struct release_slots {
+  usize capacity = 0;
+  void operator()(work_item* p) const {
+    std::allocator<work_item>().deallocate(p, capacity);
+  }
+};
+
+/// One layer of work items in uninitialized storage. The layout tasks
+/// construct every slot in place, so sizing the next layer writes nothing
+/// on the calling thread; work_item is trivially destructible, so slots
+/// are reused and released without destructor calls.
+class frontier {
+ public:
+  /// Sizes the layer to n slots, none constructed: the caller constructs
+  /// each one before it is read.
+  void resize_for_overwrite(usize n) {
+    if (n > slots_.get_deleter().capacity) {
+      slots_ = {std::allocator<work_item>().allocate(n), release_slots{n}};
+    }
+    size_ = n;
+  }
+  [[nodiscard]] work_item* data() const { return slots_.get(); }
+  [[nodiscard]] usize size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+ private:
+  std::unique_ptr<work_item[], release_slots> slots_;
+  usize size_ = 0;
 };
 
 /// One emitted edge: the successor state plus the sleep set it inherits,
@@ -422,6 +473,8 @@ struct block_out {
   std::array<std::uint32_t, kShards + 1> shard_begin{};
   /// Arrivals of each shard that queue a node for the next layer.
   std::array<std::uint32_t, kShards> queued{};
+  /// Targets of this block's retreating edges, in arrival order.
+  std::vector<std::uint32_t> roots;
   usize next_base = 0;  ///< this block's first slot in the next layer
   usize edge_base = 0;  ///< this block's first slot in the edge list
   usize sleep_pruned = 0;
@@ -516,14 +569,19 @@ void for_each_task(svc::worker_pool* pool, usize count,
   }
 }
 
-/// Directed-cycle check over the explored edge list (iterative 3-color
-/// DFS on a CSR adjacency). Replaces the DFS on-stack test the layered
-/// frontier cannot perform inline; every recorded edge is a real model
-/// transition, so a cycle here is a cycle of the reduced (hence full)
-/// graph.
-bool has_cycle(std::uint32_t nodes,
-               const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges) {
-  if (nodes == 0) return false;
+}  // namespace
+
+namespace detail {
+
+// Replaces the DFS on-stack test the layered frontier cannot perform
+// inline. Every stored edge is a real model transition, so a cycle here is
+// a cycle of the reduced (hence full) graph.
+cycle_search has_cycle(
+    std::uint32_t nodes,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
+    const std::vector<std::uint32_t>& roots) {
+  cycle_search out;
+  if (roots.empty()) return out;
   std::vector<std::uint32_t> head(static_cast<usize>(nodes) + 1, 0);
   for (const auto& e : edges) ++head[e.first + 1];
   for (usize i = 1; i <= nodes; ++i) head[i] += head[i - 1];
@@ -533,9 +591,10 @@ bool has_cycle(std::uint32_t nodes,
 
   std::vector<std::uint8_t> color(nodes, 0);  // 0 white, 1 on path, 2 done
   std::vector<std::pair<std::uint32_t, std::uint32_t>> stack;  // node, cursor
-  for (std::uint32_t root = 0; root < nodes; ++root) {
+  for (const std::uint32_t root : roots) {
     if (color[root] != 0) continue;
     color[root] = 1;
+    ++out.reached;
     stack.emplace_back(root, head[root]);
     while (!stack.empty()) {
       auto& [u, cur] = stack.back();
@@ -545,17 +604,21 @@ bool has_cycle(std::uint32_t nodes,
         continue;
       }
       const std::uint32_t v = adj[cur++];
-      if (color[v] == 1) return true;
+      if (color[v] == 1) {
+        out.found = true;
+        return out;
+      }
       if (color[v] == 0) {
         color[v] = 1;
+        ++out.reached;
         stack.emplace_back(v, head[v]);
       }
     }
   }
-  return false;
+  return out;
 }
 
-}  // namespace
+}  // namespace detail
 
 explore_result explore_por(const por_options& opt, por_stats& stats) {
   const model_config& cfg = opt.cfg;
@@ -579,8 +642,21 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
   }
   // Edges between node keys, in global arrival order.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  std::vector<work_item> layer;
-  std::vector<work_item> next;
+  // Targets of the retreating edges (detail::retreating), in the same order.
+  std::vector<std::uint32_t> roots;
+  frontier layer;
+  frontier next;
+
+  // Only an arrival at a known node can retreat: a created node is born in
+  // the current layer, after every node expanded in it.
+  const auto retreats = [&shards](const arrival& arr) {
+    if (arr.result != outcome::seen && arr.result != outcome::resumed) {
+      return false;
+    }
+    return detail::retreating(
+        shards[arr.from >> kLocalBits].born(arr.from),
+        shards[arr.target >> kLocalBits].born(arr.target));
+  };
 
   {
     sys_state root = initial_state(cfg);
@@ -588,7 +664,8 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
     shard_table& home = shards[shard_of(fp)];
     std::uint32_t key = 0;
     if (queues(home.admit(fp, root, 0, 0, cfg, key))) {
-      layer.push_back({std::move(root), key, 0});
+      layer.resize_for_overwrite(1);
+      std::construct_at(layer.data(), work_item{root, key, 0});
     }
     home.layer_tally.apply(result, stats);
   }
@@ -627,6 +704,7 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
     for_each_task(opt.pool, kShards, [&](usize s) {
       shard_table& t = shards[s];
       t.layer_tally = tally{};
+      t.begin_layer();
       for (usize b = 0; b < blocks; ++b) {
         block_out& out = outs[b];
         std::uint32_t queued = 0;
@@ -656,6 +734,7 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
         for (const arrival& arr : out.arrivals) {
           ++result.transitions;
           edges.emplace_back(arr.from, arr.target);
+          if (retreats(arr)) roots.push_back(arr.target);
           if (arr.result == outcome::resumed) ++cut.resumed_states;
           if (arr.result == outcome::created ||
               arr.result == outcome::created_leaf) {
@@ -670,7 +749,7 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
     for (const shard_table& t : shards) t.layer_tally.apply(result, stats);
 
     // 3. Lay out the next layer (queued nodes in global arrival order) and
-    // the edges, then fill both per block.
+    // the edges, then fill both per block, collecting retreating edges.
     usize queued_total = 0;
     usize edge_total = edges.size();
     for (usize b = 0; b < blocks; ++b) {
@@ -682,22 +761,28 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
       for (const std::uint32_t q : out.queued) queued_total += q;
       edge_total += out.arrivals.size();
     }
-    next.clear();
-    next.resize(queued_total);
+    next.resize_for_overwrite(queued_total);
     edges.resize(edge_total);
     for_each_task(opt.pool, blocks, [&](usize b) {
       block_out& out = outs[b];
+      out.roots.clear();
       usize q = out.next_base;
       usize e = out.edge_base;
-      for (arrival& arr : out.arrivals) {
+      for (const arrival& arr : out.arrivals) {
         edges[e++] = {arr.from, arr.target};
         if (queues(arr.result)) {
-          next[q++] = {std::move(arr.st), arr.target,
-                       shards[arr.target >> kLocalBits].sleep_of(arr.target)};
+          std::construct_at(
+              next.data() + q++,
+              work_item{arr.st, arr.target,
+                        shards[arr.target >> kLocalBits].sleep_of(arr.target)});
         }
+        if (retreats(arr)) out.roots.push_back(arr.target);
       }
     });
-    layer.swap(next);
+    for (usize b = 0; b < blocks; ++b) {
+      roots.insert(roots.end(), outs[b].roots.begin(), outs[b].roots.end());
+    }
+    std::swap(layer, next);
   }
 
   // Node keys -> dense ids (shard-major) for the cycle check.
@@ -713,12 +798,26 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
   outs = {};
   layer = {};
   next = {};
-  for (auto& [from, to] : edges) {
-    from = base[from >> kLocalBits] + (from & kLocalMask);
-    to = base[to >> kLocalBits] + (to & kLocalMask);
+  stats.cycle_roots = roots.size();
+  {
+    obs::span cs("model", "cycle_check");
+    if (!roots.empty()) {
+      const auto dense = [&base](std::uint32_t key) {
+        return base[key >> kLocalBits] + (key & kLocalMask);
+      };
+      for (auto& [from, to] : edges) {
+        from = dense(from);
+        to = dense(to);
+      }
+      for (std::uint32_t& r : roots) r = dense(r);
+      const detail::cycle_search found = detail::has_cycle(
+          static_cast<std::uint32_t>(node_count), edges, roots);
+      result.cycle_found = found.found;
+      stats.cycle_reached = found.reached;
+    }
+    cs.arg("roots", static_cast<std::uint64_t>(stats.cycle_roots));
+    cs.arg("reached", static_cast<std::uint64_t>(stats.cycle_reached));
   }
-  result.cycle_found =
-      has_cycle(static_cast<std::uint32_t>(node_count), edges);
   result.complete = !capped;
   result.max_depth = stats.layers;
   if (result.quiescent_states == 0) result.min_effectiveness = 0;
@@ -728,6 +827,7 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
   sp.arg("sleep_pruned", static_cast<std::uint64_t>(stats.sleep_pruned));
   sp.arg("peak_frontier", static_cast<std::uint64_t>(stats.peak_frontier));
   sp.arg("layers", static_cast<std::uint64_t>(stats.layers));
+  sp.arg("cycle_roots", static_cast<std::uint64_t>(stats.cycle_roots));
   return result;
 }
 

@@ -25,6 +25,10 @@
 // checker; asserted in tests/test_model_por.cpp).
 #pragma once
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "model/explorer.hpp"
 
 namespace amo::svc {
@@ -53,6 +57,8 @@ struct por_stats {
   usize resumed_states = 0;    ///< re-expansions after a sleep-set shrink
   usize peak_frontier = 0;     ///< widest BFS layer
   usize layers = 0;            ///< frontier depth (== result.max_depth)
+  usize cycle_roots = 0;       ///< retreating edges: the cycle check's roots
+  usize cycle_reached = 0;     ///< nodes the rooted cycle check visited
 };
 
 /// Explores the reduced state graph and returns brute-force-identical
@@ -64,5 +70,41 @@ struct por_stats {
 /// ones. max_depth reports BFS layers, not the DFS path length.
 explore_result explore_por(const por_options& opt);
 explore_result explore_por(const por_options& opt, por_stats& stats);
+
+namespace detail {
+
+/// The cycle check explore_por runs on its stored graph, exposed for
+/// synthetic-graph tests.
+///
+/// Number the nodes by birth layer: the BFS layer whose merge created
+/// them. An edge is *retreating* when its target was born no later than
+/// its source. Birth layers cannot rise strictly around a cycle, so every
+/// cycle contains a retreating edge, and its target is a root of the
+/// check.
+[[nodiscard]] constexpr bool retreating(std::uint32_t from_born,
+                                        std::uint32_t to_born) {
+  return to_born <= from_born;
+}
+
+struct cycle_search {
+  bool found = false;
+  usize reached = 0;  ///< nodes the search coloured before it returned
+};
+
+/// Directed-cycle check over `edges` between dense ids below `nodes`: an
+/// iterative 3-colour DFS on a CSR adjacency, started only from `roots`.
+/// Colours are shared across roots, so the search is exact over the part
+/// of the graph the roots reach: it finds a cycle iff one passes through
+/// a node reachable from some root (the first such node coloured is an
+/// ancestor of every other node on its cycle, and the cycle's last edge
+/// leads back to it while it is still on the path). With every
+/// retreating edge's target among the roots, that is iff the graph has a
+/// cycle. No roots: no cycle, and no CSR is built.
+cycle_search has_cycle(
+    std::uint32_t nodes,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
+    const std::vector<std::uint32_t>& roots);
+
+}  // namespace detail
 
 }  // namespace amo::model

@@ -12,9 +12,12 @@
 // result (counts included) is bit-identical at any worker-pool size.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "model/dpor.hpp"
 #include "model/explorer.hpp"
@@ -222,8 +225,76 @@ TEST(PorDeterminism, BitIdenticalAtAnyPoolSize) {
       EXPECT_EQ(serial_stats.resumed_states, stats.resumed_states);
       EXPECT_EQ(serial_stats.peak_frontier, stats.peak_frontier);
       EXPECT_EQ(serial_stats.layers, stats.layers);
+      EXPECT_EQ(serial_stats.cycle_roots, stats.cycle_roots);
+      EXPECT_EQ(serial_stats.cycle_reached, stats.cycle_reached);
     }
   }
+}
+
+TEST(PorCycleCheck, CappedLivelockFlipsAtTheExactCut) {
+  // The two-ends livelock closes its first cycle with the 34,347th state:
+  // one state earlier the stored graph is acyclic. The capped layer's
+  // retreating edges must root the check, or the cycle at the cut is
+  // missed.
+  por_options opt;
+  opt.cfg = make_cfg(2, 3, 1, 0, selection_rule::two_ends, kk_mode::plain);
+  for (const auto& [cap, cycles] :
+       {std::pair<usize, bool>{34'346, false}, {34'347, true}}) {
+    SCOPED_TRACE("max_states=" + std::to_string(cap));
+    opt.max_states = cap;
+    opt.pool = nullptr;
+    const explore_result serial = explore_por(opt);
+    EXPECT_FALSE(serial.complete);
+    EXPECT_EQ(serial.states, cap);
+    EXPECT_EQ(serial.cycle_found, cycles);
+    for (const usize workers : {usize{1}, usize{2}, usize{0}}) {
+      svc::worker_pool pool(workers);
+      opt.pool = &pool;
+      SCOPED_TRACE("workers=" + std::to_string(pool.size()));
+      EXPECT_EQ(explore_por(opt).cycle_found, cycles);
+    }
+  }
+}
+
+/// The rooted check as explore_por runs it, on a synthetic graph whose
+/// node i was born in layer born[i]: every retreating edge roots the DFS.
+model::detail::cycle_search rooted_check(
+    const std::vector<std::uint32_t>& born,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges) {
+  std::vector<std::uint32_t> roots;
+  for (const auto& [from, to] : edges) {
+    if (model::detail::retreating(born[from], born[to])) roots.push_back(to);
+  }
+  return model::detail::has_cycle(static_cast<std::uint32_t>(born.size()),
+                                  edges, roots);
+}
+
+TEST(PorCycleCheck, RootedAtRetreatingEdges) {
+  // A self-loop retreats onto its own layer.
+  EXPECT_TRUE(rooted_check({0, 1}, {{0, 1}, {1, 1}}).found);
+  // A 2-cycle between two nodes born in the same layer: both edges
+  // retreat only because equal birth layers count.
+  EXPECT_TRUE(
+      rooted_check({0, 1, 1}, {{0, 1}, {0, 2}, {1, 2}, {2, 1}}).found);
+  // A DAG with cross edges into earlier layers: roots, but no cycle. The
+  // search reaches only what the roots reach.
+  const model::detail::cycle_search dag = rooted_check(
+      {0, 1, 1, 2, 2, 3, 1}, {{0, 1},
+                              {0, 2},
+                              {0, 6},
+                              {1, 3},
+                              {2, 4},
+                              {3, 2},
+                              {3, 4},
+                              {4, 5},
+                              {5, 6}});
+  EXPECT_FALSE(dag.found);
+  EXPECT_EQ(dag.reached, 4u);  // 2, 4, 5, 6
+  // No retreating edge: no cycle, and nothing visited.
+  const model::detail::cycle_search tree =
+      rooted_check({0, 1, 1, 2}, {{0, 1}, {0, 2}, {2, 3}, {1, 3}});
+  EXPECT_FALSE(tree.found);
+  EXPECT_EQ(tree.reached, 0u);
 }
 
 TEST(PorSentinel, CappedRunReportsZeroMinEffectiveness) {
