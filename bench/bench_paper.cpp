@@ -305,22 +305,24 @@ int main() {
 
   const paper_grid g = build_grid();
   const exp::sweep_result swept = exp::sweep(g.specs);
-  std::vector<exp::record_row> rows = exp::cell_record_rows(
+  exp::record_table rows = exp::cell_record_rows(
       swept, exp::grid_fingerprint(g.specs), /*include_timing=*/false);
+  rows.keys.insert(rows.keys.end(), {"claim", "bound", "claim_holds"});
 
   W out;
   W failing;
   std::vector<experiment_row> summary;
-  for (usize i = 0; i < rows.size(); ++i) {
+  for (usize i = 0; i < rows.rows.size(); ++i) {
+    using T = exp::typed_value;
     const exp::cell_report& cell = swept.cells[i];
     const verdict v =
         check(g.claims[i], swept.reports[cell.first], cell.stats);
-    exp::record_row& row = rows[i];
-    row.emplace_back("claim", W::str(v.name));
-    row.emplace_back("bound", v.bound ? W::num(*v.bound) : "null");
-    row.emplace_back("claim_holds", W::boolean(v.holds));
-    out.add(row);
-    if (!v.holds) failing.add(row);
+    std::vector<T>& row = rows.rows[i];
+    row.push_back(T::str(v.name));
+    row.push_back(v.bound ? T::f64(*v.bound) : T::null());
+    row.push_back(T::boolean(v.holds));
+    out.add(rows.keys, row);
+    if (!v.holds) failing.add(rows.keys, row);
 
     const std::string id = g.specs[i].label.substr(kPrefix.size());
     if (summary.empty() || summary.back().id != id) {

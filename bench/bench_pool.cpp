@@ -158,6 +158,7 @@ int main() {
               {"cells", benchx::json_report::num(std::uint64_t{sh.cells})},
               {"pool", benchx::json_report::num(std::uint64_t{kPool})},
               {"hardware_concurrency", benchx::json_report::num(std::uint64_t{hc})},
+              {"amo_build_type", benchx::json_report::str(AMO_BUILD_TYPE)},
               {"spawn_wall_seconds", benchx::json_report::num(spawn.seconds)},
               {"persistent_wall_seconds", benchx::json_report::num(persist.seconds)},
               {"serial_wall_seconds", benchx::json_report::num(serial.seconds)},

@@ -4,7 +4,7 @@
 // fraction of the JSON byte footprint, without ever giving up the
 // byte-identity invariant (docs/record_format.md).
 //
-// Three scenarios:
+// Four scenarios:
 //   records/stream_1m        1,000,000 synthetic unit records (62,500
 //                            cells x 16 replicas, 4 shards) streamed
 //                            through exp::colfmt_writer and re-folded by
@@ -22,6 +22,15 @@
 //                            streaming merge must reproduce the one-shot
 //                            sweep's JSON byte-for-byte, and
 //                            decode(encode(x)) must reproduce x.
+//   records/shard_path       the record layer of a dispatch at the shape
+//                            of bench/e2e's dispatch_amoc (3 shards x
+//                            8,192 units, n=64, m=4), stage by stage on
+//                            real reports: report -> .amoc (each child's
+//                            render_output), .amoc -> verified records
+//                            (the parent's decode + verify_shard_records)
+//                            and the 3-shard fold plus the merged file's
+//                            encode, fastest of 5; the merged bytes must
+//                            equal the unsharded job's .amoc output.
 //
 // BENCH_records.json uses the shared flat schema (docs/json_schema.md):
 // "scenario" is the identity axis, bit_identical gates as a safety flag
@@ -30,6 +39,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -42,6 +52,8 @@
 namespace {
 
 using namespace amo;
+
+constexpr usize kShardPathShards = 3;
 
 /// One real unit record to clone: running an actual sharded job gives the
 /// full production schema (spec echo, metrics, safety flags), so the
@@ -319,6 +331,95 @@ bool run_real_grid(usize& units) {
   return rt.ok() && exp::render_records(rt.records) == expected;
 }
 
+/// The dispatch shape of bench/e2e's dispatch_amoc workload: 3 shards of
+/// 8,192 units each (6 scenarios at n=64, m=4, 64 seeds x 64 replicas).
+svc::job shard_path_job(usize shard) {
+  svc::job j;
+  j.scenarios = {"kk/random",           "kk/random+crash",
+                 "kk/round_robin",      "iterative/random+crash",
+                 "wa/random+crash",     "baseline/tas"};
+  j.params.n = 64;
+  j.params.m = 4;
+  j.params.seeds = 64;
+  j.params.replicas = 64;
+  j.no_timing = true;
+  j.have_shard = true;
+  j.shard = {shard, kShardPathShards};
+  return j;
+}
+
+struct shard_path_stats {
+  usize units = 0;
+  std::uint64_t amoc_bytes = 0;  ///< the three shard files
+  double render_seconds = 0.0;   ///< report -> .amoc, summed over shards
+  double verify_seconds = 0.0;   ///< .amoc -> verified records, summed
+  double fold_seconds = 0.0;     ///< 3-shard fold + merged .amoc encode
+  bool ok = false;
+};
+
+/// Times the record layer of a dispatch, stage by stage, on the shards'
+/// real reports (simulated once): each child's render_output(colfmt); the
+/// parent's decode_records + verify_shard_records per shard; the
+/// merge_shards fold and the merged file's colfmt_encode. Each stage's
+/// time is the fastest of `reps` runs. The merged bytes must equal the
+/// unsharded job's own .amoc output.
+shard_path_stats run_shard_path(usize reps) {
+  shard_path_stats st;
+  svc::worker_pool pool(1);
+  std::vector<svc::job_result> results;
+  for (usize i = 0; i < kShardPathShards; ++i) {
+    results.push_back(svc::execute_job(shard_path_job(i), pool));
+    if (!results.back().ok()) return st;
+    st.units += results.back().runs().size();
+  }
+  svc::job whole = shard_path_job(0);
+  whole.have_shard = false;
+  std::string expected;
+  std::string error;
+  if (!svc::execute_job(whole, pool).render_output(exp::record_format::colfmt,
+                                                   expected, error)) {
+    return st;
+  }
+
+  const auto best = [](double& slot, double s, usize rep) {
+    slot = rep == 0 ? s : std::min(slot, s);
+  };
+  st.ok = true;
+  for (usize rep = 0; rep < reps && st.ok; ++rep) {
+    std::vector<std::string> files(kShardPathShards);
+    double render = 0.0;
+    for (usize i = 0; i < kShardPathShards; ++i) {
+      stopwatch clock;
+      st.ok = st.ok && results[i].render_output(exp::record_format::colfmt,
+                                                files[i], error);
+      render += clock.seconds();
+    }
+    std::vector<std::vector<exp::record>> shards;
+    double verify = 0.0;
+    for (usize i = 0; i < kShardPathShards && st.ok; ++i) {
+      stopwatch clock;
+      exp::parse_result parsed = exp::decode_records(files[i]);
+      st.ok = parsed.ok() && exp::verify_shard_records(
+                                 parsed.records, {i, kShardPathShards}, error);
+      verify += clock.seconds();
+      shards.push_back(std::move(parsed.records));
+    }
+    if (!st.ok) break;
+    stopwatch clock;
+    const exp::merge_result merged = exp::merge_shards(std::move(shards));
+    std::string bytes;
+    st.ok = merged.ok() && exp::colfmt_encode(merged.records, bytes, error);
+    const double fold = clock.seconds();
+    st.ok = st.ok && bytes == expected;
+    best(st.render_seconds, render, rep);
+    best(st.verify_seconds, verify, rep);
+    best(st.fold_seconds, fold, rep);
+    st.amoc_bytes = 0;
+    for (const std::string& f : files) st.amoc_bytes += f.size();
+  }
+  return st;
+}
+
 }  // namespace
 
 int main() {
@@ -354,6 +455,13 @@ int main() {
   const bool real_ok = run_real_grid(real_units);
   all_identical = all_identical && real_ok;
 
+  // --- records/shard_path -------------------------------------------------
+  const shard_path_stats sp = run_shard_path(5);
+  all_identical = all_identical && sp.ok;
+  const auto rate = [&](double seconds) {
+    return seconds > 0 ? double(sp.units) / seconds : 0.0;
+  };
+
   text_table t({"scenario", "units", "shards", "colfmt B/unit", "json B/unit",
                 "write rec/s", "merge rec/s", "identical?"});
   t.add_row({"records/stream_1m", fmt_count(big.units()),
@@ -368,7 +476,17 @@ int main() {
              benchx::yesno(parity)});
   t.add_row({"records/real_grid", fmt_count(real_units), "3", "-", "-", "-",
              "-", benchx::yesno(real_ok)});
+  t.add_row({"records/shard_path", fmt_count(sp.units),
+             fmt_count(kShardPathShards),
+             fmt(sp.units > 0 ? double(sp.amoc_bytes) / sp.units : 0.0, 1),
+             "-", fmt_count(usize(rate(sp.render_seconds))),
+             fmt_count(usize(rate(sp.fold_seconds))), benchx::yesno(sp.ok)});
   benchx::print_table(t);
+  std::printf("\nshard path (3 x 8,192 units, fastest of 5): report -> .amoc "
+              "%.1f ms, .amoc -> verified records %.1f ms, 3-shard fold + "
+              "encode %.1f ms\n",
+              sp.render_seconds * 1e3, sp.verify_seconds * 1e3,
+              sp.fold_seconds * 1e3);
   std::printf("\ncolfmt merged aggregate file: %llu bytes for %zu cells "
               "(%.1f B/cell)\n",
               static_cast<unsigned long long>(st.merged_bytes), st.aggregates,
@@ -410,6 +528,27 @@ int main() {
             {"units", benchx::json_report::num(std::uint64_t{real_units})},
             {"shards", benchx::json_report::num(std::uint64_t{3})},
             {"bit_identical", benchx::json_report::boolean(real_ok)}});
+
+  const unsigned hc = std::thread::hardware_concurrency();
+  json.add({{"experiment", benchx::json_report::str("E_record_formats")},
+            {"scenario", benchx::json_report::str("records/shard_path")},
+            {"units", benchx::json_report::num(std::uint64_t{sp.units})},
+            {"shards", benchx::json_report::num(std::uint64_t{kShardPathShards})},
+            {"n", benchx::json_report::num(std::uint64_t{64})},
+            {"m", benchx::json_report::num(std::uint64_t{4})},
+            {"hardware_concurrency", benchx::json_report::num(std::uint64_t{hc})},
+            {"amo_build_type", benchx::json_report::str(AMO_BUILD_TYPE)},
+            {"colfmt_bytes", benchx::json_report::num(sp.amoc_bytes)},
+            {"render_wall_seconds", benchx::json_report::num(sp.render_seconds)},
+            {"verify_wall_seconds", benchx::json_report::num(sp.verify_seconds)},
+            {"fold_wall_seconds", benchx::json_report::num(sp.fold_seconds)},
+            {"render_units_per_second",
+             benchx::json_report::num(rate(sp.render_seconds))},
+            {"verify_units_per_second",
+             benchx::json_report::num(rate(sp.verify_seconds))},
+            {"fold_units_per_second",
+             benchx::json_report::num(rate(sp.fold_seconds))},
+            {"bit_identical", benchx::json_report::boolean(sp.ok)}});
 
   if (json.write("BENCH_records.json")) {
     std::printf("[%zu records -> BENCH_records.json]\n", json.size());

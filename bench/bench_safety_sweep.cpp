@@ -129,6 +129,7 @@ int main() {
   benchx::json_report json;
   json.add({{"experiment", benchx::json_report::str("E2_sweep_engine")},
             {"hardware_concurrency", benchx::json_report::num(std::uint64_t{hc})},
+            {"amo_build_type", benchx::json_report::str(AMO_BUILD_TYPE)},
             {"cells", benchx::json_report::num(std::uint64_t{cells.size()})},
             {"duplicates", benchx::json_report::num(std::uint64_t{grand_dups})},
             {"serial_pool", benchx::json_report::num(std::uint64_t{1})},

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <functional>
 
 #if !defined(_WIN32)
 #include <unistd.h>
@@ -39,18 +40,16 @@ enum : std::uint8_t {
 
 // --- little-endian primitives --------------------------------------------
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
+/// Appends the low `n` bytes of v, least significant first.
+void put_le(std::string& out, std::uint64_t v, usize n) {
+  char b[8];
+  for (usize i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  out.append(b, n);
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
+void put_u16(std::string& out, std::uint16_t v) { put_le(out, v, 2); }
+void put_u32(std::string& out, std::uint32_t v) { put_le(out, v, 4); }
+void put_u64(std::string& out, std::uint64_t v) { put_le(out, v, 8); }
 
 void put_f64(std::string& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
@@ -115,37 +114,53 @@ struct cursor {
   void skip(usize n) { pos += n; }
 };
 
+// --- value access ---------------------------------------------------------
+
+/// Row `row`, column `col` of the rows being encoded: the one way the
+/// encoder reads a value, whether the rows are records or typed rows.
+using cell_at = std::function<value_view(usize row, usize col)>;
+
+/// The first column named `key`, or columns.size() (record::find's rule).
+usize column_of(const std::vector<std::string>& columns, const char* key) {
+  usize c = 0;
+  while (c < columns.size() && columns[c] != key) ++c;
+  return c;
+}
+
 // --- schema metadata ------------------------------------------------------
 
 /// Reads a non-negative integral number field, the read_index contract.
-bool meta_index(const record& rec, const char* key, std::uint64_t& out) {
-  const record_field* f = rec.find(key);
-  if (f == nullptr || f->type != record_field::kind::number) return false;
-  if (f->number < 0 || f->number != std::floor(f->number)) return false;
-  out = static_cast<std::uint64_t>(f->number);
+bool meta_index(const value_view& v, std::uint64_t& out) {
+  if (v.type != json::kind::number) return false;
+  if (v.number < 0 || v.number != std::floor(v.number)) return false;
+  out = static_cast<std::uint64_t>(v.number);
   return true;
 }
 
 /// The grid fingerprint as the records spell it: 16 lowercase hex digits.
-std::uint64_t meta_grid(const record& rec) {
-  const record_field* f = rec.find("grid");
-  if (f == nullptr || f->type != record_field::kind::string ||
-      f->text.size() != 16) {
-    return 0;
-  }
-  std::uint64_t v = 0;
+std::uint64_t meta_grid(const value_view& v) {
+  if (v.type != json::kind::string || v.text.size() != 16) return 0;
+  std::uint64_t out = 0;
   const auto [end, ec] =
-      std::from_chars(f->text.data(), f->text.data() + 16, v, 16);
-  if (ec != std::errc{} || end != f->text.data() + 16) return 0;
-  return v;
+      std::from_chars(v.text.data(), v.text.data() + 16, out, 16);
+  if (ec != std::errc{} || end != v.text.data() + 16) return 0;
+  return out;
 }
 
-/// Fills the header's record-derived fields from the first record.
-void header_meta_from(const record& rec, colfmt_header& h) {
-  h.grid_fp = meta_grid(rec);
-  meta_index(rec, "cells_total", h.cells_total);
-  meta_index(rec, "units_total", h.units_total);
-  meta_index(rec, "replicas", h.replicas);
+/// Fills the header's record-derived fields from row 0.
+void header_meta_from(const std::vector<std::string>& columns,
+                      const cell_at& at, colfmt_header& h) {
+  const auto field = [&](const char* key, value_view& v) {
+    const usize c = column_of(columns, key);
+    if (c == columns.size()) return false;
+    v = at(0, c);
+    return true;
+  };
+  value_view v;
+  if (field("grid", v)) h.grid_fp = meta_grid(v);
+  if (field("cells_total", v)) meta_index(v, h.cells_total);
+  if (field("units_total", v)) meta_index(v, h.units_total);
+  if (field("replicas", v)) meta_index(v, h.replicas);
 }
 
 /// Serializes the header image with the given counts; the checksum is the
@@ -192,39 +207,101 @@ bool schema_matches(const record& rec, const std::vector<std::string>& columns,
 }
 
 // --- block classification -------------------------------------------------
+//
+// A tag admits a value when decoding that tag reproduces the value's token
+// byte-exactly. For a value of known encoding the token is json_writer's,
+// so the answer follows from the value; only a number that changes
+// spelling between the two numeric tags (an integral double, a u64 a
+// double cannot hold) is formatted, into a stack buffer. A token of
+// unknown encoding (JSON text) is checked by re-formatting its value.
 
-/// True when decoding tag `t` provably reproduces this field byte-exactly.
-bool admits(const record_field& f, std::uint8_t t) {
-  using K = record_field::kind;
+std::string_view f64_token(double v, char (&buf)[32]) {
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return {buf, ec == std::errc{} ? static_cast<usize>(end - buf) : 0};
+}
+
+/// True when `tok` is the decimal spelling of a u64 (no sign, no leading
+/// zero), which goes to `out`.
+bool canonical_u64(std::string_view tok, std::uint64_t& out) {
+  const char* last = tok.data() + tok.size();
+  const auto [end, ec] = std::from_chars(tok.data(), last, out);
+  if (ec != std::errc{} || end != last) return false;
+  char buf[24];
+  const char* e = std::to_chars(buf, buf + sizeof buf, out).ptr;
+  return tok == std::string_view(buf, static_cast<usize>(e - buf));
+}
+
+/// True when v's token is a u64's decimal digits (the U64 tag's promise);
+/// `out` is that u64.
+bool u64_token(const value_view& v, std::uint64_t& out) {
+  using E = value_encoding;
+  switch (v.enc) {
+    case E::u64: out = v.u; return true;
+    case E::f64: {
+      // Only a non-negative integral double can print as digits.
+      if (!(v.number >= 0) || v.number != std::floor(v.number)) return false;
+      char buf[32];
+      return canonical_u64(f64_token(v.number, buf), out);
+    }
+    case E::unknown:
+      return v.type == json::kind::number && canonical_u64(v.raw, out);
+    default: return false;
+  }
+}
+
+/// True when v's token is json_writer::num(v.number) (the F64 tag's).
+bool f64_token_matches(const value_view& v) {
+  using E = value_encoding;
+  char buf[32];
+  switch (v.enc) {
+    case E::f64: return true;
+    case E::u64: {
+      char digits[24];
+      const char* end = std::to_chars(digits, digits + sizeof digits, v.u).ptr;
+      return f64_token(v.number, buf) ==
+             std::string_view(digits, static_cast<usize>(end - digits));
+    }
+    case E::unknown:
+      return v.type == json::kind::number && f64_token(v.number, buf) == v.raw;
+    default: return false;
+  }
+}
+
+/// True when decoding tag `t` provably reproduces this value byte-exactly.
+bool admits(const value_view& v, std::uint8_t t) {
+  using E = value_encoding;
+  using K = json::kind;
+  const bool token = v.enc == E::unknown;
   switch (t) {
     case kTagU64: {
-      if (f.type != K::number) return false;
-      std::uint64_t v = 0;
-      const char* first = f.raw.data();
-      const char* last = first + f.raw.size();
-      const auto [end, ec] = std::from_chars(first, last, v);
-      return ec == std::errc{} && end == last && std::to_string(v) == f.raw;
+      std::uint64_t ignored = 0;
+      return u64_token(v, ignored);
     }
-    case kTagF64:
-      return f.type == K::number && json_writer::num(f.number) == f.raw;
-    case kTagStr:
-      return f.type == K::string && json_writer::str(f.text) == f.raw;
+    case kTagF64: return f64_token_matches(v);
+    case kTagStr: {
+      if (!token) return v.enc == E::str;
+      if (v.type != K::string) return false;
+      std::string quoted;
+      json_writer::append_str(quoted, v.text);
+      return quoted == v.raw;
+    }
     case kTagBool:
-      return f.type == K::boolean &&
-             f.raw == (f.truth ? "true" : "false");
+      return token ? v.type == K::boolean &&
+                         v.raw == (v.truth ? "true" : "false")
+                   : v.enc == E::boolean;
     case kTagNull:
-      return f.type == K::null && f.raw == "null";
+      return token ? v.type == K::null && v.raw == "null" : v.enc == E::null;
     default: return true;  // verbatim admits everything parseable
   }
 }
 
-std::uint8_t classify_column(const std::vector<const record*>& rows, usize col) {
+std::uint8_t classify_column(const std::vector<value_view>& col) {
   static constexpr std::uint8_t order[] = {kTagBool, kTagNull, kTagU64,
                                            kTagF64, kTagStr};
   for (const std::uint8_t t : order) {
     bool all = true;
-    for (const record* r : rows) {
-      if (!admits(r->fields[col], t)) {
+    for (const value_view& v : col) {
+      if (!admits(v, t)) {
         all = false;
         break;
       }
@@ -236,120 +313,165 @@ std::uint8_t classify_column(const std::vector<const record*>& rows, usize col) 
 
 // --- chunk encode ---------------------------------------------------------
 
-/// Encodes one chunk (magic..checksum) for rows that already passed the
-/// schema check. False only when a verbatim token would not re-parse.
-bool encode_chunk_bytes(const std::vector<const record*>& rows,
+/// Appends one chunk (magic..checksum) for rows [first, last) that
+/// already passed the schema check to `out`. False when a verbatim token
+/// would not re-parse or a typed double is not finite.
+bool encode_chunk_bytes(usize first, usize last,
                         const std::vector<std::string>& columns,
-                        std::uint64_t cell, std::string& out,
-                        std::string& error) {
-  out.clear();
+                        const cell_at& at, std::uint64_t cell,
+                        std::string& out, std::string& error) {
+  const usize base = out.size();
   out.append(kChunkMagic, sizeof kChunkMagic);
   put_u32(out, 0);  // chunk_bytes, patched below
   put_u64(out, cell);
-  put_u32(out, static_cast<std::uint32_t>(rows.size()));
+  put_u32(out, static_cast<std::uint32_t>(last - first));
 
+  std::vector<value_view> col(last - first);
   for (usize c = 0; c < columns.size(); ++c) {
-    const std::uint8_t tag = classify_column(rows, c);
+    for (usize r = first; r < last; ++r) {
+      value_view& v = col[r - first];
+      v = at(r, c);
+      // A typed double has no token yet, and JSON has none for these.
+      if (v.enc == value_encoding::f64 && v.raw.empty() &&
+          !std::isfinite(v.number)) {
+        error = "record " + std::to_string(r) + " field '" + columns[c] +
+                "' holds " + json_writer::num(v.number) +
+                ", which no JSON number spells";
+        return false;
+      }
+    }
+    const std::uint8_t tag = classify_column(col);
     out.push_back(static_cast<char>(tag));
     switch (tag) {
       case kTagU64: {
         std::uint64_t lo = ~std::uint64_t{0};
         std::uint64_t hi = 0;
-        std::string values;
-        for (const record* r : rows) {
-          std::uint64_t v = 0;
-          std::from_chars(r->fields[c].raw.data(),
-                          r->fields[c].raw.data() + r->fields[c].raw.size(), v);
-          if (v < lo) lo = v;
-          if (v > hi) hi = v;
-          put_u64(values, v);
+        const usize at_min = out.size();
+        out.resize(out.size() + 16);  // min/max, patched below
+        for (const value_view& v : col) {
+          std::uint64_t u = 0;
+          u64_token(v, u);
+          if (u < lo) lo = u;
+          if (u > hi) hi = u;
+          put_u64(out, u);
         }
-        if (rows.empty()) lo = 0;
-        put_u64(out, lo);
-        put_u64(out, hi);
-        out += values;
+        if (col.empty()) lo = 0;
+        patch_u64(out, at_min, lo);
+        patch_u64(out, at_min + 8, hi);
         break;
       }
       case kTagF64: {
         double lo = 0.0;
         double hi = 0.0;
-        std::string values;
-        for (usize i = 0; i < rows.size(); ++i) {
-          const double v = rows[i]->fields[c].number;
+        const usize at_min = out.size();
+        out.resize(out.size() + 16);
+        for (usize i = 0; i < col.size(); ++i) {
+          const double v = col[i].number;
           if (i == 0 || v < lo) lo = v;
           if (i == 0 || v > hi) hi = v;
-          put_f64(values, v);
+          put_f64(out, v);
         }
-        put_f64(out, lo);
-        put_f64(out, hi);
-        out += values;
+        patch_u64(out, at_min, std::bit_cast<std::uint64_t>(lo));
+        patch_u64(out, at_min + 8, std::bit_cast<std::uint64_t>(hi));
         break;
       }
       case kTagStr:
-        for (const record* r : rows) {
-          put_u32(out, static_cast<std::uint32_t>(r->fields[c].text.size()));
-          out += r->fields[c].text;
+        for (const value_view& v : col) {
+          put_u32(out, static_cast<std::uint32_t>(v.text.size()));
+          out += v.text;
         }
         break;
       case kTagBool:
-        for (usize i = 0; i < rows.size(); i += 8) {
+        for (usize i = 0; i < col.size(); i += 8) {
           unsigned byte = 0;
-          for (usize b = 0; b < 8 && i + b < rows.size(); ++b) {
-            if (rows[i + b]->fields[c].truth) byte |= 1u << b;
+          for (usize b = 0; b < 8 && i + b < col.size(); ++b) {
+            if (col[i + b].truth) byte |= 1u << b;
           }
           out.push_back(static_cast<char>(byte));
         }
         break;
       case kTagNull: break;
-      default:  // verbatim: every token must survive a re-parse
-        for (const record* r : rows) {
-          record_field check;
-          std::string perr;
-          if (!parse_value_token(r->fields[c].raw, check, perr)) {
-            error = "field '" + columns[c] + "' holds token '" +
-                    r->fields[c].raw +
-                    "' that no encoding can round-trip: " + perr;
-            return false;
+      default: {  // verbatim: a token read from JSON text must re-parse
+        std::string token;
+        for (const value_view& v : col) {
+          token.clear();
+          append_token(token, v);
+          if (v.enc == value_encoding::unknown) {
+            record_field check;
+            std::string perr;
+            if (!parse_value_token(token, check, perr)) {
+              error = "field '" + columns[c] + "' holds token '" + token +
+                      "' that no encoding can round-trip: " + perr;
+              return false;
+            }
           }
-          put_u32(out, static_cast<std::uint32_t>(r->fields[c].raw.size()));
-          out += r->fields[c].raw;
+          put_u32(out, static_cast<std::uint32_t>(token.size()));
+          out += token;
         }
         break;
+      }
     }
   }
 
   out.resize(out.size() + 8);  // checksum slot
-  const std::uint32_t total = static_cast<std::uint32_t>(out.size());
-  out[4] = static_cast<char>(total & 0xFF);
-  out[5] = static_cast<char>((total >> 8) & 0xFF);
-  out[6] = static_cast<char>((total >> 16) & 0xFF);
-  out[7] = static_cast<char>((total >> 24) & 0xFF);
+  const std::uint32_t total = static_cast<std::uint32_t>(out.size() - base);
+  for (usize i = 0; i < 4; ++i) {
+    out[base + 4 + i] = static_cast<char>((total >> (8 * i)) & 0xFF);
+  }
   patch_u64(out, out.size() - 8,
-            fnv1a64(std::string_view(out.data(), out.size() - 8)));
+            fnv1a64(std::string_view(out.data() + base, total - 8)));
   return true;
 }
 
-/// Splits records into chunk ranges: maximal runs of consecutive records
-/// sharing one integral "cell" value; records without one stand alone.
-std::vector<std::pair<usize, usize>> chunk_ranges(
-    const std::vector<record>& records, std::vector<std::uint64_t>& cells) {
-  std::vector<std::pair<usize, usize>> out;
-  cells.clear();
-  for (usize first = 0; first < records.size();) {
+/// Encodes `count` rows of one schema: header, one chunk per maximal run
+/// of consecutive rows sharing one integral "cell" value (rows without
+/// one stand alone), end marker. The one encoder behind both
+/// colfmt_encode overloads.
+bool encode_rows(usize count, const std::vector<std::string>& columns,
+                 const cell_at& at, std::string& out, std::string& error) {
+  colfmt_header h;
+  h.columns = columns;
+  if (count > 0) header_meta_from(columns, at, h);
+  h.record_count = count;
+
+  const usize cell_col = column_of(columns, "cell");
+  const auto cell_of = [&](usize r, std::uint64_t& cell) {
+    return cell_col < columns.size() && meta_index(at(r, cell_col), cell);
+  };
+  std::vector<std::pair<usize, usize>> ranges;
+  std::vector<std::uint64_t> cells;
+  for (usize first = 0; first < count;) {
     std::uint64_t cell = kNoCell;
     usize last = first + 1;
-    if (meta_index(records[first], "cell", cell)) {
+    if (cell_of(first, cell)) {
       std::uint64_t next = 0;
-      while (last < records.size() &&
-             meta_index(records[last], "cell", next) && next == cell) {
-        ++last;
-      }
+      while (last < count && cell_of(last, next) && next == cell) ++last;
     }
-    out.emplace_back(first, last);
+    ranges.emplace_back(first, last);
     cells.push_back(cell);
     first = last;
   }
-  return out;
+  h.chunk_count = ranges.size();
+
+  out = build_header_bytes(h);
+  const usize header_bytes = out.size();
+  for (usize i = 0; i < ranges.size(); ++i) {
+    if (!encode_chunk_bytes(ranges[i].first, ranges[i].second, columns, at,
+                            cells[i], out, error)) {
+      out.clear();
+      return false;
+    }
+    if (i == 0) {
+      // Size the buffer once from the first chunk's bytes per row, so a
+      // large file is not copied and re-faulted through every doubling.
+      const usize rows = ranges[0].second;
+      out.reserve(out.size() + (out.size() - header_bytes) *
+                                   (count - rows) / rows * 9 / 8 +
+                  sizeof kEndMarker);
+    }
+  }
+  out.append(kEndMarker, sizeof kEndMarker);
+  return true;
 }
 
 // --- chunk decode ---------------------------------------------------------
@@ -378,8 +500,9 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
           record_field& f = out[start + r].fields[c];
           f.key = columns[c];
           f.type = record_field::kind::number;
-          f.raw = std::to_string(v);
-          std::from_chars(f.raw.data(), f.raw.data() + f.raw.size(), f.number);
+          f.encoding = value_encoding::u64;
+          f.number = static_cast<double>(v);  // correctly rounded, as parsing
+          json_writer::append_num(f.raw, v);
         }
         break;
       }
@@ -391,8 +514,9 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
           record_field& f = out[start + r].fields[c];
           f.key = columns[c];
           f.type = record_field::kind::number;
+          f.encoding = value_encoding::f64;
           f.number = v;
-          f.raw = json_writer::num(v);
+          json_writer::append_num(f.raw, v);
         }
         break;
       }
@@ -407,8 +531,9 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
           f.key = columns[c];
           if (tag == kTagStr) {
             f.type = record_field::kind::string;
-            f.text = std::string(s);
-            f.raw = json_writer::str(f.text);
+            f.encoding = value_encoding::str;
+            f.text.assign(s);
+            json_writer::append_str(f.raw, s);
           } else {
             std::string perr;
             if (!parse_value_token(s, f, perr)) {
@@ -429,6 +554,7 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
           record_field& f = out[start + r].fields[c];
           f.key = columns[c];
           f.type = record_field::kind::boolean;
+          f.encoding = value_encoding::boolean;
           f.truth = (static_cast<unsigned char>(bits[r / 8]) >> (r % 8)) & 1;
           f.raw = f.truth ? "true" : "false";
         }
@@ -439,6 +565,7 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
           record_field& f = out[start + r].fields[c];
           f.key = columns[c];
           f.type = record_field::kind::null;
+          f.encoding = value_encoding::null;
           f.raw = "null";
         }
         break;
@@ -562,7 +689,11 @@ bool parse_header(std::string_view bytes, colfmt_header& h, usize& header_len,
 bool check_header_meta(const colfmt_header& h,
                        const std::vector<record>& records, std::string& error) {
   colfmt_header from_records;
-  if (!records.empty()) header_meta_from(records[0], from_records);
+  if (!records.empty()) {
+    header_meta_from(h.columns,
+                     [&](usize, usize c) { return view_of(records[0].fields[c]); },
+                     from_records);
+  }
   if (h.grid_fp != from_records.grid_fp ||
       h.cells_total != from_records.cells_total ||
       h.units_total != from_records.units_total ||
@@ -589,38 +720,35 @@ record_format format_for_path(std::string_view path) {
 
 bool colfmt_encode(const std::vector<record>& records, std::string& out,
                    std::string& error) {
-  colfmt_header h;
+  std::vector<std::string> columns;
   if (!records.empty()) {
-    header_meta_from(records[0], h);
-    h.columns.reserve(records[0].fields.size());
-    for (const record_field& f : records[0].fields) h.columns.push_back(f.key);
+    columns.reserve(records[0].fields.size());
+    for (const record_field& f : records[0].fields) columns.push_back(f.key);
   }
   for (usize i = 0; i < records.size(); ++i) {
-    if (!schema_matches(records[i], h.columns, i, error)) return false;
+    if (!schema_matches(records[i], columns, i, error)) return false;
   }
-  h.record_count = records.size();
+  return encode_rows(
+      records.size(), columns,
+      [&](usize r, usize c) { return view_of(records[r].fields[c]); }, out,
+      error);
+}
 
-  std::vector<std::uint64_t> cells;
-  const std::vector<std::pair<usize, usize>> ranges =
-      chunk_ranges(records, cells);
-  h.chunk_count = ranges.size();
-
-  out = build_header_bytes(h);
-  std::string chunk;
-  std::vector<const record*> rows;
-  for (usize i = 0; i < ranges.size(); ++i) {
-    rows.clear();
-    for (usize r = ranges[i].first; r < ranges[i].second; ++r) {
-      rows.push_back(&records[r]);
-    }
-    if (!encode_chunk_bytes(rows, h.columns, cells[i], chunk, error)) {
-      out.clear();
+bool colfmt_encode(const record_table& table, std::string& out,
+                   std::string& error) {
+  for (usize r = 0; r < table.rows.size(); ++r) {
+    if (table.rows[r].size() != table.keys.size()) {
+      error = "record " + std::to_string(r) + " has " +
+              std::to_string(table.rows[r].size()) +
+              " fields where the file schema has " +
+              std::to_string(table.keys.size()) +
+              " (colfmt requires one uniform record schema per file)";
       return false;
     }
-    out += chunk;
   }
-  out.append(kEndMarker, sizeof kEndMarker);
-  return true;
+  return encode_rows(
+      table.rows.size(), table.keys,
+      [&](usize r, usize c) { return view_of(table.rows[r][c]); }, out, error);
 }
 
 parse_result colfmt_decode(std::string_view bytes) {
@@ -898,12 +1026,15 @@ bool colfmt_writer::add_chunk(const std::vector<record>& rows,
     error = "colfmt_writer: a chunk needs at least one record";
     return false;
   }
+  const cell_at at = [&](usize r, usize c) {
+    return view_of(rows[r].fields[c]);
+  };
   if (header_bytes_.empty()) {
     // First chunk fixes the schema; counts stay zero until finish().
-    colfmt_header h;
-    header_meta_from(rows[0], h);
     for (const record_field& f : rows[0].fields) columns_.push_back(f.key);
+    colfmt_header h;
     h.columns = columns_;
+    header_meta_from(columns_, at, h);
     header_bytes_ = build_header_bytes(h);
     if (std::fwrite(header_bytes_.data(), 1, header_bytes_.size(), file_) !=
         header_bytes_.size()) {
@@ -918,12 +1049,12 @@ bool colfmt_writer::add_chunk(const std::vector<record>& rows,
     }
   }
   std::uint64_t cell = kNoCell;
-  meta_index(rows[0], "cell", cell);
-  std::vector<const record*> ptrs;
-  ptrs.reserve(rows.size());
-  for (const record& r : rows) ptrs.push_back(&r);
+  const usize cell_col = column_of(columns_, "cell");
+  if (cell_col < columns_.size()) meta_index(at(0, cell_col), cell);
   std::string chunk;
-  if (!encode_chunk_bytes(ptrs, columns_, cell, chunk, error)) return false;
+  if (!encode_chunk_bytes(0, rows.size(), columns_, at, cell, chunk, error)) {
+    return false;
+  }
   if (std::fwrite(chunk.data(), 1, chunk.size(), file_) != chunk.size()) {
     error = "cannot write " + tmp_ + ": " + std::strerror(errno);
     return false;

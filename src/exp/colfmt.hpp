@@ -18,7 +18,11 @@
 // decode provably reproduces the raw tokens (u64 / f64 / str / bool /
 // null), and falls back to verbatim raw-token storage for anything else
 // (foreign escapes, exotic number spellings), so no input is ever
-// approximated.
+// approximated. It reads every value through one view (exp::value_view),
+// so records and the report layer's typed rows take the same path: a
+// value of known encoding is classified from the value itself, and only
+// tokens read from JSON text are re-formatted to prove their tag. The
+// decoder stamps each field with its block's encoding.
 //
 // Readers validate everything — magic, version, flags, header checksum,
 // per-chunk checksums, every length against the bytes actually present,
@@ -71,6 +75,13 @@ struct colfmt_header {
 /// token would not survive the round trip.
 [[nodiscard]] bool colfmt_encode(const std::vector<record>& records,
                                  std::string& out, std::string& error);
+
+/// Encodes typed rows (exp::cell_record_rows / unit_record_rows) into the
+/// bytes colfmt_encode would write for the records parse_records reads
+/// from json_writer's rendering of the same table, without rendering it.
+/// False with `error` on a ragged row or a non-finite f64.
+[[nodiscard]] bool colfmt_encode(const record_table& table, std::string& out,
+                                 std::string& error);
 
 /// Decodes and fully validates a .amoc buffer. Errors carry the byte
 /// offset of the violation.

@@ -1,7 +1,6 @@
 #include "exp/merge.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstring>
 
@@ -16,21 +15,42 @@ namespace amo::exp {
 namespace {
 
 /// Reads field `key` as a non-negative integer; false when absent,
-/// non-numeric or fractional.
-bool read_index(const record& rec, const char* key, usize& out) {
-  const record_field* f = rec.find(key);
+/// non-numeric or fractional. `hint` is the field's position in the last
+/// record read (record::find), so records of one schema cost one key
+/// compare.
+bool read_index(const record& rec, const char* key, usize& out,
+                usize& hint) {
+  const record_field* f = rec.find(key, hint);
   if (f == nullptr || f->type != record_field::kind::number) return false;
   if (f->number < 0 || f->number != std::floor(f->number)) return false;
   out = static_cast<usize>(f->number);
   return true;
 }
 
+bool read_index(const record& rec, const char* key, usize& out) {
+  usize hint = 0;
+  return read_index(rec, key, out, hint);
+}
+
 std::string shard_tag(usize si) { return "shard " + std::to_string(si); }
 
-std::string grid_of(const record& rec) {
-  const record_field* g = rec.find("grid");
-  return g != nullptr && g->type == record_field::kind::string ? g->text : "";
+std::string_view grid_of(const record& rec, usize& hint) {
+  const record_field* g = rec.find("grid", hint);
+  return g != nullptr && g->type == record_field::kind::string
+             ? std::string_view(g->text)
+             : std::string_view();
 }
+
+/// Where the index fields sat in the last record read.
+struct index_hints {
+  usize unit = 0;
+  usize units_total = 0;
+  usize cell = 0;
+  usize cells_total = 0;
+  usize replica = 0;
+  usize replicas = 0;
+  usize grid = 0;
+};
 
 // ---------------------------------------------------------------------------
 // Sources
@@ -125,29 +145,35 @@ struct merge_ctx {
   std::string grid;
   usize units_total = 0;
   usize cells_total = 0;
+  index_hints hints;
 };
 
-/// Validates one unit record, yielding its unit index.
-bool check_unit_record(const record& rec, usize si, merge_ctx& ctx,
-                       usize& idx, std::string& error) {
+/// One unit record's place in the grid.
+struct unit_pos {
   usize unit = 0;
-  usize units_total = 0;
   usize cell = 0;
-  usize cells_total = 0;
   usize replica = 0;
   usize replicas = 0;
-  if (!read_index(rec, "unit", unit) ||
-      !read_index(rec, "units_total", units_total) ||
-      !read_index(rec, "cell", cell) ||
-      !read_index(rec, "cells_total", cells_total) ||
-      !read_index(rec, "replica", replica) ||
-      !read_index(rec, "replicas", replicas)) {
+};
+
+/// Validates one unit record, yielding its place in the grid.
+bool check_unit_record(const record& rec, usize si, merge_ctx& ctx,
+                       unit_pos& pos, std::string& error) {
+  index_hints& h = ctx.hints;
+  usize units_total = 0;
+  usize cells_total = 0;
+  if (!read_index(rec, "unit", pos.unit, h.unit) ||
+      !read_index(rec, "units_total", units_total, h.units_total) ||
+      !read_index(rec, "cell", pos.cell, h.cell) ||
+      !read_index(rec, "cells_total", cells_total, h.cells_total) ||
+      !read_index(rec, "replica", pos.replica, h.replica) ||
+      !read_index(rec, "replicas", pos.replicas, h.replicas)) {
     error = shard_tag(si) +
             ": record without integer unit/units_total/cell/cells_total/"
             "replica/replicas fields (not a sharded sweep output?)";
     return false;
   }
-  const std::string this_grid = grid_of(rec);
+  const std::string_view this_grid = grid_of(rec, h.grid);
   if (!ctx.first_seen) {
     ctx.units_total = units_total;
     ctx.cells_total = cells_total;
@@ -162,18 +188,19 @@ bool check_unit_record(const record& rec, usize si, merge_ctx& ctx,
     return false;
   }
   if (this_grid != ctx.grid) {
-    error = shard_tag(si) + ": grid fingerprint '" + this_grid +
+    error = shard_tag(si) + ": grid fingerprint '" + std::string(this_grid) +
             "' disagrees with '" + ctx.grid +
             "' (shards of different sweeps)";
     return false;
   }
-  if (unit >= units_total || cell >= cells_total || replica >= replicas) {
-    error = shard_tag(si) + ": unit " + std::to_string(unit) + " (cell " +
-            std::to_string(cell) + ", replica " + std::to_string(replica) +
-            "/" + std::to_string(replicas) + ") out of range";
+  if (pos.unit >= units_total || pos.cell >= cells_total ||
+      pos.replica >= pos.replicas) {
+    error = shard_tag(si) + ": unit " + std::to_string(pos.unit) + " (cell " +
+            std::to_string(pos.cell) + ", replica " +
+            std::to_string(pos.replica) + "/" + std::to_string(pos.replicas) +
+            ") out of range";
     return false;
   }
-  idx = unit;
   return true;
 }
 
@@ -193,13 +220,15 @@ bool is_unit_bookkeeping(const std::string& key) {
 }
 
 /// Reads the named numeric field of every unit into a replica-ordered
-/// sample vector.
+/// sample vector. The units of a cell share one schema, so the field is
+/// found once and then read at its position.
 bool metric_samples(const std::vector<record>& units, const char* key,
                     std::vector<double>& out, std::string& error) {
   out.clear();
   out.reserve(units.size());
+  usize hint = 0;
   for (const record& u : units) {
-    const record_field* f = u.find(key);
+    const record_field* f = u.find(key, hint);
     if (f == nullptr || f->type != record_field::kind::number) {
       usize unit = 0;
       read_index(u, "unit", unit);
@@ -217,8 +246,9 @@ bool metric_samples(const std::vector<record>& units, const char* key,
 bool fold_flag(const std::vector<record>& units, const char* key, bool& out,
                std::string& error) {
   out = true;
+  usize hint = 0;
   for (const record& u : units) {
-    const record_field* f = u.find(key);
+    const record_field* f = u.find(key, hint);
     if (f == nullptr || f->type != record_field::kind::boolean) {
       usize unit = 0;
       read_index(u, "unit", unit);
@@ -260,13 +290,15 @@ bool fold_unit_cell(const std::vector<record>& units, record& agg,
   }
 
   // duplicate: the first replica's duplicate job, replica order (the
-  // fold exp::fold_replicas applies to in-memory reports).
-  std::string duplicate_raw = "0";
+  // fold exp::fold_replicas applies to in-memory reports). Its token,
+  // value and encoding travel together.
+  const record_field* duplicate = nullptr;
+  usize hint = 0;
   for (const record& u : units) {
-    const record_field* d = u.find("duplicate");
+    const record_field* d = u.find("duplicate", hint);
     if (d != nullptr && d->type == record_field::kind::number &&
         d->number != 0) {
-      duplicate_raw = d->raw;
+      duplicate = d;
       break;
     }
   }
@@ -274,32 +306,39 @@ bool fold_unit_cell(const std::vector<record>& units, record& agg,
   // Summed wall clock, present iff the unit records carried one.
   bool have_wall = false;
   double wall = 0.0;
+  hint = 0;
   for (const record& u : units) {
-    const record_field* w = u.find("wall_seconds");
+    const record_field* w = u.find("wall_seconds", hint);
     if (w != nullptr && w->type == record_field::kind::number) {
       have_wall = true;
       wall += w->number;
     }
   }
 
-  // duplicate_raw was written by json_writer::num, so re-parsing it for
-  // the decoded .number is exact — the in-memory records downstream
-  // consumers (report_diff, a re-merge) see must agree with their raws.
   auto copy_field = [&agg, &base](const char* key) {
     const record_field* f = base.find(key);
     if (f != nullptr) agg.fields.push_back(*f);
   };
-  auto push_number = [&agg](std::string key, double value, std::string raw) {
+  // Every token the fold writes is json_writer's, so each output field
+  // carries its encoding and the column encoder need not re-format it.
+  auto push_number = [&agg](std::string key, double value) {
     record_field f;
     f.key = std::move(key);
     f.type = record_field::kind::number;
+    f.encoding = value_encoding::f64;
     f.number = value;
-    f.raw = std::move(raw);
+    W::append_num(f.raw, value);
     agg.fields.push_back(std::move(f));
+  };
+  auto set_flag = [](record_field& g, bool v) {
+    g.raw = W::boolean(v);
+    g.truth = v;
+    g.encoding = value_encoding::boolean;
   };
   // The position prefix copies the base replica's decoded fields whole
   // (raw AND value); a unit file written without a grid fingerprint
   // simply yields an aggregate without one, never an empty token.
+  agg.fields.reserve(base.fields.size() + 24);
   copy_field("cell");
   copy_field("cells_total");
   copy_field("grid");
@@ -308,27 +347,28 @@ bool fold_unit_cell(const std::vector<record>& units, record& agg,
     if (is_unit_bookkeeping(f.key)) continue;
     record_field g = f;
     if (f.key == "at_most_once") {
-      g.raw = W::boolean(st.at_most_once);
-      g.truth = st.at_most_once;
+      set_flag(g, st.at_most_once);
     } else if (f.key == "quiescent") {
-      g.raw = W::boolean(st.quiescent);
-      g.truth = st.quiescent;
+      set_flag(g, st.quiescent);
     } else if (f.key == "wa_complete") {
-      g.raw = W::boolean(st.wa_complete);
-      g.truth = st.wa_complete;
+      set_flag(g, st.wa_complete);
     } else if (f.key == "duplicate") {
-      g.raw = duplicate_raw;
-      std::from_chars(duplicate_raw.data(),
-                      duplicate_raw.data() + duplicate_raw.size(), g.number);
+      if (duplicate != nullptr) {
+        g.raw = duplicate->raw;
+        g.number = duplicate->number;
+        g.encoding = duplicate->encoding;
+      } else {
+        g.raw = "0";
+        g.number = 0.0;
+        g.encoding = value_encoding::u64;
+      }
     }
     agg.fields.push_back(std::move(g));
   }
   for (auto& [key, value] : summary_values(st)) {
-    push_number(std::move(key), value, W::num(value));
+    push_number(std::move(key), value);
   }
-  if (have_wall) {
-    push_number("wall_seconds", wall, W::num(wall));
-  }
+  if (have_wall) push_number("wall_seconds", wall);
   return true;
 }
 
@@ -352,6 +392,7 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
   /// One head record per source — the whole residency of the k-way merge.
   struct head {
     record rec;
+    unit_pos pos;
     usize idx = 0;
     bool alive = false;
     bool any = false;    ///< this source has yielded at least one record
@@ -376,8 +417,9 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
     if ((seen & 1023) == 0) {
       obs::counter("merge", "records_in", static_cast<double>(seen));
     }
-    usize idx = 0;
-    if (!check_unit_record(rec, si, ctx, idx, out.error)) return false;
+    unit_pos pos;
+    if (!check_unit_record(rec, si, ctx, pos, out.error)) return false;
+    const usize idx = pos.unit;
     if (h.any && idx < h.prev_idx) {
       out.error = shard_tag(si) + ": records out of order (index " +
                   std::to_string(idx) + " after " +
@@ -386,6 +428,7 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
       return false;
     }
     h.rec = std::move(rec);
+    h.pos = pos;
     h.idx = idx;
     h.alive = true;
     h.any = true;
@@ -455,6 +498,7 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
     prev_idx = heads[best].idx;
     prev_shard = best;
     record rec = std::move(heads[best].rec);
+    const unit_pos pos = heads[best].pos;
     if (!pull(best)) return out;
     if (gap) continue;  // keep validating, stop folding/emitting
 
@@ -462,17 +506,12 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
     // tile the grid cell-major — cells 0..cells_total-1 in order, each
     // cell's replicas 0..R-1 in order. Anything else means the records
     // lie about their grid.
-    usize cell = 0;
-    usize replica = 0;
-    usize replicas = 0;
-    read_index(rec, "cell", cell);
-    read_index(rec, "replica", replica);
-    read_index(rec, "replicas", replicas);
+    const usize cell = pos.cell;
+    const usize replica = pos.replica;
+    const usize replicas = pos.replicas;
     if (cell_units.empty()) {
       if (cell != expect_cell) {
-        usize unit = 0;
-        read_index(rec, "unit", unit);
-        out.error = "unit " + std::to_string(unit) + " claims cell " +
+        out.error = "unit " + std::to_string(pos.unit) + " claims cell " +
                     std::to_string(cell) + " where cell " +
                     std::to_string(expect_cell) +
                     " was expected (inconsistent unit numbering)";
@@ -534,11 +573,12 @@ merge_result merge_shards(std::vector<std::vector<record>> shards) {
   // fold needs them ascending. A verified shard already is (strided and
   // in order), so only a shard that is not gets sorted — in place and
   // stably, so a same-index duplicate inside one shard keeps its order.
-  const auto by_unit = [](const record& a, const record& b) {
+  usize hint = 0;
+  const auto by_unit = [&hint](const record& a, const record& b) {
     usize ia = 0;
     usize ib = 0;
-    read_index(a, "unit", ia);
-    read_index(b, "unit", ib);
+    read_index(a, "unit", ia, hint);
+    read_index(b, "unit", ib, hint);
     return ia < ib;
   };
   std::vector<std::unique_ptr<record_source>> sources;
@@ -564,20 +604,21 @@ bool verify_shard_records(const std::vector<record>& records,
   const std::string tag = "shard " + to_string(s);
 
   usize total = 0;
-  std::string grid;
+  std::string_view grid;
   usize expect = s.index;
+  index_hints h;
   for (usize i = 0; i < records.size(); ++i) {
     const record& rec = records[i];
     usize idx = 0;
     usize this_total = 0;
-    if (!read_index(rec, "unit", idx) ||
-        !read_index(rec, "units_total", this_total)) {
+    if (!read_index(rec, "unit", idx, h.unit) ||
+        !read_index(rec, "units_total", this_total, h.units_total)) {
       error = tag + ": record " + std::to_string(i) +
               " lacks integer unit/units_total fields (torn or foreign shard "
               "file?)";
       return false;
     }
-    const std::string this_grid = grid_of(rec);
+    const std::string_view this_grid = grid_of(rec, h.grid);
     if (i == 0) {
       total = this_total;
       grid = this_grid;

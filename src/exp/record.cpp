@@ -1,5 +1,7 @@
 #include "exp/record.hpp"
 
+#include <charconv>
+
 #include "exp/report.hpp"
 #include "util/fileio.hpp"
 #include "util/parse.hpp"
@@ -30,6 +32,58 @@ const record_field* record::find(std::string_view key) const {
     if (f.key == key) return &f;
   }
   return nullptr;
+}
+
+const record_field* record::find(std::string_view key, usize& hint) const {
+  if (hint < fields.size() && fields[hint].key == key) return &fields[hint];
+  const record_field* f = find(key);
+  if (f != nullptr) hint = static_cast<usize>(f - fields.data());
+  return f;
+}
+
+value_view view_of(const record_field& f) {
+  value_view v{f.encoding, f.type, f.truth, 0, f.number, f.text, f.raw};
+  if (f.encoding == value_encoding::u64) {
+    // Exact through the double below 2^53; past it only the token is.
+    if (f.number < 9007199254740992.0) {
+      v.u = static_cast<std::uint64_t>(f.number);
+    } else {
+      std::from_chars(f.raw.data(), f.raw.data() + f.raw.size(), v.u);
+    }
+  }
+  return v;
+}
+
+value_view view_of(const typed_value& t) {
+  using E = value_encoding;
+  using K = json::kind;
+  value_view v{t.enc, K::null, t.truth, t.u, t.f, t.text, {}};
+  switch (t.enc) {
+    case E::u64:
+      v.type = K::number;
+      v.number = static_cast<double>(t.u);
+      break;
+    case E::f64: v.type = K::number; break;
+    case E::str: v.type = K::string; break;
+    case E::boolean: v.type = K::boolean; break;
+    default: break;
+  }
+  return v;
+}
+
+void append_token(std::string& out, const value_view& v) {
+  using E = value_encoding;
+  if (!v.raw.empty()) {
+    out += v.raw;
+    return;
+  }
+  switch (v.enc) {
+    case E::u64: json_writer::append_num(out, v.u); break;
+    case E::f64: json_writer::append_num(out, v.number); break;
+    case E::str: json_writer::append_str(out, v.text); break;
+    case E::boolean: out += v.truth ? "true" : "false"; break;
+    default: out += "null"; break;
+  }
 }
 
 bool parse_value_token(std::string_view token, record_field& f,

@@ -9,6 +9,17 @@
 // on writer-produced documents, which is what lets exp::merge_shards
 // promise byte-identical output without ever reformatting a number.
 //
+// A field also records its encoding when it is known: a field decoded from
+// a typed .amoc column block, or built by the merge fold, carries the raw
+// token json_writer writes for its value, so the column encoder can pick
+// its block tag from the value without re-formatting the token. Fields
+// read from JSON text are `unknown`, and the encoder checks their tokens.
+//
+// typed_value is the other side of the same schema: a value before it has
+// a token. The report layer builds its output rows as typed values
+// (exp::record_table); json_writer formats them into tokens and the
+// column encoder writes them straight into column blocks.
+//
 // Lexing is util/json_scan's, shared with the trace reader: the string,
 // \u-surrogate and number rules are one definition, and only the schema
 // (a flat array of flat objects) and the "line N: why" error spelling
@@ -24,17 +35,77 @@
 
 namespace amo::exp {
 
+/// How a value is spelled as a JSON token. A known encoding means the
+/// token is exactly json_writer's: the decimal digits of a u64
+/// (json_writer::num(std::uint64_t)), json_writer::num(double) for f64,
+/// json_writer::str for str, true/false, null. `unknown` is a token read
+/// from JSON text, which may be spelled any way the grammar allows.
+enum class value_encoding : std::uint8_t { unknown, u64, f64, str, boolean, null };
+
 /// One key/value field of a flat record.
 struct record_field {
   using kind = json::kind;  ///< string, number, boolean, null
 
   std::string key;      ///< decoded key
   kind type = kind::null;
+  /// Set only when `raw` is known to be json_writer's token for the value
+  /// (decoded .amoc blocks, merge output); `unknown` for JSON text.
+  value_encoding encoding = value_encoding::unknown;
+  bool truth = false;   ///< boolean fields
   std::string text;     ///< decoded value (string fields)
   double number = 0.0;  ///< numeric value (number fields)
-  bool truth = false;   ///< boolean fields
   std::string raw;      ///< the value token exactly as written in the source
 };
+
+/// One output value before it has a token: what the report layer's row
+/// builders produce. `enc` is never unknown.
+struct typed_value {
+  value_encoding enc = value_encoding::null;
+  bool truth = false;
+  std::uint64_t u = 0;  ///< u64 values
+  double f = 0.0;       ///< f64 values
+  std::string text;     ///< str values, decoded
+
+  static typed_value u64(std::uint64_t v) {
+    return {value_encoding::u64, false, v, 0.0, {}};
+  }
+  static typed_value f64(double v) {
+    return {value_encoding::f64, false, 0, v, {}};
+  }
+  static typed_value str(std::string v) {
+    return {value_encoding::str, false, 0, 0.0, std::move(v)};
+  }
+  static typed_value boolean(bool v) {
+    return {value_encoding::boolean, v, 0, 0.0, {}};
+  }
+  static typed_value null() { return {}; }
+};
+
+/// Typed output rows sharing one schema: keys[i] names rows[r][i].
+struct record_table {
+  std::vector<std::string> keys;
+  std::vector<std::vector<typed_value>> rows;
+};
+
+/// A non-owning view of one value, the form json_writer and the column
+/// encoder read: a record_field (raw set) or a typed_value (raw empty). `u` is the exact
+/// integer when enc is u64; `number` is the double every number has.
+struct value_view {
+  value_encoding enc = value_encoding::unknown;
+  json::kind type = json::kind::null;
+  bool truth = false;
+  std::uint64_t u = 0;
+  double number = 0.0;
+  std::string_view text;
+  std::string_view raw;
+};
+
+[[nodiscard]] value_view view_of(const record_field& f);
+[[nodiscard]] value_view view_of(const typed_value& v);
+
+/// Appends v's JSON token to `out`: its raw token when it has one, else
+/// json_writer's spelling of its typed value.
+void append_token(std::string& out, const value_view& v);
 
 /// One flat object, fields in source order.
 struct record {
@@ -42,6 +113,12 @@ struct record {
 
   /// First field named `key`, or nullptr.
   [[nodiscard]] const record_field* find(std::string_view key) const;
+
+  /// find(key), trying position `hint` first and leaving the found
+  /// position in it: records of one schema cost one key compare per
+  /// lookup instead of a linear scan.
+  [[nodiscard]] const record_field* find(std::string_view key,
+                                         usize& hint) const;
 };
 
 struct parse_result {

@@ -7,17 +7,27 @@
 
 namespace amo::exp {
 
-std::string json_writer::num(double v) {
+void json_writer::append_num(std::string& out, double v) {
   // std::to_chars: shortest representation that parses back to exactly v,
   // locale-independent by definition (snprintf %g obeys LC_NUMERIC and
   // would emit "0,5" under a comma-decimal locale — an unparseable record).
   char buf[64];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return ec == std::errc{} ? std::string(buf, end) : std::string("0");
+  if (ec == std::errc{}) {
+    out.append(buf, end);
+  } else {
+    out += '0';
+  }
 }
 
-std::string json_writer::str(const std::string& s) {
-  std::string out = "\"";
+void json_writer::append_num(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, end);
+}
+
+void json_writer::append_str(std::string& out, std::string_view s) {
+  out += '"';
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -37,6 +47,17 @@ std::string json_writer::str(const std::string& s) {
     }
   }
   out += '"';
+}
+
+std::string json_writer::num(double v) {
+  std::string out;
+  append_num(out, v);
+  return out;
+}
+
+std::string json_writer::str(const std::string& s) {
+  std::string out;
+  append_str(out, s);
   return out;
 }
 
@@ -45,7 +66,9 @@ void json_writer::add_row(const std::pair<std::string, std::string>* fields,
   std::string row = "  {";
   for (usize i = 0; i < count; ++i) {
     if (i != 0) row += ", ";
-    row += str(fields[i].first) + ": " + fields[i].second;
+    append_str(row, fields[i].first);
+    row += ": ";
+    row += fields[i].second;
   }
   row += "}";
   rows_.push_back(std::move(row));
@@ -59,6 +82,23 @@ void json_writer::add(
 void json_writer::add(
     const std::vector<std::pair<std::string, std::string>>& fields) {
   add_row(fields.data(), fields.size());
+}
+
+void json_writer::add(const std::vector<std::string>& keys,
+                      const std::vector<typed_value>& values) {
+  std::string row = "  {";
+  for (usize i = 0; i < values.size(); ++i) {
+    if (i != 0) row += ", ";
+    append_str(row, keys[i]);
+    row += ": ";
+    append_token(row, view_of(values[i]));
+  }
+  row += "}";
+  rows_.push_back(std::move(row));
+}
+
+void json_writer::add(const record_table& table) {
+  for (const std::vector<typed_value>& row : table.rows) add(table.keys, row);
 }
 
 std::string json_writer::dump() const {
@@ -76,54 +116,69 @@ bool json_writer::write(const char* path) const {
   return write_file_atomic(path, dump(), ignored);
 }
 
-std::vector<std::pair<std::string, std::string>> report_fields(
-    const run_report& r, bool include_timing) {
-  using W = json_writer;
-  std::vector<std::pair<std::string, std::string>> f;
-  f.reserve(32);
-  f.emplace_back("scenario", W::str(r.label));
-  f.emplace_back("algo", W::str(to_string(r.algo)));
-  f.emplace_back("driver", W::str(to_string(r.driver)));
-  f.emplace_back("memory", W::str(to_string(r.memory)));
-  f.emplace_back("free_set", W::str("bitset"));  // constant identity field
-  f.emplace_back("adversary", W::str(r.adversary));
-  f.emplace_back("seed", W::num(std::uint64_t{r.seed}));
-  f.emplace_back("n", W::num(std::uint64_t{r.n}));
-  f.emplace_back("m", W::num(std::uint64_t{r.m}));
-  f.emplace_back("beta", W::num(std::uint64_t{r.beta}));
-  f.emplace_back("eps_inv", W::num(std::uint64_t{r.eps_inv}));
-  f.emplace_back("crash_budget", W::num(std::uint64_t{r.crash_budget}));
-  f.emplace_back("steps", W::num(std::uint64_t{r.total_steps}));
-  f.emplace_back("crashes", W::num(std::uint64_t{r.crashes}));
-  f.emplace_back("quiescent", W::boolean(r.quiescent));
-  f.emplace_back("terminated", W::num(std::uint64_t{r.terminated}));
-  f.emplace_back("effectiveness", W::num(std::uint64_t{r.effectiveness}));
-  f.emplace_back("perform_events", W::num(std::uint64_t{r.perform_events}));
-  f.emplace_back("at_most_once", W::boolean(r.at_most_once));
-  f.emplace_back("duplicate", W::num(std::uint64_t{r.duplicate}));
-  f.emplace_back("shared_reads", W::num(r.total_work.shared_reads));
-  f.emplace_back("shared_writes", W::num(r.total_work.shared_writes));
-  f.emplace_back("local_ops", W::num(r.total_work.local_ops));
-  f.emplace_back("actions", W::num(r.total_work.actions));
-  f.emplace_back("work", W::num(r.total_work.total()));
-  f.emplace_back("collisions", W::num(std::uint64_t{r.total_collisions}));
-  f.emplace_back("worst_pair_ratio", W::num(r.worst_pair_ratio));
-  f.emplace_back("num_levels", W::num(std::uint64_t{r.num_levels}));
-  f.emplace_back("wa_complete", W::boolean(r.wa_complete));
-  f.emplace_back("wa_written", W::num(std::uint64_t{r.wa_written}));
-  f.emplace_back("trace_events", W::num(std::uint64_t{r.trace.size()}));
-  if (include_timing) f.emplace_back("wall_seconds", W::num(r.wall_seconds));
-  return f;
-}
-
-void add_reports(json_writer& out, const std::vector<run_report>& reports,
-                 bool include_timing) {
-  for (const run_report& r : reports) {
-    out.add(report_fields(r, include_timing));
-  }
-}
-
 namespace {
+
+/// Appends one row's values to a table, and on its first row the keys
+/// too, so the schema is written once per table.
+struct row_sink {
+  record_table& table;
+  std::vector<typed_value>& row;
+
+  void put(std::string_view key, typed_value v) {
+    if (table.rows.size() == 1) table.keys.emplace_back(key);
+    row.push_back(std::move(v));
+  }
+  void put_all(const extra_fields& extra) {
+    for (const auto& [key, value] : extra) put(key, value);
+  }
+};
+
+row_sink new_row(record_table& table, usize fields) {
+  std::vector<typed_value>& row = table.rows.emplace_back();
+  row.reserve(fields);
+  return {table, row};
+}
+
+/// report_fields' schema. `fold`, when given, replaces the safety fields
+/// (at_most_once, quiescent, wa_complete, duplicate) with their
+/// any-replica fold.
+void put_report(row_sink& out, const run_report& r, bool include_timing,
+                const cell_stats* fold = nullptr) {
+  using T = typed_value;
+  out.put("scenario", T::str(r.label));
+  out.put("algo", T::str(to_string(r.algo)));
+  out.put("driver", T::str(to_string(r.driver)));
+  out.put("memory", T::str(to_string(r.memory)));
+  out.put("free_set", T::str("bitset"));  // constant identity field
+  out.put("adversary", T::str(r.adversary));
+  out.put("seed", T::u64(r.seed));
+  out.put("n", T::u64(r.n));
+  out.put("m", T::u64(r.m));
+  out.put("beta", T::u64(r.beta));
+  out.put("eps_inv", T::u64(r.eps_inv));
+  out.put("crash_budget", T::u64(r.crash_budget));
+  out.put("steps", T::u64(r.total_steps));
+  out.put("crashes", T::u64(r.crashes));
+  out.put("quiescent", T::boolean(fold ? fold->quiescent : r.quiescent));
+  out.put("terminated", T::u64(r.terminated));
+  out.put("effectiveness", T::u64(r.effectiveness));
+  out.put("perform_events", T::u64(r.perform_events));
+  out.put("at_most_once",
+          T::boolean(fold ? fold->at_most_once : r.at_most_once));
+  out.put("duplicate", T::u64(fold ? fold->duplicate : r.duplicate));
+  out.put("shared_reads", T::u64(r.total_work.shared_reads));
+  out.put("shared_writes", T::u64(r.total_work.shared_writes));
+  out.put("local_ops", T::u64(r.total_work.local_ops));
+  out.put("actions", T::u64(r.total_work.actions));
+  out.put("work", T::u64(r.total_work.total()));
+  out.put("collisions", T::u64(r.total_collisions));
+  out.put("worst_pair_ratio", T::f64(r.worst_pair_ratio));
+  out.put("num_levels", T::u64(r.num_levels));
+  out.put("wa_complete", T::boolean(fold ? fold->wa_complete : r.wa_complete));
+  out.put("wa_written", T::u64(r.wa_written));
+  out.put("trace_events", T::u64(r.trace.size()));
+  if (include_timing) out.put("wall_seconds", T::f64(r.wall_seconds));
+}
 
 std::string grid_hex(std::uint64_t grid) {
   char buf[20];
@@ -132,128 +187,96 @@ std::string grid_hex(std::uint64_t grid) {
   return buf;
 }
 
-void append_moved(std::vector<std::pair<std::string, std::string>>& dst,
-                  std::vector<std::pair<std::string, std::string>>&& src) {
-  dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-             std::make_move_iterator(src.end()));
-}
-
 }  // namespace
 
-std::vector<record_row> cell_record_rows(const sweep_result& swept,
-                                         std::uint64_t grid,
-                                         bool include_timing,
-                                         const extra_fields& extra) {
-  using W = json_writer;
+extra_fields report_fields(const run_report& r, bool include_timing) {
+  record_table table;
+  row_sink sink = new_row(table, 32);
+  put_report(sink, r, include_timing);
+  extra_fields out;
+  out.reserve(table.keys.size());
+  for (usize i = 0; i < table.keys.size(); ++i) {
+    out.emplace_back(std::move(table.keys[i]), std::move(sink.row[i]));
+  }
+  return out;
+}
+
+void add_reports(json_writer& out, const std::vector<run_report>& reports,
+                 bool include_timing) {
+  record_table table;
+  for (const run_report& r : reports) {
+    row_sink sink = new_row(table, 32);
+    put_report(sink, r, include_timing);
+  }
+  out.add(table);
+}
+
+record_table cell_record_rows(const sweep_result& swept, std::uint64_t grid,
+                              bool include_timing, const extra_fields& extra) {
+  using T = typed_value;
   const std::string fp = grid_hex(grid);
-  std::vector<record_row> rows;
-  rows.reserve(swept.cells.size());
+  record_table table;
+  table.rows.reserve(swept.cells.size());
   for (usize i = 0; i < swept.cells.size(); ++i) {
     const cell_report& cr = swept.cells[i];
     const cell_stats& st = cr.stats;
-    const run_report& base = swept.reports[cr.first];
 
-    record_row& fields = rows.emplace_back();
-    fields.reserve(64);
-    fields.emplace_back("cell", W::num(std::uint64_t{i}));
-    fields.emplace_back("cells_total",
-                        W::num(std::uint64_t{swept.cells.size()}));
-    fields.emplace_back("grid", W::str(fp));
-    fields.emplace_back("replicas", W::num(std::uint64_t{cr.replicas}));
-
+    row_sink out = new_row(table, 64);
+    out.put("cell", T::u64(i));
+    out.put("cells_total", T::u64(swept.cells.size()));
+    out.put("grid", T::str(fp));
+    out.put("replicas", T::u64(cr.replicas));
     // The base replica's record, with the safety fields replaced by their
     // any-replica fold: one violating replica marks the whole cell. The
     // per-draw metrics (effectiveness, work, ...) stay the base-seed
     // draw's, so replicas = 1 preserves the pre-replica record values.
-    auto base_fields = report_fields(base, /*include_timing=*/false);
-    for (auto& [key, value] : base_fields) {
-      if (key == "at_most_once") {
-        value = W::boolean(st.at_most_once);
-      } else if (key == "quiescent") {
-        value = W::boolean(st.quiescent);
-      } else if (key == "wa_complete") {
-        value = W::boolean(st.wa_complete);
-      } else if (key == "duplicate") {
-        value = W::num(std::uint64_t{st.duplicate});
-      }
+    put_report(out, swept.reports[cr.first], /*include_timing=*/false, &st);
+    for (const auto& [key, value] : summary_values(st)) {
+      out.put(key, T::f64(value));
     }
-    append_moved(fields, std::move(base_fields));
-    append_moved(fields, summary_fields(st));
-    if (include_timing) {
-      fields.emplace_back("wall_seconds", W::num(st.wall_seconds));
-    }
-    fields.insert(fields.end(), extra.begin(), extra.end());
+    if (include_timing) out.put("wall_seconds", T::f64(st.wall_seconds));
+    out.put_all(extra);
   }
-  return rows;
+  return table;
 }
 
-std::vector<record_row> unit_record_rows(const std::vector<run_report>& reports,
-                                         const std::vector<unit_ref>& units,
-                                         usize units_total, usize cells_total,
-                                         std::uint64_t grid,
-                                         bool include_timing,
-                                         const extra_fields& extra) {
-  using W = json_writer;
+record_table unit_record_rows(const std::vector<run_report>& reports,
+                              const std::vector<unit_ref>& units,
+                              usize units_total, usize cells_total,
+                              std::uint64_t grid, bool include_timing,
+                              const extra_fields& extra) {
+  using T = typed_value;
   const std::string fp = grid_hex(grid);
-  std::vector<record_row> rows;
-  rows.reserve(reports.size());
+  record_table table;
+  table.rows.reserve(reports.size());
   for (usize i = 0; i < reports.size(); ++i) {
     const unit_ref& u = units[i];
-    record_row& fields = rows.emplace_back();
-    fields.reserve(40);
-    fields.emplace_back("unit", W::num(std::uint64_t{u.unit}));
-    fields.emplace_back("units_total", W::num(std::uint64_t{units_total}));
-    fields.emplace_back("cell", W::num(std::uint64_t{u.cell}));
-    fields.emplace_back("cells_total", W::num(std::uint64_t{cells_total}));
-    fields.emplace_back("replica", W::num(std::uint64_t{u.replica}));
-    fields.emplace_back("replicas", W::num(std::uint64_t{u.cell_replicas}));
-    fields.emplace_back("grid", W::str(fp));
-    append_moved(fields, report_fields(reports[i], include_timing));
-    fields.insert(fields.end(), extra.begin(), extra.end());
+    row_sink out = new_row(table, 40);
+    out.put("unit", T::u64(u.unit));
+    out.put("units_total", T::u64(units_total));
+    out.put("cell", T::u64(u.cell));
+    out.put("cells_total", T::u64(cells_total));
+    out.put("replica", T::u64(u.replica));
+    out.put("replicas", T::u64(u.cell_replicas));
+    out.put("grid", T::str(fp));
+    put_report(out, reports[i], include_timing);
+    out.put_all(extra);
   }
-  return rows;
+  return table;
 }
 
 void add_cell_records(json_writer& out, const sweep_result& swept,
                       std::uint64_t grid, bool include_timing,
                       const extra_fields& extra) {
-  for (const record_row& row :
-       cell_record_rows(swept, grid, include_timing, extra)) {
-    out.add(row);
-  }
+  out.add(cell_record_rows(swept, grid, include_timing, extra));
 }
 
 void add_unit_records(json_writer& out, const std::vector<run_report>& reports,
                       const std::vector<unit_ref>& units, usize units_total,
                       usize cells_total, std::uint64_t grid,
                       bool include_timing, const extra_fields& extra) {
-  for (const record_row& row :
-       unit_record_rows(reports, units, units_total, cells_total, grid,
-                        include_timing, extra)) {
-    out.add(row);
-  }
-}
-
-bool rows_to_records(std::vector<record_row> rows, std::vector<record>& out,
-                     std::string& error) {
-  out.clear();
-  out.reserve(rows.size());
-  for (usize i = 0; i < rows.size(); ++i) {
-    record& rec = out.emplace_back();
-    rec.fields.reserve(rows[i].size());
-    for (auto& [key, token] : rows[i]) {
-      record_field& f = rec.fields.emplace_back();
-      if (!parse_value_token(token, f, error)) {
-        error =
-            "record " + std::to_string(i) + " field '" + key + "': " + error;
-        out.clear();
-        return false;
-      }
-      f.key = std::move(key);
-    }
-    record_row().swap(rows[i]);  // peak = one row + the records, not both
-  }
-  return true;
+  out.add(unit_record_rows(reports, units, units_total, cells_total, grid,
+                           include_timing, extra));
 }
 
 }  // namespace amo::exp

@@ -1,14 +1,19 @@
-// The one JSON emitter every bench, test and the amo_lab CLI share.
+// The one JSON emitter every bench, test and the amo_lab CLI share, and
+// the output-row builders behind every sweep, shard and serve document.
 //
 // json_writer replaces the per-bench benchx::json_report copies; unlike its
 // predecessor, str() escapes the full set JSON requires — quote, backslash,
 // and every control character below 0x20 (\n, \t, \r named; the rest as
 // \u00XX) — so a label can never produce an unparseable file.
 //
-// add_report() maps a run_report onto the unified record schema (documented
-// in README.md and emitted by amo_lab); `include_timing = false` drops the
-// wall-clock field, which is what makes sweep output byte-comparable across
-// pool sizes.
+// The row builders (cell_record_rows, unit_record_rows) map run_reports
+// onto the unified record schema (documented in README.md and emitted by
+// amo_lab) as typed values: a record_table holds the schema's keys once
+// and one typed_value per field per row. json_writer formats a table into
+// tokens; exp::colfmt_encode writes the same table straight into .amoc
+// column blocks. A number is formatted only where a JSON token is made.
+// `include_timing = false` drops the wall-clock fields, which is what
+// makes sweep output byte-comparable across pool sizes.
 #pragma once
 
 #include <initializer_list>
@@ -24,7 +29,8 @@
 namespace amo::exp {
 
 /// Accumulates flat {string: value} records and renders them as a JSON
-/// array. Values are passed pre-encoded via num()/str()/boolean().
+/// array. Values are passed pre-encoded via num()/str()/boolean(), or as
+/// typed values that add() formats the same way.
 class json_writer {
  public:
   /// Shortest round-trip decimal via std::to_chars: locale-independent
@@ -37,8 +43,18 @@ class json_writer {
   static std::string str(const std::string& s);
   static std::string boolean(bool b) { return b ? "true" : "false"; }
 
+  /// The same tokens, appended to `out`.
+  static void append_num(std::string& out, double v);
+  static void append_num(std::string& out, std::uint64_t v);
+  static void append_str(std::string& out, std::string_view s);
+
   void add(std::initializer_list<std::pair<std::string, std::string>> fields);
   void add(const std::vector<std::pair<std::string, std::string>>& fields);
+  /// One typed row: keys[i] is the key of values[i].
+  void add(const std::vector<std::string>& keys,
+           const std::vector<typed_value>& values);
+  /// Every row of `table`.
+  void add(const record_table& table);
 
   /// The full `[ {...}, ... ]` document, newline-terminated.
   [[nodiscard]] std::string dump() const;
@@ -54,36 +70,31 @@ class json_writer {
   std::vector<std::string> rows_;
 };
 
+/// Extra caller-supplied fields appended at the end of each record (e.g.
+/// the serve layer's per-job timing fields).
+using extra_fields = std::vector<std::pair<std::string, typed_value>>;
+
 /// The unified record for one run_report, in schema order. Every amo_lab /
 /// bench record uses exactly these fields (prefixed by any caller-supplied
 /// extras), so downstream tooling parses one shape.
-[[nodiscard]] std::vector<std::pair<std::string, std::string>> report_fields(
-    const run_report& r, bool include_timing = true);
+[[nodiscard]] extra_fields report_fields(const run_report& r,
+                                         bool include_timing = true);
 
 /// Appends one record per report. `include_timing = false` omits
 /// wall_seconds so identical executions dump identical bytes.
 void add_reports(json_writer& out, const std::vector<run_report>& reports,
                  bool include_timing = true);
 
-/// One record's fields in schema order, values pre-encoded through
-/// json_writer::num/str/boolean: the single description of an output row
-/// that both json_writer (JSON) and rows_to_records (.amoc) consume.
-using record_row = std::vector<std::pair<std::string, std::string>>;
-
-/// Extra caller-supplied fields appended verbatim at the end of each
-/// record (e.g. the serve layer's per-job timing fields).
-using extra_fields = record_row;
-
 /// Aggregate cell rows — what an unsharded sweep emits: one record per
 /// cell, {"cell", "cells_total", "grid", "replicas"}, then the base
 /// replica's report_fields with the safety fields (at_most_once,
 /// quiescent, wa_complete, duplicate) replaced by their any-replica fold,
-/// then exp::summary_fields, then the cell's summed wall clock (timing
+/// then exp::summary_values, then the cell's summed wall clock (timing
 /// runs only). Aggregate output is always the whole grid (sharded sweeps
 /// emit per-unit records instead), so record i's "cell" index is i and
 /// cells_total is swept.cells.size(). exp::merge_shards rebuilds exactly
 /// these bytes from per-unit shard records.
-[[nodiscard]] std::vector<record_row> cell_record_rows(
+[[nodiscard]] record_table cell_record_rows(
     const sweep_result& swept, std::uint64_t grid, bool include_timing = true,
     const extra_fields& extra = {});
 
@@ -92,29 +103,21 @@ using extra_fields = record_row;
 /// "cells_total", "replica", "replicas", "grid"} then the replica's
 /// report_fields (its "seed" is the exp::replica_seed-derived seed).
 /// Requires units.size() == reports.size().
-[[nodiscard]] std::vector<record_row> unit_record_rows(
+[[nodiscard]] record_table unit_record_rows(
     const std::vector<run_report>& reports, const std::vector<unit_ref>& units,
     usize units_total, usize cells_total, std::uint64_t grid,
     bool include_timing = true, const extra_fields& extra = {});
 
-/// json_writer::add of every cell_record_rows row.
+/// json_writer::add of cell_record_rows.
 void add_cell_records(json_writer& out, const sweep_result& swept,
                       std::uint64_t grid, bool include_timing = true,
                       const extra_fields& extra = {});
 
-/// json_writer::add of every unit_record_rows row.
+/// json_writer::add of unit_record_rows.
 void add_unit_records(json_writer& out, const std::vector<run_report>& reports,
                       const std::vector<unit_ref>& units, usize units_total,
                       usize cells_total, std::uint64_t grid,
                       bool include_timing = true,
                       const extra_fields& extra = {});
-
-/// The records parse_records would read back from the JSON document these
-/// rows render to, built without rendering it: each value token goes
-/// through parse_value_token, so every field's type, decoded value and raw
-/// token are the parser's. False with `error` on a malformed token.
-[[nodiscard]] bool rows_to_records(std::vector<record_row> rows,
-                                   std::vector<record>& out,
-                                   std::string& error);
 
 }  // namespace amo::exp

@@ -97,14 +97,4 @@ std::vector<std::pair<std::string, double>> summary_values(
   return f;
 }
 
-std::vector<std::pair<std::string, std::string>> summary_fields(
-    const cell_stats& stats) {
-  std::vector<std::pair<std::string, std::string>> f;
-  f.reserve(24);
-  for (auto& [name, value] : summary_values(stats)) {
-    f.emplace_back(std::move(name), json_writer::num(value));
-  }
-  return f;
-}
-
 }  // namespace amo::exp

@@ -87,14 +87,9 @@ struct summary_metric {
 
 /// The aggregate-record suffix every cell record carries, in schema order:
 /// <metric>_{min,mean,max,stddev,p50,p95} for effectiveness, work,
-/// collisions, steps. summary_values yields the decoded doubles,
-/// summary_fields the same sequence pre-encoded for exp::json_writer —
-/// shared by the sweep emitter and exp::merge_shards so both render
-/// bit-equal bytes (and merge's in-memory records keep value and raw in
-/// agreement).
+/// collisions, steps, as doubles — shared by the sweep's row builder and
+/// exp::merge_shards' re-fold, so both write bit-equal values.
 [[nodiscard]] std::vector<std::pair<std::string, double>> summary_values(
-    const cell_stats& stats);
-[[nodiscard]] std::vector<std::pair<std::string, std::string>> summary_fields(
     const cell_stats& stats);
 
 }  // namespace amo::exp

@@ -226,7 +226,12 @@ bool validate_shard(shard_run& run) {
     run.detail = err;
     return false;
   }
-  exp::parse_result parsed = exp::decode_records(content);
+  exp::parse_result parsed;
+  {
+    obs::span dsp("record", "decode");
+    dsp.arg("bytes", static_cast<std::uint64_t>(content.size()));
+    parsed = exp::decode_records(content);
+  }
   if (!parsed.ok()) {
     run.detail = run.file + ": " + parsed.error;
     return false;

@@ -92,17 +92,17 @@ bool claim_out_path(const job& j, std::unordered_set<std::string>& used,
   return false;
 }
 
-/// The job's output records as field rows, built once for either format.
-std::vector<exp::record_row> output_rows(const job_result& r) {
+/// The job's output records as typed rows, built once for either format.
+exp::record_table output_rows(const job_result& r) {
   // Per-job observability (wall + queue latency): timing fields by the
   // shared schema's rules, so they ride on timing runs only — no-timing
   // output stays byte-reproducible — and exp::report_diff ignores them.
   exp::extra_fields extra;
   if (!r.j.no_timing) {
     extra.emplace_back("job_wall_seconds",
-                       exp::json_writer::num(r.wall_seconds));
+                       exp::typed_value::f64(r.wall_seconds));
     extra.emplace_back("job_queue_seconds",
-                       exp::json_writer::num(r.queue_seconds));
+                       exp::typed_value::f64(r.queue_seconds));
   }
   if (r.sharded) {
     return exp::unit_record_rows(r.unit_reports, r.units, r.units_total,
@@ -117,22 +117,21 @@ std::vector<exp::record_row> output_rows(const job_result& r) {
 
 std::string job_result::render_json() const {
   exp::json_writer json;
-  for (const exp::record_row& row : output_rows(*this)) json.add(row);
+  json.add(output_rows(*this));
   return json.dump();
 }
 
 bool job_result::render_output(exp::record_format format, std::string& out,
                                std::string& error) const {
+  obs::span rsp("record", "render");
   if (format == exp::record_format::json) {
     out = render_json();
     return true;
   }
-  // The rows render_json would write, as the records parse_records would
-  // read back from it: decode(encode(x)) reproduces every raw token, so
-  // converting the .amoc artifact back to JSON yields render_json's bytes.
-  std::vector<exp::record> records;
-  if (!exp::rows_to_records(output_rows(*this), records, error) ||
-      !exp::colfmt_encode(records, out, error)) {
+  // The typed rows go straight into column blocks; decoding the .amoc
+  // artifact reproduces render_json's tokens, so converting it back to
+  // JSON yields render_json's bytes.
+  if (!exp::colfmt_encode(output_rows(*this), out, error)) {
     error = "cannot encode output: " + error;
     return false;
   }

@@ -70,11 +70,12 @@ struct job_result {
   [[nodiscard]] std::string render_json() const;
 
   /// The output bytes in `format`: render_json() itself for JSON; for
-  /// colfmt, the same rows turned straight into records (each value token
-  /// decoded by exp::parse_value_token, exactly as parse_records would
-  /// read it back) and encoded by exp::colfmt_encode, so `amo_lab convert`
-  /// back to JSON reproduces the render_json bytes without the document
-  /// ever being rendered. False with `error` on an encode failure.
+  /// colfmt, the same typed rows (exp::cell_record_rows /
+  /// unit_record_rows) written straight into column blocks by
+  /// exp::colfmt_encode, with no token formatted or parsed, so `amo_lab
+  /// convert` back to JSON reproduces the render_json bytes without the
+  /// document ever being rendered. Traced as `record/render`. False with
+  /// `error` on an encode failure.
   [[nodiscard]] bool render_output(exp::record_format format, std::string& out,
                                    std::string& error) const;
 };

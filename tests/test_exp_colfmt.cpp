@@ -9,6 +9,8 @@
 // records or a crash.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -375,6 +377,226 @@ TEST(Colfmt, MergeRefusesShardsOfDifferentGrids) {
   const exp::merge_result r = exp::merge_stream(std::move(sources));
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error.find("disagrees"), std::string::npos) << r.error;
+}
+
+// --- typed values and JSON tokens choose the same tags ---
+
+/// The block tag of column `col` in a file whose first chunk starts right
+/// after the header; only valid for col 0.
+std::uint8_t first_column_tag(const std::string& bytes,
+                              const std::vector<std::string>& keys) {
+  usize at = 60 + 8 + 20;  // fixed header + checksum + chunk frame
+  for (const std::string& k : keys) at += 2 + k.size();
+  return static_cast<std::uint8_t>(bytes.at(at));
+}
+
+/// One column "v" (plus a "cell" column, so every row lands in one chunk)
+/// encoded from typed values and from the records parse_records reads
+/// back from json_writer's rendering of the same rows.
+struct both_paths {
+  std::string typed;
+  std::string token;
+  std::vector<exp::record> parsed;
+};
+
+both_paths encode_both(const std::vector<exp::typed_value>& column) {
+  exp::record_table table;
+  table.keys = {"v", "cell"};
+  for (const exp::typed_value& v : column) {
+    table.rows.push_back({v, exp::typed_value::u64(0)});
+  }
+  both_paths out;
+  std::string error;
+  EXPECT_TRUE(exp::colfmt_encode(table, out.typed, error)) << error;
+  exp::json_writer json;
+  json.add(table);
+  exp::parse_result parsed = exp::parse_records(json.dump());
+  EXPECT_TRUE(parsed.ok()) << parsed.error;
+  out.parsed = std::move(parsed.records);
+  out.token = encode_or_die(out.parsed);
+  return out;
+}
+
+/// Tag numbers as docs/record_format.md lists them.
+enum : std::uint8_t { kU64 = 0, kF64 = 1, kStr = 2, kVerbatim = 5 };
+
+TEST(Colfmt, EdgeValuesChooseTheSameTagOnTheTypedAndTokenPaths) {
+  using T = exp::typed_value;
+  constexpr std::uint64_t two53 = std::uint64_t{1} << 53;
+  struct edge_case {
+    const char* name;
+    std::vector<T> column;
+    std::uint8_t tag;
+  };
+  const std::vector<edge_case> cases = {
+      {"u64 extremes",
+       {T::u64(0), T::u64(two53), T::u64(two53 + 1), T::u64(~std::uint64_t{0})},
+       kU64},
+      {"integral doubles spelled in scientific form",
+       {T::f64(1e16), T::f64(1e21)}, kF64},
+      {"-0.0, 0.1 and the smallest denormal",
+       {T::f64(-0.0), T::f64(0.1), T::f64(4.9406564584124654e-324)}, kF64},
+      {"integral doubles that print as digits join a u64 column",
+       {T::u64(3), T::f64(2.0), T::u64(two53 + 1), T::f64(0.0)}, kU64},
+      {"a u64 whose double prints the same joins an f64 column",
+       {T::u64(3), T::f64(1e5), T::f64(0.25)}, kF64},
+      {"a u64 no double holds forces verbatim beside a fraction",
+       {T::u64(two53 + 1), T::f64(0.5)}, kVerbatim},
+      {"a u64 spelled differently as a double forces verbatim",
+       {T::u64(100000), T::f64(0.5)}, kVerbatim},
+      {"strings and numbers mixed", {T::str("x"), T::u64(1)}, kVerbatim},
+      {"strings", {T::str("plain"), T::str("tab\there \"q\"")}, kStr},
+  };
+  for (const edge_case& c : cases) {
+    const both_paths b = encode_both(c.column);
+    EXPECT_EQ(b.typed, b.token) << c.name;
+    EXPECT_EQ(first_column_tag(b.typed, {"v", "cell"}), c.tag) << c.name;
+
+    // Decoding the typed bytes gives back the parsed records, value for
+    // value, and every known encoding spells its field's token.
+    const exp::parse_result d = exp::colfmt_decode(b.typed);
+    ASSERT_TRUE(d.ok()) << c.name << ": " << d.error;
+    ASSERT_EQ(d.records.size(), b.parsed.size()) << c.name;
+    for (usize r = 0; r < d.records.size(); ++r) {
+      const exp::record_field& got = d.records[r].fields[0];
+      const exp::record_field& want = b.parsed[r].fields[0];
+      EXPECT_EQ(got.raw, want.raw) << c.name << " row " << r;
+      EXPECT_EQ(got.type, want.type) << c.name << " row " << r;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.number),
+                std::bit_cast<std::uint64_t>(want.number))
+          << c.name << " row " << r;
+      EXPECT_EQ(got.encoding == exp::value_encoding::unknown,
+                c.tag == kVerbatim)
+          << c.name << " row " << r;
+      exp::value_view typed = exp::view_of(got);
+      typed.raw = {};
+      std::string spelled;
+      exp::append_token(spelled, typed);
+      if (got.encoding != exp::value_encoding::unknown) {
+        EXPECT_EQ(spelled, got.raw) << c.name << " row " << r;
+      }
+    }
+    // Re-encoding the decoded records writes the same bytes again.
+    EXPECT_EQ(encode_or_die(d.records), b.typed) << c.name;
+  }
+}
+
+TEST(Colfmt, NonCanonicalTokensStayVerbatim) {
+  // Tokens json_writer never writes survive byte-exact; "-0" is its own
+  // spelling of -0.0, so it alone earns the f64 tag.
+  struct token_case {
+    const char* token;
+    std::uint8_t tag;
+  };
+  for (const token_case& c : {token_case{"1.0", kVerbatim},
+                              token_case{"1E2", kVerbatim},
+                              token_case{"0.10", kVerbatim},
+                              token_case{"-0", kF64}}) {
+    const std::string doc =
+        std::string("[{\"v\": ") + c.token + ", \"cell\": 0}]";
+    const exp::parse_result parsed = exp::parse_records(doc);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const std::string bytes = encode_or_die(parsed.records);
+    EXPECT_EQ(first_column_tag(bytes, {"v", "cell"}), c.tag) << c.token;
+    const exp::parse_result d = exp::colfmt_decode(bytes);
+    ASSERT_TRUE(d.ok()) << d.error;
+    EXPECT_EQ(d.records[0].fields[0].raw, c.token);
+    EXPECT_EQ(exp::render_records(d.records), exp::render_records(parsed.records));
+  }
+}
+
+TEST(Colfmt, TypedRowsRejectRaggedRowsAndNonFiniteDoubles) {
+  exp::record_table table;
+  table.keys = {"a", "b"};
+  table.rows.push_back({exp::typed_value::u64(1)});
+  std::string bytes;
+  std::string error;
+  EXPECT_FALSE(exp::colfmt_encode(table, bytes, error));
+  EXPECT_NE(error.find("schema"), std::string::npos) << error;
+
+  table.rows[0].push_back(exp::typed_value::f64(std::nan("")));
+  error.clear();
+  EXPECT_FALSE(exp::colfmt_encode(table, bytes, error));
+  EXPECT_NE(error.find("'b'"), std::string::npos) << error;
+}
+
+TEST(Colfmt, RecordFieldStaysCompact) {
+  // The encoding byte sits in the padding beside type and truth.
+  EXPECT_LE(sizeof(exp::record_field), 112u);
+}
+
+// --- golden bytes ---
+
+/// A tiny grid over every scheduled family: kk (every schedule), ao2,
+/// iterative, wa, tas, the Write-All baselines and model/explore_por.
+svc::job golden_job() {
+  svc::job j;
+  j.scenarios = {"kk/round_robin",        "kk/random",
+                 "kk/random+crash",       "kk/block4",
+                 "kk/block64",            "kk/stale_view",
+                 "kk/announce_crash",     "kk/trace_replay",
+                 "iterative/round_robin", "iterative/random+crash",
+                 "wa/round_robin",        "wa/random+crash",
+                 "baseline/ao2",          "baseline/tas",
+                 "baseline/wa_trivial",   "baseline/wa_split_scan",
+                 "baseline/wa_progress_tree", "model/explore_por"};
+  j.params.n = 24;
+  j.params.m = 3;
+  j.params.seeds = 1;
+  j.params.replicas = 2;
+  j.scheduled_only = true;
+  j.no_timing = true;
+  return j;
+}
+
+std::string golden_amoc(const svc::job& j, svc::worker_pool& pool) {
+  const svc::job_result r = svc::execute_job(j, pool);
+  EXPECT_TRUE(r.ok()) << r.error;
+  std::string bytes;
+  std::string error;
+  EXPECT_TRUE(r.render_output(exp::record_format::colfmt, bytes, error))
+      << error;
+  return bytes;
+}
+
+TEST(Colfmt, GoldenAmocBytesAreStable) {
+  // A U64 <-> F64 tag drift keeps the file size and the JSON round trip
+  // identical, so only pinned bytes catch it. The hashes come from the
+  // token-only encoder that typed values replaced; any change to them is
+  // a format change and needs a version bump (docs/record_format.md).
+  svc::worker_pool pool(2);
+  std::vector<std::string> shards;
+  std::vector<std::vector<exp::record>> decoded;
+  for (usize i = 0; i < 3; ++i) {
+    svc::job j = golden_job();
+    j.have_shard = true;
+    j.shard = {i, 3};
+    shards.push_back(golden_amoc(j, pool));
+    exp::parse_result d = exp::colfmt_decode(shards.back());
+    ASSERT_TRUE(d.ok()) << d.error;
+    decoded.push_back(std::move(d.records));
+  }
+  const std::string aggregate = golden_amoc(golden_job(), pool);
+  const exp::merge_result merged = exp::merge_shards(std::move(decoded));
+  ASSERT_TRUE(merged.ok()) << merged.error;
+  const std::string merged_bytes = encode_or_die(merged.records);
+
+  // Without NDEBUG, rank_excluding's assert calls size_excluding, whose
+  // FREE contains() calls charge local ops, so a Debug build's records
+  // (local_ops, work) differ from a Release build's. Each build type pins
+  // its own bytes.
+#ifdef NDEBUG
+  const char* shard_fnv = "8e46559a10e6abc4";
+  const char* aggregate_fnv = "cab720d342a965ba";
+#else
+  const char* shard_fnv = "f95f3394b38c132a";
+  const char* aggregate_fnv = "29484c24bd9a0fef";
+#endif
+  EXPECT_EQ(fnv_hex64(fnv1a64(shards[1])), shard_fnv) << shards[1].size();
+  EXPECT_EQ(fnv_hex64(fnv1a64(aggregate)), aggregate_fnv) << aggregate.size();
+  EXPECT_EQ(fnv_hex64(fnv1a64(merged_bytes)), aggregate_fnv)
+      << merged_bytes.size();
+  EXPECT_EQ(merged_bytes, aggregate);
 }
 
 TEST(Colfmt, CorruptShardFailsTheStreamingMerge) {

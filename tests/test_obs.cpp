@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "exp/colfmt.hpp"
 #include "exp/diff.hpp"
 #include "exp/record.hpp"
 #include "exp/timing_keys.hpp"
@@ -172,21 +173,34 @@ TEST(ObsInvariant, RecordOutputIsByteIdenticalWithTracingOnOrOff) {
     const svc::job_result off = svc::execute_job(j, pool);
     ASSERT_TRUE(off.ok()) << off.error;
     std::string traced;
+    std::string traced_amoc;
+    std::string error;
     {
       obs::session s;
       ASSERT_TRUE(s.installed());
       const svc::job_result on = svc::execute_job(j, pool);
       ASSERT_TRUE(on.ok()) << on.error;
       traced = on.render_json();
-      // The trace itself is non-trivial: the job and sweep layers emitted.
+      ASSERT_TRUE(on.render_output(exp::record_format::colfmt, traced_amoc,
+                                   error))
+          << error;
+      // The trace itself is non-trivial: the job, sweep and record layers
+      // emitted.
       const obs::trace_parse_result parsed =
           obs::parse_trace(obs::export_json(s.sink()));
       ASSERT_TRUE(parsed.ok()) << parsed.error;
       EXPECT_NE(find_event(parsed.events, 'X', "svc"), nullptr);
       EXPECT_NE(find_event(parsed.events, 'X', "sweep"), nullptr);
+      const obs::trace_event* render = find_event(parsed.events, 'X', "record");
+      ASSERT_NE(render, nullptr);
+      EXPECT_EQ(render->name, "render");
     }
     EXPECT_EQ(off.render_json(), traced)
         << (sharded ? "sharded" : "unsharded");
+    std::string amoc;
+    ASSERT_TRUE(off.render_output(exp::record_format::colfmt, amoc, error))
+        << error;
+    EXPECT_EQ(amoc, traced_amoc) << (sharded ? "sharded" : "unsharded");
   }
 }
 

@@ -11,6 +11,7 @@
 // whatever the service happens to do.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -236,20 +237,27 @@ TEST(SvcBatch, ExecuteJobReportsExpansionErrors) {
 }
 
 TEST(SvcBatch, ColfmtOutputEqualsTheEncodedJsonDocument) {
-  // render_output(colfmt) builds its records straight from the output
-  // rows; encoding the parsed render_json document is the oracle. Timing
-  // runs add the wall-clock doubles (wall_seconds, job_wall_seconds,
-  // job_queue_seconds) whose tokens must survive the direct route too.
+  // render_output(colfmt) writes the typed rows straight into column
+  // blocks; encoding the parsed render_json document is the oracle, for
+  // every registered scheduled scenario. Timing runs add the wall-clock
+  // doubles (wall_seconds, job_wall_seconds, job_queue_seconds) whose
+  // tokens must survive the direct route too. The decode side must give
+  // back exactly the records parse_records reads from render_json, and
+  // each decoded field's encoding must spell its token.
+  std::vector<std::string> scenarios;
+  for (const exp::scenario& sc : exp::scenario_registry()) {
+    scenarios.push_back(sc.name);
+  }
   svc::worker_pool pool(2);
   for (const bool sharded : {false, true}) {
     for (const bool no_timing : {true, false}) {
       svc::job j;
-      j.scenarios = {"kk/random+crash", "iterative/random+crash",
-                     "baseline/tas"};
-      j.params.n = 64;
+      j.scenarios = scenarios;
+      j.params.n = 24;
       j.params.m = 3;
-      j.params.seeds = 2;
-      j.params.replicas = 3;
+      j.params.seeds = 1;
+      j.params.replicas = 2;
+      j.scheduled_only = true;  // the os_threads cells are not reproducible
       j.no_timing = no_timing;
       j.have_shard = sharded;
       if (sharded) j.shard = {1, 3};
@@ -271,6 +279,36 @@ TEST(SvcBatch, ColfmtOutputEqualsTheEncodedJsonDocument) {
           << tag << ": " << error;
       EXPECT_EQ(got, want) << tag;
       EXPECT_EQ(r.sharded, sharded) << tag;
+
+      const exp::parse_result decoded = exp::colfmt_decode(got);
+      ASSERT_TRUE(decoded.ok()) << tag << ": " << decoded.error;
+      ASSERT_EQ(decoded.records.size(), parsed.records.size()) << tag;
+      for (usize i = 0; i < parsed.records.size(); ++i) {
+        const std::vector<exp::record_field>& a = decoded.records[i].fields;
+        const std::vector<exp::record_field>& b = parsed.records[i].fields;
+        ASSERT_EQ(a.size(), b.size()) << tag << " record " << i;
+        for (usize k = 0; k < a.size(); ++k) {
+          const std::string at = tag + " record " + std::to_string(i) +
+                                 " field '" + b[k].key + "'";
+          EXPECT_EQ(a[k].key, b[k].key) << at;
+          EXPECT_EQ(a[k].type, b[k].type) << at;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(a[k].number),
+                    std::bit_cast<std::uint64_t>(b[k].number))
+              << at;
+          EXPECT_EQ(a[k].truth, b[k].truth) << at;
+          EXPECT_EQ(a[k].text, b[k].text) << at;
+          EXPECT_EQ(a[k].raw, b[k].raw) << at;
+          // The report layer writes only json_writer tokens, so every
+          // column gets a typed block, and its encoding spells the token.
+          EXPECT_NE(a[k].encoding, exp::value_encoding::unknown) << at;
+          EXPECT_EQ(b[k].encoding, exp::value_encoding::unknown) << at;
+          exp::value_view typed = exp::view_of(a[k]);
+          typed.raw = {};
+          std::string spelled;
+          exp::append_token(spelled, typed);
+          EXPECT_EQ(spelled, b[k].raw) << at;
+        }
+      }
     }
   }
 }

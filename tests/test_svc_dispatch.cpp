@@ -10,11 +10,14 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/colfmt.hpp"
+#include "obs/telemetry.hpp"
+#include "obs/trace_read.hpp"
 #include "svc/dispatcher.hpp"
 #include "svc/job.hpp"
 #include "svc/server.hpp"
@@ -273,7 +276,7 @@ TEST(SvcDispatch, CapturesSubprocessOutput) {
 void expect_dispatch_matches_one_shot(
     usize shards, exp::record_format format = exp::record_format::json,
     const std::string& inject = "", usize retries = 0,
-    const std::vector<usize>& attempts = {}) {
+    const std::vector<usize>& attempts = {}, bool trace = false) {
   const bool amoc = format == exp::record_format::colfmt;
   const std::string dir = ::testing::TempDir();
   const std::string merged_path = dir + "/dispatch_merged_" +
@@ -289,6 +292,7 @@ void expect_dispatch_matches_one_shot(
   opt.format = format;
   opt.inject = inject;
   opt.retries = retries;
+  opt.trace = trace;
   // --replicas=3: the shards split at (cell, replica) granularity and the
   // merge re-folds the units into the one-shot aggregate records.
   const std::string args =
@@ -359,6 +363,33 @@ TEST(SvcDispatch, AmocDispatchRetriesACorruptShardAndMatchesTheOneShotSweep) {
   }
   expect_dispatch_matches_one_shot(3, exp::record_format::colfmt, "corrupt@1",
                                   /*retries=*/1, /*attempts=*/{1, 2, 1});
+}
+
+TEST(SvcDispatch, TracedAmocDispatchNamesTheRecordLayerAndKeepsItsBytes) {
+  // With a session installed and child traces stitched in, the merged
+  // bytes still equal the untraced one-shot sweep's, and the timeline
+  // names the record layer on both sides: each child's record/render
+  // and the parent's record/decode inside dispatch/verify.
+  if (!have_amo_lab()) {
+    GTEST_SKIP() << "no ./amo_lab in the working directory";
+  }
+  obs::session s;
+  ASSERT_TRUE(s.installed());
+  expect_dispatch_matches_one_shot(3, exp::record_format::colfmt, "", 0, {},
+                                   /*trace=*/true);
+  const obs::trace_parse_result parsed =
+      obs::parse_trace(obs::export_json(s.sink()));
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  std::set<int> render_pids;
+  usize decodes = 0;
+  for (const obs::trace_event& e : parsed.events) {
+    if (e.ph != 'X' || e.cat != "record") continue;
+    if (e.name == "render") render_pids.insert(e.pid);
+    if (e.name == "decode" && e.pid == 0) ++decodes;
+  }
+  render_pids.erase(0);  // the one-shot reference rendered in-process
+  EXPECT_EQ(render_pids, (std::set<int>{1, 2, 3}));
+  EXPECT_EQ(decodes, 3u);
 }
 
 }  // namespace
