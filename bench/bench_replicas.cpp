@@ -1,30 +1,18 @@
-// Replica blocks vs per-unit exp::run — the replica layer's claim: a
-// cell's R deterministic replicas run as one block, so a seed-independent
-// cell costs one run instead of R, while every charged op count stays
-// bit-identical.
+// Run-once replicas vs per-unit exp::run — the replica rule's claim: a
+// cell whose schedule ignores its seed (exp::batchable) is one execution
+// repeated R times, so the sweep runs it once and copies the report, while
+// every charged op count stays bit-identical to R exp::run calls.
 //
-// The win is schedule-class dependent, so the grids are split by class
-// (non-batchable coverage lives in tests/test_batch_parity.cpp):
+//   repl/xR  n=256, m=3 (ao2: m=2) — every scheduled algo family × the
+//            seed-independent adversaries (round_robin, stale_view,
+//            announce_crash). Cost is ~1 unit for R, i.e. ~R x. This grid
+//            gates the >= 3x floor at R >= 8.
 //
-//   repl/xR    n=256 m=3  — seed-independent adversaries (round_robin,
-//              stale_view, announce_crash): every replica's schedule is
-//              identical, so the block runs once and replicates the
-//              report R ways. Cost is ~1 unit for R, i.e. ~R x. This grid
-//              gates the >= 3x floor at R >= 8.
-//   seeded/xR  n=256 m=3  — seed-dependent adversaries (random,
-//              random+crash, block64): the block runs every replica
-//              through exp::run, so both sides do the same work and the
-//              ratio sits near 1x (reported, not gated).
-//   mix/xR     n=256 m=3  — all six classes, reported for context: the
-//              composition of a real grid decides where between the two
-//              it lands.
-//   bigm/xR    n=256 m=33 — wide-word seeded cells (every process's TRY
-//              set past the word-parallel threshold), reported for context.
-//
-// Each row times the same grid twice — once as a loop of exp::run over
-// every (cell, replica) unit, once through the serial sweep path — and
-// reports both units/second figures, their ratio, and whether the
-// no-timing aggregate JSON is byte-identical between the two
+// Every other unit runs through exp::run on both sides, so there is
+// nothing else to compare. Each row times the grid twice — once as a loop
+// of exp::run over every (cell, replica) unit, once through the serial
+// sweep path — and reports both units/second figures, their ratio, and
+// whether the no-timing aggregate JSON is byte-identical between the two
 // (bit_identical gates in CI).
 #include <span>
 #include <thread>
@@ -41,52 +29,35 @@ using namespace amo;
 
 constexpr int kReps = 2;  ///< min-of-reps vs 1-core CI noise
 
-exp::run_spec cell(const char* label, const char* adv, std::uint64_t seed,
-                   usize m, usize replicas) {
+exp::run_spec cell(exp::algo_family algo, const char* adv, std::uint64_t seed,
+                   usize replicas) {
   exp::run_spec s;
-  s.label = label;
-  s.algo = exp::algo_family::kk;
+  s.label = std::string("batch/") + exp::to_string(algo) + "/" + adv;
+  s.algo = algo;
   s.n = 256;
-  s.m = m;
-  s.beta = 3;
+  s.m = algo == exp::algo_family::ao2 ? 2 : 3;
+  s.beta = algo == exp::algo_family::kk ? 3 : 0;
+  s.eps_inv = 2;
   s.crash_budget = 2;
   s.replicas = replicas;
   s.adversary = {adv, seed};
   return s;
 }
 
-/// Seed-independent schedule classes: the block runs once and replicates.
+/// Every scheduled algo family × the seed-independent adversaries: each
+/// cell runs once and replicates.
 std::vector<exp::run_spec> repl_grid(usize replicas) {
+  using exp::algo_family;
   std::vector<exp::run_spec> cells;
-  cells.push_back(cell("batch/round_robin", "round_robin", 1, 3, replicas));
-  cells.push_back(cell("batch/stale_view", "stale_view:2", 2, 3, replicas));
-  cells.push_back(cell("batch/announce_crash", "announce_crash", 3, 3, replicas));
-  return cells;
-}
-
-/// Seed-dependent schedule classes: exp::run per replica.
-std::vector<exp::run_spec> seeded_grid(usize replicas) {
-  std::vector<exp::run_spec> cells;
-  cells.push_back(cell("batch/random", "random", 7919, 3, replicas));
-  cells.push_back(cell("batch/random_crash", "random+crash", 15'838, 3, replicas));
-  cells.push_back(cell("batch/block64", "block64", 23'757, 3, replicas));
-  return cells;
-}
-
-/// Every schedule class the classifier knows — what a realistic grid sees.
-std::vector<exp::run_spec> mix_grid(usize replicas) {
-  std::vector<exp::run_spec> cells = repl_grid(replicas);
-  std::vector<exp::run_spec> seeded = seeded_grid(replicas);
-  cells.insert(cells.end(), seeded.begin(), seeded.end());
-  return cells;
-}
-
-/// Wide-word cells: m=33 puts every process's TRY set past the
-/// word-parallel threshold.
-std::vector<exp::run_spec> bigm_grid(usize replicas) {
-  std::vector<exp::run_spec> cells;
-  cells.push_back(cell("batch/bigm_random", "random", 7919, 33, replicas));
-  cells.push_back(cell("batch/bigm_block64", "block64", 23'757, 33, replicas));
+  std::uint64_t seed = 0;
+  for (const algo_family f :
+       {algo_family::kk, algo_family::ao2, algo_family::iterative,
+        algo_family::wa_iterative, algo_family::tas, algo_family::wa_trivial,
+        algo_family::wa_split_scan, algo_family::wa_progress_tree}) {
+    for (const char* adv : {"round_robin", "stale_view:2", "announce_crash"}) {
+      cells.push_back(cell(f, adv, ++seed, replicas));
+    }
+  }
   return cells;
 }
 
@@ -127,7 +98,7 @@ exp::sweep_result timed_scalar(const std::vector<exp::run_spec>& cells,
   return out;
 }
 
-/// Serial sweep (replica blocks on), min wall over kReps.
+/// Serial sweep (run-once replicas), min wall over kReps.
 exp::sweep_result timed_sweep(const std::vector<exp::run_spec>& cells,
                               double& best) {
   exp::sweep_result out;
@@ -146,9 +117,9 @@ exp::sweep_result timed_sweep(const std::vector<exp::run_spec>& cells,
 int main() {
   stopwatch total;
   benchx::print_title(
-      "Replica blocks  (R replicas of one cell per pool task)",
+      "Run-once replicas  (a seed-independent cell runs once for R)",
       "claim: a seed-independent cell runs once for its R replicas; every\n"
-      "block's reports stay bit-identical to R exp::run calls");
+      "copied report stays bit-identical to R exp::run calls");
 
   const unsigned hc = std::thread::hardware_concurrency();
 
@@ -158,78 +129,71 @@ int main() {
   bool all_identical = true;
   bool floors_ok = true;
 
-  struct grid_def {
-    const char* name;
-    std::vector<exp::run_spec> (*make)(usize);
-    double floor;  ///< min speedup required at R >= 8; 0 = informational
-  };
-  const grid_def grids[] = {{"repl", &repl_grid, 3.0},
-                            {"seeded", &seeded_grid, 0.0},
-                            {"mix", &mix_grid, 0.0},
-                            {"bigm", &bigm_grid, 0.0}};
+  constexpr double kFloor = 3.0;  ///< min speedup required at R >= 8
 
-  for (const grid_def& g : grids) {
-    for (const usize replicas : {usize{1}, usize{2}, usize{8}, usize{32},
-                                 usize{64}}) {
-      const std::vector<exp::run_spec> cells = g.make(replicas);
-      const usize units = exp::unit_count(cells);
-      const std::uint64_t fp = exp::grid_fingerprint(cells);
+  for (const usize replicas : {usize{1}, usize{2}, usize{8}, usize{32},
+                               usize{64}}) {
+    const std::vector<exp::run_spec> cells = repl_grid(replicas);
+    const usize units = exp::unit_count(cells);
+    const std::uint64_t fp = exp::grid_fingerprint(cells);
 
-      double scalar_wall = 0.0;
-      const exp::sweep_result scalar = timed_scalar(cells, scalar_wall);
-      double batched_wall = 0.0;
-      const exp::sweep_result batched = timed_sweep(cells, batched_wall);
+    double scalar_wall = 0.0;
+    const exp::sweep_result scalar = timed_scalar(cells, scalar_wall);
+    double batched_wall = 0.0;
+    const exp::sweep_result batched = timed_sweep(cells, batched_wall);
 
-      const bool identical =
-          aggregate_json(batched, fp) == aggregate_json(scalar, fp);
-      all_identical = all_identical && identical;
+    const bool identical =
+        aggregate_json(batched, fp) == aggregate_json(scalar, fp);
+    all_identical = all_identical && identical;
 
-      const double scalar_ups =
-          scalar_wall > 0 ? units / scalar_wall : 0.0;
-      const double batched_ups =
-          batched_wall > 0 ? units / batched_wall : 0.0;
-      const double speedup =
-          scalar_ups > 0 ? batched_ups / scalar_ups : 0.0;
-      // The floor binds once blocks are wide enough to amortise the one run.
-      if (g.floor > 0.0 && replicas >= 8) {
-        floors_ok = floors_ok && speedup >= g.floor;
-      }
+    const double scalar_ups =
+        scalar_wall > 0 ? units / scalar_wall : 0.0;
+    const double batched_ups =
+        batched_wall > 0 ? units / batched_wall : 0.0;
+    const double speedup =
+        scalar_ups > 0 ? batched_ups / scalar_ups : 0.0;
+    // The floor binds once R is wide enough to amortise the one run.
+    if (replicas >= 8) floors_ok = floors_ok && speedup >= kFloor;
 
-      usize duplicates = 0;
-      for (const exp::run_report& r : batched.reports) {
-        duplicates += r.perform_events - r.effectiveness;
-      }
-
-      t.add_row({g.name, fmt_count(replicas), fmt_count(units),
-                 fmt_count(static_cast<usize>(scalar_ups)),
-                 fmt_count(static_cast<usize>(batched_ups)),
-                 fmt(speedup, 2) + "x", benchx::yesno(identical)});
-
-      json.add(
-          {{"experiment", benchx::json_report::str("E_batched_replicas")},
-           {"scenario", benchx::json_report::str(std::string(g.name) + "/x" +
-                                                 std::to_string(replicas))},
-           {"replicas", benchx::json_report::num(std::uint64_t{replicas})},
-           {"cells", benchx::json_report::num(std::uint64_t{cells.size()})},
-           {"units", benchx::json_report::num(std::uint64_t{units})},
-           {"hardware_concurrency",
-            benchx::json_report::num(std::uint64_t{hc})},
-           {"amo_build_type", benchx::json_report::str(AMO_BUILD_TYPE)},
-           {"duplicates", benchx::json_report::num(std::uint64_t{duplicates})},
-           {"scalar_wall_seconds", benchx::json_report::num(scalar_wall)},
-           {"batched_wall_seconds", benchx::json_report::num(batched_wall)},
-           {"scalar_units_per_second", benchx::json_report::num(scalar_ups)},
-           {"batched_units_per_second", benchx::json_report::num(batched_ups)},
-           {"batched_speedup", benchx::json_report::num(speedup)},
-           {"bit_identical", benchx::json_report::boolean(identical)}});
+    // Duplicates only count where at-most-once is promised: the Write-All
+    // families legally perform a job more than once.
+    usize duplicates = 0;
+    for (const exp::run_report& r : batched.reports) {
+      const bool write_all = r.algo == exp::algo_family::wa_iterative ||
+                             r.algo == exp::algo_family::wa_trivial ||
+                             r.algo == exp::algo_family::wa_split_scan ||
+                             r.algo == exp::algo_family::wa_progress_tree;
+      if (!write_all) duplicates += r.perform_events - r.effectiveness;
     }
+
+    t.add_row({"repl", fmt_count(replicas), fmt_count(units),
+               fmt_count(static_cast<usize>(scalar_ups)),
+               fmt_count(static_cast<usize>(batched_ups)),
+               fmt(speedup, 2) + "x", benchx::yesno(identical)});
+
+    json.add(
+        {{"experiment", benchx::json_report::str("E_batched_replicas")},
+         {"scenario", benchx::json_report::str("repl/x" +
+                                               std::to_string(replicas))},
+         {"replicas", benchx::json_report::num(std::uint64_t{replicas})},
+         {"cells", benchx::json_report::num(std::uint64_t{cells.size()})},
+         {"units", benchx::json_report::num(std::uint64_t{units})},
+         {"hardware_concurrency",
+          benchx::json_report::num(std::uint64_t{hc})},
+         {"amo_build_type", benchx::json_report::str(AMO_BUILD_TYPE)},
+         {"duplicates", benchx::json_report::num(std::uint64_t{duplicates})},
+         {"scalar_wall_seconds", benchx::json_report::num(scalar_wall)},
+         {"batched_wall_seconds", benchx::json_report::num(batched_wall)},
+         {"scalar_units_per_second", benchx::json_report::num(scalar_ups)},
+         {"batched_units_per_second", benchx::json_report::num(batched_ups)},
+         {"batched_speedup", benchx::json_report::num(speedup)},
+         {"bit_identical", benchx::json_report::boolean(identical)}});
   }
 
   benchx::print_table(t);
-  std::printf("\nserial (pool=1): speedup isolates the replica block, not "
-              "thread scheduling.\nrepl = run-once-replicate classes; "
-              "seeded = exp::run per replica; mix = all six;\nbigm = m=33 "
-              "wide-word cells.\n");
+  std::printf("\nserial (pool=1): speedup isolates the run-once rule, not "
+              "thread scheduling.\nrepl = every scheduled family x the "
+              "seed-independent adversaries.\n");
 
   if (json.write("BENCH_replicas.json")) {
     std::printf("[%zu records -> BENCH_replicas.json]\n", json.size());

@@ -310,18 +310,7 @@ void kk_process<M>::act_comp_next() {
     // skip the work itself.
     work().local_ops += 2 * try_.size();
     avail = avail_cache_;
-#ifndef NDEBUG
-    usize overlap = 0;
-    for (const auto& e : try_.entries()) {
-      const bool in_free =
-          e.job >= 1 && e.job <= free_.universe() &&
-          ((free_.word((static_cast<usize>(e.job) - 1) / 64) >>
-            ((e.job - 1) % 64)) &
-           1u);
-      if (in_free) ++overlap;
-    }
-    assert(avail == free_.size() - overlap);
-#endif
+    assert(avail == detail::size_excluding_uncharged(free_, try_));
   } else {
     avail = size_excluding(free_, try_, &work());
     avail_cache_ = avail;  // the recomputation revalidates the cache

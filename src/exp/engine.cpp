@@ -1,6 +1,5 @@
 #include "exp/engine.hpp"
 
-#include <cassert>
 #include <optional>
 #include <stdexcept>
 #include <string_view>
@@ -15,7 +14,6 @@
 #include "baselines/write_all_baselines.hpp"
 #include "core/iterative_kk.hpp"
 #include "core/wa_iterative_kk.hpp"
-#include "exp/batch.hpp"
 #include "mem/atomic_memory.hpp"
 #include "mem/sim_memory.hpp"
 #include "model/dpor.hpp"
@@ -503,44 +501,6 @@ run_report run_por(const run_spec& spec, svc::worker_pool& pool) {
         "run_por drives model_explore_por only; use run() for everything else");
   }
   return run_impl(spec, nullptr, nullptr, &pool);
-}
-
-batch_class classify_batch(const run_spec& cell) {
-  if (cell.driver != driver_kind::scheduled) return batch_class::not_batchable;
-  if (cell.memory != memory_kind::sim) return batch_class::not_batchable;
-  if (cell.record_trace) return batch_class::not_batchable;
-  if (cell.n == 0 || cell.m == 0) return batch_class::not_batchable;
-  if (cell.algo == algo_family::ao2) {
-    if (cell.m != 2) return batch_class::not_batchable;
-  } else if (cell.algo != algo_family::kk) {
-    return batch_class::not_batchable;
-  }
-  // Names the grammar rejects fall back to the scalar engine, which throws.
-  const std::optional<sim::any_adversary> adv =
-      sim::parse_adversary(cell.adversary.name, cell.adversary.seed);
-  if (!adv) return batch_class::not_batchable;
-  return sim::seeded(*adv) ? batch_class::seeded : batch_class::replicate;
-}
-
-std::vector<run_report> run_replica_block(const run_spec& cell,
-                                          std::span<const usize> replicas) {
-  assert(!replicas.empty());
-  const batch_class cls = classify_batch(cell);
-  assert(cls != batch_class::not_batchable);
-  std::vector<run_report> out;
-  out.reserve(replicas.size());
-  if (cls == batch_class::replicate) {
-    // One pass; replicas of a seed-independent schedule are the same
-    // execution, differing only in the echoed seed.
-    const run_report base = run(replica_spec(cell, replicas.front()));
-    for (const usize r : replicas) {
-      out.push_back(base);
-      out.back().seed = replica_seed(cell.adversary.seed, r);
-    }
-    return out;
-  }
-  for (const usize r : replicas) out.push_back(run(replica_spec(cell, r)));
-  return out;
 }
 
 }  // namespace amo::exp

@@ -3,9 +3,9 @@
 // Every way this repository executes the paper's algorithms goes through
 // here: plain KK_beta / IterativeKK(eps) / WA_IterativeKK(eps), over
 // sim_memory or atomic_memory, driven by the Section 2.1 adversary-scheduled
-// simulator or by real OS threads, including every replica of a per-cell
-// replica block (exp/batch.hpp): the checker / collision-ledger / stats
-// aggregation exists exactly once. KK keeps FREE in bitset_rank_set; there
+// simulator or by real OS threads, including the one run a sweep copies
+// across the replicas of a seed-independent cell (exp/batch.hpp): the
+// checker / collision-ledger / stats aggregation exists exactly once. KK keeps FREE in bitset_rank_set; there
 // is no representation knob. A spec's adversary name is parsed by
 // sim::parse_adversary and run by its concrete type through the one
 // templated scheduler loop.

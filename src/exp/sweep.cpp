@@ -1,28 +1,40 @@
 #include "exp/sweep.hpp"
 
+#include <optional>
 #include <span>
 
 #include "exp/batch.hpp"
 #include "exp/engine.hpp"
 #include "obs/telemetry.hpp"
+#include "sim/adversary.hpp"
 #include "svc/worker_pool.hpp"
 #include "util/stopwatch.hpp"
 
 namespace amo::exp {
 
+bool batchable(const run_spec& cell) {
+  if (cell.driver != driver_kind::scheduled) return false;
+  if (cell.algo == algo_family::model_explore_por) return false;
+  // Names the grammar rejects run per replica, so each unit throws as
+  // exp::run does.
+  const std::optional<sim::any_adversary> adv =
+      sim::parse_adversary(cell.adversary.name, cell.adversary.seed);
+  return adv && !sim::seeded(*adv);
+}
+
 namespace {
 
-/// One pool task: units[first .. first+count). count > 1 only for a replica
-/// block of one batchable cell.
+/// One pool task: units[first .. first+count). count > 1 only for the
+/// consecutive units of one batchable cell, which run once.
 struct unit_task {
   usize first = 0;
   usize count = 1;
 };
 
-/// Groups the unit list into pool tasks: maximal runs of consecutive units
-/// of the same batchable cell become replica blocks, everything else stays
-/// a single unit. Grouping is a pure function of (units, cells), so every
-/// shard slices into the same blocks wherever its units are adjacent.
+/// Groups the unit list into pool tasks: each maximal run of consecutive
+/// units of one batchable cell becomes one task, every other unit is its
+/// own. Grouping is a pure function of (units, cells), so every shard
+/// groups the replicas it owns wherever they are adjacent.
 std::vector<unit_task> plan_unit_tasks(const std::vector<run_spec>& cells,
                                        const std::vector<unit_ref>& units) {
   std::vector<unit_task> tasks;
@@ -30,10 +42,12 @@ std::vector<unit_task> plan_unit_tasks(const std::vector<run_spec>& cells,
   usize i = 0;
   while (i < units.size()) {
     usize j = i + 1;
+    while (j < units.size() && units[j].cell == units[i].cell) ++j;
     if (batchable(cells[units[i].cell])) {
-      while (j < units.size() && units[j].cell == units[i].cell) ++j;
+      tasks.push_back({i, j - i});
+    } else {
+      for (usize k = i; k < j; ++k) tasks.push_back({k, 1});
     }
-    tasks.push_back({i, j - i});
     i = j;
   }
   return tasks;
@@ -84,17 +98,17 @@ unit_run_result run_units(const std::vector<run_spec>& cells,
       out.reports[tk.first] = run(replica_spec(cells[u.cell], u.replica));
       return;
     }
+    // Every replica of a batchable cell is the same execution: run it
+    // once and copy the report, echoing each replica's own seed.
+    const run_spec& cell = cells[units[tk.first].cell];
     obs::span sp("sweep", "replica_block");
     sp.arg("cell", static_cast<std::uint64_t>(units[tk.first].cell));
     sp.arg("replicas", static_cast<std::uint64_t>(tk.count));
-    std::vector<usize> replicas(tk.count);
+    const run_report once = run(replica_spec(cell, units[tk.first].replica));
     for (usize k = 0; k < tk.count; ++k) {
-      replicas[k] = units[tk.first + k].replica;
-    }
-    std::vector<run_report> block =
-        run_replica_block(cells[units[tk.first].cell], replicas);
-    for (usize k = 0; k < tk.count; ++k) {
-      out.reports[tk.first + k] = std::move(block[k]);
+      run_report& rep = out.reports[tk.first + k];
+      rep = once;
+      rep.seed = replica_seed(cell.adversary.seed, units[tk.first + k].replica);
     }
   });
   return out;

@@ -1,11 +1,12 @@
 // exp::sweep — run many independent experiment cells on the work-stealing
 // pool. A cell is run_spec × R deterministic replicas (per-replica seeds
 // derived by exp::replica_seed), and the sweep's work queue is flattened to
-// (cell, replica) granularity: replicas steal across the pool exactly like
-// cells do, except that the replicas of a batchable KK cell run as one
-// replica block (exp/batch.hpp), one pool task per cell. Each unit is a self-contained pure function of its spec + replica index,
-// so per-replica results are bit-identical regardless of pool size or
-// execution order; results come back in cell-major (cell, replica) order
+// (cell, replica) granularity: each replica is its own pool task and steals
+// across the pool exactly like cells do, except that a cell whose schedule
+// ignores its seed (exp::batchable, exp/batch.hpp) runs once for all its
+// replicas. Each unit is a self-contained pure function of its spec +
+// replica index, so per-replica results are bit-identical regardless of
+// pool size or execution order; results come back in cell-major (cell, replica) order
 // with per-cell distribution aggregates folded by exp::stats.
 //
 // Two entry points: the options form spins up a pool for this one sweep,
@@ -78,8 +79,9 @@ struct unit_run_result {
 /// here, so whole-grid and sharded executions cannot drift apart (the
 /// byte-identity the merge layer depends on). Consecutive units of the
 /// same batchable cell (adjacent in every shard_units output: slices are
-/// strided ascending over the cell-major unit space) run as one replica
-/// block, one pool task (exp/batch.hpp); every other unit is its own task.
+/// strided ascending over the cell-major unit space) are one pool task that
+/// runs the cell once and copies the report into each unit's slot with the
+/// unit's own seed; every other unit is its own task.
 /// Same error contract as sweep(): all units run, the first exception
 /// rethrows after the drain.
 unit_run_result run_units(const std::vector<run_spec>& cells,

@@ -1,98 +1,16 @@
-// Baselines for the comparison experiments: the trivial split (its
-// effectiveness collapse under crashes) and the TAS executor (optimal
-// effectiveness with RMW primitives, outside the paper's model).
+// The TAS executor baseline: optimal effectiveness with RMW primitives,
+// outside the paper's model.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 
 #include "analysis/amo_checker.hpp"
-#include "analysis/bounds.hpp"
 #include "baselines/tas_executor.hpp"
-#include "baselines/trivial_split.hpp"
 #include "sim/adversary.hpp"
 #include "sim/scheduler.hpp"
 
 namespace amo {
 namespace {
-
-/// Crash the first f processes before they take any step.
-class crash_first_f final : public sim::adversary {
- public:
-  explicit crash_first_f(usize f) : f_(f) {}
-  sim::decision decide(const sim::sched_view& v) override {
-    if (v.crashes_used < f_ && v.crashes_used < v.crash_budget) {
-      return {sim::decision::kind::crash, v.runnable.front()};
-    }
-    const process_id pid = v.runnable[cursor_++ % v.runnable.size()];
-    return {sim::decision::kind::step, pid};
-  }
-  [[nodiscard]] const char* name() const override { return "crash_first_f"; }
-
- private:
-  usize f_;
-  usize cursor_ = 0;
-};
-
-TEST(TrivialSplit, PerformsAllJobsWithoutCrashes) {
-  const usize n = 100;
-  const usize m = 4;
-  amo_checker checker(n);
-  std::vector<std::unique_ptr<baseline::trivial_split_process>> procs;
-  std::vector<automaton*> handles;
-  for (process_id pid = 1; pid <= m; ++pid) {
-    procs.push_back(std::make_unique<baseline::trivial_split_process>(
-        n, m, pid, [&checker](process_id p, job_id j) { checker.record(p, j); }));
-    handles.push_back(procs.back().get());
-  }
-  sim::scheduler sched(handles);
-  sim::round_robin_adversary adv;
-  const auto result = sched.run(adv, 0, 100000);
-  ASSERT_TRUE(result.quiescent);
-  EXPECT_TRUE(checker.ok());
-  EXPECT_EQ(checker.distinct(), n);
-}
-
-TEST(TrivialSplit, RemainderGoesToLastProcess) {
-  const usize n = 103;
-  const usize m = 4;
-  amo_checker checker(n);
-  std::vector<std::unique_ptr<baseline::trivial_split_process>> procs;
-  std::vector<automaton*> handles;
-  for (process_id pid = 1; pid <= m; ++pid) {
-    procs.push_back(std::make_unique<baseline::trivial_split_process>(
-        n, m, pid, [&checker](process_id p, job_id j) { checker.record(p, j); }));
-    handles.push_back(procs.back().get());
-  }
-  sim::scheduler sched(handles);
-  sim::round_robin_adversary adv;
-  sched.run(adv, 0, 100000);
-  EXPECT_EQ(checker.distinct(), n);
-  EXPECT_TRUE(checker.ok());
-  EXPECT_EQ(procs[3]->perform_count(), 25u + 3u);
-}
-
-TEST(TrivialSplit, EffectivenessCollapsesUnderStartCrashes) {
-  // The Section 2.2 observation: f start-time crashes lose f whole groups.
-  const usize n = 1000;
-  const usize m = 10;
-  for (const usize f : {usize{1}, usize{5}, usize{9}}) {
-    amo_checker checker(n);
-    std::vector<std::unique_ptr<baseline::trivial_split_process>> procs;
-    std::vector<automaton*> handles;
-    for (process_id pid = 1; pid <= m; ++pid) {
-      procs.push_back(std::make_unique<baseline::trivial_split_process>(
-          n, m, pid,
-          [&checker](process_id p, job_id j) { checker.record(p, j); }));
-      handles.push_back(procs.back().get());
-    }
-    sim::scheduler sched(handles);
-    crash_first_f adv(f);
-    const auto result = sched.run(adv, f, 100000);
-    ASSERT_TRUE(result.quiescent);
-    EXPECT_EQ(checker.distinct(), bounds::trivial_effectiveness(n, m, f));
-  }
-}
 
 TEST(TasExecutor, AtMostOnceAndComplete) {
   const usize n = 500;

@@ -1,14 +1,20 @@
-// Differential parity for per-cell replica blocks (exp/batch.hpp): every
-// batchable algo family × the adversary zoo must produce per-replica
-// run_reports bit-identical (exp::equivalent, which includes every charged
-// op count) to the scalar engine, for consecutive and strided replica
-// subsets alike; sweep aggregates must stay byte-identical across pool
-// sizes and shard counts. Also pins the exact Lemire modulo
-// (util/fastdiv.hpp) the seeded adversaries draw through against hardware %.
+// The sweep's one replica rule (exp/batch.hpp): a cell whose schedule
+// ignores its seed runs once and its report is copied into every replica's
+// slot; every other unit is its own pool task. For every scheduled algo
+// family × every seedless adversary, plus one seeded row per family, each
+// replica's report out of exp::sweep (pool sizes 1 and 3) and out of
+// strided shard slices must match exp::run on that replica alone, field
+// for field (exp::equivalent, which includes every charged op count, plus
+// the echoed label, adversary, seed and trace). Aggregates stay
+// byte-identical across pool sizes and shard counts, and a throwing cell
+// fails the sweep without stopping the others. Also pins the exact Lemire
+// modulo (util/fastdiv.hpp) the seeded adversaries draw through against
+// hardware %.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +25,8 @@
 #include "exp/report.hpp"
 #include "exp/shard.hpp"
 #include "exp/sweep.hpp"
+#include "obs/telemetry.hpp"
+#include "obs/trace_read.hpp"
 #include "svc/worker_pool.hpp"
 #include "util/fastdiv.hpp"
 #include "util/prng.hpp"
@@ -26,40 +34,99 @@
 namespace amo {
 namespace {
 
-exp::run_spec kk_cell(const std::string& adv, usize n, usize m,
-                      usize crash_budget, usize replicas,
-                      std::uint64_t seed = 11) {
+using exp::algo_family;
+
+exp::run_spec cell(algo_family algo, const std::string& adv, usize replicas,
+                   std::uint64_t seed = 11) {
   exp::run_spec s;
-  s.label = "parity/" + adv;
-  s.algo = exp::algo_family::kk;
-  s.n = n;
-  s.m = m;
-  s.crash_budget = crash_budget;
+  s.label = std::string("parity/") + exp::to_string(algo) + "/" + adv;
+  s.algo = algo;
+  s.n = 96;
+  s.m = algo == algo_family::ao2 ? 2 : 3;
+  s.eps_inv = 2;
+  s.crash_budget = 1;
   s.replicas = replicas;
   s.adversary = {adv, seed};
   return s;
 }
 
-/// The scalar reference: each replica through exp::run independently.
-std::vector<exp::run_report> scalar_reports(const exp::run_spec& cell,
-                                            const std::vector<usize>& reps) {
-  std::vector<exp::run_report> out;
-  out.reserve(reps.size());
-  for (const usize r : reps) out.push_back(exp::run(exp::replica_spec(cell, r)));
+/// Every algo family a scheduled sweep runs (model_explore_por aside).
+constexpr algo_family kFamilies[] = {
+    algo_family::kk,         algo_family::ao2,
+    algo_family::iterative,  algo_family::wa_iterative,
+    algo_family::tas,        algo_family::wa_trivial,
+    algo_family::wa_split_scan, algo_family::wa_progress_tree};
+
+/// Every adversary whose schedule ignores its seed.
+const std::vector<std::string> kSeedless = {
+    "round_robin", "stale_view:40", "announce_crash",
+    "scripted:s1 s2 c2 s1 s1 s2", "replay:s2 s1 s1 c1"};
+
+/// Every family × every seedless adversary, one seeded row per family, and
+/// two seedless cells the rule does not look at: a traced one and one over
+/// atomic registers.
+std::vector<exp::run_spec> family_grid() {
+  std::vector<exp::run_spec> cells;
+  std::uint64_t seed = 11;
+  for (const algo_family f : kFamilies) {
+    for (const std::string& adv : kSeedless) cells.push_back(cell(f, adv, 4, ++seed));
+    cells.push_back(cell(f, "random+crash:1/20", 3, ++seed));
+  }
+  exp::run_spec traced = cell(algo_family::kk, "round_robin", 3);
+  traced.record_trace = true;
+  cells.push_back(traced);
+  exp::run_spec atomic = cell(algo_family::iterative, "stale_view:40", 3);
+  atomic.memory = exp::memory_kind::atomic;
+  cells.push_back(atomic);
+  return cells;
+}
+
+/// The reference: each replica of each cell through exp::run alone.
+std::vector<std::vector<exp::run_report>> run_each(
+    const std::vector<exp::run_spec>& cells) {
+  std::vector<std::vector<exp::run_report>> out(cells.size());
+  for (usize c = 0; c < cells.size(); ++c) {
+    for (usize r = 0; r < exp::resolved_replicas(cells[c]); ++r) {
+      out[c].push_back(exp::run(exp::replica_spec(cells[c], r)));
+    }
+  }
   return out;
 }
 
-void expect_block_matches_scalar(const exp::run_spec& cell,
-                                 const std::vector<usize>& reps) {
-  const std::vector<exp::run_report> expected = scalar_reports(cell, reps);
-  const std::vector<exp::run_report> got =
-      exp::run_replica_block(cell, reps);
-  ASSERT_EQ(got.size(), expected.size()) << cell.label;
-  for (usize i = 0; i < got.size(); ++i) {
-    EXPECT_TRUE(exp::equivalent(expected[i], got[i]))
-        << cell.label << " replica " << reps[i];
-    EXPECT_EQ(got[i].seed, expected[i].seed) << cell.label;
+void expect_same(const exp::run_report& want, const exp::run_report& got,
+                 const std::string& where) {
+  EXPECT_TRUE(exp::equivalent(want, got)) << where;
+  EXPECT_EQ(got.label, want.label) << where;
+  EXPECT_EQ(got.adversary, want.adversary) << where;
+  EXPECT_EQ(got.seed, want.seed) << where;
+  EXPECT_EQ(got.trace, want.trace) << where;
+}
+
+/// Units each cell ran, read off the sweep's spans: a "unit" span is one
+/// replica, a "replica_block" span one run for `replicas` of them.
+struct span_tally {
+  std::vector<usize> units;   ///< per cell
+  std::vector<usize> blocks;  ///< per cell
+};
+
+span_tally tally_spans(obs::session& s, usize cells) {
+  span_tally t{std::vector<usize>(cells), std::vector<usize>(cells)};
+  const obs::trace_parse_result parsed =
+      obs::parse_trace(obs::export_json(s.sink()));
+  EXPECT_TRUE(parsed.ok()) << parsed.error;
+  for (const obs::trace_event& e : parsed.events) {
+    if (e.ph != 'X' || e.cat != "sweep") continue;
+    usize c = cells;
+    usize replicas = 1;
+    for (const auto& [key, value] : e.args) {
+      if (key == "cell") c = std::stoul(value);
+      if (key == "replicas") replicas = std::stoul(value);
+    }
+    if (c >= cells) continue;
+    t.units[c] += replicas;
+    t.blocks[c] += e.name == "replica_block";
   }
+  return t;
 }
 
 TEST(FastMod, ExactAgainstHardwareRemainder) {
@@ -99,118 +166,59 @@ TEST(FastMod, BoundedDrawReplicatesBelowStream) {
   ASSERT_EQ(a(), b());  // streams still in lockstep at the end
 }
 
-TEST(BatchClassify, GateMatchesTheEngineContract) {
-  using exp::batch_class;
-  const auto cls = [](exp::run_spec s) { return exp::classify_batch(s); };
-  exp::run_spec base = kk_cell("random", 64, 3, 0, 4);
-  EXPECT_EQ(cls(base), batch_class::seeded);
-  EXPECT_EQ(cls(kk_cell("random+crash", 64, 3, 2, 4)), batch_class::seeded);
-  EXPECT_EQ(cls(kk_cell("random+crash:3/100", 64, 3, 2, 4)),
-            batch_class::seeded);
-  EXPECT_EQ(cls(kk_cell("block4", 64, 3, 0, 4)), batch_class::seeded);
-  EXPECT_EQ(cls(kk_cell("block:7", 64, 3, 0, 4)), batch_class::seeded);
-  EXPECT_EQ(cls(kk_cell("round_robin", 64, 3, 0, 4)), batch_class::replicate);
-  EXPECT_EQ(cls(kk_cell("stale_view", 64, 3, 0, 4)), batch_class::replicate);
-  EXPECT_EQ(cls(kk_cell("stale_view:100", 64, 3, 0, 4)),
-            batch_class::replicate);
-  EXPECT_EQ(cls(kk_cell("announce_crash", 64, 3, 2, 4)),
-            batch_class::replicate);
-  EXPECT_EQ(cls(kk_cell("scripted:s1 s2 s3", 64, 3, 0, 4)),
-            batch_class::replicate);
-
-  // Fallback triggers: unknown names, malformed parameters, non-sim memory,
-  // trace recording, non-kk families, ao2 with m != 2.
-  EXPECT_EQ(cls(kk_cell("no_such_adversary", 64, 3, 0, 4)),
-            batch_class::not_batchable);
-  EXPECT_EQ(cls(kk_cell("random+crash:3/0", 64, 3, 0, 4)),
-            batch_class::not_batchable);
-  EXPECT_EQ(cls(kk_cell("block:x", 64, 3, 0, 4)), batch_class::not_batchable);
-  exp::run_spec traced = base;
-  traced.record_trace = true;
-  EXPECT_EQ(cls(traced), batch_class::not_batchable);
-  exp::run_spec atomic = base;
-  atomic.memory = exp::memory_kind::atomic;
-  EXPECT_EQ(cls(atomic), batch_class::not_batchable);
-  exp::run_spec iter = base;
-  iter.algo = exp::algo_family::iterative;
-  EXPECT_EQ(cls(iter), batch_class::not_batchable);
-  exp::run_spec ao2 = base;
-  ao2.algo = exp::algo_family::ao2;
-  EXPECT_EQ(cls(ao2), batch_class::not_batchable);  // m == 3
-  ao2.m = 2;
-  EXPECT_EQ(cls(ao2), batch_class::seeded);
-  exp::run_spec threads = base;
+TEST(BatchRule, OnlySeedIndependentScheduledCellsAreBatchable) {
+  for (const exp::run_spec& c : family_grid()) {
+    EXPECT_EQ(exp::batchable(c), c.adversary.name.rfind("random", 0) != 0)
+        << c.label;
+  }
+  exp::run_spec threads = cell(algo_family::kk, "round_robin", 4);
   threads.driver = exp::driver_kind::os_threads;
-  EXPECT_EQ(cls(threads), batch_class::not_batchable);
+  EXPECT_FALSE(exp::batchable(threads));
+  exp::run_spec por = cell(algo_family::model_explore_por, "round_robin", 4);
+  por.n = 4;
+  EXPECT_FALSE(exp::batchable(por));
+  EXPECT_FALSE(exp::batchable(cell(algo_family::kk, "no_such_adversary", 4)));
+  EXPECT_FALSE(exp::batchable(cell(algo_family::kk, "block:x", 4)));
+  EXPECT_FALSE(exp::batchable(cell(algo_family::kk, "block4", 4)));
 }
 
-TEST(BatchParity, AdversaryZooAcrossWidths) {
-  // Every batchable schedule class, at widths 2, 7, and R (full block).
-  const std::vector<std::string> zoo = {
-      "round_robin",   "random",       "random+crash", "random+crash:3/100",
-      "block4",        "block64",      "block:7",      "stale_view",
-      "stale_view:64", "announce_crash"};
-  for (const std::string& adv : zoo) {
-    const exp::run_spec cell = kk_cell(adv, 129, 3, 2, 9, 23);
-    for (const usize width : {usize{2}, usize{7}, usize{9}}) {
-      std::vector<usize> reps(width);
-      for (usize i = 0; i < width; ++i) reps[i] = i;
-      expect_block_matches_scalar(cell, reps);
+TEST(BatchRule, EveryFamilyMatchesRunPerReplica) {
+  const std::vector<exp::run_spec> cells = family_grid();
+  const std::vector<std::vector<exp::run_report>> want = run_each(cells);
+  for (const usize workers : {usize{1}, usize{3}}) {
+    svc::worker_pool pool(workers);
+    const std::string at = " pool " + std::to_string(workers);
+    obs::session s;
+    ASSERT_TRUE(s.installed());
+    const exp::sweep_result swept = exp::sweep(cells, pool);
+    for (usize c = 0; c < cells.size(); ++c) {
+      for (usize r = 0; r < swept.cells[c].replicas; ++r) {
+        expect_same(want[c][r], swept.reports[swept.cells[c].first + r],
+                    cells[c].label + " replica " + std::to_string(r) + at);
+      }
+    }
+    // The rule itself: a batchable cell is one run, every other replica
+    // its own task.
+    const span_tally t = tally_spans(s, cells.size());
+    for (usize c = 0; c < cells.size(); ++c) {
+      EXPECT_EQ(t.units[c], exp::resolved_replicas(cells[c])) << cells[c].label;
+      EXPECT_EQ(t.blocks[c], exp::batchable(cells[c]) ? 1u : 0u)
+          << cells[c].label;
+    }
+    // Strided shard slices hand the rule non-consecutive replica indices.
+    for (const usize k : {usize{2}, usize{3}}) {
+      for (usize i = 0; i < k; ++i) {
+        const std::vector<exp::unit_ref> units = exp::shard_units(cells, {i, k});
+        const exp::unit_run_result ur = exp::run_units(cells, units, pool);
+        for (usize u = 0; u < units.size(); ++u) {
+          expect_same(want[units[u].cell][units[u].replica], ur.reports[u],
+                      cells[units[u].cell].label + " replica " +
+                          std::to_string(units[u].replica) + " shard " +
+                          std::to_string(i) + "/" + std::to_string(k) + at);
+        }
+      }
     }
   }
-}
-
-TEST(BatchParity, Ao2AndScriptedAndBigM) {
-  // ao2 (the normalized two-process building block).
-  exp::run_spec ao2 = kk_cell("random", 80, 2, 1, 6, 5);
-  ao2.algo = exp::algo_family::ao2;
-  expect_block_matches_scalar(ao2, {0, 1, 2, 3, 4, 5});
-
-  // A scripted prefix (replicate path with a fallback tail).
-  const exp::run_spec scripted =
-      kk_cell("scripted:s1 s1 s2 c3 s2 s1", 40, 3, 1, 4, 9);
-  expect_block_matches_scalar(scripted, {0, 1, 2, 3});
-
-  // m >= 32 engages the word-parallel TRY paths inside every replica.
-  const exp::run_spec wide = kk_cell("random", 300, 33, 4, 4, 31);
-  expect_block_matches_scalar(wide, {0, 1, 2, 3});
-  const exp::run_spec wide_blocks = kk_cell("block64", 300, 33, 0, 3, 31);
-  expect_block_matches_scalar(wide_blocks, {0, 1, 2});
-}
-
-TEST(BatchParity, StridedReplicaSubsets) {
-  // Shard slices hand the block non-consecutive replica indices; replicas
-  // are independent streams, so any ascending subset must match its scalar
-  // runs.
-  const exp::run_spec cell = kk_cell("random+crash", 129, 3, 2, 12, 77);
-  expect_block_matches_scalar(cell, {0, 3, 6, 9});
-  expect_block_matches_scalar(cell, {1, 4, 7, 10});
-  expect_block_matches_scalar(cell, {2, 5, 11});
-  const exp::run_spec rr = kk_cell("round_robin", 129, 3, 0, 12, 77);
-  expect_block_matches_scalar(rr, {0, 5, 10});
-}
-
-/// Mixed grid for the byte-identity sweeps: batchable seeded + seedless
-/// cells, a non-batchable iterative cell, and an ao2 cell.
-std::vector<exp::run_spec> parity_grid() {
-  std::vector<exp::run_spec> cells;
-  cells.push_back(kk_cell("random", 129, 3, 2, 5));
-  cells.push_back(kk_cell("random+crash", 129, 3, 2, 3));
-  cells.push_back(kk_cell("round_robin", 129, 3, 0, 4));
-  cells.push_back(kk_cell("block4", 96, 4, 0, 2));
-  exp::run_spec ao2 = kk_cell("random", 64, 2, 1, 3);
-  ao2.algo = exp::algo_family::ao2;
-  cells.push_back(ao2);
-  exp::run_spec iter;
-  iter.label = "parity/iterative";
-  iter.algo = exp::algo_family::iterative;
-  iter.n = 120;
-  iter.m = 3;
-  iter.eps_inv = 2;
-  iter.replicas = 2;
-  iter.adversary = {"random", 7};
-  cells.push_back(iter);
-  return cells;
 }
 
 std::string aggregate_json(const exp::sweep_result& swept,
@@ -221,17 +229,15 @@ std::string aggregate_json(const exp::sweep_result& swept,
   return json.dump();
 }
 
-/// The scalar reference sweep: every unit through exp::run on the caller,
-/// folded exactly as exp::sweep folds.
-std::string scalar_json(const std::vector<exp::run_spec>& cells) {
+/// The reference sweep: every unit through exp::run on the caller, folded
+/// exactly as exp::sweep folds.
+std::string run_each_json(const std::vector<exp::run_spec>& cells) {
   exp::sweep_result swept;
-  for (const exp::run_spec& c : cells) {
+  for (std::vector<exp::run_report>& reports : run_each(cells)) {
     exp::cell_report cr;
     cr.first = swept.reports.size();
-    cr.replicas = exp::resolved_replicas(c);
-    for (usize r = 0; r < cr.replicas; ++r) {
-      swept.reports.push_back(exp::run(exp::replica_spec(c, r)));
-    }
+    cr.replicas = reports.size();
+    for (exp::run_report& r : reports) swept.reports.push_back(std::move(r));
     cr.stats = exp::fold_replicas(std::span<const exp::run_report>(
         swept.reports.data() + cr.first, cr.replicas));
     swept.cells.push_back(cr);
@@ -239,22 +245,19 @@ std::string scalar_json(const std::vector<exp::run_spec>& cells) {
   return aggregate_json(swept, cells);
 }
 
-std::string sweep_json(const std::vector<exp::run_spec>& cells,
-                       usize pool_size) {
-  return aggregate_json(exp::sweep(cells, exp::sweep_options{pool_size}), cells);
-}
-
 TEST(BatchSweep, ByteIdenticalToScalarRunsAcrossPoolSizes) {
-  const std::vector<exp::run_spec> cells = parity_grid();
-  const std::string ref = scalar_json(cells);
+  const std::vector<exp::run_spec> cells = family_grid();
+  const std::string ref = run_each_json(cells);
   for (const usize pool : {usize{1}, usize{2}, usize{0}}) {
-    EXPECT_EQ(ref, sweep_json(cells, pool)) << "pool " << pool;
+    EXPECT_EQ(ref, aggregate_json(exp::sweep(cells, exp::sweep_options{pool}),
+                                  cells))
+        << "pool " << pool;
   }
 }
 
 TEST(BatchSweep, ShardedUnitsMergeByteIdentically) {
-  const std::vector<exp::run_spec> cells = parity_grid();
-  const std::string reference = scalar_json(cells);
+  const std::vector<exp::run_spec> cells = family_grid();
+  const std::string reference = run_each_json(cells);
   svc::worker_pool pool(2);
   for (const usize k : {usize{2}, usize{3}, usize{5}}) {
     std::vector<std::vector<exp::record>> shards;
@@ -277,16 +280,44 @@ TEST(BatchSweep, ShardedUnitsMergeByteIdentically) {
 }
 
 TEST(BatchSweep, ThrowingCellStillFailsAndOthersComplete) {
-  // A batchable grid with one bad cell: the block throw must surface after
-  // the drain exactly like the scalar sweep contract.
-  std::vector<exp::run_spec> cells = parity_grid();
-  cells.push_back(kk_cell("no_such_adversary", 32, 2, 0, 3));
-  EXPECT_THROW(exp::sweep(cells, exp::sweep_options{1}), std::invalid_argument);
-  // Malformed parameterized name inside a *replicated* class throws too.
-  std::vector<exp::run_spec> bad_script = {
-      kk_cell("scripted:not a trace", 32, 2, 0, 3)};
-  EXPECT_THROW(exp::sweep(bad_script, exp::sweep_options{1}),
-               std::invalid_argument);
+  // Each bad cell goes first, so the serial sweep meets its throw before
+  // any other cell: the throw must surface after the drain with exp::run's
+  // message, and every cell must still have run. The ao2 cell at m = 3 is
+  // batchable (its adversary ignores the seed), so its one run throws for
+  // all four replicas.
+  exp::run_spec ao2 = cell(algo_family::ao2, "round_robin", 4);
+  ao2.m = 3;
+  const std::vector<exp::run_spec> bad_cells = {
+      cell(algo_family::kk, "no_such_adversary", 3),
+      cell(algo_family::kk, "scripted:not a trace", 3), ao2};
+  for (const exp::run_spec& bad : bad_cells) {
+    std::string want;
+    try {
+      (void)exp::run(exp::replica_spec(bad, 0));
+    } catch (const std::invalid_argument& e) {
+      want = e.what();
+    }
+    ASSERT_FALSE(want.empty()) << bad.label;
+    std::vector<exp::run_spec> cells = family_grid();
+    cells.insert(cells.begin(), bad);
+    for (const usize workers : {usize{1}, usize{3}}) {
+      svc::worker_pool pool(workers);
+      obs::session s;
+      ASSERT_TRUE(s.installed());
+      std::string got;
+      try {
+        (void)exp::sweep(cells, pool);
+      } catch (const std::invalid_argument& e) {
+        got = e.what();
+      }
+      EXPECT_EQ(got, want) << bad.label << " pool " << workers;
+      const span_tally t = tally_spans(s, cells.size());
+      for (usize c = 0; c < cells.size(); ++c) {
+        EXPECT_EQ(t.units[c], exp::resolved_replicas(cells[c]))
+            << cells[c].label << " pool " << workers;
+      }
+    }
+  }
 }
 
 }  // namespace

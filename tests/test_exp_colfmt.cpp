@@ -581,17 +581,8 @@ TEST(Colfmt, GoldenAmocBytesAreStable) {
   ASSERT_TRUE(merged.ok()) << merged.error;
   const std::string merged_bytes = encode_or_die(merged.records);
 
-  // Without NDEBUG, rank_excluding's assert calls size_excluding, whose
-  // FREE contains() calls charge local ops, so a Debug build's records
-  // (local_ops, work) differ from a Release build's. Each build type pins
-  // its own bytes.
-#ifdef NDEBUG
   const char* shard_fnv = "8e46559a10e6abc4";
   const char* aggregate_fnv = "cab720d342a965ba";
-#else
-  const char* shard_fnv = "f95f3394b38c132a";
-  const char* aggregate_fnv = "29484c24bd9a0fef";
-#endif
   EXPECT_EQ(fnv_hex64(fnv1a64(shards[1])), shard_fnv) << shards[1].size();
   EXPECT_EQ(fnv_hex64(fnv1a64(aggregate)), aggregate_fnv) << aggregate.size();
   EXPECT_EQ(fnv_hex64(fnv1a64(merged_bytes)), aggregate_fnv)

@@ -111,5 +111,43 @@ TEST(RankSelect, WorkChargedIsBounded) {
   EXPECT_LE(oc.local_ops, 17u * (12u + 17u) * 4u);
 }
 
+TEST(RankSelect, ChargesOnlyItsFixedPointLoopInEveryBuildType) {
+  // The charged counts are the paper's cost model and land in records, so
+  // they must not depend on NDEBUG: rank_excluding's precondition check
+  // may not charge FREE. A twin FREE set replays the operator's loop
+  // (select + excluded_at_or_below) and must end with the same counts.
+  // Small TRY takes the probe path, large TRY with a shadow the word path.
+  for (const usize try_size : {usize{5}, usize{24}}) {
+    op_counter free_oc;
+    bitset_rank_set free_set = bitset_rank_set::full(1 << 10);
+    free_set.set_counter(&free_oc);
+    op_counter twin_oc;
+    bitset_rank_set twin = bitset_rank_set::full(1 << 10);
+    twin.set_counter(&twin_oc);
+    try_set t;
+    t.bind_universe(1 << 10);
+    for (usize k = 0; k < try_size; ++k) {
+      t.insert(static_cast<job_id>(3 + 7 * k), 2);
+    }
+    for (const usize i : {usize{1}, usize{40}, usize{900}}) {
+      op_counter oc;
+      const job_id got = rank_excluding(free_set, t, i, &oc);
+
+      op_counter twin_call_oc;
+      usize idx = i;
+      job_id x = 0;
+      while (true) {
+        x = twin.select(idx);
+        const usize next = i + excluded_at_or_below(twin, t, x, &twin_call_oc);
+        if (next == idx) break;
+        idx = next;
+      }
+      EXPECT_EQ(got, x) << try_size << " " << i;
+      EXPECT_EQ(oc.local_ops, twin_call_oc.local_ops) << try_size << " " << i;
+      EXPECT_EQ(free_oc.local_ops, twin_oc.local_ops) << try_size << " " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace amo

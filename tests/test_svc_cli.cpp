@@ -205,8 +205,8 @@ TEST(SvcCli, FlagsTakeNoValueAndValuedOptionsNeedOne) {
             std::string::npos);
   EXPECT_NE(line_error("kk/round_robin pool=2").find("unknown key 'pool='"),
             std::string::npos);
-  // There is no replica-block width knob: every batchable cell runs as
-  // one block.
+  // There is no replica-grouping knob: a seed-independent cell runs once,
+  // every other replica is its own task.
   EXPECT_NE(line_error("kk/round_robin batch=8").find("unknown key 'batch='"),
             std::string::npos);
 }
