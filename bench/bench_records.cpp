@@ -4,7 +4,7 @@
 // fraction of the JSON byte footprint, without ever giving up the
 // byte-identity invariant (docs/record_format.md).
 //
-// Four scenarios:
+// Five scenarios:
 //   records/stream_1m        1,000,000 synthetic unit records (62,500
 //                            cells x 16 replicas, 4 shards) streamed
 //                            through exp::colfmt_writer and re-folded by
@@ -26,17 +26,33 @@
 //                            of bench/e2e's dispatch_amoc (3 shards x
 //                            8,192 units, n=64, m=4), stage by stage on
 //                            real reports: report -> .amoc (each child's
-//                            render_output), .amoc -> verified records
-//                            (the parent's decode + verify_shard_records)
-//                            and the 3-shard fold plus the merged file's
-//                            encode, fastest of 5; the merged bytes must
-//                            equal the unsharded job's .amoc output.
+//                            render_output), the parent's streaming
+//                            validation of the bytes (verify_shard_bytes)
+//                            and the merge_stream fold over byte sources
+//                            plus the merged file's encode, fastest of 5;
+//                            the merged bytes must equal the unsharded
+//                            job's .amoc output.
+//   records/parent_memory    the dispatcher's parent memory: svc::dispatch
+//                            (validate on the launcher threads, merge,
+//                            write) over 3 prepared .amoc shards that a
+//                            `cp` launch template delivers, at 1x (3 x
+//                            8,192 units) and 4x (3 x 32,768 units), each
+//                            in its own forked process, reporting its
+//                            VmHWM. The bench exits 1 when the peak grows
+//                            by more than 1.5x the growth in shard bytes:
+//                            decoded records would add ~15x.
 //
 // BENCH_records.json uses the shared flat schema (docs/json_schema.md):
 // "scenario" is the identity axis, bit_identical gates as a safety flag
 // in the CI `amo_lab diff` step, and the throughput numbers ride along
 // as informational fields (novel names never gate).
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -46,8 +62,10 @@
 #include "exp/colfmt.hpp"
 #include "exp/merge.hpp"
 #include "exp/record.hpp"
+#include "svc/dispatcher.hpp"
 #include "svc/server.hpp"
 #include "svc/worker_pool.hpp"
+#include "util/fileio.hpp"
 
 namespace {
 
@@ -332,15 +350,16 @@ bool run_real_grid(usize& units) {
 }
 
 /// The dispatch shape of bench/e2e's dispatch_amoc workload: 3 shards of
-/// 8,192 units each (6 scenarios at n=64, m=4, 64 seeds x 64 replicas).
-svc::job shard_path_job(usize shard) {
+/// 8,192 units each (6 scenarios at n=64, m=4, 64 seeds x 64 replicas);
+/// `scale` multiplies the seeds.
+svc::job shard_path_job(usize shard, usize scale = 1) {
   svc::job j;
   j.scenarios = {"kk/random",           "kk/random+crash",
                  "kk/round_robin",      "iterative/random+crash",
                  "wa/random+crash",     "baseline/tas"};
   j.params.n = 64;
   j.params.m = 4;
-  j.params.seeds = 64;
+  j.params.seeds = 64 * scale;
   j.params.replicas = 64;
   j.no_timing = true;
   j.have_shard = true;
@@ -352,17 +371,17 @@ struct shard_path_stats {
   usize units = 0;
   std::uint64_t amoc_bytes = 0;  ///< the three shard files
   double render_seconds = 0.0;   ///< report -> .amoc, summed over shards
-  double verify_seconds = 0.0;   ///< .amoc -> verified records, summed
+  double verify_seconds = 0.0;   ///< streaming validation, summed
   double fold_seconds = 0.0;     ///< 3-shard fold + merged .amoc encode
   bool ok = false;
 };
 
 /// Times the record layer of a dispatch, stage by stage, on the shards'
 /// real reports (simulated once): each child's render_output(colfmt); the
-/// parent's decode_records + verify_shard_records per shard; the
-/// merge_shards fold and the merged file's colfmt_encode. Each stage's
-/// time is the fastest of `reps` runs. The merged bytes must equal the
-/// unsharded job's own .amoc output.
+/// parent's verify_shard_bytes per shard; the merge_stream fold over byte
+/// sources and the merged file's colfmt_encode. Each stage's time is the
+/// fastest of `reps` runs. The merged bytes must equal the unsharded
+/// job's own .amoc output.
 shard_path_stats run_shard_path(usize reps) {
   shard_path_stats st;
   svc::worker_pool pool(1);
@@ -394,19 +413,21 @@ shard_path_stats run_shard_path(usize reps) {
                                                 files[i], error);
       render += clock.seconds();
     }
-    std::vector<std::vector<exp::record>> shards;
     double verify = 0.0;
     for (usize i = 0; i < kShardPathShards && st.ok; ++i) {
       stopwatch clock;
-      exp::parse_result parsed = exp::decode_records(files[i]);
-      st.ok = parsed.ok() && exp::verify_shard_records(
-                                 parsed.records, {i, kShardPathShards}, error);
+      st.ok = exp::verify_shard_bytes(files[i], {i, kShardPathShards}, error);
       verify += clock.seconds();
-      shards.push_back(std::move(parsed.records));
     }
     if (!st.ok) break;
+    st.amoc_bytes = 0;
+    for (const std::string& f : files) st.amoc_bytes += f.size();
     stopwatch clock;
-    const exp::merge_result merged = exp::merge_shards(std::move(shards));
+    std::vector<std::unique_ptr<exp::record_source>> sources;
+    for (const std::string& f : files) {
+      sources.push_back(exp::make_bytes_source(f, "shard"));
+    }
+    const exp::merge_result merged = exp::merge_stream(std::move(sources));
     std::string bytes;
     st.ok = merged.ok() && exp::colfmt_encode(merged.records, bytes, error);
     const double fold = clock.seconds();
@@ -414,9 +435,141 @@ shard_path_stats run_shard_path(usize reps) {
     best(st.render_seconds, render, rep);
     best(st.verify_seconds, verify, rep);
     best(st.fold_seconds, fold, rep);
-    st.amoc_bytes = 0;
-    for (const std::string& f : files) st.amoc_bytes += f.size();
   }
+  return st;
+}
+
+/// Runs `body` in a forked child and returns what it returned, or "" when
+/// the child failed. The caller must hold no threads.
+std::string in_child(const std::function<std::string()>& body) {
+  int fds[2];
+  if (::pipe(fds) != 0) return {};
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(fds[0]);
+    ::close(fds[1]);
+    return {};
+  }
+  if (pid == 0) {
+    ::close(fds[0]);
+    const std::string out = body();
+    usize sent = 0;
+    while (sent < out.size()) {
+      const ssize_t n = ::write(fds[1], out.data() + sent, out.size() - sent);
+      if (n <= 0) ::_exit(1);
+      sent += static_cast<usize>(n);
+    }
+    ::_exit(out.empty() ? 1 : 0);
+  }
+  ::close(fds[1]);
+  std::string out;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::read(fds[0], buf, sizeof buf)) > 0) {
+    out.append(buf, static_cast<usize>(n));
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0 ? out : std::string();
+}
+
+/// This process's peak resident set (VmHWM), in MB; 0 when unreadable.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024;
+  }
+  return 0.0;
+}
+
+constexpr usize kMemoryScales[] = {1, 4};
+constexpr double kMemoryGrowthBound = 1.5;
+
+struct parent_memory_stats {
+  usize units[2] = {};
+  std::uint64_t shard_bytes[2] = {};
+  double peak_mb[2] = {};
+  double growth_ratio = 0.0;  ///< peak growth / shard-byte growth, 1x -> 4x
+  bool ok = false;
+};
+
+/// The dispatcher's parent memory at 1x and 4x the dispatch_amoc shape. A
+/// forked writer runs the shard jobs and leaves each scale's three .amoc
+/// shards where a `cp` launch template finds them ({shard} spells "i/3");
+/// then, per scale, a fresh fork of this still-small process runs
+/// svc::dispatch over them and reports its VmHWM. The dispatcher code is
+/// the real one; only the children are copies.
+parent_memory_stats run_parent_memory(const std::string& dir) {
+  namespace fs = std::filesystem;
+  parent_memory_stats st;
+  const auto src = [&](usize scale) {
+    return dir + "/src" + std::to_string(scale);
+  };
+  const std::string written = in_child([&]() -> std::string {
+    svc::worker_pool pool(3);
+    std::string counts;
+    for (const usize scale : kMemoryScales) {
+      usize units = 0;
+      for (usize i = 0; i < kShardPathShards; ++i) {
+        const svc::job_result r =
+            svc::execute_job(shard_path_job(i, scale), pool);
+        std::string bytes;
+        std::string error;
+        const std::string shard_dir = src(scale) + "/shard-" + std::to_string(i);
+        fs::create_directories(shard_dir);
+        if (!r.ok() ||
+            !r.render_output(exp::record_format::colfmt, bytes, error) ||
+            !write_file_atomic((shard_dir + "/3.amoc").c_str(), bytes,
+                               error)) {
+          return {};
+        }
+        units += r.runs().size();
+      }
+      counts += std::to_string(units) + " ";
+    }
+    return counts;
+  });
+  if (std::sscanf(written.c_str(), "%zu %zu", &st.units[0], &st.units[1]) !=
+      2) {
+    return st;
+  }
+  st.ok = true;
+  for (usize k = 0; k < 2; ++k) {
+    const usize scale = kMemoryScales[k];
+    for (usize i = 0; i < kShardPathShards; ++i) {
+      std::error_code ec;
+      st.shard_bytes[k] += fs::file_size(
+          src(scale) + "/shard-" + std::to_string(i) + "/3.amoc", ec);
+    }
+    const std::string peak = in_child([&]() -> std::string {
+      svc::dispatch_options d;
+      d.shards = kShardPathShards;
+      d.command = "cp " + src(scale) + "/shard-{shard}.amoc {out}";
+      d.dir = dir + "/run" + std::to_string(scale);
+      d.out = d.dir + "/merged.amoc";
+      d.quiet = true;
+      d.format = exp::record_format::colfmt;
+      fs::create_directories(d.dir);
+      const svc::dispatch_result r = svc::dispatch("", d);
+      if (!r.ok()) {
+        std::fprintf(stderr, "bench_records: parent memory: %s\n",
+                     r.error.c_str());
+        return {};
+      }
+      return std::to_string(peak_rss_mb());
+    });
+    st.ok = st.ok && !peak.empty();
+    st.peak_mb[k] = peak.empty() ? 0.0 : std::stod(peak);
+  }
+  const double byte_growth_mb =
+      static_cast<double>(st.shard_bytes[1] - st.shard_bytes[0]) / (1 << 20);
+  st.growth_ratio =
+      byte_growth_mb > 0 ? (st.peak_mb[1] - st.peak_mb[0]) / byte_growth_mb
+                         : 0.0;
+  std::error_code ec;
+  fs::remove_all(dir, ec);
   return st;
 }
 
@@ -429,6 +582,11 @@ int main() {
       "claim: a million unit records stream through write -> merge in\n"
       "bounded memory, byte-identical to the JSON path at a fraction of\n"
       "the bytes");
+
+  // First, while this process holds no threads and little memory: the
+  // forks below measure the dispatcher, not what this bench built.
+  const parent_memory_stats pm = run_parent_memory("bench_records_memory");
+  const bool memory_ok = pm.ok && pm.growth_ratio <= kMemoryGrowthBound;
 
   const exp::record tmpl = unit_template();
   benchx::json_report json;
@@ -483,7 +641,7 @@ int main() {
              fmt_count(usize(rate(sp.fold_seconds))), benchx::yesno(sp.ok)});
   benchx::print_table(t);
   std::printf("\nshard path (3 x 8,192 units, fastest of 5): report -> .amoc "
-              "%.1f ms, .amoc -> verified records %.1f ms, 3-shard fold + "
+              "%.1f ms, streaming validation %.1f ms, 3-shard fold + "
               "encode %.1f ms\n",
               sp.render_seconds * 1e3, sp.verify_seconds * 1e3,
               sp.fold_seconds * 1e3);
@@ -550,10 +708,38 @@ int main() {
              benchx::json_report::num(rate(sp.fold_seconds))},
             {"bit_identical", benchx::json_report::boolean(sp.ok)}});
 
+  std::printf("\nparent memory (dispatch over 3 .amoc shards, own process): "
+              "%zu units / %.1f MB shards -> peak %.1f MB; %zu units / %.1f MB "
+              "-> peak %.1f MB; peak grows %.2fx the shard bytes (bound "
+              "%.1fx) %s\n",
+              pm.units[0], pm.shard_bytes[0] / 1048576.0, pm.peak_mb[0],
+              pm.units[1], pm.shard_bytes[1] / 1048576.0, pm.peak_mb[1],
+              pm.growth_ratio, kMemoryGrowthBound,
+              memory_ok ? "ok" : "EXCEEDED");
+  json.add({{"experiment", benchx::json_report::str("E_record_formats")},
+            {"scenario", benchx::json_report::str("records/parent_memory")},
+            {"shards", benchx::json_report::num(std::uint64_t{kShardPathShards})},
+            {"n", benchx::json_report::num(std::uint64_t{64})},
+            {"m", benchx::json_report::num(std::uint64_t{4})},
+            {"hardware_concurrency", benchx::json_report::num(std::uint64_t{hc})},
+            {"amo_build_type", benchx::json_report::str(AMO_BUILD_TYPE)},
+            {"units_1x", benchx::json_report::num(std::uint64_t{pm.units[0]})},
+            {"units_4x", benchx::json_report::num(std::uint64_t{pm.units[1]})},
+            {"shard_bytes_1x", benchx::json_report::num(pm.shard_bytes[0])},
+            {"shard_bytes_4x", benchx::json_report::num(pm.shard_bytes[1])},
+            {"peak_rss_mb_1x", benchx::json_report::num(pm.peak_mb[0])},
+            {"peak_rss_mb_4x", benchx::json_report::num(pm.peak_mb[1])},
+            {"peak_growth_per_shard_byte",
+             benchx::json_report::num(pm.growth_ratio)},
+            {"growth_bound", benchx::json_report::num(kMemoryGrowthBound)},
+            {"claim_holds", benchx::json_report::boolean(memory_ok)}});
+
   if (json.write("BENCH_records.json")) {
     std::printf("[%zu records -> BENCH_records.json]\n", json.size());
   }
-  std::printf("\n[bench_records done in %.1fs; bit-identical %s]\n",
-              total.seconds(), benchx::yesno(all_identical).c_str());
-  return all_identical ? 0 : 1;
+  std::printf("\n[bench_records done in %.1fs; bit-identical %s; parent "
+              "memory within bound %s]\n",
+              total.seconds(), benchx::yesno(all_identical).c_str(),
+              benchx::yesno(memory_ok).c_str());
+  return all_identical && memory_ok ? 0 : 1;
 }

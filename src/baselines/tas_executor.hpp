@@ -39,10 +39,6 @@ class tas_board {
     return bits_[j - 1].exchange(1, std::memory_order_seq_cst) == 0;
   }
 
-  [[nodiscard]] bool is_claimed(job_id j) const {
-    return bits_[j - 1].load(std::memory_order_seq_cst) != 0;
-  }
-
   [[nodiscard]] usize size() const { return n_; }
 
  private:

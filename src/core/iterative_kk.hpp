@@ -101,7 +101,6 @@ class iterative_process final : public automaton {
   // ----- introspection -----
 
   [[nodiscard]] const iterative_stats& stats() const { return stats_; }
-  [[nodiscard]] usize current_level() const { return level_; }
   /// True once the whole pipeline (all levels, plus the residual drain in
   /// Write-All mode) has completed; false for crashed processes.
   [[nodiscard]] bool finished() const { return finished_; }

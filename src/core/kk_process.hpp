@@ -88,9 +88,6 @@ class kk_process final : public automaton {
   [[nodiscard]] const bitset_rank_set& free_view() const { return free_; }
   [[nodiscard]] const done_set& done_view() const { return done_; }
   [[nodiscard]] const try_set& try_view() const { return try_; }
-  [[nodiscard]] usize free_minus_try_size() const {
-    return size_excluding(free_, try_);
-  }
 
   /// The set this process returned on termination: FREE \ TRY in plain and
   /// iter_step modes, FREE in wa_iter_step mode (Sections 6-7). Valid once

@@ -129,10 +129,13 @@ usize column_of(const std::vector<std::string>& columns, const char* key) {
 
 // --- schema metadata ------------------------------------------------------
 
-/// Reads a non-negative integral number field, the read_index contract.
+/// Reads a non-negative integral number field a u64 holds.
 bool meta_index(const value_view& v, std::uint64_t& out) {
   if (v.type != json::kind::number) return false;
-  if (v.number < 0 || v.number != std::floor(v.number)) return false;
+  if (!(v.number >= 0 && v.number < 0x1p64) ||
+      v.number != std::floor(v.number)) {
+    return false;
+  }
   out = static_cast<std::uint64_t>(v.number);
   return true;
 }
@@ -476,17 +479,33 @@ bool encode_rows(usize count, const std::vector<std::string>& columns,
 
 // --- chunk decode ---------------------------------------------------------
 
+/// Resets `f` to an empty field of column `key`, keeping its strings'
+/// capacity — what lets a reader decode chunk after chunk into the same
+/// records without reallocating them.
+record_field& reset_field(record_field& f, const std::string& key,
+                          record_field::kind type, value_encoding enc) {
+  f.key = key;
+  f.type = type;
+  f.encoding = enc;
+  f.truth = false;
+  f.number = 0.0;
+  f.text.clear();
+  f.raw.clear();
+  return f;
+}
+
 /// Decodes one chunk slice (magic..checksum, checksum already verified by
-/// the caller) into records appended to `out`.
+/// the caller) into `out`, replacing its records in place.
 bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
                          const std::vector<std::string>& columns,
                          std::vector<record>& out, std::string& error) {
+  using K = record_field::kind;
+  using E = value_encoding;
   cursor cur{chunk, kChunkFixed, base, {}};
   const std::uint32_t rows = get_u32(chunk.data() + 16);
 
-  const usize start = out.size();
-  out.resize(start + rows);
-  for (usize r = 0; r < rows; ++r) out[start + r].fields.resize(columns.size());
+  out.resize(rows);
+  for (record& rec : out) rec.fields.resize(columns.size());
 
   for (usize c = 0; c < columns.size() && !cur.failed(); ++c) {
     if (!cur.need(1, "a column block tag")) break;
@@ -497,10 +516,8 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
         cur.skip(16);  // min/max: advisory statistics, not re-validated
         for (usize r = 0; r < rows; ++r) {
           const std::uint64_t v = get_u64(cur.take(8));
-          record_field& f = out[start + r].fields[c];
-          f.key = columns[c];
-          f.type = record_field::kind::number;
-          f.encoding = value_encoding::u64;
+          record_field& f =
+              reset_field(out[r].fields[c], columns[c], K::number, E::u64);
           f.number = static_cast<double>(v);  // correctly rounded, as parsing
           json_writer::append_num(f.raw, v);
         }
@@ -511,10 +528,8 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
         cur.skip(16);
         for (usize r = 0; r < rows; ++r) {
           const double v = get_f64(cur.take(8));
-          record_field& f = out[start + r].fields[c];
-          f.key = columns[c];
-          f.type = record_field::kind::number;
-          f.encoding = value_encoding::f64;
+          record_field& f =
+              reset_field(out[r].fields[c], columns[c], K::number, E::f64);
           f.number = v;
           json_writer::append_num(f.raw, v);
         }
@@ -527,21 +542,20 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
           const std::uint32_t len = get_u32(cur.take(4));
           if (!cur.need(len, "string bytes")) break;
           const std::string_view s(cur.take(len), len);
-          record_field& f = out[start + r].fields[c];
-          f.key = columns[c];
           if (tag == kTagStr) {
-            f.type = record_field::kind::string;
-            f.encoding = value_encoding::str;
+            record_field& f =
+                reset_field(out[r].fields[c], columns[c], K::string, E::str);
             f.text.assign(s);
             json_writer::append_str(f.raw, s);
           } else {
+            record_field& f = reset_field(out[r].fields[c], columns[c],
+                                          K::null, E::unknown);
             std::string perr;
             if (!parse_value_token(s, f, perr)) {
               cur.fail("verbatim token in column '" + columns[c] +
                        "' does not parse: " + perr);
               break;
             }
-            f.key = columns[c];
           }
         }
         break;
@@ -551,22 +565,17 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
         if (!cur.need(bytes, "a bool column bitmap")) break;
         const char* bits = cur.take(bytes);
         for (usize r = 0; r < rows; ++r) {
-          record_field& f = out[start + r].fields[c];
-          f.key = columns[c];
-          f.type = record_field::kind::boolean;
-          f.encoding = value_encoding::boolean;
+          record_field& f = reset_field(out[r].fields[c], columns[c],
+                                        K::boolean, E::boolean);
           f.truth = (static_cast<unsigned char>(bits[r / 8]) >> (r % 8)) & 1;
-          f.raw = f.truth ? "true" : "false";
+          f.raw.assign(f.truth ? "true" : "false");
         }
         break;
       }
       case kTagNull:
         for (usize r = 0; r < rows; ++r) {
-          record_field& f = out[start + r].fields[c];
-          f.key = columns[c];
-          f.type = record_field::kind::null;
-          f.encoding = value_encoding::null;
-          f.raw = "null";
+          reset_field(out[r].fields[c], columns[c], K::null, E::null)
+              .raw.assign("null");
         }
         break;
       default:
@@ -582,7 +591,7 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
   }
   if (cur.failed()) {
     error = cur.error;
-    out.resize(start);
+    out.clear();
     return false;
   }
   return true;
@@ -610,88 +619,14 @@ bool decode_chunk(std::string_view chunk, std::uint64_t base,
   return decode_chunk_blocks(chunk, base, columns, out, error);
 }
 
-/// Parses + validates a complete header image laid out at file offset 0.
-/// On success `header_len` is the byte length including the checksum.
-bool parse_header(std::string_view bytes, colfmt_header& h, usize& header_len,
-                  std::string& error) {
-  // The magic is judged first, on however few bytes exist: a foreign file
-  // deserves "not a .amoc file", not a truncation complaint.
-  if (bytes.size() < sizeof kMagic ||
-      std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
-    error = "offset 0: bad magic (not a .amoc file)";
-    return false;
-  }
-  cursor cur{bytes, 0, 0, {}};
-  if (!cur.need(kHeaderFixed, "the file header")) {
-    error = cur.error;
-    return false;
-  }
-  const char* p = cur.take(kHeaderFixed);
-  const std::uint16_t version = get_u16(p + 4);
-  if (version != colfmt_version) {
-    error = "offset 4: unsupported .amoc version " + std::to_string(version) +
-            " (this reader implements version " +
-            std::to_string(colfmt_version) + ")";
-    return false;
-  }
-  const std::uint16_t flags = get_u16(p + 6);
-  if (flags != 0) {
-    error = "offset 6: unknown header flags 0x" + fnv_hex64(flags).substr(12) +
-            " (a v1 reader must refuse flags it does not implement)";
-    return false;
-  }
-  h.grid_fp = get_u64(p + 8);
-  h.cells_total = get_u64(p + 16);
-  h.units_total = get_u64(p + 24);
-  h.replicas = get_u64(p + 32);
-  h.record_count = get_u64(p + 40);
-  h.chunk_count = get_u64(p + 48);
-  const std::uint32_t column_count = get_u32(p + 56);
-  if (column_count > 65535) {
-    error = "offset 56: implausible column count " +
-            std::to_string(column_count);
-    return false;
-  }
-  h.columns.clear();
-  h.columns.reserve(column_count);
-  for (std::uint32_t c = 0; c < column_count; ++c) {
-    if (!cur.need(2, "a column name length")) {
-      error = cur.error;
-      return false;
-    }
-    const std::uint16_t len = get_u16(cur.take(2));
-    if (!cur.need(len, "a column name")) {
-      error = cur.error;
-      return false;
-    }
-    h.columns.emplace_back(cur.take(len), len);
-  }
-  const usize checksum_at = cur.pos;
-  if (!cur.need(8, "the header checksum")) {
-    error = cur.error;
-    return false;
-  }
-  const std::uint64_t stored = get_u64(cur.take(8));
-  const std::uint64_t computed =
-      fnv1a64(std::string_view(bytes.data(), checksum_at));
-  if (stored != computed) {
-    error = "offset " + std::to_string(checksum_at) +
-            ": header checksum mismatch (stored " + fnv_hex64(stored) +
-            ", computed " + fnv_hex64(computed) + ") (corrupted .amoc file?)";
-    return false;
-  }
-  header_len = cur.pos;
-  return true;
-}
-
 /// Post-decode consistency: the header's record-derived fields must match
-/// what the decoded records themselves say.
-bool check_header_meta(const colfmt_header& h,
-                       const std::vector<record>& records, std::string& error) {
+/// what the first record says (all zero when the file holds none).
+bool check_header_meta(const colfmt_header& h, const record* first,
+                       std::string& error) {
   colfmt_header from_records;
-  if (!records.empty()) {
+  if (first != nullptr) {
     header_meta_from(h.columns,
-                     [&](usize, usize c) { return view_of(records[0].fields[c]); },
+                     [&](usize, usize c) { return view_of(first->fields[c]); },
                      from_records);
   }
   if (h.grid_fp != from_records.grid_fp ||
@@ -753,75 +688,25 @@ bool colfmt_encode(const record_table& table, std::string& out,
 
 parse_result colfmt_decode(std::string_view bytes) {
   parse_result out;
-  colfmt_header h;
-  usize pos = 0;
-  if (!parse_header(bytes, h, pos, out.error)) return out;
-
-  std::uint64_t chunks = 0;
-  for (;;) {
-    if (bytes.size() - pos < sizeof kEndMarker) {
-      out.error = "offset " + std::to_string(pos) +
-                  ": file ends before the end marker (truncated .amoc file?)";
-      break;
+  colfmt_reader reader;
+  if (!reader.open_bytes(bytes, out.error)) return out;
+  std::vector<record> chunk;
+  for (bool end = false;;) {
+    if (!reader.next_chunk(chunk, end, out.error)) {
+      out.records.clear();
+      return out;
     }
-    if (std::memcmp(bytes.data() + pos, kEndMarker, sizeof kEndMarker) == 0) {
-      pos += sizeof kEndMarker;
-      if (pos != bytes.size()) {
-        out.error = "offset " + std::to_string(pos) +
-                    ": trailing content after the end marker";
-      }
-      break;
-    }
-    if (bytes.size() - pos < kChunkFixed + 8) {
-      out.error = "offset " + std::to_string(pos) +
-                  ": file ends inside a chunk frame (truncated .amoc file?)";
-      break;
-    }
-    const std::uint32_t chunk_bytes = get_u32(bytes.data() + pos + 4);
-    if (chunk_bytes < kChunkFixed + 8) {
-      out.error = "offset " + std::to_string(pos + 4) +
-                  ": chunk length " + std::to_string(chunk_bytes) +
-                  " below the " + std::to_string(kChunkFixed + 8) +
-                  "-byte minimum";
-      break;
-    }
-    if (chunk_bytes > bytes.size() - pos) {
-      out.error = "offset " + std::to_string(pos + 4) + ": chunk length " +
-                  std::to_string(chunk_bytes) + " exceeds the " +
-                  std::to_string(bytes.size() - pos) +
-                  " bytes left in the file (truncated .amoc file?)";
-      break;
-    }
-    if (!decode_chunk(bytes.substr(pos, chunk_bytes), pos, h.columns,
-                      out.records, out.error)) {
-      break;
-    }
-    pos += chunk_bytes;
-    ++chunks;
+    if (end) return out;
+    out.records.insert(out.records.end(), std::make_move_iterator(chunk.begin()),
+                       std::make_move_iterator(chunk.end()));
   }
-  if (out.ok() && chunks != h.chunk_count) {
-    out.error = "header declares " + std::to_string(h.chunk_count) +
-                " chunks but the file holds " + std::to_string(chunks);
-  }
-  if (out.ok() && out.records.size() != h.record_count) {
-    out.error = "header declares " + std::to_string(h.record_count) +
-                " records but the chunks hold " +
-                std::to_string(out.records.size());
-  }
-  if (out.ok()) check_header_meta(h, out.records, out.error);
-  if (!out.ok()) out.records.clear();
-  return out;
-}
-
-parse_result decode_records(std::string_view content) {
-  return is_colfmt(content) ? colfmt_decode(content) : parse_records(content);
 }
 
 parse_result load_records_file(const char* path) {
   parse_result out;
   std::string content;
   if (!read_file(path, content, out.error)) return out;
-  out = decode_records(content);
+  out = is_colfmt(content) ? colfmt_decode(content) : parse_records(content);
   if (!out.ok()) out.error = std::string(path) + ": " + out.error;
   return out;
 }
@@ -852,6 +737,13 @@ colfmt_reader::~colfmt_reader() {
 
 namespace {
 
+std::string truncated(std::uint64_t offset, const char* what, usize need,
+                      usize got) {
+  return "offset " + std::to_string(offset) + ": file ends inside " + what +
+         " (need " + std::to_string(need) + " bytes, " + std::to_string(got) +
+         " read) (truncated .amoc file?)";
+}
+
 /// Appends exactly `n` bytes of `f` to `buf`; on a short read reports the
 /// absolute offset, the errno text for hard errors, and the truncation
 /// hint for a clean early EOF.
@@ -866,14 +758,34 @@ bool read_exact(std::FILE* f, usize n, std::string& buf, std::uint64_t offset,
     error = "offset " + std::to_string(offset + got) + ": cannot read " +
             what + ": " + std::strerror(errno);
   } else {
-    error = "offset " + std::to_string(offset + got) + ": file ends inside " +
-            what + " (need " + std::to_string(n) + " bytes, " +
-            std::to_string(got) + " read) (truncated .amoc file?)";
+    error = truncated(offset + got, what, n, got);
   }
   return false;
 }
 
 }  // namespace
+
+bool colfmt_reader::fail(std::string why, std::string& error) const {
+  error = path_.empty() ? std::move(why) : path_ + ": " + why;
+  return false;
+}
+
+bool colfmt_reader::extend(usize n, const char* what, std::string& error) {
+  if (file_ != nullptr) {
+    std::string why;
+    return read_exact(file_, n, frame_, offset_ + frame_.size(), what, why) ||
+           fail(std::move(why), error);
+  }
+  const usize left = bytes_.size() - (offset_ + frame_len_);
+  if (left < n) return fail(truncated(bytes_.size(), what, n, left), error);
+  frame_len_ += n;
+  return true;
+}
+
+std::string_view colfmt_reader::frame() const {
+  return file_ != nullptr ? std::string_view(frame_)
+                          : bytes_.substr(offset_, frame_len_);
+}
 
 bool colfmt_reader::open(const char* path, std::string& error) {
   path_ = path;
@@ -882,106 +794,144 @@ bool colfmt_reader::open(const char* path, std::string& error) {
     error = std::string("cannot open ") + path + ": " + std::strerror(errno);
     return false;
   }
-  // Accumulate the variable-length header into a buffer, then reuse the
-  // buffer-level parser (one definition of the validation rules). The
-  // magic is judged on its own first: a short foreign file deserves "not
-  // a .amoc file", not a truncation complaint.
-  std::string buf;
-  if (!read_exact(file_, sizeof kMagic, buf, 0, "the file magic", error)) {
-    error = path_ + ": " + error;
+  return read_header(error);
+}
+
+bool colfmt_reader::open_bytes(std::string_view bytes, std::string& error) {
+  bytes_ = bytes;
+  return read_header(error);
+}
+
+bool colfmt_reader::read_header(std::string& error) {
+  // The magic is judged first, on however few bytes exist: a short
+  // foreign input deserves "not a .amoc file", not a truncation complaint.
+  std::string why;
+  const bool whole = extend(sizeof kMagic, "the file magic", why);
+  if (!whole && file_ != nullptr && std::ferror(file_) != 0) {
+    error = std::move(why);
     return false;
   }
-  if (std::memcmp(buf.data(), kMagic, sizeof kMagic) != 0) {
-    error = path_ + ": offset 0: bad magic (not a .amoc file)";
+  if (!whole || !is_colfmt(frame())) {
+    return fail("offset 0: bad magic (not a .amoc file)", error);
+  }
+  if (!extend(kHeaderFixed - sizeof kMagic, "the file header", error)) {
     return false;
   }
-  if (!read_exact(file_, kHeaderFixed - sizeof kMagic, buf, buf.size(),
-                  "the file header", error)) {
-    error = path_ + ": " + error;
-    return false;
+  const char* p = frame().data();
+  const std::uint16_t version = get_u16(p + 4);
+  if (version != colfmt_version) {
+    return fail("offset 4: unsupported .amoc version " +
+                    std::to_string(version) +
+                    " (this reader implements version " +
+                    std::to_string(colfmt_version) + ")",
+                error);
   }
-  const std::uint32_t column_count = get_u32(buf.data() + 56);
-  if (column_count <= 65535) {
-    for (std::uint32_t c = 0; c < column_count; ++c) {
-      if (!read_exact(file_, 2, buf, buf.size(), "a column name length",
-                      error)) {
-        error = path_ + ": " + error;
-        return false;
-      }
-      const std::uint16_t len = get_u16(buf.data() + buf.size() - 2);
-      if (!read_exact(file_, len, buf, buf.size(), "a column name", error)) {
-        error = path_ + ": " + error;
-        return false;
-      }
-    }
-    if (!read_exact(file_, 8, buf, buf.size(), "the header checksum", error)) {
-      error = path_ + ": " + error;
-      return false;
-    }
+  const std::uint16_t flags = get_u16(p + 6);
+  if (flags != 0) {
+    return fail("offset 6: unknown header flags 0x" +
+                    fnv_hex64(flags).substr(12) +
+                    " (a v1 reader must refuse flags it does not implement)",
+                error);
   }
-  usize header_len = 0;
-  if (!parse_header(buf, header_, header_len, error)) {
-    error = path_ + ": " + error;
-    return false;
+  colfmt_header& h = header_;
+  h.grid_fp = get_u64(p + 8);
+  h.cells_total = get_u64(p + 16);
+  h.units_total = get_u64(p + 24);
+  h.replicas = get_u64(p + 32);
+  h.record_count = get_u64(p + 40);
+  h.chunk_count = get_u64(p + 48);
+  const std::uint32_t column_count = get_u32(p + 56);
+  if (column_count > 65535) {
+    return fail("offset 56: implausible column count " +
+                    std::to_string(column_count),
+                error);
   }
-  offset_ = header_len;
+  h.columns.reserve(column_count);
+  for (std::uint32_t c = 0; c < column_count; ++c) {
+    if (!extend(2, "a column name length", error)) return false;
+    const std::uint16_t len = get_u16(frame().data() + frame().size() - 2);
+    if (!extend(len, "a column name", error)) return false;
+    h.columns.emplace_back(frame().substr(frame().size() - len));
+  }
+  const usize checksum_at = frame().size();
+  if (!extend(8, "the header checksum", error)) return false;
+  const std::uint64_t stored = get_u64(frame().data() + checksum_at);
+  const std::uint64_t computed = fnv1a64(frame().substr(0, checksum_at));
+  if (stored != computed) {
+    return fail("offset " + std::to_string(checksum_at) +
+                    ": header checksum mismatch (stored " + fnv_hex64(stored) +
+                    ", computed " + fnv_hex64(computed) +
+                    ") (corrupted .amoc file?)",
+                error);
+  }
+  offset_ = frame().size();
+  open_ = true;
   return true;
 }
 
 bool colfmt_reader::next_chunk(std::vector<record>& out, bool& end,
                                std::string& error) {
-  out.clear();
   end = false;
-  if (file_ == nullptr) {
-    error = path_ + ": reader is not open";
+  if (!open_) {
+    out.clear();
+    return fail("reader is not open", error);
+  }
+  frame_.clear();
+  frame_len_ = 0;
+  std::string why;
+  if (!extend(sizeof kEndMarker, "a chunk frame", error)) {
+    out.clear();
     return false;
   }
-  std::string buf;
-  if (!read_exact(file_, sizeof kEndMarker, buf, offset_, "a chunk frame",
-                  error)) {
-    error = path_ + ": " + error;
-    return false;
-  }
-  if (std::memcmp(buf.data(), kEndMarker, sizeof kEndMarker) == 0) {
+  if (std::memcmp(frame().data(), kEndMarker, sizeof kEndMarker) == 0) {
+    out.clear();
     char extra = 0;
-    if (std::fread(&extra, 1, 1, file_) != 0) {
-      error = path_ + ": offset " +
-              std::to_string(offset_ + sizeof kEndMarker) +
-              ": trailing content after the end marker";
-      return false;
+    const bool more = file_ != nullptr
+                          ? std::fread(&extra, 1, 1, file_) != 0
+                          : offset_ + sizeof kEndMarker != bytes_.size();
+    if (more) {
+      return fail("offset " + std::to_string(offset_ + sizeof kEndMarker) +
+                      ": trailing content after the end marker",
+                  error);
     }
     if (chunks_seen_ != header_.chunk_count ||
         records_seen_ != header_.record_count) {
-      error = path_ + ": header declares " +
-              std::to_string(header_.chunk_count) + " chunks / " +
-              std::to_string(header_.record_count) +
-              " records but the file holds " + std::to_string(chunks_seen_) +
-              " / " + std::to_string(records_seen_);
-      return false;
+      return fail("header declares " + std::to_string(header_.chunk_count) +
+                      " chunks / " + std::to_string(header_.record_count) +
+                      " records but the file holds " +
+                      std::to_string(chunks_seen_) + " / " +
+                      std::to_string(records_seen_),
+                  error);
+    }
+    if (records_seen_ == 0 && !check_header_meta(header_, nullptr, why)) {
+      return fail(std::move(why), error);
     }
     end = true;
     return true;
   }
-  if (std::memcmp(buf.data(), kChunkMagic, sizeof kChunkMagic) != 0) {
-    error = path_ + ": offset " + std::to_string(offset_) +
-            ": bad chunk magic (expected \"CHNK\")";
-    return false;
+  if (std::memcmp(frame().data(), kChunkMagic, sizeof kChunkMagic) != 0) {
+    out.clear();
+    return fail("offset " + std::to_string(offset_) +
+                    ": bad chunk magic (expected \"CHNK\")",
+                error);
   }
-  const std::uint32_t chunk_bytes = get_u32(buf.data() + 4);
+  const std::uint32_t chunk_bytes = get_u32(frame().data() + 4);
   if (chunk_bytes < kChunkFixed + 8) {
-    error = path_ + ": offset " + std::to_string(offset_ + 4) +
-            ": chunk length " + std::to_string(chunk_bytes) + " below the " +
-            std::to_string(kChunkFixed + 8) + "-byte minimum";
+    out.clear();
+    return fail("offset " + std::to_string(offset_ + 4) + ": chunk length " +
+                    std::to_string(chunk_bytes) + " below the " +
+                    std::to_string(kChunkFixed + 8) + "-byte minimum",
+                error);
+  }
+  if (!extend(chunk_bytes - sizeof kEndMarker, "a chunk", error)) {
+    out.clear();
     return false;
   }
-  if (!read_exact(file_, chunk_bytes - sizeof kEndMarker, buf,
-                  offset_ + sizeof kEndMarker, "a chunk", error)) {
-    error = path_ + ": " + error;
-    return false;
-  }
-  if (!decode_chunk(buf, offset_, header_.columns, out, error)) {
-    error = path_ + ": " + error;
-    return false;
+  if (!decode_chunk(frame(), offset_, header_.columns, out, why) ||
+      (records_seen_ == 0 && !out.empty() &&
+       !check_header_meta(header_, &out.front(), why))) {
+    out.clear();
+    return fail(std::move(why), error);
   }
   offset_ += chunk_bytes;
   ++chunks_seen_;
@@ -989,9 +939,10 @@ bool colfmt_reader::next_chunk(std::vector<record>& out, bool& end,
   obs::counter("merge", "chunks_read", static_cast<double>(chunks_seen_));
   if (chunks_seen_ > header_.chunk_count ||
       records_seen_ > header_.record_count) {
-    error = path_ + ": offset " + std::to_string(offset_) +
-            ": more chunks/records than the header declares";
-    return false;
+    out.clear();
+    return fail("offset " + std::to_string(offset_) +
+                    ": more chunks/records than the header declares",
+                error);
   }
   return true;
 }

@@ -83,14 +83,9 @@ struct colfmt_header {
 [[nodiscard]] bool colfmt_encode(const record_table& table, std::string& out,
                                  std::string& error);
 
-/// Decodes and fully validates a .amoc buffer. Errors carry the byte
-/// offset of the violation.
+/// Decodes and fully validates a .amoc buffer (a loop over colfmt_reader,
+/// so both apply one rule set). Errors carry the byte offset.
 [[nodiscard]] parse_result colfmt_decode(std::string_view bytes);
-
-/// Sniffs `content` and decodes it as .amoc or parses it as JSON — the
-/// buffer-level half of load_records_file, for callers that already hold
-/// the bytes (the dispatcher's shard validation).
-[[nodiscard]] parse_result decode_records(std::string_view content);
 
 /// Reads + sniffs + decodes a record file of either format. File and
 /// decode errors come back through .error, prefixed with the path.
@@ -110,9 +105,10 @@ struct colfmt_header {
                                          record_format format,
                                          std::string& error);
 
-/// Streaming .amoc reader: the header is read and validated at open();
-/// next_chunk() then decodes one cell's records at a time, so a merge
-/// over shard files holds one chunk per shard, never a whole file.
+/// Streaming .amoc reader over a file or an in-memory image: the header
+/// is read and validated at open(); next_chunk() then decodes one cell's
+/// records at a time, so a merge holds one chunk per shard, never a whole
+/// file. Every rule of docs/record_format.md is checked here, once.
 class colfmt_reader {
  public:
   colfmt_reader() = default;
@@ -124,22 +120,37 @@ class colfmt_reader {
   /// errno text on I/O failure).
   [[nodiscard]] bool open(const char* path, std::string& error);
 
-  /// Decodes the next chunk into `out` (replacing its contents). Sets
-  /// `end` (with `out` empty) once the end marker closes the file. False
-  /// with `error` on any violation — including content after the end
-  /// marker or a file that stops before it.
+  /// The same over an in-memory image, which must outlive the reader.
+  /// Errors carry the offset but no path.
+  [[nodiscard]] bool open_bytes(std::string_view bytes, std::string& error);
+
+  /// Decodes the next chunk into `out`, replacing its contents but reusing
+  /// its records' storage. Sets `end` (with `out` empty) once the end
+  /// marker closes the input. False with `error` on any violation —
+  /// including content after the end marker or an input that stops
+  /// before it.
   [[nodiscard]] bool next_chunk(std::vector<record>& out, bool& end,
                                 std::string& error);
 
   [[nodiscard]] const colfmt_header& header() const { return header_; }
 
  private:
+  bool read_header(std::string& error);
+  /// Extends the current frame by the input's next `n` bytes.
+  bool extend(usize n, const char* what, std::string& error);
+  [[nodiscard]] std::string_view frame() const;
+  bool fail(std::string why, std::string& error) const;
+
   std::FILE* file_ = nullptr;
-  std::string path_;
+  std::string_view bytes_;  ///< the image (open_bytes)
+  std::string path_;        ///< the file (open); "" for an image
+  std::string frame_;       ///< file: the frame read so far, reused
+  usize frame_len_ = 0;     ///< image: the frame's length at offset_
   colfmt_header header_;
-  std::uint64_t offset_ = 0;       ///< file offset of the next read
+  std::uint64_t offset_ = 0;  ///< input offset of the current frame
   std::uint64_t chunks_seen_ = 0;
   std::uint64_t records_seen_ = 0;
+  bool open_ = false;  ///< the header validated
 };
 
 /// Streaming .amoc writer for content too large to buffer (bench_records

@@ -1,6 +1,5 @@
 #include "exp/merge.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -14,15 +13,20 @@ namespace amo::exp {
 
 namespace {
 
-/// Reads field `key` as a non-negative integer; false when absent,
-/// non-numeric or fractional. `hint` is the field's position in the last
-/// record read (record::find), so records of one schema cost one key
-/// compare.
+/// Reads field `key` as an index: a non-negative integer below 2^53, the
+/// range a double holds exactly. False when absent, non-numeric,
+/// fractional, non-finite or too large — so no spelling of a huge number
+/// can be cast out of range and read as some other unit. `hint` is the
+/// field's position in the last record read (record::find), so records of
+/// one schema cost one key compare.
 bool read_index(const record& rec, const char* key, usize& out,
                 usize& hint) {
   const record_field* f = rec.find(key, hint);
   if (f == nullptr || f->type != record_field::kind::number) return false;
-  if (f->number < 0 || f->number != std::floor(f->number)) return false;
+  if (!(f->number >= 0 && f->number < 0x1p53) ||
+      f->number != std::floor(f->number)) {
+    return false;
+  }
   out = static_cast<usize>(f->number);
   return true;
 }
@@ -56,29 +60,18 @@ struct index_hints {
 // Sources
 // ---------------------------------------------------------------------------
 
-class memory_source final : public record_source {
+/// The one record_source: records already in memory, a record file, or a
+/// record file image in memory. A file or image opens at the first
+/// next(): .amoc (sniffed by magic) streams chunk by chunk through
+/// colfmt_reader, reusing one chunk's record storage; JSON is parsed
+/// whole, because its grammar is not self-delimiting per record.
+class buffered_source final : public record_source {
  public:
-  explicit memory_source(std::vector<record> records)
-      : records_(std::move(records)) {}
-
-  bool next(record& out, bool& end, std::string& error) override {
-    (void)error;
-    if (pos_ >= records_.size()) {
-      end = true;
-      return true;
-    }
-    out = std::move(records_[pos_++]);
-    return true;
-  }
-
- private:
-  std::vector<record> records_;
-  usize pos_ = 0;
-};
-
-class file_source final : public record_source {
- public:
-  explicit file_source(std::string path) : path_(std::move(path)) {}
+  explicit buffered_source(std::vector<record> records)
+      : opened_(true), buffer_(std::move(records)) {}
+  explicit buffered_source(std::string path) : name_(std::move(path)) {}
+  buffered_source(std::string_view image, std::string name)
+      : bytes_(image), name_(std::move(name)), image_(true) {}
 
   bool next(record& out, bool& end, std::string& error) override {
     if (!opened_ && !open(error)) return false;
@@ -86,10 +79,11 @@ class file_source final : public record_source {
       // Refill from the next chunk; a colfmt chunk always holds at least
       // one record, but loop defensively.
       while (pos_ >= buffer_.size()) {
-        buffer_.clear();
         pos_ = 0;
         bool chunks_done = false;
-        if (!col_->next_chunk(buffer_, chunks_done, error)) return false;
+        if (!col_->next_chunk(buffer_, chunks_done, error)) {
+          return fail(error);
+        }
         if (chunks_done) {
           end = true;
           return true;
@@ -99,40 +93,118 @@ class file_source final : public record_source {
       end = true;
       return true;
     }
-    out = std::move(buffer_[pos_++]);
+    // A swap, not a move: the caller's spent record goes back into the
+    // chunk buffer, so the next chunk decodes into its storage.
+    std::swap(out, buffer_[pos_++]);
     return true;
   }
 
  private:
+  /// Names the image in `error` (a file's reader already names its path).
+  bool fail(std::string& error) const {
+    if (image_ && !name_.empty()) error = name_ + ": " + error;
+    return false;
+  }
+
   bool open(std::string& error) {
     opened_ = true;
-    std::FILE* f = std::fopen(path_.c_str(), "rb");
-    if (f == nullptr) {
-      error = "cannot open " + path_ + ": " + std::strerror(errno);
-      return false;
+    bool amoc = is_colfmt(bytes_);
+    if (!image_) {
+      std::FILE* f = std::fopen(name_.c_str(), "rb");
+      if (f == nullptr) {
+        error = "cannot open " + name_ + ": " + std::strerror(errno);
+        return false;
+      }
+      char magic[4] = {};
+      const usize got = std::fread(magic, 1, sizeof magic, f);
+      std::fclose(f);
+      amoc = is_colfmt(std::string_view(magic, got));
     }
-    char magic[4] = {};
-    const usize got = std::fread(magic, 1, sizeof magic, f);
-    std::fclose(f);
-    if (got == sizeof magic && is_colfmt(std::string_view(magic, got))) {
+    if (amoc) {
       col_ = std::make_unique<colfmt_reader>();
-      return col_->open(path_.c_str(), error);
+      return image_ ? col_->open_bytes(bytes_, error) || fail(error)
+                    : col_->open(name_.c_str(), error);
     }
-    parse_result parsed = parse_records_file(path_.c_str());
+    parse_result parsed =
+        image_ ? parse_records(bytes_) : parse_records_file(name_.c_str());
     if (!parsed.ok()) {
-      error = parsed.error;
-      return false;
+      error = std::move(parsed.error);
+      return fail(error);
     }
     buffer_ = std::move(parsed.records);
     return true;
   }
 
-  std::string path_;
+  std::string_view bytes_;  ///< the image
+  std::string name_;        ///< the path, or the image's name for errors
+  bool image_ = false;
   bool opened_ = false;
-  std::unique_ptr<colfmt_reader> col_;  ///< set iff the file is .amoc
-  std::vector<record> buffer_;          ///< whole file (JSON) or one chunk
+  std::unique_ptr<colfmt_reader> col_;  ///< set iff the input is .amoc
+  std::vector<record> buffer_;  ///< the records, the JSON file, or a chunk
   usize pos_ = 0;
 };
+
+/// verify_shard_records' rules over records pulled one at a time: `next`
+/// sets its pointer to the next record, or to null at the end, and
+/// returns false (with `error`) when it cannot read one.
+template <class Next>
+bool verify_slice(const shard_ref& s, Next&& next, std::string& error) {
+  if (!s.valid()) {
+    error = "invalid shard reference " + std::to_string(s.index) + "/" +
+            std::to_string(s.count);
+    return false;
+  }
+  const std::string tag = "shard " + to_string(s);
+  usize total = 0;
+  std::string grid;
+  usize expect = s.index;
+  index_hints h;
+  usize i = 0;
+  for (const record* rec = nullptr;; ++i) {
+    if (!next(rec, error)) return false;
+    if (rec == nullptr) break;
+    usize idx = 0;
+    usize this_total = 0;
+    if (!read_index(*rec, "unit", idx, h.unit) ||
+        !read_index(*rec, "units_total", this_total, h.units_total)) {
+      error = tag + ": record " + std::to_string(i) +
+              " lacks integer unit/units_total fields (torn or foreign shard "
+              "file?)";
+      return false;
+    }
+    const std::string_view this_grid = grid_of(*rec, h.grid);
+    if (i == 0) {
+      total = this_total;
+      grid = this_grid;
+    } else if (this_total != total || this_grid != grid) {
+      error = tag + ": record " + std::to_string(i) +
+              " disagrees with the file's own units_total/grid (corrupted "
+              "shard file?)";
+      return false;
+    }
+    if (idx >= total) {
+      error = tag + ": unit index " + std::to_string(idx) +
+              " out of range [0, " + std::to_string(total) + ")";
+      return false;
+    }
+    if (idx != expect) {
+      error = tag + ": record " + std::to_string(i) + " holds unit " +
+              std::to_string(idx) + " where unit " + std::to_string(expect) +
+              " was owed (torn, truncated, or reordered shard file?)";
+      return false;
+    }
+    expect += s.count;
+  }
+  if (i == 0) return true;  // a shard can legitimately own nothing
+  const usize owed = total > s.index ? (total - s.index - 1) / s.count + 1 : 0;
+  if (i != owed) {
+    error = tag + ": holds " + std::to_string(i) + " of " +
+            std::to_string(owed) + " owed units (units_total " +
+            std::to_string(total) + ") — truncated shard file?";
+    return false;
+  }
+  return true;
+}
 
 // ---------------------------------------------------------------------------
 // Per-record validation (shared contract state of a running merge)
@@ -261,15 +333,15 @@ bool fold_flag(const std::vector<record>& units, const char* key, bool& out,
   return true;
 }
 
-}  // namespace
-
+/// Folds ONE cell's unit records (complete, replica order) into the
+/// aggregate record add_cell_records would have emitted: raw tokens of
+/// the base replica pass through, the safety flags AND-fold, the
+/// summaries are recomputed through exp::stats from the parsed replica
+/// values — bit-equal to the in-process fold because json_writer::num
+/// round-trips exactly — and wall clocks sum. False with `error` when a
+/// record lacks a foldable field.
 bool fold_unit_cell(const std::vector<record>& units, record& agg,
                     std::string& error) {
-  // Re-fold the cell and render the aggregate record add_cell_records
-  // would have emitted: raw tokens of the base replica pass through, the
-  // safety fields fold, the summaries are recomputed from the parsed
-  // replica values — bit-equal to the in-process fold because
-  // json_writer::num round-trips exactly.
   using W = json_writer;
   agg = record{};
   const record& base = units.front();
@@ -372,12 +444,19 @@ bool fold_unit_cell(const std::vector<record>& units, record& agg,
   return true;
 }
 
+}  // namespace
+
 std::unique_ptr<record_source> make_memory_source(std::vector<record> records) {
-  return std::make_unique<memory_source>(std::move(records));
+  return std::make_unique<buffered_source>(std::move(records));
 }
 
 std::unique_ptr<record_source> make_file_source(std::string path) {
-  return std::make_unique<file_source>(std::move(path));
+  return std::make_unique<buffered_source>(std::move(path));
+}
+
+std::unique_ptr<record_source> make_bytes_source(std::string_view bytes,
+                                                 std::string name) {
+  return std::make_unique<buffered_source>(bytes, std::move(name));
 }
 
 merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
@@ -400,11 +479,18 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
   };
   std::vector<head> heads(k);
   usize seen = 0;  ///< records pulled across all sources
+  // Folded unit records, handed back to the sources (next() swaps them into
+  // its chunk buffer), so each chunk decodes into storage used before.
+  std::vector<record> spare;
 
   auto pull = [&](usize si) -> bool {
     head& h = heads[si];
     h.alive = false;
     record rec;
+    if (!spare.empty()) {
+      rec = std::move(spare.back());
+      spare.pop_back();
+    }
     bool end = false;
     std::string err;
     if (!sources[si]->next(rec, end, err)) {
@@ -532,6 +618,7 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
       record agg;
       if (!fold_unit_cell(cell_units, agg, out.error)) return out;
       if (!emit(std::move(agg))) return out;
+      for (record& u : cell_units) spare.push_back(std::move(u));
       cell_units.clear();
       ++expect_cell;
     }
@@ -568,87 +655,27 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
   return out;
 }
 
-merge_result merge_shards(std::vector<std::vector<record>> shards) {
-  // The in-memory contract accepts records in any order; the streaming
-  // fold needs them ascending. A verified shard already is (strided and
-  // in order), so only a shard that is not gets sorted — in place and
-  // stably, so a same-index duplicate inside one shard keeps its order.
-  usize hint = 0;
-  const auto by_unit = [&hint](const record& a, const record& b) {
-    usize ia = 0;
-    usize ib = 0;
-    read_index(a, "unit", ia, hint);
-    read_index(b, "unit", ib, hint);
-    return ia < ib;
-  };
-  std::vector<std::unique_ptr<record_source>> sources;
-  sources.reserve(shards.size());
-  for (std::vector<record>& shard : shards) {
-    if (!std::is_sorted(shard.begin(), shard.end(), by_unit)) {
-      std::stable_sort(shard.begin(), shard.end(), by_unit);
-    }
-    sources.push_back(make_memory_source(std::move(shard)));
-  }
-  return merge_stream(std::move(sources));
-}
-
 bool verify_shard_records(const std::vector<record>& records,
                           const shard_ref& s, std::string& error) {
-  if (!s.valid()) {
-    error = "invalid shard reference " + std::to_string(s.index) + "/" +
-            std::to_string(s.count);
-    return false;
-  }
-  if (records.empty()) return true;  // a shard can legitimately own nothing
+  usize pos = 0;
+  const auto next = [&](const record*& rec, std::string&) {
+    rec = pos < records.size() ? &records[pos++] : nullptr;
+    return true;
+  };
+  return verify_slice(s, next, error);
+}
 
-  const std::string tag = "shard " + to_string(s);
-
-  usize total = 0;
-  std::string_view grid;
-  usize expect = s.index;
-  index_hints h;
-  for (usize i = 0; i < records.size(); ++i) {
-    const record& rec = records[i];
-    usize idx = 0;
-    usize this_total = 0;
-    if (!read_index(rec, "unit", idx, h.unit) ||
-        !read_index(rec, "units_total", this_total, h.units_total)) {
-      error = tag + ": record " + std::to_string(i) +
-              " lacks integer unit/units_total fields (torn or foreign shard "
-              "file?)";
-      return false;
-    }
-    const std::string_view this_grid = grid_of(rec, h.grid);
-    if (i == 0) {
-      total = this_total;
-      grid = this_grid;
-    } else if (this_total != total || this_grid != grid) {
-      error = tag + ": record " + std::to_string(i) +
-              " disagrees with the file's own units_total/grid (corrupted "
-              "shard file?)";
-      return false;
-    }
-    if (idx >= total) {
-      error = tag + ": unit index " + std::to_string(idx) +
-              " out of range [0, " + std::to_string(total) + ")";
-      return false;
-    }
-    if (idx != expect) {
-      error = tag + ": record " + std::to_string(i) + " holds unit " +
-              std::to_string(idx) + " where unit " + std::to_string(expect) +
-              " was owed (torn, truncated, or reordered shard file?)";
-      return false;
-    }
-    expect += s.count;
-  }
-  const usize owed = total > s.index ? (total - s.index - 1) / s.count + 1 : 0;
-  if (records.size() != owed) {
-    error = tag + ": holds " + std::to_string(records.size()) + " of " +
-            std::to_string(owed) + " owed units (units_total " +
-            std::to_string(total) + ") — truncated shard file?";
-    return false;
-  }
-  return true;
+bool verify_shard_bytes(std::string_view bytes, const shard_ref& s,
+                        std::string& error) {
+  buffered_source src(bytes, {});
+  record buf;
+  const auto next = [&](const record*& rec, std::string& err) {
+    bool end = false;
+    if (!src.next(buf, end, err)) return false;
+    rec = end ? nullptr : &buf;
+    return true;
+  };
+  return verify_slice(s, next, error);
 }
 
 }  // namespace amo::exp

@@ -8,14 +8,14 @@
 // json_writer::num is round-trip-exact and the fold is a deterministic
 // function of the replica values in replica order.
 //
-// merge_stream consumes record_sources — in-memory arrays, JSON files, or
-// streaming .amoc readers (exp::colfmt_reader) — through a k-way merge
-// that holds one head record per source plus at most one cell's replicas,
-// so a merge over million-unit shard files never materializes a
-// full-sweep record vector. merge_shards is the in-memory front end over
-// the same fold (it sorts any shard that is not already ascending,
-// preserving the old any-order contract); file sources must already be
-// index-ascending, which every writer in this repo guarantees.
+// merge_stream is the one fold path (dispatch, `merge --manifest`,
+// `amo_lab merge`). It k-way-merges record_sources — in-memory arrays,
+// record files, or file images in memory — holding one head record per
+// source plus at most one cell's replicas; a .amoc source streams chunk
+// by chunk (exp::colfmt_reader), so a merge over million-unit shard files
+// never materializes a full-sweep record vector. Every source must be
+// index-ascending, as every writer here guarantees; one that is not is
+// refused ("records out of order"), never sorted.
 //
 // The contract is strict: the shards must agree on the grid
 // (fingerprint + sizes), and the union must cover the whole index space
@@ -27,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/record.hpp"
@@ -60,9 +61,16 @@ class record_source {
 /// Wraps a record file as a source. The file is opened lazily at the
 /// first next(): a .amoc file (sniffed by magic) streams chunk by chunk
 /// through colfmt_reader; a JSON file is parsed whole (the JSON grammar
-/// is not self-delimiting per record). Errors carry the path.
+/// is not self-delimiting per record — the slow path). Errors carry the
+/// path.
 [[nodiscard]] std::unique_ptr<record_source> make_file_source(
     std::string path);
+
+/// make_file_source over a record file image in memory (the dispatcher's
+/// verified shard bytes), which must outlive the source. Errors are
+/// prefixed with `name`.
+[[nodiscard]] std::unique_ptr<record_source> make_bytes_source(
+    std::string_view bytes, std::string name);
 
 /// Where merge_stream delivers each output record when the caller wants
 /// to stream them onward (e.g. into a colfmt_writer chunk by chunk)
@@ -78,21 +86,6 @@ using record_sink = std::function<bool(record&&, std::string& error)>;
 merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
                           const record_sink& sink = {});
 
-/// Merges the records of several shard files (each element = one file's
-/// parsed records, any order). In-memory front end of merge_stream: the
-/// shards are taken by value (move them in) and folded in place; only a
-/// shard that is not already unit-ascending gets sorted.
-merge_result merge_shards(std::vector<std::vector<record>> shards);
-
-/// Folds ONE cell's unit records (complete, replica order) into the
-/// aggregate record add_cell_records would have emitted — raw tokens of
-/// the base replica pass through, safety flags AND-fold, summaries are
-/// recomputed through exp::stats, wall clocks sum. The byte-identity
-/// kernel both merge paths and bench_records share. False with `error`
-/// when a record lacks a foldable field.
-bool fold_unit_cell(const std::vector<record>& units, record& agg,
-                    std::string& error);
-
 /// Integrity check for ONE shard file against the slice it owes: the
 /// records must be internally consistent (every record carries the same
 /// units_total/cells_total/grid) and their unit indices must be exactly
@@ -104,5 +97,12 @@ bool fold_unit_cell(const std::vector<record>& units, record& agg,
 /// units). False with `error` set on any violation.
 bool verify_shard_records(const std::vector<record>& records,
                           const shard_ref& s, std::string& error);
+
+/// verify_shard_records' rules as a stream over a shard file image: .amoc
+/// decodes one reused chunk at a time, JSON is parsed whole first. False
+/// with the first failure in file order, in verify_shard_records' words
+/// or the decoder's.
+bool verify_shard_bytes(std::string_view bytes, const shard_ref& s,
+                        std::string& error);
 
 }  // namespace amo::exp

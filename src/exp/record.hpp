@@ -6,7 +6,7 @@
 // Each parsed field keeps BOTH the decoded value (for exp::report_diff's
 // numeric comparisons) and the raw source token (verbatim). Re-rendering
 // raw tokens in json_writer's row format makes parse ∘ render the identity
-// on writer-produced documents, which is what lets exp::merge_shards
+// on writer-produced documents, which is what lets exp::merge_stream
 // promise byte-identical output without ever reformatting a number.
 //
 // A field also records its encoding when it is known: a field decoded from

@@ -72,7 +72,7 @@ struct cell_stats {
 /// One headline metric: its record-field name, where its fold lands in
 /// cell_stats, and how a replica's run_report samples it. The single table
 /// (summary_metrics) keeps fold_replicas, summary_values and
-/// exp::merge_shards' re-fold structurally in lockstep — adding a metric
+/// exp::merge_stream's re-fold structurally in lockstep — adding a metric
 /// here adds it to all three, so the merge byte-identity cannot silently
 /// lose a field.
 struct summary_metric {
@@ -88,7 +88,7 @@ struct summary_metric {
 /// The aggregate-record suffix every cell record carries, in schema order:
 /// <metric>_{min,mean,max,stddev,p50,p95} for effectiveness, work,
 /// collisions, steps, as doubles — shared by the sweep's row builder and
-/// exp::merge_shards' re-fold, so both write bit-equal values.
+/// exp::merge_stream's re-fold, so both write bit-equal values.
 [[nodiscard]] std::vector<std::pair<std::string, double>> summary_values(
     const cell_stats& stats);
 

@@ -622,6 +622,7 @@ cycle_search has_cycle(
 
 explore_result explore_por(const por_options& opt, por_stats& stats) {
   const model_config& cfg = opt.cfg;
+  check_config(cfg, "explore_por");
   if (opt.max_states > kMaxStates) {
     throw std::invalid_argument(
         "explore_por: max_states = " + std::to_string(opt.max_states) +

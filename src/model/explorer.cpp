@@ -39,6 +39,7 @@ struct frame {
 
 explore_result explore(const explore_options& opt) {
   const model_config& cfg = opt.cfg;
+  check_config(cfg, "explore");
   explore_result result;
 
   std::unordered_set<fingerprint, fingerprint_hash> visited;

@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "util/prng.hpp"
 
@@ -51,6 +53,16 @@ std::uint8_t choose_candidate(const proc_state& ps, const model_config& cfg,
 }
 
 }  // namespace
+
+void check_config(const model_config& cfg, const char* who) {
+  const auto outside = [&](const char* name, usize v, usize max) {
+    throw std::invalid_argument(std::string(who) + ": " + name + " = " +
+                                std::to_string(v) + " is outside the model [1, " +
+                                std::to_string(max) + "]");
+  };
+  if (cfg.n < 1 || cfg.n > max_jobs) outside("n", cfg.n, max_jobs);
+  if (cfg.m < 1 || cfg.m > max_procs) outside("m", cfg.m, max_procs);
+}
 
 sys_state initial_state(const model_config& cfg) {
   assert(cfg.n >= 1 && cfg.n <= max_jobs);

@@ -75,6 +75,12 @@ struct model_config {
 /// "super-jobs nobody performed and nobody can still perform").
 bool lemma62_holds(const sys_state& s, const model_config& cfg);
 
+/// Throws std::invalid_argument, naming `who`, unless `cfg` fits the
+/// model: n in [1, max_jobs] and m in [1, max_procs]. Every explorer calls
+/// it first, in every build type — a config outside the model would
+/// write past the fixed-size state arrays.
+void check_config(const model_config& cfg, const char* who);
+
 /// Initial state: FREE = J for everyone, all registers 0.
 sys_state initial_state(const model_config& cfg);
 

@@ -211,13 +211,13 @@ std::string manifest_path(const dispatch_options& opt) {
                               : opt.manifest;
 }
 
-/// Validates one shard's artifact against the slice it owes: read,
-/// decode (either format), exp::verify_shard_records, content hash. On
-/// success the run is marked validated and keeps the decoded records; on
-/// failure `run.detail` says why. Runs on the attempt's own launcher
-/// thread as soon as its child exits, so the fast shards are verified
-/// while the slowest one still runs; --resume adoption calls it too.
-bool validate_shard(shard_run& run) {
+/// Validates one shard's artifact against the slice it owes: reads the
+/// file once, hashes it, streams it through exp::verify_shard_bytes. On
+/// success the run is validated and keeps the bytes (not records) for the
+/// merge; on failure `run.detail` says why. `want_hash` (--resume) refuses
+/// bytes that no longer hash to the checkpoint. Runs on the attempt's
+/// launcher thread as soon as its child exits.
+bool validate_shard(shard_run& run, std::string_view want_hash = {}) {
   obs::span vsp("dispatch", "verify");
   vsp.arg("shard", std::uint64_t{run.shard.index});
   std::string content;
@@ -226,23 +226,25 @@ bool validate_shard(shard_run& run) {
     run.detail = err;
     return false;
   }
-  exp::parse_result parsed;
+  const std::uint64_t hash = fnv1a64(content);
+  if (!want_hash.empty() && fnv_hex64(hash) != want_hash) {
+    run.detail =
+        run.file + ": content hash mismatch (file changed since checkpoint)";
+    return false;
+  }
+  bool verified = false;
   {
     obs::span dsp("record", "decode");
     dsp.arg("bytes", static_cast<std::uint64_t>(content.size()));
-    parsed = exp::decode_records(content);
+    verified = exp::verify_shard_bytes(content, run.shard, err);
   }
-  if (!parsed.ok()) {
-    run.detail = run.file + ": " + parsed.error;
-    return false;
-  }
-  if (!exp::verify_shard_records(parsed.records, run.shard, err)) {
+  if (!verified) {
     run.detail = run.file + ": " + err;
     return false;
   }
   run.validated = true;
-  run.content_fnv64 = fnv1a64(content);
-  run.records = std::move(parsed.records);
+  run.content_fnv64 = hash;
+  run.bytes = std::move(content);
   return true;
 }
 
@@ -308,9 +310,9 @@ std::vector<manifest_entry> manifest_entries(const exp::parse_result& parsed) {
 
 /// Adopts completed shards from a previous dispatch's manifest. Trust
 /// nothing: an entry counts only if its args fingerprint matches this
-/// dispatch, the file's bytes still hash to the recorded value, and the
-/// content parses and passes the shard-slice integrity check. Anything
-/// else is skipped (and hence relaunched) with a note, never an error.
+/// dispatch, the file's bytes (read once) still hash to the recorded
+/// value, and they pass the shard-slice integrity check. Anything else is
+/// skipped (and hence relaunched) with a note, never an error.
 usize load_manifest(const std::string& path, std::vector<shard_run>& runs,
                     std::uint64_t args_fp, bool quiet) {
   const exp::parse_result parsed = exp::parse_records_file(path.c_str());
@@ -335,17 +337,7 @@ usize load_manifest(const std::string& path, std::vector<shard_run>& runs,
                      exp::to_string(run.shard).c_str(), why.c_str());
       }
     };
-    std::uint64_t hash = 0;
-    std::string err;
-    if (!fnv64_file(run.file.c_str(), hash, err)) {
-      skip(err);
-      continue;
-    }
-    if (fnv_hex64(hash) != e.hash) {
-      skip(run.file + ": content hash mismatch (file changed since checkpoint)");
-      continue;
-    }
-    if (!validate_shard(run)) {
+    if (!validate_shard(run, e.hash)) {
       skip(run.detail);
       run.detail.clear();
       continue;
@@ -482,7 +474,6 @@ dispatch_result dispatch(const std::string& args, const dispatch_options& opt) {
         }
         run->output.clear();
         run->detail.clear();
-        run->records.clear();
         ++run->attempts;
         std::vector<std::string> env_add;
         if (!opt.inject.empty()) {
@@ -563,13 +554,15 @@ dispatch_result dispatch(const std::string& args, const dispatch_options& opt) {
     return out;
   }
 
-  std::vector<std::vector<exp::record>> shard_records;
-  shard_records.reserve(opt.shards);
-  for (shard_run& run : out.shards) {
-    shard_records.push_back(std::move(run.records));
+  // The one fold path: merge_stream over the verified bytes, released as
+  // soon as it ends.
+  std::vector<std::unique_ptr<exp::record_source>> sources;
+  sources.reserve(opt.shards);
+  for (const shard_run& run : out.shards) {
+    sources.push_back(exp::make_bytes_source(run.bytes, run.file));
   }
-
-  exp::merge_result merged = exp::merge_shards(std::move(shard_records));
+  exp::merge_result merged = exp::merge_stream(std::move(sources));
+  for (shard_run& run : out.shards) std::string().swap(run.bytes);
   if (!merged.ok()) {
     out.error = merged.error;
     out.exit_code = 2;

@@ -1,24 +1,24 @@
 // svc::dispatcher — one command in, k supervised shard processes out, one
-// merged JSON back.
+// merged output back.
 //
-// PR 3 added the partition/merge layer (`--shard=i/k` + exp::merge_shards)
-// and PR 4 the launch glue; this revision makes the launch glue
-// fault-tolerant. Each shard command runs fork/exec'd into its OWN process
-// group under a wall-clock deadline: when the deadline expires the whole
-// group gets SIGTERM, then (after a grace period) SIGKILL, and the timeout
-// is classified as a hard failure — so a hung shard can never block a
-// dispatch, it just consumes a retry. Abnormal termination is decoded
-// distinctly (signal name, not a fake exit code) in each shard's status.
+// Each shard command (`--shard=i/k`) runs fork/exec'd into its OWN process
+// group under a wall-clock deadline: on expiry the group gets SIGTERM,
+// then SIGKILL after a grace period, and the attempt counts as a hard
+// failure, so a hung shard consumes a retry instead of blocking the
+// dispatch. Abnormal termination is decoded by signal name.
 //
-// Every shard output is VALIDATED before it counts: parsed, then checked
-// against the slice the shard owed (exp::verify_shard_records), so a torn
-// or corrupted artifact is a retryable failure with a precise diagnostic
-// instead of a silent merge of garbage. Completed shards are checkpointed
-// in a manifest (grid/args fingerprint + content hash per shard file);
-// `dispatch --resume` verifies the manifest and relaunches only the
-// missing/failed/corrupt shards — and because the partition and every unit
-// are deterministic, the resumed merge is byte-identical to a fault-free
-// one-shot sweep (asserted by `cmp` in tests and the CI chaos job).
+// Every shard output is VALIDATED before it counts, on its launcher thread
+// as soon as the child exits: the file is read once and hashed, and its
+// bytes stream chunk by chunk through exp::verify_shard_bytes against the
+// slice the shard owed. A torn or corrupted artifact is a retryable
+// failure with a precise diagnostic. The parent keeps the verified bytes
+// (~2.8 MB per 8,192-unit .amoc shard), never decoded records, and merges
+// them through exp::merge_stream — the fold `merge --manifest` and
+// `amo_lab merge` use. Completed shards are checkpointed in a manifest
+// (args fingerprint + content hash per shard file); `dispatch --resume`
+// re-verifies it and relaunches only the missing/failed/corrupt shards,
+// and because the partition and every unit are deterministic, the resumed
+// merge is byte-identical to a fault-free one-shot sweep.
 //
 // Deterministic fault injection (`--inject=SPEC`, svc::fault) drives all
 // of the above reproducibly: the dispatcher resolves the plan per
@@ -28,10 +28,9 @@
 //
 //   {self} {args} --shard={shard} --out={out}
 //
-// runs local subprocesses, and pushing the same sweep over ssh or a k8s
-// pod is a config string ("ssh host1 '{self} {args} ...'"), not new code.
-// Placeholders: {self} = this binary, {args} = the job arguments, {shard} =
-// i/k, {out} = the shard's output file.
+// runs local subprocesses; ssh or a k8s pod is a config string, not new
+// code. Placeholders: {self} = this binary, {args} = the job arguments,
+// {shard} = i/k, {out} = the shard's output file.
 #pragma once
 
 #include <string>
@@ -99,14 +98,16 @@ struct shard_run {
   int term_signal = 0;  ///< nonzero: the signal that killed the child
   bool timed_out = false;   ///< the deadline expired and the group was killed
   bool reused = false;      ///< resume: output adopted from the manifest
-  bool validated = false;   ///< output parsed + slice-verified
+  bool validated = false;   ///< output decoded + slice-verified
   usize attempts = 0;   ///< launches, 1 + retries actually consumed
   std::string output;   ///< captured stdout+stderr (last attempt)
   std::string status;   ///< human decode: "exit 7", "signal 11 (SIGSEGV)",
                         ///< "deadline (10s) expired; killed", "reused"
   std::string detail;   ///< output-validation diagnostic (last attempt)
-  std::uint64_t content_fnv64 = 0;   ///< FNV-1a of the validated file bytes
-  std::vector<exp::record> records;  ///< parsed output (validated only)
+  std::uint64_t content_fnv64 = 0;  ///< FNV-1a of the validated file bytes
+  /// The validated file bytes, kept until the merge has read them; the
+  /// parent holds no decoded records of a shard.
+  std::string bytes;
 };
 
 struct dispatch_result {

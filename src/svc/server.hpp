@@ -6,7 +6,7 @@
 // the replica-expanded grid on the caller's persistent pool — the whole
 // grid (aggregate cell records) for an unsharded job, or exactly the
 // owned (cell, replica) units (per-unit records, later recombined by
-// exp::merge_shards) for a sharded one. The amo_lab CLI routes
+// exp::merge_stream) for a sharded one. The amo_lab CLI routes
 // `run`/`sweep` through this same function, so a batch/serve job's output
 // is byte-identical to the equivalent standalone invocation by
 // construction, not by parallel maintenance of two code paths (asserted

@@ -49,6 +49,13 @@ inline std::string errno_text() {
     return false;
   }
   out.clear();
+  // Size the buffer once when the file is seekable, so a large file is
+  // not copied through every doubling (a pipe just skips this).
+  if (std::fseek(f, 0, SEEK_END) == 0) {
+    const long size = std::ftell(f);
+    if (size > 0) out.reserve(static_cast<usize>(size));
+    std::fseek(f, 0, SEEK_SET);
+  }
   char buf[1 << 14];
   usize got = 0;
   while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, got);

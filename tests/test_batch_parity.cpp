@@ -25,6 +25,7 @@
 #include "exp/report.hpp"
 #include "exp/shard.hpp"
 #include "exp/sweep.hpp"
+#include "merge_arrays.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_read.hpp"
 #include "svc/worker_pool.hpp"
@@ -273,7 +274,7 @@ TEST(BatchSweep, ShardedUnitsMergeByteIdentically) {
       ASSERT_TRUE(parsed.ok()) << parsed.error;
       shards.push_back(std::move(parsed.records));
     }
-    const exp::merge_result merged = exp::merge_shards(shards);
+    const exp::merge_result merged = merge_arrays(shards);
     ASSERT_TRUE(merged.ok()) << "k = " << k << ": " << merged.error;
     EXPECT_EQ(exp::render_records(merged.records), reference) << "k = " << k;
   }

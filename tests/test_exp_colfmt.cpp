@@ -2,11 +2,12 @@
 // every record field INCLUDING the raw source token (so colfmt -> JSON
 // conversion re-emits json_writer's exact bytes), the streaming reader
 // and writer agree byte-for-byte with the buffer codec, the streaming
-// merge over .amoc shard files is byte-identical to the in-memory merge
-// and to the unsharded sweep — and the reader survives hostile input:
-// truncation at EVERY byte boundary, a bit flip at EVERY byte, version
-// skew, and foreign files all fail with a diagnostic, never garbage
-// records or a crash.
+// merge over .amoc shard files or their bytes is byte-identical to the
+// merge over memory sources and to the unsharded sweep — and the reader,
+// over a file or over bytes, survives hostile input: truncation at EVERY
+// byte boundary, a bit flip at EVERY byte, version skew, and foreign
+// files all fail with the same diagnostic, never garbage records or a
+// crash.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,6 +23,7 @@
 #include "exp/merge.hpp"
 #include "exp/record.hpp"
 #include "exp/report.hpp"
+#include "merge_arrays.hpp"
 #include "svc/server.hpp"
 #include "svc/worker_pool.hpp"
 #include "util/fnv.hpp"
@@ -139,13 +141,6 @@ TEST(Colfmt, SniffingLoaderReadsBothFormats) {
     expect_same_records(records, loaded.records);
   }
 
-  // decode_records: the buffer-level sniff.
-  const exp::parse_result fromj = exp::decode_records(slurp(jpath));
-  const exp::parse_result fromc = exp::decode_records(slurp(cpath));
-  ASSERT_TRUE(fromj.ok()) << fromj.error;
-  ASSERT_TRUE(fromc.ok()) << fromc.error;
-  expect_same_records(fromj.records, fromc.records);
-
   const exp::parse_result missing = exp::load_records_file(
       (dir + "/no_such_file.amoc").c_str());
   ASSERT_FALSE(missing.ok());
@@ -163,13 +158,44 @@ TEST(Colfmt, WriteRecordsFileAsRoundTrips) {
   EXPECT_EQ(slurp(path), encode_or_die(records));
 }
 
+/// The first error of reading `bytes` to the end marker through one
+/// colfmt_reader — over the image itself, or over a file holding it when
+/// `path` is given; "" when the read is clean.
+std::string reader_error(const std::string& bytes, const std::string& path) {
+  exp::colfmt_reader reader;
+  std::string error;
+  bool ok = false;
+  if (path.empty()) {
+    ok = reader.open_bytes(bytes, error);
+  } else {
+    spit(path, bytes);
+    ok = reader.open(path.c_str(), error);
+  }
+  std::vector<exp::record> chunk;
+  for (bool end = false; ok && !end;) ok = reader.next_chunk(chunk, end, error);
+  return error;
+}
+
+/// `bytes` must fail to decode, with the same text from the whole-buffer
+/// decoder, the reader over the bytes and the reader over a file (which
+/// prefixes its path).
+void expect_every_reader_refuses(const std::string& bytes,
+                                 const std::string& path,
+                                 const std::string& what) {
+  const exp::parse_result r = exp::colfmt_decode(bytes);
+  EXPECT_FALSE(r.ok()) << what << " decoded";
+  EXPECT_FALSE(r.error.empty()) << what;
+  EXPECT_EQ(reader_error(bytes, ""), r.error) << what;
+  EXPECT_EQ(reader_error(bytes, path), path + ": " + r.error) << what;
+}
+
 TEST(Colfmt, TruncationAtEveryByteIsDiagnosed) {
   const std::string bytes = encode_or_die(tricky_records());
   ASSERT_GT(bytes.size(), 100u);
+  const std::string path = ::testing::TempDir() + "/every_prefix.amoc";
   for (usize len = 0; len < bytes.size(); ++len) {
-    const exp::parse_result r = exp::colfmt_decode(bytes.substr(0, len));
-    EXPECT_FALSE(r.ok()) << "prefix of " << len << " bytes decoded";
-    EXPECT_FALSE(r.error.empty()) << len;
+    expect_every_reader_refuses(bytes.substr(0, len), path,
+                                "prefix of " + std::to_string(len) + " bytes");
   }
   // One byte too many is just as dead.
   const exp::parse_result over = exp::colfmt_decode(bytes + "x");
@@ -180,11 +206,12 @@ TEST(Colfmt, TruncationAtEveryByteIsDiagnosed) {
 
 TEST(Colfmt, BitFlipAtEveryByteIsDiagnosed) {
   const std::string bytes = encode_or_die(tricky_records());
+  const std::string path = ::testing::TempDir() + "/every_flip.amoc";
   for (usize i = 0; i < bytes.size(); ++i) {
     std::string bad = bytes;
     bad[i] = static_cast<char>(bad[i] ^ 0x40);
-    const exp::parse_result r = exp::colfmt_decode(bad);
-    EXPECT_FALSE(r.ok()) << "flip at byte " << i << " decoded";
+    expect_every_reader_refuses(bad, path,
+                                "flip at byte " + std::to_string(i));
   }
 }
 
@@ -319,8 +346,8 @@ TEST(Colfmt, StreamedAmocMergeIsByteIdenticalToTheSweep) {
   ASSERT_TRUE(streamed.ok()) << streamed.error;
   EXPECT_EQ(exp::render_records(streamed.records), expected);
 
-  // And the in-memory front end agrees with the file-streaming fold.
-  const exp::merge_result memory = exp::merge_shards(in_memory);
+  // And memory sources agree with the file-streaming fold.
+  const exp::merge_result memory = merge_arrays(in_memory);
   ASSERT_TRUE(memory.ok()) << memory.error;
   EXPECT_EQ(exp::render_records(memory.records), expected);
 }
@@ -564,20 +591,23 @@ TEST(Colfmt, GoldenAmocBytesAreStable) {
   // identical, so only pinned bytes catch it. The hashes come from the
   // token-only encoder that typed values replaced; any change to them is
   // a format change and needs a version bump (docs/record_format.md).
+  // The merge runs as the dispatcher's does: each shard's bytes pass the
+  // streaming validation, then merge_stream folds byte sources over them.
   svc::worker_pool pool(2);
   std::vector<std::string> shards;
-  std::vector<std::vector<exp::record>> decoded;
+  std::vector<std::unique_ptr<exp::record_source>> sources;
   for (usize i = 0; i < 3; ++i) {
     svc::job j = golden_job();
     j.have_shard = true;
     j.shard = {i, 3};
     shards.push_back(golden_amoc(j, pool));
-    exp::parse_result d = exp::colfmt_decode(shards.back());
-    ASSERT_TRUE(d.ok()) << d.error;
-    decoded.push_back(std::move(d.records));
+    std::string error;
+    EXPECT_TRUE(exp::verify_shard_bytes(shards.back(), j.shard, error))
+        << error;
+    sources.push_back(exp::make_bytes_source(shards.back(), "shard"));
   }
   const std::string aggregate = golden_amoc(golden_job(), pool);
-  const exp::merge_result merged = exp::merge_shards(std::move(decoded));
+  const exp::merge_result merged = exp::merge_stream(std::move(sources));
   ASSERT_TRUE(merged.ok()) << merged.error;
   const std::string merged_bytes = encode_or_die(merged.records);
 

@@ -1,6 +1,7 @@
 // The distribution layer's contracts: a k-way shard plan covers every cell
 // exactly once for any grid size, merge(shards) is byte-identical to the
-// unsharded sweep, and the merge refuses duplicates, gaps and mixed grids.
+// unsharded sweep, and the merge refuses duplicates, gaps, mixed grids,
+// out-of-order sources and index fields no usize holds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "exp/report.hpp"
 #include "exp/shard.hpp"
 #include "exp/sweep.hpp"
+#include "merge_arrays.hpp"
 #include "svc/worker_pool.hpp"
 
 namespace amo {
@@ -153,30 +155,10 @@ TEST(Merge, ShardsRecombineByteIdentical) {
       ASSERT_TRUE(parsed.ok()) << parsed.error;
       shards.push_back(std::move(parsed.records));
     }
-    const exp::merge_result merged = exp::merge_shards(shards);
+    const exp::merge_result merged = merge_arrays(shards);
     ASSERT_TRUE(merged.ok()) << merged.error;
     EXPECT_EQ(exp::render_records(merged.records), reference) << "k = " << k;
   }
-}
-
-TEST(Merge, ShardOrderDoesNotMatter) {
-  // Neither the order of the shards nor the order of records inside one:
-  // merge_shards folds an ascending shard as it is and sorts any other.
-  const std::vector<exp::run_spec> grid = small_grid();
-  const std::string reference = aggregate_json(grid);
-  std::vector<std::vector<exp::record>> shards;
-  for (const usize i : {usize{2}, usize{0}, usize{1}}) {  // shuffled
-    exp::parse_result parsed =
-        exp::parse_records(shard_json(grid, exp::shard_ref{i, 3}));
-    ASSERT_TRUE(parsed.ok()) << parsed.error;
-    ASSERT_GT(parsed.records.size(), 1u);
-    shards.push_back(std::move(parsed.records));
-  }
-  std::reverse(shards[0].begin(), shards[0].end());
-  std::rotate(shards[2].begin(), shards[2].begin() + 1, shards[2].end());
-  const exp::merge_result merged = exp::merge_shards(std::move(shards));
-  ASSERT_TRUE(merged.ok()) << merged.error;
-  EXPECT_EQ(exp::render_records(merged.records), reference);
 }
 
 /// Shards of the grid, parsed — the valid starting point the failure tests
@@ -192,11 +174,42 @@ std::vector<std::vector<exp::record>> parsed_shards(
   return shards;
 }
 
+TEST(Merge, ShardOrderDoesNotMatter) {
+  // Every order of the sources folds to the same bytes. Inside one source
+  // the records must ascend: a reversed or rotated shard is refused, never
+  // sorted.
+  const std::vector<exp::run_spec> grid = small_grid();
+  const std::string reference = aggregate_json(grid);
+  const std::vector<std::vector<exp::record>> shards = parsed_shards(grid, 3);
+  std::vector<usize> order = {0, 1, 2};
+  do {
+    std::vector<std::vector<exp::record>> permuted;
+    for (const usize i : order) permuted.push_back(shards[i]);
+    const exp::merge_result merged = merge_arrays(std::move(permuted));
+    ASSERT_TRUE(merged.ok()) << merged.error;
+    EXPECT_EQ(exp::render_records(merged.records), reference);
+  } while (std::next_permutation(order.begin(), order.end()));
+
+  for (const bool rotate : {false, true}) {
+    std::vector<std::vector<exp::record>> bad = shards;
+    ASSERT_GT(bad[0].size(), 1u);
+    if (rotate) {
+      std::rotate(bad[2].begin(), bad[2].begin() + 1, bad[2].end());
+    } else {
+      std::reverse(bad[0].begin(), bad[0].end());
+    }
+    const exp::merge_result merged = merge_arrays(std::move(bad));
+    EXPECT_FALSE(merged.ok()) << "rotate = " << rotate;
+    EXPECT_NE(merged.error.find("records out of order"), std::string::npos)
+        << merged.error;
+  }
+}
+
 TEST(Merge, DetectsDuplicateUnit) {
   const std::vector<exp::run_spec> grid = small_grid();
   std::vector<std::vector<exp::record>> shards = parsed_shards(grid, 3);
   shards.push_back({shards[0][0]});  // one unit delivered twice
-  const exp::merge_result merged = exp::merge_shards(shards);
+  const exp::merge_result merged = merge_arrays(shards);
   EXPECT_FALSE(merged.ok());
   EXPECT_NE(merged.error.find("duplicate unit"), std::string::npos)
       << merged.error;
@@ -206,7 +219,7 @@ TEST(Merge, DetectsCoverageGap) {
   const std::vector<exp::run_spec> grid = small_grid();
   std::vector<std::vector<exp::record>> shards = parsed_shards(grid, 3);
   shards[1].erase(shards[1].begin());  // lose one unit
-  const exp::merge_result merged = exp::merge_shards(shards);
+  const exp::merge_result merged = merge_arrays(shards);
   EXPECT_FALSE(merged.ok());
   EXPECT_NE(merged.error.find("coverage gap"), std::string::npos)
       << merged.error;
@@ -220,7 +233,7 @@ TEST(Merge, DetectsMixedGrids) {
   exp::parse_result parsed =
       exp::parse_records(shard_json(other, exp::shard_ref{0, 1}));
   shards.push_back(std::move(parsed.records));
-  const exp::merge_result merged = exp::merge_shards(shards);
+  const exp::merge_result merged = merge_arrays(shards);
   EXPECT_FALSE(merged.ok());
   EXPECT_NE(merged.error.find("cells_total"), std::string::npos)
       << merged.error;
@@ -240,7 +253,7 @@ TEST(Merge, DetectsDifferentGridsOfEqualSize) {
   ASSERT_TRUE(foreign.ok()) << foreign.error;
   shards[1] = std::move(foreign.records);
 
-  const exp::merge_result merged = exp::merge_shards(shards);
+  const exp::merge_result merged = merge_arrays(shards);
   EXPECT_FALSE(merged.ok());
   EXPECT_NE(merged.error.find("grid fingerprint"), std::string::npos)
       << merged.error;
@@ -250,12 +263,48 @@ TEST(Merge, RejectsRecordsWithoutCellIndex) {
   exp::parse_result parsed =
       exp::parse_records("[\n  {\"scenario\": \"x\", \"work\": 3}\n]\n");
   ASSERT_TRUE(parsed.ok()) << parsed.error;
-  const exp::merge_result merged = exp::merge_shards({parsed.records});
+  const exp::merge_result merged = merge_arrays({parsed.records});
   EXPECT_FALSE(merged.ok());
 }
 
+/// `doc` with the value of the first `"key": ` field replaced by `token`.
+std::string respell(std::string doc, const char* key, const char* token) {
+  const std::string field = std::string("\"") + key + "\": ";
+  const usize at = doc.find(field) + field.size();
+  doc.replace(at, doc.find_first_of(",}", at) - at, token);
+  return doc;
+}
+
+TEST(Merge, OutOfRangeIndexSpellingsAreRefused) {
+  // 1e30, 2^64 and 1e999 (which the lexer clamps to inf) are integral
+  // doubles no usize holds. Casting them is undefined behaviour (it read
+  // them as 0, so a record claiming unit 1e30 merged as unit 0); every
+  // index field must refuse them instead.
+  const std::vector<exp::run_spec> grid = small_grid();
+  const std::string shard1 = shard_json(grid, exp::shard_ref{1, 2});
+  for (const char* key :
+       {"unit", "units_total", "cell", "cells_total", "replica", "replicas"}) {
+    for (const char* token : {"1e30", "18446744073709551616", "1e999"}) {
+      SCOPED_TRACE(std::string(key) + " = " + token);
+      std::vector<std::vector<exp::record>> shards;
+      for (const std::string& doc :
+           {respell(shard_json(grid, exp::shard_ref{0, 2}), key, token),
+            shard1}) {
+        exp::parse_result parsed = exp::parse_records(doc);
+        ASSERT_TRUE(parsed.ok()) << parsed.error;
+        shards.push_back(std::move(parsed.records));
+      }
+      const exp::merge_result merged = merge_arrays(std::move(shards));
+      EXPECT_FALSE(merged.ok());
+      EXPECT_NE(merged.error.find("record without integer"),
+                std::string::npos)
+          << merged.error;
+    }
+  }
+}
+
 TEST(Merge, EmptyShardListYieldsEmptyDocument) {
-  const exp::merge_result merged = exp::merge_shards({});
+  const exp::merge_result merged = merge_arrays({});
   ASSERT_TRUE(merged.ok()) << merged.error;
   EXPECT_TRUE(merged.records.empty());
 }

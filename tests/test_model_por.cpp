@@ -334,6 +334,42 @@ TEST(PorSentinel, CappedRunReportsZeroMinEffectiveness) {
   }
 }
 
+TEST(PorLimits, OutOfModelConfigsThrow) {
+  // kk_model's state arrays hold max_procs processes and max_jobs jobs. A
+  // config outside them is refused in every build type — before this, a
+  // Release build wrote past the arrays (n5m4f3 segfaulted, n11m2
+  // "completed").
+  struct bad_cfg {
+    usize n, m;
+    const char* field;
+  };
+  for (const bad_cfg& c : {bad_cfg{4, 0, "m = 0"}, bad_cfg{5, 4, "m = 4"},
+                           bad_cfg{0, 2, "n = 0"}, bad_cfg{11, 2, "n = 11"}}) {
+    const model::model_config cfg = make_cfg(c.n, c.m, c.m, 1,
+                                      selection_rule::paper_rank,
+                                      kk_mode::plain);
+    SCOPED_TRACE(c.field);
+    por_options po;
+    po.cfg = cfg;
+    explore_options eo;
+    eo.cfg = cfg;
+    for (const char* who : {"explore_por", "explore"}) {
+      try {
+        if (std::string(who) == "explore") {
+          explore(eo);
+        } else {
+          explore_por(po);
+        }
+        ADD_FAILURE() << who << " accepted an out-of-model config";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind(std::string(who) + ": ", 0), 0u) << what;
+        EXPECT_NE(what.find(c.field), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 TEST(PorLimits, MaxStatesAboveTheNodeKeySpaceThrows) {
   // Node keys pack a 6-bit shard and a 26-bit local id; the bound is
   // checked in every build type, not by an assert.

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 
+#include "exp/colfmt.hpp"
 #include "exp/merge.hpp"
 #include "exp/record.hpp"
 #include "exp/registry.hpp"
@@ -123,23 +124,149 @@ TEST(ShardIntegrityFuzz, TheIntactShardFilePasses) {
       << error;
 }
 
+/// The sample shard as .amoc bytes.
+std::string sample_shard_amoc() {
+  const exp::parse_result parsed = exp::parse_records(sample_shard_doc());
+  std::string bytes;
+  std::string error;
+  EXPECT_TRUE(exp::colfmt_encode(parsed.records, bytes, error)) << error;
+  return bytes;
+}
+
 TEST(ShardIntegrityFuzz, TruncationAtEveryByteIsCaught) {
   // A shard artifact cut short at ANY byte — what a killed non-atomic
   // writer leaves behind — must be rejected before it reaches a merge:
   // either the parse fails (mid-token cut) or the slice check finds units
-  // missing. No truncation point may slip through as a valid shard.
+  // missing. No truncation point may slip through as a valid shard, in
+  // the decoded-records check or in the streaming check over the bytes
+  // the dispatcher runs, in either format.
   const std::string doc = sample_shard_doc();
   for (usize len = 0; len < doc.size(); ++len) {
     // Cutting only trailing whitespace leaves a complete document with
     // every record intact — that is not a torn file.
     if (doc.find_first_not_of(" \t\r\n", len) == std::string::npos) continue;
     const std::string torn = doc.substr(0, len);
+    std::string error;
+    EXPECT_FALSE(exp::verify_shard_bytes(torn, {1, 3}, error))
+        << "prefix of " << len << " bytes streamed as a complete shard";
+    EXPECT_FALSE(error.empty());
     const exp::parse_result parsed = exp::parse_records(torn);
     if (!parsed.ok()) continue;  // rejected at the parse layer: good
-    std::string error;
+    error.clear();
     EXPECT_FALSE(exp::verify_shard_records(parsed.records, {1, 3}, error))
         << "prefix of " << len << " bytes passed as a complete shard";
     EXPECT_FALSE(error.empty());
+  }
+  const std::string amoc = sample_shard_amoc();
+  std::string error;
+  ASSERT_TRUE(exp::verify_shard_bytes(amoc, {1, 3}, error)) << error;
+  for (usize len = 0; len < amoc.size(); ++len) {
+    error.clear();
+    EXPECT_FALSE(exp::verify_shard_bytes(amoc.substr(0, len), {1, 3}, error))
+        << "prefix of " << len << " .amoc bytes streamed as a complete shard";
+    EXPECT_FALSE(error.empty());
+  }
+}
+
+/// Sets a numeric field's value and token (what a writer would have put).
+void set_number(exp::record& rec, const char* key, const char* token) {
+  for (exp::record_field& f : rec.fields) {
+    if (f.key != key) continue;
+    std::string error;
+    ASSERT_TRUE(exp::parse_value_token(token, f, error)) << error;
+  }
+}
+
+TEST(ShardIntegrityFuzz, StreamingValidationNamesTheSameFailure) {
+  // The dispatcher validates a shard by streaming its bytes
+  // (verify_shard_bytes). For every violation it must name the same
+  // failure, in the same words, as verify_shard_records over the decoded
+  // records — in JSON and in .amoc.
+  const exp::parse_result parsed = exp::parse_records(sample_shard_doc());
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  struct violation {
+    const char* name;
+    exp::shard_ref ref;
+    std::vector<exp::record> records;
+  };
+  std::vector<violation> cases;
+  cases.push_back({"intact", {1, 3}, parsed.records});
+  cases.push_back({"wrong slice", {0, 3}, parsed.records});
+  cases.push_back({"invalid reference", {3, 3}, parsed.records});
+  cases.push_back({"out-of-range index", {1, 3}, parsed.records});
+  set_number(cases.back().records[0], "unit", "12");
+  cases.push_back({"unit 1e30", {1, 3}, parsed.records});
+  set_number(cases.back().records[0], "unit", "1e30");
+  cases.push_back({"foreign units_total", {1, 3}, parsed.records});
+  set_number(cases.back().records[1], "units_total", "8");
+  cases.push_back({"foreign grid", {1, 3}, parsed.records});
+  for (exp::record_field& f : cases.back().records[1].fields) {
+    if (f.key == "grid") {
+      f.text = "zzz999";
+      f.raw = "\"zzz999\"";
+    }
+  }
+  cases.push_back({"short count", {1, 3}, parsed.records});
+  cases.back().records.pop_back();
+
+  for (const violation& v : cases) {
+    SCOPED_TRACE(v.name);
+    std::string want;
+    const bool ok = exp::verify_shard_records(v.records, v.ref, want);
+    EXPECT_EQ(ok, std::string(v.name) == "intact") << want;
+    std::string amoc;
+    std::string error;
+    ASSERT_TRUE(exp::colfmt_encode(v.records, amoc, error)) << error;
+    for (const std::string& bytes : {exp::render_records(v.records), amoc}) {
+      std::string got;
+      EXPECT_EQ(exp::verify_shard_bytes(bytes, v.ref, got), ok);
+      EXPECT_EQ(got, want);
+    }
+  }
+
+  // Unreadable bytes: the decoder's own text, in either format.
+  const std::string doc = sample_shard_doc();
+  const std::string torn = doc.substr(0, doc.size() / 2);
+  std::string amoc = sample_shard_amoc();
+  amoc[amoc.size() / 2] = static_cast<char>(amoc[amoc.size() / 2] ^ 0x01);
+  for (const std::string& bytes : {torn, amoc}) {
+    const exp::parse_result decoded = bytes == torn
+                                          ? exp::parse_records(bytes)
+                                          : exp::colfmt_decode(bytes);
+    ASSERT_FALSE(decoded.ok());
+    std::string got;
+    EXPECT_FALSE(exp::verify_shard_bytes(bytes, {1, 3}, got));
+    EXPECT_EQ(got, decoded.error);
+  }
+}
+
+TEST(ShardIntegrityFuzz, OutOfRangeIndexSpellingsAreRefused) {
+  // A one-shard file owes unit 0 first. 1e30, 2^64 and 1e999 (which the
+  // lexer clamps to inf) are integral doubles no usize holds; casting them
+  // read them as 0, so a record claiming unit 1e30 passed as unit 0.
+  // Every spelling must be refused as a non-index, in either field.
+  using W = exp::json_writer;
+  for (const char* key : {"unit", "units_total"}) {
+    for (const char* token : {"1e30", "18446744073709551616", "1e999"}) {
+      SCOPED_TRACE(std::string(key) + " = " + token);
+      exp::json_writer json;
+      json.add({{"unit", std::string(key) == "unit" ? token : "0"},
+                {"units_total", std::string(key) == "unit" ? "1" : token},
+                {"grid", W::str("abc123")}});
+      const std::string doc = json.dump();
+      const exp::parse_result parsed = exp::parse_records(doc);
+      ASSERT_TRUE(parsed.ok()) << parsed.error;
+      std::string error;
+      EXPECT_FALSE(exp::verify_shard_records(parsed.records, {0, 1}, error));
+      EXPECT_NE(error.find("lacks integer unit/units_total"),
+                std::string::npos)
+          << error;
+      error.clear();
+      EXPECT_FALSE(exp::verify_shard_bytes(doc, {0, 1}, error));
+      EXPECT_NE(error.find("lacks integer unit/units_total"),
+                std::string::npos)
+          << error;
+    }
   }
 }
 
