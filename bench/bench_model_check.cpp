@@ -298,6 +298,7 @@ int main() {
             {"scenario", benchx::json_report::str("por/n4m3b3f2")},
             {"pools", benchx::json_report::str("serial,1,2,hw")},
             {"hardware_concurrency", benchx::json_report::num(std::uint64_t{hc})},
+            {"amo_build_type", benchx::json_report::str(AMO_BUILD_TYPE)},
             {"por_states", benchx::json_report::num(std::uint64_t{base.states})},
             {"por_transitions",
              benchx::json_report::num(std::uint64_t{base.transitions})},

@@ -3,10 +3,11 @@
 // whole grid runs as one exp::sweep. Each cell's record is the standard
 // aggregate cell record (exp::cell_record_rows, no timing fields, scenario
 // "paper/<id>") plus three claim columns — claim, bound, claim_holds — and
-// all of them land in BENCH_paper.json, which CI diffs against the committed
-// baseline (a claim_holds true -> false flip is a hard failure there). The
-// program prints one row per experiment and every failing cell in full, and
-// exits 1 if any claim fails.
+// the host class (hardware_concurrency, amo_build_type); all of them land
+// in BENCH_paper.json, which CI diffs against the committed baseline (a
+// claim_holds true -> false flip is a hard failure there). The program
+// prints one row per experiment and every failing cell in full, and exits
+// 1 if any claim fails.
 //
 // Claims, with their bounds from src/analysis/bounds:
 //   thm4.4_exact        effectiveness == n - (beta + m - 2)   E1.1, E1.3, E8 KK_m
@@ -28,6 +29,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "analysis/bounds.hpp"
@@ -307,7 +309,10 @@ int main() {
   const exp::sweep_result swept = exp::sweep(g.specs);
   exp::record_table rows = exp::cell_record_rows(
       swept, exp::grid_fingerprint(g.specs), /*include_timing=*/false);
-  rows.keys.insert(rows.keys.end(), {"claim", "bound", "claim_holds"});
+  // The host class rides on every row, as in the other BENCH files.
+  rows.keys.insert(rows.keys.end(), {"claim", "bound", "claim_holds",
+                                     "hardware_concurrency", "amo_build_type"});
+  const std::uint64_t hc = std::thread::hardware_concurrency();
 
   W out;
   W failing;
@@ -321,6 +326,8 @@ int main() {
     row.push_back(T::str(v.name));
     row.push_back(v.bound ? T::f64(*v.bound) : T::null());
     row.push_back(T::boolean(v.holds));
+    row.push_back(T::u64(hc));
+    row.push_back(T::str(AMO_BUILD_TYPE));
     out.add(rows.keys, row);
     if (!v.holds) failing.add(rows.keys, row);
 

@@ -597,28 +597,6 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
   return true;
 }
 
-/// Validates the chunk frame (magic, length already bounds-checked by the
-/// caller, checksum) then decodes the blocks. `chunk` spans magic..checksum.
-bool decode_chunk(std::string_view chunk, std::uint64_t base,
-                  const std::vector<std::string>& columns,
-                  std::vector<record>& out, std::string& error) {
-  if (std::memcmp(chunk.data(), kChunkMagic, sizeof kChunkMagic) != 0) {
-    error = "offset " + std::to_string(base) +
-            ": bad chunk magic (expected \"CHNK\")";
-    return false;
-  }
-  const std::uint64_t stored = get_u64(chunk.data() + chunk.size() - 8);
-  const std::uint64_t computed =
-      fnv1a64(std::string_view(chunk.data(), chunk.size() - 8));
-  if (stored != computed) {
-    error = "offset " + std::to_string(base + chunk.size() - 8) +
-            ": chunk checksum mismatch (stored " + fnv_hex64(stored) +
-            ", computed " + fnv_hex64(computed) + ") (corrupted .amoc file?)";
-    return false;
-  }
-  return decode_chunk_blocks(chunk, base, columns, out, error);
-}
-
 /// Post-decode consistency: the header's record-derived fields must match
 /// what the first record says (all zero when the file holds none).
 bool check_header_meta(const colfmt_header& h, const record* first,
@@ -689,7 +667,7 @@ bool colfmt_encode(const record_table& table, std::string& out,
 parse_result colfmt_decode(std::string_view bytes) {
   parse_result out;
   colfmt_reader reader;
-  if (!reader.open_bytes(bytes, out.error)) return out;
+  if (!reader.open(open_memory(bytes), {}, false, out.error)) return out;
   std::vector<record> chunk;
   for (bool end = false;;) {
     if (!reader.next_chunk(chunk, end, out.error)) {
@@ -737,68 +715,51 @@ colfmt_reader::~colfmt_reader() {
 
 namespace {
 
-std::string truncated(std::uint64_t offset, const char* what, usize need,
-                      usize got) {
-  return "offset " + std::to_string(offset) + ": file ends inside " + what +
-         " (need " + std::to_string(need) + " bytes, " + std::to_string(got) +
-         " read) (truncated .amoc file?)";
-}
-
-/// Appends exactly `n` bytes of `f` to `buf`; on a short read reports the
-/// absolute offset, the errno text for hard errors, and the truncation
-/// hint for a clean early EOF.
-bool read_exact(std::FILE* f, usize n, std::string& buf, std::uint64_t offset,
-                const char* what, std::string& error) {
-  const usize start = buf.size();
-  buf.resize(start + n);
-  const usize got = std::fread(buf.data() + start, 1, n, f);
-  if (got == n) return true;
-  buf.resize(start + got);
-  if (std::ferror(f) != 0) {
-    error = "offset " + std::to_string(offset + got) + ": cannot read " +
-            what + ": " + std::strerror(errno);
-  } else {
-    error = truncated(offset + got, what, n, got);
-  }
+bool fail(std::string why, std::string& error) {
+  error = std::move(why);
   return false;
 }
 
 }  // namespace
 
-bool colfmt_reader::fail(std::string why, std::string& error) const {
-  error = path_.empty() ? std::move(why) : path_ + ": " + why;
-  return false;
-}
-
+/// A short read reports the absolute offset, the errno text for hard
+/// errors, and the truncation hint for a clean early EOF. Its bytes are
+/// hashed too, so hash_rest() completes a truncated input's hash.
 bool colfmt_reader::extend(usize n, const char* what, std::string& error) {
-  if (file_ != nullptr) {
-    std::string why;
-    return read_exact(file_, n, frame_, offset_ + frame_.size(), what, why) ||
-           fail(std::move(why), error);
+  const usize start = frame_.size();
+  frame_.resize(start + n);
+  const usize got = std::fread(frame_.data() + start, 1, n, file_);
+  frame_.resize(start + got);
+  if (hash_) fnv_ = fnv1a64_append(fnv_, frame().substr(start));
+  if (got == n) return true;
+  const std::string at = "offset " + std::to_string(offset_ + start + got);
+  return fail(std::ferror(file_) != 0
+                  ? at + ": cannot read " + what + ": " + std::strerror(errno)
+                  : at + ": file ends inside " + what + " (need " +
+                        std::to_string(n) + " bytes, " + std::to_string(got) +
+                        " read) (truncated .amoc file?)",
+              error);
+}
+
+bool colfmt_reader::hash_rest() {
+  char buf[1 << 14];
+  usize got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, file_)) > 0) {
+    fnv_ = fnv1a64_append(fnv_, std::string_view(buf, got));
   }
-  const usize left = bytes_.size() - (offset_ + frame_len_);
-  if (left < n) return fail(truncated(bytes_.size(), what, n, left), error);
-  frame_len_ += n;
-  return true;
+  return std::ferror(file_) == 0;
 }
 
-std::string_view colfmt_reader::frame() const {
-  return file_ != nullptr ? std::string_view(frame_)
-                          : bytes_.substr(offset_, frame_len_);
-}
-
-bool colfmt_reader::open(const char* path, std::string& error) {
-  path_ = path;
-  file_ = std::fopen(path, "rb");
-  if (file_ == nullptr) {
-    error = std::string("cannot open ") + path + ": " + std::strerror(errno);
+bool colfmt_reader::open(std::FILE* f, std::string_view head, bool hash,
+                         std::string& error) {
+  if (f == nullptr) {
+    error = std::string("cannot open the input: ") + std::strerror(errno);
     return false;
   }
-  return read_header(error);
-}
-
-bool colfmt_reader::open_bytes(std::string_view bytes, std::string& error) {
-  bytes_ = bytes;
+  file_ = f;
+  frame_ = head;
+  hash_ = hash;
+  if (hash_) fnv_ = fnv1a64_append(fnv_, head);
   return read_header(error);
 }
 
@@ -806,11 +767,9 @@ bool colfmt_reader::read_header(std::string& error) {
   // The magic is judged first, on however few bytes exist: a short
   // foreign input deserves "not a .amoc file", not a truncation complaint.
   std::string why;
-  const bool whole = extend(sizeof kMagic, "the file magic", why);
-  if (!whole && file_ != nullptr && std::ferror(file_) != 0) {
-    error = std::move(why);
-    return false;
-  }
+  const bool whole =
+      extend(sizeof kMagic - frame().size(), "the file magic", why);
+  if (!whole && std::ferror(file_) != 0) return fail(std::move(why), error);
   if (!whole || !is_colfmt(frame())) {
     return fail("offset 0: bad magic (not a .amoc file)", error);
   }
@@ -872,24 +831,22 @@ bool colfmt_reader::read_header(std::string& error) {
 bool colfmt_reader::next_chunk(std::vector<record>& out, bool& end,
                                std::string& error) {
   end = false;
-  if (!open_) {
-    out.clear();
-    return fail("reader is not open", error);
-  }
+  if (read_chunk(out, end, error)) return true;
+  out.clear();
+  return false;
+}
+
+bool colfmt_reader::read_chunk(std::vector<record>& out, bool& end,
+                               std::string& error) {
+  if (!open_) return fail("reader is not open", error);
   frame_.clear();
-  frame_len_ = 0;
   std::string why;
-  if (!extend(sizeof kEndMarker, "a chunk frame", error)) {
-    out.clear();
-    return false;
-  }
+  if (!extend(sizeof kEndMarker, "a chunk frame", error)) return false;
   if (std::memcmp(frame().data(), kEndMarker, sizeof kEndMarker) == 0) {
     out.clear();
     char extra = 0;
-    const bool more = file_ != nullptr
-                          ? std::fread(&extra, 1, 1, file_) != 0
-                          : offset_ + sizeof kEndMarker != bytes_.size();
-    if (more) {
+    if (std::fread(&extra, 1, 1, file_) != 0) {
+      if (hash_) fnv_ = fnv1a64_append(fnv_, std::string_view(&extra, 1));
       return fail("offset " + std::to_string(offset_ + sizeof kEndMarker) +
                       ": trailing content after the end marker",
                   error);
@@ -910,27 +867,30 @@ bool colfmt_reader::next_chunk(std::vector<record>& out, bool& end,
     return true;
   }
   if (std::memcmp(frame().data(), kChunkMagic, sizeof kChunkMagic) != 0) {
-    out.clear();
     return fail("offset " + std::to_string(offset_) +
                     ": bad chunk magic (expected \"CHNK\")",
                 error);
   }
   const std::uint32_t chunk_bytes = get_u32(frame().data() + 4);
   if (chunk_bytes < kChunkFixed + 8) {
-    out.clear();
     return fail("offset " + std::to_string(offset_ + 4) + ": chunk length " +
                     std::to_string(chunk_bytes) + " below the " +
                     std::to_string(kChunkFixed + 8) + "-byte minimum",
                 error);
   }
-  if (!extend(chunk_bytes - sizeof kEndMarker, "a chunk", error)) {
-    out.clear();
-    return false;
+  if (!extend(chunk_bytes - sizeof kEndMarker, "a chunk", error)) return false;
+  const std::uint64_t stored = get_u64(frame().data() + chunk_bytes - 8);
+  const std::uint64_t computed = fnv1a64(frame().substr(0, chunk_bytes - 8));
+  if (stored != computed) {
+    return fail("offset " + std::to_string(offset_ + chunk_bytes - 8) +
+                    ": chunk checksum mismatch (stored " + fnv_hex64(stored) +
+                    ", computed " + fnv_hex64(computed) +
+                    ") (corrupted .amoc file?)",
+                error);
   }
-  if (!decode_chunk(frame(), offset_, header_.columns, out, why) ||
+  if (!decode_chunk_blocks(frame(), offset_, header_.columns, out, why) ||
       (records_seen_ == 0 && !out.empty() &&
        !check_header_meta(header_, &out.front(), why))) {
-    out.clear();
     return fail(std::move(why), error);
   }
   offset_ += chunk_bytes;
@@ -939,7 +899,6 @@ bool colfmt_reader::next_chunk(std::vector<record>& out, bool& end,
   obs::counter("merge", "chunks_read", static_cast<double>(chunks_seen_));
   if (chunks_seen_ > header_.chunk_count ||
       records_seen_ > header_.record_count) {
-    out.clear();
     return fail("offset " + std::to_string(offset_) +
                     ": more chunks/records than the header declares",
                 error);

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "exp/record.hpp"
+#include "util/fnv.hpp"
 #include "util/types.hpp"
 
 namespace amo::exp {
@@ -105,10 +106,12 @@ struct colfmt_header {
                                          record_format format,
                                          std::string& error);
 
-/// Streaming .amoc reader over a file or an in-memory image: the header
-/// is read and validated at open(); next_chunk() then decodes one cell's
-/// records at a time, so a merge holds one chunk per shard, never a whole
-/// file. Every rule of docs/record_format.md is checked here, once.
+/// Streaming .amoc reader over a stdio stream — a file or an in-memory
+/// image: the header is read and validated at open(); next_chunk() then
+/// decodes one cell's records at a time, so a merge holds one chunk per
+/// shard, never a whole file. Every rule of docs/record_format.md is
+/// checked here, once. The input is read once, front to back, so the
+/// reader can also hash the very frames it decodes.
 class colfmt_reader {
  public:
   colfmt_reader() = default;
@@ -116,13 +119,13 @@ class colfmt_reader {
   colfmt_reader(const colfmt_reader&) = delete;
   colfmt_reader& operator=(const colfmt_reader&) = delete;
 
-  /// Opens + validates the header. False with `error` (path + offset,
-  /// errno text on I/O failure).
-  [[nodiscard]] bool open(const char* path, std::string& error);
-
-  /// The same over an in-memory image, which must outlive the reader.
-  /// Errors carry the offset but no path.
-  [[nodiscard]] bool open_bytes(std::string_view bytes, std::string& error);
+  /// Takes over `f` (a file, or util::open_memory over an image), which
+  /// its caller may already have read `head` of (a format sniff), and
+  /// validates the header. False with `error` (offset, errno text on I/O
+  /// failure; the caller names the input). With `hash`, every byte read,
+  /// `head` included, is folded into content_fnv64().
+  [[nodiscard]] bool open(std::FILE* f, std::string_view head, bool hash,
+                          std::string& error);
 
   /// Decodes the next chunk into `out`, replacing its contents but reusing
   /// its records' storage. Sets `end` (with `out` empty) once the end
@@ -134,22 +137,30 @@ class colfmt_reader {
 
   [[nodiscard]] const colfmt_header& header() const { return header_; }
 
+  /// FNV-1a-64 of the bytes read so far (opened with `hash`); after the
+  /// end marker, or after hash_rest(), of the whole input.
+  [[nodiscard]] std::uint64_t content_fnv64() const { return fnv_; }
+
+  /// Folds the rest of the input into content_fnv64(), so an input that
+  /// failed midway still yields its whole hash. False on a read error.
+  [[nodiscard]] bool hash_rest();
+
  private:
   bool read_header(std::string& error);
+  /// next_chunk, leaving `out` to its caller to clear on failure.
+  bool read_chunk(std::vector<record>& out, bool& end, std::string& error);
   /// Extends the current frame by the input's next `n` bytes.
   bool extend(usize n, const char* what, std::string& error);
-  [[nodiscard]] std::string_view frame() const;
-  bool fail(std::string why, std::string& error) const;
+  [[nodiscard]] std::string_view frame() const { return frame_; }
 
   std::FILE* file_ = nullptr;
-  std::string_view bytes_;  ///< the image (open_bytes)
-  std::string path_;        ///< the file (open); "" for an image
-  std::string frame_;       ///< file: the frame read so far, reused
-  usize frame_len_ = 0;     ///< image: the frame's length at offset_
+  std::string frame_;  ///< the frame read so far, reused
   colfmt_header header_;
   std::uint64_t offset_ = 0;  ///< input offset of the current frame
   std::uint64_t chunks_seen_ = 0;
   std::uint64_t records_seen_ = 0;
+  std::uint64_t fnv_ = fnv1a64_offset;
+  bool hash_ = false;  ///< fold file bytes into fnv_
   bool open_ = false;  ///< the header validated
 };
 

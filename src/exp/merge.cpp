@@ -1,5 +1,6 @@
 #include "exp/merge.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstring>
 
@@ -8,6 +9,8 @@
 #include "exp/stats.hpp"
 #include "exp/timing_keys.hpp"
 #include "obs/telemetry.hpp"
+#include "util/fileio.hpp"
+#include "util/fnv.hpp"
 
 namespace amo::exp {
 
@@ -29,11 +32,6 @@ bool read_index(const record& rec, const char* key, usize& out,
   }
   out = static_cast<usize>(f->number);
   return true;
-}
-
-bool read_index(const record& rec, const char* key, usize& out) {
-  usize hint = 0;
-  return read_index(rec, key, out, hint);
 }
 
 std::string shard_tag(usize si) { return "shard " + std::to_string(si); }
@@ -60,73 +58,112 @@ struct index_hints {
 // Sources
 // ---------------------------------------------------------------------------
 
-/// The one record_source: records already in memory, a record file, or a
-/// record file image in memory. A file or image opens at the first
-/// next(): .amoc (sniffed by magic) streams chunk by chunk through
+/// The one record_source: records in memory, a record file, or a record
+/// file image in memory. A file or image is opened at the first next()
+/// and read once: .amoc (sniffed by magic) streams chunk by chunk through
 /// colfmt_reader, reusing one chunk's record storage; JSON is parsed
-/// whole, because its grammar is not self-delimiting per record.
+/// whole, its grammar not being self-delimiting per record. Told what a
+/// shard owes, the source checks each record it yields and hashes every
+/// byte it reads, so what reaches a merge is exactly what was hashed.
 class buffered_source final : public record_source {
  public:
-  explicit buffered_source(std::vector<record> records)
-      : opened_(true), buffer_(std::move(records)) {}
-  explicit buffered_source(std::string path) : name_(std::move(path)) {}
-  buffered_source(std::string_view image, std::string name)
-      : bytes_(image), name_(std::move(name)), image_(true) {}
+  explicit buffered_source(std::vector<record> records,
+                           std::optional<shard_owed> owed = std::nullopt)
+      : in_memory_(true), buffer_(std::move(records)), owed_(std::move(owed)) {}
+  buffered_source(std::string path, std::optional<shard_owed> owed)
+      : name_(std::move(path)), owed_(std::move(owed)) {}
+  buffered_source(std::string_view image, std::string name,
+                  std::optional<shard_owed> owed)
+      : bytes_(image), name_(std::move(name)), image_(true),
+        owed_(std::move(owed)) {}
 
   bool next(record& out, bool& end, std::string& error) override {
     if (!opened_ && !open(error)) return false;
     if (col_ != nullptr) {
       // Refill from the next chunk; a colfmt chunk always holds at least
       // one record, but loop defensively.
-      while (pos_ >= buffer_.size()) {
+      while (pos_ >= buffer_.size() && !chunks_done_) {
         pos_ = 0;
-        bool chunks_done = false;
-        if (!col_->next_chunk(buffer_, chunks_done, error)) {
+        if (!col_->next_chunk(buffer_, chunks_done_, error)) {
           return fail(error);
         }
-        if (chunks_done) {
-          end = true;
-          return true;
-        }
       }
-    } else if (pos_ >= buffer_.size()) {
+    }
+    if (pos_ >= buffer_.size()) {
       end = true;
-      return true;
+      return !owed_ || (owed_all(error) && checkpoint_matches()) ||
+             fail(error);
     }
     // A swap, not a move: the caller's spent record goes back into the
     // chunk buffer, so the next chunk decodes into its storage.
     std::swap(out, buffer_[pos_++]);
-    return true;
+    return !owed_ || owed_record(out, error) || fail(error);
+  }
+
+  /// FNV-1a-64 of every byte read (a source told what a shard owes).
+  [[nodiscard]] std::uint64_t content_fnv64() const {
+    return col_ != nullptr ? col_->content_fnv64() : fnv_;
   }
 
  private:
-  /// Names the image in `error` (a file's reader already names its path).
-  bool fail(std::string& error) const {
-    if (image_ && !name_.empty()) error = name_ + ": " + error;
+  /// Names the input in `error`. A shard that owes a checkpoint hash is
+  /// judged by it first: bytes other than the checkpointed ones are
+  /// reported as such, whatever broke in them.
+  bool fail(std::string& error) {
+    if (!checkpoint_matches()) {
+      error = "content hash " + fnv_hex64(content_fnv64()) +
+              " disagrees with the manifest checkpoint " + owed_->fnv64 +
+              " (file changed since the dispatch validated it)";
+    }
+    if (!name_.empty()) error = name_ + ": " + error;
     return false;
+  }
+
+  /// Whether the input hashes to the checkpoint's value (true without
+  /// one). Reads what is left first, so an input that failed midway is
+  /// judged by its whole hash; a read error leaves the failure in hand.
+  bool checkpoint_matches() {
+    if (!owed_ || owed_->fnv64.empty()) return true;
+    if (col_ != nullptr && !col_->hash_rest()) return true;
+    return fnv_hex64(content_fnv64()) == owed_->fnv64;
   }
 
   bool open(std::string& error) {
     opened_ = true;
-    bool amoc = is_colfmt(bytes_);
-    if (!image_) {
-      std::FILE* f = std::fopen(name_.c_str(), "rb");
-      if (f == nullptr) {
-        error = "cannot open " + name_ + ": " + std::strerror(errno);
+    if (owed_) {
+      const shard_ref& s = owed_->slice;
+      if (!s.valid()) {
+        error = "invalid shard reference " + std::to_string(s.index) + "/" +
+                std::to_string(s.count);
         return false;
       }
-      char magic[4] = {};
-      const usize got = std::fread(magic, 1, sizeof magic, f);
-      std::fclose(f);
-      amoc = is_colfmt(std::string_view(magic, got));
+      tag_ = "shard " + to_string(s);
     }
-    if (amoc) {
+    if (in_memory_) return true;
+    std::FILE* f =
+        image_ ? open_memory(bytes_) : std::fopen(name_.c_str(), "rb");
+    if (f == nullptr) {
+      error = "cannot open " + name_ + ": " + std::strerror(errno);
+      return false;
+    }
+    char magic[4] = {};
+    const usize got = std::fread(magic, 1, sizeof magic, f);
+    if (is_colfmt(std::string_view(magic, got))) {
       col_ = std::make_unique<colfmt_reader>();
-      return image_ ? col_->open_bytes(bytes_, error) || fail(error)
-                    : col_->open(name_.c_str(), error);
+      return col_->open(f, std::string_view(magic, got), owed_.has_value(),
+                        error) ||
+             fail(error);
     }
-    parse_result parsed =
-        image_ ? parse_records(bytes_) : parse_records_file(name_.c_str());
+    // JSON parses whole, once read to the end.
+    std::string text(magic, got);
+    const bool read = read_rest(f, text);
+    std::fclose(f);
+    if (!read) {
+      error = "cannot read " + name_ + ": " + std::strerror(errno);
+      return false;
+    }
+    if (owed_) fnv_ = fnv1a64(text);
+    parse_result parsed = parse_records(text);
     if (!parsed.ok()) {
       error = std::move(parsed.error);
       return fail(error);
@@ -135,73 +172,81 @@ class buffered_source final : public record_source {
     return true;
   }
 
-  std::string_view bytes_;  ///< the image
-  std::string name_;        ///< the path, or the image's name for errors
-  bool image_ = false;
-  bool opened_ = false;
-  std::unique_ptr<colfmt_reader> col_;  ///< set iff the input is .amoc
-  std::vector<record> buffer_;  ///< the records, the JSON file, or a chunk
-  usize pos_ = 0;
-};
-
-/// verify_shard_records' rules over records pulled one at a time: `next`
-/// sets its pointer to the next record, or to null at the end, and
-/// returns false (with `error`) when it cannot read one.
-template <class Next>
-bool verify_slice(const shard_ref& s, Next&& next, std::string& error) {
-  if (!s.valid()) {
-    error = "invalid shard reference " + std::to_string(s.index) + "/" +
-            std::to_string(s.count);
-    return false;
-  }
-  const std::string tag = "shard " + to_string(s);
-  usize total = 0;
-  std::string grid;
-  usize expect = s.index;
-  index_hints h;
-  usize i = 0;
-  for (const record* rec = nullptr;; ++i) {
-    if (!next(rec, error)) return false;
-    if (rec == nullptr) break;
+  /// The slice rules on the record just yielded: one units_total and grid
+  /// across the file, and unit indices exactly the strided partition.
+  bool owed_record(const record& rec, std::string& error) {
     usize idx = 0;
     usize this_total = 0;
-    if (!read_index(*rec, "unit", idx, h.unit) ||
-        !read_index(*rec, "units_total", this_total, h.units_total)) {
-      error = tag + ": record " + std::to_string(i) +
+    if (!read_index(rec, "unit", idx, hints_.unit) ||
+        !read_index(rec, "units_total", this_total, hints_.units_total)) {
+      error = tag_ + ": record " + std::to_string(seen_) +
               " lacks integer unit/units_total fields (torn or foreign shard "
               "file?)";
       return false;
     }
-    const std::string_view this_grid = grid_of(*rec, h.grid);
-    if (i == 0) {
-      total = this_total;
-      grid = this_grid;
-    } else if (this_total != total || this_grid != grid) {
-      error = tag + ": record " + std::to_string(i) +
+    const std::string_view this_grid = grid_of(rec, hints_.grid);
+    if (seen_ == 0) {
+      total_ = this_total;
+      grid_ = this_grid;
+    } else if (this_total != total_ || this_grid != grid_) {
+      error = tag_ + ": record " + std::to_string(seen_) +
               " disagrees with the file's own units_total/grid (corrupted "
               "shard file?)";
       return false;
     }
-    if (idx >= total) {
-      error = tag + ": unit index " + std::to_string(idx) +
-              " out of range [0, " + std::to_string(total) + ")";
+    if (idx >= total_) {
+      error = tag_ + ": unit index " + std::to_string(idx) +
+              " out of range [0, " + std::to_string(total_) + ")";
       return false;
     }
+    const usize expect = owed_->slice.index + seen_ * owed_->slice.count;
     if (idx != expect) {
-      error = tag + ": record " + std::to_string(i) + " holds unit " +
+      error = tag_ + ": record " + std::to_string(seen_) + " holds unit " +
               std::to_string(idx) + " where unit " + std::to_string(expect) +
               " was owed (torn, truncated, or reordered shard file?)";
       return false;
     }
-    expect += s.count;
+    ++seen_;
+    return true;
   }
-  if (i == 0) return true;  // a shard can legitimately own nothing
-  const usize owed = total > s.index ? (total - s.index - 1) / s.count + 1 : 0;
-  if (i != owed) {
-    error = tag + ": holds " + std::to_string(i) + " of " +
+
+  /// At the end: every unit owed was there (a shard can legitimately own
+  /// nothing).
+  bool owed_all(std::string& error) const {
+    const shard_ref& s = owed_->slice;
+    const usize owed =
+        total_ > s.index ? (total_ - s.index - 1) / s.count + 1 : 0;
+    if (seen_ == 0 || seen_ == owed) return true;
+    error = tag_ + ": holds " + std::to_string(seen_) + " of " +
             std::to_string(owed) + " owed units (units_total " +
-            std::to_string(total) + ") — truncated shard file?";
+            std::to_string(total_) + ") — truncated shard file?";
     return false;
+  }
+
+  std::string_view bytes_;  ///< the image
+  std::string name_;        ///< the path, or the image's name for errors
+  bool image_ = false;
+  bool in_memory_ = false;  ///< buffer_ holds the records from the start
+  bool opened_ = false;
+  bool chunks_done_ = false;
+  std::unique_ptr<colfmt_reader> col_;  ///< set iff the input is .amoc
+  std::vector<record> buffer_;  ///< the records, the JSON file, or a chunk
+  usize pos_ = 0;
+
+  std::optional<shard_owed> owed_;  ///< what the shard owes, if told
+  std::string tag_;                 ///< "shard i/k", for its errors
+  std::uint64_t fnv_ = fnv1a64_offset;  ///< a JSON input's hash
+  usize seen_ = 0;                      ///< records yielded
+  usize total_ = 0;                     ///< the file's units_total
+  std::string grid_;                    ///< the file's grid fingerprint
+  index_hints hints_;
+};
+
+/// Pulls `src` to its end; false with the first failure.
+bool drain(record_source& src, std::string& error) {
+  record rec;
+  for (bool end = false; !end;) {
+    if (!src.next(rec, end, error)) return false;
   }
   return true;
 }
@@ -303,7 +348,7 @@ bool metric_samples(const std::vector<record>& units, const char* key,
     const record_field* f = u.find(key, hint);
     if (f == nullptr || f->type != record_field::kind::number) {
       usize unit = 0;
-      read_index(u, "unit", unit);
+      read_index(u, "unit", unit, hint);  // for the message; hint is done
       error = "unit " + std::to_string(unit) + ": record has no numeric '" +
               key + "' field — cannot fold replica aggregates";
       return false;
@@ -323,7 +368,7 @@ bool fold_flag(const std::vector<record>& units, const char* key, bool& out,
     const record_field* f = u.find(key, hint);
     if (f == nullptr || f->type != record_field::kind::boolean) {
       usize unit = 0;
-      read_index(u, "unit", unit);
+      read_index(u, "unit", unit, hint);  // for the message; hint is done
       error = "unit " + std::to_string(unit) + ": record has no boolean '" +
               key + "' field";
       return false;
@@ -450,17 +495,22 @@ std::unique_ptr<record_source> make_memory_source(std::vector<record> records) {
   return std::make_unique<buffered_source>(std::move(records));
 }
 
-std::unique_ptr<record_source> make_file_source(std::string path) {
-  return std::make_unique<buffered_source>(std::move(path));
+std::unique_ptr<record_source> make_file_source(
+    std::string path, std::optional<shard_owed> owed) {
+  return std::make_unique<buffered_source>(std::move(path), std::move(owed));
 }
 
 std::unique_ptr<record_source> make_bytes_source(std::string_view bytes,
                                                  std::string name) {
-  return std::make_unique<buffered_source>(bytes, std::move(name));
+  return std::make_unique<buffered_source>(bytes, std::move(name),
+                                           std::nullopt);
 }
 
-merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
-                          const record_sink& sink) {
+namespace {
+
+/// merge_stream's body; its caller drops the records of a failed merge.
+merge_result merge_sources(std::vector<std::unique_ptr<record_source>> sources,
+                           const record_sink& sink) {
   merge_result out;
   const usize k = sources.size();
   obs::span msp("merge", "merge_stream");
@@ -635,47 +685,39 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
     out.error = "coverage gap: unit " + std::to_string(gap ? gap_at : expect) +
                 " missing (" + std::to_string(seen) + " of " +
                 std::to_string(ctx.units_total) + " units present)";
-    out.records.clear();
-    return out;
-  }
-  if (!cell_units.empty()) {
+  } else if (!cell_units.empty()) {
     out.error = "cell " + std::to_string(expect_cell) + ": replica " +
                 std::to_string(cell_units.size()) + " of " +
                 std::to_string(cell_replicas) + " missing or inconsistent";
-    out.records.clear();
-    return out;
-  }
-  if (expect_cell != ctx.cells_total) {
+  } else if (expect_cell != ctx.cells_total) {
     out.error = "coverage gap: cell " + std::to_string(expect_cell) +
                 " missing (" + std::to_string(expect_cell) + " of " +
                 std::to_string(ctx.cells_total) + " cells present)";
-    out.records.clear();
-    return out;
   }
+  return out;
+}
+
+}  // namespace
+
+merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
+                          const record_sink& sink) {
+  merge_result out = merge_sources(std::move(sources), sink);
+  if (!out.ok()) out.records.clear();
   return out;
 }
 
 bool verify_shard_records(const std::vector<record>& records,
                           const shard_ref& s, std::string& error) {
-  usize pos = 0;
-  const auto next = [&](const record*& rec, std::string&) {
-    rec = pos < records.size() ? &records[pos++] : nullptr;
-    return true;
-  };
-  return verify_slice(s, next, error);
+  buffered_source src(records, shard_owed{s});
+  return drain(src, error);
 }
 
-bool verify_shard_bytes(std::string_view bytes, const shard_ref& s,
-                        std::string& error) {
-  buffered_source src(bytes, {});
-  record buf;
-  const auto next = [&](const record*& rec, std::string& err) {
-    bool end = false;
-    if (!src.next(buf, end, err)) return false;
-    rec = end ? nullptr : &buf;
-    return true;
-  };
-  return verify_slice(s, next, error);
+bool verify_shard_bytes(std::string_view bytes, const shard_owed& owed,
+                        std::string& error, std::uint64_t* fnv64) {
+  buffered_source src(bytes, {}, owed);
+  if (!drain(src, error)) return false;
+  if (fnv64 != nullptr) *fnv64 = src.content_fnv64();
+  return true;
 }
 
 }  // namespace amo::exp

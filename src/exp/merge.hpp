@@ -17,6 +17,10 @@
 // index-ascending, as every writer here guarantees; one that is not is
 // refused ("records out of order"), never sorted.
 //
+// A source told what its shard owes (shard_owed) checks it itself: the
+// one shard contract of dispatch validation, `--resume` and `merge
+// --manifest`, each of which reads a shard file once.
+//
 // The contract is strict: the shards must agree on the grid
 // (fingerprint + sizes), and the union must cover the whole index space
 // with no duplicate and no gap — anything else (a shard run twice, a shard
@@ -26,6 +30,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,13 +63,25 @@ class record_source {
 [[nodiscard]] std::unique_ptr<record_source> make_memory_source(
     std::vector<record> records);
 
-/// Wraps a record file as a source. The file is opened lazily at the
-/// first next(): a .amoc file (sniffed by magic) streams chunk by chunk
-/// through colfmt_reader; a JSON file is parsed whole (the JSON grammar
-/// is not self-delimiting per record — the slow path). Errors carry the
-/// path.
+/// What a shard file owes: exactly the units {slice.index, slice.index +
+/// slice.count, ...} below its own units_total, in order, under one
+/// units_total and grid; and, once a checkpoint exists, bytes whose
+/// FNV-1a-64 is `fnv64` (fnv_hex64's spelling; "" = no checkpoint).
+struct shard_owed {
+  shard_ref slice;
+  std::string fnv64 = {};
+};
+
+/// Wraps a record file as a source, opened at the first next() and read
+/// exactly once: .amoc (sniffed by magic) streams chunk by chunk through
+/// colfmt_reader; JSON is parsed whole (the slow path). Errors carry the
+/// path. With `owed`, each record is checked against the slice as it is
+/// yielded, every byte is hashed, and the end fails on a short slice or a
+/// hash other than the checkpoint's: a merge folds only bytes it hashed.
+/// Any failure of a file that does not hash to its checkpoint is reported
+/// as that mismatch ("content hash ... disagrees with the manifest ...").
 [[nodiscard]] std::unique_ptr<record_source> make_file_source(
-    std::string path);
+    std::string path, std::optional<shard_owed> owed = std::nullopt);
 
 /// make_file_source over a record file image in memory (the dispatcher's
 /// verified shard bytes), which must outlive the source. Errors are
@@ -75,34 +92,29 @@ class record_source {
 /// Where merge_stream delivers each output record when the caller wants
 /// to stream them onward (e.g. into a colfmt_writer chunk by chunk)
 /// instead of accumulating merge_result.records. False aborts the merge
-/// with `error`.
+/// with `error`. Records are provisional until the merge succeeds.
 using record_sink = std::function<bool(record&&, std::string& error)>;
 
 /// The streaming fold: k-way-merges the sources by unit index, validates
 /// the grid/coverage contract, folds each complete cell's replicas, and
 /// emits aggregates — to `sink` when given (records is left empty), else
-/// into merge_result.records. Bounded memory: one head record per source
-/// + one cell's replicas, independent of sweep size.
+/// into merge_result.records, which a failed merge leaves empty. Bounded
+/// memory: one head record per source + one cell's replicas, independent
+/// of sweep size.
 merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
                           const record_sink& sink = {});
 
-/// Integrity check for ONE shard file against the slice it owes: the
-/// records must be internally consistent (every record carries the same
-/// units_total/cells_total/grid) and their unit indices must be exactly
-/// the strided partition {s.index, s.index + s.count, ...}
-/// below the declared total, in order — the record-layer completeness
-/// contract that lets a supervisor reject a torn, truncated, or corrupted
-/// shard artifact with a precise diagnostic *before* feeding it to a
-/// merge. An empty record array passes (a shard can legitimately own zero
-/// units). False with `error` set on any violation.
+/// Drains a source over `records` told that they owe slice `s`: false
+/// with `error` on the first violation of shard_owed's slice rules. An
+/// empty record array passes (a shard can legitimately own zero units).
 bool verify_shard_records(const std::vector<record>& records,
                           const shard_ref& s, std::string& error);
 
-/// verify_shard_records' rules as a stream over a shard file image: .amoc
-/// decodes one reused chunk at a time, JSON is parsed whole first. False
-/// with the first failure in file order, in verify_shard_records' words
-/// or the decoder's.
-bool verify_shard_bytes(std::string_view bytes, const shard_ref& s,
-                        std::string& error);
+/// Drains a source over a shard file image told what it owes: false with
+/// the first failure in file order, or with the checkpoint mismatch when
+/// the image does not hash to it. `fnv64`, when given, receives the
+/// image's hash.
+bool verify_shard_bytes(std::string_view bytes, const shard_owed& owed,
+                        std::string& error, std::uint64_t* fnv64 = nullptr);
 
 }  // namespace amo::exp

@@ -3,7 +3,6 @@
 #include <charconv>
 
 #include "exp/report.hpp"
-#include "util/fileio.hpp"
 #include "util/parse.hpp"
 
 namespace amo::exp {
@@ -122,15 +121,6 @@ parse_result parse_records(std::string_view doc) {
     if (sc.error_pos() == doc.size()) out.error += " (truncated document?)";
     out.records.clear();
   }
-  return out;
-}
-
-parse_result parse_records_file(const char* path) {
-  parse_result out;
-  std::string doc;
-  if (!read_file(path, doc, out.error)) return out;
-  out = parse_records(doc);
-  if (!out.ok()) out.error = std::string(path) + ": " + out.error;
   return out;
 }
 

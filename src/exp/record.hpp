@@ -141,9 +141,6 @@ parse_result parse_records(std::string_view doc);
 bool parse_value_token(std::string_view token, record_field& f,
                        std::string& error);
 
-/// fopen + parse_records; a read failure is reported through .error.
-parse_result parse_records_file(const char* path);
-
 /// Renders records exactly as json_writer would have ("[\n  {...},\n ...]\n"),
 /// re-emitting each value's raw source token verbatim.
 std::string render_records(const std::vector<record>& records);

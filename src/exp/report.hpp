@@ -60,7 +60,7 @@ class json_writer {
   [[nodiscard]] std::string dump() const;
 
   /// Writes dump() to `path`; returns false on I/O failure.
-  bool write(const char* path) const;
+  [[nodiscard]] bool write(const char* path) const;
 
   [[nodiscard]] usize size() const { return rows_.size(); }
 

@@ -1,5 +1,6 @@
 #include "svc/dispatcher.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -211,13 +212,12 @@ std::string manifest_path(const dispatch_options& opt) {
                               : opt.manifest;
 }
 
-/// Validates one shard's artifact against the slice it owes: reads the
-/// file once, hashes it, streams it through exp::verify_shard_bytes. On
-/// success the run is validated and keeps the bytes (not records) for the
-/// merge; on failure `run.detail` says why. `want_hash` (--resume) refuses
-/// bytes that no longer hash to the checkpoint. Runs on the attempt's
-/// launcher thread as soon as its child exits.
-bool validate_shard(shard_run& run, std::string_view want_hash = {}) {
+/// Validates one shard's artifact: reads the file once and drains a
+/// source over the bytes that owes the slice and, on `--resume`, the
+/// checkpoint hash `want_hash`. On success the run keeps the bytes (not
+/// records) and their hash; on failure `run.detail` says why. Runs on the
+/// attempt's launcher thread as soon as its child exits.
+bool validate_shard(shard_run& run, const std::string& want_hash = {}) {
   obs::span vsp("dispatch", "verify");
   vsp.arg("shard", std::uint64_t{run.shard.index});
   std::string content;
@@ -226,31 +226,24 @@ bool validate_shard(shard_run& run, std::string_view want_hash = {}) {
     run.detail = err;
     return false;
   }
-  const std::uint64_t hash = fnv1a64(content);
-  if (!want_hash.empty() && fnv_hex64(hash) != want_hash) {
-    run.detail =
-        run.file + ": content hash mismatch (file changed since checkpoint)";
-    return false;
-  }
-  bool verified = false;
   {
     obs::span dsp("record", "decode");
     dsp.arg("bytes", static_cast<std::uint64_t>(content.size()));
-    verified = exp::verify_shard_bytes(content, run.shard, err);
-  }
-  if (!verified) {
-    run.detail = run.file + ": " + err;
-    return false;
+    if (!exp::verify_shard_bytes(content, {run.shard, want_hash}, err,
+                                 &run.content_fnv64)) {
+      run.detail = run.file + ": " + err;
+      return false;
+    }
   }
   run.validated = true;
-  run.content_fnv64 = hash;
   run.bytes = std::move(content);
   return true;
 }
 
 /// Checkpoints every validated shard (atomic write): enough for a later
 /// `dispatch --resume` to verify and adopt the file without rerunning it.
-void write_manifest(const std::string& path,
+/// False, with the reason on stderr, when the manifest cannot be written.
+bool write_manifest(const std::string& path,
                     const std::vector<shard_run>& runs,
                     std::uint64_t args_fp) {
   using W = exp::json_writer;
@@ -265,7 +258,10 @@ void write_manifest(const std::string& path,
               {"fnv64", W::str(fnv_hex64(run.content_fnv64))},
               {"args_fnv64", W::str(fnv_hex64(args_fp))}});
   }
-  json.write(path.c_str());
+  std::string err;
+  if (write_file_atomic(path.c_str(), json.dump(), err)) return true;
+  std::fprintf(stderr, "dispatch: no checkpoint: %s\n", err.c_str());
+  return false;
 }
 
 /// One well-formed manifest entry: every field present, the shard index
@@ -310,12 +306,11 @@ std::vector<manifest_entry> manifest_entries(const exp::parse_result& parsed) {
 
 /// Adopts completed shards from a previous dispatch's manifest. Trust
 /// nothing: an entry counts only if its args fingerprint matches this
-/// dispatch, the file's bytes (read once) still hash to the recorded
-/// value, and they pass the shard-slice integrity check. Anything else is
-/// skipped (and hence relaunched) with a note, never an error.
+/// dispatch and the file's bytes (read once) meet the slice and hash it
+/// owes. Anything else is skipped (and hence relaunched) with a note.
 usize load_manifest(const std::string& path, std::vector<shard_run>& runs,
                     std::uint64_t args_fp, bool quiet) {
-  const exp::parse_result parsed = exp::parse_records_file(path.c_str());
+  const exp::parse_result parsed = exp::load_records_file(path.c_str());
   if (!parsed.ok()) {
     if (!quiet) {
       std::fprintf(stderr, "dispatch: --resume found no usable manifest (%s)\n",
@@ -331,14 +326,11 @@ usize load_manifest(const std::string& path, std::vector<shard_run>& runs,
     }
     shard_run& run = runs[e.index];
     if (run.validated || e.file != run.file) continue;
-    const auto skip = [&](const std::string& why) {
+    if (!validate_shard(run, e.hash)) {
       if (!quiet) {
         std::fprintf(stderr, "dispatch: not reusing shard %s: %s\n",
-                     exp::to_string(run.shard).c_str(), why.c_str());
+                     exp::to_string(run.shard).c_str(), run.detail.c_str());
       }
-    };
-    if (!validate_shard(run, e.hash)) {
-      skip(run.detail);
       run.detail.clear();
       continue;
     }
@@ -439,6 +431,7 @@ dispatch_result dispatch(const std::string& args, const dispatch_options& opt) {
     }
   }
 
+  bool checkpointed = false;  ///< the last manifest write succeeded
   // Wave loop: launch every not-yet-validated shard in parallel (the point
   // of dispatching is that k partitions run on k processes); each launcher
   // VALIDATES its survivor's artifact as soon as the child exits, while the
@@ -503,7 +496,7 @@ dispatch_result dispatch(const std::string& args, const dispatch_options& opt) {
     // picks up from here.
     {
       obs::span csp("dispatch", "checkpoint");
-      write_manifest(manifest, out.shards, args_fp);
+      checkpointed = write_manifest(manifest, out.shards, args_fp);
     }
   }
 
@@ -548,8 +541,10 @@ dispatch_result dispatch(const std::string& args, const dispatch_options& opt) {
     }
   }
   if (any_failed) {
-    out.error += "; completed shards are checkpointed in " + manifest +
-                 " (relaunch with --resume)";
+    if (checkpointed) {
+      out.error += "; completed shards are checkpointed in " + manifest +
+                   " (relaunch with --resume)";
+    }
     out.exit_code = any_hard ? 2 : 3;
     return out;
   }
@@ -614,16 +609,10 @@ bool fnv64_file(const char* path, std::uint64_t& hash, std::string& error) {
 }
 
 exp::merge_result merge_from_manifest(const std::string& manifest_file,
-                                      double wait_s, bool quiet,
-                                      const exp::record_sink& sink) {
+                                      double wait_s, bool quiet) {
   exp::merge_result out;
 
-  struct entry {
-    std::string file;
-    std::string hash;  ///< fnv64 hex the dispatcher recorded
-    bool present = false;
-  };
-  std::vector<entry> set;  ///< the winning (shards, args_fnv64) set
+  std::vector<manifest_entry> set;  ///< the winning (shards, args_fnv64) set
 
   const steady::time_point give_up =
       steady::now() + secs(wait_s > 0 ? wait_s : 0);
@@ -632,7 +621,7 @@ exp::merge_result merge_from_manifest(const std::string& manifest_file,
     set.clear();
     std::string why;
     const exp::parse_result parsed =
-        exp::parse_records_file(manifest_file.c_str());
+        exp::load_records_file(manifest_file.c_str());
     if (!parsed.ok()) {
       why = parsed.error;
     } else {
@@ -642,43 +631,35 @@ exp::merge_result merge_from_manifest(const std::string& manifest_file,
       // only when dispatches share a directory.
       struct group {
         std::string args;
-        std::vector<entry> shards;
+        std::vector<manifest_entry> shards;  ///< count 0: not checkpointed
         usize present = 0;
       };
       std::vector<group> groups;
       for (const manifest_entry& m : manifest_entries(parsed)) {
-        group* g = nullptr;
-        for (group& have : groups) {
-          if (have.shards.size() == m.count && have.args == m.args) {
-            g = &have;
-            break;
-          }
+        auto g = std::find_if(groups.begin(), groups.end(), [&](group& h) {
+          return h.shards.size() == m.count && h.args == m.args;
+        });
+        if (g == groups.end()) {
+          g = groups.insert(g, {m.args, std::vector<manifest_entry>(m.count)});
         }
-        if (g == nullptr) {
-          groups.push_back({m.args, std::vector<entry>(m.count), 0});
-          g = &groups.back();
-        }
-        entry& e = g->shards[m.index];
-        if (!e.present) ++g->present;
-        e = {m.file, m.hash, true};
+        manifest_entry& e = g->shards[m.index];
+        if (e.count == 0) ++g->present;
+        e = m;
       }
-      usize best_present = 0;
-      usize best_count = 0;
+      const group* best = nullptr;  ///< the most nearly complete
       for (const group& g : groups) {
         if (g.present == g.shards.size()) {
           set = g.shards;
           break;
         }
-        if (g.present > best_present) {
-          best_present = g.present;
-          best_count = g.shards.size();
-        }
+        if (best == nullptr || g.present > best->present) best = &g;
       }
       if (set.empty()) {
-        why = groups.empty()
-                  ? "no usable shard entries"
-                  : "holds " + std::to_string(best_present) + " of " +
-                        std::to_string(best_count) + " shards";
+        why = best == nullptr ? "no usable shard entries"
+                              : "holds " + std::to_string(best->present) +
+                                    " of " +
+                                    std::to_string(best->shards.size()) +
+                                    " shards";
       }
     }
     if (!set.empty()) break;
@@ -697,25 +678,15 @@ exp::merge_result merge_from_manifest(const std::string& manifest_file,
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
 
-  // Trust nothing that was not re-verified: each checkpointed file must
-  // still hash to what the dispatcher validated.
-  for (const entry& e : set) {
-    std::uint64_t hash = 0;
-    if (!fnv64_file(e.file.c_str(), hash, out.error)) return out;
-    if (fnv_hex64(hash) != e.hash) {
-      out.error = e.file + ": content hash " + fnv_hex64(hash) +
-                  " disagrees with the manifest checkpoint " + e.hash +
-                  " (file changed since the dispatch validated it)";
-      return out;
-    }
-  }
-
+  // Each checkpointed file is opened once, by a source that owes the
+  // manifest's slice and hash: it folds only the bytes it hashed.
   std::vector<std::unique_ptr<exp::record_source>> sources;
   sources.reserve(set.size());
-  for (const entry& e : set) {
-    sources.push_back(exp::make_file_source(e.file));
+  for (usize i = 0; i < set.size(); ++i) {
+    sources.push_back(exp::make_file_source(
+        set[i].file, exp::shard_owed{{i, set[i].count}, set[i].hash}));
   }
-  return exp::merge_stream(std::move(sources), sink);
+  return exp::merge_stream(std::move(sources));
 }
 
 }  // namespace amo::svc

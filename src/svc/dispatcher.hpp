@@ -8,17 +8,18 @@
 // dispatch. Abnormal termination is decoded by signal name.
 //
 // Every shard output is VALIDATED before it counts, on its launcher thread
-// as soon as the child exits: the file is read once and hashed, and its
-// bytes stream chunk by chunk through exp::verify_shard_bytes against the
-// slice the shard owed. A torn or corrupted artifact is a retryable
-// failure with a precise diagnostic. The parent keeps the verified bytes
-// (~2.8 MB per 8,192-unit .amoc shard), never decoded records, and merges
-// them through exp::merge_stream — the fold `merge --manifest` and
-// `amo_lab merge` use. Completed shards are checkpointed in a manifest
-// (args fingerprint + content hash per shard file); `dispatch --resume`
-// re-verifies it and relaunches only the missing/failed/corrupt shards,
-// and because the partition and every unit are deterministic, the resumed
-// merge is byte-identical to a fault-free one-shot sweep.
+// as soon as the child exits: the file is read once, and a source over
+// its bytes told what the shard owes (exp::shard_owed) checks the slice
+// and hashes them. A torn or corrupted artifact is a retryable failure
+// with a precise diagnostic. The parent keeps the verified bytes (~2.8 MB
+// per 8,192-unit .amoc shard), never decoded records, and merges them
+// through exp::merge_stream — the fold `merge --manifest` and `amo_lab
+// merge` use. Completed shards are checkpointed in a manifest (args
+// fingerprint + content hash per shard file); `dispatch --resume` adopts
+// an entry only through the same source, told its hash too, and
+// relaunches the rest; because the partition and every unit are
+// deterministic, the resumed merge is byte-identical to a fault-free
+// one-shot sweep.
 //
 // Deterministic fault injection (`--inject=SPEC`, svc::fault) drives all
 // of the above reproducibly: the dispatcher resolves the plan per
@@ -98,7 +99,7 @@ struct shard_run {
   int term_signal = 0;  ///< nonzero: the signal that killed the child
   bool timed_out = false;   ///< the deadline expired and the group was killed
   bool reused = false;      ///< resume: output adopted from the manifest
-  bool validated = false;   ///< output decoded + slice-verified
+  bool validated = false;   ///< output met its slice (and checkpoint hash)
   usize attempts = 0;   ///< launches, 1 + retries actually consumed
   std::string output;   ///< captured stdout+stderr (last attempt)
   std::string status;   ///< human decode: "exit 7", "signal 11 (SIGSEGV)",
@@ -140,22 +141,20 @@ struct dispatch_result {
 /// validates and merges their shard files.
 dispatch_result dispatch(const std::string& args, const dispatch_options& opt);
 
-/// Streaming FNV-1a-64 of a file's bytes (fixed-size read buffer — the
-/// hash a gigabyte shard artifact is verified with). False with `error`
-/// ("cannot ...") on I/O failure.
+/// Streaming FNV-1a-64 of a file's bytes (fixed-size read buffer); false
+/// with `error` ("cannot ...") on I/O failure. No dispatch route calls it
+/// (a shard's source hashes what it reads); bench/e2e times it.
 bool fnv64_file(const char* path, std::uint64_t& hash, std::string& error);
 
 /// Merges shard files straight from a dispatch manifest (the checkpoint
 /// `dispatch --keep-shards` / a failed dispatch leaves behind) — no
-/// relaunch, no in-memory shard vectors: each checkpointed file is
-/// re-verified against its recorded content hash, then folded through
-/// exp::merge_stream. Polls the manifest (~0.2 s) until one consistent
-/// (shards, args fingerprint) set has checkpointed all k shards, so a
-/// merge can sit downstream of a dispatch still in flight; gives up after
-/// `wait_s` seconds (0 = one immediate attempt). Output goes to `sink`
-/// when given, else merge_result.records.
+/// relaunch, no in-memory shard vectors: each checkpointed file is read
+/// once by a source that owes the entry's slice and hash, and folded
+/// through exp::merge_stream. Polls the manifest (~0.2 s) until one
+/// consistent (shards, args fingerprint) set has checkpointed all k
+/// shards, so a merge can sit downstream of a dispatch still in flight;
+/// gives up after `wait_s` seconds (0 = one immediate attempt).
 exp::merge_result merge_from_manifest(const std::string& manifest_file,
-                                      double wait_s, bool quiet,
-                                      const exp::record_sink& sink = {});
+                                      double wait_s, bool quiet);
 
 }  // namespace amo::svc

@@ -39,6 +39,22 @@ inline std::string errno_text() {
 }
 }  // namespace detail
 
+/// Appends the rest of `f` to `out`; false on a read error (errno set).
+[[nodiscard]] inline bool read_rest(std::FILE* f, std::string& out) {
+  // Size the buffer once when the file is seekable, so a large file is
+  // not copied through every doubling (a pipe just skips this).
+  const long at = std::ftell(f);
+  if (at >= 0 && std::fseek(f, 0, SEEK_END) == 0) {
+    const long size = std::ftell(f);
+    if (size > at) out.reserve(out.size() + static_cast<usize>(size - at));
+    std::fseek(f, at, SEEK_SET);
+  }
+  char buf[1 << 14];
+  usize got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, got);
+  return std::ferror(f) == 0;
+}
+
 /// Reads all of `path` into `out`. On failure returns false with `error`
 /// set to "cannot open <path>: <errno text>" / "cannot read ...".
 [[nodiscard]] inline bool read_file(const char* path, std::string& out,
@@ -49,23 +65,22 @@ inline std::string errno_text() {
     return false;
   }
   out.clear();
-  // Size the buffer once when the file is seekable, so a large file is
-  // not copied through every doubling (a pipe just skips this).
-  if (std::fseek(f, 0, SEEK_END) == 0) {
-    const long size = std::ftell(f);
-    if (size > 0) out.reserve(static_cast<usize>(size));
-    std::fseek(f, 0, SEEK_SET);
-  }
-  char buf[1 << 14];
-  usize got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, got);
-  const bool ok = std::ferror(f) == 0;
+  const bool ok = read_rest(f, out);
   std::fclose(f);
   if (!ok) {
     error = std::string("cannot read ") + path + ": " + detail::errno_text();
     return false;
   }
   return true;
+}
+
+/// A read-only stream over `bytes`, which must outlive it (POSIX
+/// fmemopen), so one stdio reader serves files and memory images alike.
+/// Null, with errno set, on failure.
+[[nodiscard]] inline std::FILE* open_memory(std::string_view bytes) {
+  static char none = 0;  // an empty image still needs a buffer address
+  return ::fmemopen(bytes.empty() ? &none : const_cast<char*>(bytes.data()),
+                    bytes.size(), "rb");
 }
 
 /// Writes `content` to `path` (truncating); false on any I/O failure with

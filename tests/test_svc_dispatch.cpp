@@ -6,13 +6,22 @@
 // under injected faults.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/colfmt.hpp"
@@ -22,6 +31,8 @@
 #include "svc/job.hpp"
 #include "svc/server.hpp"
 #include "svc/worker_pool.hpp"
+#include "util/fileio.hpp"
+#include "util/fnv.hpp"
 
 namespace amo {
 namespace {
@@ -266,6 +277,231 @@ TEST(SvcDispatch, CapturesSubprocessOutput) {
   ASSERT_FALSE(r.ok());
   ASSERT_EQ(r.shards.size(), 1u);
   EXPECT_NE(r.shards[0].output.find("shard 0/1 speaking"), std::string::npos);
+}
+
+/// An empty directory of its own under the test temp dir.
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Computes the k .amoc shards of a small replicated sweep in-process and
+/// writes shard i/k to <dir>/prep-i/k.amoc, so the returned launch
+/// template delivers each shard with `cp` — no amo_lab binary needed.
+std::string prepared_amoc_shards(const std::string& dir, usize k) {
+  svc::job j;
+  j.scenarios = {"kk/round_robin", "kk/random"};
+  j.params.n = 24;
+  j.params.m = 3;
+  j.params.seeds = 2;
+  j.params.replicas = 2;
+  j.scheduled_only = true;
+  j.no_timing = true;
+  j.have_shard = true;
+  svc::worker_pool pool(2);
+  for (usize i = 0; i < k; ++i) {
+    j.shard = {i, k};
+    const svc::job_result r = svc::execute_job(j, pool);
+    EXPECT_TRUE(r.ok()) << r.error;
+    std::string bytes;
+    std::string error;
+    EXPECT_TRUE(r.render_output(exp::record_format::colfmt, bytes, error))
+        << error;
+    const std::string sub = dir + "/prep-" + std::to_string(i);
+    std::filesystem::create_directories(sub);
+    EXPECT_TRUE(write_file((sub + "/" + std::to_string(k) + ".amoc").c_str(),
+                           bytes, error))
+        << error;
+  }
+  return "cp " + dir + "/prep-{shard}.amoc {out}";
+}
+
+/// A 3-shard .amoc dispatch of the prepared shards that keeps its shard
+/// files and manifest in `dir`.
+svc::dispatch_result kept_amoc_dispatch(const std::string& dir) {
+  svc::dispatch_options opt;
+  opt.shards = 3;
+  opt.dir = dir;
+  opt.quiet = true;
+  opt.keep_shards = true;
+  opt.format = exp::record_format::colfmt;
+  opt.command = prepared_amoc_shards(dir, 3);
+  return svc::dispatch("", opt);
+}
+
+/// `shard` (.amoc bytes) with its first unit's "work" raised by one: a
+/// valid shard of the same slice and grid whose bytes, and whose merged
+/// aggregate, differ.
+std::string edited_shard(const std::string& shard) {
+  exp::parse_result parsed = exp::colfmt_decode(shard);
+  EXPECT_TRUE(parsed.ok()) << parsed.error;
+  std::string error;
+  bool edited = false;
+  for (exp::record_field& f : parsed.records.at(0).fields) {
+    if (f.key != "work") continue;
+    const std::string token =
+        std::to_string(static_cast<std::uint64_t>(f.number) + 1);
+    EXPECT_TRUE(exp::parse_value_token(token, f, error)) << error;
+    edited = true;
+  }
+  EXPECT_TRUE(edited);
+  std::string bytes;
+  EXPECT_TRUE(exp::colfmt_encode(parsed.records, bytes, error)) << error;
+  return bytes;
+}
+
+TEST(SvcDispatch, ManifestMergeReproducesTheKeptAmocDispatch) {
+  const std::string dir = fresh_dir("manifest_merge");
+  const svc::dispatch_result d = kept_amoc_dispatch(dir);
+  ASSERT_TRUE(d.ok()) << d.error;
+  ASSERT_FALSE(d.merged.empty());
+  const exp::merge_result m =
+      svc::merge_from_manifest(dir + "/dispatch-manifest.json", 0, true);
+  ASSERT_TRUE(m.ok()) << m.error;
+  EXPECT_EQ(exp::render_records(m.records), exp::render_records(d.merged));
+}
+
+TEST(SvcDispatch, ManifestMergeRefusesAShardReplacedAfterTheDispatch) {
+  // The replacement is a valid shard of the same slice and grid, so only
+  // the checkpoint hash can tell; the merge returns no records at all.
+  const std::string dir = fresh_dir("manifest_replaced");
+  const svc::dispatch_result d = kept_amoc_dispatch(dir);
+  ASSERT_TRUE(d.ok()) << d.error;
+  const std::string shard = d.shards[1].file;
+  std::string error;
+  ASSERT_TRUE(write_file(shard.c_str(), edited_shard(slurp(shard)), error))
+      << error;
+  const exp::merge_result m =
+      svc::merge_from_manifest(dir + "/dispatch-manifest.json", 0, true);
+  ASSERT_FALSE(m.ok());
+  EXPECT_NE(m.error.find(shard + ": content hash "), std::string::npos)
+      << m.error;
+  EXPECT_NE(m.error.find("disagrees with the manifest checkpoint " +
+                         fnv_hex64(d.shards[1].content_fnv64)),
+            std::string::npos)
+      << m.error;
+  EXPECT_TRUE(m.records.empty());
+}
+
+TEST(SvcDispatch, ManifestMergeReportsADamagedShardAsACheckpointMismatch) {
+  // A flipped byte, a cut tail or a trailing byte stops the decoder
+  // before the end. The source still hashes the whole file and reports
+  // the checkpoint mismatch, not the decoder's offset (amo_lab merge
+  // exits 2 on the one, 3 on the other).
+  const std::string dir = fresh_dir("manifest_damaged");
+  const svc::dispatch_result d = kept_amoc_dispatch(dir);
+  ASSERT_TRUE(d.ok()) << d.error;
+  const std::string shard = d.shards[1].file;
+  const std::string original = slurp(shard);
+  std::string flipped = original;
+  flipped[original.size() / 2] ^= 0x40;
+  for (const std::string& bytes :
+       {flipped, original.substr(0, original.size() - 5), original + "x"}) {
+    std::string error;
+    ASSERT_TRUE(write_file(shard.c_str(), bytes, error)) << error;
+    const exp::merge_result m =
+        svc::merge_from_manifest(dir + "/dispatch-manifest.json", 0, true);
+    ASSERT_FALSE(m.ok());
+    EXPECT_EQ(m.error, shard + ": content hash " + fnv_hex64(fnv1a64(bytes)) +
+                           " disagrees with the manifest checkpoint " +
+                           fnv_hex64(d.shards[1].content_fnv64) +
+                           " (file changed since the dispatch validated it)");
+    EXPECT_TRUE(m.records.empty());
+  }
+}
+
+TEST(SvcDispatch, ManifestMergeFoldsTheBytesItHashed) {
+  // Shard 1 is served through a FIFO. Its writer streams the checkpointed
+  // bytes, then renames a different valid shard over the FIFO's path
+  // before closing the write end. A merge that hashed the FIFO and then
+  // reopened the path would fold the swapped-in file; this one must fold
+  // exactly the bytes it hashed. Every wait is bounded.
+  const std::string dir = fresh_dir("manifest_fifo");
+  const svc::dispatch_result d = kept_amoc_dispatch(dir);
+  ASSERT_TRUE(d.ok()) << d.error;
+  const std::string shard = d.shards[1].file;
+  const std::string original = slurp(shard);
+  const std::string swapped = dir + "/swapped.amoc";
+  std::string error;
+  ASSERT_TRUE(write_file(swapped.c_str(), edited_shard(original), error))
+      << error;
+  ASSERT_EQ(std::remove(shard.c_str()), 0);
+  ASSERT_EQ(::mkfifo(shard.c_str(), 0600), 0) << std::strerror(errno);
+
+  const auto old_pipe = std::signal(SIGPIPE, SIG_IGN);  // EPIPE instead
+  std::thread writer([&] {
+    using clock = std::chrono::steady_clock;
+    const auto give_up = clock::now() + std::chrono::seconds(10);
+    // Non-blocking, the open fails (ENXIO) until the merge is reading.
+    int fd = -1;
+    while ((fd = ::open(shard.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
+           clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (fd < 0) {
+      // Release a reader that raced into open(), and leave the path to
+      // fail any later one.
+      const int rw = ::open(shard.c_str(), O_RDWR | O_NONBLOCK);
+      ::unlink(shard.c_str());
+      if (rw >= 0) ::close(rw);
+      return;
+    }
+    for (usize off = 0; off < original.size() && clock::now() < give_up;) {
+      struct pollfd p = {fd, POLLOUT, 0};
+      if (::poll(&p, 1, 100) <= 0) continue;
+      const ssize_t n =
+          ::write(fd, original.data() + off, original.size() - off);
+      if (n < 0 && errno != EAGAIN) break;  // the reader is gone
+      if (n > 0) off += static_cast<usize>(n);
+    }
+    ::rename(swapped.c_str(), shard.c_str());
+    ::close(fd);
+  });
+  const exp::merge_result m =
+      svc::merge_from_manifest(dir + "/dispatch-manifest.json", 0, true);
+  writer.join();
+  std::signal(SIGPIPE, old_pipe);
+  ASSERT_TRUE(m.ok()) << m.error;
+  EXPECT_EQ(exp::render_records(m.records), exp::render_records(d.merged));
+}
+
+TEST(SvcDispatch, UnwritableManifestIsReportedAndNotPromised) {
+  // Shard 1 crashes (the shell honours the injected fault) and no retry
+  // is left. With the manifest under a missing directory the failure is
+  // reported on stderr, and the error no longer claims a checkpoint;
+  // with a writable manifest the claim stands.
+  const std::string dir = fresh_dir("manifest_unwritable");
+  svc::dispatch_options opt;
+  opt.shards = 3;
+  opt.dir = dir;
+  opt.quiet = true;
+  opt.format = exp::record_format::colfmt;
+  opt.inject = "crash@1";
+  opt.command = "sh -c '[ -z \"$AMO_FAULT\" ] || kill -9 $$; " +
+                prepared_amoc_shards(dir, 3) + "'";
+  opt.manifest = dir + "/missing/manifest.json";
+  ::testing::internal::CaptureStderr();
+  const svc::dispatch_result lost = svc::dispatch("", opt);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ASSERT_FALSE(lost.ok());
+  EXPECT_EQ(lost.exit_code, 2);
+  EXPECT_NE(lost.error.find("shard 1/3 failed"), std::string::npos)
+      << lost.error;
+  EXPECT_EQ(lost.error.find("checkpointed"), std::string::npos) << lost.error;
+  EXPECT_EQ(lost.error.find("--resume"), std::string::npos) << lost.error;
+  EXPECT_NE(err.find("dispatch: no checkpoint: cannot open " + opt.manifest),
+            std::string::npos)
+      << err;
+
+  opt.manifest = dir + "/manifest.json";
+  const svc::dispatch_result kept = svc::dispatch("", opt);
+  ASSERT_FALSE(kept.ok());
+  EXPECT_NE(kept.error.find("completed shards are checkpointed in " +
+                            opt.manifest + " (relaunch with --resume)"),
+            std::string::npos)
+      << kept.error;
 }
 
 /// Dispatches a replicated sweep over `shards` real ./amo_lab children and

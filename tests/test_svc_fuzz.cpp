@@ -219,7 +219,7 @@ TEST(ShardIntegrityFuzz, StreamingValidationNamesTheSameFailure) {
     ASSERT_TRUE(exp::colfmt_encode(v.records, amoc, error)) << error;
     for (const std::string& bytes : {exp::render_records(v.records), amoc}) {
       std::string got;
-      EXPECT_EQ(exp::verify_shard_bytes(bytes, v.ref, got), ok);
+      EXPECT_EQ(exp::verify_shard_bytes(bytes, {v.ref}, got), ok);
       EXPECT_EQ(got, want);
     }
   }
