@@ -307,29 +307,32 @@ int main() {
 
   const paper_grid g = build_grid();
   const exp::sweep_result swept = exp::sweep(g.specs);
-  exp::record_table rows = exp::cell_record_rows(
-      swept, exp::grid_fingerprint(g.specs), /*include_timing=*/false);
   // The host class rides on every row, as in the other BENCH files.
-  rows.keys.insert(rows.keys.end(), {"claim", "bound", "claim_holds",
-                                     "hardware_concurrency", "amo_build_type"});
+  std::vector<std::string> keys;
   const std::uint64_t hc = std::thread::hardware_concurrency();
 
   W out;
   W failing;
   std::vector<experiment_row> summary;
-  for (usize i = 0; i < rows.rows.size(); ++i) {
+  usize i = 0;  // the cell of the group at hand: one row per cell
+  const auto add_cell = [&](const exp::record_table& group) {
     using T = exp::typed_value;
+    if (keys.empty()) {
+      keys = group.keys;
+      keys.insert(keys.end(), {"claim", "bound", "claim_holds",
+                               "hardware_concurrency", "amo_build_type"});
+    }
     const exp::cell_report& cell = swept.cells[i];
     const verdict v =
         check(g.claims[i], swept.reports[cell.first], cell.stats);
-    std::vector<T>& row = rows.rows[i];
+    std::vector<T> row = group.rows.front();
     row.push_back(T::str(v.name));
     row.push_back(v.bound ? T::f64(*v.bound) : T::null());
     row.push_back(T::boolean(v.holds));
     row.push_back(T::u64(hc));
     row.push_back(T::str(AMO_BUILD_TYPE));
-    out.add(rows.keys, row);
-    if (!v.holds) failing.add(rows.keys, row);
+    out.add(keys, row);
+    if (!v.holds) failing.add(keys, row);
 
     const std::string id = g.specs[i].label.substr(kPrefix.size());
     if (summary.empty() || summary.back().id != id) {
@@ -340,9 +343,14 @@ int main() {
     e.failing += v.holds ? 0 : 1;
     if (g.claims[i] != claim::context &&
         e.claims.find(v.name) == std::string::npos) {
-      e.claims += (e.claims.empty() ? "" : "+") + std::string(v.name);
+      if (!e.claims.empty()) e.claims += '+';
+      e.claims += v.name;
     }
-  }
+    ++i;
+    return true;
+  };
+  exp::cell_record_rows(swept, exp::grid_fingerprint(g.specs), add_cell,
+                        /*include_timing=*/false);
 
   text_table t({"experiment", "claim", "cells", "failing"});
   for (const experiment_row& e : summary) {

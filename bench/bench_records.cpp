@@ -4,7 +4,7 @@
 // fraction of the JSON byte footprint, without ever giving up the
 // byte-identity invariant (docs/record_format.md).
 //
-// Five scenarios:
+// Six scenarios:
 //   records/stream_1m        1,000,000 synthetic unit records (62,500
 //                            cells x 16 replicas, 4 shards) streamed
 //                            through exp::colfmt_writer and re-folded by
@@ -41,6 +41,13 @@
 //                            VmHWM. The bench exits 1 when the peak grows
 //                            by more than 1.5x the growth in shard bytes:
 //                            decoded records would add ~15x.
+//   records/child_memory     a shard child's render memory: shard 0/3 of
+//                            the same shape at 1x and 4x, its job run in a
+//                            forked child and render_output(colfmt) in a
+//                            fork of that, which reports the render's peak
+//                            increment. The bench exits 1 when it grows by
+//                            more than 1.5x the growth in output bytes: a
+//                            whole-shard row table would add ~7x.
 //
 // BENCH_records.json uses the shared flat schema (docs/json_schema.md):
 // "scenario" is the identity axis, bit_identical gates as a safety flag
@@ -474,12 +481,15 @@ std::string in_child(const std::function<std::string()>& body) {
   return WIFEXITED(status) && WEXITSTATUS(status) == 0 ? out : std::string();
 }
 
-/// This process's peak resident set (VmHWM), in MB; 0 when unreadable.
-double peak_rss_mb() {
+/// A kB line of /proc/self/status ("VmHWM:" the peak resident set,
+/// "VmRSS:" the current one), in MB; 0 when unreadable.
+double status_mb(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024;
+    if (line.rfind(field, 0) == 0) {
+      return std::stod(line.substr(field.size())) / 1024;
+    }
   }
   return 0.0;
 }
@@ -558,7 +568,7 @@ parent_memory_stats run_parent_memory(const std::string& dir) {
                      r.error.c_str());
         return {};
       }
-      return std::to_string(peak_rss_mb());
+      return std::to_string(status_mb("VmHWM:"));
     });
     st.ok = st.ok && !peak.empty();
     st.peak_mb[k] = peak.empty() ? 0.0 : std::stod(peak);
@@ -570,6 +580,53 @@ parent_memory_stats run_parent_memory(const std::string& dir) {
                          : 0.0;
   std::error_code ec;
   fs::remove_all(dir, ec);
+  return st;
+}
+
+struct child_memory_stats {
+  usize units[2] = {};
+  std::uint64_t output_bytes[2] = {};
+  double render_mb[2] = {};   ///< the render's peak increment
+  double growth_ratio = 0.0;  ///< render growth / output-byte growth, 1x -> 4x
+  bool ok = true;
+};
+
+/// A shard child's render memory at 1x and 4x the dispatch_amoc shard
+/// shape (shard 0 of 3). Per scale, a forked child runs the shard's job
+/// (its pool joined afterwards), then forks again: the grandchild's VmHWM
+/// starts at the resident set it inherits, so what it adds by
+/// render_output(colfmt) is the render's own peak increment.
+child_memory_stats run_child_memory() {
+  child_memory_stats st;
+  for (usize k = 0; k < 2; ++k) {
+    const std::string out = in_child([&]() -> std::string {
+      svc::job_result r;
+      {
+        svc::worker_pool pool(1);
+        r = svc::execute_job(shard_path_job(0, kMemoryScales[k]), pool);
+      }
+      return !r.ok() ? std::string() : in_child([&]() -> std::string {
+        const double before = status_mb("VmRSS:");
+        std::string bytes;
+        std::string error;
+        if (!r.render_output(exp::record_format::colfmt, bytes, error)) {
+          return {};
+        }
+        return std::to_string(r.runs().size()) + " " +
+               std::to_string(bytes.size()) + " " +
+               std::to_string(status_mb("VmHWM:") - before);
+      });
+    });
+    unsigned long long bytes = 0;
+    st.ok = st.ok && std::sscanf(out.c_str(), "%zu %llu %lf", &st.units[k],
+                                 &bytes, &st.render_mb[k]) == 3;
+    st.output_bytes[k] = bytes;
+  }
+  const double byte_growth_mb =
+      static_cast<double>(st.output_bytes[1] - st.output_bytes[0]) / (1 << 20);
+  st.growth_ratio = byte_growth_mb > 0
+                        ? (st.render_mb[1] - st.render_mb[0]) / byte_growth_mb
+                        : 0.0;
   return st;
 }
 
@@ -587,6 +644,8 @@ int main() {
   // forks below measure the dispatcher, not what this bench built.
   const parent_memory_stats pm = run_parent_memory("bench_records_memory");
   const bool memory_ok = pm.ok && pm.growth_ratio <= kMemoryGrowthBound;
+  const child_memory_stats cm = run_child_memory();
+  const bool child_ok = cm.ok && cm.growth_ratio <= kMemoryGrowthBound;
 
   const exp::record tmpl = unit_template();
   benchx::json_report json;
@@ -651,8 +710,12 @@ int main() {
               st.aggregates > 0 ? double(st.merged_bytes) / st.aggregates
                                 : 0.0);
 
+  // The host class rides on every row.
+  const unsigned hc = std::thread::hardware_concurrency();
   json.add({{"experiment", benchx::json_report::str("E_record_formats")},
             {"scenario", benchx::json_report::str("records/stream_1m")},
+            {"hardware_concurrency", benchx::json_report::num(std::uint64_t{hc})},
+            {"amo_build_type", benchx::json_report::str(AMO_BUILD_TYPE)},
             {"units", benchx::json_report::num(std::uint64_t{big.units()})},
             {"cells", benchx::json_report::num(std::uint64_t{big.cells})},
             {"replicas", benchx::json_report::num(std::uint64_t{big.replicas})},
@@ -673,6 +736,8 @@ int main() {
             {"bit_identical", benchx::json_report::boolean(st.ok)}});
   json.add({{"experiment", benchx::json_report::str("E_record_formats")},
             {"scenario", benchx::json_report::str("records/format_parity")},
+            {"hardware_concurrency", benchx::json_report::num(std::uint64_t{hc})},
+            {"amo_build_type", benchx::json_report::str(AMO_BUILD_TYPE)},
             {"units", benchx::json_report::num(std::uint64_t{mid.units()})},
             {"cells", benchx::json_report::num(std::uint64_t{mid.cells})},
             {"replicas", benchx::json_report::num(std::uint64_t{mid.replicas})},
@@ -683,11 +748,12 @@ int main() {
             {"bit_identical", benchx::json_report::boolean(parity)}});
   json.add({{"experiment", benchx::json_report::str("E_record_formats")},
             {"scenario", benchx::json_report::str("records/real_grid")},
+            {"hardware_concurrency", benchx::json_report::num(std::uint64_t{hc})},
+            {"amo_build_type", benchx::json_report::str(AMO_BUILD_TYPE)},
             {"units", benchx::json_report::num(std::uint64_t{real_units})},
             {"shards", benchx::json_report::num(std::uint64_t{3})},
             {"bit_identical", benchx::json_report::boolean(real_ok)}});
 
-  const unsigned hc = std::thread::hardware_concurrency();
   json.add({{"experiment", benchx::json_report::str("E_record_formats")},
             {"scenario", benchx::json_report::str("records/shard_path")},
             {"units", benchx::json_report::num(std::uint64_t{sp.units})},
@@ -734,12 +800,39 @@ int main() {
             {"growth_bound", benchx::json_report::num(kMemoryGrowthBound)},
             {"claim_holds", benchx::json_report::boolean(memory_ok)}});
 
+  std::printf("child memory (shard 0/3 render_output(colfmt), own process): "
+              "%zu units / %.1f MB output -> render adds %.1f MB; %zu units / "
+              "%.1f MB -> adds %.1f MB; the render grows %.2fx the output "
+              "bytes (bound %.1fx) %s\n",
+              cm.units[0], cm.output_bytes[0] / 1048576.0, cm.render_mb[0],
+              cm.units[1], cm.output_bytes[1] / 1048576.0, cm.render_mb[1],
+              cm.growth_ratio, kMemoryGrowthBound,
+              child_ok ? "ok" : "EXCEEDED");
+  json.add({{"experiment", benchx::json_report::str("E_record_formats")},
+            {"scenario", benchx::json_report::str("records/child_memory")},
+            {"shards", benchx::json_report::num(std::uint64_t{kShardPathShards})},
+            {"n", benchx::json_report::num(std::uint64_t{64})},
+            {"m", benchx::json_report::num(std::uint64_t{4})},
+            {"hardware_concurrency", benchx::json_report::num(std::uint64_t{hc})},
+            {"amo_build_type", benchx::json_report::str(AMO_BUILD_TYPE)},
+            {"units_1x", benchx::json_report::num(std::uint64_t{cm.units[0]})},
+            {"units_4x", benchx::json_report::num(std::uint64_t{cm.units[1]})},
+            {"output_bytes_1x", benchx::json_report::num(cm.output_bytes[0])},
+            {"output_bytes_4x", benchx::json_report::num(cm.output_bytes[1])},
+            {"render_peak_mb_1x", benchx::json_report::num(cm.render_mb[0])},
+            {"render_peak_mb_4x", benchx::json_report::num(cm.render_mb[1])},
+            {"render_growth_per_output_byte",
+             benchx::json_report::num(cm.growth_ratio)},
+            {"growth_bound", benchx::json_report::num(kMemoryGrowthBound)},
+            {"claim_holds", benchx::json_report::boolean(child_ok)}});
+
   if (json.write("BENCH_records.json")) {
     std::printf("[%zu records -> BENCH_records.json]\n", json.size());
   }
   std::printf("\n[bench_records done in %.1fs; bit-identical %s; parent "
-              "memory within bound %s]\n",
+              "memory within bound %s; child memory within bound %s]\n",
               total.seconds(), benchx::yesno(all_identical).c_str(),
-              benchx::yesno(memory_ok).c_str());
-  return all_identical && memory_ok ? 0 : 1;
+              benchx::yesno(memory_ok).c_str(),
+              benchx::yesno(child_ok).c_str());
+  return all_identical && memory_ok && child_ok ? 0 : 1;
 }

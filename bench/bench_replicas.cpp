@@ -63,7 +63,8 @@ std::vector<exp::run_spec> repl_grid(usize replicas) {
 
 std::string aggregate_json(const exp::sweep_result& swept, std::uint64_t fp) {
   exp::json_writer json;
-  exp::add_cell_records(json, swept, fp, /*include_timing=*/false);
+  exp::cell_record_rows(swept, fp,
+                        exp::json_rows(json), /*include_timing=*/false);
   return json.dump();
 }
 

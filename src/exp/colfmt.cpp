@@ -116,9 +116,9 @@ struct cursor {
 
 // --- value access ---------------------------------------------------------
 
-/// Row `row`, column `col` of the rows being encoded: the one way the
-/// encoder reads a value, whether the rows are records or typed rows.
-using cell_at = std::function<value_view(usize row, usize col)>;
+/// The one way the encoder reads a value, whether the rows are records or
+/// typed rows.
+using cell_at = colfmt_encoder::cell_at;
 
 /// The first column named `key`, or columns.size() (record::find's rule).
 usize column_of(const std::vector<std::string>& columns, const char* key) {
@@ -317,12 +317,14 @@ std::uint8_t classify_column(const std::vector<value_view>& col) {
 // --- chunk encode ---------------------------------------------------------
 
 /// Appends one chunk (magic..checksum) for rows [first, last) that
-/// already passed the schema check to `out`. False when a verbatim token
-/// would not re-parse or a typed double is not finite.
+/// already passed the schema check to `out`; `seen` records precede
+/// them in the file. False when a verbatim token would not re-parse or a
+/// typed double is not finite.
 bool encode_chunk_bytes(usize first, usize last,
                         const std::vector<std::string>& columns,
                         const cell_at& at, std::uint64_t cell,
-                        std::string& out, std::string& error) {
+                        std::uint64_t seen, std::string& out,
+                        std::string& error) {
   const usize base = out.size();
   out.append(kChunkMagic, sizeof kChunkMagic);
   put_u32(out, 0);  // chunk_bytes, patched below
@@ -337,7 +339,7 @@ bool encode_chunk_bytes(usize first, usize last,
       // A typed double has no token yet, and JSON has none for these.
       if (v.enc == value_encoding::f64 && v.raw.empty() &&
           !std::isfinite(v.number)) {
-        error = "record " + std::to_string(r) + " field '" + columns[c] +
+        error = "record " + std::to_string(seen + r) + " field '" + columns[c] +
                 "' holds " + json_writer::num(v.number) +
                 ", which no JSON number spells";
         return false;
@@ -426,57 +428,6 @@ bool encode_chunk_bytes(usize first, usize last,
   return true;
 }
 
-/// Encodes `count` rows of one schema: header, one chunk per maximal run
-/// of consecutive rows sharing one integral "cell" value (rows without
-/// one stand alone), end marker. The one encoder behind both
-/// colfmt_encode overloads.
-bool encode_rows(usize count, const std::vector<std::string>& columns,
-                 const cell_at& at, std::string& out, std::string& error) {
-  colfmt_header h;
-  h.columns = columns;
-  if (count > 0) header_meta_from(columns, at, h);
-  h.record_count = count;
-
-  const usize cell_col = column_of(columns, "cell");
-  const auto cell_of = [&](usize r, std::uint64_t& cell) {
-    return cell_col < columns.size() && meta_index(at(r, cell_col), cell);
-  };
-  std::vector<std::pair<usize, usize>> ranges;
-  std::vector<std::uint64_t> cells;
-  for (usize first = 0; first < count;) {
-    std::uint64_t cell = kNoCell;
-    usize last = first + 1;
-    if (cell_of(first, cell)) {
-      std::uint64_t next = 0;
-      while (last < count && cell_of(last, next) && next == cell) ++last;
-    }
-    ranges.emplace_back(first, last);
-    cells.push_back(cell);
-    first = last;
-  }
-  h.chunk_count = ranges.size();
-
-  out = build_header_bytes(h);
-  const usize header_bytes = out.size();
-  for (usize i = 0; i < ranges.size(); ++i) {
-    if (!encode_chunk_bytes(ranges[i].first, ranges[i].second, columns, at,
-                            cells[i], out, error)) {
-      out.clear();
-      return false;
-    }
-    if (i == 0) {
-      // Size the buffer once from the first chunk's bytes per row, so a
-      // large file is not copied and re-faulted through every doubling.
-      const usize rows = ranges[0].second;
-      out.reserve(out.size() + (out.size() - header_bytes) *
-                                   (count - rows) / rows * 9 / 8 +
-                  sizeof kEndMarker);
-    }
-  }
-  out.append(kEndMarker, sizeof kEndMarker);
-  return true;
-}
-
 // --- chunk decode ---------------------------------------------------------
 
 /// Resets `f` to an empty field of column `key`, keeping its strings'
@@ -519,7 +470,8 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
           record_field& f =
               reset_field(out[r].fields[c], columns[c], K::number, E::u64);
           f.number = static_cast<double>(v);  // correctly rounded, as parsing
-          json_writer::append_num(f.raw, v);
+          // Past 2^53 the double is not the value: keep its exact digits.
+          if (v >= std::uint64_t{1} << 53) json_writer::append_num(f.raw, v);
         }
         break;
       }
@@ -531,7 +483,6 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
           record_field& f =
               reset_field(out[r].fields[c], columns[c], K::number, E::f64);
           f.number = v;
-          json_writer::append_num(f.raw, v);
         }
         break;
       }
@@ -546,7 +497,6 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
             record_field& f =
                 reset_field(out[r].fields[c], columns[c], K::string, E::str);
             f.text.assign(s);
-            json_writer::append_str(f.raw, s);
           } else {
             record_field& f = reset_field(out[r].fields[c], columns[c],
                                           K::null, E::unknown);
@@ -568,14 +518,12 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
           record_field& f = reset_field(out[r].fields[c], columns[c],
                                         K::boolean, E::boolean);
           f.truth = (static_cast<unsigned char>(bits[r / 8]) >> (r % 8)) & 1;
-          f.raw.assign(f.truth ? "true" : "false");
         }
         break;
       }
       case kTagNull:
         for (usize r = 0; r < rows; ++r) {
-          reset_field(out[r].fields[c], columns[c], K::null, E::null)
-              .raw.assign("null");
+          reset_field(out[r].fields[c], columns[c], K::null, E::null);
         }
         break;
       default:
@@ -641,27 +589,80 @@ bool colfmt_encode(const std::vector<record>& records, std::string& out,
   for (usize i = 0; i < records.size(); ++i) {
     if (!schema_matches(records[i], columns, i, error)) return false;
   }
-  return encode_rows(
-      records.size(), columns,
-      [&](usize r, usize c) { return view_of(records[r].fields[c]); }, out,
-      error);
+  colfmt_encoder enc(out, records.size());
+  if (!enc.add(
+          records.size(), columns,
+          [&](usize r, usize c) { return view_of(records[r].fields[c]); },
+          error)) {
+    return false;
+  }
+  enc.finish();
+  return true;
 }
 
-bool colfmt_encode(const record_table& table, std::string& out,
-                   std::string& error) {
-  for (usize r = 0; r < table.rows.size(); ++r) {
-    if (table.rows[r].size() != table.keys.size()) {
-      error = "record " + std::to_string(r) + " has " +
-              std::to_string(table.rows[r].size()) +
+colfmt_encoder::colfmt_encoder(std::string& out, usize rows_hint)
+    : out_(out), rows_hint_(rows_hint) {
+  out_.clear();
+}
+
+bool colfmt_encoder::add(usize count, const std::vector<std::string>& columns,
+                         const cell_at& at, std::string& error) {
+  if (count == 0) return true;
+  if (header_.record_count == 0) {
+    header_.columns = columns;
+    header_meta_from(columns, at, header_);
+    out_ = build_header_bytes(header_);
+  }
+  const usize cell_col = column_of(columns, "cell");
+  const auto cell_of = [&](usize r, std::uint64_t& cell) {
+    return cell_col < columns.size() && meta_index(at(r, cell_col), cell);
+  };
+  for (usize first = 0, last = 0; first < count; first = last) {
+    std::uint64_t cell = kNoCell;
+    last = first + 1;
+    if (cell_of(first, cell)) {
+      std::uint64_t next = 0;
+      while (last < count && cell_of(last, next) && next == cell) ++last;
+    }
+    const usize before = out_.size();
+    if (!encode_chunk_bytes(first, last, columns, at, cell,
+                            header_.record_count, out_, error)) {
+      out_.clear();
+      return false;
+    }
+    if (header_.chunk_count++ == 0 && rows_hint_ > last) {
+      // Size the buffer once from the first chunk's bytes per row, so a
+      // large file is not copied and re-faulted through every doubling.
+      out_.reserve(out_.size() +
+                   (out_.size() - before) * (rows_hint_ - last) / last * 9 / 8 +
+                   sizeof kEndMarker);
+    }
+    header_.record_count += last - first;
+  }
+  return true;
+}
+
+bool colfmt_encoder::add(const record_table& group, std::string& error) {
+  for (usize r = 0; r < group.rows.size(); ++r) {
+    if (group.rows[r].size() != group.keys.size()) {
+      error = "record " + std::to_string(header_.record_count + r) + " has " +
+              std::to_string(group.rows[r].size()) +
               " fields where the file schema has " +
-              std::to_string(table.keys.size()) +
+              std::to_string(group.keys.size()) +
               " (colfmt requires one uniform record schema per file)";
       return false;
     }
   }
-  return encode_rows(
-      table.rows.size(), table.keys,
-      [&](usize r, usize c) { return view_of(table.rows[r][c]); }, out, error);
+  return add(
+      group.rows.size(), group.keys,
+      [&](usize r, usize c) { return view_of(group.rows[r][c]); }, error);
+}
+
+void colfmt_encoder::finish() {
+  // The header was written with the first rows; only its counts change.
+  const std::string head = build_header_bytes(header_);
+  out_.replace(0, out_.empty() ? 0 : head.size(), head);
+  out_.append(kEndMarker, sizeof kEndMarker);
 }
 
 parse_result colfmt_decode(std::string_view bytes) {
@@ -936,43 +937,27 @@ bool colfmt_writer::add_chunk(const std::vector<record>& rows,
     error = "colfmt_writer: a chunk needs at least one record";
     return false;
   }
-  const cell_at at = [&](usize r, usize c) {
-    return view_of(rows[r].fields[c]);
-  };
-  if (header_bytes_.empty()) {
-    // First chunk fixes the schema; counts stay zero until finish().
+  if (columns_.empty()) {  // the first chunk fixes the schema
     for (const record_field& f : rows[0].fields) columns_.push_back(f.key);
-    colfmt_header h;
-    h.columns = columns_;
-    header_meta_from(columns_, at, h);
-    header_bytes_ = build_header_bytes(h);
-    if (std::fwrite(header_bytes_.data(), 1, header_bytes_.size(), file_) !=
-        header_bytes_.size()) {
-      error = "cannot write " + tmp_ + ": " + std::strerror(errno);
-      return false;
-    }
-    bytes_ = header_bytes_.size();
   }
+  const std::uint64_t seen = enc_.header().record_count;
   for (usize i = 0; i < rows.size(); ++i) {
-    if (!schema_matches(rows[i], columns_, record_count_ + i, error)) {
-      return false;
-    }
+    if (!schema_matches(rows[i], columns_, seen + i, error)) return false;
   }
-  std::uint64_t cell = kNoCell;
-  const usize cell_col = column_of(columns_, "cell");
-  if (cell_col < columns_.size()) meta_index(at(0, cell_col), cell);
-  std::string chunk;
-  if (!encode_chunk_bytes(0, rows.size(), columns_, at, cell, chunk, error)) {
+  if (!enc_.add(
+          rows.size(), columns_,
+          [&](usize r, usize c) { return view_of(rows[r].fields[c]); },
+          error)) {
     return false;
   }
-  if (std::fwrite(chunk.data(), 1, chunk.size(), file_) != chunk.size()) {
+  if (std::fwrite(buf_.data(), 1, buf_.size(), file_) != buf_.size()) {
     error = "cannot write " + tmp_ + ": " + std::strerror(errno);
     return false;
   }
-  bytes_ += chunk.size();
-  record_count_ += rows.size();
-  ++chunk_count_;
-  obs::counter("merge", "chunks_written", static_cast<double>(chunk_count_));
+  bytes_ += buf_.size();
+  buf_.clear();
+  obs::counter("merge", "chunks_written",
+               static_cast<double>(enc_.header().chunk_count));
   return true;
 }
 
@@ -981,21 +966,17 @@ bool colfmt_writer::finish(std::string& error) {
     error = "colfmt_writer: not open";
     return false;
   }
-  if (header_bytes_.empty()) header_bytes_ = build_header_bytes({});
-  bool ok = std::fwrite(kEndMarker, 1, sizeof kEndMarker, file_) ==
-            sizeof kEndMarker;
-  bytes_ += sizeof kEndMarker;
-  // Patch the counts and recompute the checksum in the buffered header
-  // image, then rewrite it in place.
-  patch_u64(header_bytes_, 40, record_count_);
-  patch_u64(header_bytes_, 48, chunk_count_);
-  patch_u64(header_bytes_, header_bytes_.size() - 8,
-            fnv1a64(std::string_view(header_bytes_.data(),
-                                     header_bytes_.size() - 8)));
-  ok = ok && std::fseek(file_, 0, SEEK_SET) == 0 &&
-       std::fwrite(header_bytes_.data(), 1, header_bytes_.size(), file_) ==
-           header_bytes_.size() &&
-       std::fflush(file_) == 0;
+  // buf_ becomes the header, counts patched, then the end marker: the end
+  // marker goes after the chunks and the header over its first image (or,
+  // with no chunk written, the two go out together).
+  enc_.finish();
+  const usize head = bytes_ == 0 ? 0 : buf_.size() - sizeof kEndMarker;
+  bool ok = std::fwrite(buf_.data() + head, 1, buf_.size() - head, file_) ==
+                buf_.size() - head &&
+            (head == 0 || (std::fseek(file_, 0, SEEK_SET) == 0 &&
+                           std::fwrite(buf_.data(), 1, head, file_) == head)) &&
+            std::fflush(file_) == 0;
+  bytes_ += buf_.size() - head;
 #if !defined(_WIN32)
   if (ok && ::fsync(::fileno(file_)) != 0 && errno != EINVAL) ok = false;
 #endif

@@ -12,7 +12,9 @@
 //
 // Losslessness is the contract that keeps the byte-identity invariant
 // alive across the format boundary: decode(encode(records)) reproduces
-// every record_field exactly — decoded value AND raw source token — so
+// every record_field's value and token — a typed block's field carries
+// its value and encoding, which spell the token on demand
+// (exp::token_of), a verbatim block's field the stored token — so
 // colfmt -> JSON conversion re-emits the very bytes json_writer wrote.
 // The encoder picks, per column block, the narrowest encoding whose
 // decode provably reproduces the raw tokens (u64 / f64 / str / bool /
@@ -22,7 +24,8 @@
 // so records and the report layer's typed rows take the same path: a
 // value of known encoding is classified from the value itself, and only
 // tokens read from JSON text are re-formatted to prove their tag. The
-// decoder stamps each field with its block's encoding.
+// decoder stamps each field with its block's encoding and formats no
+// token.
 //
 // Readers validate everything — magic, version, flags, header checksum,
 // per-chunk checksums, every length against the bytes actually present,
@@ -33,6 +36,7 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,12 +81,43 @@ struct colfmt_header {
 [[nodiscard]] bool colfmt_encode(const std::vector<record>& records,
                                  std::string& out, std::string& error);
 
-/// Encodes typed rows (exp::cell_record_rows / unit_record_rows) into the
-/// bytes colfmt_encode would write for the records parse_records reads
-/// from json_writer's rendering of the same table, without rendering it.
-/// False with `error` on a ragged row or a non-finite f64.
-[[nodiscard]] bool colfmt_encode(const record_table& table, std::string& out,
-                                 std::string& error);
+/// The one .amoc encoder: rows go in as they are made, and only the bytes
+/// are kept. colfmt_encode adds a record array at once; a job's render
+/// adds its typed rows one cell group (exp::row_group_sink) at a time, so
+/// it never holds more than one cell's rows. The bytes equal
+/// colfmt_encode's for the records parse_records reads from json_writer's
+/// rendering of the same rows, and no token is formatted or parsed.
+class colfmt_encoder {
+ public:
+  /// Row `row`, column `col` of the rows being added.
+  using cell_at = std::function<value_view(usize row, usize col)>;
+
+  /// Encodes into `out`, replacing it. `rows_hint`, the rows expected in
+  /// all, sizes `out` once from the first chunk.
+  explicit colfmt_encoder(std::string& out, usize rows_hint = 0);
+
+  /// Appends `count` rows of schema `columns`, one chunk per maximal run
+  /// of consecutive rows sharing one integral "cell" value (rows without
+  /// one stand alone; a run ends with the call). The first rows fix the
+  /// schema. False with `error` (and `out` cleared) when a verbatim token
+  /// would not re-parse or a typed double is not finite.
+  [[nodiscard]] bool add(usize count, const std::vector<std::string>& columns,
+                         const cell_at& at, std::string& error);
+
+  /// add() of one typed row group; also false on a ragged row.
+  [[nodiscard]] bool add(const record_table& group, std::string& error);
+
+  /// Closes the bytes: end marker, header counts and checksum.
+  void finish();
+
+  /// The schema and the record and chunk counts so far.
+  [[nodiscard]] const colfmt_header& header() const { return header_; }
+
+ private:
+  std::string& out_;
+  usize rows_hint_ = 0;
+  colfmt_header header_;  ///< the schema and the counts so far
+};
 
 /// Decodes and fully validates a .amoc buffer (a loop over colfmt_reader,
 /// so both apply one rule set). Errors carry the byte offset.
@@ -165,7 +200,8 @@ class colfmt_reader {
 };
 
 /// Streaming .amoc writer for content too large to buffer (bench_records
-/// writes a million units through it). Same crash discipline as
+/// writes a million units through it): each call's chunks, made by
+/// colfmt_encoder, go to the file at once. Same crash discipline as
 /// util::write_file_atomic: bytes land in "<path>.tmp", the header counts
 /// and checksum are patched in place, the file is fsynced, and only then
 /// renamed — a killed writer never publishes a torn artifact. The schema
@@ -179,8 +215,9 @@ class colfmt_writer {
 
   [[nodiscard]] bool open(const char* path, std::string& error);
 
-  /// Appends one chunk (one cell's records, at least one). Every record
-  /// must match the schema established by the first call.
+  /// Appends records (at least one; one chunk per cell run, as
+  /// colfmt_encoder::add). Every record must match the schema established
+  /// by the first call.
   [[nodiscard]] bool add_chunk(const std::vector<record>& rows,
                                std::string& error);
 
@@ -194,10 +231,9 @@ class colfmt_writer {
   std::FILE* file_ = nullptr;
   std::string path_;
   std::string tmp_;
-  std::string header_bytes_;  ///< header image for the finish() patch
+  std::string buf_;  ///< encoded bytes not yet written
+  colfmt_encoder enc_{buf_};
   std::vector<std::string> columns_;
-  std::uint64_t record_count_ = 0;
-  std::uint64_t chunk_count_ = 0;
   std::uint64_t bytes_ = 0;
 };
 

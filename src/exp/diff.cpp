@@ -108,18 +108,18 @@ std::string identity_key(const record& rec) {
   std::string replicas = "1";
   for (const record_field& f : rec.fields) {
     if (f.key == "replica") {
-      replica = f.raw;
+      replica = token_of(f);
       continue;
     }
     if (f.key == "replicas") {
-      replicas = f.raw;
+      replicas = token_of(f);
       continue;
     }
     if (classify_field(f.key) != field_class::identity) continue;
     if (!key.empty()) key += ' ';
     key += f.key;
     key += '=';
-    key += f.type == record_field::kind::string ? f.text : f.raw;
+    key += f.type == record_field::kind::string ? f.text : token_of(f);
   }
   if (key.empty() && replica.empty()) return "<no identity fields>";
   if (!replica.empty()) {
@@ -146,12 +146,14 @@ void compare_field(const record_field& base, const record_field& cand,
                    const diff_options& opt, record_delta& out) {
   const field_class cls = classify_field(base.key);
   if (cls == field_class::ignored || cls == field_class::identity) return;
-  if (base.raw == cand.raw) return;
+  std::string base_token = token_of(base);
+  std::string cand_token = token_of(cand);
+  if (base_token == cand_token) return;
 
   field_delta d;
   d.field = base.key;
-  d.baseline = base.raw;
-  d.candidate = cand.raw;
+  d.baseline = std::move(base_token);
+  d.candidate = std::move(cand_token);
   d.severity = diff_severity::info;
   d.note = "changed";
 
@@ -215,7 +217,7 @@ record_delta compare_records(const std::string& key, const record& base,
       // worst change the field could have hidden.
       field_delta d;
       d.field = bf.key;
-      d.baseline = bf.raw;
+      d.baseline = token_of(bf);
       if (cls == field_class::hard_counter || cls == field_class::safety_flag) {
         d.severity = diff_severity::hard_fail;
         d.note = "gating field removed in candidate";
@@ -239,7 +241,7 @@ record_delta compare_records(const std::string& key, const record& base,
     if (base.find(cf.key) != nullptr) continue;
     field_delta d;
     d.field = cf.key;
-    d.candidate = cf.raw;
+    d.candidate = token_of(cf);
     d.severity = diff_severity::info;
     d.note = "field added in candidate";
     out.fields.push_back(std::move(d));
@@ -394,7 +396,7 @@ std::string dist_group_key(const record& rec) {
     if (!key.empty()) key += ' ';
     key += f.key;
     key += '=';
-    key += f.type == record_field::kind::string ? f.text : f.raw;
+    key += f.type == record_field::kind::string ? f.text : token_of(f);
   }
   return key;
 }

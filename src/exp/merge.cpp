@@ -85,20 +85,22 @@ class buffered_source final : public record_source {
       while (pos_ >= buffer_.size() && !chunks_done_) {
         pos_ = 0;
         if (!col_->next_chunk(buffer_, chunks_done_, error)) {
-          return fail(error);
+          return fail(error, true);
         }
       }
     }
     if (pos_ >= buffer_.size()) {
       end = true;
       return !owed_ || (owed_all(error) && checkpoint_matches()) ||
-             fail(error);
+             fail(error, false);
     }
     // A swap, not a move: the caller's spent record goes back into the
     // chunk buffer, so the next chunk decodes into its storage.
     std::swap(out, buffer_[pos_++]);
-    return !owed_ || owed_record(out, error) || fail(error);
+    return !owed_ || owed_record(out, error) || fail(error, false);
   }
+
+  [[nodiscard]] bool unreadable() const override { return unreadable_; }
 
   /// FNV-1a-64 of every byte read (a source told what a shard owes).
   [[nodiscard]] std::uint64_t content_fnv64() const {
@@ -106,11 +108,14 @@ class buffered_source final : public record_source {
   }
 
  private:
-  /// Names the input in `error`. A shard that owes a checkpoint hash is
+  /// Names the input in `error` and records its kind (`unreadable`: it
+  /// could not be read or decoded). A shard that owes a checkpoint hash is
   /// judged by it first: bytes other than the checkpointed ones are
-  /// reported as such, whatever broke in them.
-  bool fail(std::string& error) {
+  /// refused as such, whatever broke in them.
+  bool fail(std::string& error, bool unreadable) {
+    unreadable_ = unreadable;
     if (!checkpoint_matches()) {
+      unreadable_ = false;
       error = "content hash " + fnv_hex64(content_fnv64()) +
               " disagrees with the manifest checkpoint " + owed_->fnv64 +
               " (file changed since the dispatch validated it)";
@@ -144,6 +149,7 @@ class buffered_source final : public record_source {
         image_ ? open_memory(bytes_) : std::fopen(name_.c_str(), "rb");
     if (f == nullptr) {
       error = "cannot open " + name_ + ": " + std::strerror(errno);
+      unreadable_ = true;
       return false;
     }
     char magic[4] = {};
@@ -152,7 +158,7 @@ class buffered_source final : public record_source {
       col_ = std::make_unique<colfmt_reader>();
       return col_->open(f, std::string_view(magic, got), owed_.has_value(),
                         error) ||
-             fail(error);
+             fail(error, true);
     }
     // JSON parses whole, once read to the end.
     std::string text(magic, got);
@@ -160,13 +166,14 @@ class buffered_source final : public record_source {
     std::fclose(f);
     if (!read) {
       error = "cannot read " + name_ + ": " + std::strerror(errno);
+      unreadable_ = true;
       return false;
     }
     if (owed_) fnv_ = fnv1a64(text);
     parse_result parsed = parse_records(text);
     if (!parsed.ok()) {
       error = std::move(parsed.error);
-      return fail(error);
+      return fail(error, true);
     }
     buffer_ = std::move(parsed.records);
     return true;
@@ -226,6 +233,7 @@ class buffered_source final : public record_source {
   std::string_view bytes_;  ///< the image
   std::string name_;        ///< the path, or the image's name for errors
   bool image_ = false;
+  bool unreadable_ = false;  ///< the last failure's kind
   bool in_memory_ = false;  ///< buffer_ holds the records from the start
   bool opened_ = false;
   bool chunks_done_ = false;
@@ -379,15 +387,14 @@ bool fold_flag(const std::vector<record>& units, const char* key, bool& out,
 }
 
 /// Folds ONE cell's unit records (complete, replica order) into the
-/// aggregate record add_cell_records would have emitted: raw tokens of
-/// the base replica pass through, the safety flags AND-fold, the
+/// aggregate record cell_record_rows would have emitted: the base
+/// replica's fields pass through, the safety flags AND-fold, the
 /// summaries are recomputed through exp::stats from the parsed replica
 /// values — bit-equal to the in-process fold because json_writer::num
 /// round-trips exactly — and wall clocks sum. False with `error` when a
 /// record lacks a foldable field.
 bool fold_unit_cell(const std::vector<record>& units, record& agg,
                     std::string& error) {
-  using W = json_writer;
   agg = record{};
   const record& base = units.front();
 
@@ -436,19 +443,19 @@ bool fold_unit_cell(const std::vector<record>& units, record& agg,
     const record_field* f = base.find(key);
     if (f != nullptr) agg.fields.push_back(*f);
   };
-  // Every token the fold writes is json_writer's, so each output field
-  // carries its encoding and the column encoder need not re-format it.
+  // Every value the fold writes is spelled as json_writer spells it, so
+  // each output field carries its encoding and no token: one is made
+  // only where text is written.
   auto push_number = [&agg](std::string key, double value) {
     record_field f;
     f.key = std::move(key);
     f.type = record_field::kind::number;
     f.encoding = value_encoding::f64;
     f.number = value;
-    W::append_num(f.raw, value);
     agg.fields.push_back(std::move(f));
   };
   auto set_flag = [](record_field& g, bool v) {
-    g.raw = W::boolean(v);
+    g.raw.clear();
     g.truth = v;
     g.encoding = value_encoding::boolean;
   };
@@ -471,11 +478,9 @@ bool fold_unit_cell(const std::vector<record>& units, record& agg,
       set_flag(g, st.wa_complete);
     } else if (f.key == "duplicate") {
       if (duplicate != nullptr) {
-        g.raw = duplicate->raw;
-        g.number = duplicate->number;
-        g.encoding = duplicate->encoding;
+        g = *duplicate;
       } else {
-        g.raw = "0";
+        g.raw.clear();
         g.number = 0.0;
         g.encoding = value_encoding::u64;
       }
@@ -545,6 +550,7 @@ merge_result merge_sources(std::vector<std::unique_ptr<record_source>> sources,
     std::string err;
     if (!sources[si]->next(rec, end, err)) {
       out.error = std::move(err);
+      out.unreadable = sources[si]->unreadable();
       return false;
     }
     if (end) return true;

@@ -4,7 +4,7 @@
 // Shards emit one record per (cell, replica) UNIT, keyed by
 // "unit"/"units_total"; the merge re-groups the units by cell, re-folds
 // each cell's replicas through exp::stats, and renders the same aggregate
-// records add_cell_records would have — byte identical, because
+// records cell_record_rows would have — byte identical, because
 // json_writer::num is round-trip-exact and the fold is a deterministic
 // function of the replica values in replica order.
 //
@@ -45,6 +45,10 @@ struct merge_result {
   usize cells_total = 0;        ///< the grid size the shards agreed on
   usize units_total = 0;        ///< units recombined
   std::string error;            ///< empty on success
+  /// The error's kind: an input that could not be read as records (I/O,
+  /// parse or decode failure; `amo_lab merge` exits 3), else records the
+  /// contract refused (exit 2).
+  bool unreadable = false;
 
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
@@ -57,6 +61,9 @@ class record_source {
   virtual ~record_source() = default;
   [[nodiscard]] virtual bool next(record& out, bool& end,
                                   std::string& error) = 0;
+  /// After a failed next(): whether the input could not be read as
+  /// records (merge_result::unreadable), rather than being refused.
+  [[nodiscard]] virtual bool unreadable() const = 0;
 };
 
 /// Wraps an in-memory record array (already index-sorted) as a source.

@@ -85,6 +85,12 @@ void append_token(std::string& out, const value_view& v) {
   }
 }
 
+std::string token_of(const record_field& f) {
+  std::string out;
+  append_token(out, view_of(f));
+  return out;
+}
+
 bool parse_value_token(std::string_view token, record_field& f,
                        std::string& error) {
   json::scanner sc(token);
@@ -126,12 +132,14 @@ parse_result parse_records(std::string_view doc) {
 
 std::string render_records(const std::vector<record>& records) {
   // Rebuilt through json_writer so the row format ("  {...}," etc.) has
-  // exactly one definition; values pass through as their raw tokens.
+  // exactly one definition; values pass through as their tokens.
   json_writer json;
   for (const record& rec : records) {
     std::vector<std::pair<std::string, std::string>> fields;
     fields.reserve(rec.fields.size());
-    for (const record_field& f : rec.fields) fields.emplace_back(f.key, f.raw);
+    for (const record_field& f : rec.fields) {
+      fields.emplace_back(f.key, token_of(f));
+    }
     json.add(fields);
   }
   return json.dump();

@@ -3,17 +3,16 @@
 // of flat objects whose values are strings, numbers, booleans or null
 // (exactly what exp::json_writer emits; see docs/json_schema.md).
 //
-// Each parsed field keeps BOTH the decoded value (for exp::report_diff's
-// numeric comparisons) and the raw source token (verbatim). Re-rendering
-// raw tokens in json_writer's row format makes parse ∘ render the identity
-// on writer-produced documents, which is what lets exp::merge_stream
-// promise byte-identical output without ever reformatting a number.
-//
-// A field also records its encoding when it is known: a field decoded from
-// a typed .amoc column block, or built by the merge fold, carries the raw
-// token json_writer writes for its value, so the column encoder can pick
-// its block tag from the value without re-formatting the token. Fields
-// read from JSON text are `unknown`, and the encoder checks their tokens.
+// Each field carries its decoded value (for exp::report_diff's numeric
+// comparisons) and its token, read through one accessor
+// (append_token(view_of(f)), or token_of). A field parsed from JSON text
+// keeps the raw source token verbatim. A field decoded from a typed .amoc
+// column block, or built by the merge fold, records its encoding instead:
+// its token is json_writer's spelling of its value, made only where text
+// is written, so decoding formats nothing. Re-rendering tokens in
+// json_writer's row format makes parse ∘ render the identity on
+// writer-produced documents, which is what lets exp::merge_stream promise
+// byte-identical output without ever reformatting a number.
 //
 // typed_value is the other side of the same schema: a value before it has
 // a token. The report layer builds its output rows as typed values
@@ -48,13 +47,16 @@ struct record_field {
 
   std::string key;      ///< decoded key
   kind type = kind::null;
-  /// Set only when `raw` is known to be json_writer's token for the value
+  /// Known when the token is json_writer's spelling of the value
   /// (decoded .amoc blocks, merge output); `unknown` for JSON text.
   value_encoding encoding = value_encoding::unknown;
   bool truth = false;   ///< boolean fields
   std::string text;     ///< decoded value (string fields)
   double number = 0.0;  ///< numeric value (number fields)
-  std::string raw;      ///< the value token exactly as written in the source
+  /// The token as written in the source. Empty when `encoding` spells it
+  /// from the value; a u64 of 2^53 or more keeps its digits, which the
+  /// double cannot hold. Read it only through view_of / token_of.
+  std::string raw;
 };
 
 /// One output value before it has a token: what the report layer's row
@@ -88,8 +90,10 @@ struct record_table {
 };
 
 /// A non-owning view of one value, the form json_writer and the column
-/// encoder read: a record_field (raw set) or a typed_value (raw empty). `u` is the exact
-/// integer when enc is u64; `number` is the double every number has.
+/// encoder read: a record_field or a typed_value. `raw` is set only for a
+/// token the encoding does not spell (JSON text, a u64 past 2^53). `u` is
+/// the exact integer when enc is u64; `number` is the double every number
+/// has.
 struct value_view {
   value_encoding enc = value_encoding::unknown;
   json::kind type = json::kind::null;
@@ -106,6 +110,10 @@ struct value_view {
 /// Appends v's JSON token to `out`: its raw token when it has one, else
 /// json_writer's spelling of its typed value.
 void append_token(std::string& out, const value_view& v);
+
+/// f's JSON token, append_token(view_of(f)): how every reader that needs a
+/// field's text (render, diff keys and deltas) gets it.
+[[nodiscard]] std::string token_of(const record_field& f);
 
 /// One flat object, fields in source order.
 struct record {
@@ -142,7 +150,7 @@ bool parse_value_token(std::string_view token, record_field& f,
                        std::string& error);
 
 /// Renders records exactly as json_writer would have ("[\n  {...},\n ...]\n"),
-/// re-emitting each value's raw source token verbatim.
+/// re-emitting each value's token (token_of).
 std::string render_records(const std::vector<record>& records);
 
 }  // namespace amo::exp

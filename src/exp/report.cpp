@@ -118,14 +118,15 @@ bool json_writer::write(const char* path) const {
 
 namespace {
 
-/// Appends one row's values to a table, and on its first row the keys
-/// too, so the schema is written once per table.
+/// Appends one row's values to a table, and on the first row of a table
+/// without a schema the keys too, so the schema is written once.
 struct row_sink {
   record_table& table;
   std::vector<typed_value>& row;
+  bool keys;
 
   void put(std::string_view key, typed_value v) {
-    if (table.rows.size() == 1) table.keys.emplace_back(key);
+    if (keys) table.keys.emplace_back(key);
     row.push_back(std::move(v));
   }
   void put_all(const extra_fields& extra) {
@@ -133,10 +134,12 @@ struct row_sink {
   }
 };
 
-row_sink new_row(record_table& table, usize fields) {
-  std::vector<typed_value>& row = table.rows.emplace_back();
+/// Refills row `i` of `table`, keeping the row's storage.
+row_sink fill_row(record_table& table, usize i, usize fields) {
+  std::vector<typed_value>& row = table.rows[i];
+  row.clear();
   row.reserve(fields);
-  return {table, row};
+  return {table, row, table.keys.empty()};
 }
 
 /// report_fields' schema. `fold`, when given, replaces the safety fields
@@ -191,7 +194,8 @@ std::string grid_hex(std::uint64_t grid) {
 
 extra_fields report_fields(const run_report& r, bool include_timing) {
   record_table table;
-  row_sink sink = new_row(table, 32);
+  table.rows.resize(1);
+  row_sink sink = fill_row(table, 0, 32);
   put_report(sink, r, include_timing);
   extra_fields out;
   out.reserve(table.keys.size());
@@ -201,27 +205,18 @@ extra_fields report_fields(const run_report& r, bool include_timing) {
   return out;
 }
 
-void add_reports(json_writer& out, const std::vector<run_report>& reports,
-                 bool include_timing) {
-  record_table table;
-  for (const run_report& r : reports) {
-    row_sink sink = new_row(table, 32);
-    put_report(sink, r, include_timing);
-  }
-  out.add(table);
-}
-
-record_table cell_record_rows(const sweep_result& swept, std::uint64_t grid,
-                              bool include_timing, const extra_fields& extra) {
+bool cell_record_rows(const sweep_result& swept, std::uint64_t grid,
+                      const row_group_sink& sink, bool include_timing,
+                      const extra_fields& extra) {
   using T = typed_value;
   const std::string fp = grid_hex(grid);
-  record_table table;
-  table.rows.reserve(swept.cells.size());
+  record_table group;
+  group.rows.resize(1);
   for (usize i = 0; i < swept.cells.size(); ++i) {
     const cell_report& cr = swept.cells[i];
     const cell_stats& st = cr.stats;
 
-    row_sink out = new_row(table, 64);
+    row_sink out = fill_row(group, 0, 64);
     out.put("cell", T::u64(i));
     out.put("cells_total", T::u64(swept.cells.size()));
     out.put("grid", T::str(fp));
@@ -236,47 +231,47 @@ record_table cell_record_rows(const sweep_result& swept, std::uint64_t grid,
     }
     if (include_timing) out.put("wall_seconds", T::f64(st.wall_seconds));
     out.put_all(extra);
+    if (!sink(group)) return false;
   }
-  return table;
+  return true;
 }
 
-record_table unit_record_rows(const std::vector<run_report>& reports,
-                              const std::vector<unit_ref>& units,
-                              usize units_total, usize cells_total,
-                              std::uint64_t grid, bool include_timing,
-                              const extra_fields& extra) {
-  using T = typed_value;
-  const std::string fp = grid_hex(grid);
-  record_table table;
-  table.rows.reserve(reports.size());
-  for (usize i = 0; i < reports.size(); ++i) {
-    const unit_ref& u = units[i];
-    row_sink out = new_row(table, 40);
-    out.put("unit", T::u64(u.unit));
-    out.put("units_total", T::u64(units_total));
-    out.put("cell", T::u64(u.cell));
-    out.put("cells_total", T::u64(cells_total));
-    out.put("replica", T::u64(u.replica));
-    out.put("replicas", T::u64(u.cell_replicas));
-    out.put("grid", T::str(fp));
-    put_report(out, reports[i], include_timing);
-    out.put_all(extra);
-  }
-  return table;
-}
-
-void add_cell_records(json_writer& out, const sweep_result& swept,
-                      std::uint64_t grid, bool include_timing,
-                      const extra_fields& extra) {
-  out.add(cell_record_rows(swept, grid, include_timing, extra));
-}
-
-void add_unit_records(json_writer& out, const std::vector<run_report>& reports,
+bool unit_record_rows(const std::vector<run_report>& reports,
                       const std::vector<unit_ref>& units, usize units_total,
                       usize cells_total, std::uint64_t grid,
-                      bool include_timing, const extra_fields& extra) {
-  out.add(unit_record_rows(reports, units, units_total, cells_total, grid,
-                           include_timing, extra));
+                      const row_group_sink& sink, bool include_timing,
+                      const extra_fields& extra) {
+  using T = typed_value;
+  const std::string fp = grid_hex(grid);
+  record_table group;
+  for (usize first = 0, last = 0; first < reports.size(); first = last) {
+    while (last < reports.size() && units[last].cell == units[first].cell) {
+      ++last;
+    }
+    group.rows.resize(last - first);
+    for (usize i = first; i < last; ++i) {
+      const unit_ref& u = units[i];
+      row_sink out = fill_row(group, i - first, 40);
+      out.put("unit", T::u64(u.unit));
+      out.put("units_total", T::u64(units_total));
+      out.put("cell", T::u64(u.cell));
+      out.put("cells_total", T::u64(cells_total));
+      out.put("replica", T::u64(u.replica));
+      out.put("replicas", T::u64(u.cell_replicas));
+      out.put("grid", T::str(fp));
+      put_report(out, reports[i], include_timing);
+      out.put_all(extra);
+    }
+    if (!sink(group)) return false;
+  }
+  return true;
+}
+
+row_group_sink json_rows(json_writer& out) {
+  return [&out](const record_table& group) {
+    out.add(group);
+    return true;
+  };
 }
 
 }  // namespace amo::exp

@@ -8,14 +8,18 @@
 //
 // The row builders (cell_record_rows, unit_record_rows) map run_reports
 // onto the unified record schema (documented in README.md and emitted by
-// amo_lab) as typed values: a record_table holds the schema's keys once
-// and one typed_value per field per row. json_writer formats a table into
-// tokens; exp::colfmt_encode writes the same table straight into .amoc
-// column blocks. A number is formatted only where a JSON token is made.
+// amo_lab) as typed values, one cell group at a time: a record_table
+// holds the schema's keys once and one typed_value per field for the
+// rows of one cell, read off the caller's reports in place. json_writer
+// formats each group into tokens; exp::colfmt_encoder writes it straight
+// into one .amoc chunk. A renderer therefore holds one cell's rows, never
+// a whole document's, and a number is formatted only where a JSON token
+// is made.
 // `include_timing = false` drops the wall-clock fields, which is what
 // makes sweep output byte-comparable across pool sizes.
 #pragma once
 
+#include <functional>
 #include <initializer_list>
 #include <string>
 #include <utility>
@@ -80,10 +84,11 @@ using extra_fields = std::vector<std::pair<std::string, typed_value>>;
 [[nodiscard]] extra_fields report_fields(const run_report& r,
                                          bool include_timing = true);
 
-/// Appends one record per report. `include_timing = false` omits
-/// wall_seconds so identical executions dump identical bytes.
-void add_reports(json_writer& out, const std::vector<run_report>& reports,
-                 bool include_timing = true);
+/// Receives output rows one cell group at a time, in output order: the
+/// schema's keys and the rows of one cell (an aggregate cell's row, or
+/// the consecutive units of one cell that a shard owns). The group is
+/// reused between calls. False stops the rows.
+using row_group_sink = std::function<bool(const record_table& group)>;
 
 /// Aggregate cell rows — what an unsharded sweep emits: one record per
 /// cell, {"cell", "cells_total", "grid", "replicas"}, then the base
@@ -93,31 +98,25 @@ void add_reports(json_writer& out, const std::vector<run_report>& reports,
 /// runs only). Aggregate output is always the whole grid (sharded sweeps
 /// emit per-unit records instead), so record i's "cell" index is i and
 /// cells_total is swept.cells.size(). exp::merge_stream rebuilds exactly
-/// these bytes from per-unit shard records.
-[[nodiscard]] record_table cell_record_rows(
-    const sweep_result& swept, std::uint64_t grid, bool include_timing = true,
-    const extra_fields& extra = {});
+/// these bytes from per-unit shard records. One group per cell; false
+/// iff `sink` returned false.
+bool cell_record_rows(const sweep_result& swept, std::uint64_t grid,
+                      const row_group_sink& sink, bool include_timing = true,
+                      const extra_fields& extra = {});
 
 /// Per-replica unit rows — what a sharded sweep emits: one record per
 /// owned (cell, replica) unit, {"unit", "units_total", "cell",
 /// "cells_total", "replica", "replicas", "grid"} then the replica's
 /// report_fields (its "seed" is the exp::replica_seed-derived seed).
-/// Requires units.size() == reports.size().
-[[nodiscard]] record_table unit_record_rows(
-    const std::vector<run_report>& reports, const std::vector<unit_ref>& units,
-    usize units_total, usize cells_total, std::uint64_t grid,
-    bool include_timing = true, const extra_fields& extra = {});
-
-/// json_writer::add of cell_record_rows.
-void add_cell_records(json_writer& out, const sweep_result& swept,
-                      std::uint64_t grid, bool include_timing = true,
-                      const extra_fields& extra = {});
-
-/// json_writer::add of unit_record_rows.
-void add_unit_records(json_writer& out, const std::vector<run_report>& reports,
+/// Requires units.size() == reports.size(). One group per run of
+/// consecutive units of one cell; false iff `sink` returned false.
+bool unit_record_rows(const std::vector<run_report>& reports,
                       const std::vector<unit_ref>& units, usize units_total,
                       usize cells_total, std::uint64_t grid,
-                      bool include_timing = true,
+                      const row_group_sink& sink, bool include_timing = true,
                       const extra_fields& extra = {});
+
+/// A sink that adds every group to `out` (json_writer::add).
+[[nodiscard]] row_group_sink json_rows(json_writer& out);
 
 }  // namespace amo::exp

@@ -55,13 +55,17 @@ std::uint8_t choose_candidate(const proc_state& ps, const model_config& cfg,
 }  // namespace
 
 void check_config(const model_config& cfg, const char* who) {
-  const auto outside = [&](const char* name, usize v, usize max) {
-    throw std::invalid_argument(std::string(who) + ": " + name + " = " +
-                                std::to_string(v) + " is outside the model [1, " +
-                                std::to_string(max) + "]");
+  const auto within = [&](const char* name, usize v, usize lo, usize hi) {
+    if (v >= lo && v <= hi) return;
+    throw std::invalid_argument(
+        std::string(who) + ": " + name + " = " + std::to_string(v) +
+        " is outside the model [" + std::to_string(lo) + ", " +
+        (hi == ~usize{0} ? "inf" : std::to_string(hi)) + "]");
   };
-  if (cfg.n < 1 || cfg.n > max_jobs) outside("n", cfg.n, max_jobs);
-  if (cfg.m < 1 || cfg.m > max_procs) outside("m", cfg.m, max_procs);
+  within("n", cfg.n, 1, max_jobs);
+  within("m", cfg.m, 1, max_procs);
+  within("beta", cfg.beta, 1, ~usize{0});
+  within("crash_budget", cfg.crash_budget, 0, cfg.m - 1);  // f <= m - 1
 }
 
 sys_state initial_state(const model_config& cfg) {

@@ -76,9 +76,10 @@ struct model_config {
 bool lemma62_holds(const sys_state& s, const model_config& cfg);
 
 /// Throws std::invalid_argument, naming `who`, unless `cfg` fits the
-/// model: n in [1, max_jobs] and m in [1, max_procs]. Every explorer calls
-/// it first, in every build type — a config outside the model would
-/// write past the fixed-size state arrays.
+/// model: n in [1, max_jobs], m in [1, max_procs], beta >= 1 and at most
+/// m - 1 crashes (the paper's f <= m - 1). Every explorer calls it first,
+/// in every build type — a config outside the model would write past the
+/// fixed-size state arrays or check a system the paper does not define.
 void check_config(const model_config& cfg, const char* who);
 
 /// Initial state: FREE = J for everyone, all registers 0.

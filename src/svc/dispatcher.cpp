@@ -622,6 +622,7 @@ exp::merge_result merge_from_manifest(const std::string& manifest_file,
     std::string why;
     const exp::parse_result parsed =
         exp::load_records_file(manifest_file.c_str());
+    out.unreadable = !parsed.ok();
     if (!parsed.ok()) {
       why = parsed.error;
     } else {

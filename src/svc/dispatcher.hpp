@@ -153,7 +153,8 @@ bool fnv64_file(const char* path, std::uint64_t& hash, std::string& error);
 /// through exp::merge_stream. Polls the manifest (~0.2 s) until one
 /// consistent (shards, args fingerprint) set has checkpointed all k
 /// shards, so a merge can sit downstream of a dispatch still in flight;
-/// gives up after `wait_s` seconds (0 = one immediate attempt).
+/// gives up after `wait_s` seconds (0 = one immediate attempt), with
+/// merge_result::unreadable set when the manifest itself could not be read.
 exp::merge_result merge_from_manifest(const std::string& manifest_file,
                                       double wait_s, bool quiet);
 

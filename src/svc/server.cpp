@@ -92,8 +92,9 @@ bool claim_out_path(const job& j, std::unordered_set<std::string>& used,
   return false;
 }
 
-/// The job's output records as typed rows, built once for either format.
-exp::record_table output_rows(const job_result& r) {
+/// Streams the job's output rows to `sink`, one cell group at a time, for
+/// either format; false iff the sink stopped them.
+bool output_rows(const job_result& r, const exp::row_group_sink& sink) {
   // Per-job observability (wall + queue latency): timing fields by the
   // shared schema's rules, so they ride on timing runs only — no-timing
   // output stays byte-reproducible — and exp::report_diff ignores them.
@@ -106,10 +107,10 @@ exp::record_table output_rows(const job_result& r) {
   }
   if (r.sharded) {
     return exp::unit_record_rows(r.unit_reports, r.units, r.units_total,
-                                 r.cells_total, r.grid,
+                                 r.cells_total, r.grid, sink,
                                  /*include_timing=*/!r.j.no_timing, extra);
   }
-  return exp::cell_record_rows(r.swept, r.grid,
+  return exp::cell_record_rows(r.swept, r.grid, sink,
                                /*include_timing=*/!r.j.no_timing, extra);
 }
 
@@ -117,7 +118,7 @@ exp::record_table output_rows(const job_result& r) {
 
 std::string job_result::render_json() const {
   exp::json_writer json;
-  json.add(output_rows(*this));
+  output_rows(*this, exp::json_rows(json));
   return json.dump();
 }
 
@@ -128,13 +129,19 @@ bool job_result::render_output(exp::record_format format, std::string& out,
     out = render_json();
     return true;
   }
-  // The typed rows go straight into column blocks; decoding the .amoc
-  // artifact reproduces render_json's tokens, so converting it back to
-  // JSON yields render_json's bytes.
-  if (!exp::colfmt_encode(output_rows(*this), out, error)) {
+  // Each cell's typed rows go straight into a column chunk, and only the
+  // bytes are kept; decoding the .amoc artifact reproduces render_json's
+  // tokens, so converting it back to JSON yields render_json's bytes.
+  exp::colfmt_encoder enc(out,
+                          sharded ? unit_reports.size() : swept.cells.size());
+  if (!output_rows(*this, [&](const exp::record_table& group) {
+        return enc.add(group, error);
+      })) {
     error = "cannot encode output: " + error;
     return false;
   }
+  enc.finish();
+  rsp.arg("chunks", enc.header().chunk_count);
   return true;
 }
 

@@ -71,11 +71,13 @@ struct job_result {
 
   /// The output bytes in `format`: render_json() itself for JSON; for
   /// colfmt, the same typed rows (exp::cell_record_rows /
-  /// unit_record_rows) written straight into column blocks by
-  /// exp::colfmt_encode, with no token formatted or parsed, so `amo_lab
-  /// convert` back to JSON reproduces the render_json bytes without the
-  /// document ever being rendered. Traced as `record/render`. False with
-  /// `error` on an encode failure.
+  /// unit_record_rows), one cell group at a time, written straight into
+  /// column chunks by exp::colfmt_encoder, with no token formatted or
+  /// parsed, so `amo_lab convert` back to JSON reproduces the render_json
+  /// bytes without the document ever being rendered. Either way the render
+  /// holds one cell's rows besides its output. Traced as `record/render`
+  /// (with the `.amoc` chunks written). False with `error` on an encode
+  /// failure.
   [[nodiscard]] bool render_output(exp::record_format format, std::string& out,
                                    std::string& error) const;
 };

@@ -225,7 +225,8 @@ TEST(BatchRule, EveryFamilyMatchesRunPerReplica) {
 std::string aggregate_json(const exp::sweep_result& swept,
                            const std::vector<exp::run_spec>& cells) {
   exp::json_writer json;
-  exp::add_cell_records(json, swept, exp::grid_fingerprint(cells),
+  exp::cell_record_rows(swept, exp::grid_fingerprint(cells),
+                        exp::json_rows(json),
                         /*include_timing=*/false);
   return json.dump();
 }
@@ -267,8 +268,9 @@ TEST(BatchSweep, ShardedUnitsMergeByteIdentically) {
           exp::shard_units(cells, {i, k});
       const exp::unit_run_result ur = exp::run_units(cells, units, pool);
       exp::json_writer json;
-      exp::add_unit_records(json, ur.reports, units, exp::unit_count(cells),
+      exp::unit_record_rows(ur.reports, units, exp::unit_count(cells),
                             cells.size(), exp::grid_fingerprint(cells),
+                            exp::json_rows(json),
                             /*include_timing=*/false);
       exp::parse_result parsed = exp::parse_records(json.dump());
       ASSERT_TRUE(parsed.ok()) << parsed.error;

@@ -310,6 +310,14 @@ TEST(Colfmt, StreamingWriterMatchesBufferEncode) {
   const std::string streamed = slurp(path);
   EXPECT_EQ(writer.bytes_written(), streamed.size());
   EXPECT_EQ(streamed, encode_or_die(records));
+
+  // A writer given no chunk still writes a whole file: header, then end
+  // marker.
+  exp::colfmt_writer empty;
+  ASSERT_TRUE(empty.open(path.c_str(), error)) << error;
+  ASSERT_TRUE(empty.finish(error)) << error;
+  EXPECT_EQ(slurp(path), encode_or_die({}));
+  EXPECT_EQ(empty.bytes_written(), slurp(path).size());
 }
 
 // --- the streaming merge over real sweep output ---
@@ -445,7 +453,9 @@ both_paths encode_both(const std::vector<exp::typed_value>& column) {
   }
   both_paths out;
   std::string error;
-  EXPECT_TRUE(exp::colfmt_encode(table, out.typed, error)) << error;
+  exp::colfmt_encoder enc(out.typed);
+  EXPECT_TRUE(enc.add(table, error)) << error;
+  enc.finish();
   exp::json_writer json;
   json.add(table);
   exp::parse_result parsed = exp::parse_records(json.dump());
@@ -491,14 +501,17 @@ TEST(Colfmt, EdgeValuesChooseTheSameTagOnTheTypedAndTokenPaths) {
     EXPECT_EQ(first_column_tag(b.typed, {"v", "cell"}), c.tag) << c.name;
 
     // Decoding the typed bytes gives back the parsed records, value for
-    // value, and every known encoding spells its field's token.
+    // value and token for token, and every known encoding spells its
+    // field's token: a decoded field keeps a raw token only where the
+    // double cannot hold the value (a u64 of 2^53 or more).
     const exp::parse_result d = exp::colfmt_decode(b.typed);
     ASSERT_TRUE(d.ok()) << c.name << ": " << d.error;
     ASSERT_EQ(d.records.size(), b.parsed.size()) << c.name;
     for (usize r = 0; r < d.records.size(); ++r) {
       const exp::record_field& got = d.records[r].fields[0];
       const exp::record_field& want = b.parsed[r].fields[0];
-      EXPECT_EQ(got.raw, want.raw) << c.name << " row " << r;
+      EXPECT_EQ(exp::token_of(got), exp::token_of(want))
+          << c.name << " row " << r;
       EXPECT_EQ(got.type, want.type) << c.name << " row " << r;
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got.number),
                 std::bit_cast<std::uint64_t>(want.number))
@@ -511,7 +524,11 @@ TEST(Colfmt, EdgeValuesChooseTheSameTagOnTheTypedAndTokenPaths) {
       std::string spelled;
       exp::append_token(spelled, typed);
       if (got.encoding != exp::value_encoding::unknown) {
-        EXPECT_EQ(spelled, got.raw) << c.name << " row " << r;
+        EXPECT_EQ(spelled, exp::token_of(want)) << c.name << " row " << r;
+        EXPECT_EQ(got.raw.empty(),
+                  got.encoding != exp::value_encoding::u64 ||
+                      got.number < 0x1p53)
+            << c.name << " row " << r;
       }
     }
     // Re-encoding the decoded records writes the same bytes again.
@@ -538,7 +555,7 @@ TEST(Colfmt, NonCanonicalTokensStayVerbatim) {
     EXPECT_EQ(first_column_tag(bytes, {"v", "cell"}), c.tag) << c.token;
     const exp::parse_result d = exp::colfmt_decode(bytes);
     ASSERT_TRUE(d.ok()) << d.error;
-    EXPECT_EQ(d.records[0].fields[0].raw, c.token);
+    EXPECT_EQ(exp::token_of(d.records[0].fields[0]), c.token);
     EXPECT_EQ(exp::render_records(d.records), exp::render_records(parsed.records));
   }
 }
@@ -549,13 +566,45 @@ TEST(Colfmt, TypedRowsRejectRaggedRowsAndNonFiniteDoubles) {
   table.rows.push_back({exp::typed_value::u64(1)});
   std::string bytes;
   std::string error;
-  EXPECT_FALSE(exp::colfmt_encode(table, bytes, error));
+  EXPECT_FALSE(exp::colfmt_encoder(bytes).add(table, error));
   EXPECT_NE(error.find("schema"), std::string::npos) << error;
 
   table.rows[0].push_back(exp::typed_value::f64(std::nan("")));
   error.clear();
-  EXPECT_FALSE(exp::colfmt_encode(table, bytes, error));
+  EXPECT_FALSE(exp::colfmt_encoder(bytes).add(table, error));
   EXPECT_NE(error.find("'b'"), std::string::npos) << error;
+}
+
+TEST(Colfmt, U64PastTwoTo53SurvivesConvertToJsonExactly) {
+  // A double holds every integer only up to 2^53, and a decoded u64 field
+  // carries a double: past 2^53 it must keep its digits, or converting
+  // the .amoc file to JSON would write a neighbouring integer.
+  constexpr std::uint64_t big = (std::uint64_t{1} << 53) + 1;
+  exp::record_table table;
+  table.keys = {"cell", "v"};
+  table.rows = {{exp::typed_value::u64(0), exp::typed_value::u64(big)},
+                {exp::typed_value::u64(0), exp::typed_value::u64(~0ull)}};
+  std::string bytes;
+  std::string error;
+  exp::colfmt_encoder enc(bytes);
+  ASSERT_TRUE(enc.add(table, error)) << error;
+  enc.finish();
+  const std::string dir = ::testing::TempDir();
+  spit(dir + "/big.amoc", bytes);
+
+  // What `amo_lab convert big.amoc big.json` does.
+  const exp::parse_result loaded =
+      exp::load_records_file((dir + "/big.amoc").c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  ASSERT_TRUE(exp::write_records_file_as((dir + "/big.json").c_str(),
+                                         loaded.records,
+                                         exp::record_format::json, error))
+      << error;
+  exp::json_writer json;
+  json.add(table);
+  EXPECT_EQ(slurp(dir + "/big.json"), json.dump());
+  EXPECT_NE(json.dump().find("9007199254740993"), std::string::npos);
+  EXPECT_NE(json.dump().find("18446744073709551615"), std::string::npos);
 }
 
 TEST(Colfmt, RecordFieldStaysCompact) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/colfmt.hpp"
 #include "exp/diff.hpp"
 #include "exp/record.hpp"
 #include "exp/report.hpp"
@@ -189,6 +190,45 @@ TEST(Diff, SelfDiffIsClean) {
   EXPECT_TRUE(d.only_candidate.empty());
 }
 
+TEST(Diff, AmocFilesReportEveryChangedValue) {
+  // Fields decoded from typed .amoc blocks carry values and no stored
+  // token. A diff that compared stored tokens would find every one of
+  // them equal; it must compare the tokens the values spell.
+  const auto doc = [](const char* work, const char* ratio) {
+    return std::string("[\n  {\"scenario\": \"kk/random\", \"seed\": 1, ") +
+           "\"work\": " + work + ", \"worst_pair_ratio\": " + ratio +
+           ", \"at_most_once\": true}\n]\n";
+  };
+  const auto amoc = [](const std::string& json) {
+    const exp::parse_result parsed = exp::parse_records(json);
+    std::string bytes;
+    std::string error;
+    EXPECT_TRUE(exp::colfmt_encode(parsed.records, bytes, error)) << error;
+    exp::parse_result decoded = exp::colfmt_decode(bytes);
+    EXPECT_TRUE(decoded.ok()) << decoded.error;
+    return std::move(decoded.records);
+  };
+  const std::string base = doc("1000", "1.5");
+  const exp::diff_report d =
+      exp::report_diff(amoc(base), amoc(doc("1200", "2.25")));
+  EXPECT_EQ(d.severity, diff_severity::regression);
+  ASSERT_EQ(d.changed.size(), 1u);
+  const std::vector<exp::field_delta>& f = d.changed[0].fields;
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f[0].field, "work");
+  EXPECT_EQ(f[0].baseline, "1000");
+  EXPECT_EQ(f[0].candidate, "1200");
+  EXPECT_EQ(f[1].field, "worst_pair_ratio");
+  EXPECT_EQ(f[1].baseline, "1.5");
+  EXPECT_EQ(f[1].candidate, "2.25");
+
+  // The .amoc file against the JSON it encodes: nothing changed.
+  const exp::parse_result json = exp::parse_records(base);
+  const exp::diff_report same = exp::report_diff(json.records, amoc(base));
+  EXPECT_EQ(same.severity, diff_severity::clean);
+  EXPECT_EQ(same.matched, 1u);
+}
+
 TEST(Diff, TimingChangesAreInvisible) {
   std::vector<exp::record> base = sample("1000", "97");
   std::vector<exp::record> cand = sample("1000", "97");
@@ -314,7 +354,7 @@ TEST(Diff, FormatMentionsTheVerdict) {
 // --- the --dist-test replica-distribution gate ---
 
 /// Per-unit records of one cell: replica r carries work[r] and a seed
-/// derived from the replica index, exactly like add_unit_records output.
+/// derived from the replica index, exactly like unit_record_rows output.
 std::vector<exp::record> replica_sample(const std::vector<long>& work) {
   std::string doc = "[\n";
   for (usize r = 0; r < work.size(); ++r) {

@@ -60,7 +60,8 @@ std::string aggregate_json(const std::vector<exp::run_spec>& cells,
   opt.pool_size = pool_size;
   const exp::sweep_result swept = exp::sweep(cells, opt);
   exp::json_writer json;
-  exp::add_cell_records(json, swept, exp::grid_fingerprint(cells),
+  exp::cell_record_rows(swept, exp::grid_fingerprint(cells),
+                        exp::json_rows(json),
                         /*include_timing=*/false);
   return json.dump();
 }
@@ -76,8 +77,9 @@ std::string shard_json(const std::vector<exp::run_spec>& cells,
     reports.push_back(exp::run(exp::replica_spec(cells[u.cell], u.replica)));
   }
   exp::json_writer json;
-  exp::add_unit_records(json, reports, units, exp::unit_count(cells),
+  exp::unit_record_rows(reports, units, exp::unit_count(cells),
                         cells.size(), exp::grid_fingerprint(cells),
+                        exp::json_rows(json),
                         /*include_timing=*/false);
   return json.dump();
 }
@@ -220,8 +222,8 @@ TEST(ReplicaMerge, MissingReplicaIsACoverageGap) {
 TEST(ReplicaMerge, GridlessUnitRecordsMergeToValidParseableOutput) {
   // Foreign unit files may omit the grid fingerprint; the merged aggregate
   // must then simply omit it too — never emit an empty value token — and
-  // its in-memory fields must carry decoded values agreeing with the raws
-  // (a re-merge or in-process diff reads .number, not the raw).
+  // its in-memory fields must carry decoded values agreeing with their
+  // tokens (a re-merge reads .number, a diff or render the token).
   const char* doc =
       "[\n"
       "  {\"unit\": 0, \"units_total\": 2, \"cell\": 0, \"cells_total\": 1, "
@@ -245,18 +247,20 @@ TEST(ReplicaMerge, GridlessUnitRecordsMergeToValidParseableOutput) {
       exp::parse_records(exp::render_records(merged.records));
   ASSERT_TRUE(reparsed.ok()) << reparsed.error;
 
-  // Decoded values agree with the raws on folded/synthesized fields.
+  // Decoded values agree with the tokens on folded/synthesized fields.
   const exp::record& agg = merged.records[0];
   const exp::record_field* mean = agg.find("effectiveness_mean");
   ASSERT_NE(mean, nullptr);
   EXPECT_EQ(mean->number, 6.0);
-  EXPECT_EQ(mean->raw, "6");
+  EXPECT_EQ(exp::token_of(*mean), "6");
   const exp::record_field* dup = agg.find("duplicate");
   ASSERT_NE(dup, nullptr);
   EXPECT_EQ(dup->number, 9.0);
+  EXPECT_EQ(exp::token_of(*dup), "9");
   const exp::record_field* amo = agg.find("at_most_once");
   ASSERT_NE(amo, nullptr);
   EXPECT_FALSE(amo->truth);  // any-replica violation folds in
+  EXPECT_EQ(exp::token_of(*amo), "false");
 }
 
 TEST(ReplicaStats, SummarizeIsTheDocumentedFold) {

@@ -124,7 +124,8 @@ std::string aggregate_json(const std::vector<exp::run_spec>& grid) {
   opt.pool_size = 1;
   const exp::sweep_result swept = exp::sweep(grid, opt);
   exp::json_writer json;
-  exp::add_cell_records(json, swept, exp::grid_fingerprint(grid),
+  exp::cell_record_rows(swept, exp::grid_fingerprint(grid),
+                        exp::json_rows(json),
                         /*include_timing=*/false);
   return json.dump();
 }
@@ -137,8 +138,9 @@ std::string shard_json(const std::vector<exp::run_spec>& grid,
   const std::vector<exp::unit_ref> units = exp::shard_units(grid, ref);
   const exp::unit_run_result ur = exp::run_units(grid, units, pool);
   exp::json_writer json;
-  exp::add_unit_records(json, ur.reports, units, exp::unit_count(grid),
+  exp::unit_record_rows(ur.reports, units, exp::unit_count(grid),
                         grid.size(), exp::grid_fingerprint(grid),
+                        exp::json_rows(json),
                         /*include_timing=*/false);
   return json.dump();
 }

@@ -51,7 +51,8 @@ std::vector<exp::run_spec> mixed_grid() {
 std::string dump_json(const exp::sweep_result& result) {
   exp::json_writer json;
   // Timing excluded: wall clocks legitimately differ between runs.
-  exp::add_reports(json, result.reports, /*include_timing=*/false);
+  exp::cell_record_rows(result, 0, exp::json_rows(json),
+                        /*include_timing=*/false);
   return json.dump();
 }
 

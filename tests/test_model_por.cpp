@@ -335,17 +335,22 @@ TEST(PorSentinel, CappedRunReportsZeroMinEffectiveness) {
 }
 
 TEST(PorLimits, OutOfModelConfigsThrow) {
-  // kk_model's state arrays hold max_procs processes and max_jobs jobs. A
-  // config outside them is refused in every build type — before this, a
-  // Release build wrote past the arrays (n5m4f3 segfaulted, n11m2
-  // "completed").
+  // kk_model's state arrays hold max_procs processes and max_jobs jobs,
+  // and the paper's KK_beta needs beta >= 1 and at most f <= m - 1
+  // crashes. A config outside the model is refused in every build type
+  // (this test runs in Release too) — before this, a Release build wrote
+  // past the arrays (n5m4f3 segfaulted, n11m2 "completed").
   struct bad_cfg {
-    usize n, m;
+    usize n, m, beta, f;
     const char* field;
   };
-  for (const bad_cfg& c : {bad_cfg{4, 0, "m = 0"}, bad_cfg{5, 4, "m = 4"},
-                           bad_cfg{0, 2, "n = 0"}, bad_cfg{11, 2, "n = 11"}}) {
-    const model::model_config cfg = make_cfg(c.n, c.m, c.m, 1,
+  for (const bad_cfg& c :
+       {bad_cfg{4, 0, 1, 0, "m = 0"}, bad_cfg{5, 4, 4, 1, "m = 4"},
+        bad_cfg{0, 2, 2, 1, "n = 0"}, bad_cfg{11, 2, 2, 1, "n = 11"},
+        bad_cfg{4, 2, 0, 1, "beta = 0"},
+        bad_cfg{4, 2, 2, 2, "crash_budget = 2 is outside the model [0, 1]"},
+        bad_cfg{3, 3, 3, 3, "crash_budget = 3 is outside the model [0, 2]"}}) {
+    const model::model_config cfg = make_cfg(c.n, c.m, c.beta, c.f,
                                       selection_rule::paper_rank,
                                       kk_mode::plain);
     SCOPED_TRACE(c.field);

@@ -5,8 +5,8 @@
 // severity-keyed exit codes hold.
 //
 // The standalone oracle below is built from exp:: primitives only
-// (scenario expansion -> serial sweep -> add_cell_records, or per-unit
-// exp::run -> add_unit_records for sharded jobs), NOT from
+// (scenario expansion -> serial sweep -> cell_record_rows, or per-unit
+// exp::run -> unit_record_rows for sharded jobs), NOT from
 // svc::execute_job — so it pins what `amo_lab run` emits rather than
 // whatever the service happens to do.
 #include <gtest/gtest.h>
@@ -103,14 +103,16 @@ std::string standalone_json(const svc::job& j) {
     for (const exp::unit_ref& u : units) {
       reports.push_back(exp::run(exp::replica_spec(all[u.cell], u.replica)));
     }
-    exp::add_unit_records(json, reports, units, exp::unit_count(all),
+    exp::unit_record_rows(reports, units, exp::unit_count(all),
                           all.size(), exp::grid_fingerprint(all),
+                          exp::json_rows(json),
                           !j.no_timing);
   } else {
     exp::sweep_options serial;
     serial.pool_size = 1;
     const exp::sweep_result swept = exp::sweep(all, serial);
-    exp::add_cell_records(json, swept, exp::grid_fingerprint(all),
+    exp::cell_record_rows(swept, exp::grid_fingerprint(all),
+                          exp::json_rows(json),
                           !j.no_timing);
   }
   return json.dump();
@@ -297,7 +299,7 @@ TEST(SvcBatch, ColfmtOutputEqualsTheEncodedJsonDocument) {
               << at;
           EXPECT_EQ(a[k].truth, b[k].truth) << at;
           EXPECT_EQ(a[k].text, b[k].text) << at;
-          EXPECT_EQ(a[k].raw, b[k].raw) << at;
+          EXPECT_EQ(exp::token_of(a[k]), exp::token_of(b[k])) << at;
           // The report layer writes only json_writer tokens, so every
           // column gets a typed block, and its encoding spells the token.
           EXPECT_NE(a[k].encoding, exp::value_encoding::unknown) << at;
@@ -306,7 +308,7 @@ TEST(SvcBatch, ColfmtOutputEqualsTheEncodedJsonDocument) {
           typed.raw = {};
           std::string spelled;
           exp::append_token(spelled, typed);
-          EXPECT_EQ(spelled, b[k].raw) << at;
+          EXPECT_EQ(spelled, exp::token_of(b[k])) << at;
         }
       }
     }

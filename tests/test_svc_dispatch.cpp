@@ -9,12 +9,14 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -315,7 +317,7 @@ std::string prepared_amoc_shards(const std::string& dir, usize k) {
                            bytes, error))
         << error;
   }
-  return "cp " + dir + "/prep-{shard}.amoc {out}";
+  return "cp '" + dir + "/prep-{shard}.amoc' '{out}'";
 }
 
 /// A 3-shard .amoc dispatch of the prepared shards that keeps its shard
@@ -465,6 +467,43 @@ TEST(SvcDispatch, ManifestMergeFoldsTheBytesItHashed) {
   std::signal(SIGPIPE, old_pipe);
   ASSERT_TRUE(m.ok()) << m.error;
   EXPECT_EQ(exp::render_records(m.records), exp::render_records(d.merged));
+}
+
+/// The exit code of `./amo_lab merge <args>`, or -1 when it did not exit.
+int amo_lab_merge(const std::string& args) {
+  const int status =
+      std::system(("./amo_lab merge " + args + " >/dev/null 2>&1").c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(SvcDispatch, MergeExitCodeFollowsTheErrorKind) {
+  // Exit 2 for a shard set the merge refuses, 3 for a shard it cannot
+  // read, whatever the error text says: here every path spells ": line ",
+  // which reads like a parse error's position.
+  if (!have_amo_lab()) {
+    GTEST_SKIP() << "no ./amo_lab in the working directory";
+  }
+  const std::string dir = fresh_dir("exit: line 7");
+  const svc::dispatch_result d = kept_amoc_dispatch(dir);
+  ASSERT_TRUE(d.ok()) << d.error;
+  const std::string shard0 = "'" + d.shards[0].file + "'";
+  const std::string shard1 = d.shards[1].file;
+  std::string error;
+  ASSERT_TRUE(write_file(shard1.c_str(), edited_shard(slurp(shard1)), error))
+      << error;
+  EXPECT_EQ(amo_lab_merge("'--manifest=" + dir + "/dispatch-manifest.json' " +
+                          "'--out=" + dir + "/merged.json'"),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/merged.json"));
+  EXPECT_EQ(amo_lab_merge(shard0 + " " + shard0), 2);  // a duplicate unit
+
+  const std::string original = slurp(d.shards[0].file);
+  const std::string cut = dir + "/cut.amoc";
+  ASSERT_TRUE(write_file(cut.c_str(), original.substr(0, original.size() / 2),
+                         error))
+      << error;
+  EXPECT_EQ(amo_lab_merge("'" + cut + "'"), 3);
+  EXPECT_EQ(amo_lab_merge("'" + dir + "/missing.amoc'"), 3);
 }
 
 TEST(SvcDispatch, UnwritableManifestIsReportedAndNotPromised) {

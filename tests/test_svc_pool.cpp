@@ -35,7 +35,8 @@ std::vector<exp::run_spec> small_grid(std::uint64_t salt) {
 
 std::string dump_json(const exp::sweep_result& result) {
   exp::json_writer json;
-  exp::add_reports(json, result.reports, /*include_timing=*/false);
+  exp::cell_record_rows(result, 0, exp::json_rows(json),
+                        /*include_timing=*/false);
   return json.dump();
 }
 

@@ -11,7 +11,8 @@
 //
 // Exit status:
 //   run/sweep   0 = every cell safe (and --check held); 1 = violation
-//   merge       0 = merged; 2 = duplicate/gap/grid mismatch; 3 = I/O, parse
+//   merge       0 = merged; 2 = refused (duplicate/gap/grid mismatch, a
+//               shard off its slice or checkpoint); 3 = I/O, parse, decode
 //   convert     0 = converted; 2 = encode failure; 3 = I/O, parse
 //   diff        0 = clean or benign drift; 1 = effectiveness/work regression
 //               beyond tolerance; 2 = hard failure (new duplicates or
@@ -176,17 +177,6 @@ int cmd_sweep(const cli_options& opt) {
   return run_job(svc::cli_job(all), all);
 }
 
-/// The merge exit convention over one streamed error string: read/parse/
-/// decode failures (a path-prefixed "line N:"/"offset N:" position, or any
-/// "cannot ..." I/O message) keep the old exit 3; everything else is the
-/// merge contract itself (duplicate/gap/grid mismatch) at exit 2.
-int merge_error_exit(const std::string& e) {
-  if (e.rfind("cannot ", 0) == 0) return 3;
-  if (e.find(": line ") != std::string::npos) return 3;
-  if (e.find(": offset ") != std::string::npos) return 3;
-  return 2;
-}
-
 int cmd_merge(const cli_options& opt) {
   if (opt.names.empty() && opt.manifest.empty()) {
     std::fprintf(stderr,
@@ -222,7 +212,9 @@ int cmd_merge(const cli_options& opt) {
   }
   if (!merged.ok()) {
     std::fprintf(stderr, "amo_lab merge: %s\n", merged.error.c_str());
-    return merge_error_exit(merged.error);
+    // Exit 3 for an input that could not be read as records, 2 for a
+    // shard set the merge contract refused.
+    return merged.unreadable ? 3 : 2;
   }
   std::string werr;
   if (opt.knobs.out.empty()) {
@@ -258,8 +250,8 @@ int cmd_convert(const cli_options& opt) {
     return 2;
   }
   // Sniffed load (either format), explicit or path-inferred target
-  // encoding. Losslessness is the format layer's contract: every raw
-  // token round-trips, so json -> colfmt -> json is byte-identical.
+  // encoding. Losslessness is the format layer's contract: every token
+  // round-trips, so json -> colfmt -> json is byte-identical.
   exp::parse_result parsed = exp::load_records_file(opt.names[0].c_str());
   if (!parsed.ok()) {
     std::fprintf(stderr, "amo_lab convert: %s\n", parsed.error.c_str());
