@@ -42,7 +42,19 @@ bool results_identical(const model::explore_result& a, const model::por_stats& s
          sa.singleton_states == sb.singleton_states &&
          sa.full_states == sb.full_states && sa.sleep_pruned == sb.sleep_pruned &&
          sa.resumed_states == sb.resumed_states &&
-         sa.peak_frontier == sb.peak_frontier && sa.layers == sb.layers;
+         sa.peak_frontier == sb.peak_frontier && sa.layers == sb.layers &&
+         sa.stored_bytes == sb.stored_bytes;
+}
+
+/// What the search stores per state (visited table, edge list, cycle
+/// roots): deterministic, so the diff gates it like a count.
+std::pair<std::string, std::string> bytes_per_state(
+    const model::explore_result& r, const model::por_stats& s) {
+  return {"bytes_per_state",
+          benchx::json_report::num(
+              r.states > 0 ? static_cast<double>(s.stored_bytes) /
+                                 static_cast<double>(r.states)
+                           : 0.0)};
 }
 
 }  // namespace
@@ -80,8 +92,9 @@ int main() {
 
     model::por_options popt;
     popt.cfg = opt.cfg;
+    model::por_stats pstats;
     stopwatch pw;
-    const auto pr = model::explore_por(popt);
+    const auto pr = model::explore_por(popt, pstats);
     const double por_wall = pw.seconds();
 
     const usize formula = bounds::kk_effectiveness(g.n, g.m, g.beta);
@@ -123,6 +136,7 @@ int main() {
                benchx::json_report::num(std::uint64_t{pr.transitions})},
               {"state_reduction", benchx::json_report::num(state_red)},
               {"transition_reduction", benchx::json_report::num(trans_red)},
+              bytes_per_state(pr, pstats),
               {"min_effectiveness",
                benchx::json_report::num(std::uint64_t{r.min_effectiveness})},
               {"at_most_once", benchx::json_report::boolean(!r.duplicate_found)},
@@ -196,7 +210,7 @@ int main() {
     std::snprintf(tag, sizeof tag, "n%zum%zuf%zu", g.n, g.m, g.f);
     const auto por_record = [&](const char* scenario,
                                 const model::explore_result& pr,
-                                double wall) {
+                                const model::por_stats& stats, double wall) {
       return std::vector<std::pair<std::string, std::string>>{
           {"experiment", benchx::json_report::str("E11_frontier")},
           {"scenario", benchx::json_report::str(std::string(scenario) + tag)},
@@ -206,6 +220,7 @@ int main() {
           {"por_states", benchx::json_report::num(std::uint64_t{pr.states})},
           {"por_transitions",
            benchx::json_report::num(std::uint64_t{pr.transitions})},
+          bytes_per_state(pr, stats),
           {"min_effectiveness",
            benchx::json_report::num(std::uint64_t{pr.min_effectiveness})},
           {"at_most_once", benchx::json_report::boolean(!pr.duplicate_found)},
@@ -223,26 +238,27 @@ int main() {
 
     // The POR rows run before the brute-force row: after its 20M-state
     // heap the serial POR row took 14.2 s, against 6.5 s before it.
+    model::por_stats pstats;
     stopwatch pw;
-    const auto pr = model::explore_por(popt);
+    const auto pr = model::explore_por(popt, pstats);
     const double por_wall = pw.seconds();
     por_row("por", pr);
     frontier_ok = frontier_ok && pr.complete && !pr.duplicate_found;
-    json.add(por_record("por/", pr, por_wall));
+    json.add(por_record("por/", pr, pstats, por_wall));
 
-    // The same check on a hardware-size pool: every count and verdict
-    // must match the serial row.
+    // The same check on a hardware-size pool: every count, verdict and
+    // por_stats field must match the serial row.
     {
       svc::worker_pool pool(0);
       model::por_options pooled = popt;
       pooled.pool = &pool;
+      model::por_stats pp_stats;
       stopwatch ppw;
-      const auto pp = model::explore_por(pooled);
+      const auto pp = model::explore_por(pooled, pp_stats);
       const double pooled_wall = ppw.seconds();
       por_row("por, pool", pp);
-      frontier_ok = frontier_ok && verdicts_equal(pr, pp) &&
-                    pp.states == pr.states && pp.transitions == pr.transitions;
-      auto rec = por_record("por_pool/", pp, pooled_wall);
+      frontier_ok = frontier_ok && results_identical(pr, pstats, pp, pp_stats);
+      auto rec = por_record("por_pool/", pp, pp_stats, pooled_wall);
       rec.emplace_back("workers",
                        benchx::json_report::num(std::uint64_t{pool.size()}));
       json.add(rec);

@@ -87,6 +87,8 @@ constexpr field_rule kRules[] = {
     {"brute_transitions", field_class::higher_worse},
     {"por_states", field_class::higher_worse},
     {"por_transitions", field_class::higher_worse},
+    // what the POR search stores per state (BENCH_model): growth = lost memory
+    {"bytes_per_state", field_class::higher_worse},
     // reduction factors: shrinking = lost reduction
     {"state_reduction", field_class::lower_worse},
     {"transition_reduction", field_class::lower_worse},

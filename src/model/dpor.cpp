@@ -305,70 +305,72 @@ struct tally {
   }
 };
 
-/// One shard of the visited set: fingerprint -> local id (linear probing,
-/// power-of-two capacity, at most 3/4 full), plus per-node state by id.
+/// One shard of the visited set. The slot table maps a fingerprint to its
+/// local id (linear probing from fingerprint::b, power-of-two capacity, at
+/// most 3/4 full) and holds nothing else: each node's fingerprint, sleep set
+/// and queue stamp live once, in per-node arrays indexed by local id. Those
+/// arrays grow a fixed-size page at a time, so no node byte is ever copied,
+/// and a grow() rehashes 4-byte ids only.
 class shard_table {
  public:
-  struct node {
-    /// The smallest sleep set the state has been explored with. A revisit
-    /// with a smaller set re-expands the state (the newly awake actions
-    /// were not covered), AND-merging masks so the exploration is the
-    /// union of what every arrival requires.
-    amask sleep = 0;
-    /// The layer whose merge last queued the node: a later arrival in the
-    /// same layer tightens the queued item in place instead of queuing it
-    /// twice (the item reads `sleep` when the next layer is built).
-    std::uint32_t queued_layer = 0;
-  };
-
   explicit shard_table(std::uint32_t shard)
-      : base_(shard << kLocalBits), slots_(256) {}
+      : base_(shard << kLocalBits), slots_(256, kEmpty) {}
 
   /// Admits one arrival in `layer`: dedup, AND-merge, verdicts for a new
   /// node. Writes the target node's key.
   outcome admit(const fingerprint& fp, const sys_state& st, amask sleep,
                 std::uint32_t layer, const model_config& cfg,
                 std::uint32_t& key) {
-    if ((nodes_.size() + 1) * 4 > slots_.size() * 3) grow();
-    slot& sl = find(fp);
-    if (sl.local == kEmpty) {
-      if (nodes_.size() > kLocalMask) {
+    if ((usize{size_} + 1) * 4 > slots_.size() * 3) grow();
+    std::uint32_t& local = find(fp);
+    if (local == kEmpty) {
+      if (size_ > kLocalMask) {
         throw std::length_error(
             "explore_por: a visited-table shard exceeded its 2^" +
             std::to_string(kLocalBits) + " node ids");
       }
-      sl.fp = fp;
-      sl.local = static_cast<std::uint32_t>(nodes_.size());
-      key = base_ | sl.local;
+      if ((size_ & kPageMask) == 0) pages_.push_back(std::make_unique<page>());
+      local = size_++;
+      key = base_ | local;
+      page& pg = page_of(local);
+      pg.fp[local & kPageMask] = fp;
       // Terminal states store an empty mask: nothing to expand, so no
       // later arrival can ever re-queue them.
       const bool terminal = quiescent(st, cfg);
-      nodes_.push_back({terminal ? amask{0} : sleep, layer});
+      pg.sleep[local & kPageMask] = terminal ? amask{0} : sleep;
+      pg.queued_layer[local & kPageMask] = layer;
       layer_tally.add_state(st, terminal, cfg);
       return terminal ? outcome::created_leaf : outcome::created;
     }
-    key = base_ | sl.local;
-    node& nd = nodes_[sl.local];
-    const amask merged = static_cast<amask>(nd.sleep & sleep);
-    if (merged == nd.sleep) return outcome::seen;  // explored this much
-    nd.sleep = merged;
-    if (nd.queued_layer == layer) return outcome::seen;  // tightened in place
-    nd.queued_layer = layer;
+    key = base_ | local;
+    page& pg = page_of(local);
+    amask& held = pg.sleep[local & kPageMask];
+    const amask merged = static_cast<amask>(held & sleep);
+    if (merged == held) return outcome::seen;  // explored this much
+    held = merged;
+    std::uint32_t& queued = pg.queued_layer[local & kPageMask];
+    if (queued == layer) return outcome::seen;  // tightened in place
+    queued = layer;
     ++layer_tally.resumed_states;
     return outcome::resumed;
   }
 
   [[nodiscard]] amask sleep_of(std::uint32_t key) const {
-    return nodes_[key & kLocalMask].sleep;
+    return page_of(key & kLocalMask).sleep[key & kPageMask];
   }
-  [[nodiscard]] usize size() const { return nodes_.size(); }
+  [[nodiscard]] usize size() const { return size_; }
+  /// The bytes the table holds: slots, node pages and layer marks.
+  [[nodiscard]] usize bytes() const {
+    return slots_.capacity() * sizeof(std::uint32_t) +
+           pages_.size() * sizeof(page) +
+           pages_.capacity() * sizeof(pages_[0]) +
+           layer_starts_.capacity() * sizeof(std::uint32_t);
+  }
 
   /// Marks the start of a layer's merge. Local ids are handed out in
   /// admission order, so these marks date every node without per-node
   /// bytes.
-  void begin_layer() {
-    layer_starts_.push_back(static_cast<std::uint32_t>(nodes_.size()));
-  }
+  void begin_layer() { layer_starts_.push_back(size_); }
   /// The layer whose merge created the node (0 for the initial state).
   [[nodiscard]] std::uint32_t born(std::uint32_t key) const {
     return static_cast<std::uint32_t>(
@@ -381,31 +383,53 @@ class shard_table {
   tally layer_tally;
 
  private:
-  struct slot {
-    fingerprint fp;
-    std::uint32_t local = kEmpty;
+  static constexpr unsigned kPageBits = 6;
+  static constexpr std::uint32_t kPageMask = (std::uint32_t{1} << kPageBits) - 1;
+
+  /// The per-node arrays for 2^kPageBits consecutive local ids.
+  struct page {
+    std::array<fingerprint, kPageMask + 1> fp;
+    /// The smallest sleep set the state has been explored with. A revisit
+    /// with a smaller set re-expands the state (the newly awake actions
+    /// were not covered), AND-merging masks so the exploration is the
+    /// union of what every arrival requires.
+    std::array<amask, kPageMask + 1> sleep;
+    /// The layer whose merge last queued the node: a later arrival in the
+    /// same layer tightens the queued item in place instead of queuing it
+    /// twice (the item reads `sleep` when the next layer is built).
+    std::array<std::uint32_t, kPageMask + 1> queued_layer;
   };
 
-  slot& find(const fingerprint& fp) {
+  [[nodiscard]] page& page_of(std::uint32_t local) const {
+    return *pages_[local >> kPageBits];
+  }
+
+  std::uint32_t& find(const fingerprint& fp) {
     const usize mask = slots_.size() - 1;
     for (usize i = static_cast<usize>(fp.b) & mask;; i = (i + 1) & mask) {
-      slot& sl = slots_[i];
-      if (sl.local == kEmpty || sl.fp == fp) return sl;
+      std::uint32_t& local = slots_[i];
+      if (local == kEmpty || page_of(local).fp[local & kPageMask] == fp) {
+        return local;
+      }
     }
   }
 
   void grow() {
-    std::vector<slot> old(slots_.size() * 2);
-    old.swap(slots_);
-    for (const slot& sl : old) {
-      if (sl.local != kEmpty) find(sl.fp) = sl;
+    slots_.assign(slots_.size() * 2, kEmpty);
+    const usize mask = slots_.size() - 1;
+    for (std::uint32_t local = 0; local < size_; ++local) {
+      usize i = static_cast<usize>(page_of(local).fp[local & kPageMask].b);
+      for (i &= mask; slots_[i] != kEmpty; i = (i + 1) & mask) {
+      }
+      slots_[i] = local;
     }
   }
 
   std::uint32_t base_;
-  std::vector<slot> slots_;
-  std::vector<node> nodes_;
-  /// nodes_.size() when each layer's merge began, layer 1 first.
+  std::uint32_t size_ = 0;
+  std::vector<std::uint32_t> slots_;
+  std::vector<std::unique_ptr<page>> pages_;
+  /// size_ when each layer's merge began, layer 1 first.
   std::vector<std::uint32_t> layer_starts_;
 };
 
@@ -476,7 +500,7 @@ struct block_out {
   /// Targets of this block's retreating edges, in arrival order.
   std::vector<std::uint32_t> roots;
   usize next_base = 0;  ///< this block's first slot in the next layer
-  usize edge_base = 0;  ///< this block's first slot in the edge list
+  usize edge_base = 0;  ///< this block's first slot in the layer's edge block
   usize sleep_pruned = 0;
   usize singleton_states = 0;
   usize full_states = 0;
@@ -576,18 +600,20 @@ namespace detail {
 // Replaces the DFS on-stack test the layered frontier cannot perform
 // inline. Every stored edge is a real model transition, so a cycle here is
 // a cycle of the reduced (hence full) graph.
-cycle_search has_cycle(
-    std::uint32_t nodes,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
-    const std::vector<std::uint32_t>& roots) {
+cycle_search has_cycle(std::uint32_t nodes, const edge_blocks& blocks,
+                       const std::vector<std::uint32_t>& roots) {
   cycle_search out;
   if (roots.empty()) return out;
   std::vector<std::uint32_t> head(static_cast<usize>(nodes) + 1, 0);
-  for (const auto& e : edges) ++head[e.first + 1];
+  for (const auto& block : blocks) {
+    for (const auto& e : block) ++head[e.first + 1];
+  }
   for (usize i = 1; i <= nodes; ++i) head[i] += head[i - 1];
-  std::vector<std::uint32_t> adj(edges.size());
+  std::vector<std::uint32_t> adj(head[nodes]);
   std::vector<std::uint32_t> fill(head.begin(), head.end() - 1);
-  for (const auto& e : edges) adj[fill[e.first]++] = e.second;
+  for (const auto& block : blocks) {
+    for (const auto& e : block) adj[fill[e.first]++] = e.second;
+  }
 
   std::vector<std::uint8_t> color(nodes, 0);  // 0 white, 1 on path, 2 done
   std::vector<std::pair<std::uint32_t, std::uint32_t>> stack;  // node, cursor
@@ -641,8 +667,8 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
   for (usize s = 0; s < kShards; ++s) {
     shards.emplace_back(static_cast<std::uint32_t>(s));
   }
-  // Edges between node keys, in global arrival order.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  // Edges between node keys, in global arrival order, one block per layer.
+  detail::edge_blocks edges;
   // Targets of the retreating edges (detail::retreating), in the same order.
   std::vector<std::uint32_t> roots;
   frontier layer;
@@ -729,12 +755,13 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
       capped = true;
       tally cut;
       const usize want = opt.max_states - result.states;
+      auto& cut_edges = edges.emplace_back();
       for (usize b = 0; b < blocks && cut.states < want; ++b) {
         const block_out& out = outs[b];
         count_expansions(out, stats);
         for (const arrival& arr : out.arrivals) {
           ++result.transitions;
-          edges.emplace_back(arr.from, arr.target);
+          cut_edges.emplace_back(arr.from, arr.target);
           if (retreats(arr)) roots.push_back(arr.target);
           if (arr.result == outcome::resumed) ++cut.resumed_states;
           if (arr.result == outcome::created ||
@@ -752,7 +779,7 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
     // 3. Lay out the next layer (queued nodes in global arrival order) and
     // the edges, then fill both per block, collecting retreating edges.
     usize queued_total = 0;
-    usize edge_total = edges.size();
+    usize edge_total = 0;
     for (usize b = 0; b < blocks; ++b) {
       block_out& out = outs[b];
       count_expansions(out, stats);
@@ -763,14 +790,14 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
       edge_total += out.arrivals.size();
     }
     next.resize_for_overwrite(queued_total);
-    edges.resize(edge_total);
+    auto& layer_edges = edges.emplace_back(edge_total);
     for_each_task(opt.pool, blocks, [&](usize b) {
       block_out& out = outs[b];
       out.roots.clear();
       usize q = out.next_base;
       usize e = out.edge_base;
       for (const arrival& arr : out.arrivals) {
-        edges[e++] = {arr.from, arr.target};
+        layer_edges[e++] = {arr.from, arr.target};
         if (queues(arr.result)) {
           std::construct_at(
               next.data() + q++,
@@ -793,9 +820,15 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
     base[s] = static_cast<std::uint32_t>(node_count);
     node_count += shards[s].size();
   }
+  stats.stored_bytes = edges.capacity() * sizeof(edges[0]) +
+                       roots.capacity() * sizeof(roots[0]);
+  for (const auto& block : edges) {
+    stats.stored_bytes += block.capacity() * sizeof(block[0]);
+  }
+  for (const shard_table& t : shards) stats.stored_bytes += t.bytes();
   // Free the tables and the frontier before the cycle check allocates its
   // CSR arrays, so the two do not add up in peak memory.
-  shards = {};
+  shards = std::vector<shard_table>();
   outs = {};
   layer = {};
   next = {};
@@ -806,9 +839,11 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
       const auto dense = [&base](std::uint32_t key) {
         return base[key >> kLocalBits] + (key & kLocalMask);
       };
-      for (auto& [from, to] : edges) {
-        from = dense(from);
-        to = dense(to);
+      for (auto& block : edges) {
+        for (auto& [from, to] : block) {
+          from = dense(from);
+          to = dense(to);
+        }
       }
       for (std::uint32_t& r : roots) r = dense(r);
       const detail::cycle_search found = detail::has_cycle(
@@ -829,6 +864,7 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
   sp.arg("peak_frontier", static_cast<std::uint64_t>(stats.peak_frontier));
   sp.arg("layers", static_cast<std::uint64_t>(stats.layers));
   sp.arg("cycle_roots", static_cast<std::uint64_t>(stats.cycle_roots));
+  sp.arg("stored_bytes", static_cast<std::uint64_t>(stats.stored_bytes));
   return result;
 }
 

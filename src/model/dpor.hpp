@@ -59,6 +59,10 @@ struct por_stats {
   usize layers = 0;            ///< frontier depth (== result.max_depth)
   usize cycle_roots = 0;       ///< retreating edges: the cycle check's roots
   usize cycle_reached = 0;     ///< nodes the rooted cycle check visited
+  /// Bytes allocated, when the search ends, for the visited table (slots,
+  /// node pages and their pointers, layer marks), the edge list and the
+  /// cycle roots. Deterministic, like every field here.
+  usize stored_bytes = 0;
 };
 
 /// Explores the reduced state graph and returns brute-force-identical
@@ -86,24 +90,27 @@ namespace detail {
   return to_born <= from_born;
 }
 
+/// Directed edges between node ids, in blocks: explore_por allocates one
+/// exactly-sized block per BFS layer, so the list never regrows or copies.
+using edge_blocks =
+    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>;
+
 struct cycle_search {
   bool found = false;
   usize reached = 0;  ///< nodes the search coloured before it returned
 };
 
-/// Directed-cycle check over `edges` between dense ids below `nodes`: an
-/// iterative 3-colour DFS on a CSR adjacency, started only from `roots`.
-/// Colours are shared across roots, so the search is exact over the part
-/// of the graph the roots reach: it finds a cycle iff one passes through
-/// a node reachable from some root (the first such node coloured is an
-/// ancestor of every other node on its cycle, and the cycle's last edge
-/// leads back to it while it is still on the path). With every
+/// Directed-cycle check over the edges of `blocks`, between dense ids below
+/// `nodes`: an iterative 3-colour DFS on a CSR adjacency, started only from
+/// `roots`. Colours are shared across roots, so the search is exact over
+/// the part of the graph the roots reach: it finds a cycle iff one passes
+/// through a node reachable from some root (the first such node coloured
+/// is an ancestor of every other node on its cycle, and the cycle's last
+/// edge leads back to it while it is still on the path). With every
 /// retreating edge's target among the roots, that is iff the graph has a
 /// cycle. No roots: no cycle, and no CSR is built.
-cycle_search has_cycle(
-    std::uint32_t nodes,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
-    const std::vector<std::uint32_t>& roots);
+cycle_search has_cycle(std::uint32_t nodes, const edge_blocks& blocks,
+                       const std::vector<std::uint32_t>& roots);
 
 }  // namespace detail
 

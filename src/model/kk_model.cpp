@@ -263,13 +263,20 @@ usize jobs_performed(const sys_state& s) {
 }
 
 fingerprint fingerprint_of(const sys_state& s, const model_config& cfg) {
-  // Canonical encoding fed through splitmix64: shared registers, rows,
-  // per-process state, perform bookkeeping.
+  // Canonical encoding (shared registers, rows, per-process state, perform
+  // bookkeeping) fed word by word through two independent lanes: `a` chains
+  // splitmix64, `b` chains murmur3's fmix64 from its own seed, so the two
+  // halves are separate 64-bit hashes of the same bytes.
   std::uint64_t h = 0x2545f4914f6cdd1dull;
-  auto mix = [&h](std::uint64_t v) {
+  std::uint64_t g = 0x6a09e667f3bcc909ull;
+  auto mix = [&h, &g](std::uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     std::uint64_t st = h;
     h = splitmix64(st);
+    g = std::rotl(g, 23) ^ v;
+    g = (g ^ (g >> 33)) * 0xff51afd7ed558ccdull;
+    g = (g ^ (g >> 33)) * 0xc4ceb9fe1a85ec53ull;
+    g ^= g >> 33;
   };
   std::uint64_t acc = 0;
   int shift = 0;
@@ -310,8 +317,7 @@ fingerprint fingerprint_of(const sys_state& s, const model_config& cfg) {
 
   fingerprint f;
   f.a = h;
-  std::uint64_t st = h ^ 0xdeadbeefcafef00dull;
-  f.b = splitmix64(st);
+  f.b = g;
   return f;
 }
 

@@ -100,8 +100,9 @@ sys_state crash(const sys_state& s, const model_config& cfg, process_id p);
 /// Number of distinct jobs performed (Do(alpha) of Definition 2.1).
 usize jobs_performed(const sys_state& s);
 
-/// 128-bit fingerprint for visited-state dedup (splitmix-mixed over the
-/// canonical encoding; collision probability ~ |states|^2 / 2^128).
+/// 128-bit fingerprint for visited-state dedup: two independent 64-bit
+/// hashes of the canonical encoding. Two distinct states merge only if both
+/// halves collide, with probability ~ |states|^2 / 2^129 over a search.
 struct fingerprint {
   std::uint64_t a = 0;
   std::uint64_t b = 0;

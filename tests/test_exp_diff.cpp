@@ -107,6 +107,8 @@ TEST(Diff, FieldClassificationCoversTheSchemas) {
   EXPECT_EQ(exp::classify_field("effectiveness"), field_class::lower_worse);
   EXPECT_EQ(exp::classify_field("work"), field_class::higher_worse);
   EXPECT_EQ(exp::classify_field("do_actions"), field_class::higher_worse);
+  // BENCH_model's memory count gates like a state count.
+  EXPECT_EQ(exp::classify_field("bytes_per_state"), field_class::higher_worse);
   EXPECT_EQ(exp::classify_field("crashes"), field_class::informational);
   // Replica layer: sample size is identity, unit position is merge's
   // concern, aggregate suffixes inherit the base metric's direction,

@@ -227,7 +227,31 @@ TEST(PorDeterminism, BitIdenticalAtAnyPoolSize) {
       EXPECT_EQ(serial_stats.layers, stats.layers);
       EXPECT_EQ(serial_stats.cycle_roots, stats.cycle_roots);
       EXPECT_EQ(serial_stats.cycle_reached, stats.cycle_reached);
+      EXPECT_EQ(serial_stats.stored_bytes, stats.stored_bytes);
     }
+  }
+}
+
+TEST(PorMemory, StoredBytesPerStateAtTheWorkloadInstance) {
+  // The e2e check_por instance. The visited table stores each node's
+  // 16-byte fingerprint, sleep set and queue stamp once, behind a 4-byte
+  // slot; with the edge list that is about 36 bytes per state. A table
+  // that keeps the fingerprint in 24-byte slots needs 63.
+  por_options opt;
+  opt.cfg = make_cfg(5, 3, 3, 2, selection_rule::paper_rank, kk_mode::plain);
+  por_stats serial;
+  const explore_result r = explore_por(opt, serial);
+  ASSERT_TRUE(r.complete);
+  EXPECT_EQ(r.states, 614'727u);
+  EXPECT_GT(serial.stored_bytes, 0u);
+  EXPECT_LE(serial.stored_bytes, 40 * r.states);
+  for (const usize workers : {usize{1}, usize{2}, usize{0}}) {
+    svc::worker_pool pool(workers);
+    opt.pool = &pool;
+    por_stats stats;
+    EXPECT_EQ(explore_por(opt, stats).states, r.states);
+    EXPECT_EQ(stats.stored_bytes, serial.stored_bytes)
+        << "workers=" << pool.size();
   }
 }
 
@@ -265,8 +289,11 @@ model::detail::cycle_search rooted_check(
   for (const auto& [from, to] : edges) {
     if (model::detail::retreating(born[from], born[to])) roots.push_back(to);
   }
+  // Two blocks, split mid-list: the check reads every block.
+  const auto mid = edges.begin() + static_cast<std::ptrdiff_t>(edges.size() / 2);
   return model::detail::has_cycle(static_cast<std::uint32_t>(born.size()),
-                                  edges, roots);
+                                  {{edges.begin(), mid}, {mid, edges.end()}},
+                                  roots);
 }
 
 TEST(PorCycleCheck, RootedAtRetreatingEdges) {
