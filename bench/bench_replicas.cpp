@@ -14,7 +14,6 @@
 // sweep path — and reports both units/second figures, their ratio, and
 // whether the no-timing aggregate JSON is byte-identical between the two
 // (bit_identical gates in CI).
-#include <span>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -69,8 +68,8 @@ std::string aggregate_json(const exp::sweep_result& swept, std::uint64_t fp) {
 }
 
 /// The scalar reference: every (cell, replica) unit through exp::run, in
-/// unit order, folded into a sweep_result like exp::sweep folds. Min wall
-/// over kReps; the fold is not timed (nor is the sweep's).
+/// unit order, laid out as exp::sweep lays out its reports. Min wall over
+/// kReps.
 exp::sweep_result timed_scalar(const std::vector<exp::run_spec>& cells,
                                double& best) {
   exp::sweep_result out;
@@ -87,10 +86,6 @@ exp::sweep_result timed_scalar(const std::vector<exp::run_spec>& cells,
       cur.cells.push_back(cr);
     }
     cur.wall_seconds = clock.seconds();
-    for (exp::cell_report& cr : cur.cells) {
-      cr.stats = exp::fold_replicas(std::span<const exp::run_report>(
-          cur.reports.data() + cr.first, cr.replicas));
-    }
     if (rep == 0 || cur.wall_seconds < best) {
       best = cur.wall_seconds;
       out = std::move(cur);

@@ -5,9 +5,7 @@
 #include <cstring>
 
 #include "exp/colfmt.hpp"
-#include "exp/report.hpp"
 #include "exp/stats.hpp"
-#include "exp/timing_keys.hpp"
 #include "obs/telemetry.hpp"
 #include "util/fileio.hpp"
 #include "util/fnv.hpp"
@@ -329,171 +327,6 @@ bool check_unit_record(const record& rec, usize si, merge_ctx& ctx,
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Cell fold helpers
-// ---------------------------------------------------------------------------
-
-/// Bookkeeping / timing keys a unit record carries that the aggregate
-/// record must not copy verbatim: positions are re-emitted, wall clocks
-/// are re-summed, per-job serve fields are job-scoped not cell-scoped.
-/// The timing half lives in exp::timing_keys(), shared with diff's
-/// classify_field so the two ignore surfaces cannot drift.
-bool is_unit_bookkeeping(const std::string& key) {
-  return key == "unit" || key == "units_total" || key == "cell" ||
-         key == "cells_total" || key == "replica" || key == "replicas" ||
-         key == "grid" || is_timing_key(key);
-}
-
-/// Reads the named numeric field of every unit into a replica-ordered
-/// sample vector. The units of a cell share one schema, so the field is
-/// found once and then read at its position.
-bool metric_samples(const std::vector<record>& units, const char* key,
-                    std::vector<double>& out, std::string& error) {
-  out.clear();
-  out.reserve(units.size());
-  usize hint = 0;
-  for (const record& u : units) {
-    const record_field* f = u.find(key, hint);
-    if (f == nullptr || f->type != record_field::kind::number) {
-      usize unit = 0;
-      read_index(u, "unit", unit, hint);  // for the message; hint is done
-      error = "unit " + std::to_string(unit) + ": record has no numeric '" +
-              key + "' field — cannot fold replica aggregates";
-      return false;
-    }
-    out.push_back(f->number);
-  }
-  return true;
-}
-
-/// AND-folds the named boolean field; false (plus `error`) when a record
-/// lacks it.
-bool fold_flag(const std::vector<record>& units, const char* key, bool& out,
-               std::string& error) {
-  out = true;
-  usize hint = 0;
-  for (const record& u : units) {
-    const record_field* f = u.find(key, hint);
-    if (f == nullptr || f->type != record_field::kind::boolean) {
-      usize unit = 0;
-      read_index(u, "unit", unit, hint);  // for the message; hint is done
-      error = "unit " + std::to_string(unit) + ": record has no boolean '" +
-              key + "' field";
-      return false;
-    }
-    out = out && f->truth;
-  }
-  return true;
-}
-
-/// Folds ONE cell's unit records (complete, replica order) into the
-/// aggregate record cell_record_rows would have emitted: the base
-/// replica's fields pass through, the safety flags AND-fold, the
-/// summaries are recomputed through exp::stats from the parsed replica
-/// values — bit-equal to the in-process fold because json_writer::num
-/// round-trips exactly — and wall clocks sum. False with `error` when a
-/// record lacks a foldable field.
-bool fold_unit_cell(const std::vector<record>& units, record& agg,
-                    std::string& error) {
-  agg = record{};
-  const record& base = units.front();
-
-  cell_stats st;
-  st.replicas = units.size();
-  std::vector<double> samples;
-  // The same summary_metrics() table fold_replicas and summary_values
-  // iterate: a metric added there is automatically re-folded here.
-  for (const summary_metric& m : summary_metrics()) {
-    if (!metric_samples(units, m.name, samples, error)) return false;
-    st.*m.summary = summarize(samples);
-  }
-  if (!fold_flag(units, "at_most_once", st.at_most_once, error) ||
-      !fold_flag(units, "quiescent", st.quiescent, error) ||
-      !fold_flag(units, "wa_complete", st.wa_complete, error)) {
-    return false;
-  }
-
-  // duplicate: the first replica's duplicate job, replica order (the
-  // fold exp::fold_replicas applies to in-memory reports). Its token,
-  // value and encoding travel together.
-  const record_field* duplicate = nullptr;
-  usize hint = 0;
-  for (const record& u : units) {
-    const record_field* d = u.find("duplicate", hint);
-    if (d != nullptr && d->type == record_field::kind::number &&
-        d->number != 0) {
-      duplicate = d;
-      break;
-    }
-  }
-
-  // Summed wall clock, present iff the unit records carried one.
-  bool have_wall = false;
-  double wall = 0.0;
-  hint = 0;
-  for (const record& u : units) {
-    const record_field* w = u.find("wall_seconds", hint);
-    if (w != nullptr && w->type == record_field::kind::number) {
-      have_wall = true;
-      wall += w->number;
-    }
-  }
-
-  auto copy_field = [&agg, &base](const char* key) {
-    const record_field* f = base.find(key);
-    if (f != nullptr) agg.fields.push_back(*f);
-  };
-  // Every value the fold writes is spelled as json_writer spells it, so
-  // each output field carries its encoding and no token: one is made
-  // only where text is written.
-  auto push_number = [&agg](std::string key, double value) {
-    record_field f;
-    f.key = std::move(key);
-    f.type = record_field::kind::number;
-    f.encoding = value_encoding::f64;
-    f.number = value;
-    agg.fields.push_back(std::move(f));
-  };
-  auto set_flag = [](record_field& g, bool v) {
-    g.raw.clear();
-    g.truth = v;
-    g.encoding = value_encoding::boolean;
-  };
-  // The position prefix copies the base replica's decoded fields whole
-  // (raw AND value); a unit file written without a grid fingerprint
-  // simply yields an aggregate without one, never an empty token.
-  agg.fields.reserve(base.fields.size() + 24);
-  copy_field("cell");
-  copy_field("cells_total");
-  copy_field("grid");
-  copy_field("replicas");
-  for (const record_field& f : base.fields) {
-    if (is_unit_bookkeeping(f.key)) continue;
-    record_field g = f;
-    if (f.key == "at_most_once") {
-      set_flag(g, st.at_most_once);
-    } else if (f.key == "quiescent") {
-      set_flag(g, st.quiescent);
-    } else if (f.key == "wa_complete") {
-      set_flag(g, st.wa_complete);
-    } else if (f.key == "duplicate") {
-      if (duplicate != nullptr) {
-        g = *duplicate;
-      } else {
-        g.raw.clear();
-        g.number = 0.0;
-        g.encoding = value_encoding::u64;
-      }
-    }
-    agg.fields.push_back(std::move(g));
-  }
-  for (auto& [key, value] : summary_values(st)) {
-    push_number(std::move(key), value);
-  }
-  if (have_wall) push_number("wall_seconds", wall);
-  return true;
-}
-
 }  // namespace
 
 std::unique_ptr<record_source> make_memory_source(std::vector<record> records) {
@@ -672,7 +505,7 @@ merge_result merge_sources(std::vector<std::unique_ptr<record_source>> sources,
     cell_units.push_back(std::move(rec));
     if (cell_units.size() == cell_replicas) {
       record agg;
-      if (!fold_unit_cell(cell_units, agg, out.error)) return out;
+      if (!fold_cell(cell_units, agg, out.error)) return out;
       if (!emit(std::move(agg))) return out;
       for (record& u : cell_units) spare.push_back(std::move(u));
       cell_units.clear();

@@ -2,13 +2,14 @@
 // the unsharded sweep — as a STREAMING fold.
 //
 // Shards emit one record per (cell, replica) UNIT, keyed by
-// "unit"/"units_total"; the merge re-groups the units by cell, re-folds
-// each cell's replicas through exp::stats, and renders the same aggregate
-// records cell_record_rows would have — byte identical, because
-// json_writer::num is round-trip-exact and the fold is a deterministic
-// function of the replica values in replica order.
+// "unit"/"units_total"; the merge re-groups the units by cell and folds
+// each cell's replicas with exp::fold_cell, the one aggregate fold, which
+// an unsharded sweep's cell_record_rows runs over its own unit rows. The
+// output is byte identical to the unsharded sweep's because the decoded
+// unit records carry their writer's exact values (json_writer::num is
+// round-trip-exact) and the fold is a deterministic function of them.
 //
-// merge_stream is the one fold path (dispatch, `merge --manifest`,
+// merge_stream is the one merge path (dispatch, `merge --manifest`,
 // `amo_lab merge`). It k-way-merges record_sources — in-memory arrays,
 // record files, or file images in memory — holding one head record per
 // source plus at most one cell's replicas; a .amoc source streams chunk

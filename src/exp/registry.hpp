@@ -26,7 +26,7 @@ struct scenario_params {
   std::uint64_t seed = 1; ///< first adversary seed
   usize seeds = 2;        ///< seed variants per scenario (distinct cells)
   usize replicas = 1;     ///< deterministic replicas per cell (run_spec::
-                          ///< replicas; aggregated by exp::stats). seeds
+                          ///< replicas; folded by exp::fold_cell). seeds
                           ///< multiplies CELLS, replicas multiplies RUNS
                           ///< per cell — 0 means 1.
 

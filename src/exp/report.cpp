@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 
+#include "exp/stats.hpp"
 #include "util/fileio.hpp"
 
 namespace amo::exp {
@@ -142,11 +143,8 @@ row_sink fill_row(record_table& table, usize i, usize fields) {
   return {table, row, table.keys.empty()};
 }
 
-/// report_fields' schema. `fold`, when given, replaces the safety fields
-/// (at_most_once, quiescent, wa_complete, duplicate) with their
-/// any-replica fold.
-void put_report(row_sink& out, const run_report& r, bool include_timing,
-                const cell_stats* fold = nullptr) {
+/// report_fields' schema.
+void put_report(row_sink& out, const run_report& r, bool include_timing) {
   using T = typed_value;
   out.put("scenario", T::str(r.label));
   out.put("algo", T::str(to_string(r.algo)));
@@ -162,13 +160,12 @@ void put_report(row_sink& out, const run_report& r, bool include_timing,
   out.put("crash_budget", T::u64(r.crash_budget));
   out.put("steps", T::u64(r.total_steps));
   out.put("crashes", T::u64(r.crashes));
-  out.put("quiescent", T::boolean(fold ? fold->quiescent : r.quiescent));
+  out.put("quiescent", T::boolean(r.quiescent));
   out.put("terminated", T::u64(r.terminated));
   out.put("effectiveness", T::u64(r.effectiveness));
   out.put("perform_events", T::u64(r.perform_events));
-  out.put("at_most_once",
-          T::boolean(fold ? fold->at_most_once : r.at_most_once));
-  out.put("duplicate", T::u64(fold ? fold->duplicate : r.duplicate));
+  out.put("at_most_once", T::boolean(r.at_most_once));
+  out.put("duplicate", T::u64(r.duplicate));
   out.put("shared_reads", T::u64(r.total_work.shared_reads));
   out.put("shared_writes", T::u64(r.total_work.shared_writes));
   out.put("local_ops", T::u64(r.total_work.local_ops));
@@ -177,10 +174,47 @@ void put_report(row_sink& out, const run_report& r, bool include_timing,
   out.put("collisions", T::u64(r.total_collisions));
   out.put("worst_pair_ratio", T::f64(r.worst_pair_ratio));
   out.put("num_levels", T::u64(r.num_levels));
-  out.put("wa_complete", T::boolean(fold ? fold->wa_complete : r.wa_complete));
+  out.put("wa_complete", T::boolean(r.wa_complete));
   out.put("wa_written", T::u64(r.wa_written));
   out.put("trace_events", T::u64(r.trace.size()));
   if (include_timing) out.put("wall_seconds", T::f64(r.wall_seconds));
+}
+
+/// Refills `rec` with a typed row's fields, spelled as a decoded .amoc
+/// record spells them: the value and its encoding, with digits kept only
+/// for a u64 the double cannot hold.
+void to_record(const std::vector<std::string>& keys,
+               const std::vector<typed_value>& row, record& rec) {
+  rec.fields.resize(row.size());
+  for (usize i = 0; i < row.size(); ++i) {
+    const value_view v = view_of(row[i]);
+    record_field& f = rec.fields[i];
+    f.key = keys[i];
+    f.type = v.type;
+    f.encoding = v.enc;
+    f.truth = v.truth;
+    f.text.assign(v.text);
+    f.number = v.number;
+    f.raw.clear();
+    if (v.enc == value_encoding::u64 && v.u >= std::uint64_t{1} << 53) {
+      json_writer::append_num(f.raw, v.u);
+    }
+  }
+}
+
+/// The typed value of a field of known encoding (every field to_record
+/// and exp::fold_cell make).
+typed_value typed_of(const record_field& f) {
+  using E = value_encoding;
+  using T = typed_value;
+  const value_view v = view_of(f);
+  switch (v.enc) {
+    case E::u64: return T::u64(v.u);
+    case E::f64: return T::f64(v.number);
+    case E::str: return T::str(std::string(v.text));
+    case E::boolean: return T::boolean(v.truth);
+    default: return T::null();
+  }
 }
 
 std::string grid_hex(std::uint64_t grid) {
@@ -208,32 +242,43 @@ extra_fields report_fields(const run_report& r, bool include_timing) {
 bool cell_record_rows(const sweep_result& swept, std::uint64_t grid,
                       const row_group_sink& sink, bool include_timing,
                       const extra_fields& extra) {
-  using T = typed_value;
-  const std::string fp = grid_hex(grid);
+  // The whole grid's units, cell-major: unit i's report is reports[i].
+  std::vector<unit_ref> units;
+  units.reserve(swept.reports.size());
+  for (usize c = 0; c < swept.cells.size(); ++c) {
+    const cell_report& cr = swept.cells[c];
+    for (usize r = 0; r < cr.replicas; ++r) {
+      units.push_back({cr.first + r, c, r, cr.replicas});
+    }
+  }
+  // Each cell's unit rows, exactly as a shard writes them, go through the
+  // one aggregate fold; the job's extras follow the folded fields.
+  std::vector<record> cell_units;
+  record agg;
   record_table group;
   group.rows.resize(1);
-  for (usize i = 0; i < swept.cells.size(); ++i) {
-    const cell_report& cr = swept.cells[i];
-    const cell_stats& st = cr.stats;
-
-    row_sink out = fill_row(group, 0, 64);
-    out.put("cell", T::u64(i));
-    out.put("cells_total", T::u64(swept.cells.size()));
-    out.put("grid", T::str(fp));
-    out.put("replicas", T::u64(cr.replicas));
-    // The base replica's record, with the safety fields replaced by their
-    // any-replica fold: one violating replica marks the whole cell. The
-    // per-draw metrics (effectiveness, work, ...) stay the base-seed
-    // draw's, so replicas = 1 preserves the pre-replica record values.
-    put_report(out, swept.reports[cr.first], /*include_timing=*/false, &st);
-    for (const auto& [key, value] : summary_values(st)) {
-      out.put(key, T::f64(value));
+  std::string error;
+  const auto fold = [&](const record_table& rows) {
+    cell_units.resize(rows.rows.size());
+    for (usize i = 0; i < rows.rows.size(); ++i) {
+      to_record(rows.keys, rows.rows[i], cell_units[i]);
     }
-    if (include_timing) out.put("wall_seconds", T::f64(st.wall_seconds));
-    out.put_all(extra);
-    if (!sink(group)) return false;
-  }
-  return true;
+    if (!fold_cell(cell_units, agg, error)) return false;
+    std::vector<typed_value>& row = group.rows.front();
+    row.clear();
+    const bool keys = group.keys.empty();
+    for (const record_field& f : agg.fields) {
+      if (keys) group.keys.push_back(f.key);
+      row.push_back(typed_of(f));
+    }
+    for (const auto& [key, value] : extra) {
+      if (keys) group.keys.push_back(key);
+      row.push_back(value);
+    }
+    return sink(group);
+  };
+  return unit_record_rows(swept.reports, units, swept.reports.size(),
+                          swept.cells.size(), grid, fold, include_timing);
 }
 
 bool unit_record_rows(const std::vector<run_report>& reports,

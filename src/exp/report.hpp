@@ -14,7 +14,9 @@
 // formats each group into tokens; exp::colfmt_encoder writes it straight
 // into one .amoc chunk. A renderer therefore holds one cell's rows, never
 // a whole document's, and a number is formatted only where a JSON token
-// is made.
+// is made. An aggregate row is not written here field by field: it is
+// exp::fold_cell, the one aggregate fold the merge also runs, over the
+// cell's unit rows.
 // `include_timing = false` drops the wall-clock fields, which is what
 // makes sweep output byte-comparable across pool sizes.
 #pragma once
@@ -40,8 +42,8 @@ class json_writer {
   /// Shortest round-trip decimal via std::to_chars: locale-independent
   /// (always '.'-separated, whatever LC_NUMERIC says) and value-exact —
   /// parsing the token back yields bit-equal v, which is what lets
-  /// exp::merge_stream re-fold parsed replica records into aggregates
-  /// byte-identical to the in-process fold.
+  /// exp::merge_stream fold parsed unit records into the aggregates the
+  /// unsharded sweep folds from its own unit rows.
   static std::string num(double v);
   static std::string num(std::uint64_t v) { return std::to_string(v); }
   static std::string str(const std::string& s);
@@ -91,15 +93,14 @@ using extra_fields = std::vector<std::pair<std::string, typed_value>>;
 using row_group_sink = std::function<bool(const record_table& group)>;
 
 /// Aggregate cell rows — what an unsharded sweep emits: one record per
-/// cell, {"cell", "cells_total", "grid", "replicas"}, then the base
-/// replica's report_fields with the safety fields (at_most_once,
-/// quiescent, wa_complete, duplicate) replaced by their any-replica fold,
-/// then exp::summary_values, then the cell's summed wall clock (timing
-/// runs only). Aggregate output is always the whole grid (sharded sweeps
-/// emit per-unit records instead), so record i's "cell" index is i and
-/// cells_total is swept.cells.size(). exp::merge_stream rebuilds exactly
-/// these bytes from per-unit shard records. One group per cell; false
-/// iff `sink` returned false.
+/// cell, exp::fold_cell over the cell's unit rows (exactly what
+/// unit_record_rows emits for the whole grid), then `extra`. Aggregate
+/// output is always the whole grid (sharded sweeps emit per-unit records
+/// instead), so record i's "cell" index is i and cells_total is
+/// swept.cells.size(); exp::merge_stream runs the same fold over the
+/// shards' unit records. One group per cell, and one cell's unit rows
+/// held at a time; false iff `sink` returned false (rows built from
+/// run_reports always fold).
 bool cell_record_rows(const sweep_result& swept, std::uint64_t grid,
                       const row_group_sink& sink, bool include_timing = true,
                       const extra_fields& extra = {});

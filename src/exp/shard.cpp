@@ -1,5 +1,6 @@
 #include "exp/shard.hpp"
 
+#include "util/fnv.hpp"
 #include "util/parse.hpp"
 
 namespace amo::exp {
@@ -21,23 +22,6 @@ bool parse_shard(std::string_view text, shard_ref& out) {
 
 std::string to_string(const shard_ref& s) {
   return std::to_string(s.index) + "/" + std::to_string(s.count);
-}
-
-std::vector<usize> shard_indices(usize total_cells, const shard_ref& s) {
-  std::vector<usize> indices;
-  if (!s.valid()) return indices;
-  indices.reserve(total_cells / s.count + 1);
-  for (usize i = s.index; i < total_cells; i += s.count) indices.push_back(i);
-  return indices;
-}
-
-std::vector<run_spec> shard_cells(const std::vector<run_spec>& all,
-                                  const shard_ref& s) {
-  std::vector<run_spec> cells;
-  const std::vector<usize> indices = shard_indices(all.size(), s);
-  cells.reserve(indices.size());
-  for (const usize i : indices) cells.push_back(all[i]);
-  return cells;
 }
 
 usize unit_count(const std::vector<run_spec>& cells) {
@@ -69,58 +53,43 @@ std::vector<unit_ref> shard_units(const std::vector<run_spec>& cells,
   return units;
 }
 
-namespace {
-
-/// FNV-1a over the bytes of everything that makes a spec's value identity.
-struct fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-
-  void bytes(const void* data, usize len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (usize i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 0x100000001b3ull;
-    }
-  }
-  void str(const std::string& s) {
-    const usize len = s.size();
-    bytes(&len, sizeof len);  // length-prefixed: "ab"+"c" != "a"+"bc"
-    bytes(s.data(), len);
-  }
-  template <class T>
-  void value(const T& v) {
-    bytes(&v, sizeof v);
-  }
-};
-
-}  // namespace
-
 std::uint64_t grid_fingerprint(const std::vector<run_spec>& cells) {
-  fnv1a f;
-  f.value(cells.size());
+  // FNV-1a over the bytes of everything that makes a spec's value
+  // identity, from the published 64-bit basis (not util/fnv.hpp's
+  // fnv1a64_offset): every grid value written so far was hashed from it.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto value = [&h](const auto& v) {
+    h = fnv1a64_append(
+        h, std::string_view(reinterpret_cast<const char*>(&v), sizeof v));
+  };
+  const auto str = [&](const std::string& s) {
+    value(s.size());  // length-prefixed: "ab"+"c" != "a"+"bc"
+    h = fnv1a64_append(h, s);
+  };
+  value(cells.size());
   for (const run_spec& s : cells) {
-    f.str(s.label);
-    f.value(s.algo);
-    f.value(s.driver);
-    f.value(s.memory);
-    f.value(std::uint8_t{0});  // the retired free_set knob, kept so older
-                               // manifests still resume
-    f.value(s.n);
-    f.value(s.m);
-    f.value(s.beta);
-    f.value(s.eps_inv);
-    f.value(s.rule);
-    f.value(s.crash_budget);
-    f.value(s.max_steps);
-    f.value(s.replicas);
-    f.str(s.adversary.name);
-    f.value(s.adversary.seed);
-    f.value(s.crashes.what);
-    for (const usize c : s.crashes.per_thread) f.value(c);
-    f.value(s.crashes.count);
-    f.value(s.record_trace);
+    str(s.label);
+    value(s.algo);
+    value(s.driver);
+    value(s.memory);
+    value(std::uint8_t{0});  // the retired free_set knob, kept so older
+                             // manifests still resume
+    value(s.n);
+    value(s.m);
+    value(s.beta);
+    value(s.eps_inv);
+    value(s.rule);
+    value(s.crash_budget);
+    value(s.max_steps);
+    value(s.replicas);
+    str(s.adversary.name);
+    value(s.adversary.seed);
+    value(s.crashes.what);
+    for (const usize c : s.crashes.per_thread) value(c);
+    value(s.crashes.count);
+    value(s.record_trace);
   }
-  return f.h;
+  return h;
 }
 
 }  // namespace amo::exp

@@ -10,8 +10,7 @@
 // replica index), a sharded sweep followed by exp::merge_stream reproduces
 // the unsharded sweep's aggregate records byte-for-byte; the partition
 // itself is pure arithmetic, so any two invocations — on any host — agree
-// on the assignment. shard_indices/shard_cells keep the plain cell-space
-// partition for callers that shard non-replicated work.
+// on the assignment.
 #pragma once
 
 #include <string>
@@ -39,14 +38,6 @@ bool parse_shard(std::string_view text, shard_ref& out);
 /// The canonical "i/k" spelling.
 std::string to_string(const shard_ref& s);
 
-/// Global indices of the cells shard `s` owns, ascending:
-/// {s.index, s.index + s.count, s.index + 2*s.count, ...} below total_cells.
-std::vector<usize> shard_indices(usize total_cells, const shard_ref& s);
-
-/// The owned cells themselves, in shard_indices order.
-std::vector<run_spec> shard_cells(const std::vector<run_spec>& all,
-                                  const shard_ref& s);
-
 /// One schedulable unit of a replica-aware grid: replica `replica` of cell
 /// `cell`. The unit space enumerates every (cell, replica) pair in
 /// cell-major order — unit 0 is (cell 0, replica 0) — so a grid of C cells
@@ -64,9 +55,9 @@ struct unit_ref {
 /// Total units of a grid: sum of resolved_replicas over every cell.
 [[nodiscard]] usize unit_count(const std::vector<run_spec>& cells);
 
-/// The units shard `s` owns out of the grid's unit space — the strided
-/// partition shard_indices() computes, mapped back to (cell, replica)
-/// pairs. s = 0/1 yields every unit, cell-major.
+/// The units shard `s` owns out of the grid's unit space, ascending:
+/// units {s.index, s.index + s.count, s.index + 2*s.count, ...}, mapped
+/// back to (cell, replica) pairs. s = 0/1 yields every unit, cell-major.
 std::vector<unit_ref> shard_units(const std::vector<run_spec>& cells,
                                   const shard_ref& s);
 

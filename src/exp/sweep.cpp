@@ -1,7 +1,6 @@
 #include "exp/sweep.hpp"
 
 #include <optional>
-#include <span>
 
 #include "exp/batch.hpp"
 #include "exp/engine.hpp"
@@ -136,11 +135,6 @@ sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool) {
   out.reports = std::move(ur.reports);
   out.pool_size = ur.pool_size;
   out.wall_seconds = clock.seconds();
-
-  for (cell_report& cr : out.cells) {
-    cr.stats = fold_replicas(
-        std::span<const run_report>(out.reports).subspan(cr.first, cr.replicas));
-  }
   return out;
 }
 

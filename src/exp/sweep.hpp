@@ -6,8 +6,9 @@
 // ignores its seed (exp::batchable, exp/batch.hpp) runs once for all its
 // replicas. Each unit is a self-contained pure function of its spec +
 // replica index, so per-replica results are bit-identical regardless of
-// pool size or execution order; results come back in cell-major (cell, replica) order
-// with per-cell distribution aggregates folded by exp::stats.
+// pool size or execution order; results come back in cell-major (cell,
+// replica) order. A cell's aggregate record is made where it is rendered:
+// exp::fold_cell over the cell's unit rows (exp::cell_record_rows).
 //
 // Two entry points: the options form spins up a pool for this one sweep,
 // the svc::worker_pool form runs the units
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "exp/shard.hpp"
-#include "exp/stats.hpp"
 
 namespace amo::svc {
 class worker_pool;
@@ -32,16 +32,14 @@ struct sweep_options {
   usize pool_size = 0;
 };
 
-/// One swept cell: the folded distribution view of its replicas. The
-/// per-replica run_reports live in sweep_result::reports at
-/// [first, first + replicas) — flattened storage, so single-replica sweeps
-/// cost exactly what they did before the replica refactor. (The cell's
-/// spec is not duplicated here: cells[i] corresponds to the caller's
-/// input cells[i], which it already holds.)
+/// One swept cell: where its replicas' run_reports live in
+/// sweep_result::reports, [first, first + replicas) — flattened storage,
+/// so single-replica sweeps cost exactly what they did before the replica
+/// refactor. (The cell's spec is not duplicated here: cells[i] corresponds
+/// to the caller's input cells[i], which it already holds.)
 struct cell_report {
   usize first = 0;    ///< index of replica 0 in sweep_result::reports
   usize replicas = 1; ///< resolved replica count
-  cell_stats stats;   ///< folded aggregates (exp/stats.hpp)
 };
 
 struct sweep_result {
@@ -59,8 +57,7 @@ struct sweep_result {
 /// unit (e.g. an unknown adversary name) does not stop the others: the
 /// remaining units still run — at any pool size, including the serial path
 /// — and the first exception is rethrown once the sweep drains (that
-/// unit's report slot is left default-constructed, and no cell aggregates
-/// are folded).
+/// unit's report slot is left default-constructed).
 sweep_result sweep(const std::vector<run_spec>& cells,
                    const sweep_options& opt = {});
 

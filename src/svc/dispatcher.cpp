@@ -549,7 +549,7 @@ dispatch_result dispatch(const std::string& args, const dispatch_options& opt) {
     return out;
   }
 
-  // The one fold path: merge_stream over the verified bytes, released as
+  // The one merge path: merge_stream over the verified bytes, released as
   // soon as it ends.
   std::vector<std::unique_ptr<exp::record_source>> sources;
   sources.reserve(opt.shards);

@@ -11,6 +11,10 @@
 
 namespace amo {
 
+// Not the published FNV-64 offset basis, 14695981039346656037 (one digit
+// longer): this value is frozen by every .amoc checksum and manifest hash
+// already written, so it must not be "corrected". exp::grid_fingerprint
+// starts from the published basis instead, for the same reason.
 inline constexpr std::uint64_t fnv1a64_offset = 1469598103934665603ull;
 inline constexpr std::uint64_t fnv1a64_prime = 1099511628211ull;
 

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -231,8 +230,8 @@ std::string aggregate_json(const exp::sweep_result& swept,
   return json.dump();
 }
 
-/// The reference sweep: every unit through exp::run on the caller, folded
-/// exactly as exp::sweep folds.
+/// The reference sweep: every unit through exp::run on the caller, laid
+/// out as exp::sweep lays out its reports.
 std::string run_each_json(const std::vector<exp::run_spec>& cells) {
   exp::sweep_result swept;
   for (std::vector<exp::run_report>& reports : run_each(cells)) {
@@ -240,8 +239,6 @@ std::string run_each_json(const std::vector<exp::run_spec>& cells) {
     cr.first = swept.reports.size();
     cr.replicas = reports.size();
     for (exp::run_report& r : reports) swept.reports.push_back(std::move(r));
-    cr.stats = exp::fold_replicas(std::span<const exp::run_report>(
-        swept.reports.data() + cr.first, cr.replicas));
     swept.cells.push_back(cr);
   }
   return aggregate_json(swept, cells);

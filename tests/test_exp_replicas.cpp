@@ -2,8 +2,8 @@
 // (base seed, replica index) — stable under cell reordering and resharding
 // — replica 0 reproduces the single-run engine exactly, aggregate JSON is
 // byte-identical across pool sizes and across shard+merge at replica
-// granularity, and exp::stats folds are the documented deterministic
-// functions of the replica values.
+// granularity, and exp::fold_cell, the one aggregate fold, is the
+// documented deterministic function of the replica values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -162,15 +162,24 @@ TEST(ReplicaSweep, FlattenedReportsMatchDirectReplicaRuns) {
 TEST(ReplicaShard, UnitPartitionCoversEveryReplicaExactlyOnce) {
   const std::vector<exp::run_spec> cells = replica_grid();
   const usize total = exp::unit_count(cells);
+  ASSERT_EQ(total, 15u);
+  // k = 16 and 41 exceed the unit count: the shards past it own nothing.
   for (const usize k : {usize{1}, usize{2}, usize{3}, usize{5}, usize{16},
                         usize{41}}) {
     std::vector<usize> seen(total, 0);
     for (usize i = 0; i < k; ++i) {
-      for (const exp::unit_ref& u : exp::shard_units(cells, {i, k})) {
+      const std::vector<exp::unit_ref> owned = exp::shard_units(cells, {i, k});
+      EXPECT_EQ(owned.size(), i < total ? (total - i - 1) / k + 1 : 0u)
+          << "shard " << i << "/" << k;
+      for (usize pos = 0; pos < owned.size(); ++pos) {
+        const exp::unit_ref& u = owned[pos];
         ASSERT_LT(u.unit, total);
         ASSERT_LT(u.cell, cells.size());
         ASSERT_LT(u.replica, u.cell_replicas);
         EXPECT_EQ(u.cell_replicas, exp::resolved_replicas(cells[u.cell]));
+        if (pos > 0) {
+          EXPECT_GT(u.unit, owned[pos - 1].unit) << "shards are ascending";
+        }
         ++seen[u.unit];
       }
     }
@@ -178,12 +187,18 @@ TEST(ReplicaShard, UnitPartitionCoversEveryReplicaExactlyOnce) {
       EXPECT_EQ(seen[u], 1u) << "unit " << u << " k " << k;
     }
   }
+  // An empty grid has no units for any shard to own.
+  for (const usize k : {usize{1}, usize{3}}) {
+    for (usize i = 0; i < k; ++i) {
+      EXPECT_TRUE(exp::shard_units({}, {i, k}).empty()) << i << "/" << k;
+    }
+  }
 }
 
 TEST(ReplicaMerge, ShardsRefoldIntoByteIdenticalAggregates) {
   const std::vector<exp::run_spec> cells = replica_grid();
   const std::string reference = aggregate_json(cells, 1);
-  for (const usize k : {usize{2}, usize{3}, usize{5}, usize{16}}) {
+  for (const usize k : {usize{1}, usize{2}, usize{3}, usize{5}, usize{16}}) {
     std::vector<std::vector<exp::record>> shards;
     for (usize i = 0; i < k; ++i) {
       exp::parse_result parsed =
@@ -279,25 +294,86 @@ TEST(ReplicaStats, SummarizeIsTheDocumentedFold) {
   EXPECT_DOUBLE_EQ(one.stddev, 0.0);
 }
 
-TEST(ReplicaStats, AnyReplicaSafetyViolationMarksTheCell) {
-  exp::run_report good;
-  good.at_most_once = true;
-  good.quiescent = true;
-  good.effectiveness = 10;
-  exp::run_report bad = good;
-  bad.at_most_once = false;
-  bad.duplicate = 17;
-  bad.quiescent = false;
+/// Field `key` of `rec`; a test failure, and a null field, when absent.
+const exp::record_field& field_of(const exp::record& rec, const char* key) {
+  static const exp::record_field missing;
+  const exp::record_field* f = rec.find(key);
+  EXPECT_NE(f, nullptr) << key;
+  return f != nullptr ? *f : missing;
+}
 
-  const std::vector<exp::run_report> runs = {good, bad, good};
-  const exp::cell_stats st = exp::fold_replicas(runs);
-  EXPECT_EQ(st.replicas, 3u);
-  EXPECT_FALSE(st.at_most_once);
-  EXPECT_FALSE(st.quiescent);
-  EXPECT_EQ(st.duplicate, 17u);
+TEST(ReplicaStats, FoldCellIsTheDocumentedAggregate) {
+  // Three replicas of one cell, folded by hand: replica 1 breaks safety
+  // and quiescence and names duplicate 17, replica 2 names duplicate 5
+  // and leaves Write-All incomplete.
+  std::vector<exp::run_report> reports(3);
+  const usize effectiveness[] = {10, 4, 7};
+  const double wall[] = {0.5, 0.25, 0.125};
+  for (usize r = 0; r < reports.size(); ++r) {
+    reports[r].label = "fold";
+    reports[r].n = 12;
+    reports[r].effectiveness = effectiveness[r];
+    reports[r].wall_seconds = wall[r];
+    reports[r].wa_complete = true;
+  }
+  reports[1].at_most_once = false;
+  reports[1].quiescent = false;
+  reports[1].duplicate = 17;
+  reports[2].duplicate = 5;
+  reports[2].wa_complete = false;
+  const std::vector<exp::unit_ref> units = {
+      {0, 0, 0, 3}, {1, 0, 1, 3}, {2, 0, 2, 3}};
 
-  const std::vector<exp::run_report> all_good = {good, good};
-  EXPECT_TRUE(exp::fold_replicas(all_good).at_most_once);
+  for (const bool timing : {true, false}) {
+    exp::json_writer json;
+    exp::unit_record_rows(reports, units, 3, 1, 0x1234, exp::json_rows(json),
+                          timing);
+    const exp::parse_result rows = exp::parse_records(json.dump());
+    ASSERT_TRUE(rows.ok()) << rows.error;
+    exp::record agg;
+    std::string error;
+    ASSERT_TRUE(exp::fold_cell(rows.records, agg, error)) << error;
+
+    EXPECT_EQ(agg.fields.front().key, "cell");
+    EXPECT_EQ(field_of(agg, "replicas").number, 3.0);
+    EXPECT_EQ(agg.find("unit"), nullptr);
+    EXPECT_EQ(agg.find("replica"), nullptr);
+    EXPECT_FALSE(field_of(agg, "at_most_once").truth);
+    EXPECT_FALSE(field_of(agg, "quiescent").truth);
+    EXPECT_FALSE(field_of(agg, "wa_complete").truth);
+    // The first non-zero duplicate in replica order.
+    EXPECT_EQ(exp::token_of(field_of(agg, "duplicate")), "17");
+    // The base replica's own draw passes through.
+    EXPECT_EQ(field_of(agg, "effectiveness").number, 10.0);
+    EXPECT_EQ(field_of(agg, "effectiveness_min").number, 4.0);
+    EXPECT_EQ(field_of(agg, "effectiveness_mean").number, 7.0);
+    EXPECT_EQ(field_of(agg, "effectiveness_max").number, 10.0);
+    // Nearest rank: ceil(3 * 0.50) = 2nd and ceil(3 * 0.95) = 3rd.
+    EXPECT_EQ(field_of(agg, "effectiveness_p50").number, 7.0);
+    EXPECT_EQ(field_of(agg, "effectiveness_p95").number, 10.0);
+    if (timing) {
+      EXPECT_EQ(agg.fields.back().key, "wall_seconds");
+      EXPECT_EQ(field_of(agg, "wall_seconds").number, 0.875);
+    } else {
+      EXPECT_EQ(agg.find("wall_seconds"), nullptr);
+    }
+  }
+
+  // Every replica safe: the flags stay true and duplicate reads 0.
+  std::vector<exp::run_report> good(2);
+  for (exp::run_report& r : good) r.wa_complete = true;
+  exp::json_writer json;
+  exp::unit_record_rows(good, {{0, 0, 0, 2}, {1, 0, 1, 2}}, 2, 1, 0,
+                        exp::json_rows(json), false);
+  exp::record agg;
+  std::string error;
+  ASSERT_TRUE(exp::fold_cell(exp::parse_records(json.dump()).records, agg,
+                             error))
+      << error;
+  EXPECT_TRUE(field_of(agg, "at_most_once").truth);
+  EXPECT_TRUE(field_of(agg, "quiescent").truth);
+  EXPECT_TRUE(field_of(agg, "wa_complete").truth);
+  EXPECT_EQ(exp::token_of(field_of(agg, "duplicate")), "0");
 }
 
 }  // namespace
