@@ -9,8 +9,9 @@
 // visits an order of magnitude fewer states, and at the frontier POR
 // completes instances the brute-force search cannot finish under the
 // 20M-state cap. Emits BENCH_model.json (brute vs POR states/transitions,
-// reduction factors, verdict-equality and pool-parity flags), gated in CI
-// via `amo_lab diff`.
+// reduction factors, verdict-equality and pool-parity flags, and the
+// memory the POR search stores and peaks at per state), gated in CI via
+// `amo_lab diff`.
 #include "analysis/bounds.hpp"
 #include "bench_common.hpp"
 #include "model/dpor.hpp"
@@ -57,12 +58,41 @@ std::pair<std::string, std::string> bytes_per_state(
                            : 0.0)};
 }
 
+/// The peak memory of one serial POR check per state: a forked child runs
+/// it and reports its VmHWM minus the VmRSS it started from, divided by
+/// the states. Where bytes_per_state counts what the search stores, this
+/// counts all it holds at its peak: the frontiers, the arrivals and the
+/// cycle check's adjacency too. Page-granular, so near-deterministic, and
+/// gated like bytes_per_state. 0 when the child fails.
+double peak_bytes_per_state(const model::model_config& cfg) {
+  const std::string out = benchx::in_child([&cfg]() -> std::string {
+    model::por_options opt;
+    opt.cfg = cfg;
+    const double before = benchx::status_mb("VmRSS:");
+    const auto r = model::explore_por(opt);
+    const double grew = benchx::status_mb("VmHWM:") - before;
+    if (!r.complete || r.states == 0) return {};
+    return std::to_string(grew * (1 << 20) / static_cast<double>(r.states));
+  });
+  return out.empty() ? 0.0 : std::stod(out);
+}
+
 }  // namespace
 
 int main() {
   stopwatch clock;
   benchx::json_report json;
   bool all_safe = true;
+
+  // The workload instance (e2e check_por's, serial), measured first, while
+  // this process is small and holds no threads.
+  model::model_config peak_cfg;
+  peak_cfg.n = 5;
+  peak_cfg.m = 3;
+  peak_cfg.beta = 3;
+  peak_cfg.crash_budget = 2;
+  const double peak_per_state = peak_bytes_per_state(peak_cfg);
+  all_safe = all_safe && peak_per_state > 0.0;
 
   benchx::print_title(
       "E11  Exhaustive model checking of KK_beta (all schedules, all crashes)",
@@ -119,31 +149,38 @@ int main() {
                degenerate ? "n/a" : benchx::yesno(r.min_effectiveness == formula),
                benchx::yesno(verdicts_equal(r, pr))});
 
-    json.add({{"experiment", benchx::json_report::str("E11_model_por")},
-              {"scenario", benchx::json_report::str(
-                               "plain/n" + std::to_string(g.n) + "m" +
-                               std::to_string(g.m) + "b" + std::to_string(g.beta) +
-                               "f" + std::to_string(g.f))},
-              {"n", benchx::json_report::num(std::uint64_t{g.n})},
-              {"m", benchx::json_report::num(std::uint64_t{g.m})},
-              {"beta", benchx::json_report::num(std::uint64_t{g.beta})},
-              {"crash_budget", benchx::json_report::num(std::uint64_t{g.f})},
-              {"brute_states", benchx::json_report::num(std::uint64_t{r.states})},
-              {"brute_transitions",
-               benchx::json_report::num(std::uint64_t{r.transitions})},
-              {"por_states", benchx::json_report::num(std::uint64_t{pr.states})},
-              {"por_transitions",
-               benchx::json_report::num(std::uint64_t{pr.transitions})},
-              {"state_reduction", benchx::json_report::num(state_red)},
-              {"transition_reduction", benchx::json_report::num(trans_red)},
-              bytes_per_state(pr, pstats),
-              {"min_effectiveness",
-               benchx::json_report::num(std::uint64_t{r.min_effectiveness})},
-              {"at_most_once", benchx::json_report::boolean(!r.duplicate_found)},
-              {"complete", benchx::json_report::boolean(r.complete)},
-              {"safe", benchx::json_report::boolean(safe)},
-              {"brute_wall_seconds", benchx::json_report::num(brute_wall)},
-              {"por_wall_seconds", benchx::json_report::num(por_wall)}});
+    std::vector<std::pair<std::string, std::string>> rec{
+        {"experiment", benchx::json_report::str("E11_model_por")},
+        {"scenario", benchx::json_report::str(
+                         "plain/n" + std::to_string(g.n) + "m" +
+                         std::to_string(g.m) + "b" + std::to_string(g.beta) +
+                         "f" + std::to_string(g.f))},
+        {"n", benchx::json_report::num(std::uint64_t{g.n})},
+        {"m", benchx::json_report::num(std::uint64_t{g.m})},
+        {"beta", benchx::json_report::num(std::uint64_t{g.beta})},
+        {"crash_budget", benchx::json_report::num(std::uint64_t{g.f})},
+        {"brute_states", benchx::json_report::num(std::uint64_t{r.states})},
+        {"brute_transitions",
+         benchx::json_report::num(std::uint64_t{r.transitions})},
+        {"por_states", benchx::json_report::num(std::uint64_t{pr.states})},
+        {"por_transitions",
+         benchx::json_report::num(std::uint64_t{pr.transitions})},
+        {"state_reduction", benchx::json_report::num(state_red)},
+        {"transition_reduction", benchx::json_report::num(trans_red)},
+        bytes_per_state(pr, pstats),
+        {"min_effectiveness",
+         benchx::json_report::num(std::uint64_t{r.min_effectiveness})},
+        {"at_most_once", benchx::json_report::boolean(!r.duplicate_found)},
+        {"complete", benchx::json_report::boolean(r.complete)},
+        {"safe", benchx::json_report::boolean(safe)},
+        {"brute_wall_seconds", benchx::json_report::num(brute_wall)},
+        {"por_wall_seconds", benchx::json_report::num(por_wall)}};
+    if (g.n == peak_cfg.n && g.m == peak_cfg.m && g.beta == peak_cfg.beta &&
+        g.f == peak_cfg.crash_budget) {
+      rec.emplace_back("peak_bytes_per_state",
+                       benchx::json_report::num(peak_per_state));
+    }
+    json.add(rec);
   }
   benchx::print_table(t);
 

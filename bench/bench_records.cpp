@@ -53,13 +53,9 @@
 // "scenario" is the identity axis, bit_identical gates as a safety flag
 // in the CI `amo_lab diff` step, and the throughput numbers ride along
 // as informational fields (novel names never gate).
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -446,54 +442,6 @@ shard_path_stats run_shard_path(usize reps) {
   return st;
 }
 
-/// Runs `body` in a forked child and returns what it returned, or "" when
-/// the child failed. The caller must hold no threads.
-std::string in_child(const std::function<std::string()>& body) {
-  int fds[2];
-  if (::pipe(fds) != 0) return {};
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    return {};
-  }
-  if (pid == 0) {
-    ::close(fds[0]);
-    const std::string out = body();
-    usize sent = 0;
-    while (sent < out.size()) {
-      const ssize_t n = ::write(fds[1], out.data() + sent, out.size() - sent);
-      if (n <= 0) ::_exit(1);
-      sent += static_cast<usize>(n);
-    }
-    ::_exit(out.empty() ? 1 : 0);
-  }
-  ::close(fds[1]);
-  std::string out;
-  char buf[256];
-  ssize_t n = 0;
-  while ((n = ::read(fds[0], buf, sizeof buf)) > 0) {
-    out.append(buf, static_cast<usize>(n));
-  }
-  ::close(fds[0]);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  return WIFEXITED(status) && WEXITSTATUS(status) == 0 ? out : std::string();
-}
-
-/// A kB line of /proc/self/status ("VmHWM:" the peak resident set,
-/// "VmRSS:" the current one), in MB; 0 when unreadable.
-double status_mb(const std::string& field) {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind(field, 0) == 0) {
-      return std::stod(line.substr(field.size())) / 1024;
-    }
-  }
-  return 0.0;
-}
-
 constexpr usize kMemoryScales[] = {1, 4};
 constexpr double kMemoryGrowthBound = 1.5;
 
@@ -517,7 +465,7 @@ parent_memory_stats run_parent_memory(const std::string& dir) {
   const auto src = [&](usize scale) {
     return dir + "/src" + std::to_string(scale);
   };
-  const std::string written = in_child([&]() -> std::string {
+  const std::string written = benchx::in_child([&]() -> std::string {
     svc::worker_pool pool(3);
     std::string counts;
     for (const usize scale : kMemoryScales) {
@@ -553,7 +501,7 @@ parent_memory_stats run_parent_memory(const std::string& dir) {
       st.shard_bytes[k] += fs::file_size(
           src(scale) + "/shard-" + std::to_string(i) + "/3.amoc", ec);
     }
-    const std::string peak = in_child([&]() -> std::string {
+    const std::string peak = benchx::in_child([&]() -> std::string {
       svc::dispatch_options d;
       d.shards = kShardPathShards;
       d.command = "cp " + src(scale) + "/shard-{shard}.amoc {out}";
@@ -568,7 +516,7 @@ parent_memory_stats run_parent_memory(const std::string& dir) {
                      r.error.c_str());
         return {};
       }
-      return std::to_string(status_mb("VmHWM:"));
+      return std::to_string(benchx::status_mb("VmHWM:"));
     });
     st.ok = st.ok && !peak.empty();
     st.peak_mb[k] = peak.empty() ? 0.0 : std::stod(peak);
@@ -599,14 +547,14 @@ struct child_memory_stats {
 child_memory_stats run_child_memory() {
   child_memory_stats st;
   for (usize k = 0; k < 2; ++k) {
-    const std::string out = in_child([&]() -> std::string {
+    const std::string out = benchx::in_child([&]() -> std::string {
       svc::job_result r;
       {
         svc::worker_pool pool(1);
         r = svc::execute_job(shard_path_job(0, kMemoryScales[k]), pool);
       }
-      return !r.ok() ? std::string() : in_child([&]() -> std::string {
-        const double before = status_mb("VmRSS:");
+      return !r.ok() ? std::string() : benchx::in_child([&]() -> std::string {
+        const double before = benchx::status_mb("VmRSS:");
         std::string bytes;
         std::string error;
         if (!r.render_output(exp::record_format::colfmt, bytes, error)) {
@@ -614,7 +562,7 @@ child_memory_stats run_child_memory() {
         }
         return std::to_string(r.runs().size()) + " " +
                std::to_string(bytes.size()) + " " +
-               std::to_string(status_mb("VmHWM:") - before);
+               std::to_string(benchx::status_mb("VmHWM:") - before);
       });
     });
     unsigned long long bytes = 0;

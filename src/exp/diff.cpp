@@ -12,7 +12,8 @@ namespace amo::exp {
 
 namespace {
 
-/// Name table for the known schemas (exp::report_fields and the BENCH_*
+/// Name table for the known schemas (the run-report schema that
+/// exp::unit_record_rows and exp::cell_record_rows emit, and the BENCH_*
 /// aggregate records). Unknown names fall through to `informational`, so a
 /// new metric starts reporting on day one and can be promoted here later.
 struct field_rule {
@@ -87,8 +88,10 @@ constexpr field_rule kRules[] = {
     {"brute_transitions", field_class::higher_worse},
     {"por_states", field_class::higher_worse},
     {"por_transitions", field_class::higher_worse},
-    // what the POR search stores per state (BENCH_model): growth = lost memory
+    // what the POR search stores, and its peak resident growth, per state
+    // (BENCH_model): growth = lost memory
     {"bytes_per_state", field_class::higher_worse},
+    {"peak_bytes_per_state", field_class::higher_worse},
     // reduction factors: shrinking = lost reduction
     {"state_reduction", field_class::lower_worse},
     {"transition_reduction", field_class::lower_worse},

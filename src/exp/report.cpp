@@ -143,7 +143,8 @@ row_sink fill_row(record_table& table, usize i, usize fields) {
   return {table, row, table.keys.empty()};
 }
 
-/// report_fields' schema.
+/// The run-report schema: what every unit row carries after its position
+/// fields, and what exp::fold_cell folds into a cell row.
 void put_report(row_sink& out, const run_report& r, bool include_timing) {
   using T = typed_value;
   out.put("scenario", T::str(r.label));
@@ -225,19 +226,6 @@ std::string grid_hex(std::uint64_t grid) {
 }
 
 }  // namespace
-
-extra_fields report_fields(const run_report& r, bool include_timing) {
-  record_table table;
-  table.rows.resize(1);
-  row_sink sink = fill_row(table, 0, 32);
-  put_report(sink, r, include_timing);
-  extra_fields out;
-  out.reserve(table.keys.size());
-  for (usize i = 0; i < table.keys.size(); ++i) {
-    out.emplace_back(std::move(table.keys[i]), std::move(sink.row[i]));
-  }
-  return out;
-}
 
 bool cell_record_rows(const sweep_result& swept, std::uint64_t grid,
                       const row_group_sink& sink, bool include_timing,

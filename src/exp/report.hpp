@@ -80,12 +80,6 @@ class json_writer {
 /// the serve layer's per-job timing fields).
 using extra_fields = std::vector<std::pair<std::string, typed_value>>;
 
-/// The unified record for one run_report, in schema order. Every amo_lab /
-/// bench record uses exactly these fields (prefixed by any caller-supplied
-/// extras), so downstream tooling parses one shape.
-[[nodiscard]] extra_fields report_fields(const run_report& r,
-                                         bool include_timing = true);
-
 /// Receives output rows one cell group at a time, in output order: the
 /// schema's keys and the rows of one cell (an aggregate cell's row, or
 /// the consecutive units of one cell that a shard owns). The group is
@@ -108,7 +102,10 @@ bool cell_record_rows(const sweep_result& swept, std::uint64_t grid,
 /// Per-replica unit rows — what a sharded sweep emits: one record per
 /// owned (cell, replica) unit, {"unit", "units_total", "cell",
 /// "cells_total", "replica", "replicas", "grid"} then the replica's
-/// report_fields (its "seed" is the exp::replica_seed-derived seed).
+/// run-report fields in schema order (its "seed" is the
+/// exp::replica_seed-derived seed; "wall_seconds", last, only with
+/// include_timing). Every run/sweep record has exactly this shape, so
+/// downstream tooling parses one.
 /// Requires units.size() == reports.size(). One group per run of
 /// consecutive units of one cell; false iff `sink` returned false.
 bool unit_record_rows(const std::vector<run_report>& reports,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -43,6 +44,16 @@ constexpr amask crash_bit(process_id p) {
 }
 constexpr amask bit_of(action a) {
   return a.is_crash ? crash_bit(a.pid) : step_bit(a.pid);
+}
+/// The action whose bit is `bit` (exactly one bit set).
+constexpr action action_of(amask bit) {
+  const auto i = static_cast<process_id>(std::countr_zero(bit));
+  if (i < max_procs) return {false, i + 1};
+  return {true, static_cast<process_id>(i + 1 - max_procs)};
+}
+
+sys_state successor(const sys_state& s, const model_config& cfg, action a) {
+  return a.is_crash ? crash(s, cfg, a.pid) : step(s, cfg, a.pid);
 }
 
 constexpr bool touches_flag(kk_status st) {
@@ -270,6 +281,20 @@ constexpr bool queues(outcome o) {
   return o == outcome::created || o == outcome::resumed;
 }
 
+/// What the verdicts read off a state, taken once where the state is built:
+/// the shard merge and the capped cut never see the state itself.
+struct state_facts {
+  bool terminal = false;  ///< quiescent: counted, never expanded
+  bool duplicate = false;
+  bool lemma62_holds = true;
+  std::uint8_t jobs_performed = 0;  ///< at most max_jobs
+};
+
+state_facts facts_of(const sys_state& st, const model_config& cfg) {
+  return {quiescent(st, cfg), st.duplicate, lemma62_holds(st, cfg),
+          static_cast<std::uint8_t>(jobs_performed(st))};
+}
+
 /// Verdict and count contributions of a set of admissions. Every field is
 /// an order-blind sum, min, max or OR, so per-shard tallies apply to the
 /// result in any order.
@@ -282,13 +307,13 @@ struct tally {
   bool duplicate_found = false;
   bool lemma62_violated = false;
 
-  void add_state(const sys_state& st, bool terminal, const model_config& cfg) {
+  void add_state(const state_facts& f) {
     ++states;
-    if (st.duplicate) duplicate_found = true;
-    if (!lemma62_holds(st, cfg)) lemma62_violated = true;
-    if (terminal) {
+    if (f.duplicate) duplicate_found = true;
+    if (!f.lemma62_holds) lemma62_violated = true;
+    if (f.terminal) {
       ++quiescent_states;
-      const usize e = jobs_performed(st);
+      const usize e = f.jobs_performed;
       if (e < min_effectiveness) min_effectiveness = e;
       if (e > max_effectiveness) max_effectiveness = e;
     }
@@ -318,9 +343,8 @@ class shard_table {
 
   /// Admits one arrival in `layer`: dedup, AND-merge, verdicts for a new
   /// node. Writes the target node's key.
-  outcome admit(const fingerprint& fp, const sys_state& st, amask sleep,
-                std::uint32_t layer, const model_config& cfg,
-                std::uint32_t& key) {
+  outcome admit(const fingerprint& fp, const state_facts& facts, amask sleep,
+                std::uint32_t layer, std::uint32_t& key) {
     if ((usize{size_} + 1) * 4 > slots_.size() * 3) grow();
     std::uint32_t& local = find(fp);
     if (local == kEmpty) {
@@ -336,11 +360,10 @@ class shard_table {
       pg.fp[local & kPageMask] = fp;
       // Terminal states store an empty mask: nothing to expand, so no
       // later arrival can ever re-queue them.
-      const bool terminal = quiescent(st, cfg);
-      pg.sleep[local & kPageMask] = terminal ? amask{0} : sleep;
+      pg.sleep[local & kPageMask] = facts.terminal ? amask{0} : sleep;
       pg.queued_layer[local & kPageMask] = layer;
-      layer_tally.add_state(st, terminal, cfg);
-      return terminal ? outcome::created_leaf : outcome::created;
+      layer_tally.add_state(facts);
+      return facts.terminal ? outcome::created_leaf : outcome::created;
     }
     key = base_ | local;
     page& pg = page_of(local);
@@ -477,16 +500,21 @@ class frontier {
   usize size_ = 0;
 };
 
-/// One emitted edge: the successor state plus the sleep set it inherits,
-/// and — once its shard has merged it — the node it reached.
+/// One emitted edge: the successor's fingerprint and facts, the sleep set
+/// it inherits, and — once its shard has merged it — the node it reached.
+/// It holds no state: the layout rebuilds a queued successor from its
+/// parent, which is still in the layer.
 struct arrival {
   fingerprint fp;
-  sys_state st;
-  std::uint32_t from = 0;
+  std::uint32_t parent = 0;  ///< the parent's slot in the current layer
+  std::uint32_t from = 0;    ///< the parent's node key
   std::uint32_t target = 0;
+  amask act = 0;  ///< bit_of the action taken
   amask sleep = 0;
   outcome result = outcome::seen;
+  state_facts facts;
 };
+static_assert(sizeof(arrival) <= 48);
 
 /// Per-block expansion output. Global arrival order is (block, position).
 struct block_out {
@@ -509,7 +537,8 @@ struct block_out {
 /// Expands one state: choose the persistent set, drop sleeping actions,
 /// emit every explored edge with its successor's inherited sleep set
 /// ({b in sleep ∪ explored-earlier-siblings : independent(b, a)}).
-void expand(const work_item& item, const model_config& cfg, block_out& out) {
+void expand(const work_item& item, std::uint32_t slot, const model_config& cfg,
+            block_out& out) {
   action exp_set[2 * max_procs];
   bool singleton = false;
   const usize count = choose_expansion(item.st, cfg, exp_set, singleton);
@@ -541,26 +570,28 @@ void expand(const work_item& item, const model_config& cfg, block_out& out) {
         }
       }
     }
-    sys_state succ = a.is_crash ? crash(item.st, cfg, a.pid)
-                                : step(item.st, cfg, a.pid);
-    arrival arr;
+    const sys_state succ = successor(item.st, cfg, a);
+    arrival& arr = out.arrivals.emplace_back();
     arr.fp = fingerprint_of(succ, cfg);
-    arr.st = std::move(succ);
+    arr.parent = slot;
     arr.from = item.key;
+    arr.act = bit_of(a);
     arr.sleep = child_sleep;
-    out.arrivals.push_back(std::move(arr));
+    arr.facts = facts_of(succ, cfg);
     earlier = static_cast<amask>(earlier | bit_of(a));
   }
 }
 
-/// Expands one block of the layer and buckets its arrivals by shard.
-void expand_block(const work_item* first, const work_item* last,
+/// Expands layer slots [lo, hi) and buckets their arrivals by shard.
+void expand_block(const work_item* layer, usize lo, usize hi,
                   const model_config& cfg, block_out& out) {
   out.arrivals.clear();
   out.sleep_pruned = 0;
   out.singleton_states = 0;
   out.full_states = 0;
-  for (const work_item* it = first; it != last; ++it) expand(*it, cfg, out);
+  for (usize i = lo; i < hi; ++i) {
+    expand(layer[i], static_cast<std::uint32_t>(i), cfg, out);
+  }
 
   out.shard_begin.fill(0);
   for (const arrival& arr : out.arrivals) ++out.shard_begin[shard_of(arr.fp) + 1];
@@ -600,19 +631,26 @@ namespace detail {
 // Replaces the DFS on-stack test the layered frontier cannot perform
 // inline. Every stored edge is a real model transition, so a cycle here is
 // a cycle of the reduced (hence full) graph.
-cycle_search has_cycle(std::uint32_t nodes, const edge_blocks& blocks,
+cycle_search has_cycle(std::uint32_t nodes, edge_blocks&& blocks,
                        const std::vector<std::uint32_t>& roots) {
   cycle_search out;
   if (roots.empty()) return out;
+  // head[u] counts u's edges, then (prefix sums) marks the end of u's
+  // range. Placing the edges in reverse global order at --head[from]
+  // leaves head[u] at the range's start and each source's edges in
+  // arrival order, with no fill array; each block is released as soon as
+  // its edges are placed.
   std::vector<std::uint32_t> head(static_cast<usize>(nodes) + 1, 0);
   for (const auto& block : blocks) {
-    for (const auto& e : block) ++head[e.first + 1];
+    for (const auto& e : block) ++head[e.first];
   }
   for (usize i = 1; i <= nodes; ++i) head[i] += head[i - 1];
   std::vector<std::uint32_t> adj(head[nodes]);
-  std::vector<std::uint32_t> fill(head.begin(), head.end() - 1);
-  for (const auto& block : blocks) {
-    for (const auto& e : block) adj[fill[e.first]++] = e.second;
+  for (; !blocks.empty(); blocks.pop_back()) {
+    const auto& block = blocks.back();
+    for (auto e = block.rbegin(); e != block.rend(); ++e) {
+      adj[--head[e->first]] = e->second;
+    }
   }
 
   std::vector<std::uint8_t> color(nodes, 0);  // 0 white, 1 on path, 2 done
@@ -690,7 +728,7 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
     const fingerprint fp = fingerprint_of(root, cfg);
     shard_table& home = shards[shard_of(fp)];
     std::uint32_t key = 0;
-    if (queues(home.admit(fp, root, 0, 0, cfg, key))) {
+    if (queues(home.admit(fp, facts_of(root, cfg), 0, 0, key))) {
       layer.resize_for_overwrite(1);
       std::construct_at(layer.data(), work_item{root, key, 0});
     }
@@ -721,7 +759,7 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
     for_each_task(opt.pool, blocks, [&](usize b) {
       const usize lo = b * kBlock;
       const usize hi = lo + kBlock < layer.size() ? lo + kBlock : layer.size();
-      expand_block(layer.data() + lo, layer.data() + hi, cfg, outs[b]);
+      expand_block(layer.data(), lo, hi, cfg, outs[b]);
     });
 
     // 2. Merge every shard's arrivals in global (block, position) order.
@@ -738,8 +776,8 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
         for (std::uint32_t k = out.shard_begin[s]; k < out.shard_begin[s + 1];
              ++k) {
           arrival& arr = out.arrivals[out.order[k]];
-          arr.result = t.admit(arr.fp, arr.st, arr.sleep, layer_no, cfg,
-                               arr.target);
+          arr.result =
+              t.admit(arr.fp, arr.facts, arr.sleep, layer_no, arr.target);
           if (queues(arr.result)) ++queued;
         }
         out.queued[s] = queued;
@@ -766,7 +804,7 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
           if (arr.result == outcome::resumed) ++cut.resumed_states;
           if (arr.result == outcome::created ||
               arr.result == outcome::created_leaf) {
-            cut.add_state(arr.st, arr.result == outcome::created_leaf, cfg);
+            cut.add_state(arr.facts);
             if (cut.states == want) break;
           }
         }
@@ -777,7 +815,9 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
     for (const shard_table& t : shards) t.layer_tally.apply(result, stats);
 
     // 3. Lay out the next layer (queued nodes in global arrival order) and
-    // the edges, then fill both per block, collecting retreating edges.
+    // the edges, then fill both per block, collecting retreating edges. A
+    // queued node's state is rebuilt from its arrival's parent, with the
+    // same pure step the expansion took.
     usize queued_total = 0;
     usize edge_total = 0;
     for (usize b = 0; b < blocks; ++b) {
@@ -801,7 +841,9 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
         if (queues(arr.result)) {
           std::construct_at(
               next.data() + q++,
-              work_item{arr.st, arr.target,
+              work_item{successor(layer.data()[arr.parent].st, cfg,
+                                  action_of(arr.act)),
+                        arr.target,
                         shards[arr.target >> kLocalBits].sleep_of(arr.target)});
         }
         if (retreats(arr)) out.roots.push_back(arr.target);
@@ -847,7 +889,7 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
       }
       for (std::uint32_t& r : roots) r = dense(r);
       const detail::cycle_search found = detail::has_cycle(
-          static_cast<std::uint32_t>(node_count), edges, roots);
+          static_cast<std::uint32_t>(node_count), std::move(edges), roots);
       result.cycle_found = found.found;
       stats.cycle_reached = found.reached;
     }

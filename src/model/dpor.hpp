@@ -101,15 +101,17 @@ struct cycle_search {
 };
 
 /// Directed-cycle check over the edges of `blocks`, between dense ids below
-/// `nodes`: an iterative 3-colour DFS on a CSR adjacency, started only from
-/// `roots`. Colours are shared across roots, so the search is exact over
-/// the part of the graph the roots reach: it finds a cycle iff one passes
-/// through a node reachable from some root (the first such node coloured
-/// is an ancestor of every other node on its cycle, and the cycle's last
-/// edge leads back to it while it is still on the path). With every
+/// `nodes`: an iterative 3-colour DFS on a CSR adjacency (each node's edges
+/// in block order), started only from `roots`. The blocks are consumed:
+/// each is released as soon as its edges are in the CSR. Colours are shared
+/// across roots, so the search is exact over the part of the graph the
+/// roots reach: it finds a cycle iff one passes through a node reachable
+/// from some root (the first such node coloured is an ancestor of every
+/// other node on its cycle, and the cycle's last edge leads back to it
+/// while it is still on the path). With every
 /// retreating edge's target among the roots, that is iff the graph has a
 /// cycle. No roots: no cycle, and no CSR is built.
-cycle_search has_cycle(std::uint32_t nodes, const edge_blocks& blocks,
+cycle_search has_cycle(std::uint32_t nodes, edge_blocks&& blocks,
                        const std::vector<std::uint32_t>& roots);
 
 }  // namespace detail

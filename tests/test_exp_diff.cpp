@@ -107,8 +107,11 @@ TEST(Diff, FieldClassificationCoversTheSchemas) {
   EXPECT_EQ(exp::classify_field("effectiveness"), field_class::lower_worse);
   EXPECT_EQ(exp::classify_field("work"), field_class::higher_worse);
   EXPECT_EQ(exp::classify_field("do_actions"), field_class::higher_worse);
-  // BENCH_model's memory count gates like a state count.
+  // BENCH_model's memory counts gate like a state count: what the search
+  // stores, and the peak a serial check adds, per state.
   EXPECT_EQ(exp::classify_field("bytes_per_state"), field_class::higher_worse);
+  EXPECT_EQ(exp::classify_field("peak_bytes_per_state"),
+            field_class::higher_worse);
   EXPECT_EQ(exp::classify_field("crashes"), field_class::informational);
   // Replica layer: sample size is identity, unit position is merge's
   // concern, aggregate suffixes inherit the base metric's direction,

@@ -5,6 +5,7 @@
 // crash_budget = m-1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 
@@ -189,12 +190,29 @@ TEST(ExpReport, JsonStringEscapesControlCharacters) {
   EXPECT_EQ(W::str(std::string(1, '\x1f')), "\"\\u001f\"");
 }
 
-TEST(ExpReport, ReportFieldsOmitTimingOnRequest) {
-  const exp::run_report r = exp::run(small_kk("round_robin"));
-  const auto with = exp::report_fields(r, true);
-  const auto without = exp::report_fields(r, false);
-  EXPECT_EQ(with.size(), without.size() + 1);
-  EXPECT_EQ(with.back().first, "wall_seconds");
+TEST(ExpReport, UnitRowsOmitTimingOnRequest) {
+  const std::vector<exp::run_report> reports{exp::run(small_kk("round_robin"))};
+  const std::vector<exp::unit_ref> units{{0, 0, 0, 1}};
+  const auto keys_of = [&](bool include_timing) {
+    std::vector<std::string> keys;
+    EXPECT_TRUE(exp::unit_record_rows(
+        reports, units, 1, 1, 0,
+        [&keys](const exp::record_table& group) {
+          EXPECT_EQ(group.rows.size(), 1u);
+          EXPECT_EQ(group.rows.front().size(), group.keys.size());
+          keys = group.keys;
+          return true;
+        },
+        include_timing));
+    return keys;
+  };
+  std::vector<std::string> with = keys_of(true);
+  const std::vector<std::string> without = keys_of(false);
+  // include_timing=false drops exactly wall_seconds, and nothing else.
+  const auto wall = std::find(with.begin(), with.end(), "wall_seconds");
+  ASSERT_NE(wall, with.end());
+  with.erase(wall);
+  EXPECT_EQ(with, without);
 }
 
 // --- scenario registry ---

@@ -232,6 +232,109 @@ TEST(PorDeterminism, BitIdenticalAtAnyPoolSize) {
   }
 }
 
+TEST(PorGolden, CountsAndStatsArePinned) {
+  // Every explore_result and por_stats field of three complete searches,
+  // pinned: a change to what the search keeps per edge or how the cycle
+  // check builds its adjacency must not move a single count, serially or
+  // on a pool. Only the livelock finds a cycle, and only there does
+  // cycle_reached depend on the order the DFS takes each node's edges.
+  struct golden {
+    const char* label;
+    model::model_config cfg;
+    explore_result r;
+    por_stats s;
+  };
+  golden paper{"paper_rank n5m3b3f2",
+               make_cfg(5, 3, 3, 2, selection_rule::paper_rank, kk_mode::plain),
+               {},
+               {}};
+  paper.r.states = 614'727;
+  paper.r.transitions = 623'451;
+  paper.r.quiescent_states = 53'473;
+  paper.r.min_effectiveness = 1;
+  paper.r.max_effectiveness = 5;
+  paper.s.singleton_states = 394'635;
+  paper.s.full_states = 166'627;
+  paper.s.sleep_pruned = 291'139;
+  paper.s.resumed_states = 8;
+  paper.s.peak_frontier = 23'582;
+  paper.s.layers = 74;
+  paper.s.cycle_roots = 195;
+  paper.s.cycle_reached = 42'984;
+  paper.s.stored_bytes = 22'296'552;
+  golden ends{"two_ends n4m3b2f1",
+              make_cfg(4, 3, 2, 1, selection_rule::two_ends, kk_mode::plain),
+              {},
+              {}};
+  ends.r.states = 369'703;
+  ends.r.transitions = 376'573;
+  ends.r.quiescent_states = 18'145;
+  ends.r.min_effectiveness = 1;
+  ends.r.max_effectiveness = 4;
+  ends.s.singleton_states = 250'783;
+  ends.s.full_states = 100'833;
+  ends.s.sleep_pruned = 168'856;
+  ends.s.resumed_states = 58;
+  ends.s.peak_frontier = 16'981;
+  ends.s.layers = 72;
+  ends.s.cycle_roots = 99;
+  ends.s.cycle_reached = 18'866;
+  ends.s.stored_bytes = 13'014'864;
+  golden livelock{
+      "two_ends n2m3b1f0",
+      make_cfg(2, 3, 1, 0, selection_rule::two_ends, kk_mode::plain),
+      {},
+      {}};
+  livelock.r.cycle_found = true;
+  livelock.r.states = 60'185;
+  livelock.r.transitions = 65'087;
+  livelock.r.quiescent_states = 683;
+  livelock.r.min_effectiveness = 0;
+  livelock.r.max_effectiveness = 2;
+  livelock.s.singleton_states = 41'019;
+  livelock.s.full_states = 19'342;
+  livelock.s.sleep_pruned = 28'575;
+  livelock.s.resumed_states = 859;
+  livelock.s.peak_frontier = 1'818;
+  livelock.s.layers = 115;
+  livelock.s.cycle_roots = 1'497;
+  livelock.s.cycle_reached = 17'213;
+  livelock.s.stored_bytes = 2'403'352;
+
+  svc::worker_pool pool(3);
+  for (const golden& g : {paper, ends, livelock}) {
+    for (svc::worker_pool* on : {static_cast<svc::worker_pool*>(nullptr),
+                                 &pool}) {
+      SCOPED_TRACE(std::string(g.label) +
+                   (on == nullptr ? " serial" : " pool 3"));
+      por_options opt;
+      opt.cfg = g.cfg;
+      opt.pool = on;
+      por_stats s;
+      const explore_result r = explore_por(opt, s);
+      EXPECT_TRUE(r.complete);
+      EXPECT_FALSE(r.duplicate_found);
+      EXPECT_EQ(r.cycle_found, g.r.cycle_found);
+      EXPECT_FALSE(r.lemma62_violated);
+      EXPECT_EQ(r.states, g.r.states);
+      EXPECT_EQ(r.transitions, g.r.transitions);
+      EXPECT_EQ(r.quiescent_states, g.r.quiescent_states);
+      EXPECT_EQ(r.min_effectiveness, g.r.min_effectiveness);
+      EXPECT_EQ(r.max_effectiveness, g.r.max_effectiveness);
+      EXPECT_EQ(r.max_depth, g.s.layers);
+      EXPECT_EQ(s.singleton_states, g.s.singleton_states);
+      EXPECT_EQ(s.full_states, g.s.full_states);
+      EXPECT_EQ(s.sleep_pruned, g.s.sleep_pruned);
+      EXPECT_EQ(s.resumed_states, g.s.resumed_states);
+      EXPECT_EQ(s.peak_frontier, g.s.peak_frontier);
+      EXPECT_EQ(s.layers, g.s.layers);
+      EXPECT_EQ(s.cycle_roots, g.s.cycle_roots);
+      EXPECT_EQ(s.cycle_reached, g.s.cycle_reached);
+      EXPECT_EQ(s.stored_bytes, g.s.stored_bytes);
+    }
+  }
+}
+
 TEST(PorMemory, StoredBytesPerStateAtTheWorkloadInstance) {
   // The e2e check_por instance. The visited table stores each node's
   // 16-byte fingerprint, sleep set and queue stamp once, behind a 4-byte
@@ -289,11 +392,11 @@ model::detail::cycle_search rooted_check(
   for (const auto& [from, to] : edges) {
     if (model::detail::retreating(born[from], born[to])) roots.push_back(to);
   }
-  // Two blocks, split mid-list: the check reads every block.
+  // Two blocks, split mid-list: the check reads (and releases) every block.
   const auto mid = edges.begin() + static_cast<std::ptrdiff_t>(edges.size() / 2);
+  model::detail::edge_blocks blocks{{edges.begin(), mid}, {mid, edges.end()}};
   return model::detail::has_cycle(static_cast<std::uint32_t>(born.size()),
-                                  {{edges.begin(), mid}, {mid, edges.end()}},
-                                  roots);
+                                  std::move(blocks), roots);
 }
 
 TEST(PorCycleCheck, RootedAtRetreatingEdges) {
@@ -322,6 +425,27 @@ TEST(PorCycleCheck, RootedAtRetreatingEdges) {
       rooted_check({0, 1, 1, 2}, {{0, 1}, {0, 2}, {2, 3}, {1, 3}});
   EXPECT_FALSE(tree.found);
   EXPECT_EQ(tree.reached, 0u);
+}
+
+TEST(PorCycleCheck, SuccessorsAreVisitedInArrivalOrder) {
+  // Root r = 0 has edges r->x (x = 1 starts the chain 1, 3, 4, 5, 6) and
+  // r->y (y = 2), with y->r closing a cycle. In arrival order the DFS walks
+  // the whole chain before it takes r->y: r, the 5 chain nodes and y are
+  // coloured. A check that reversed r's successors would find the cycle
+  // after colouring r and y only.
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> edges{
+      {0, 1}, {0, 2}, {1, 3}, {3, 4}, {4, 5}, {5, 6}, {2, 0}};
+  const model::detail::cycle_search order =
+      rooted_check({0, 1, 1, 2, 3, 4, 5}, edges);
+  EXPECT_TRUE(order.found);
+  EXPECT_EQ(order.reached, 7u);
+  // The same graph with r's edges in different blocks: the order holds
+  // across blocks too.
+  const model::detail::cycle_search split = rooted_check(
+      {0, 1, 1, 2, 3, 4, 5},
+      {{0, 1}, {1, 3}, {3, 4}, {0, 2}, {4, 5}, {5, 6}, {2, 0}});
+  EXPECT_TRUE(split.found);
+  EXPECT_EQ(split.reached, 7u);
 }
 
 TEST(PorSentinel, CappedRunReportsZeroMinEffectiveness) {

@@ -6,8 +6,9 @@
 // the same knobs.
 //
 // Every record follows the unified flat schema (see docs/json_schema.md):
-// exp::report_fields prefixed, for run/sweep output, with the global grid
-// position {"cell", "cells_total"}.
+// the run-report fields of exp::unit_record_rows / exp::cell_record_rows
+// prefixed, for run/sweep output, with the global grid position
+// {"cell", "cells_total"}.
 //
 // Exit status:
 //   run/sweep   0 = every cell safe (and --check held); 1 = violation
