@@ -27,9 +27,11 @@
 //                            8,192 units, n=64, m=4), stage by stage on
 //                            real reports: report -> .amoc (each child's
 //                            render_output), the parent's streaming
-//                            validation of the bytes (verify_shard_bytes)
-//                            and the merge_stream fold over byte sources
-//                            plus the merged file's encode, fastest of 5;
+//                            validation of the bytes (verify_shard_bytes,
+//                            keeping each image's block index) and the
+//                            merge_stream fold over byte sources read in
+//                            place through those indexes, plus the merged
+//                            file's encode, fastest of 5;
 //                            the merged bytes must equal the unsharded
 //                            job's .amoc output.
 //   records/parent_memory    the dispatcher's parent memory: svc::dispatch
@@ -381,8 +383,9 @@ struct shard_path_stats {
 
 /// Times the record layer of a dispatch, stage by stage, on the shards'
 /// real reports (simulated once): each child's render_output(colfmt); the
-/// parent's verify_shard_bytes per shard; the merge_stream fold over byte
-/// sources and the merged file's colfmt_encode. Each stage's time is the
+/// parent's verify_shard_bytes per shard, keeping its block index; the
+/// merge_stream fold over byte sources read through those indexes, as the
+/// dispatcher's merge reads them, and the merged file's colfmt_encode. Each stage's time is the
 /// fastest of `reps` runs. The merged bytes must equal the unsharded
 /// job's own .amoc output.
 shard_path_stats run_shard_path(usize reps) {
@@ -417,9 +420,11 @@ shard_path_stats run_shard_path(usize reps) {
       render += clock.seconds();
     }
     double verify = 0.0;
+    std::vector<exp::colfmt_blocks> blocks(kShardPathShards);
     for (usize i = 0; i < kShardPathShards && st.ok; ++i) {
       stopwatch clock;
-      st.ok = exp::verify_shard_bytes(files[i], {i, kShardPathShards}, error);
+      st.ok = exp::verify_shard_bytes(files[i], {i, kShardPathShards}, error,
+                                      nullptr, &blocks[i]);
       verify += clock.seconds();
     }
     if (!st.ok) break;
@@ -427,8 +432,8 @@ shard_path_stats run_shard_path(usize reps) {
     for (const std::string& f : files) st.amoc_bytes += f.size();
     stopwatch clock;
     std::vector<std::unique_ptr<exp::record_source>> sources;
-    for (const std::string& f : files) {
-      sources.push_back(exp::make_bytes_source(f, "shard"));
+    for (usize i = 0; i < kShardPathShards; ++i) {
+      sources.push_back(exp::make_bytes_source(files[i], "shard", &blocks[i]));
     }
     const exp::merge_result merged = exp::merge_stream(std::move(sources));
     std::string bytes;

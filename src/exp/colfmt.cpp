@@ -59,22 +59,24 @@ void patch_u64(std::string& bytes, usize at, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) bytes[at + static_cast<usize>(i)] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
-std::uint16_t get_u16(const char* p) {
-  return static_cast<std::uint16_t>(static_cast<unsigned char>(p[0]) |
-                                    (static_cast<unsigned char>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
+/// Reads the little-endian unsigned integer at `p`: one load on a
+/// little-endian host.
+template <class T>
+T get_le(const char* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (usize i = sizeof v; i-- > 0;) {
+      v = static_cast<T>((v << 8) | static_cast<unsigned char>(p[i]));
+    }
+  }
   return v;
 }
 
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
+std::uint16_t get_u16(const char* p) { return get_le<std::uint16_t>(p); }
+std::uint32_t get_u32(const char* p) { return get_le<std::uint32_t>(p); }
+std::uint64_t get_u64(const char* p) { return get_le<std::uint64_t>(p); }
 
 double get_f64(const char* p) { return std::bit_cast<double>(get_u64(p)); }
 
@@ -115,10 +117,6 @@ struct cursor {
 };
 
 // --- value access ---------------------------------------------------------
-
-/// The one way the encoder reads a value, whether the rows are records or
-/// typed rows.
-using cell_at = colfmt_encoder::cell_at;
 
 /// The first column named `key`, or columns.size() (record::find's rule).
 usize column_of(const std::vector<std::string>& columns, const char* key) {
@@ -445,116 +443,13 @@ record_field& reset_field(record_field& f, const std::string& key,
   return f;
 }
 
-/// Decodes one chunk slice (magic..checksum, checksum already verified by
-/// the caller) into `out`, replacing its records in place.
-bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
-                         const std::vector<std::string>& columns,
-                         std::vector<record>& out, std::string& error) {
-  using K = record_field::kind;
-  using E = value_encoding;
-  cursor cur{chunk, kChunkFixed, base, {}};
-  const std::uint32_t rows = get_u32(chunk.data() + 16);
-
-  out.resize(rows);
-  for (record& rec : out) rec.fields.resize(columns.size());
-
-  for (usize c = 0; c < columns.size() && !cur.failed(); ++c) {
-    if (!cur.need(1, "a column block tag")) break;
-    const std::uint8_t tag = static_cast<std::uint8_t>(*cur.take(1));
-    switch (tag) {
-      case kTagU64: {
-        if (!cur.need(16 + usize{rows} * 8, "a u64 column block")) break;
-        cur.skip(16);  // min/max: advisory statistics, not re-validated
-        for (usize r = 0; r < rows; ++r) {
-          const std::uint64_t v = get_u64(cur.take(8));
-          record_field& f =
-              reset_field(out[r].fields[c], columns[c], K::number, E::u64);
-          f.number = static_cast<double>(v);  // correctly rounded, as parsing
-          // Past 2^53 the double is not the value: keep its exact digits.
-          if (v >= std::uint64_t{1} << 53) json_writer::append_num(f.raw, v);
-        }
-        break;
-      }
-      case kTagF64: {
-        if (!cur.need(16 + usize{rows} * 8, "an f64 column block")) break;
-        cur.skip(16);
-        for (usize r = 0; r < rows; ++r) {
-          const double v = get_f64(cur.take(8));
-          record_field& f =
-              reset_field(out[r].fields[c], columns[c], K::number, E::f64);
-          f.number = v;
-        }
-        break;
-      }
-      case kTagStr:
-      case kTagVerbatim: {
-        for (usize r = 0; r < rows && !cur.failed(); ++r) {
-          if (!cur.need(4, "a string length")) break;
-          const std::uint32_t len = get_u32(cur.take(4));
-          if (!cur.need(len, "string bytes")) break;
-          const std::string_view s(cur.take(len), len);
-          if (tag == kTagStr) {
-            record_field& f =
-                reset_field(out[r].fields[c], columns[c], K::string, E::str);
-            f.text.assign(s);
-          } else {
-            record_field& f = reset_field(out[r].fields[c], columns[c],
-                                          K::null, E::unknown);
-            std::string perr;
-            if (!parse_value_token(s, f, perr)) {
-              cur.fail("verbatim token in column '" + columns[c] +
-                       "' does not parse: " + perr);
-              break;
-            }
-          }
-        }
-        break;
-      }
-      case kTagBool: {
-        const usize bytes = (usize{rows} + 7) / 8;
-        if (!cur.need(bytes, "a bool column bitmap")) break;
-        const char* bits = cur.take(bytes);
-        for (usize r = 0; r < rows; ++r) {
-          record_field& f = reset_field(out[r].fields[c], columns[c],
-                                        K::boolean, E::boolean);
-          f.truth = (static_cast<unsigned char>(bits[r / 8]) >> (r % 8)) & 1;
-        }
-        break;
-      }
-      case kTagNull:
-        for (usize r = 0; r < rows; ++r) {
-          reset_field(out[r].fields[c], columns[c], K::null, E::null);
-        }
-        break;
-      default:
-        cur.fail("unknown column encoding tag " + std::to_string(tag) +
-                 " in column '" + columns[c] + "'");
-        break;
-    }
-  }
-  if (!cur.failed() && cur.pos != chunk.size() - 8) {
-    cur.fail("chunk declares " + std::to_string(chunk.size()) +
-             " bytes but its column blocks end at offset " +
-             std::to_string(base + cur.pos));
-  }
-  if (cur.failed()) {
-    error = cur.error;
-    out.clear();
-    return false;
-  }
-  return true;
-}
-
 /// Post-decode consistency: the header's record-derived fields must match
-/// what the first record says (all zero when the file holds none).
-bool check_header_meta(const colfmt_header& h, const record* first,
+/// what the first record says (`first`, row 0; all zero when the file
+/// holds none and `first` is empty).
+bool check_header_meta(const colfmt_header& h, const cell_at& first,
                        std::string& error) {
   colfmt_header from_records;
-  if (first != nullptr) {
-    header_meta_from(h.columns,
-                     [&](usize, usize c) { return view_of(first->fields[c]); },
-                     from_records);
-  }
+  if (first) header_meta_from(h.columns, first, from_records);
   if (h.grid_fp != from_records.grid_fp ||
       h.cells_total != from_records.cells_total ||
       h.units_total != from_records.units_total ||
@@ -708,6 +603,57 @@ bool write_records_file_as(const char* path,
   return write_file_atomic(path, content, error);
 }
 
+// --- block index ----------------------------------------------------------
+
+value_view colfmt_blocks::value(const char* bytes, const chunk& c, usize row,
+                                usize col) const {
+  using K = json::kind;
+  using E = value_encoding;
+  const block& b = blocks_[c.first + col];
+  const char* p = bytes + b.at;
+  value_view v;
+  switch (b.tag) {
+    case kTagU64:
+      v.enc = E::u64;
+      v.type = K::number;
+      v.u = get_u64(p + 8 * row);
+      v.number = static_cast<double>(v.u);  // correctly rounded, as parsing
+      break;
+    case kTagF64:
+      v.enc = E::f64;
+      v.type = K::number;
+      v.number = get_f64(p + 8 * row);
+      break;
+    case kTagStr:
+      if (b.width != kVaries) {
+        p += row * (4 + usize{b.width});
+      } else {
+        for (usize r = 0; r < row; ++r) p += 4 + get_u32(p);
+      }
+      v.enc = E::str;
+      v.type = K::string;
+      v.text = std::string_view(p + 4, get_u32(p));
+      break;
+    case kTagBool:
+      v.enc = E::boolean;
+      v.type = K::boolean;
+      v.truth = (static_cast<unsigned char>(p[row / 8]) >> (row % 8)) & 1;
+      break;
+    case kTagNull:
+      v.enc = E::null;
+      v.type = K::null;
+      break;
+    default: return view_of(verbatim_[b.at + row]);
+  }
+  return v;
+}
+
+value_view colfmt_blocks::at(std::string_view image, usize chunk, usize row,
+                             usize col) const {
+  const struct chunk& c = chunks_[chunk];
+  return value(image.data() + c.offset, c, row, col);
+}
+
 // --- streaming reader -----------------------------------------------------
 
 colfmt_reader::~colfmt_reader() {
@@ -723,15 +669,125 @@ bool fail(std::string why, std::string& error) {
 
 }  // namespace
 
+bool colfmt_reader::decode_chunk(std::string_view chunk, std::uint64_t base,
+                                 const std::vector<std::string>& columns,
+                                 std::vector<record>* out,
+                                 colfmt_blocks* index, std::string& error) {
+  using K = record_field::kind;
+  using E = value_encoding;
+  cursor cur{chunk, kChunkFixed, base, {}};
+  const std::uint32_t rows = get_u32(chunk.data() + 16);
+  if (out != nullptr) {
+    out->resize(rows);
+    for (record& rec : *out) rec.fields.resize(columns.size());
+  }
+  const usize first = index != nullptr ? index->blocks_.size() : 0;
+  const auto field = [&](usize r, usize c, K type, E enc) -> record_field& {
+    return reset_field((*out)[r].fields[c], columns[c], type, enc);
+  };
+
+  for (usize c = 0; c < columns.size() && !cur.failed(); ++c) {
+    if (!cur.need(1, "a column block tag")) break;
+    const std::uint8_t tag = static_cast<std::uint8_t>(*cur.take(1));
+    colfmt_blocks::block blk{static_cast<std::uint32_t>(cur.pos), tag};
+    switch (tag) {
+      case kTagU64:
+      case kTagF64: {
+        if (!cur.need(16 + usize{rows} * 8, tag == kTagU64
+                                                 ? "a u64 column block"
+                                                 : "an f64 column block")) {
+          break;
+        }
+        cur.skip(16);  // min/max: advisory statistics, not re-validated
+        blk.at = static_cast<std::uint32_t>(cur.pos);
+        const char* p = cur.take(usize{rows} * 8);
+        for (usize r = 0; out != nullptr && r < rows; ++r, p += 8) {
+          if (tag == kTagF64) {
+            field(r, c, K::number, E::f64).number = get_f64(p);
+            continue;
+          }
+          const std::uint64_t v = get_u64(p);
+          record_field& f = field(r, c, K::number, E::u64);
+          f.number = static_cast<double>(v);  // correctly rounded, as parsing
+          // Past 2^53 the double is not the value: keep its exact digits.
+          if (v >= std::uint64_t{1} << 53) json_writer::append_num(f.raw, v);
+        }
+        break;
+      }
+      case kTagStr:
+      case kTagVerbatim: {
+        if (tag == kTagVerbatim && index != nullptr) {
+          blk.at = static_cast<std::uint32_t>(index->verbatim_.size());
+        }
+        for (usize r = 0; r < rows && !cur.failed(); ++r) {
+          if (!cur.need(4, "a string length")) break;
+          const std::uint32_t len = get_u32(cur.take(4));
+          if (!cur.need(len, "string bytes")) break;
+          const std::string_view s(cur.take(len), len);
+          if (r == 0 && len < colfmt_blocks::kVaries) {
+            blk.width = static_cast<std::uint16_t>(len);
+          } else if (len != blk.width) {
+            blk.width = colfmt_blocks::kVaries;
+          }
+          if (tag == kTagStr) {
+            if (out != nullptr) field(r, c, K::string, E::str).text.assign(s);
+            continue;
+          }
+          record_field& f = out != nullptr
+                                ? field(r, c, K::null, E::unknown)
+                                : index->verbatim_.emplace_back();
+          std::string perr;
+          if (!parse_value_token(s, f, perr)) {
+            cur.fail("verbatim token in column '" + columns[c] +
+                     "' does not parse: " + perr);
+          }
+        }
+        break;
+      }
+      case kTagBool: {
+        const usize bytes = (usize{rows} + 7) / 8;
+        if (!cur.need(bytes, "a bool column bitmap")) break;
+        const char* bits = cur.take(bytes);
+        for (usize r = 0; out != nullptr && r < rows; ++r) {
+          field(r, c, K::boolean, E::boolean).truth =
+              (static_cast<unsigned char>(bits[r / 8]) >> (r % 8)) & 1;
+        }
+        break;
+      }
+      case kTagNull:
+        for (usize r = 0; out != nullptr && r < rows; ++r) {
+          field(r, c, K::null, E::null);
+        }
+        break;
+      default:
+        cur.fail("unknown column encoding tag " + std::to_string(tag) +
+                 " in column '" + columns[c] + "'");
+        break;
+    }
+    if (index != nullptr) index->blocks_.push_back(blk);
+  }
+  if (!cur.failed() && cur.pos != chunk.size() - 8) {
+    cur.fail("chunk declares " + std::to_string(chunk.size()) +
+             " bytes but its column blocks end at offset " +
+             std::to_string(base + cur.pos));
+  }
+  if (cur.failed()) {
+    error = cur.error;
+    if (out != nullptr) out->clear();
+    return false;
+  }
+  if (index != nullptr) index->chunks_.push_back({base, rows, first});
+  return true;
+}
+
 /// A short read reports the absolute offset, the errno text for hard
-/// errors, and the truncation hint for a clean early EOF. Its bytes are
-/// hashed too, so hash_rest() completes a truncated input's hash.
+/// errors, and the truncation hint for a clean early EOF. Nothing is
+/// hashed here: the frame's bytes are, once, by read_chunk or hash_frame.
 bool colfmt_reader::extend(usize n, const char* what, std::string& error) {
   const usize start = frame_.size();
   frame_.resize(start + n);
   const usize got = std::fread(frame_.data() + start, 1, n, file_);
   frame_.resize(start + got);
-  if (hash_) fnv_ = fnv1a64_append(fnv_, frame().substr(start));
   if (got == n) return true;
   const std::string at = "offset " + std::to_string(offset_ + start + got);
   return fail(std::ferror(file_) != 0
@@ -742,7 +798,15 @@ bool colfmt_reader::extend(usize n, const char* what, std::string& error) {
               error);
 }
 
+void colfmt_reader::hash_frame() {
+  if (hash_ && hashed_ < frame_.size()) {
+    fnv_ = fnv1a64_append(fnv_, frame().substr(hashed_));
+  }
+  hashed_ = frame_.size();
+}
+
 bool colfmt_reader::hash_rest() {
+  hash_frame();
   char buf[1 << 14];
   usize got = 0;
   while ((got = std::fread(buf, 1, sizeof buf, file_)) > 0) {
@@ -759,9 +823,11 @@ bool colfmt_reader::open(std::FILE* f, std::string_view head, bool hash,
   }
   file_ = f;
   frame_ = head;
+  hashed_ = 0;
   hash_ = hash;
-  if (hash_) fnv_ = fnv1a64_append(fnv_, head);
-  return read_header(error);
+  const bool ok = read_header(error);
+  hash_frame();
+  return ok;
 }
 
 bool colfmt_reader::read_header(std::string& error) {
@@ -832,19 +898,47 @@ bool colfmt_reader::read_header(std::string& error) {
 bool colfmt_reader::next_chunk(std::vector<record>& out, bool& end,
                                std::string& error) {
   end = false;
-  if (read_chunk(out, end, error)) return true;
+  if (read_chunk(&out, nullptr, end, error)) return true;
+  hash_frame();
   out.clear();
   return false;
 }
 
-bool colfmt_reader::read_chunk(std::vector<record>& out, bool& end,
-                               std::string& error) {
+bool colfmt_reader::next_chunk(colfmt_blocks& index, bool& end,
+                               std::string& error, std::string* frame) {
+  end = false;
+  if (frame != nullptr) {  // this chunk alone, at offset 0 of its frame
+    index.chunks_.clear();
+    index.blocks_.clear();
+    index.verbatim_.clear();
+  }
+  if (index.columns_.empty()) index.columns_ = header_.columns;
+  if (!read_chunk(nullptr, &index, end, error)) {
+    hash_frame();
+    return false;
+  }
+  if (end && frame == nullptr) {  // the index is complete: no growth slack
+    index.chunks_.shrink_to_fit();
+    index.blocks_.shrink_to_fit();
+  } else if (!end && frame != nullptr) {
+    index.chunks_.back().offset = 0;
+    frame->swap(frame_);
+    frame_.clear();
+    hashed_ = 0;
+  }
+  return true;
+}
+
+bool colfmt_reader::read_chunk(std::vector<record>* out, colfmt_blocks* index,
+                               bool& end, std::string& error) {
   if (!open_) return fail("reader is not open", error);
   frame_.clear();
+  hashed_ = 0;
   std::string why;
   if (!extend(sizeof kEndMarker, "a chunk frame", error)) return false;
   if (std::memcmp(frame().data(), kEndMarker, sizeof kEndMarker) == 0) {
-    out.clear();
+    if (out != nullptr) out->clear();
+    hash_frame();
     char extra = 0;
     if (std::fread(&extra, 1, 1, file_) != 0) {
       if (hash_) fnv_ = fnv1a64_append(fnv_, std::string_view(&extra, 1));
@@ -861,7 +955,7 @@ bool colfmt_reader::read_chunk(std::vector<record>& out, bool& end,
                       std::to_string(records_seen_),
                   error);
     }
-    if (records_seen_ == 0 && !check_header_meta(header_, nullptr, why)) {
+    if (records_seen_ == 0 && !check_header_meta(header_, {}, why)) {
       return fail(std::move(why), error);
     }
     end = true;
@@ -880,8 +974,18 @@ bool colfmt_reader::read_chunk(std::vector<record>& out, bool& end,
                 error);
   }
   if (!extend(chunk_bytes - sizeof kEndMarker, "a chunk", error)) return false;
+  // One pass over the checksummed bytes feeds both chains: the chunk's
+  // checksum and, when hashing, the content hash.
+  const std::string_view body = frame().substr(0, chunk_bytes - 8);
+  std::uint64_t computed = fnv1a64_offset;
+  if (hash_) {
+    fnv1a64_append2(fnv_, computed, body);
+    hashed_ = body.size();
+  } else {
+    computed = fnv1a64(body);
+  }
+  hash_frame();  // the stored checksum
   const std::uint64_t stored = get_u64(frame().data() + chunk_bytes - 8);
-  const std::uint64_t computed = fnv1a64(frame().substr(0, chunk_bytes - 8));
   if (stored != computed) {
     return fail("offset " + std::to_string(offset_ + chunk_bytes - 8) +
                     ": chunk checksum mismatch (stored " + fnv_hex64(stored) +
@@ -889,15 +993,25 @@ bool colfmt_reader::read_chunk(std::vector<record>& out, bool& end,
                     ") (corrupted .amoc file?)",
                 error);
   }
-  if (!decode_chunk_blocks(frame(), offset_, header_.columns, out, why) ||
-      (records_seen_ == 0 && !out.empty() &&
-       !check_header_meta(header_, &out.front(), why))) {
+  if (!decode_chunk(frame(), offset_, header_.columns, out, index, why)) {
     return fail(std::move(why), error);
   }
+  // The header's record-derived fields, against the first record.
+  const usize rows = out != nullptr ? out->size() : index->chunks_.back().rows;
+  if (records_seen_ == 0 && rows != 0) {
+    const cell_at first = [&](usize, usize c) {
+      return out != nullptr
+                 ? view_of(out->front().fields[c])
+                 : index->value(frame_.data(), index->chunks_.back(), 0, c);
+    };
+    if (!check_header_meta(header_, first, why)) {
+      return fail(std::move(why), error);
+    }
+  }
+  obs::counter("merge", "chunks_read", static_cast<double>(chunks_seen_ + 1));
   offset_ += chunk_bytes;
   ++chunks_seen_;
-  records_seen_ += out.size();
-  obs::counter("merge", "chunks_read", static_cast<double>(chunks_seen_));
+  records_seen_ += rows;
   if (chunks_seen_ > header_.chunk_count ||
       records_seen_ > header_.record_count) {
     return fail("offset " + std::to_string(offset_) +

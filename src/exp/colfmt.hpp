@@ -33,6 +33,10 @@
 // with the byte offset ("offset 72: ..."), plus the errno text on I/O
 // errors, so a truncated or bit-flipped artifact is a precise diagnostic,
 // never garbage records (fuzzed per byte in tests/test_exp_colfmt.cpp).
+// Each byte is checked once: one pass computes a chunk's checksum and
+// the input's content hash together, and checking an image in memory
+// keeps its block index (colfmt_blocks), through which a merge reads the
+// verified values in place instead of decoding them again.
 #pragma once
 
 #include <cstdio>
@@ -89,14 +93,12 @@ struct colfmt_header {
 /// rendering of the same rows, and no token is formatted or parsed.
 class colfmt_encoder {
  public:
-  /// Row `row`, column `col` of the rows being added.
-  using cell_at = std::function<value_view(usize row, usize col)>;
-
   /// Encodes into `out`, replacing it. `rows_hint`, the rows expected in
   /// all, sizes `out` once from the first chunk.
   explicit colfmt_encoder(std::string& out, usize rows_hint = 0);
 
-  /// Appends `count` rows of schema `columns`, one chunk per maximal run
+  /// Appends `count` rows of schema `columns` (read through `at`, row
+  /// numbers counting from 0 in each call), one chunk per maximal run
   /// of consecutive rows sharing one integral "cell" value (rows without
   /// one stand alone; a run ends with the call). The first rows fix the
   /// schema. False with `error` (and `out` cleared) when a verbatim token
@@ -141,12 +143,59 @@ class colfmt_encoder {
                                          record_format format,
                                          std::string& error);
 
+/// What checking a .amoc input learns of its chunks: each chunk's place
+/// and row count and, per column, the block's encoding tag and where its
+/// values start. A checked image is then read value by value through it
+/// (at), with no second checksum pass and no decode into records. It
+/// holds a few bytes per column block, not the values (a verbatim
+/// block's tokens, parsed once when checked, excepted).
+class colfmt_blocks {
+ public:
+  [[nodiscard]] const std::vector<std::string>& columns() const {
+    return columns_;
+  }
+  [[nodiscard]] usize chunks() const { return chunks_.size(); }
+  [[nodiscard]] usize rows(usize chunk) const { return chunks_[chunk].rows; }
+
+  /// Row `row`, column `col` of chunk `chunk`, viewed in `image` — the
+  /// bytes the index was made from, which the view points into.
+  [[nodiscard]] value_view at(std::string_view image, usize chunk, usize row,
+                              usize col) const;
+
+ private:
+  friend class colfmt_reader;
+  struct block {
+    std::uint32_t at = 0;  ///< the values' offset in the chunk; verbatim:
+                           ///< the block's first token in verbatim_
+    std::uint8_t tag = 0;
+    /// A string block whose strings all have this length is read at a
+    /// stride; kVaries walks its length prefixes.
+    std::uint16_t width = 0;
+  };
+  static constexpr std::uint16_t kVaries = 0xFFFF;
+  struct chunk {
+    std::uint64_t offset = 0;  ///< where the chunk starts in the input
+    std::uint32_t rows = 0;
+    usize first = 0;  ///< its first block in blocks_
+  };
+
+  /// at() over chunk `c`'s bytes, starting at `bytes`.
+  [[nodiscard]] value_view value(const char* bytes, const chunk& c, usize row,
+                                 usize col) const;
+
+  std::vector<std::string> columns_;
+  std::vector<chunk> chunks_;
+  std::vector<block> blocks_;
+  std::vector<record_field> verbatim_;  ///< verbatim blocks' parsed tokens
+};
+
 /// Streaming .amoc reader over a stdio stream — a file or an in-memory
 /// image: the header is read and validated at open(); next_chunk() then
-/// decodes one cell's records at a time, so a merge holds one chunk per
-/// shard, never a whole file. Every rule of docs/record_format.md is
-/// checked here, once. The input is read once, front to back, so the
-/// reader can also hash the very frames it decodes.
+/// checks one chunk at a time, so a merge holds one chunk per shard,
+/// never a whole file. Every rule of docs/record_format.md is checked
+/// here, once. The input is read once, front to back; a chunk's checksum
+/// and, when hashing, the content hash are two FNV-1a chains of one pass
+/// over its bytes (fnv1a64_append2).
 class colfmt_reader {
  public:
   colfmt_reader() = default;
@@ -170,10 +219,22 @@ class colfmt_reader {
   [[nodiscard]] bool next_chunk(std::vector<record>& out, bool& end,
                                 std::string& error);
 
+  /// Checks the next chunk as the other next_chunk does, but records
+  /// what it learned in `index` instead of decoding records. Without
+  /// `frame` the chunk is appended, located in the input: for an image in
+  /// memory, which index.at() then reads in place (an index takes the
+  /// chunks of one input, in order, from its first). With `frame`, for an
+  /// input read from a file, `index` holds this chunk alone and the
+  /// chunk's bytes are handed over in `*frame` (its storage swapped with
+  /// the reader's), which index.at() reads.
+  [[nodiscard]] bool next_chunk(colfmt_blocks& index, bool& end,
+                                std::string& error,
+                                std::string* frame = nullptr);
+
   [[nodiscard]] const colfmt_header& header() const { return header_; }
 
-  /// FNV-1a-64 of the bytes read so far (opened with `hash`); after the
-  /// end marker, or after hash_rest(), of the whole input.
+  /// FNV-1a-64 of the input (opened with `hash`) once the end marker is
+  /// read, or once hash_rest() completes it after a failure.
   [[nodiscard]] std::uint64_t content_fnv64() const { return fnv_; }
 
   /// Folds the rest of the input into content_fnv64(), so an input that
@@ -182,14 +243,26 @@ class colfmt_reader {
 
  private:
   bool read_header(std::string& error);
-  /// next_chunk, leaving `out` to its caller to clear on failure.
-  bool read_chunk(std::vector<record>& out, bool& end, std::string& error);
+  /// next_chunk's body: checks the next frame and, for a chunk, decodes
+  /// it into `out` or indexes it into `index` (one is given).
+  bool read_chunk(std::vector<record>* out, colfmt_blocks* index, bool& end,
+                  std::string& error);
+  /// Checks chunk `chunk` (at input offset `base`, its checksum already
+  /// verified) block by block, decoding it into `out` or indexing it into
+  /// `index`: one rule set for both.
+  static bool decode_chunk(std::string_view chunk, std::uint64_t base,
+                           const std::vector<std::string>& columns,
+                           std::vector<record>* out, colfmt_blocks* index,
+                           std::string& error);
   /// Extends the current frame by the input's next `n` bytes.
   bool extend(usize n, const char* what, std::string& error);
+  /// Folds the frame's bytes not yet hashed into the content hash.
+  void hash_frame();
   [[nodiscard]] std::string_view frame() const { return frame_; }
 
   std::FILE* file_ = nullptr;
   std::string frame_;  ///< the frame read so far, reused
+  usize hashed_ = 0;   ///< frame_ bytes folded into fnv_
   colfmt_header header_;
   std::uint64_t offset_ = 0;  ///< input offset of the current frame
   std::uint64_t chunks_seen_ = 0;

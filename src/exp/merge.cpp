@@ -1,5 +1,6 @@
 #include "exp/merge.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -14,34 +15,43 @@ namespace amo::exp {
 
 namespace {
 
+/// Field `key` of `row`, at column `hint`: read there outright when
+/// `known` (the row's schema is the one the hint was found in), else
+/// looked up from it (source_row::get), which leaves the hint where the
+/// field is.
+value_view field_of(const source_row& row, std::string_view key, usize& hint,
+                    bool known) {
+  return known ? row.blocks->at(row.image, row.chunk, row.row, hint)
+               : row.get(key, hint);
+}
+
 /// Reads field `key` as an index: a non-negative integer below 2^53, the
 /// range a double holds exactly. False when absent, non-numeric,
 /// fractional, non-finite or too large — so no spelling of a huge number
-/// can be cast out of range and read as some other unit. `hint` is the
-/// field's position in the last record read (record::find), so records of
-/// one schema cost one key compare.
-bool read_index(const record& rec, const char* key, usize& out,
-                usize& hint) {
-  const record_field* f = rec.find(key, hint);
-  if (f == nullptr || f->type != record_field::kind::number) return false;
-  if (!(f->number >= 0 && f->number < 0x1p53) ||
-      f->number != std::floor(f->number)) {
+/// can be cast out of range and read as some other unit.
+bool read_index(const source_row& row, const char* key, usize& out,
+                usize& hint, bool known) {
+  const value_view v = field_of(row, key, hint, known);
+  if (v.type != json::kind::number) return false;
+  if (!(v.number >= 0 && v.number < 0x1p53) ||
+      v.number != std::floor(v.number)) {
     return false;
   }
-  out = static_cast<usize>(f->number);
+  out = static_cast<usize>(v.number);
   return true;
 }
 
 std::string shard_tag(usize si) { return "shard " + std::to_string(si); }
 
-std::string_view grid_of(const record& rec, usize& hint) {
-  const record_field* g = rec.find("grid", hint);
-  return g != nullptr && g->type == record_field::kind::string
-             ? std::string_view(g->text)
-             : std::string_view();
+std::string_view grid_of(const source_row& row, usize& hint, bool known) {
+  const value_view g = field_of(row, "grid", hint, known);
+  return g.type == json::kind::string ? g.text : std::string_view();
 }
 
-/// Where the index fields sat in the last record read.
+/// Where the index fields sat in the last record read and, once all were
+/// found in a block index's schema, that schema: its rows are read at
+/// these columns with no key compare, which would cost more than the
+/// value read.
 struct index_hints {
   usize unit = 0;
   usize units_total = 0;
@@ -50,19 +60,50 @@ struct index_hints {
   usize replica = 0;
   usize replicas = 0;
   usize grid = 0;
+  const std::vector<std::string>* schema = nullptr;
+
+  /// Whether `row` is read at the hints, finding them first in a block
+  /// index schema other than the last one.
+  bool known(const source_row& row) {
+    if (row.blocks == nullptr) return false;
+    const std::vector<std::string>& columns = row.blocks->columns();
+    if (&columns == schema) return true;
+    const auto find = [&](const char* key, usize& at) {
+      at = static_cast<usize>(std::find(columns.begin(), columns.end(), key) -
+                              columns.begin());
+      return at < columns.size();
+    };
+    const bool all = find("unit", unit) && find("units_total", units_total) &&
+                     find("cell", cell) && find("cells_total", cells_total) &&
+                     find("replica", replica) && find("replicas", replicas) &&
+                     find("grid", grid);
+    schema = all ? &columns : nullptr;
+    return all;
+  }
 };
 
 // ---------------------------------------------------------------------------
 // Sources
 // ---------------------------------------------------------------------------
 
+/// One chunk read from a .amoc file: its bytes and their block index,
+/// shared by the rows read from it until the merge lets them go.
+struct file_chunk {
+  std::string bytes;
+  colfmt_blocks index;
+};
+
 /// The one record_source: records in memory, a record file, or a record
 /// file image in memory. A file or image is opened at the first next()
-/// and read once: .amoc (sniffed by magic) streams chunk by chunk through
-/// colfmt_reader, reusing one chunk's record storage; JSON is parsed
-/// whole, its grammar not being self-delimiting per record. Told what a
-/// shard owes, the source checks each record it yields and hashes every
-/// byte it reads, so what reaches a merge is exactly what was hashed.
+/// and read once. A .amoc input is checked chunk by chunk by
+/// colfmt_reader and its rows are read in place, never decoded into
+/// records: an image through one block index of the whole image (given
+/// the index its verification kept, with no check at all), a file
+/// through each chunk's own bytes and index, recycled once no row holds
+/// them. JSON is parsed whole, its grammar not being self-delimiting per
+/// record. Told what a shard owes, the source checks each record it
+/// yields and hashes every byte it reads, so what reaches a merge is
+/// exactly what was hashed.
 class buffered_source final : public record_source {
  public:
   explicit buffered_source(std::vector<record> records,
@@ -70,31 +111,41 @@ class buffered_source final : public record_source {
       : in_memory_(true), buffer_(std::move(records)), owed_(std::move(owed)) {}
   buffered_source(std::string path, std::optional<shard_owed> owed)
       : name_(std::move(path)), owed_(std::move(owed)) {}
+  /// An image; `index` receives its block index (else the source keeps
+  /// its own), or, when `verified`, already holds it.
   buffered_source(std::string_view image, std::string name,
-                  std::optional<shard_owed> owed)
+                  std::optional<shard_owed> owed, colfmt_blocks* index,
+                  const colfmt_blocks* verified = nullptr)
       : bytes_(image), name_(std::move(name)), image_(true),
-        owed_(std::move(owed)) {}
-
-  bool next(record& out, bool& end, std::string& error) override {
-    if (!opened_ && !open(error)) return false;
-    if (col_ != nullptr) {
-      // Refill from the next chunk; a colfmt chunk always holds at least
-      // one record, but loop defensively.
-      while (pos_ >= buffer_.size() && !chunks_done_) {
-        pos_ = 0;
-        if (!col_->next_chunk(buffer_, chunks_done_, error)) {
-          return fail(error, true);
-        }
-      }
+        fill_(index != nullptr ? index : &own_blocks_), blocks_(verified),
+        owed_(std::move(owed)) {
+    if (verified != nullptr) {
+      opened_ = true;
+      chunks_done_ = true;
+    } else {
+      *fill_ = colfmt_blocks();
     }
-    if (pos_ >= buffer_.size()) {
+  }
+
+  bool next(source_row& out, bool& end, std::string& error) override {
+    if (!opened_ && !open(error)) return false;
+    if (!fill_rows(error)) return fail(error, true);
+    if (!row_ready()) {
       end = true;
       return !owed_ || (owed_all(error) && checkpoint_matches()) ||
              fail(error, false);
     }
-    // A swap, not a move: the caller's spent record goes back into the
-    // chunk buffer, so the next chunk decodes into its storage.
-    std::swap(out, buffer_[pos_++]);
+    if (blocks_ != nullptr) {
+      out.blocks = blocks_;
+      out.image = bytes_;
+      out.chunk = chunk_;
+      out.row = row_++;
+      out.keep = chunk_owner_;
+    } else {
+      out.rec = std::move(buffer_[pos_++]);
+      out.blocks = nullptr;
+      out.keep.reset();
+    }
     return !owed_ || owed_record(out, error) || fail(error, false);
   }
 
@@ -106,6 +157,44 @@ class buffered_source final : public record_source {
   }
 
  private:
+  /// Whether a row is ready, skipping chunks whose rows are spent.
+  bool row_ready() {
+    if (blocks_ == nullptr) return pos_ < buffer_.size();
+    while (chunk_ < blocks_->chunks() && row_ >= blocks_->rows(chunk_)) {
+      ++chunk_;
+      row_ = 0;
+    }
+    return chunk_ < blocks_->chunks();
+  }
+
+  /// Checks chunks until a row is ready or the input ends.
+  bool fill_rows(std::string& error) {
+    while (col_ != nullptr && !chunks_done_ && !row_ready()) {
+      if (image_) {
+        if (!col_->next_chunk(*fill_, chunks_done_, error)) return false;
+        continue;
+      }
+      // A file: the next chunk goes into a chunk no row holds any more.
+      chunk_owner_.reset();
+      std::shared_ptr<file_chunk> c;
+      for (const std::shared_ptr<file_chunk>& spare : file_chunks_) {
+        if (spare.use_count() == 1) c = spare;
+      }
+      if (c == nullptr) {
+        c = file_chunks_.emplace_back(std::make_shared<file_chunk>());
+      }
+      if (!col_->next_chunk(c->index, chunks_done_, error, &c->bytes)) {
+        return false;
+      }
+      chunk_owner_ = c;
+      blocks_ = &c->index;
+      bytes_ = c->bytes;
+      chunk_ = 0;
+      row_ = 0;
+    }
+    return true;
+  }
+
   /// Names the input in `error` and records its kind (`unreadable`: it
   /// could not be read or decoded). A shard that owes a checkpoint hash is
   /// judged by it first: bytes other than the checkpointed ones are
@@ -154,6 +243,7 @@ class buffered_source final : public record_source {
     const usize got = std::fread(magic, 1, sizeof magic, f);
     if (is_colfmt(std::string_view(magic, got))) {
       col_ = std::make_unique<colfmt_reader>();
+      if (image_) blocks_ = fill_;  // a file's chunks bring their own
       return col_->open(f, std::string_view(magic, got), owed_.has_value(),
                         error) ||
              fail(error, true);
@@ -179,17 +269,19 @@ class buffered_source final : public record_source {
 
   /// The slice rules on the record just yielded: one units_total and grid
   /// across the file, and unit indices exactly the strided partition.
-  bool owed_record(const record& rec, std::string& error) {
+  bool owed_record(const source_row& rec, std::string& error) {
     usize idx = 0;
     usize this_total = 0;
-    if (!read_index(rec, "unit", idx, hints_.unit) ||
-        !read_index(rec, "units_total", this_total, hints_.units_total)) {
+    const bool known = hints_.known(rec);
+    if (!read_index(rec, "unit", idx, hints_.unit, known) ||
+        !read_index(rec, "units_total", this_total, hints_.units_total,
+                    known)) {
       error = tag_ + ": record " + std::to_string(seen_) +
               " lacks integer unit/units_total fields (torn or foreign shard "
               "file?)";
       return false;
     }
-    const std::string_view this_grid = grid_of(rec, hints_.grid);
+    const std::string_view this_grid = grid_of(rec, hints_.grid, known);
     if (seen_ == 0) {
       total_ = this_total;
       grid_ = this_grid;
@@ -228,16 +320,24 @@ class buffered_source final : public record_source {
     return false;
   }
 
-  std::string_view bytes_;  ///< the image
+  std::string_view bytes_;  ///< the image, or the file chunk rows come from
   std::string name_;        ///< the path, or the image's name for errors
   bool image_ = false;
   bool unreadable_ = false;  ///< the last failure's kind
   bool in_memory_ = false;  ///< buffer_ holds the records from the start
   bool opened_ = false;
   bool chunks_done_ = false;
-  std::unique_ptr<colfmt_reader> col_;  ///< set iff the input is .amoc
-  std::vector<record> buffer_;  ///< the records, the JSON file, or a chunk
+  std::unique_ptr<colfmt_reader> col_;  ///< a .amoc input being checked
+  std::vector<record> buffer_;  ///< the records, or the JSON file's
   usize pos_ = 0;
+  colfmt_blocks own_blocks_;       ///< an image's index, unless given one
+  colfmt_blocks* fill_ = nullptr;  ///< where the reader indexes an image
+  const colfmt_blocks* blocks_ = nullptr;  ///< set iff rows are read in place
+  usize chunk_ = 0;  ///< the next row in place: chunk and row
+  usize row_ = 0;
+  /// A file's chunks, recycled when no row holds them; the current one.
+  std::vector<std::shared_ptr<file_chunk>> file_chunks_;
+  std::shared_ptr<const void> chunk_owner_;
 
   std::optional<shard_owed> owed_;  ///< what the shard owes, if told
   std::string tag_;                 ///< "shard i/k", for its errors
@@ -250,7 +350,7 @@ class buffered_source final : public record_source {
 
 /// Pulls `src` to its end; false with the first failure.
 bool drain(record_source& src, std::string& error) {
-  record rec;
+  source_row rec;
   for (bool end = false; !end;) {
     if (!src.next(rec, end, error)) return false;
   }
@@ -268,7 +368,6 @@ struct merge_ctx {
   std::string grid;
   usize units_total = 0;
   usize cells_total = 0;
-  index_hints hints;
 };
 
 /// One unit record's place in the grid.
@@ -279,24 +378,25 @@ struct unit_pos {
   usize replicas = 0;
 };
 
-/// Validates one unit record, yielding its place in the grid.
-bool check_unit_record(const record& rec, usize si, merge_ctx& ctx,
-                       unit_pos& pos, std::string& error) {
-  index_hints& h = ctx.hints;
+/// Validates one unit record of shard `si`, yielding its place in the
+/// grid; `h` is where that shard's index fields sat.
+bool check_unit_record(const source_row& rec, usize si, merge_ctx& ctx,
+                       index_hints& h, unit_pos& pos, std::string& error) {
   usize units_total = 0;
   usize cells_total = 0;
-  if (!read_index(rec, "unit", pos.unit, h.unit) ||
-      !read_index(rec, "units_total", units_total, h.units_total) ||
-      !read_index(rec, "cell", pos.cell, h.cell) ||
-      !read_index(rec, "cells_total", cells_total, h.cells_total) ||
-      !read_index(rec, "replica", pos.replica, h.replica) ||
-      !read_index(rec, "replicas", pos.replicas, h.replicas)) {
+  const bool known = h.known(rec);
+  if (!read_index(rec, "unit", pos.unit, h.unit, known) ||
+      !read_index(rec, "units_total", units_total, h.units_total, known) ||
+      !read_index(rec, "cell", pos.cell, h.cell, known) ||
+      !read_index(rec, "cells_total", cells_total, h.cells_total, known) ||
+      !read_index(rec, "replica", pos.replica, h.replica, known) ||
+      !read_index(rec, "replicas", pos.replicas, h.replicas, known)) {
     error = shard_tag(si) +
             ": record without integer unit/units_total/cell/cells_total/"
             "replica/replicas fields (not a sharded sweep output?)";
     return false;
   }
-  const std::string_view this_grid = grid_of(rec, h.grid);
+  const std::string_view this_grid = grid_of(rec, h.grid, known);
   if (!ctx.first_seen) {
     ctx.units_total = units_total;
     ctx.cells_total = cells_total;
@@ -329,6 +429,23 @@ bool check_unit_record(const record& rec, usize si, merge_ctx& ctx,
 
 }  // namespace
 
+value_view source_row::get(std::string_view key, usize& hint) const {
+  if (blocks == nullptr) {
+    const record_field* f = rec.find(key, hint);
+    return f != nullptr ? view_of(*f) : value_view{};
+  }
+  const std::vector<std::string>& columns = blocks->columns();
+  if (hint >= columns.size() || columns[hint] != key) {
+    hint = 0;
+    while (hint < columns.size() && columns[hint] != key) ++hint;
+    if (hint == columns.size()) {
+      hint = 0;
+      return {};
+    }
+  }
+  return blocks->at(image, chunk, row, hint);
+}
+
 std::unique_ptr<record_source> make_memory_source(std::vector<record> records) {
   return std::make_unique<buffered_source>(std::move(records));
 }
@@ -339,9 +456,10 @@ std::unique_ptr<record_source> make_file_source(
 }
 
 std::unique_ptr<record_source> make_bytes_source(std::string_view bytes,
-                                                 std::string name) {
+                                                 std::string name,
+                                                 const colfmt_blocks* blocks) {
   return std::make_unique<buffered_source>(bytes, std::move(name),
-                                           std::nullopt);
+                                           std::nullopt, nullptr, blocks);
 }
 
 namespace {
@@ -358,7 +476,8 @@ merge_result merge_sources(std::vector<std::unique_ptr<record_source>> sources,
 
   /// One head record per source — the whole residency of the k-way merge.
   struct head {
-    record rec;
+    source_row row;
+    index_hints hints;  ///< where this source's index fields sit
     unit_pos pos;
     usize idx = 0;
     bool alive = false;
@@ -367,18 +486,12 @@ merge_result merge_sources(std::vector<std::unique_ptr<record_source>> sources,
   };
   std::vector<head> heads(k);
   usize seen = 0;  ///< records pulled across all sources
-  // Folded unit records, handed back to the sources (next() swaps them into
-  // its chunk buffer), so each chunk decodes into storage used before.
-  std::vector<record> spare;
 
+  // Pulls source si's next row into its head (whose row was taken).
   auto pull = [&](usize si) -> bool {
     head& h = heads[si];
     h.alive = false;
-    record rec;
-    if (!spare.empty()) {
-      rec = std::move(spare.back());
-      spare.pop_back();
-    }
+    source_row& rec = h.row;
     bool end = false;
     std::string err;
     if (!sources[si]->next(rec, end, err)) {
@@ -393,7 +506,9 @@ merge_result merge_sources(std::vector<std::unique_ptr<record_source>> sources,
       obs::counter("merge", "records_in", static_cast<double>(seen));
     }
     unit_pos pos;
-    if (!check_unit_record(rec, si, ctx, pos, out.error)) return false;
+    if (!check_unit_record(rec, si, ctx, h.hints, pos, out.error)) {
+      return false;
+    }
     const usize idx = pos.unit;
     if (h.any && idx < h.prev_idx) {
       out.error = shard_tag(si) + ": records out of order (index " +
@@ -402,7 +517,6 @@ merge_result merge_sources(std::vector<std::unique_ptr<record_source>> sources,
                   ") — streaming merge needs index-sorted shards";
       return false;
     }
-    h.rec = std::move(rec);
     h.pos = pos;
     h.idx = idx;
     h.alive = true;
@@ -445,7 +559,36 @@ merge_result merge_sources(std::vector<std::unique_ptr<record_source>> sources,
   usize gap_at = 0;
 
   // Unit path: the current cell's replicas, in order. Bounded by R.
-  std::vector<record> cell_units;
+  std::vector<source_row> cell_units;
+  // The fold reads the cell's rows in replica 0's schema: a block row
+  // whose index has that schema by position, any other by key.
+  std::vector<std::string> keys;  ///< a record replica 0's schema
+  const std::vector<std::string>* columns = nullptr;
+  std::vector<char> by_position;  ///< per row of the cell
+  // Pairs of block-index schemas found equal, so each pair is compared
+  // once per merge, not once per row. (A record's schema, in `keys`,
+  // changes from cell to cell and is compared each time.)
+  std::vector<std::pair<const void*, const void*>> same;
+  const auto same_schema = [&](const std::vector<std::string>& a) {
+    if (&a == columns) return true;
+    if (columns == &keys) return a == keys;
+    for (const auto& [x, y] : same) {
+      if (x == &a && y == columns) return true;
+    }
+    if (a != *columns) return false;
+    same.emplace_back(&a, columns);
+    return true;
+  };
+  const auto at = [&](usize r, usize c) {
+    const source_row& u = cell_units[r];
+    if (by_position[r] != 0) return u.blocks->at(u.image, u.chunk, u.row, c);
+    usize hint = c;
+    return u.get((*columns)[c], hint);
+  };
+  record agg;
+  const auto put = [&agg](std::string_view key, const value_view& v) {
+    assign(agg.fields.emplace_back(), key, v);
+  };
   usize expect_cell = 0;
   usize cell_replicas = 0;
 
@@ -472,7 +615,7 @@ merge_result merge_sources(std::vector<std::unique_ptr<record_source>> sources,
     have_prev = true;
     prev_idx = heads[best].idx;
     prev_shard = best;
-    record rec = std::move(heads[best].rec);
+    source_row rec = std::move(heads[best].row);
     const unit_pos pos = heads[best].pos;
     if (!pull(best)) return out;
     if (gap) continue;  // keep validating, stop folding/emitting
@@ -504,10 +647,27 @@ merge_result merge_sources(std::vector<std::unique_ptr<record_source>> sources,
     }
     cell_units.push_back(std::move(rec));
     if (cell_units.size() == cell_replicas) {
-      record agg;
-      if (!fold_cell(cell_units, agg, out.error)) return out;
-      if (!emit(std::move(agg))) return out;
-      for (record& u : cell_units) spare.push_back(std::move(u));
+      const source_row& base = cell_units.front();
+      if (base.blocks != nullptr) {
+        columns = &base.blocks->columns();
+      } else {
+        keys.resize(base.rec.fields.size());
+        for (usize c = 0; c < keys.size(); ++c) {
+          keys[c] = base.rec.fields[c].key;
+        }
+        columns = &keys;
+      }
+      by_position.resize(cell_units.size());
+      for (usize r = 0; r < cell_units.size(); ++r) {
+        const source_row& u = cell_units[r];
+        by_position[r] = u.blocks != nullptr && same_schema(u.blocks->columns());
+      }
+      agg.fields.clear();
+      agg.fields.reserve(columns->size() + 24);  // + the summaries
+      if (!fold_cell(cell_units.size(), *columns, at, put, out.error) ||
+          !emit(std::move(agg))) {
+        return out;
+      }
       cell_units.clear();
       ++expect_cell;
     }
@@ -552,9 +712,13 @@ bool verify_shard_records(const std::vector<record>& records,
 }
 
 bool verify_shard_bytes(std::string_view bytes, const shard_owed& owed,
-                        std::string& error, std::uint64_t* fnv64) {
-  buffered_source src(bytes, {}, owed);
-  if (!drain(src, error)) return false;
+                        std::string& error, std::uint64_t* fnv64,
+                        colfmt_blocks* blocks) {
+  buffered_source src(bytes, {}, owed, blocks);
+  if (!drain(src, error)) {
+    if (blocks != nullptr) *blocks = colfmt_blocks();
+    return false;
+  }
   if (fnv64 != nullptr) *fnv64 = src.content_fnv64();
   return true;
 }

@@ -70,6 +70,21 @@ value_view view_of(const typed_value& t) {
   return v;
 }
 
+void assign(record_field& f, std::string_view key, const value_view& v) {
+  f.key.assign(key);
+  f.type = v.type;
+  f.encoding = v.enc;
+  f.truth = v.truth;
+  f.text.assign(v.text);
+  f.number = v.number;
+  f.raw.assign(v.raw);
+  // Past 2^53 the double is not the value: keep its exact digits.
+  if (v.enc == value_encoding::u64 && f.raw.empty() &&
+      v.u >= std::uint64_t{1} << 53) {
+    json_writer::append_num(f.raw, v.u);
+  }
+}
+
 void append_token(std::string& out, const value_view& v) {
   using E = value_encoding;
   if (!v.raw.empty()) {

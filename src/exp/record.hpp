@@ -25,6 +25,7 @@
 // live here.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,6 +107,17 @@ struct value_view {
 
 [[nodiscard]] value_view view_of(const record_field& f);
 [[nodiscard]] value_view view_of(const typed_value& v);
+
+/// Row `row`, column `col` of rows sharing one schema: how the column
+/// encoder and the aggregate fold (exp::fold_cell) read records, typed
+/// rows and checked .amoc blocks alike. A column a row lacks reads as
+/// value_view{} (a null without a token).
+using cell_at = std::function<value_view(usize row, usize col)>;
+
+/// Refills `f` as field `key` holding `v`, keeping its strings' capacity:
+/// the value and its encoding, plus the token where the encoding does not
+/// spell it (JSON text, a u64 of 2^53 or more).
+void assign(record_field& f, std::string_view key, const value_view& v);
 
 /// Appends v's JSON token to `out`: its raw token when it has one, else
 /// json_writer's spelling of its typed value.

@@ -181,41 +181,15 @@ void put_report(row_sink& out, const run_report& r, bool include_timing) {
   if (include_timing) out.put("wall_seconds", T::f64(r.wall_seconds));
 }
 
-/// Refills `rec` with a typed row's fields, spelled as a decoded .amoc
-/// record spells them: the value and its encoding, with digits kept only
-/// for a u64 the double cannot hold.
-void to_record(const std::vector<std::string>& keys,
-               const std::vector<typed_value>& row, record& rec) {
-  rec.fields.resize(row.size());
-  for (usize i = 0; i < row.size(); ++i) {
-    const value_view v = view_of(row[i]);
-    record_field& f = rec.fields[i];
-    f.key = keys[i];
-    f.type = v.type;
-    f.encoding = v.enc;
-    f.truth = v.truth;
-    f.text.assign(v.text);
-    f.number = v.number;
-    f.raw.clear();
-    if (v.enc == value_encoding::u64 && v.u >= std::uint64_t{1} << 53) {
-      json_writer::append_num(f.raw, v.u);
-    }
-  }
-}
-
-/// The typed value of a field of known encoding (every field to_record
-/// and exp::fold_cell make).
-typed_value typed_of(const record_field& f) {
+/// Refills `t` with the value `v` views (a field of known encoding, as
+/// every unit row and exp::fold_cell output is), keeping its storage.
+void assign_typed(typed_value& t, const value_view& v) {
   using E = value_encoding;
-  using T = typed_value;
-  const value_view v = view_of(f);
-  switch (v.enc) {
-    case E::u64: return T::u64(v.u);
-    case E::f64: return T::f64(v.number);
-    case E::str: return T::str(std::string(v.text));
-    case E::boolean: return T::boolean(v.truth);
-    default: return T::null();
-  }
+  t.enc = v.enc == E::unknown ? E::null : v.enc;
+  t.truth = t.enc == E::boolean && v.truth;
+  t.u = t.enc == E::u64 ? v.u : 0;
+  t.f = t.enc == E::f64 ? v.number : 0.0;
+  t.text.assign(t.enc == E::str ? v.text : std::string_view());
 }
 
 std::string grid_hex(std::uint64_t grid) {
@@ -240,29 +214,28 @@ bool cell_record_rows(const sweep_result& swept, std::uint64_t grid,
     }
   }
   // Each cell's unit rows, exactly as a shard writes them, go through the
-  // one aggregate fold; the job's extras follow the folded fields.
-  std::vector<record> cell_units;
-  record agg;
+  // one aggregate fold as they are; the job's extras follow the folded
+  // fields.
   record_table group;
   group.rows.resize(1);
   std::string error;
   const auto fold = [&](const record_table& rows) {
-    cell_units.resize(rows.rows.size());
-    for (usize i = 0; i < rows.rows.size(); ++i) {
-      to_record(rows.keys, rows.rows[i], cell_units[i]);
-    }
-    if (!fold_cell(cell_units, agg, error)) return false;
     std::vector<typed_value>& row = group.rows.front();
-    row.clear();
     const bool keys = group.keys.empty();
-    for (const record_field& f : agg.fields) {
-      if (keys) group.keys.push_back(f.key);
-      row.push_back(typed_of(f));
+    usize n = 0;
+    const auto put = [&](std::string_view key, const value_view& v) {
+      if (keys) group.keys.emplace_back(key);
+      if (n == row.size()) row.emplace_back();
+      assign_typed(row[n++], v);
+    };
+    if (!fold_cell(
+            rows.rows.size(), rows.keys,
+            [&](usize r, usize c) { return view_of(rows.rows[r][c]); }, put,
+            error)) {
+      return false;
     }
-    for (const auto& [key, value] : extra) {
-      if (keys) group.keys.push_back(key);
-      row.push_back(value);
-    }
+    for (const auto& [key, value] : extra) put(key, view_of(value));
+    row.resize(n);
     return sink(group);
   };
   return unit_record_rows(swept.reports, units, swept.reports.size(),

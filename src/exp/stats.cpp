@@ -34,47 +34,42 @@ bool is_unit_bookkeeping(const std::string& key) {
          key == "grid" || is_timing_key(key);
 }
 
-/// "unit N" for an error about record `u`.
-std::string unit_tag(const record& u) {
-  const record_field* f = u.find("unit");
-  return "unit " + (f != nullptr ? token_of(*f) : std::string("?"));
+/// The first column named `key`, or columns.size().
+usize column_of(const std::vector<std::string>& columns, std::string_view key) {
+  usize c = 0;
+  while (c < columns.size() && columns[c] != key) ++c;
+  return c;
 }
 
-/// Reads the named numeric field of every unit into a replica-ordered
-/// sample vector. The units of a cell share one schema, so the field is
-/// found once and then read at its position.
-bool metric_samples(const std::vector<record>& units, const char* key,
-                    std::vector<double>& out, std::string& error) {
-  out.clear();
-  out.reserve(units.size());
-  usize hint = 0;
-  for (const record& u : units) {
-    const record_field* f = u.find(key, hint);
-    if (f == nullptr || f->type != record_field::kind::number) {
-      error = unit_tag(u) + ": record has no numeric '" + key +
-              "' field — cannot fold replica aggregates";
-      return false;
+/// The aggregate's summary keys, <metric>_<stat> in output order.
+const std::vector<std::string>& summary_keys() {
+  static const std::vector<std::string> keys = [] {
+    std::vector<std::string> out;
+    for (const char* metric : kMetrics) {
+      for (const char* stat : {"_min", "_mean", "_max", "_stddev", "_p50",
+                               "_p95"}) {
+        out.push_back(std::string(metric) + stat);
+      }
     }
-    out.push_back(f->number);
-  }
-  return true;
+    return out;
+  }();
+  return keys;
 }
 
-/// AND-folds the named boolean field; false (plus `error`) when a record
-/// lacks it.
-bool fold_flag(const std::vector<record>& units, const char* key, bool& out,
-               std::string& error) {
-  out = true;
-  usize hint = 0;
-  for (const record& u : units) {
-    const record_field* f = u.find(key, hint);
-    if (f == nullptr || f->type != record_field::kind::boolean) {
-      error = unit_tag(u) + ": record has no boolean '" + key + "' field";
-      return false;
-    }
-    out = out && f->truth;
-  }
-  return true;
+value_view f64_view(double v) {
+  value_view out;
+  out.enc = value_encoding::f64;
+  out.type = json::kind::number;
+  out.number = v;
+  return out;
+}
+
+value_view bool_view(bool v) {
+  value_view out;
+  out.enc = value_encoding::boolean;
+  out.type = json::kind::boolean;
+  out.truth = v;
+  return out;
 }
 
 }  // namespace
@@ -100,107 +95,110 @@ metric_summary summarize(const std::vector<double>& values) {
   return s;
 }
 
-bool fold_cell(const std::vector<record>& units, record& agg,
-               std::string& error) {
-  agg.fields.clear();
-  const record& base = units.front();
+bool fold_cell(usize rows, const std::vector<std::string>& columns,
+               const cell_at& at, const field_sink& put, std::string& error) {
+  const auto read = [&](usize r, usize c) {
+    return c < columns.size() ? at(r, c) : value_view{};
+  };
+  /// "unit N" for an error about row `r`.
+  const auto unit_tag = [&](usize r) {
+    const usize c = column_of(columns, "unit");
+    std::string tag = "unit ";
+    if (c == columns.size()) return tag + "?";
+    append_token(tag, at(r, c));
+    return tag;
+  };
 
   metric_summary summaries[std::size(kMetrics)];
-  std::vector<double> samples;
+  std::vector<double> samples(rows);
   for (usize i = 0; i < std::size(kMetrics); ++i) {
-    if (!metric_samples(units, kMetrics[i], samples, error)) return false;
+    const usize c = column_of(columns, kMetrics[i]);
+    for (usize r = 0; r < rows; ++r) {
+      const value_view v = read(r, c);
+      if (v.type != json::kind::number) {
+        error = unit_tag(r) + ": record has no numeric '" + kMetrics[i] +
+                "' field — cannot fold replica aggregates";
+        return false;
+      }
+      samples[r] = v.number;
+    }
     summaries[i] = summarize(samples);
   }
-  bool at_most_once = true;
-  bool quiescent = true;
-  bool wa_complete = true;
-  if (!fold_flag(units, "at_most_once", at_most_once, error) ||
-      !fold_flag(units, "quiescent", quiescent, error) ||
-      !fold_flag(units, "wa_complete", wa_complete, error)) {
-    return false;
+  // at_most_once, quiescent, wa_complete: AND over the replicas.
+  constexpr const char* kFlags[] = {"at_most_once", "quiescent",
+                                    "wa_complete"};
+  bool flags[std::size(kFlags)];
+  usize flag_cols[std::size(kFlags)];
+  for (usize i = 0; i < std::size(kFlags); ++i) {
+    const usize c = flag_cols[i] = column_of(columns, kFlags[i]);
+    flags[i] = true;
+    for (usize r = 0; r < rows; ++r) {
+      const value_view v = read(r, c);
+      if (v.type != json::kind::boolean) {
+        error = unit_tag(r) + ": record has no boolean '" + kFlags[i] +
+                "' field";
+        return false;
+      }
+      flags[i] = flags[i] && v.truth;
+    }
   }
 
   // duplicate: the first replica's duplicate job, replica order. Its
   // token, value and encoding travel together.
-  const record_field* duplicate = nullptr;
-  usize hint = 0;
-  for (const record& u : units) {
-    const record_field* d = u.find("duplicate", hint);
-    if (d != nullptr && d->type == record_field::kind::number &&
-        d->number != 0) {
+  value_view duplicate;
+  duplicate.enc = value_encoding::u64;
+  duplicate.type = json::kind::number;
+  const usize dup_col = column_of(columns, "duplicate");
+  for (usize r = 0; r < rows; ++r) {
+    const value_view d = read(r, dup_col);
+    if (d.type == json::kind::number && d.number != 0) {
       duplicate = d;
       break;
     }
   }
 
-  // Summed wall clock, present iff the unit records carried one.
+  // Summed wall clock, present iff the unit rows carried one.
   bool have_wall = false;
   double wall = 0.0;
-  hint = 0;
-  for (const record& u : units) {
-    const record_field* w = u.find("wall_seconds", hint);
-    if (w != nullptr && w->type == record_field::kind::number) {
+  const usize wall_col = column_of(columns, "wall_seconds");
+  for (usize r = 0; r < rows; ++r) {
+    const value_view w = read(r, wall_col);
+    if (w.type == json::kind::number) {
       have_wall = true;
-      wall += w->number;
+      wall += w.number;
     }
   }
 
-  auto copy_field = [&agg, &base](const char* key) {
-    const record_field* f = base.find(key);
-    if (f != nullptr) agg.fields.push_back(*f);
-  };
   // Every value the fold writes is spelled as json_writer spells it, so
   // each output field carries its encoding and no token: one is made
   // only where text is written.
-  auto push_number = [&agg](std::string key, double value) {
-    record_field f;
-    f.key = std::move(key);
-    f.type = record_field::kind::number;
-    f.encoding = value_encoding::f64;
-    f.number = value;
-    agg.fields.push_back(std::move(f));
-  };
-  auto set_flag = [](record_field& g, bool v) {
-    g.raw.clear();
-    g.truth = v;
-    g.encoding = value_encoding::boolean;
-  };
-  agg.fields.reserve(base.fields.size() + 6 * std::size(kMetrics));
-  copy_field("cell");
-  copy_field("cells_total");
-  copy_field("grid");
-  copy_field("replicas");
-  for (const record_field& f : base.fields) {
-    if (is_unit_bookkeeping(f.key)) continue;
-    record_field g = f;
-    if (f.key == "at_most_once") {
-      set_flag(g, at_most_once);
-    } else if (f.key == "quiescent") {
-      set_flag(g, quiescent);
-    } else if (f.key == "wa_complete") {
-      set_flag(g, wa_complete);
-    } else if (f.key == "duplicate") {
-      if (duplicate != nullptr) {
-        g = *duplicate;
-      } else {
-        g.raw.clear();
-        g.number = 0.0;
-        g.encoding = value_encoding::u64;
-      }
+  for (const char* key : {"cell", "cells_total", "grid", "replicas"}) {
+    const usize c = column_of(columns, key);
+    if (c < columns.size()) put(key, at(0, c));
+  }
+  for (usize c = 0; c < columns.size(); ++c) {
+    const std::string& key = columns[c];
+    if (is_unit_bookkeeping(key)) continue;
+    const usize flag = static_cast<usize>(
+        std::find(std::begin(flag_cols), std::end(flag_cols), c) -
+        std::begin(flag_cols));
+    if (flag < std::size(kFlags)) {
+      put(key, bool_view(flags[flag]));
+    } else if (c == dup_col) {
+      put(key, duplicate);
+    } else {
+      put(key, at(0, c));
     }
-    agg.fields.push_back(std::move(g));
   }
+  const std::vector<std::string>& keys = summary_keys();
   for (usize i = 0; i < std::size(kMetrics); ++i) {
-    const std::string name = kMetrics[i];
     const metric_summary& s = summaries[i];
-    push_number(name + "_min", s.min);
-    push_number(name + "_mean", s.mean);
-    push_number(name + "_max", s.max);
-    push_number(name + "_stddev", s.stddev);
-    push_number(name + "_p50", s.p50);
-    push_number(name + "_p95", s.p95);
+    const double stats[] = {s.min, s.mean, s.max, s.stddev, s.p50, s.p95};
+    for (usize j = 0; j < std::size(stats); ++j) {
+      put(keys[6 * i + j], f64_view(stats[j]));
+    }
   }
-  if (have_wall) push_number("wall_seconds", wall);
+  if (have_wall) put("wall_seconds", f64_view(wall));
   return true;
 }
 

@@ -5,23 +5,29 @@
 // random+crash, collision ratios, work) is a distribution, but a
 // run_report is one draw. A cell is run_spec × R deterministic replicas
 // (seeds derived by exp::replica_seed), each written as one unit record
-// (exp::unit_record_rows), and fold_cell turns a cell's R unit records
+// (exp::unit_record_rows), and fold_cell turns a cell's R unit rows
 // into its aggregate record: min/mean/max/stddev and p50/p95 for the four
 // headline metrics, plus any-replica safety folding (one violating
 // replica marks the whole cell).
 //
-// fold_cell is the only code that builds an aggregate record. An
-// unsharded sweep (exp::cell_record_rows) folds the unit rows of its own
-// reports, and every merge (exp::merge_stream) folds the unit records it
-// decodes from shards, so sweep == merge(shards) holds by construction.
+// fold_cell is the only code that builds an aggregate record, and it
+// reads its inputs through one (row, col) -> value_view accessor, the
+// shape the column encoder takes. An unsharded sweep
+// (exp::cell_record_rows) folds the typed unit rows of its own reports,
+// and every merge (exp::merge_stream) folds the unit rows it reads from
+// shards — decoded records, or a checked .amoc image's column blocks read
+// in place — so sweep == merge(shards) holds by construction, with no
+// row converted on the way in.
 // Every number is a deterministic function of the replica values *in
 // replica order* — the mean/stddev accumulate in input order, percentiles
-// sort a copy — and a decoded unit record carries the exact value its
-// writer had (json_writer::num round-trips), so the fold's inputs, and
+// sort a copy — and a unit row read back from a shard carries the exact
+// value its writer had (json_writer::num round-trips), so the fold's inputs, and
 // hence its output bytes, do not depend on where the units ran.
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/record.hpp"
@@ -46,8 +52,13 @@ struct metric_summary {
 /// zeros.
 [[nodiscard]] metric_summary summarize(const std::vector<double>& values);
 
-/// Folds ONE cell's unit records (at least one, complete, replica order)
-/// into its aggregate record, replacing `agg`:
+/// Receives an aggregate record's fields, in order.
+using field_sink =
+    std::function<void(std::string_view key, const value_view& value)>;
+
+/// Folds ONE cell's `rows` unit rows (at least one, complete, replica
+/// order; schema `columns`, read through `at`) into its aggregate record,
+/// whose fields go to `put` in this order:
 /// - "cell", "cells_total", "grid" and "replicas", copied from replica 0
 ///   (a field replica 0 lacks is left out, never written empty);
 /// - replica 0's other fields, in order, without the unit bookkeeping
@@ -58,8 +69,12 @@ struct metric_summary {
 /// - <metric>_{min,mean,max,stddev,p50,p95} of effectiveness, work,
 ///   collisions and steps (exp::summarize), as f64 values;
 /// - "wall_seconds", the replicas' summed wall clock, iff they carry one.
-/// False with `error` when a record lacks a metric or a flag.
-[[nodiscard]] bool fold_cell(const std::vector<record>& units, record& agg,
+/// The fold reads only views: typed rows, decoded records and checked
+/// .amoc blocks reach it as they are. False with `error` (and nothing
+/// put) when a row lacks a metric or a flag.
+[[nodiscard]] bool fold_cell(usize rows,
+                             const std::vector<std::string>& columns,
+                             const cell_at& at, const field_sink& put,
                              std::string& error);
 
 }  // namespace amo::exp

@@ -215,7 +215,8 @@ std::string manifest_path(const dispatch_options& opt) {
 /// Validates one shard's artifact: reads the file once and drains a
 /// source over the bytes that owes the slice and, on `--resume`, the
 /// checkpoint hash `want_hash`. On success the run keeps the bytes (not
-/// records) and their hash; on failure `run.detail` says why. Runs on the
+/// records), their hash and a .amoc image's block index; on failure
+/// `run.detail` says why. Runs on the
 /// attempt's launcher thread as soon as its child exits.
 bool validate_shard(shard_run& run, const std::string& want_hash = {}) {
   obs::span vsp("dispatch", "verify");
@@ -230,7 +231,7 @@ bool validate_shard(shard_run& run, const std::string& want_hash = {}) {
     obs::span dsp("record", "decode");
     dsp.arg("bytes", static_cast<std::uint64_t>(content.size()));
     if (!exp::verify_shard_bytes(content, {run.shard, want_hash}, err,
-                                 &run.content_fnv64)) {
+                                 &run.content_fnv64, &run.blocks)) {
       run.detail = run.file + ": " + err;
       return false;
     }
@@ -549,15 +550,20 @@ dispatch_result dispatch(const std::string& args, const dispatch_options& opt) {
     return out;
   }
 
-  // The one merge path: merge_stream over the verified bytes, released as
-  // soon as it ends.
+  // The one merge path: merge_stream over the verified bytes, read in
+  // place through the blocks their validation kept, and released as soon
+  // as it ends.
   std::vector<std::unique_ptr<exp::record_source>> sources;
   sources.reserve(opt.shards);
   for (const shard_run& run : out.shards) {
-    sources.push_back(exp::make_bytes_source(run.bytes, run.file));
+    sources.push_back(exp::make_bytes_source(
+        run.bytes, run.file, exp::is_colfmt(run.bytes) ? &run.blocks : nullptr));
   }
   exp::merge_result merged = exp::merge_stream(std::move(sources));
-  for (shard_run& run : out.shards) std::string().swap(run.bytes);
+  for (shard_run& run : out.shards) {
+    std::string().swap(run.bytes);
+    run.blocks = exp::colfmt_blocks();
+  }
   if (!merged.ok()) {
     out.error = merged.error;
     out.exit_code = 2;

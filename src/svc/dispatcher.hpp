@@ -11,10 +11,14 @@
 // as soon as the child exits: the file is read once, and a source over
 // its bytes told what the shard owes (exp::shard_owed) checks the slice
 // and hashes them. A torn or corrupted artifact is a retryable failure
-// with a precise diagnostic. The parent keeps the verified bytes (~2.8 MB
-// per 8,192-unit .amoc shard), never decoded records, and merges them
-// through exp::merge_stream — the fold `merge --manifest` and `amo_lab
-// merge` use. Completed shards are checkpointed in a manifest (args
+// with a precise diagnostic. Each byte is checked once: one pass computes
+// a .amoc shard's chunk checksums and its content hash together and
+// checks its blocks, keeping their block index (exp::colfmt_blocks, a few
+// bytes per column block). The parent keeps the verified bytes (~2.8 MB
+// per 8,192-unit .amoc shard) and that index, never decoded records, and
+// merges them through exp::merge_stream — the fold `merge --manifest` and
+// `amo_lab merge` use — reading each value in place, with no second
+// checksum pass and no second decode. Completed shards are checkpointed in a manifest (args
 // fingerprint + content hash per shard file); `dispatch --resume` adopts
 // an entry only through the same source, told its hash too, and
 // relaunches the rest; because the partition and every unit are
@@ -109,6 +113,9 @@ struct shard_run {
   /// The validated file bytes, kept until the merge has read them; the
   /// parent holds no decoded records of a shard.
   std::string bytes;
+  /// What validation learned of a .amoc shard's chunks, through which the
+  /// merge reads `bytes` in place (empty for JSON).
+  exp::colfmt_blocks blocks;
 };
 
 struct dispatch_result {

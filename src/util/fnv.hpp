@@ -28,6 +28,23 @@ inline constexpr std::uint64_t fnv1a64_prime = 1099511628211ull;
   return h;
 }
 
+/// Folds `s` into two running FNV-1a states at once, each byte loaded
+/// once: a reader that checks a chunk's checksum while hashing the whole
+/// input pays one pass, not two. Equal to fnv1a64_append on each state.
+constexpr void fnv1a64_append2(std::uint64_t& a, std::uint64_t& b,
+                               std::string_view s) {
+  std::uint64_t x = a;
+  std::uint64_t y = b;
+  for (const char c : s) {
+    x ^= static_cast<unsigned char>(c);
+    y ^= static_cast<unsigned char>(c);
+    x *= fnv1a64_prime;
+    y *= fnv1a64_prime;
+  }
+  a = x;
+  b = y;
+}
+
 [[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view s) {
   return fnv1a64_append(fnv1a64_offset, s);
 }

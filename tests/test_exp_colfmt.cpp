@@ -227,7 +227,7 @@ TEST(Colfmt, TruncatedFileViaReaderNamesThePath) {
   EXPECT_NE(r.error.find("truncated"), std::string::npos) << r.error;
   // The streaming file source names the path in the same words.
   const auto src = exp::make_file_source(path);
-  exp::record rec;
+  exp::source_row rec;
   std::string error;
   bool end = false;
   while (src->next(rec, end, error) && !end) {
@@ -369,6 +369,22 @@ TEST(Colfmt, StreamedAmocMergeIsByteIdenticalToTheSweep) {
   const exp::merge_result memory = merge_arrays(in_memory);
   ASSERT_TRUE(memory.ok()) << memory.error;
   EXPECT_EQ(exp::render_records(memory.records), expected);
+
+  // So does a merge mixing the two: a cell's rows then come as records
+  // and as .amoc block rows, whichever replica 0 is.
+  for (usize records_shard = 0; records_shard < 3; ++records_shard) {
+    std::vector<std::unique_ptr<exp::record_source>> mixed;
+    for (usize i = 0; i < 3; ++i) {
+      mixed.push_back(
+          i == records_shard
+              ? exp::make_memory_source(in_memory[i])
+              : exp::make_file_source(dir + "/colfmt_shard" +
+                                      std::to_string(i) + ".amoc"));
+    }
+    const exp::merge_result m = exp::merge_stream(std::move(mixed));
+    ASSERT_TRUE(m.ok()) << m.error;
+    EXPECT_EQ(exp::render_records(m.records), expected) << records_shard;
+  }
 }
 
 TEST(Colfmt, SinkStreamsTheSameAggregates) {

@@ -302,6 +302,56 @@ const exp::record_field& field_of(const exp::record& rec, const char* key) {
   return f != nullptr ? *f : missing;
 }
 
+/// fold_cell over `rows` rows of schema `columns`, collected into a record.
+exp::record fold_to_record(usize rows, const std::vector<std::string>& columns,
+                           const exp::cell_at& at) {
+  exp::record agg;
+  std::string error;
+  EXPECT_TRUE(exp::fold_cell(
+      rows, columns, at,
+      [&](std::string_view key, const exp::value_view& v) {
+        exp::assign(agg.fields.emplace_back(), key, v);
+      },
+      error))
+      << error;
+  return agg;
+}
+
+/// One cell's unit rows folded two ways — as the typed rows the report
+/// layer builds, and as the records parsed back from their JSON — which
+/// must give the same aggregate, token for token.
+exp::record fold_both_ways(const std::vector<exp::run_report>& reports,
+                           const std::vector<exp::unit_ref>& units,
+                           std::uint64_t grid, bool timing) {
+  exp::record_table typed;
+  exp::json_writer json;
+  exp::unit_record_rows(
+      reports, units, units.size(), 1, grid,
+      [&](const exp::record_table& group) {
+        typed = group;
+        json.add(group);
+        return true;
+      },
+      timing);
+  const exp::record via_typed = fold_to_record(
+      typed.rows.size(), typed.keys,
+      [&](usize r, usize c) { return exp::view_of(typed.rows[r][c]); });
+
+  const exp::parse_result parsed = exp::parse_records(json.dump());
+  EXPECT_TRUE(parsed.ok()) << parsed.error;
+  std::vector<std::string> keys;
+  for (const exp::record_field& f : parsed.records.at(0).fields) {
+    keys.push_back(f.key);
+  }
+  const exp::record via_records = fold_to_record(
+      parsed.records.size(), keys, [&](usize r, usize c) {
+        return exp::view_of(parsed.records[r].fields[c]);
+      });
+  EXPECT_EQ(exp::render_records({via_typed}),
+            exp::render_records({via_records}));
+  return via_records;
+}
+
 TEST(ReplicaStats, FoldCellIsTheDocumentedAggregate) {
   // Three replicas of one cell, folded by hand: replica 1 breaks safety
   // and quiescence and names duplicate 17, replica 2 names duplicate 5
@@ -325,14 +375,7 @@ TEST(ReplicaStats, FoldCellIsTheDocumentedAggregate) {
       {0, 0, 0, 3}, {1, 0, 1, 3}, {2, 0, 2, 3}};
 
   for (const bool timing : {true, false}) {
-    exp::json_writer json;
-    exp::unit_record_rows(reports, units, 3, 1, 0x1234, exp::json_rows(json),
-                          timing);
-    const exp::parse_result rows = exp::parse_records(json.dump());
-    ASSERT_TRUE(rows.ok()) << rows.error;
-    exp::record agg;
-    std::string error;
-    ASSERT_TRUE(exp::fold_cell(rows.records, agg, error)) << error;
+    const exp::record agg = fold_both_ways(reports, units, 0x1234, timing);
 
     EXPECT_EQ(agg.fields.front().key, "cell");
     EXPECT_EQ(field_of(agg, "replicas").number, 3.0);
@@ -362,14 +405,8 @@ TEST(ReplicaStats, FoldCellIsTheDocumentedAggregate) {
   // Every replica safe: the flags stay true and duplicate reads 0.
   std::vector<exp::run_report> good(2);
   for (exp::run_report& r : good) r.wa_complete = true;
-  exp::json_writer json;
-  exp::unit_record_rows(good, {{0, 0, 0, 2}, {1, 0, 1, 2}}, 2, 1, 0,
-                        exp::json_rows(json), false);
-  exp::record agg;
-  std::string error;
-  ASSERT_TRUE(exp::fold_cell(exp::parse_records(json.dump()).records, agg,
-                             error))
-      << error;
+  const exp::record agg =
+      fold_both_ways(good, {{0, 0, 0, 2}, {1, 0, 1, 2}}, 0, false);
   EXPECT_TRUE(field_of(agg, "at_most_once").truth);
   EXPECT_TRUE(field_of(agg, "quiescent").truth);
   EXPECT_TRUE(field_of(agg, "wa_complete").truth);

@@ -365,6 +365,43 @@ TEST(SvcDispatch, ManifestMergeReproducesTheKeptAmocDispatch) {
   EXPECT_EQ(exp::render_records(m.records), exp::render_records(d.merged));
 }
 
+TEST(SvcDispatch, AmocDispatchChecksAndDecodesEachShardChunkOnce) {
+  // The parent checks each .amoc shard chunk once, on its launcher thread:
+  // checksum, content hash and blocks in one pass. The merge then reads the
+  // verified image through the block index that pass kept, so no chunk is
+  // read a second time (each read is one merge/chunks_read sample).
+  const std::string dir = fresh_dir("chunks_once");
+  svc::dispatch_options opt;
+  opt.shards = 3;
+  opt.dir = dir;
+  opt.quiet = true;
+  opt.keep_shards = true;
+  opt.format = exp::record_format::colfmt;
+  opt.command = prepared_amoc_shards(dir, 3);
+  obs::session s;
+  ASSERT_TRUE(s.installed());
+  const svc::dispatch_result d = svc::dispatch("", opt);
+  ASSERT_TRUE(d.ok()) << d.error;
+  const obs::trace_parse_result parsed =
+      obs::parse_trace(obs::export_json(s.sink()));
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  usize reads = 0;
+  for (const obs::trace_event& e : parsed.events) {
+    reads += e.ph == 'C' && e.cat == "merge" && e.name == "chunks_read";
+  }
+  usize chunks = 0;
+  for (const svc::shard_run& run : d.shards) {
+    exp::colfmt_reader reader;
+    std::string error;
+    ASSERT_TRUE(reader.open(std::fopen(run.file.c_str(), "rb"), {}, false,
+                            error))
+        << error;
+    chunks += reader.header().chunk_count;
+  }
+  EXPECT_GT(chunks, 3u);
+  EXPECT_EQ(reads, chunks);
+}
+
 TEST(SvcDispatch, ManifestMergeRefusesAShardReplacedAfterTheDispatch) {
   // The replacement is a valid shard of the same slice and grid, so only
   // the checkpoint hash can tell; the merge returns no records at all.

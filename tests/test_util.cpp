@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
+#include "util/fnv.hpp"
 #include "util/math.hpp"
 #include "util/op_counter.hpp"
 #include "util/prng.hpp"
@@ -149,6 +151,26 @@ TEST(Table, FmtHelpers) {
   EXPECT_EQ(fmt_count(999), "999");
   EXPECT_EQ(fmt_count(1000), "1,000");
   EXPECT_EQ(fmt_count(1234567), "1,234,567");
+}
+
+TEST(Fnv, TwoChainsInOnePassEqualTwoAppends) {
+  // The reader's one pass over a chunk feeds its checksum and the content
+  // hash: each chain must equal fnv1a64_append over the same bytes, from
+  // any two starting states.
+  xoshiro256 rng(42);
+  std::string big(1 << 20, '\0');
+  for (char& c : big) c = static_cast<char>(rng.below(256));
+  for (const std::string& s :
+       {std::string(), std::string(1, '\xff'), std::string("odd-length!"),
+        big}) {
+    std::uint64_t a = fnv1a64_offset;
+    std::uint64_t b = fnv1a64("an earlier frame");
+    const std::uint64_t b0 = b;
+    fnv1a64_append2(a, b, s);
+    EXPECT_EQ(a, fnv1a64_append(fnv1a64_offset, s)) << s.size();
+    EXPECT_EQ(b, fnv1a64_append(b0, s)) << s.size();
+  }
+  EXPECT_EQ(fnv1a64(""), fnv1a64_offset);
 }
 
 }  // namespace
