@@ -191,8 +191,8 @@ class colfmt_blocks {
 
 /// Streaming .amoc reader over a stdio stream — a file or an in-memory
 /// image: the header is read and validated at open(); next_chunk() then
-/// checks one chunk at a time, so a merge holds one chunk per shard,
-/// never a whole file. Every rule of docs/record_format.md is checked
+/// checks one chunk at a time, so a merge of files holds the chunks its
+/// current cell's rows come from, never a whole file. Every rule of docs/record_format.md is checked
 /// here, once. The input is read once, front to back; a chunk's checksum
 /// and, when hashing, the content hash are two FNV-1a chains of one pass
 /// over its bytes (fnv1a64_append2).
