@@ -124,7 +124,6 @@ class iterative_process final : public automaton {
 
   usize level_ = 0;
   std::unique_ptr<inner_process> inner_;
-  std::vector<job_id> input_;  ///< current level's initial FREE set
   std::vector<std::vector<job_id>> level_outputs_;
 
   bool final_phase_ = false;  ///< WA lines 14-16: drain residual FREE
@@ -201,10 +200,14 @@ void iterative_process<M>::start_level() {
     stats_.work.local_ops += space.count();
   } else {
     const super_job_space& prev = plan.levels[level_ - 1];
-    input_ = map_super_jobs(level_outputs_.back(), prev, space);
-    stats_.work.local_ops += level_outputs_.back().size() + input_.size();
+    // The level's initial FREE set seeds the inner process's own set and
+    // is dropped here: m processes each holding theirs for the whole level
+    // was most of a run's peak heap.
+    const std::vector<job_id> input =
+        map_super_jobs(level_outputs_.back(), prev, space);
+    stats_.work.local_ops += level_outputs_.back().size() + input.size();
     inner_ = std::make_unique<inner_process>(*shared_.level_mem[level_], cfg,
-                                             input_, std::move(expanded),
+                                             input, std::move(expanded),
                                              std::move(hooks));
   }
 }

@@ -428,21 +428,6 @@ bool encode_chunk_bytes(usize first, usize last,
 
 // --- chunk decode ---------------------------------------------------------
 
-/// Resets `f` to an empty field of column `key`, keeping its strings'
-/// capacity — what lets a reader decode chunk after chunk into the same
-/// records without reallocating them.
-record_field& reset_field(record_field& f, const std::string& key,
-                          record_field::kind type, value_encoding enc) {
-  f.key = key;
-  f.type = type;
-  f.encoding = enc;
-  f.truth = false;
-  f.number = 0.0;
-  f.text.clear();
-  f.raw.clear();
-  return f;
-}
-
 /// Post-decode consistency: the header's record-derived fields must match
 /// what the first record says (`first`, row 0; all zero when the file
 /// holds none and `first` is empty).
@@ -654,6 +639,32 @@ value_view colfmt_blocks::at(std::string_view image, usize chunk, usize row,
   return value(image.data() + c.offset, c, row, col);
 }
 
+void colfmt_blocks::decode(std::string_view image,
+                           std::vector<record>& out) const {
+  const chunk& c = chunks_.front();
+  const char* bytes = image.data() + c.offset;
+  out.resize(c.rows);
+  for (record& rec : out) rec.fields.resize(columns_.size());
+  for (usize col = 0; col < columns_.size(); ++col) {
+    const block& b = blocks_[c.first + col];
+    // A string block of varying widths is walked once, row after row.
+    const char* p = b.tag == kTagStr && b.width == kVaries ? bytes + b.at
+                                                           : nullptr;
+    for (usize row = 0; row < c.rows; ++row) {
+      value_view v;
+      if (p != nullptr) {
+        v.enc = value_encoding::str;
+        v.type = json::kind::string;
+        v.text = std::string_view(p + 4, get_u32(p));
+        p += 4 + v.text.size();
+      } else {
+        v = value(bytes, c, row, col);
+      }
+      assign(out[row].fields[col], columns_[col], v);
+    }
+  }
+}
+
 // --- streaming reader -----------------------------------------------------
 
 colfmt_reader::~colfmt_reader() {
@@ -671,20 +682,10 @@ bool fail(std::string why, std::string& error) {
 
 bool colfmt_reader::decode_chunk(std::string_view chunk, std::uint64_t base,
                                  const std::vector<std::string>& columns,
-                                 std::vector<record>* out,
-                                 colfmt_blocks* index, std::string& error) {
-  using K = record_field::kind;
-  using E = value_encoding;
+                                 colfmt_blocks& index, std::string& error) {
   cursor cur{chunk, kChunkFixed, base, {}};
   const std::uint32_t rows = get_u32(chunk.data() + 16);
-  if (out != nullptr) {
-    out->resize(rows);
-    for (record& rec : *out) rec.fields.resize(columns.size());
-  }
-  const usize first = index != nullptr ? index->blocks_.size() : 0;
-  const auto field = [&](usize r, usize c, K type, E enc) -> record_field& {
-    return reset_field((*out)[r].fields[c], columns[c], type, enc);
-  };
+  const usize first = index.blocks_.size();
 
   for (usize c = 0; c < columns.size() && !cur.failed(); ++c) {
     if (!cur.need(1, "a column block tag")) break;
@@ -700,24 +701,13 @@ bool colfmt_reader::decode_chunk(std::string_view chunk, std::uint64_t base,
         }
         cur.skip(16);  // min/max: advisory statistics, not re-validated
         blk.at = static_cast<std::uint32_t>(cur.pos);
-        const char* p = cur.take(usize{rows} * 8);
-        for (usize r = 0; out != nullptr && r < rows; ++r, p += 8) {
-          if (tag == kTagF64) {
-            field(r, c, K::number, E::f64).number = get_f64(p);
-            continue;
-          }
-          const std::uint64_t v = get_u64(p);
-          record_field& f = field(r, c, K::number, E::u64);
-          f.number = static_cast<double>(v);  // correctly rounded, as parsing
-          // Past 2^53 the double is not the value: keep its exact digits.
-          if (v >= std::uint64_t{1} << 53) json_writer::append_num(f.raw, v);
-        }
+        cur.skip(usize{rows} * 8);
         break;
       }
       case kTagStr:
       case kTagVerbatim: {
-        if (tag == kTagVerbatim && index != nullptr) {
-          blk.at = static_cast<std::uint32_t>(index->verbatim_.size());
+        if (tag == kTagVerbatim) {
+          blk.at = static_cast<std::uint32_t>(index.verbatim_.size());
         }
         for (usize r = 0; r < rows && !cur.failed(); ++r) {
           if (!cur.need(4, "a string length")) break;
@@ -729,15 +719,9 @@ bool colfmt_reader::decode_chunk(std::string_view chunk, std::uint64_t base,
           } else if (len != blk.width) {
             blk.width = colfmt_blocks::kVaries;
           }
-          if (tag == kTagStr) {
-            if (out != nullptr) field(r, c, K::string, E::str).text.assign(s);
-            continue;
-          }
-          record_field& f = out != nullptr
-                                ? field(r, c, K::null, E::unknown)
-                                : index->verbatim_.emplace_back();
+          if (tag == kTagStr) continue;
           std::string perr;
-          if (!parse_value_token(s, f, perr)) {
+          if (!parse_value_token(s, index.verbatim_.emplace_back(), perr)) {
             cur.fail("verbatim token in column '" + columns[c] +
                      "' does not parse: " + perr);
           }
@@ -747,24 +731,16 @@ bool colfmt_reader::decode_chunk(std::string_view chunk, std::uint64_t base,
       case kTagBool: {
         const usize bytes = (usize{rows} + 7) / 8;
         if (!cur.need(bytes, "a bool column bitmap")) break;
-        const char* bits = cur.take(bytes);
-        for (usize r = 0; out != nullptr && r < rows; ++r) {
-          field(r, c, K::boolean, E::boolean).truth =
-              (static_cast<unsigned char>(bits[r / 8]) >> (r % 8)) & 1;
-        }
+        cur.skip(bytes);
         break;
       }
-      case kTagNull:
-        for (usize r = 0; out != nullptr && r < rows; ++r) {
-          field(r, c, K::null, E::null);
-        }
-        break;
+      case kTagNull: break;
       default:
         cur.fail("unknown column encoding tag " + std::to_string(tag) +
                  " in column '" + columns[c] + "'");
         break;
     }
-    if (index != nullptr) index->blocks_.push_back(blk);
+    index.blocks_.push_back(blk);
   }
   if (!cur.failed() && cur.pos != chunk.size() - 8) {
     cur.fail("chunk declares " + std::to_string(chunk.size()) +
@@ -773,10 +749,9 @@ bool colfmt_reader::decode_chunk(std::string_view chunk, std::uint64_t base,
   }
   if (cur.failed()) {
     error = cur.error;
-    if (out != nullptr) out->clear();
     return false;
   }
-  if (index != nullptr) index->chunks_.push_back({base, rows, first});
+  index.chunks_.push_back({base, rows, first});
   return true;
 }
 
@@ -897,11 +872,16 @@ bool colfmt_reader::read_header(std::string& error) {
 
 bool colfmt_reader::next_chunk(std::vector<record>& out, bool& end,
                                std::string& error) {
-  end = false;
-  if (read_chunk(&out, nullptr, end, error)) return true;
-  hash_frame();
-  out.clear();
-  return false;
+  if (!next_chunk(records_index_, end, error, &records_frame_)) {
+    out.clear();
+    return false;
+  }
+  if (end) {
+    out.clear();
+  } else {
+    records_index_.decode(records_frame_, out);
+  }
+  return true;
 }
 
 bool colfmt_reader::next_chunk(colfmt_blocks& index, bool& end,
@@ -913,7 +893,7 @@ bool colfmt_reader::next_chunk(colfmt_blocks& index, bool& end,
     index.verbatim_.clear();
   }
   if (index.columns_.empty()) index.columns_ = header_.columns;
-  if (!read_chunk(nullptr, &index, end, error)) {
+  if (!read_chunk(index, end, error)) {
     hash_frame();
     return false;
   }
@@ -929,15 +909,14 @@ bool colfmt_reader::next_chunk(colfmt_blocks& index, bool& end,
   return true;
 }
 
-bool colfmt_reader::read_chunk(std::vector<record>* out, colfmt_blocks* index,
-                               bool& end, std::string& error) {
+bool colfmt_reader::read_chunk(colfmt_blocks& index, bool& end,
+                               std::string& error) {
   if (!open_) return fail("reader is not open", error);
   frame_.clear();
   hashed_ = 0;
   std::string why;
   if (!extend(sizeof kEndMarker, "a chunk frame", error)) return false;
   if (std::memcmp(frame().data(), kEndMarker, sizeof kEndMarker) == 0) {
-    if (out != nullptr) out->clear();
     hash_frame();
     char extra = 0;
     if (std::fread(&extra, 1, 1, file_) != 0) {
@@ -993,16 +972,14 @@ bool colfmt_reader::read_chunk(std::vector<record>* out, colfmt_blocks* index,
                     ") (corrupted .amoc file?)",
                 error);
   }
-  if (!decode_chunk(frame(), offset_, header_.columns, out, index, why)) {
+  if (!decode_chunk(frame(), offset_, header_.columns, index, why)) {
     return fail(std::move(why), error);
   }
   // The header's record-derived fields, against the first record.
-  const usize rows = out != nullptr ? out->size() : index->chunks_.back().rows;
+  const usize rows = index.chunks_.back().rows;
   if (records_seen_ == 0 && rows != 0) {
     const cell_at first = [&](usize, usize c) {
-      return out != nullptr
-                 ? view_of(out->front().fields[c])
-                 : index->value(frame_.data(), index->chunks_.back(), 0, c);
+      return index.value(frame_.data(), index.chunks_.back(), 0, c);
     };
     if (!check_header_meta(header_, first, why)) {
       return fail(std::move(why), error);

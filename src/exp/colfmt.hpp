@@ -162,6 +162,11 @@ class colfmt_blocks {
   [[nodiscard]] value_view at(std::string_view image, usize chunk, usize row,
                               usize col) const;
 
+  /// The records of an index holding one chunk (colfmt_reader::next_chunk
+  /// with a frame), decoded from `image`, the chunk's bytes: how .amoc
+  /// records are made, each column read front to back.
+  void decode(std::string_view image, std::vector<record>& out) const;
+
  private:
   friend class colfmt_reader;
   struct block {
@@ -212,7 +217,8 @@ class colfmt_reader {
                           std::string& error);
 
   /// Decodes the next chunk into `out`, replacing its contents but reusing
-  /// its records' storage. Sets `end` (with `out` empty) once the end
+  /// its records' storage: the chunk is checked and indexed as below, then
+  /// decoded through the index. Sets `end` (with `out` empty) once the end
   /// marker closes the input. False with `error` on any violation —
   /// including content after the end marker or an input that stops
   /// before it.
@@ -243,17 +249,15 @@ class colfmt_reader {
 
  private:
   bool read_header(std::string& error);
-  /// next_chunk's body: checks the next frame and, for a chunk, decodes
-  /// it into `out` or indexes it into `index` (one is given).
-  bool read_chunk(std::vector<record>* out, colfmt_blocks* index, bool& end,
-                  std::string& error);
+  /// next_chunk's body: checks the next frame and, for a chunk, indexes
+  /// it into `index`.
+  bool read_chunk(colfmt_blocks& index, bool& end, std::string& error);
   /// Checks chunk `chunk` (at input offset `base`, its checksum already
-  /// verified) block by block, decoding it into `out` or indexing it into
-  /// `index`: one rule set for both.
+  /// verified) block by block, indexing it into `index`: the one chunk
+  /// decoder, whatever is read of the chunk afterwards.
   static bool decode_chunk(std::string_view chunk, std::uint64_t base,
                            const std::vector<std::string>& columns,
-                           std::vector<record>* out, colfmt_blocks* index,
-                           std::string& error);
+                           colfmt_blocks& index, std::string& error);
   /// Extends the current frame by the input's next `n` bytes.
   bool extend(usize n, const char* what, std::string& error);
   /// Folds the frame's bytes not yet hashed into the content hash.
@@ -270,6 +274,8 @@ class colfmt_reader {
   std::uint64_t fnv_ = fnv1a64_offset;
   bool hash_ = false;  ///< fold file bytes into fnv_
   bool open_ = false;  ///< the header validated
+  colfmt_blocks records_index_;  ///< next_chunk(records): the chunk's index
+  std::string records_frame_;    ///< and its bytes
 };
 
 /// Streaming .amoc writer for content too large to buffer (bench_records

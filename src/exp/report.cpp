@@ -119,68 +119,6 @@ bool json_writer::write(const char* path) const {
 
 namespace {
 
-/// Appends one row's values to a table, and on the first row of a table
-/// without a schema the keys too, so the schema is written once.
-struct row_sink {
-  record_table& table;
-  std::vector<typed_value>& row;
-  bool keys;
-
-  void put(std::string_view key, typed_value v) {
-    if (keys) table.keys.emplace_back(key);
-    row.push_back(std::move(v));
-  }
-  void put_all(const extra_fields& extra) {
-    for (const auto& [key, value] : extra) put(key, value);
-  }
-};
-
-/// Refills row `i` of `table`, keeping the row's storage.
-row_sink fill_row(record_table& table, usize i, usize fields) {
-  std::vector<typed_value>& row = table.rows[i];
-  row.clear();
-  row.reserve(fields);
-  return {table, row, table.keys.empty()};
-}
-
-/// The run-report schema: what every unit row carries after its position
-/// fields, and what exp::fold_cell folds into a cell row.
-void put_report(row_sink& out, const run_report& r, bool include_timing) {
-  using T = typed_value;
-  out.put("scenario", T::str(r.label));
-  out.put("algo", T::str(to_string(r.algo)));
-  out.put("driver", T::str(to_string(r.driver)));
-  out.put("memory", T::str(to_string(r.memory)));
-  out.put("free_set", T::str("bitset"));  // constant identity field
-  out.put("adversary", T::str(r.adversary));
-  out.put("seed", T::u64(r.seed));
-  out.put("n", T::u64(r.n));
-  out.put("m", T::u64(r.m));
-  out.put("beta", T::u64(r.beta));
-  out.put("eps_inv", T::u64(r.eps_inv));
-  out.put("crash_budget", T::u64(r.crash_budget));
-  out.put("steps", T::u64(r.total_steps));
-  out.put("crashes", T::u64(r.crashes));
-  out.put("quiescent", T::boolean(r.quiescent));
-  out.put("terminated", T::u64(r.terminated));
-  out.put("effectiveness", T::u64(r.effectiveness));
-  out.put("perform_events", T::u64(r.perform_events));
-  out.put("at_most_once", T::boolean(r.at_most_once));
-  out.put("duplicate", T::u64(r.duplicate));
-  out.put("shared_reads", T::u64(r.total_work.shared_reads));
-  out.put("shared_writes", T::u64(r.total_work.shared_writes));
-  out.put("local_ops", T::u64(r.total_work.local_ops));
-  out.put("actions", T::u64(r.total_work.actions));
-  out.put("work", T::u64(r.total_work.total()));
-  out.put("collisions", T::u64(r.total_collisions));
-  out.put("worst_pair_ratio", T::f64(r.worst_pair_ratio));
-  out.put("num_levels", T::u64(r.num_levels));
-  out.put("wa_complete", T::boolean(r.wa_complete));
-  out.put("wa_written", T::u64(r.wa_written));
-  out.put("trace_events", T::u64(r.trace.size()));
-  if (include_timing) out.put("wall_seconds", T::f64(r.wall_seconds));
-}
-
 /// Refills `t` with the value `v` views (a field of known encoding, as
 /// every unit row and exp::fold_cell output is), keeping its storage.
 void assign_typed(typed_value& t, const value_view& v) {
@@ -190,6 +128,89 @@ void assign_typed(typed_value& t, const value_view& v) {
   t.u = t.enc == E::u64 ? v.u : 0;
   t.f = t.enc == E::f64 ? v.number : 0.0;
   t.text.assign(t.enc == E::str ? v.text : std::string_view());
+}
+
+/// Refills one row of a table value by value, in place: each value keeps
+/// its storage, so a string (the 16-digit grid, a long label) allocates on
+/// a table's first rows only. On the first row of a table without a
+/// schema the keys are written too, so the schema is written once.
+struct row_sink {
+  record_table& table;
+  std::vector<typed_value>& row;
+  bool keys = table.keys.empty();
+  usize n = 0;
+
+  void put(std::string_view key, const value_view& v) {
+    if (keys) table.keys.emplace_back(key);
+    if (n == row.size()) row.emplace_back();
+    assign_typed(row[n++], v);
+  }
+  void u64(std::string_view key, std::uint64_t v) {
+    value_view w;
+    w.enc = value_encoding::u64;
+    w.u = v;
+    put(key, w);
+  }
+  void f64(std::string_view key, double v) {
+    value_view w;
+    w.enc = value_encoding::f64;
+    w.number = v;
+    put(key, w);
+  }
+  void boolean(std::string_view key, bool v) {
+    value_view w;
+    w.enc = value_encoding::boolean;
+    w.truth = v;
+    put(key, w);
+  }
+  void str(std::string_view key, std::string_view v) {
+    value_view w;
+    w.enc = value_encoding::str;
+    w.text = v;
+    put(key, w);
+  }
+  void put_all(const extra_fields& extra) {
+    for (const auto& [key, value] : extra) put(key, view_of(value));
+  }
+  /// Drops what the row held past the values put.
+  void finish() { row.resize(n); }
+};
+
+/// The run-report schema: what every unit row carries after its position
+/// fields, and what exp::fold_cell folds into a cell row.
+void put_report(row_sink& out, const run_report& r, bool include_timing) {
+  out.str("scenario", r.label);
+  out.str("algo", to_string(r.algo));
+  out.str("driver", to_string(r.driver));
+  out.str("memory", to_string(r.memory));
+  out.str("free_set", "bitset");  // constant identity field
+  out.str("adversary", r.adversary);
+  out.u64("seed", r.seed);
+  out.u64("n", r.n);
+  out.u64("m", r.m);
+  out.u64("beta", r.beta);
+  out.u64("eps_inv", r.eps_inv);
+  out.u64("crash_budget", r.crash_budget);
+  out.u64("steps", r.total_steps);
+  out.u64("crashes", r.crashes);
+  out.boolean("quiescent", r.quiescent);
+  out.u64("terminated", r.terminated);
+  out.u64("effectiveness", r.effectiveness);
+  out.u64("perform_events", r.perform_events);
+  out.boolean("at_most_once", r.at_most_once);
+  out.u64("duplicate", r.duplicate);
+  out.u64("shared_reads", r.total_work.shared_reads);
+  out.u64("shared_writes", r.total_work.shared_writes);
+  out.u64("local_ops", r.total_work.local_ops);
+  out.u64("actions", r.total_work.actions);
+  out.u64("work", r.total_work.total());
+  out.u64("collisions", r.total_collisions);
+  out.f64("worst_pair_ratio", r.worst_pair_ratio);
+  out.u64("num_levels", r.num_levels);
+  out.boolean("wa_complete", r.wa_complete);
+  out.u64("wa_written", r.wa_written);
+  out.u64("trace_events", r.trace.size());
+  if (include_timing) out.f64("wall_seconds", r.wall_seconds);
 }
 
 std::string grid_hex(std::uint64_t grid) {
@@ -220,22 +241,16 @@ bool cell_record_rows(const sweep_result& swept, std::uint64_t grid,
   group.rows.resize(1);
   std::string error;
   const auto fold = [&](const record_table& rows) {
-    std::vector<typed_value>& row = group.rows.front();
-    const bool keys = group.keys.empty();
-    usize n = 0;
-    const auto put = [&](std::string_view key, const value_view& v) {
-      if (keys) group.keys.emplace_back(key);
-      if (n == row.size()) row.emplace_back();
-      assign_typed(row[n++], v);
-    };
+    row_sink out{group, group.rows.front()};
     if (!fold_cell(
             rows.rows.size(), rows.keys,
-            [&](usize r, usize c) { return view_of(rows.rows[r][c]); }, put,
+            [&](usize r, usize c) { return view_of(rows.rows[r][c]); },
+            [&](std::string_view key, const value_view& v) { out.put(key, v); },
             error)) {
       return false;
     }
-    for (const auto& [key, value] : extra) put(key, view_of(value));
-    row.resize(n);
+    out.put_all(extra);
+    out.finish();
     return sink(group);
   };
   return unit_record_rows(swept.reports, units, swept.reports.size(),
@@ -247,7 +262,6 @@ bool unit_record_rows(const std::vector<run_report>& reports,
                       usize cells_total, std::uint64_t grid,
                       const row_group_sink& sink, bool include_timing,
                       const extra_fields& extra) {
-  using T = typed_value;
   const std::string fp = grid_hex(grid);
   record_table group;
   for (usize first = 0, last = 0; first < reports.size(); first = last) {
@@ -257,16 +271,17 @@ bool unit_record_rows(const std::vector<run_report>& reports,
     group.rows.resize(last - first);
     for (usize i = first; i < last; ++i) {
       const unit_ref& u = units[i];
-      row_sink out = fill_row(group, i - first, 40);
-      out.put("unit", T::u64(u.unit));
-      out.put("units_total", T::u64(units_total));
-      out.put("cell", T::u64(u.cell));
-      out.put("cells_total", T::u64(cells_total));
-      out.put("replica", T::u64(u.replica));
-      out.put("replicas", T::u64(u.cell_replicas));
-      out.put("grid", T::str(fp));
+      row_sink out{group, group.rows[i - first]};
+      out.u64("unit", u.unit);
+      out.u64("units_total", units_total);
+      out.u64("cell", u.cell);
+      out.u64("cells_total", cells_total);
+      out.u64("replica", u.replica);
+      out.u64("replicas", u.cell_replicas);
+      out.str("grid", fp);
       put_report(out, reports[i], include_timing);
       out.put_all(extra);
+      out.finish();
     }
     if (!sink(group)) return false;
   }

@@ -1,13 +1,15 @@
 #include "svc/server.hpp"
 
-#include <exception>
-#include <istream>
-#include <thread>
-#include <unordered_set>
-
 #include <chrono>
 #include <condition_variable>
+#include <deque>
+#include <exception>
+#include <istream>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <thread>
+#include <unordered_set>
 
 #include "exp/registry.hpp"
 #include "exp/report.hpp"
@@ -113,6 +115,141 @@ bool output_rows(const job_result& r, const exp::row_group_sink& sink) {
   return exp::cell_record_rows(r.swept, r.grid, sink,
                                /*include_timing=*/!r.j.no_timing, extra);
 }
+
+/// The in-order job window serve and run_jobs share. Up to pool.size()
+/// jobs are in flight at once, each executing on one of pool.size() job
+/// threads, so the pool overlaps their batches and keeps its workers busy
+/// across job boundaries; the caller finishes them (render, write, stream,
+/// log) strictly in submission order. A job holds its slot until it is
+/// finished, so with a one-worker pool the window is a sequential loop.
+class job_window {
+ public:
+  explicit job_window(worker_pool& pool) : pool_(pool) {}
+
+  /// Runs jobs from `next` until it reports none: pool.size() job threads
+  /// take turns to claim a slot and the next job, in submission order, and
+  /// execute it; the calling thread finishes each with `finish` in that
+  /// order.
+  template <class Next, class Finish>
+  void drain(Next&& next, Finish&& finish) {
+    std::unordered_set<std::string> used_out;  // under take_mu_
+    std::vector<std::jthread> runners;
+    runners.reserve(pool_.size());
+    for (usize i = 0; i < pool_.size(); ++i) {
+      runners.emplace_back([&] {
+        obs::set_thread_name("serve job");
+        run(next, used_out);
+      });
+    }
+    while (finish_next(finish)) {
+    }
+  }
+
+  /// f(seq, tag, thread) for every job still executing, oldest first,
+  /// under the window's lock: a job thread runs one job at a time, so
+  /// while the job is executing its thread's pool batch is the job's.
+  template <class F>
+  void each_running(F&& f) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const std::unique_ptr<slot>& s : slots_) {
+      if (!s->done) f(s->seq, s->tag, s->thread);
+    }
+  }
+
+ private:
+  struct slot {
+    std::uint64_t seq = 0;
+    std::string tag;
+    std::thread::id thread;  ///< the job thread executing it
+    job_result r;            ///< written once, under mu_, before done
+    bool done = false;
+  };
+
+  /// One job thread's loop. Taking a job (slot wait, next(), out= claim)
+  /// happens under take_mu_, so slots follow submission order.
+  template <class Next>
+  void run(Next& next, std::unordered_set<std::string>& used_out) {
+    for (;;) {
+      job j;
+      double queued_seconds = 0.0;
+      slot* s = nullptr;
+      {
+        std::lock_guard<std::mutex> take(take_mu_);
+        {
+          std::unique_lock<std::mutex> lk(mu_);
+          slot_cv_.wait(lk, [this] {
+            return closed_ || slots_.size() < pool_.size();
+          });
+          if (closed_) return;
+        }
+        if (!next(j, queued_seconds)) {
+          {
+            std::lock_guard<std::mutex> lk(mu_);
+            closed_ = true;
+          }
+          slot_cv_.notify_all();
+          done_cv_.notify_one();
+          return;
+        }
+        auto taken = std::make_unique<slot>();
+        taken->tag = job_tag(j);
+        taken->thread = std::this_thread::get_id();
+        // A job whose out= claim fails enters the window already failed.
+        taken->done = !claim_out_path(j, used_out, taken->r);
+        taken->r.queue_seconds = queued_seconds;
+        s = taken.get();
+        {
+          std::lock_guard<std::mutex> lk(mu_);
+          taken->seq = ++started_;
+          slots_.push_back(std::move(taken));
+        }
+        if (s->done) {
+          done_cv_.notify_one();
+          continue;
+        }
+      }
+      job_result r = execute_job(j, pool_);
+      r.queue_seconds = queued_seconds;
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        s->r = std::move(r);
+        s->done = true;
+      }
+      done_cv_.notify_one();
+    }
+  }
+
+  /// Waits for the oldest job, hands its result to `finish`, then frees
+  /// its slot. False once the jobs ran out and the window drained.
+  template <class Finish>
+  bool finish_next(Finish& finish) {
+    slot* s = nullptr;
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      done_cv_.wait(lk, [this] {
+        return slots_.empty() ? closed_ : slots_.front()->done;
+      });
+      if (slots_.empty()) return false;
+      s = slots_.front().get();
+    }
+    finish(s->r);
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      slots_.pop_front();
+    }
+    slot_cv_.notify_one();
+    return true;
+  }
+
+  worker_pool& pool_;
+  std::mutex take_mu_;  ///< one job thread takes the next job at a time
+  mutable std::mutex mu_;
+  std::condition_variable done_cv_;  ///< the finisher waits for the oldest
+  std::condition_variable slot_cv_;  ///< the taker waits for a free slot
+  std::deque<std::unique_ptr<slot>> slots_;  ///< submission order
+  std::uint64_t started_ = 0;
+  bool closed_ = false;
+};
 
 }  // namespace
 
@@ -234,12 +371,16 @@ serve_summary run_jobs(const std::vector<job>& jobs, worker_pool& pool,
   serve_summary sum;
   std::FILE* stream = opt.stream != nullptr ? opt.stream : stdout;
   std::FILE* log = opt.log != nullptr ? opt.log : stderr;
-  std::unordered_set<std::string> used_out;
-  for (const job& j : jobs) {
-    job_result r;
-    if (claim_out_path(j, used_out, r)) r = execute_job(j, pool);
-    finish_job(r, opt, stream, log, sum);
-  }
+  job_window window(pool);
+  usize next = 0;
+  window.drain(
+      [&](job& j, double& queued_seconds) {
+        if (next == jobs.size()) return false;
+        j = jobs[next++];
+        queued_seconds = 0.0;
+        return true;
+      },
+      [&](const job_result& r) { finish_job(r, opt, stream, log, sum); });
   return sum;
 }
 
@@ -276,18 +417,21 @@ serve_summary serve(std::istream& in, worker_pool& pool,
     queue.close();
   });
 
+  job_window window(pool);
+
   // Progress watchdog: a long-running serve must be able to tell a big job
-  // from a stuck one. Every beat it reads the pool's progress snapshot and
-  // names the current job; an unmoved unit counter between two beats is
-  // called out as possibly stuck (the units themselves are deterministic
-  // compute — no progress means no progress). With stall_s set the
-  // watchdog additionally has a deadline action: once the counter has not
-  // moved for stall_s it cancels the pool batch, failing the job with the
-  // timeout class instead of letting it hang forever.
+  // from a stuck one. Every beat it reads the progress snapshot of each
+  // executing job's pool batch and names the oldest executing job; an
+  // unmoved unit counter between two beats is called out as possibly stuck
+  // (the units themselves are deterministic compute — no progress means no
+  // progress). With stall_s set the watchdog additionally has a deadline
+  // action: once a job's counter has not moved for stall_s while its batch
+  // has units running, it cancels that job's batch alone, failing the job
+  // with the timeout class instead of letting it hang forever. A batch
+  // waiting behind older jobs' units is not stalled.
   std::mutex hb_mu;
   std::condition_variable hb_cv;
   bool hb_stop = false;
-  std::string hb_current;  // under hb_mu; empty = between jobs
   std::jthread watchdog;
   if (opt.heartbeat_s > 0 || opt.stall_s > 0) {
     // The beat must sample at least twice per stall window or a stall
@@ -296,113 +440,121 @@ serve_summary serve(std::istream& in, worker_pool& pool,
     if (opt.stall_s > 0 && opt.stall_s / 2 < beat) beat = opt.stall_s / 2;
     watchdog = std::jthread([&, beat] {
       obs::set_thread_name("serve watchdog");
-      usize last_done = 0;
-      bool last_idle = true;
-      auto last_change = std::chrono::steady_clock::now();
+      using clock = std::chrono::steady_clock;
+      struct stall_state {
+        std::uint64_t batch = 0;
+        usize done = 0;
+        clock::time_point change;
+      };
+      struct sample {
+        std::string tag;
+        pool_progress p;
+        bool stuck = false;
+        bool cancelled = false;
+        double stalled_for = 0.0;
+      };
+      std::map<std::uint64_t, stall_state> stalls;  // by job, in flight only
       double since_report = opt.heartbeat_s;  // first beat always reports
-      const auto report = [&](const std::string& current,
-                              const pool_progress* p, bool stuck,
-                              bool cancelled, double stalled_for) {
+      const auto report = [&](const sample* s) {
         if (opt.json_heartbeat) {
           std::string line = "{\"heartbeat\":true";
-          if (p == nullptr) {
+          if (s == nullptr) {
             line += ",\"idle\":true";
           } else {
-            line += ",\"job\":" + exp::json_writer::str(current);
-            line += ",\"units_done\":" + std::to_string(p->tasks_done);
-            line += ",\"units_total\":" + std::to_string(p->tasks_total);
+            line += ",\"job\":" + exp::json_writer::str(s->tag);
+            line += ",\"units_done\":" + std::to_string(s->p.tasks_done);
+            line += ",\"units_total\":" + std::to_string(s->p.tasks_total);
             line += ",\"workers\":" + std::to_string(pool.size());
             line += ",\"batch_seconds\":" +
-                    exp::json_writer::num(p->batch_seconds);
+                    exp::json_writer::num(s->p.batch_seconds);
             line += ",\"stalled\":";
-            line += stuck ? "true" : "false";
-            if (cancelled) {
+            line += s->stuck ? "true" : "false";
+            if (s->cancelled) {
               line += ",\"action\":\"cancel\",\"stalled_seconds\":" +
-                      exp::json_writer::num(stalled_for);
+                      exp::json_writer::num(s->stalled_for);
             }
           }
           line += "}\n";
           std::fputs(line.c_str(), log);
-        } else if (p == nullptr) {
+        } else if (s == nullptr) {
           std::fprintf(log, "serve: heartbeat: idle\n");
-        } else if (cancelled) {
+        } else if (s->cancelled) {
           std::fprintf(log,
                        "serve: heartbeat: %s: NO PROGRESS for %.1fs at "
                        "%zu/%zu units — cancelling batch (stall_s=%g)\n",
-                       current.c_str(), stalled_for, p->tasks_done,
-                       p->tasks_total, opt.stall_s);
+                       s->tag.c_str(), s->stalled_for, s->p.tasks_done,
+                       s->p.tasks_total, opt.stall_s);
         } else {
           std::fprintf(log,
                        "serve: heartbeat: %s: %zu/%zu units on %zu workers, "
                        "%.1fs in batch%s\n",
-                       current.c_str(), p->tasks_done, p->tasks_total,
-                       pool.size(), p->batch_seconds,
-                       stuck ? " — NO PROGRESS since last heartbeat" : "");
+                       s->tag.c_str(), s->p.tasks_done, s->p.tasks_total,
+                       pool.size(), s->p.batch_seconds,
+                       s->stuck ? " — NO PROGRESS since last heartbeat" : "");
         }
       };
       std::unique_lock<std::mutex> lk(hb_mu);
       while (!hb_cv.wait_for(lk, std::chrono::duration<double>(beat),
                              [&] { return hb_stop; })) {
-        const std::string current = hb_current;
         lk.unlock();
-        const auto now = std::chrono::steady_clock::now();
+        const auto now = clock::now();
         since_report += beat;
         const bool report_due =
             opt.heartbeat_s > 0 && since_report + 1e-9 >= opt.heartbeat_s;
-        if (current.empty()) {
-          last_idle = true;
-          last_change = now;
-          if (report_due) {
-            report("", nullptr, false, false, 0.0);
-            since_report = 0;
+        std::vector<sample> jobs;  // executing, oldest first
+        std::map<std::uint64_t, stall_state> seen;
+        window.each_running([&](std::uint64_t seq, const std::string& tag,
+                                std::thread::id thread) {
+          sample s{tag, pool.progress(thread)};
+          const auto it = stalls.find(seq);
+          stall_state st = it == stalls.end()
+                               ? stall_state{s.p.id, s.p.tasks_done, now}
+                               : it->second;
+          s.stuck = it != stalls.end() && st.batch == s.p.id &&
+                    st.done == s.p.tasks_done;
+          if (!s.stuck || s.p.tasks_running == 0) st.change = now;
+          s.stalled_for = std::chrono::duration<double>(now - st.change).count();
+          if (opt.stall_s > 0 && s.p.active && s.stalled_for >= opt.stall_s) {
+            pool.cancel(s.p.id);
+            s.cancelled = true;
+            st.change = now;  // one action per stall, not one per beat
           }
-        } else {
-          const pool_progress p = pool.progress();
-          if (last_idle || p.tasks_done != last_done) last_change = now;
-          const double stalled_for =
-              std::chrono::duration<double>(now - last_change).count();
-          const bool stuck = !last_idle && p.tasks_done == last_done;
-          bool cancelled = false;
-          if (opt.stall_s > 0 && p.active && stalled_for >= opt.stall_s) {
-            pool.cancel();
-            cancelled = true;
-            obs::instant("svc", "stall_cancel", {{"job", current}});
-            last_change = now;  // one action per stall, not one per beat
-          }
-          if (report_due || cancelled) {
-            report(current, &p, stuck, cancelled, stalled_for);
-            since_report = 0;
-          }
-          last_done = p.tasks_done;
-          last_idle = false;
+          st.batch = s.p.id;
+          st.done = s.p.tasks_done;
+          seen.emplace(seq, st);
+          jobs.push_back(std::move(s));
+        });
+        stalls = std::move(seen);
+        bool reported = false;
+        for (const sample& s : jobs) {
+          if (!s.cancelled) continue;
+          obs::instant("svc", "stall_cancel", {{"job", s.tag}});
+          report(&s);
+          reported = true;
         }
+        if (report_due && !reported) {
+          report(jobs.empty() ? nullptr : &jobs.front());
+          reported = true;
+        }
+        if (reported) since_report = 0;
         lk.lock();
       }
     });
   }
 
-  std::unordered_set<std::string> used_out;
-  job j;
-  double queued_seconds = 0.0;
-  while (queue.pop(j, queued_seconds)) {
-    obs::counter("svc", "queue_seconds", queued_seconds);
-    {
-      std::lock_guard<std::mutex> lk(hb_mu);
-      hb_current = job_tag(j);
-    }
-    job_result r;
-    if (claim_out_path(j, used_out, r)) r = execute_job(j, pool);
-    r.queue_seconds = queued_seconds;
-    {
-      std::lock_guard<std::mutex> lk(hb_mu);
-      hb_current.clear();
-    }
-    // finish_job touches sum.jobs/failed/... — reader only touches
-    // sum.rejected, and only under reject_mu; take it here too so the
-    // final summary read (after join) sees a consistent struct.
-    std::lock_guard<std::mutex> lk(reject_mu);
-    finish_job(r, opt, stream, log, sum);
-  }
+  window.drain(
+      [&](job& j, double& queued_seconds) {
+        if (!queue.pop(j, queued_seconds)) return false;
+        obs::counter("svc", "queue_seconds", queued_seconds);
+        return true;
+      },
+      [&](const job_result& r) {
+        // finish_job touches sum.jobs/failed/... — reader only touches
+        // sum.rejected, and only under reject_mu; take it here too so the
+        // final summary read (after join) sees a consistent struct.
+        std::lock_guard<std::mutex> lk(reject_mu);
+        finish_job(r, opt, stream, log, sum);
+      });
   {
     std::lock_guard<std::mutex> lk(hb_mu);
     hb_stop = true;

@@ -13,10 +13,15 @@
 // in tests/test_svc_batch.cpp and the CI batch step).
 //
 // run_jobs() drains a parsed batch; serve() streams jobs from any istream
-// (stdin, a FIFO) through a job_queue — a reader thread parses while the
-// caller's thread executes, so a slow job never blocks line intake. Timing
-// runs additionally carry per-job observability fields (job_wall_seconds,
-// job_queue_seconds) that exp::report_diff ignores like any wall clock.
+// (stdin, a FIFO) through a job_queue — a reader thread parses while jobs
+// execute, so a slow job never blocks line intake. Both run jobs through
+// one in-order window: up to pool.size() jobs in flight, each executing on
+// a job thread so the pool overlaps their batches, while the caller's
+// thread finishes them (render, write, stream, log line) strictly in
+// submission order — the bytes, files and log order of pool size 1, which
+// is the sequential loop. Timing runs additionally carry per-job
+// observability fields (job_wall_seconds, job_queue_seconds) that
+// exp::report_diff ignores like any wall clock.
 #pragma once
 
 #include <cstdio>
@@ -91,15 +96,16 @@ struct server_options {
   std::FILE* stream = nullptr; ///< sink for jobs without out= (default stdout)
   std::FILE* log = nullptr;    ///< outcome/error lines (default stderr)
   /// serve only: emit a progress line every `heartbeat_s` seconds — the
-  /// current job, its unit counter from worker_pool::progress(), and a
-  /// stuck-job warning when the counter has not moved since the previous
-  /// beat. 0 = no watchdog.
+  /// oldest job still executing, its batch's unit counter from
+  /// worker_pool::progress(), and a stuck-job warning when the counter has
+  /// not moved since the previous beat. 0 = no watchdog.
   double heartbeat_s = 0.0;
-  /// serve only: the watchdog's deadline action. When the unit counter of
-  /// an active batch has not moved for `stall_s` seconds, the watchdog
-  /// cancels the pool batch (worker_pool::cancel) and the job fails with
-  /// the timeout class (job_result::timed_out, serve_summary::timeouts)
-  /// instead of only being reported stuck. 0 = report-only watchdog.
+  /// serve only: the watchdog's deadline action, per job in flight. When
+  /// a job's batch has units running and its counter has not moved for
+  /// `stall_s` seconds, the watchdog cancels that batch alone
+  /// (worker_pool::cancel(id)) and the job fails with the timeout class
+  /// (job_result::timed_out, serve_summary::timeouts) instead of only
+  /// being reported stuck. 0 = report-only watchdog.
   double stall_s = 0.0;
   /// Heartbeat/stall lines become one-line JSON objects on the log stream
   /// (machine-tailable alongside --trace-out) instead of prose.
@@ -120,15 +126,16 @@ struct serve_summary {
   [[nodiscard]] int exit_code() const;
 };
 
-/// Runs a parsed batch in order on the persistent pool. Duplicate out=
-/// paths are rejected per job at execution time too (parse_batch already
-/// refuses them; this guards programmatic callers).
+/// Runs a parsed batch through the job window on the persistent pool,
+/// finishing jobs in order. Duplicate out= paths are rejected per job at
+/// execution time too (parse_batch already refuses them; this guards
+/// programmatic callers).
 serve_summary run_jobs(const std::vector<job>& jobs, worker_pool& pool,
                        const server_options& opt = {});
 
-/// Reads job lines from `in` until EOF, executing each as it arrives.
-/// Malformed lines are reported and counted, not fatal: a long-running
-/// server must outlive one bad submission.
+/// Reads job lines from `in` until EOF, executing each as it arrives
+/// through the job window. Malformed lines are reported and counted, not
+/// fatal: a long-running server must outlive one bad submission.
 serve_summary serve(std::istream& in, worker_pool& pool,
                     const server_options& opt = {});
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
 #include "obs/telemetry.hpp"
 
@@ -20,10 +19,6 @@ worker_pool::worker_pool(usize workers) : workers_(workers) {
     workers_ = hc == 0 ? 4 : hc;
   }
   if (workers_ <= 1) return;  // inline mode: no resident threads
-  queues_.reserve(workers_);
-  for (usize w = 0; w < workers_; ++w) {
-    queues_.push_back(std::make_unique<worker_queue>());
-  }
   threads_.reserve(workers_);
   for (usize w = 0; w < workers_; ++w) {
     threads_.emplace_back([this, w] { worker_main(w); });
@@ -44,200 +39,150 @@ usize worker_pool::batches_run() const {
   return batches_;
 }
 
-void worker_pool::cancel() {
-  // Armed only against an in-flight batch: a cancel landing between
-  // batches must not poison the next one.
-  std::lock_guard<std::mutex> lk(mu_);
-  if (batch_active_) cancel_.store(true, std::memory_order_relaxed);
+void worker_pool::skip_rest(batch& b) {
+  const usize unstarted = b.count - b.started;
+  b.started = b.count;
+  b.skipped += unstarted;
+  b.done += unstarted;
+  if (b.done == b.count) b.drained.notify_one();
 }
 
-pool_progress worker_pool::progress() const {
+void worker_pool::cancel(std::uint64_t id) {
   std::lock_guard<std::mutex> lk(mu_);
+  for (batch* b : flight_) {
+    if (b->id == id) skip_rest(*b);
+  }
+}
+
+pool_progress worker_pool::snapshot(const batch* b) const {
   pool_progress p;
   p.batches = batches_;
-  p.active = batch_active_;
-  if (batch_active_) {
-    p.tasks_total = batch_total_;
-    p.tasks_done = batch_total_ - remaining_;
+  if (b != nullptr) {
+    p.active = true;
+    p.id = b->id;
+    p.tasks_total = b->count;
+    p.tasks_done = b->done;
+    p.tasks_running = b->started - b->done;
     p.batch_seconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - batch_start_)
+                          std::chrono::steady_clock::now() - b->start)
                           .count();
   }
   return p;
 }
 
-void worker_pool::run_serial(usize count, const std::function<void(usize)>& fn) {
-  for (usize i = 0; i < count; ++i) {
-    if (cancel_.load(std::memory_order_relaxed)) {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++skipped_;
-      --remaining_;
-      continue;
-    }
-    try {
-      fn(i);
-    } catch (...) {
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    --remaining_;
+pool_progress worker_pool::progress() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return snapshot(flight_.empty() ? nullptr : flight_.front());
+}
+
+pool_progress worker_pool::progress(std::thread::id client) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const batch* b : flight_) {
+    if (b->client == client) return snapshot(b);
   }
+  return snapshot(nullptr);
+}
+
+worker_pool::batch* worker_pool::next_open() const {
+  if (running_ >= workers_) return nullptr;
+  for (batch* b : flight_) {
+    if (b->worked && b->started < b->count) return b;
+  }
+  return nullptr;
+}
+
+usize worker_pool::take(batch& b, usize self, bool& stolen) {
+  const usize k = b.lanes.size();
+  ++b.started;
+  stolen = self >= k || b.lanes[self].front == b.lanes[self].back;
+  if (!stolen) return self + k * b.lanes[self].front++;
+  for (usize off = 1;; ++off) {
+    lane& victim = b.lanes[(self + off) % k];
+    if (victim.front < victim.back) return (self + off) % k + k * --victim.back;
+  }
+}
+
+void worker_pool::run_task(batch& b, usize i, std::unique_lock<std::mutex>& lk) {
+  ++running_;
+  lk.unlock();
+  std::exception_ptr error;
+  try {
+    (*b.fn)(i);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  lk.lock();
+  --running_;
+  ++b.done;
+  if (error && !b.first_error) b.first_error = error;
+  if (b.done == b.count) b.drained.notify_one();
 }
 
 usize worker_pool::run_indexed(usize count,
                                const std::function<void(usize)>& fn) {
   if (count == 0) return 0;
-  std::lock_guard<std::mutex> client(client_mu_);
-  first_error_ = nullptr;
-
   obs::span sp("pool", "batch");
   sp.arg("tasks", static_cast<std::uint64_t>(count));
 
-  if (workers_ <= 1 || count == 1) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      batch_active_ = true;
-      batch_total_ = count;
-      remaining_ = count;
-      skipped_ = 0;
-      cancel_.store(false, std::memory_order_relaxed);
-      batch_start_ = std::chrono::steady_clock::now();
-    }
-    run_serial(count, fn);
-    usize skipped = 0;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++batches_;
-      batch_active_ = false;
-      batch_total_ = 0;
-      skipped = skipped_;
-    }
-    sp.arg("workers", std::uint64_t{1});
-    const bool cancelled = cancel_.exchange(false, std::memory_order_relaxed);
-    if (first_error_) {
-      std::exception_ptr e = std::exchange(first_error_, nullptr);
-      std::rethrow_exception(e);
-    }
-    if (cancelled && skipped > 0) {
-      sp.arg("cancelled", std::string_view("true"));
-      throw batch_cancelled(count - skipped, count);
-    }
-    return 1;
+  batch b;
+  b.fn = &fn;
+  b.count = count;
+  b.client = std::this_thread::get_id();
+  b.lanes.resize(std::min(workers_, count));
+  std::unique_lock<std::mutex> lk(mu_);
+  if (workers_ <= 1) idle_cv_.wait(lk, [this] { return flight_.empty(); });
+  // A lone single-task batch runs inline: no hand-off, and no other batch
+  // holds a worker, so at most size() threads still run tasks.
+  b.worked = workers_ > 1 && !(count == 1 && flight_.empty());
+  const usize k = b.worked ? b.lanes.size() : 1;
+  b.lanes.resize(k);
+  for (usize l = 0; l < k; ++l) b.lanes[l].back = (count - l + k - 1) / k;
+  b.id = ++batches_;
+  b.start = std::chrono::steady_clock::now();
+  flight_.push_back(&b);
+  if (b.worked) {
+    lk.unlock();
+    work_cv_.notify_all();
+    lk.lock();
+    b.drained.wait(lk, [&b] { return b.done == b.count; });
+  } else {
+    bool stolen = false;
+    while (b.started < b.count) run_task(b, take(b, 0, stolen), lk);
   }
+  flight_.erase(std::find(flight_.begin(), flight_.end(), &b));
+  if (workers_ <= 1) {
+    idle_cv_.notify_one();
+  } else if (!b.worked && !flight_.empty()) {
+    work_cv_.notify_one();  // a batch that arrived meanwhile gets our slot
+  }
+  lk.unlock();
 
-  const usize nw = std::min(workers_, count);
-  sp.arg("workers", static_cast<std::uint64_t>(nw));
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (usize i = 0; i < count; ++i) {
-      queues_[i % nw]->tasks.push_back(i);
-    }
-    fn_ = &fn;
-    active_queues_ = nw;
-    remaining_ = count;
-    skipped_ = 0;
-    cancel_.store(false, std::memory_order_relaxed);
-    ++generation_;
-    ++batches_;
-    batch_active_ = true;
-    batch_total_ = count;
-    batch_start_ = std::chrono::steady_clock::now();
-  }
-  work_cv_.notify_all();
-
-  usize skipped = 0;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [this] { return remaining_ == 0 && in_batch_ == 0; });
-    fn_ = nullptr;
-    active_queues_ = 0;
-    batch_active_ = false;
-    batch_total_ = 0;
-    skipped = skipped_;
-  }
-  const bool cancelled = cancel_.exchange(false, std::memory_order_relaxed);
-  if (first_error_) {
-    std::exception_ptr e = std::exchange(first_error_, nullptr);
-    std::rethrow_exception(e);
-  }
-  if (cancelled && skipped > 0) {
+  sp.arg("workers", static_cast<std::uint64_t>(k));
+  if (b.first_error) std::rethrow_exception(b.first_error);
+  if (b.skipped > 0) {
     sp.arg("cancelled", std::string_view("true"));
-    throw batch_cancelled(count - skipped, count);
+    throw batch_cancelled(count - b.skipped, count);
   }
-  return nw;
+  return k;
 }
 
 void worker_pool::worker_main(usize self) {
-  std::uint64_t seen = 0;
   std::uint64_t steals = 0;  ///< cumulative over this worker's lifetime
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    work_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
+    work_cv_.wait(lk, [this] { return stop_ || next_open() != nullptr; });
     if (stop_) return;
-    seen = generation_;
-    // Workers beyond the dealt queues have nothing of their own this
-    // batch; they still join to steal, which matters when one queue lands
-    // all the expensive cells.
-    const usize nw = active_queues_;
-    const std::function<void(usize)>* fn = fn_;
-    ++in_batch_;
-    lk.unlock();
-
-    // Per batch, not once: a tracing session can start mid-lifetime and
+    // Per wake-up, not once: a tracing session can start mid-lifetime and
     // name_thread is first-write-wins inside one session anyway.
+    lk.unlock();
     obs::set_thread_name("pool worker");
-
-    for (;;) {
-      usize task = 0;
-      bool found = false;
-      if (self < nw) {
-        // Own queue first, front end.
-        std::lock_guard<std::mutex> q(queues_[self]->mu);
-        if (!queues_[self]->tasks.empty()) {
-          task = queues_[self]->tasks.front();
-          queues_[self]->tasks.pop_front();
-          found = true;
-        }
-      }
-      if (!found) {
-        // Steal from the back of the first non-empty victim.
-        for (usize off = 1; off <= nw && !found; ++off) {
-          worker_queue& victim = *queues_[(self + off) % nw];
-          std::lock_guard<std::mutex> q(victim.mu);
-          if (!victim.tasks.empty()) {
-            task = victim.tasks.back();
-            victim.tasks.pop_back();
-            found = true;
-          }
-        }
-        if (found) {
-          ++steals;
-          obs::counter("pool", "steals", static_cast<double>(steals));
-        }
-      }
-      if (!found) break;  // dealt up-front, never re-enqueued: batch is dry
-
-      if (cancel_.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> g(mu_);
-        ++skipped_;
-        --remaining_;
-        continue;
-      }
-      try {
-        (*fn)(task);
-      } catch (...) {
-        std::lock_guard<std::mutex> g(mu_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> g(mu_);
-        --remaining_;
-      }
-    }
-
     lk.lock();
-    --in_batch_;
-    if (remaining_ == 0 && in_batch_ == 0) done_cv_.notify_all();
+    while (batch* b = next_open()) {
+      bool stolen = false;
+      const usize i = take(*b, self, stolen);
+      if (stolen) obs::counter("pool", "steals", static_cast<double>(++steals));
+      run_task(*b, i, lk);
+    }
   }
 }
 

@@ -1,4 +1,4 @@
-// svc::worker_pool — the long-lived work-stealing pool behind every sweep.
+// svc::worker_pool — the long-lived pool behind every sweep.
 //
 // The PR 2 engine spawned a fresh set of worker threads inside each
 // exp::sweep call; fine for one 3,744-cell grid, wasteful for a service
@@ -8,22 +8,30 @@
 // workers once, run_indexed() dispatches one batch onto them, and the
 // threads park on a condition variable between batches instead of dying.
 //
-// Scheduling is unchanged from the transient pool: tasks 0..count-1 are
-// dealt round-robin into per-worker deques up front (deterministic initial
-// placement); each worker drains its own deque from the front and, when
-// empty, steals from the back of a victim's. Cells are pure functions of
-// their spec, so results are identical for any pool size, steal order, or
-// pool lifetime — reusing one pool across a thousand sweeps produces the
-// same bytes as a thousand fresh pools (tested in tests/test_svc_pool.cpp).
+// Batches overlap. Every run_indexed() call is a batch on one FIFO, and an
+// idle worker takes a task of the oldest batch that still has unstarted
+// tasks. So every task of an older batch starts before any task of a newer
+// one, and a worker left idle by the tail of one job's batch picks up the
+// next job's tasks instead of waiting (the serve window, svc/server.hpp,
+// keeps several jobs' batches in flight). Each batch keeps its own
+// progress, cancel fence and first error. Within a batch, tasks 0..count-1
+// are dealt round-robin into one lane per worker up front: worker w takes
+// task w, w+k, ... from the front of its own lane and, when that is empty,
+// steals from the back of another's. The deal is the same in every batch,
+// so a caller that issues many similar batches (the POR frontier's layers)
+// finds task i on the same worker, its data still in that core's cache.
+// Cells are pure functions of their spec, so results are identical for any
+// pool size, interleaving, or pool lifetime — reusing one pool across a
+// thousand sweeps produces the same bytes as a thousand fresh pools
+// (tested in tests/test_svc_pool.cpp).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -45,14 +53,16 @@ struct batch_cancelled : std::runtime_error {
   usize total = 0;
 };
 
-/// A point-in-time snapshot of the pool's current batch — the heartbeat
-/// hook a supervisor (the serve loop's stuck-job watchdog) polls to tell a
-/// slow job from a hung one without instrumenting the tasks themselves.
+/// A point-in-time snapshot of one in-flight batch — the heartbeat hook a
+/// supervisor (the serve loop's stuck-job watchdog) polls to tell a slow
+/// job from a hung one without instrumenting the tasks themselves.
 struct pool_progress {
   usize batches = 0;        ///< batches dispatched so far (== batches_run())
-  bool active = false;      ///< a batch is currently in flight
-  usize tasks_total = 0;    ///< tasks of the in-flight batch (0 when idle)
-  usize tasks_done = 0;     ///< of those, completed so far
+  bool active = false;      ///< the snapshot names an in-flight batch
+  std::uint64_t id = 0;     ///< that batch's dispatch ordinal (1-based)
+  usize tasks_total = 0;    ///< its tasks (0 when idle)
+  usize tasks_done = 0;     ///< of those, completed (or skipped) so far
+  usize tasks_running = 0;  ///< of those, executing right now
   double batch_seconds = 0; ///< wall time since the batch was dispatched
 };
 
@@ -61,11 +71,11 @@ class worker_pool {
   /// Starts the workers immediately; they idle on a condition variable
   /// until the first batch. `workers == 0` selects
   /// std::thread::hardware_concurrency(); `workers == 1` starts no threads
-  /// at all (every batch runs inline on the caller, the serial reference
-  /// mode of the determinism tests).
+  /// at all (every batch runs inline on its caller, one batch at a time:
+  /// the serial reference mode of the determinism tests).
   explicit worker_pool(usize workers = 0);
 
-  /// Wakes everyone with a stop flag and joins.
+  /// Wakes everyone with a stop flag and joins. No batch may be in flight.
   ~worker_pool();
 
   worker_pool(const worker_pool&) = delete;
@@ -77,67 +87,79 @@ class worker_pool {
   /// pool has amortized its thread startup over.
   [[nodiscard]] usize batches_run() const;
 
-  /// Snapshot of the in-flight batch, safe to call from any thread at any
-  /// time (including while another thread is inside run_indexed). Both
-  /// execution modes report: the inline path updates the same counters
-  /// under the lock, so a single-worker pool's watchdog sees real progress.
+  /// Snapshot of the oldest in-flight batch, or of the batch `client` is
+  /// waiting on inside run_indexed; inactive when there is none. Safe to
+  /// call from any thread at any time. Inline batches report too, so a
+  /// single-worker pool's watchdog sees real progress.
   [[nodiscard]] pool_progress progress() const;
+  [[nodiscard]] pool_progress progress(std::thread::id client) const;
 
-  /// Invokes fn(i) for every i in [0, count), distributed over the pool;
-  /// returns when all invocations completed. With a single worker (or
-  /// count <= 1) runs inline, so pool-size-1 batches are genuinely serial.
-  /// In both modes every task runs even when some throw; the first
-  /// exception is rethrown after the batch drains. Returns the number of
-  /// workers the batch was dealt across (<= size(); 1 for the inline path,
-  /// 0 when count == 0).
+  /// Invokes fn(i) for every i in [0, count) on the pool; returns when all
+  /// invocations completed. Runs inline on the caller when the pool has a
+  /// single worker, or when count == 1 and no other batch is in flight, so
+  /// that at most size() threads ever run tasks. In every mode each task
+  /// runs even when some throw; the batch's first exception is rethrown
+  /// after it drains. Returns the number of workers the batch was dealt
+  /// across (<= size(); 1 for the inline path, 0 when count == 0).
   ///
-  /// Callers may overlap: concurrent run_indexed() calls serialize on an
-  /// internal mutex. Calling it from inside a pool task deadlocks — jobs
-  /// that need nested parallelism must flatten their cells instead.
+  /// Callers may overlap: concurrent batches share the workers in FIFO
+  /// order (a single-worker pool runs them one after another). Calling it
+  /// from inside a pool task deadlocks — jobs that need nested parallelism
+  /// must flatten their cells instead.
   ///
-  /// Throws batch_cancelled when cancel() fired and at least one task was
-  /// skipped; a task exception (first_error_) outranks cancellation.
+  /// Throws batch_cancelled when cancel(id) fired and at least one task was
+  /// skipped; a task exception outranks cancellation.
   usize run_indexed(usize count, const std::function<void(usize)>& fn);
 
-  /// Asks the in-flight batch to stop: queued tasks are skipped unstarted,
-  /// running tasks finish, and run_indexed() throws batch_cancelled once
-  /// the batch drains. Safe from any thread (the serve watchdog's deadline
-  /// action); a no-op when no batch is active — the flag does NOT arm a
-  /// future batch.
-  void cancel();
+  /// Stops batch `id` (a pool_progress::id): its unstarted tasks are
+  /// skipped, running tasks finish, and its run_indexed() throws
+  /// batch_cancelled once it drains. Other batches are untouched. Safe
+  /// from any thread (the serve watchdog's deadline action); a no-op for a
+  /// batch that already drained — the fence never arms a future batch.
+  void cancel(std::uint64_t id);
 
  private:
-  struct worker_queue {
-    std::mutex mu;
-    std::deque<usize> tasks;
+  /// Tasks lane, lane + k, ... of a batch dealt across k lanes: those at
+  /// positions [front, back) of the lane are unstarted.
+  struct lane {
+    usize front = 0;
+    usize back = 0;
+  };
+  struct batch {
+    const std::function<void(usize)>* fn = nullptr;
+    usize count = 0;
+    std::vector<lane> lanes;  ///< one per worker dealt to (one inline)
+    usize started = 0;  ///< handed out or skipped; == count once none left
+    usize done = 0;     ///< finished or skipped
+    usize skipped = 0;  ///< skipped by cancel
+    bool worked = false;  ///< run by the workers, not inline
+    std::uint64_t id = 0;
+    std::thread::id client;
+    std::chrono::steady_clock::time_point start;
+    std::exception_ptr first_error;
+    std::condition_variable drained;
   };
 
   void worker_main(usize self);
-  void run_serial(usize count, const std::function<void(usize)>& fn);
+  /// The oldest worked batch with an unstarted task, if a slot is free.
+  batch* next_open() const;
+  /// Hands worker `self` an unstarted task of b: the front of its own
+  /// lane, else the back of the first non-empty other lane (`stolen`).
+  static usize take(batch& b, usize self, bool& stolen);
+  void skip_rest(batch& b);
+  pool_progress snapshot(const batch* b) const;
+  /// Runs task i of b outside the lock and accounts for it under `lk`.
+  void run_task(batch& b, usize i, std::unique_lock<std::mutex>& lk);
 
   usize workers_;
 
-  std::mutex client_mu_;  ///< one batch in flight at a time
-
-  // Batch state, guarded by mu_ (remaining_ also decremented under mu_ so
-  // the done_cv_ wakeup cannot be missed).
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< workers wait for a new generation
-  std::condition_variable done_cv_;  ///< the client waits for the drain
-  std::uint64_t generation_ = 0;
+  std::condition_variable work_cv_;  ///< workers wait for an open batch
+  std::condition_variable idle_cv_;  ///< single-worker callers wait their turn
   bool stop_ = false;
-  const std::function<void(usize)>* fn_ = nullptr;
-  usize active_queues_ = 0;   ///< queues dealt for this batch
-  usize remaining_ = 0;       ///< tasks not yet completed
-  usize in_batch_ = 0;        ///< workers currently inside the batch
   usize batches_ = 0;
-  bool batch_active_ = false; ///< progress(): a batch is in flight
-  usize batch_total_ = 0;     ///< progress(): tasks of that batch
-  std::chrono::steady_clock::time_point batch_start_{};
-  std::vector<std::unique_ptr<worker_queue>> queues_;
-  std::exception_ptr first_error_;
-  std::atomic<bool> cancel_{false};  ///< between-tasks stop fence
-  usize skipped_ = 0;                ///< tasks skipped by the current batch
+  usize running_ = 0;          ///< tasks executing now, inline ones included
+  std::deque<batch*> flight_;  ///< in-flight batches, oldest first
 
   std::vector<std::jthread> threads_;
 };

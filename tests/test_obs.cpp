@@ -468,7 +468,7 @@ void expect_cancel_stops_batch(usize workers) {
   std::atomic<bool> go{false};
   std::thread watcher([&] {
     while (!go.load()) std::this_thread::yield();
-    pool.cancel();
+    pool.cancel(pool.progress().id);
   });
   bool cancelled = false;
   constexpr usize kTasks = 100;
@@ -488,8 +488,8 @@ void expect_cancel_stops_batch(usize workers) {
   EXPECT_TRUE(cancelled) << workers << " workers";
 
   // The fence is per batch: the pool is immediately reusable and a cancel
-  // with no batch in flight must not poison the next one.
-  pool.cancel();
+  // naming the drained batch must not poison the next one.
+  pool.cancel(1);
   std::atomic<usize> after{0};
   pool.run_indexed(50, [&](usize) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 50u);

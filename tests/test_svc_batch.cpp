@@ -1,8 +1,9 @@
 // Batch/serve determinism — the service acceptance criterion: a batch
 // file of mixed scenarios produces per-job JSON byte-identical to running
 // each job standalone, at pool sizes 1, 2 and hardware_concurrency; the
-// serve loop produces the same bytes as the batch runner; and the
-// severity-keyed exit codes hold.
+// serve loop produces the same bytes as the batch runner, at any window
+// (pool size) and in submission order; and the severity-keyed exit codes
+// hold.
 //
 // The standalone oracle below is built from exp:: primitives only
 // (scenario expansion -> serial sweep -> cell_record_rows, or per-unit
@@ -11,7 +12,9 @@
 // whatever the service happens to do.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -313,6 +316,210 @@ TEST(SvcBatch, ColfmtOutputEqualsTheEncodedJsonDocument) {
       }
     }
   }
+}
+
+/// A mixed session of 18 jobs for the in-order window: streamed and out=
+/// jobs, JSON and .amoc files, aggregate and sharded grids, one job that
+/// reuses an earlier out= path, and one whose expansion leaves no cells.
+/// `tag` keeps each run's files apart.
+std::vector<svc::job> window_session(const std::string& tag) {
+  const char* scenarios[] = {"kk/random",        "kk/round_robin",
+                             "iterative/random+crash", "wa/random+crash",
+                             "baseline/tas",     "kk/announce_crash"};
+  std::vector<svc::job> jobs;
+  for (usize i = 0; i < 18; ++i) {
+    svc::job j;
+    j.scenarios = {scenarios[i % 6]};
+    if (i % 5 == 2) j.scenarios.push_back(scenarios[(i + 3) % 6]);
+    j.params.n = 48 + 16 * (i % 4);
+    j.params.m = 2 + i % 2;
+    j.params.seeds = 1 + i % 3;
+    j.params.replicas = 1 + i % 4;
+    j.params.seed = 11 + i;
+    j.no_timing = true;
+    if (i % 7 == 3) {
+      j.have_shard = true;
+      j.shard = {i % 2, 2};
+    }
+    if (i % 3 != 0) {
+      j.out = temp_path(tag + "_w" + std::to_string(i) +
+                        (i % 3 == 1 ? ".json" : ".amoc"));
+    }
+    jobs.push_back(std::move(j));
+  }
+  jobs[10].out = jobs[4].out;  // taken: the second claim fails
+  jobs[13].scenarios = {"threads/kk"};
+  jobs[13].scheduled_only = true;  // expands to no cells
+  for (usize i = 0; i < jobs.size(); ++i) jobs[i].line = i + 1;
+  return jobs;
+}
+
+struct session_outcome {
+  svc::serve_summary sum;
+  std::string stream;
+  std::vector<std::string> files;  ///< by job; "" = none written
+  std::vector<usize> finished;     ///< job numbers of the log's job lines
+};
+
+session_outcome run_window_session(usize pool_size, bool serve) {
+  const std::string tag = (serve ? "serve" : "batch") +
+                          std::to_string(pool_size);
+  const std::vector<svc::job> jobs = window_session(tag);
+  const std::string stream_path = temp_path(tag + "_stream.json");
+  const std::string log_path = temp_path(tag + "_log.txt");
+  std::FILE* stream = std::fopen(stream_path.c_str(), "w");
+  std::FILE* log = std::fopen(log_path.c_str(), "w");
+  EXPECT_NE(stream, nullptr);
+  EXPECT_NE(log, nullptr);
+  svc::server_options opt;
+  opt.stream = stream;
+  opt.log = log;
+  svc::worker_pool pool(pool_size);
+  session_outcome out;
+  if (serve) {
+    std::string lines;
+    for (const svc::job& j : jobs) lines += svc::to_line(j) + "\n";
+    std::istringstream in(lines);
+    out.sum = svc::serve(in, pool, opt);
+  } else {
+    out.sum = svc::run_jobs(jobs, pool, opt);
+  }
+  std::fclose(stream);
+  std::fclose(log);
+  out.stream = slurp(stream_path);
+  std::istringstream logged(slurp(log_path));
+  for (std::string line; std::getline(logged, line);) {
+    if (line.rfind("job @", 0) == 0) {
+      out.finished.push_back(std::stoul(line.substr(5)));
+    }
+  }
+  for (const svc::job& j : jobs) {
+    out.files.push_back(j.out.empty() ? "" : slurp(j.out));
+  }
+  for (const svc::job& j : jobs) {
+    if (!j.out.empty()) std::remove(j.out.c_str());
+  }
+  std::remove(stream_path.c_str());
+  std::remove(log_path.c_str());
+  return out;
+}
+
+TEST(SvcWindow, ServeAndBatchAgreeAtEveryPoolSizeInSubmissionOrder) {
+  const session_outcome want = run_window_session(1, /*serve=*/true);
+  EXPECT_EQ(want.sum.jobs, 18u);
+  EXPECT_EQ(want.sum.failed, 2u);  // the taken out= path, the empty grid
+  EXPECT_EQ(want.sum.rejected, 0u);
+  EXPECT_EQ(want.sum.io_errors, 0u);
+  EXPECT_EQ(want.sum.exit_code(), 2);
+  std::vector<usize> in_order(18);
+  for (usize i = 0; i < in_order.size(); ++i) in_order[i] = i + 1;
+  EXPECT_EQ(want.finished, in_order);
+  EXPECT_FALSE(want.stream.empty());
+  EXPECT_EQ(want.files[4], want.files[10]);  // the first claim's bytes
+  for (usize i = 0; i < want.files.size(); ++i) {
+    if (i % 3 != 0 && i != 13) {
+      EXPECT_FALSE(want.files[i].empty()) << i;
+    }
+  }
+
+  for (const bool serve : {true, false}) {
+    for (const usize pool_size : {usize{1}, usize{2}, usize{4}}) {
+      const std::string at = std::string(serve ? "serve" : "run_jobs") +
+                             " at pool " + std::to_string(pool_size);
+      const session_outcome got = run_window_session(pool_size, serve);
+      EXPECT_EQ(got.stream, want.stream) << at;
+      EXPECT_EQ(got.files, want.files) << at;
+      EXPECT_EQ(got.finished, want.finished) << at;
+      EXPECT_EQ(got.sum.jobs, want.sum.jobs) << at;
+      EXPECT_EQ(got.sum.rejected, want.sum.rejected) << at;
+      EXPECT_EQ(got.sum.failed, want.sum.failed) << at;
+      EXPECT_EQ(got.sum.timeouts, want.sum.timeouts) << at;
+      EXPECT_EQ(got.sum.unsafe, want.sum.unsafe) << at;
+      EXPECT_EQ(got.sum.io_errors, want.sum.io_errors) << at;
+    }
+  }
+}
+
+/// Wall seconds of one serial unit of kk/random at size n.
+double kk_unit_seconds(usize n) {
+  svc::job j;
+  j.scenarios = {"kk/random"};
+  j.params.n = n;
+  j.params.m = 3;
+  j.params.seeds = 1;
+  j.no_timing = true;
+  svc::worker_pool pool(1);
+  const auto t0 = std::chrono::steady_clock::now();
+  const svc::job_result r = svc::execute_job(j, pool);
+  EXPECT_TRUE(r.ok()) << r.error;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(SvcWindow, StallCancelsOnlyTheStalledJobOfTwoInFlight) {
+  // Job 1's units are long enough for the watchdog to see its counter
+  // stand still; job 2, in flight beside it, is small. Only job 1's batch
+  // is cancelled, and job 2 still writes its bytes.
+  usize n = usize{1} << 16;
+  double unit_s = kk_unit_seconds(n);
+  while (unit_s < 0.05 && n < (usize{1} << 20)) {
+    n <<= 2;
+    unit_s = kk_unit_seconds(n);
+  }
+  if (unit_s < 0.02) {
+    GTEST_SKIP() << "host runs a " << n << "-job unit in " << unit_s
+                 << "s; too fast to exercise the stall window";
+  }
+  svc::job slow;
+  slow.scenarios = {"kk/random"};
+  slow.params.n = n;
+  slow.params.m = 3;
+  slow.params.seeds = 3;  // three single-replica cells: three pool tasks
+  slow.no_timing = true;
+  slow.out = temp_path("stall_slow.json");
+  svc::job quick;
+  quick.scenarios = {"kk/round_robin"};
+  quick.params.n = 64;
+  quick.params.m = 2;
+  quick.params.seeds = 2;
+  quick.no_timing = true;
+  quick.out = temp_path("stall_quick.json");
+
+  std::istringstream in(svc::to_line(slow) + "\n" + svc::to_line(quick) + "\n");
+  svc::worker_pool pool(2);
+  svc::server_options opt;
+  opt.quiet = false;
+  opt.stall_s = std::min(0.2, std::max(0.01, unit_s / 4));
+  opt.json_heartbeat = true;
+  const std::string log_path = temp_path("stall_window_log.txt");
+  std::FILE* log = std::fopen(log_path.c_str(), "w");
+  ASSERT_NE(log, nullptr);
+  opt.log = log;
+  const svc::serve_summary sum = svc::serve(in, pool, opt);
+  std::fclose(log);
+
+  EXPECT_EQ(sum.jobs, 2u);
+  EXPECT_EQ(sum.failed, 1u);
+  EXPECT_EQ(sum.timeouts, 1u);
+  EXPECT_FALSE(std::ifstream(slow.out).good());  // never a partial sweep
+  quick.line = 2;
+  EXPECT_EQ(slurp(quick.out), standalone_json(quick));
+  const std::string logged = slurp(log_path);
+  std::istringstream lines(logged);
+  usize cancels = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"action\":\"cancel\"") == std::string::npos) continue;
+    ++cancels;
+    EXPECT_NE(line.find("\"job\":\"job @1 "), std::string::npos) << line;
+  }
+  EXPECT_GE(cancels, 1u) << logged;
+  EXPECT_NE(logged.find("job @1 kk/random: TIMEOUT"), std::string::npos)
+      << logged;
+  EXPECT_NE(logged.find("job @2 kk/round_robin: 2/2 units"),
+            std::string::npos)
+      << logged;
+  std::remove(quick.out.c_str());
+  std::remove(log_path.c_str());
 }
 
 TEST(SvcJobQueue, CloseDrainsBeforeReportingEmpty) {

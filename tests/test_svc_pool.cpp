@@ -1,10 +1,14 @@
 // The persistent worker pool: batches reuse the same resident threads,
 // results are identical whatever the pool lifetime (one pool for many
 // sweeps vs a fresh pool per sweep vs serial), errors drain without
-// poisoning the pool, and concurrent clients serialize safely.
+// poisoning the pool, and concurrent clients' batches overlap: oldest
+// batch first, at most size() tasks at once, each batch with its own
+// progress and cancel fence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -105,7 +109,7 @@ TEST(SvcWorkerPoolPersistence, EveryTaskRunsBeforeTheFirstErrorRethrows) {
   }
 }
 
-TEST(SvcWorkerPoolPersistence, ConcurrentClientsSerializeSafely) {
+TEST(SvcWorkerPoolPersistence, ConcurrentClientsShareThePoolSafely) {
   svc::worker_pool pool(2);
   constexpr usize kClients = 4;
   constexpr usize kTasks = 64;
@@ -125,6 +129,204 @@ TEST(SvcWorkerPoolPersistence, ConcurrentClientsSerializeSafely) {
     EXPECT_EQ(hits[i].load(), 1) << "slot " << i;
   }
   EXPECT_EQ(pool.batches_run(), kClients);
+}
+
+/// Spins until `done()` holds; false after five seconds (a pool that never
+/// got there fails the test instead of hanging it).
+template <class Done>
+bool wait_until(Done&& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// Snapshot of the batch `client` is waiting on, once one is in flight.
+svc::pool_progress batch_of(const svc::worker_pool& pool,
+                            std::thread::id client) {
+  svc::pool_progress p;
+  EXPECT_TRUE(wait_until([&] { return (p = pool.progress(client)).active; }));
+  return p;
+}
+
+TEST(SvcWorkerPoolOverlap, EveryTaskOfAnOlderBatchStartsFirst) {
+  // Batch A is in flight with most of its tasks unstarted when batch B
+  // arrives; the workers hand out all of A's tasks before any of B's.
+  svc::worker_pool pool(3);
+  constexpr usize kOlder = 48;
+  constexpr usize kNewer = 12;
+  std::atomic<usize> ticket{0};
+  std::vector<usize> older_start(kOlder);
+  std::vector<usize> newer_start(kNewer);
+  std::atomic<bool> newer_queued{false};
+  std::jthread older([&] {
+    pool.run_indexed(kOlder, [&](usize i) {
+      older_start[i] = ticket.fetch_add(1);
+      // Hold the first tasks until B is queued behind A.
+      while (!newer_queued.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+  });
+  ASSERT_TRUE(wait_until([&] { return ticket.load() > 0; }));
+  std::jthread newer([&] {
+    pool.run_indexed(kNewer, [&](usize i) { newer_start[i] = ticket.fetch_add(1); });
+  });
+  (void)batch_of(pool, newer.get_id());
+  newer_queued.store(true);
+  older.join();
+  newer.join();
+  const usize last_older =
+      *std::max_element(older_start.begin(), older_start.end());
+  const usize first_newer =
+      *std::min_element(newer_start.begin(), newer_start.end());
+  EXPECT_LT(last_older, first_newer);
+  EXPECT_EQ(ticket.load(), kOlder + kNewer);
+}
+
+TEST(SvcWorkerPoolOverlap, AtMostSizeTasksRunAtOnceInlineOnesIncluded) {
+  // A lone single-task batch runs inline on its caller and holds one of
+  // the three slots while two batches arrive behind it: the workers may
+  // use the other two only.
+  svc::worker_pool pool(3);
+  std::atomic<usize> running{0};
+  std::atomic<usize> peak{0};
+  std::atomic<usize> others_started{0};
+  const auto enter = [&] {
+    const usize now = running.fetch_add(1) + 1;
+    usize seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+  };
+  std::atomic<bool> inline_holding{false};
+  bool inline_on_caller = false;
+  std::jthread lone([&] {
+    const std::thread::id self = std::this_thread::get_id();
+    pool.run_indexed(1, [&](usize) {
+      enter();
+      inline_on_caller = std::this_thread::get_id() == self;
+      inline_holding.store(true);
+      // Overlap the workers: wait for two of the other batches' tasks.
+      EXPECT_TRUE(wait_until([&] { return others_started.load() >= 2; }));
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      running.fetch_sub(1);
+    });
+  });
+  ASSERT_TRUE(wait_until([&] { return inline_holding.load(); }));
+  std::vector<std::jthread> clients;
+  for (usize c = 0; c < 2; ++c) {
+    clients.emplace_back([&] {
+      pool.run_indexed(24, [&](usize) {
+        enter();
+        others_started.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        running.fetch_sub(1);
+      });
+    });
+  }
+  lone.join();
+  clients.clear();
+  EXPECT_TRUE(inline_on_caller);
+  EXPECT_EQ(others_started.load(), 48u);
+  EXPECT_LE(peak.load(), 3u);
+  EXPECT_GE(peak.load(), 2u);  // the inline task overlapped the workers'
+
+  // A single-worker pool runs concurrent callers' batches one at a time.
+  svc::worker_pool serial(1);
+  running = 0;
+  peak = 0;
+  {
+    std::vector<std::jthread> callers;
+    for (usize c = 0; c < 3; ++c) {
+      callers.emplace_back([&] {
+        serial.run_indexed(8, [&](usize) {
+          enter();
+          std::this_thread::sleep_for(std::chrono::microseconds(300));
+          running.fetch_sub(1);
+        });
+      });
+    }
+  }
+  EXPECT_EQ(peak.load(), 1u);
+  EXPECT_EQ(serial.batches_run(), 3u);
+}
+
+TEST(SvcWorkerPoolOverlap, CancellingOneBatchLeavesAConcurrentBatchComplete) {
+  svc::worker_pool pool(2);
+  constexpr usize kDoomed = 200;
+  constexpr usize kKept = 30;
+  std::atomic<usize> doomed_ran{0};
+  std::atomic<usize> kept_ran{0};
+  bool cancelled = false;
+  usize cancelled_done = 0;
+  std::jthread doomed([&] {
+    try {
+      pool.run_indexed(kDoomed, [&](usize) {
+        doomed_ran.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
+    } catch (const svc::batch_cancelled& e) {
+      cancelled = true;
+      cancelled_done = e.done;
+    }
+  });
+  const svc::pool_progress target = batch_of(pool, doomed.get_id());
+  std::jthread kept([&] {
+    pool.run_indexed(kKept, [&](usize) { kept_ran.fetch_add(1); });
+  });
+  const svc::pool_progress other = batch_of(pool, kept.get_id());
+  EXPECT_NE(other.id, target.id);
+  pool.cancel(target.id);
+  doomed.join();
+  kept.join();
+  EXPECT_TRUE(cancelled);
+  EXPECT_LT(doomed_ran.load(), kDoomed);
+  EXPECT_EQ(cancelled_done, doomed_ran.load());
+  EXPECT_EQ(kept_ran.load(), kKept);  // the other batch ran to the end
+  // A cancel naming a drained batch arms nothing.
+  pool.cancel(target.id);
+  std::atomic<usize> after{0};
+  pool.run_indexed(10, [&](usize) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 10u);
+}
+
+TEST(SvcWorkerPoolOverlap, ProgressIsReportedPerBatch) {
+  svc::worker_pool pool(2);
+  std::atomic<bool> release{false};
+  std::jthread first([&] {
+    pool.run_indexed(6, [&](usize i) {
+      if (i < 2) return;
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  ASSERT_TRUE(wait_until([&] {
+    const svc::pool_progress p = pool.progress(first.get_id());
+    return p.tasks_done == 2 && p.tasks_running == 2;
+  }));
+  std::jthread second([&] {
+    pool.run_indexed(9, [&](usize) {
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  const svc::pool_progress b = batch_of(pool, second.get_id());
+  const svc::pool_progress a = pool.progress(first.get_id());
+  ASSERT_TRUE(a.active);
+  EXPECT_EQ(a.tasks_total, 6u);
+  EXPECT_EQ(a.tasks_done, 2u);
+  EXPECT_EQ(a.tasks_running, 2u);  // both workers hold its gated tasks
+  EXPECT_EQ(b.tasks_total, 9u);
+  EXPECT_EQ(b.tasks_done, 0u);
+  EXPECT_EQ(b.tasks_running, 0u);  // queued behind the older batch
+  EXPECT_LT(a.id, b.id);
+  EXPECT_EQ(pool.progress().id, a.id);  // the oldest in flight
+  EXPECT_EQ(a.batches, 2u);
+  release.store(true);
+  first.join();
+  second.join();
+  EXPECT_FALSE(pool.progress().active);
+  EXPECT_FALSE(pool.progress(first.get_id()).active);
 }
 
 TEST(SvcWorkerPoolPersistence, ProgressSnapshotsTrackTheBatchLifecycle) {
