@@ -258,6 +258,12 @@ constexpr usize kShards = usize{1} << kShardBits;
 /// A node key is (shard << kLocalBits) | local id, local ids dense per shard.
 constexpr unsigned kLocalBits = 32 - kShardBits;
 constexpr std::uint32_t kLocalMask = (std::uint32_t{1} << kLocalBits) - 1;
+/// A slot holds a local id under kTagBits more fingerprint bits, the ones
+/// just below the shard bits, so a probe reads a node's fingerprint only
+/// when the tags match.
+constexpr unsigned kTagBits = 32 - kLocalBits;
+/// The free slot. It equals tag 2^kTagBits - 1 over local id kLocalMask, so
+/// that id is never handed out: a shard holds at most 2^kLocalBits - 1 nodes.
 constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
 
 /// The largest max_states explore_por accepts: one shard's local id space.
@@ -267,6 +273,11 @@ constexpr usize kMaxStates = usize{1} << kLocalBits;
 
 constexpr usize shard_of(const fingerprint& fp) {
   return static_cast<usize>(fp.a >> (64 - kShardBits));
+}
+
+/// fp's slot tag, already shifted into the slot's top bits.
+constexpr std::uint32_t tag_of(const fingerprint& fp) {
+  return static_cast<std::uint32_t>(fp.a >> (32 - kShardBits)) & ~kLocalMask;
 }
 
 /// What admitting one arrival did to its target node.
@@ -332,68 +343,86 @@ struct tally {
 
 /// One shard of the visited set. The slot table maps a fingerprint to its
 /// local id (linear probing from fingerprint::b, power-of-two capacity, at
-/// most 3/4 full) and holds nothing else: each node's fingerprint, sleep set
-/// and queue stamp live once, in per-node arrays indexed by local id. Those
-/// arrays grow a fixed-size page at a time, so no node byte is ever copied,
-/// and a grow() rehashes 4-byte ids only.
+/// most 3/4 full) and holds nothing else: each node's fingerprint and sleep
+/// set live once, in per-node arrays indexed by local id. Those arrays grow
+/// a fixed-size page at a time, so no node byte is ever copied, and a
+/// grow() rehashes 4-byte slots only.
 class shard_table {
  public:
   explicit shard_table(std::uint32_t shard)
       : base_(shard << kLocalBits), slots_(256, kEmpty) {}
 
-  /// Admits one arrival in `layer`: dedup, AND-merge, verdicts for a new
-  /// node. Writes the target node's key.
+  /// Admits one arrival of the current layer's merge: dedup, AND-merge,
+  /// verdicts for a new node. Writes the target node's key.
   outcome admit(const fingerprint& fp, const state_facts& facts, amask sleep,
-                std::uint32_t layer, std::uint32_t& key) {
+                std::uint32_t& key) {
     if ((usize{size_} + 1) * 4 > slots_.size() * 3) grow();
-    std::uint32_t& local = find(fp);
-    if (local == kEmpty) {
-      if (size_ > kLocalMask) {
+    const std::uint32_t tag = tag_of(fp);
+    std::uint32_t& slot = find(fp, tag);
+    if (slot == kEmpty) {
+      if (size_ >= kLocalMask) {
         throw std::length_error(
             "explore_por: a visited-table shard exceeded its 2^" +
-            std::to_string(kLocalBits) + " node ids");
+            std::to_string(kLocalBits) + " - 1 node ids");
       }
       if ((size_ & kPageMask) == 0) pages_.push_back(std::make_unique<page>());
-      local = size_++;
+      const std::uint32_t local = size_++;
+      slot = tag | local;
       key = base_ | local;
       page& pg = page_of(local);
       pg.fp[local & kPageMask] = fp;
       // Terminal states store an empty mask: nothing to expand, so no
       // later arrival can ever re-queue them.
       pg.sleep[local & kPageMask] = facts.terminal ? amask{0} : sleep;
-      pg.queued_layer[local & kPageMask] = layer;
       layer_tally.add_state(facts);
       return facts.terminal ? outcome::created_leaf : outcome::created;
     }
+    const std::uint32_t local = slot & kLocalMask;
     key = base_ | local;
-    page& pg = page_of(local);
-    amask& held = pg.sleep[local & kPageMask];
+    amask& held = page_of(local).sleep[local & kPageMask];
     const amask merged = static_cast<amask>(held & sleep);
     if (merged == held) return outcome::seen;  // explored this much
     held = merged;
-    std::uint32_t& queued = pg.queued_layer[local & kPageMask];
-    if (queued == layer) return outcome::seen;  // tightened in place
-    queued = layer;
+    // A node this merge already queued, created by it or resumed by an
+    // earlier arrival, is tightened in place: the queued item reads
+    // `sleep` when the next layer is laid out. A known node can only be
+    // reached after begin_layer().
+    if (local >= layer_starts_.back() ||
+        std::find(resumed_.begin(), resumed_.end(), local) != resumed_.end()) {
+      return outcome::seen;
+    }
+    resumed_.push_back(local);
     ++layer_tally.resumed_states;
     return outcome::resumed;
+  }
+
+  /// Starts loading the slot a probe for fp begins at.
+  void prefetch(const fingerprint& fp) const {
+    __builtin_prefetch(
+        &slots_[static_cast<usize>(fp.b) & (slots_.size() - 1)]);
   }
 
   [[nodiscard]] amask sleep_of(std::uint32_t key) const {
     return page_of(key & kLocalMask).sleep[key & kPageMask];
   }
   [[nodiscard]] usize size() const { return size_; }
-  /// The bytes the table holds: slots, node pages and layer marks.
+  /// The bytes the table holds: slots, node pages, layer marks and the
+  /// resumed list.
   [[nodiscard]] usize bytes() const {
     return slots_.capacity() * sizeof(std::uint32_t) +
            pages_.size() * sizeof(page) +
            pages_.capacity() * sizeof(pages_[0]) +
-           layer_starts_.capacity() * sizeof(std::uint32_t);
+           (layer_starts_.capacity() + resumed_.capacity()) *
+               sizeof(std::uint32_t);
   }
 
   /// Marks the start of a layer's merge. Local ids are handed out in
   /// admission order, so these marks date every node without per-node
   /// bytes.
-  void begin_layer() { layer_starts_.push_back(size_); }
+  void begin_layer() {
+    layer_starts_.push_back(size_);
+    resumed_.clear();
+  }
   /// The layer whose merge created the node (0 for the initial state).
   [[nodiscard]] std::uint32_t born(std::uint32_t key) const {
     return static_cast<std::uint32_t>(
@@ -417,22 +446,21 @@ class shard_table {
     /// were not covered), AND-merging masks so the exploration is the
     /// union of what every arrival requires.
     std::array<amask, kPageMask + 1> sleep;
-    /// The layer whose merge last queued the node: a later arrival in the
-    /// same layer tightens the queued item in place instead of queuing it
-    /// twice (the item reads `sleep` when the next layer is built).
-    std::array<std::uint32_t, kPageMask + 1> queued_layer;
   };
 
   [[nodiscard]] page& page_of(std::uint32_t local) const {
     return *pages_[local >> kPageBits];
   }
 
-  std::uint32_t& find(const fingerprint& fp) {
+  /// fp's slot, or the free slot where it belongs.
+  std::uint32_t& find(const fingerprint& fp, std::uint32_t tag) {
     const usize mask = slots_.size() - 1;
     for (usize i = static_cast<usize>(fp.b) & mask;; i = (i + 1) & mask) {
-      std::uint32_t& local = slots_[i];
-      if (local == kEmpty || page_of(local).fp[local & kPageMask] == fp) {
-        return local;
+      std::uint32_t& slot = slots_[i];
+      if (slot == kEmpty) return slot;
+      if ((slot & ~kLocalMask) == tag) {
+        const std::uint32_t local = slot & kLocalMask;
+        if (page_of(local).fp[local & kPageMask] == fp) return slot;
       }
     }
   }
@@ -441,10 +469,11 @@ class shard_table {
     slots_.assign(slots_.size() * 2, kEmpty);
     const usize mask = slots_.size() - 1;
     for (std::uint32_t local = 0; local < size_; ++local) {
-      usize i = static_cast<usize>(page_of(local).fp[local & kPageMask].b);
-      for (i &= mask; slots_[i] != kEmpty; i = (i + 1) & mask) {
+      const fingerprint& fp = page_of(local).fp[local & kPageMask];
+      usize i = static_cast<usize>(fp.b) & mask;
+      for (; slots_[i] != kEmpty; i = (i + 1) & mask) {
       }
-      slots_[i] = local;
+      slots_[i] = tag_of(fp) | local;
     }
   }
 
@@ -454,18 +483,23 @@ class shard_table {
   std::vector<std::unique_ptr<page>> pages_;
   /// size_ when each layer's merge began, layer 1 first.
   std::vector<std::uint32_t> layer_starts_;
+  /// Nodes born before the current merge that it has resumed. Few nodes
+  /// are ever resumed, so a short list costs less than a per-node stamp.
+  std::vector<std::uint32_t> resumed_;
 };
 
 // ---------------------------------------------------------------------------
 // Layered frontier
 // ---------------------------------------------------------------------------
 
-/// One state awaiting expansion.
+/// One state awaiting expansion, packed: the layout packs it once and
+/// expand unpacks it once.
 struct work_item {
-  sys_state st;
-  std::uint32_t key = 0;  ///< node key in the sharded visited table
+  packed_state st;
   amask sleep = 0;        ///< actions proven covered by sibling branches
+  std::uint32_t key = 0;  ///< node key in the sharded visited table
 };
+static_assert(sizeof(work_item) <= 48);
 static_assert(std::is_trivially_copyable_v<work_item> &&
               std::is_trivially_destructible_v<work_item>);
 
@@ -539,9 +573,10 @@ struct block_out {
 /// ({b in sleep ∪ explored-earlier-siblings : independent(b, a)}).
 void expand(const work_item& item, std::uint32_t slot, const model_config& cfg,
             block_out& out) {
+  const sys_state st = unpack(item.st, cfg);
   action exp_set[2 * max_procs];
   bool singleton = false;
-  const usize count = choose_expansion(item.st, cfg, exp_set, singleton);
+  const usize count = choose_expansion(st, cfg, exp_set, singleton);
   if (singleton) {
     ++out.singleton_states;
   } else {
@@ -560,17 +595,17 @@ void expand(const work_item& item, std::uint32_t slot, const model_config& cfg,
       for (process_id p = 1; p <= cfg.m; ++p) {
         const action b_step{false, p};
         if ((candidates & step_bit(p)) != 0 &&
-            independent(item.st, cfg, b_step, a)) {
+            independent(st, cfg, b_step, a)) {
           child_sleep |= step_bit(p);
         }
         const action b_crash{true, p};
         if ((candidates & crash_bit(p)) != 0 &&
-            independent(item.st, cfg, b_crash, a)) {
+            independent(st, cfg, b_crash, a)) {
           child_sleep |= crash_bit(p);
         }
       }
     }
-    const sys_state succ = successor(item.st, cfg, a);
+    const sys_state succ = successor(st, cfg, a);
     arrival& arr = out.arrivals.emplace_back();
     arr.fp = fingerprint_of(succ, cfg);
     arr.parent = slot;
@@ -728,9 +763,9 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
     const fingerprint fp = fingerprint_of(root, cfg);
     shard_table& home = shards[shard_of(fp)];
     std::uint32_t key = 0;
-    if (queues(home.admit(fp, facts_of(root, cfg), 0, 0, key))) {
+    if (queues(home.admit(fp, facts_of(root, cfg), 0, key))) {
       layer.resize_for_overwrite(1);
-      std::construct_at(layer.data(), work_item{root, key, 0});
+      std::construct_at(layer.data(), work_item{pack(root), 0, key});
     }
     home.layer_tally.apply(result, stats);
   }
@@ -740,7 +775,7 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
   std::vector<block_out> outs;
 
   while (!layer.empty() && !capped) {
-    const auto layer_no = static_cast<std::uint32_t>(++stats.layers);
+    ++stats.layers;
     if (layer.size() > stats.peak_frontier) stats.peak_frontier = layer.size();
     if (obs::enabled()) {
       obs::counter("model", "frontier", static_cast<double>(layer.size()));
@@ -765,7 +800,9 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
     // 2. Merge every shard's arrivals in global (block, position) order.
     // A fingerprint's arrivals all land in one shard, in the order the
     // serial scan would admit them, so each node sees the same sequence of
-    // AND-merges at any pool size.
+    // AND-merges at any pool size. The first slot of the arrival
+    // kPrefetch ahead is loaded while this one is admitted.
+    constexpr std::uint32_t kPrefetch = 8;
     for_each_task(opt.pool, kShards, [&](usize s) {
       shard_table& t = shards[s];
       t.layer_tally = tally{};
@@ -773,11 +810,13 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
       for (usize b = 0; b < blocks; ++b) {
         block_out& out = outs[b];
         std::uint32_t queued = 0;
-        for (std::uint32_t k = out.shard_begin[s]; k < out.shard_begin[s + 1];
-             ++k) {
+        const std::uint32_t end = out.shard_begin[s + 1];
+        for (std::uint32_t k = out.shard_begin[s]; k < end; ++k) {
+          if (k + kPrefetch < end) {
+            t.prefetch(out.arrivals[out.order[k + kPrefetch]].fp);
+          }
           arrival& arr = out.arrivals[out.order[k]];
-          arr.result =
-              t.admit(arr.fp, arr.facts, arr.sleep, layer_no, arr.target);
+          arr.result = t.admit(arr.fp, arr.facts, arr.sleep, arr.target);
           if (queues(arr.result)) ++queued;
         }
         out.queued[s] = queued;
@@ -817,7 +856,8 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
     // 3. Lay out the next layer (queued nodes in global arrival order) and
     // the edges, then fill both per block, collecting retreating edges. A
     // queued node's state is rebuilt from its arrival's parent, with the
-    // same pure step the expansion took.
+    // same pure step the expansion took, and packed. A parent's arrivals
+    // are adjacent, so each parent is unpacked once.
     usize queued_total = 0;
     usize edge_total = 0;
     for (usize b = 0; b < blocks; ++b) {
@@ -836,15 +876,20 @@ explore_result explore_por(const por_options& opt, por_stats& stats) {
       out.roots.clear();
       usize q = out.next_base;
       usize e = out.edge_base;
+      std::uint32_t unpacked = ~std::uint32_t{0};
+      sys_state parent;
       for (const arrival& arr : out.arrivals) {
         layer_edges[e++] = {arr.from, arr.target};
         if (queues(arr.result)) {
+          if (arr.parent != unpacked) {
+            parent = unpack(layer.data()[arr.parent].st, cfg);
+            unpacked = arr.parent;
+          }
           std::construct_at(
               next.data() + q++,
-              work_item{successor(layer.data()[arr.parent].st, cfg,
-                                  action_of(arr.act)),
-                        arr.target,
-                        shards[arr.target >> kLocalBits].sleep_of(arr.target)});
+              work_item{pack(successor(parent, cfg, action_of(arr.act))),
+                        shards[arr.target >> kLocalBits].sleep_of(arr.target),
+                        arr.target});
         }
         if (retreats(arr)) out.roots.push_back(arr.target);
       }

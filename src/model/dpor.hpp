@@ -60,8 +60,8 @@ struct por_stats {
   usize cycle_roots = 0;       ///< retreating edges: the cycle check's roots
   usize cycle_reached = 0;     ///< nodes the rooted cycle check visited
   /// Bytes allocated, when the search ends, for the visited table (slots,
-  /// node pages and their pointers, layer marks), the edge list and the
-  /// cycle roots. Deterministic, like every field here.
+  /// node pages and their pointers, layer marks, resumed lists), the edge
+  /// list and the cycle roots. Deterministic, like every field here.
   usize stored_bytes = 0;
 };
 

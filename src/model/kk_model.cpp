@@ -2,8 +2,15 @@
 
 #include <bit>
 #include <cassert>
+#include <cstddef>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+
+#if defined(__BMI2__)
+#include <immintrin.h>
+#endif
 
 #include "util/prng.hpp"
 
@@ -260,6 +267,169 @@ sys_state crash(const sys_state& s, [[maybe_unused]] const model_config& cfg,
 
 usize jobs_performed(const sys_state& s) {
   return static_cast<usize>(std::popcount(s.performed));
+}
+
+namespace {
+
+// pack keeps exactly the bits of a sys_state's object representation that
+// a reachable state can set, in memory order: it reads the state as
+// kStateWords 64-bit words and extracts each word's bits under a mask
+// computed at compile time from the fields' offsets and widest values.
+// Padding, the always-zero high bits of each small field and POS_p[p] are
+// left out.
+static_assert(std::is_trivially_copyable_v<sys_state> &&
+              std::is_standard_layout_v<sys_state>);
+static_assert(sizeof(sys_state) % sizeof(std::uint64_t) == 0);
+constexpr usize kStateWords = sizeof(sys_state) / sizeof(std::uint64_t);
+using state_words = std::array<std::uint64_t, kStateWords>;
+/// pack's output as whole words: the first kFullWords are copied, the last
+/// one's low bits are stored byte by byte.
+constexpr usize kFullWords = sizeof(packed_state) / sizeof(std::uint64_t);
+constexpr usize kTailBytes = sizeof(packed_state) % sizeof(std::uint64_t);
+using packed_words = std::array<std::uint64_t, kFullWords + 1>;
+
+/// Marks in `w` the bits that a field of `size` bytes at byte `offset` of
+/// the state uses for values up to `max`.
+constexpr void mark(state_words& w, usize offset, usize size, unsigned max) {
+  constexpr bool little = std::endian::native == std::endian::little;
+  for (unsigned b = 0; b < static_cast<unsigned>(std::bit_width(max)); ++b) {
+    const usize byte = offset + (little ? b / 8 : size - 1 - b / 8);
+    const usize in_word = little ? byte % 8 : 7 - byte % 8;
+    w[byte / 8] |= std::uint64_t{1} << (8 * in_word + b % 8);
+  }
+}
+
+constexpr state_words stored_bits() {
+  constexpr unsigned id = max_jobs + 1;  // a job id, row length or position
+  constexpr unsigned all = (1u << max_jobs) - 1;  // a job mask
+  state_words w{};
+  for (usize p = 0; p < max_procs; ++p) {
+    mark(w, offsetof(sys_state, next_reg) + p, 1, id);
+    mark(w, offsetof(sys_state, row_len) + p, 1, id);
+    for (usize i = 0; i < max_jobs; ++i) {
+      mark(w, offsetof(sys_state, rows) + p * max_jobs + i, 1, id);
+    }
+    const usize ps = offsetof(sys_state, procs) + p * sizeof(proc_state);
+    mark(w, ps + offsetof(proc_state, status), 1,
+         static_cast<unsigned>(kk_status::stop));
+    mark(w, ps + offsetof(proc_state, next), 1, id);
+    mark(w, ps + offsetof(proc_state, q), 1, max_procs);
+    mark(w, ps + offsetof(proc_state, finalizing), 1, 1);
+    mark(w, ps + offsetof(proc_state, has_output), 1, 1);
+    mark(w, ps + offsetof(proc_state, free), sizeof(job_mask), all);
+    mark(w, ps + offsetof(proc_state, done), sizeof(job_mask), all);
+    mark(w, ps + offsetof(proc_state, try_), sizeof(job_mask), all);
+    mark(w, ps + offsetof(proc_state, output), sizeof(job_mask), all);
+    for (usize q = 0; q < max_procs; ++q) {
+      if (q != p) mark(w, ps + offsetof(proc_state, pos) + q, 1, id);
+    }
+  }
+  mark(w, offsetof(sys_state, flag), 1, 1);
+  mark(w, offsetof(sys_state, performed), sizeof(job_mask), all);
+  mark(w, offsetof(sys_state, duplicate), 1, 1);
+  mark(w, offsetof(sys_state, crashes), 1, max_procs - 1);
+  return w;
+}
+
+/// Where pack keeps one word of the state: its stored bits, and the bit
+/// offset and width of their run in packed_words.
+struct word_plan {
+  std::uint64_t mask = 0;
+  unsigned at = 0;
+  unsigned width = 0;
+};
+
+constexpr std::array<word_plan, kStateWords> plan_words() {
+  const state_words masks = stored_bits();
+  std::array<word_plan, kStateWords> plan{};
+  unsigned at = 0;
+  for (usize i = 0; i < kStateWords; ++i) {
+    const auto width = static_cast<unsigned>(std::popcount(masks[i]));
+    plan[i] = {masks[i], at, width};
+    at += width;
+  }
+  return plan;
+}
+
+constexpr std::array<word_plan, kStateWords> kPlan = plan_words();
+constexpr unsigned kPackedBits = kPlan.back().at + kPlan.back().width;
+static_assert(kPackedBits == 338 && kPackedBits <= 8 * sizeof(packed_state));
+
+/// The bits of x under mask, packed to the low end (BMI2 PEXT).
+std::uint64_t extract_bits(std::uint64_t x, std::uint64_t mask) {
+#if defined(__BMI2__)
+  return _pext_u64(x, mask);
+#else
+  std::uint64_t out = 0;
+  for (std::uint64_t bit = 1; mask != 0; bit <<= 1, mask &= mask - 1) {
+    if ((x & mask & -mask) != 0) out |= bit;
+  }
+  return out;
+#endif
+}
+
+/// The low bits of x spread to the set bits of mask (BMI2 PDEP).
+std::uint64_t deposit_bits(std::uint64_t x, std::uint64_t mask) {
+#if defined(__BMI2__)
+  return _pdep_u64(x, mask);
+#else
+  std::uint64_t out = 0;
+  for (std::uint64_t bit = 1; mask != 0; bit <<= 1, mask &= mask - 1) {
+    if ((x & bit) != 0) out |= mask & -mask;
+  }
+  return out;
+#endif
+}
+
+}  // namespace
+
+packed_state pack(const sys_state& s) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(&s);
+  packed_words out{};
+  for (usize i = 0; i < kStateWords; ++i) {
+    const word_plan& pl = kPlan[i];
+    std::uint64_t w;
+    std::memcpy(&w, bytes + i * sizeof w, sizeof w);
+    const std::uint64_t v = extract_bits(w, pl.mask);
+    const unsigned lo = pl.at % 64;
+    const usize k = pl.at / 64;
+    out[k] |= v << lo;
+    if (lo + pl.width > 64) out[k + 1] |= v >> (64 - lo);
+  }
+  packed_state p;
+  for (usize k = 0; k < kFullWords; ++k) {
+    std::memcpy(p.bytes.data() + k * sizeof out[k], &out[k], sizeof out[k]);
+  }
+  for (usize j = 0; j < kTailBytes; ++j) {
+    p.bytes[kFullWords * sizeof out[0] + j] =
+        static_cast<std::uint8_t>(out[kFullWords] >> (8 * j));
+  }
+  return p;
+}
+
+sys_state unpack(const packed_state& p, const model_config& cfg) {
+  packed_words in{};
+  std::memcpy(in.data(), p.bytes.data(), kFullWords * sizeof in[0]);
+  for (usize j = 0; j < kTailBytes; ++j) {
+    in[kFullWords] |= std::uint64_t{p.bytes[kFullWords * sizeof in[0] + j]}
+                      << (8 * j);
+  }
+  // Each word is stored straight into the result: assembling the words
+  // elsewhere and copying them in makes the compiler read back narrower or
+  // wider than it wrote, which stalls store forwarding.
+  sys_state s;
+  auto* bytes = reinterpret_cast<unsigned char*>(&s);
+  for (usize i = 0; i < kStateWords; ++i) {
+    const word_plan& pl = kPlan[i];
+    const unsigned lo = pl.at % 64;
+    const usize k = pl.at / 64;
+    std::uint64_t v = in[k] >> lo;
+    if (lo + pl.width > 64) v |= in[k + 1] << (64 - lo);
+    const std::uint64_t w = deposit_bits(v, pl.mask);
+    std::memcpy(bytes + i * sizeof w, &w, sizeof w);
+  }
+  for (usize q = 0; q < cfg.m && q < max_procs; ++q) s.procs[q].pos[q] = 1;
+  return s;
 }
 
 fingerprint fingerprint_of(const sys_state& s, const model_config& cfg) {

@@ -100,6 +100,22 @@ sys_state crash(const sys_state& s, const model_config& cfg, process_id p);
 /// Number of distinct jobs performed (Do(alpha) of Definition 2.1).
 usize jobs_performed(const sys_state& s);
 
+/// A reachable sys_state in 43 bytes instead of 96, for the states that
+/// wait in the POR frontier. pack keeps only the 338 bits a reachable
+/// state can set: 4 per job id, row entry, row length and row position,
+/// 10 per job mask, 2 for q and for the crash count, 1 per flag. POS_p[p]
+/// is not stored: a process never reads or writes its own row position
+/// (its own row length is row_len), so it keeps initial_state's value.
+struct packed_state {
+  std::array<std::uint8_t, 43> bytes{};
+};
+
+packed_state pack(const sys_state& s);
+
+/// The inverse of pack for a state reachable under `cfg`: equal to the
+/// packed state (cfg.m restores the unstored POS_p[p]).
+sys_state unpack(const packed_state& p, const model_config& cfg);
+
 /// 128-bit fingerprint for visited-state dedup: two independent 64-bit
 /// hashes of the canonical encoding. Two distinct states merge only if both
 /// halves collide, with probability ~ |states|^2 / 2^129 over a search.

@@ -70,6 +70,24 @@ void run_supervised(shard_run& run, double deadline_s, double term_grace_s,
   run.timed_out = false;
   run.status.clear();
 
+  // The child's environment and arguments are built here, before fork():
+  // other launcher threads fork concurrently, and a child that allocated
+  // between fork() and execve() could block forever on a heap lock some
+  // other thread held at the fork. The inherited AMO_FAULT* vars are
+  // scrubbed — fault injection reaches a shard only as the action the
+  // dispatcher resolved for THIS attempt.
+  std::vector<char*> envp;
+  for (char** e = environ; *e != nullptr; ++e) {
+    if (std::string_view(*e).rfind("AMO_FAULT", 0) == 0) continue;
+    envp.push_back(*e);
+  }
+  for (const std::string& var : env_add) {
+    envp.push_back(const_cast<char*>(var.c_str()));
+  }
+  envp.push_back(nullptr);
+  char* const argv[] = {const_cast<char*>("/bin/sh"), const_cast<char*>("-c"),
+                        const_cast<char*>(run.command.c_str()), nullptr};
+
   int fds[2];
   if (::pipe(fds) != 0) {
     run.status = std::string("pipe failed: ") + std::strerror(errno);
@@ -84,26 +102,13 @@ void run_supervised(shard_run& run, double deadline_s, double term_grace_s,
   }
   if (pid == 0) {
     // Child: own process group (so the deadline can kill the sh AND
-    // whatever it spawned), both streams into the pipe, then exec. The
-    // inherited AMO_FAULT* vars are scrubbed — fault injection reaches a
-    // shard only as the action the dispatcher resolved for THIS attempt.
+    // whatever it spawned), both streams into the pipe, then exec. Only
+    // async-signal-safe calls from here on: nothing allocates.
     ::setpgid(0, 0);
     ::dup2(fds[1], STDOUT_FILENO);
     ::dup2(fds[1], STDERR_FILENO);
     ::close(fds[0]);
     ::close(fds[1]);
-    std::vector<char*> envp;
-    for (char** e = environ; *e != nullptr; ++e) {
-      if (std::string_view(*e).rfind("AMO_FAULT", 0) == 0) continue;
-      envp.push_back(*e);
-    }
-    for (const std::string& var : env_add) {
-      envp.push_back(const_cast<char*>(var.c_str()));
-    }
-    envp.push_back(nullptr);
-    char* const argv[] = {const_cast<char*>("/bin/sh"),
-                          const_cast<char*>("-c"),
-                          const_cast<char*>(run.command.c_str()), nullptr};
     ::execve("/bin/sh", argv, envp.data());
     std::_Exit(127);
   }

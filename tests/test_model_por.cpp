@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -148,6 +149,79 @@ TEST(PorDifferential, RandomizedSmallConfigs) {
   }
 }
 
+TEST(PorPack, RoundTripsEveryReachableState) {
+  // The frontier stores packed states: every state the brute-force search
+  // reaches must unpack to itself. The configs reach crashes, full rows of
+  // job 10, flag raises and both kinds of output.
+  const model::model_config cfgs[] = {
+      make_cfg(3, 3, 3, 2, selection_rule::paper_rank, kk_mode::plain),
+      make_cfg(10, 1, 1, 0, selection_rule::paper_rank, kk_mode::plain),
+      make_cfg(5, 2, 2, 1, selection_rule::two_ends, kk_mode::plain),
+      make_cfg(4, 2, 2, 1, selection_rule::paper_rank, kk_mode::iter_step),
+      make_cfg(4, 2, 2, 1, selection_rule::paper_rank, kk_mode::wa_iter_step)};
+  for (const model::model_config& cfg : cfgs) {
+    SCOPED_TRACE("n=" + std::to_string(cfg.n) + " m=" + std::to_string(cfg.m) +
+                 " mode=" + std::to_string(static_cast<int>(cfg.mode)));
+    std::unordered_set<model::fingerprint, model::fingerprint_hash> seen;
+    std::vector<model::sys_state> todo{model::initial_state(cfg)};
+    seen.insert(model::fingerprint_of(todo.back(), cfg));
+    usize mismatches = 0;
+    bool flag = false;
+    bool outputs = false;
+    bool crashes = false;
+    while (!todo.empty()) {
+      const model::sys_state s = todo.back();
+      todo.pop_back();
+      if (!(model::unpack(model::pack(s), cfg) == s)) ++mismatches;
+      flag = flag || s.flag;
+      outputs = outputs || s.procs[0].has_output;
+      crashes = crashes || s.crashes > 0;
+      for (process_id p = 1; p <= cfg.m; ++p) {
+        if (!model::runnable(s, cfg, p)) continue;
+        model::sys_state next[2] = {model::step(s, cfg, p), s};
+        const bool crash = s.crashes < cfg.crash_budget;
+        if (crash) next[1] = model::crash(s, cfg, p);
+        for (usize k = 0; k < (crash ? 2u : 1u); ++k) {
+          if (seen.insert(model::fingerprint_of(next[k], cfg)).second) {
+            todo.push_back(next[k]);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    explore_options bo;
+    bo.cfg = cfg;
+    EXPECT_EQ(seen.size(), explore(bo).states);  // the same state set
+    EXPECT_EQ(flag, cfg.mode != kk_mode::plain);
+    EXPECT_EQ(outputs, cfg.mode != kk_mode::plain);
+    EXPECT_EQ(crashes, cfg.crash_budget > 0);
+  }
+
+  // No reachable state sets duplicate or holds every field at its widest;
+  // the packing must keep those bits too.
+  const model::model_config cfg =
+      make_cfg(10, 3, 3, 2, selection_rule::paper_rank, kk_mode::iter_step);
+  model::sys_state wide = model::initial_state(cfg);
+  for (usize p = 0; p < model::max_procs; ++p) {
+    wide.next_reg[p] = 10;
+    wide.row_len[p] = 10;
+    wide.rows[p].fill(10);
+    model::proc_state& ps = wide.procs[p];
+    ps.status = kk_status::stop;
+    ps.next = 10;
+    ps.q = 3;
+    ps.finalizing = ps.has_output = true;
+    ps.free = ps.done = ps.try_ = ps.output = 0x3ff;
+    for (usize q = 0; q < model::max_procs; ++q) {
+      if (q != p) ps.pos[q] = 11;
+    }
+  }
+  wide.flag = wide.duplicate = true;
+  wide.performed = 0x3ff;
+  wide.crashes = 2;
+  EXPECT_TRUE(model::unpack(model::pack(wide), cfg) == wide);
+}
+
 TEST(PorDeterminism, BitIdenticalAtAnyPoolSize) {
   struct input {
     const char* label;
@@ -262,12 +336,13 @@ TEST(PorGolden, CountsAndStatsArePinned) {
   paper.s.layers = 74;
   paper.s.cycle_roots = 195;
   paper.s.cycle_reached = 42'984;
-  paper.s.stored_bytes = 22'296'552;
+  paper.s.stored_bytes = 19'830'532;
   // The e2e check_por instance. The visited table stores each node's
-  // 16-byte fingerprint, sleep set and queue stamp once, behind a 4-byte
-  // slot; with the edge list that is about 36 bytes per state. A table
-  // that keeps the fingerprint in 24-byte slots needs 63.
-  paper.max_bytes_per_state = 40;
+  // 16-byte fingerprint and sleep set once, behind a 4-byte slot; with the
+  // edge list that is 32.26 bytes per state. A per-node 4-byte queue stamp
+  // made it 36.27, and a table that keeps the fingerprint in 24-byte slots
+  // needs 63.
+  paper.max_bytes_per_state = 33;
   golden ends{"two_ends n4m3b2f1",
               make_cfg(4, 3, 2, 1, selection_rule::two_ends, kk_mode::plain),
               {},
@@ -285,7 +360,7 @@ TEST(PorGolden, CountsAndStatsArePinned) {
   ends.s.layers = 72;
   ends.s.cycle_roots = 99;
   ends.s.cycle_reached = 18'866;
-  ends.s.stored_bytes = 13'014'864;
+  ends.s.stored_bytes = 11'528'692;
   golden livelock{
       "two_ends n2m3b1f0",
       make_cfg(2, 3, 1, 0, selection_rule::two_ends, kk_mode::plain),
@@ -305,7 +380,7 @@ TEST(PorGolden, CountsAndStatsArePinned) {
   livelock.s.layers = 115;
   livelock.s.cycle_roots = 1'497;
   livelock.s.cycle_reached = 17'213;
-  livelock.s.stored_bytes = 2'403'352;
+  livelock.s.stored_bytes = 2'154'968;
 
   svc::worker_pool pool(3);
   for (const golden& g : {paper, ends, livelock}) {
